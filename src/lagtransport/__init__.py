@@ -44,7 +44,6 @@ from .flow import (
     density_rho2,
     flow_map,
     flow_map_to_csv,
-    inflow_measure,
     integrate_flow,
     inverse_flow_grid,
     verify_change_of_variables,
@@ -108,7 +107,6 @@ __all__ = [
     "flow_map",
     "flow_map_to_csv",
     "fragmentation_kernel",
-    "inflow_measure",
     "integrate_flow",
     "integrate_full",
     "integrate_r",

@@ -12,9 +12,7 @@ exit code:
 
 Configs declare schema_version 1 and are validated against a strict
 whitelist; unknown keys anywhere are rejected before anything runs, and
-no output files are written unless the computation finishes.  Worker
-count is a command line concern (--workers), not part of the config, so
-config hashes are stable across machines.
+no output files are written unless the computation finishes.
 """
 
 from __future__ import annotations
@@ -269,14 +267,14 @@ def _build_solver(spec: dict | None) -> SolverConfig:
 # =====================================================================
 
 
-def _cmd_flow(cfg: dict, workers: int, stem: str, out_dir: Path):
+def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
     field = _build_field(cfg["field"])
     grid = _build_grid(cfg["grid"])
     direction = cfg.get("direction", "forward")
     if direction not in ("forward", "backward"):
         raise ConfigError(f"unknown direction {direction!r}")
     tol = float(cfg.get("tol", 1e-10))
-    fmap = flow_map(field, grid, tol=tol, workers=workers, direction=direction)
+    fmap = flow_map(field, grid, tol=tol, direction=direction)
     report = check_compressibility(fmap, field)
     payload = {
         "command": "flow",
@@ -291,13 +289,12 @@ def _cmd_flow(cfg: dict, workers: int, stem: str, out_dir: Path):
     return payload, report.ok
 
 
-def _cmd_solve(cfg: dict, workers: int, stem: str, out_dir: Path):
+def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     field = _build_field(cfg["field"])
     grid = _build_grid(cfg["grid"])
     kernel = _build_kernel(cfg.get("kernel"))
     datum = _build_initial(cfg["initial"])
     config = _build_solver(cfg.get("solver"))
-    config.workers = workers
     t_end = float(cfg["t_end"])
     sol = continue_solution(datum, field, kernel, config, grid, t_end)
     times, masses = sol.mass_history()
@@ -314,7 +311,7 @@ def _cmd_solve(cfg: dict, workers: int, stem: str, out_dir: Path):
     return payload, True
 
 
-def _cmd_stability(cfg: dict, workers: int, stem: str, out_dir: Path):
+def _cmd_stability(cfg: dict, stem: str, out_dir: Path):
     kwargs = {}
     for key in (
         "k", "mu", "t_end", "final_threshold", "monotone_slack",
@@ -341,7 +338,7 @@ def _cmd_stability(cfg: dict, workers: int, stem: str, out_dir: Path):
     return payload, report.passed
 
 
-def _cmd_counterexample(cfg: dict, workers: int, stem: str, out_dir: Path):
+def _cmd_counterexample(cfg: dict, stem: str, out_dir: Path):
     kwargs = {}
     for key in (
         "t", "line_nodes", "weak_constant", "floor_fraction", "spread_tol",
@@ -373,7 +370,6 @@ def _cmd_counterexample(cfg: dict, workers: int, stem: str, out_dir: Path):
 
 def _verify_battery(
     field, grid: GridSpec, t: float, flow_tol: float, scale: float,
-    workers: int,
 ) -> dict:
     """Named self-checks with scaled tolerances.
 
@@ -416,7 +412,7 @@ def _verify_battery(
 
     # inverse round trip: backward labels flowed forward return to the grid
     lab_x, _, lab_r, _ = inverse_flow_grid(
-        field, xs, rs if grid.j else None, t0 + t, t0, flow_tol, workers
+        field, xs, rs if grid.j else None, t0 + t, t0, flow_tol
     )
     xpos, _, dense = _solve_x_block(
         field, lab_x, (t0, t0 + t), np.array([t0 + t]), flow_tol
@@ -436,10 +432,7 @@ def _verify_battery(
     record("inverse_round_trip", err, 1e-7 * scale)
 
     # density bounds along stored trajectories
-    fmap = flow_map(
-        field, grid, times=np.linspace(t0, t0 + t, 9), tol=flow_tol,
-        workers=workers,
-    )
+    fmap = flow_map(field, grid, times=np.linspace(t0, t0 + t, 9), tol=flow_tol)
     rep = check_compressibility(fmap, field)
     checks["density_bounds"] = {
         "measured": float(len(rep.violations)),
@@ -467,7 +460,7 @@ def _verify_battery(
             )
 
     cov = verify_change_of_variables(
-        field, grid, t0 + t, phi_x, phi_joint, tol=flow_tol, workers=workers
+        field, grid, t0 + t, phi_x, phi_joint, tol=flow_tol
     )
     record("change_of_variables_marginal", cov["residual_marginal"], 2e-3 * scale)
     if "residual_joint" in cov:
@@ -521,7 +514,7 @@ def _verify_battery(
     return checks
 
 
-def _cmd_verify(cfg: dict, workers: int, stem: str, out_dir: Path):
+def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
     field = _build_field(cfg["field"])
     grid = _build_grid(cfg["grid"])
     t = float(cfg.get("t", 0.5))
@@ -531,7 +524,7 @@ def _cmd_verify(cfg: dict, workers: int, stem: str, out_dir: Path):
         raise ConfigError("t must be positive")
     if scale <= 0:
         raise ConfigError("tolerance_scale must be positive")
-    checks = _verify_battery(field, grid, t, flow_tol, scale, workers)
+    checks = _verify_battery(field, grid, t, flow_tol, scale)
     passed = all(c["passed"] for c in checks.values())
     payload = {
         "command": "verify",
@@ -579,10 +572,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--workers", type=int, default=1,
-            help="threads for per-fiber integrations",
-        )
     args = parser.parse_args(argv)
 
     try:
@@ -600,9 +589,7 @@ def main(argv=None) -> int:
 
     stem = _config_stem(args.command, cfg)
     try:
-        payload, verdict = _COMMANDS[args.command](
-            cfg, max(1, args.workers), stem, out_dir
-        )
+        payload, verdict = _COMMANDS[args.command](cfg, stem, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ no timing data, so a rerun with the same inputs writes identical bytes.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -51,7 +50,6 @@ class ExperimentReport:
     params: dict
     rows: list = dc_field(default_factory=list)
     criteria: dict = dc_field(default_factory=dict)
-    runtime: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -73,7 +71,6 @@ class ExperimentReport:
             "rows": self.rows,
             "criteria": self.criteria,
             "passed": self.passed,
-            "runtime": self.runtime,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -124,7 +121,6 @@ def operator_convergence_experiment(
     kernel: Kernel | None = None,
     order_threshold: float = 1.0,
     flow_tol: float = 1e-10,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Distance between the source operators of b_eps and b on a fixed probe.
 
@@ -135,7 +131,6 @@ def operator_convergence_experiment(
     of a smooth field cancels the first moment, so the observed order is
     about 2; the criterion only demands the guaranteed order 1.
     """
-    tic = time.perf_counter()
     eps_values = tuple(sorted(eps_values, reverse=True))
     if len(eps_values) < 2:
         raise ValueError("need at least two mollification radii")
@@ -152,7 +147,7 @@ def operator_convergence_experiment(
     probe = _probe_values(grid, num_t)
     zero_datum = np.zeros((grid.num_x, grid.num_r))
 
-    fmap = flow_map(base, grid, times=times, tol=flow_tol, workers=workers)
+    fmap = flow_map(base, grid, times=times, tol=flow_tol)
     ref = apply_A(probe, fmap, kernel, grid, zero_datum)
 
     report = ExperimentReport(
@@ -166,7 +161,7 @@ def operator_convergence_experiment(
     dists = []
     for eps in eps_values:
         fld = mollify_field(base, eps)
-        fmap_eps = flow_map(fld, grid, times=times, tol=flow_tol, workers=workers)
+        fmap_eps = flow_map(fld, grid, times=times, tol=flow_tol)
         img = apply_A(probe, fmap_eps, kernel, grid, zero_datum)
         dist = max(
             lp_norm(img[i] - ref[i], grid, spec) for i in range(times.size)
@@ -191,7 +186,6 @@ def operator_convergence_experiment(
         "monotone_decrease", float(monotone), 1.0, monotone,
         "distances shrink with the mollification radius",
     )
-    report.runtime = time.perf_counter() - tic
     return report
 
 
@@ -227,7 +221,6 @@ def stability_experiment(
     predecessor (ratio at most `monotone_slack`), and the finest radius
     lands below `final_threshold`.
     """
-    tic = time.perf_counter()
     eps_values = tuple(sorted(eps_values, reverse=True))
     if len(eps_values) < 3:
         raise ValueError("need at least three mollification radii")
@@ -292,7 +285,6 @@ def stability_experiment(
         dists[-1] < final_threshold,
         "finest mollification lands within the stability tolerance",
     )
-    report.runtime = time.perf_counter() - tic
     return report
 
 
@@ -331,7 +323,6 @@ def counterexample_experiment(
     The floor is the closed-form distance at wavenumber 1, which exact
     periodicity makes the common value for every integer k.
     """
-    tic = time.perf_counter()
     report = ExperimentReport(
         name="counterexample",
         params={
@@ -414,5 +405,4 @@ def counterexample_experiment(
         "l1_k_independence", spread, spread_tol, spread <= spread_tol,
         "the L1 distance is the same for every wavenumber",
     )
-    report.runtime = time.perf_counter() - tic
     return report

@@ -16,7 +16,6 @@ without any Eulerian reconstruction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "density_rho2",
     "check_compressibility",
     "verify_change_of_variables",
-    "inflow_measure",
     "flow_map_to_csv",
 ]
 
@@ -193,11 +191,6 @@ class FlowMap:
             logj=self.logj1[:, i_x] + self.logj2[:, i_x, i_r],
         )
 
-    def samples(self):
-        for i_x in range(self.num_x):
-            for i_r in range(self.num_r):
-                yield self.sample(i_x, i_r)
-
 
 def integrate_flow(
     field: StructuredVectorField,
@@ -235,7 +228,7 @@ def integrate_flow(
     )
 
 
-def _forward_flow_map(field, grid, times, tol, workers) -> FlowMap:
+def _forward_flow_map(field, grid, times, tol) -> FlowMap:
     xs = grid.x_labels()
     rs = grid.r_labels()
     Nx, n = xs.shape
@@ -247,20 +240,11 @@ def _forward_flow_map(field, grid, times, tol, workers) -> FlowMap:
     x2 = np.zeros((K, Nx, Nr, field.j))
     logj2 = np.zeros((K, Nx, Nr))
     if field.j > 0:
-        def run_fiber(i):
+        for i in range(Nx):
             x_of_t = lambda t: dense(t)[i * n : (i + 1) * n]
-            return _solve_r_fiber(
+            x2[:, i], logj2[:, i] = _solve_r_fiber(
                 field, x_of_t, rs, (times[0], times[-1]), times, tol
             )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_fiber, range(Nx)))
-        else:
-            results = [run_fiber(i) for i in range(Nx)]
-        for i, (rpos, lj2) in enumerate(results):
-            x2[:, i, :, :] = rpos
-            logj2[:, i, :] = lj2
     return FlowMap(
         grid=grid, direction="forward", times=times,
         x1=xpos, logj1=logj1, x2=x2, logj2=logj2,
@@ -268,7 +252,7 @@ def _forward_flow_map(field, grid, times, tol, workers) -> FlowMap:
     )
 
 
-def _backward_flow_map(field, grid, times, tol, workers) -> FlowMap:
+def _backward_flow_map(field, grid, times, tol) -> FlowMap:
     xs = grid.x_labels()
     rs = grid.r_labels()
     Nx, n = xs.shape
@@ -283,7 +267,7 @@ def _backward_flow_map(field, grid, times, tol, workers) -> FlowMap:
         x2[0] = np.broadcast_to(rs[None, :, :], (Nx, Nr, field.j))
     for k in range(1, K):
         lx, lj1, lx2, lj2 = _inverse_fiber(
-            field, xs, rs, times[k], times[0], tol, workers
+            field, xs, rs, times[k], times[0], tol
         )
         x1[k] = lx
         logj1[k] = -lj1
@@ -302,14 +286,12 @@ def flow_map(
     grid: GridSpec,
     times: np.ndarray | None = None,
     tol: float = 1e-10,
-    workers: int = 1,
     direction: str = "forward",
 ) -> FlowMap:
     """Flow of every grid label, forward from times[0] or backward to it.
 
     The x block is integrated once per x label and shared across the r
-    fiber; `workers` threads the per-fiber integrations without changing
-    any result (label order is preserved).
+    fiber.
     """
     if field.n != grid.n or field.j != grid.j:
         raise ValueError("field and grid dimensions disagree")
@@ -317,13 +299,13 @@ def flow_map(
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing with >= 2 entries")
     if direction == "forward":
-        return _forward_flow_map(field, grid, times, tol, workers)
+        return _forward_flow_map(field, grid, times, tol)
     if direction == "backward":
-        return _backward_flow_map(field, grid, times, tol, workers)
+        return _backward_flow_map(field, grid, times, tol)
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _inverse_fiber(field, xs, rs, t, t0, tol, workers=1):
+def _inverse_fiber(field, xs, rs, t, t0, tol):
     """Backward pass (t -> t0) for Eulerian tensor points xs x rs.
 
     Returns (labels_x (Nx, n), logj1_fwd (Nx,), labels_r (Nx, Nr, j),
@@ -343,16 +325,9 @@ def _inverse_fiber(field, xs, rs, t, t0, tol, workers=1):
     labels_r = np.empty((Nx, Nr, field.j))
     logj2_fwd = np.empty((Nx, Nr))
 
-    def run_fiber(i):
+    for i in range(Nx):
         x_of_t = lambda s: dense(s)[i * n : (i + 1) * n]
-        return _solve_r_fiber(field, x_of_t, rs, (t, t0), t_eval, tol)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_fiber, range(Nx)))
-    else:
-        results = [run_fiber(i) for i in range(Nx)]
-    for i, (rpos, lj2) in enumerate(results):
+        rpos, lj2 = _solve_r_fiber(field, x_of_t, rs, (t, t0), t_eval, tol)
         labels_r[i] = rpos[-1]
         logj2_fwd[i] = -lj2[-1]
     return labels_x, logj1_fwd, labels_r, logj2_fwd
@@ -365,7 +340,6 @@ def inverse_flow_grid(
     t: float,
     t0: float = 0.0,
     tol: float = 1e-10,
-    workers: int = 1,
 ):
     """Inverse flow X^{-1}(t, .) on a tensor set of Eulerian points.
 
@@ -385,7 +359,7 @@ def inverse_flow_grid(
             np.broadcast_to(rs[None], (Nx, Nr, field.j)).copy(),
             np.zeros((Nx, Nr)),
         )
-    return _inverse_fiber(field, xs, rs, t, t0, tol, workers)
+    return _inverse_fiber(field, xs, rs, t, t0, tol)
 
 
 def density_rho2(fmap: FlowMap) -> np.ndarray:
@@ -484,7 +458,6 @@ def verify_change_of_variables(
     support_x: tuple[tuple[float, float], ...] | None = None,
     support_r: tuple[tuple[float, float], ...] | None = None,
     tol: float = 1e-10,
-    workers: int = 1,
 ) -> dict:
     """Double-entry check of the pushforward identities.
 
@@ -512,10 +485,10 @@ def verify_change_of_variables(
     wx = grid.x_weights()
     wr = grid.r_weights()
     times = np.array([t0, 0.5 * (t0 + t), t])
-    fwd = flow_map(field, grid, times=times, tol=tol, workers=workers)
+    fwd = flow_map(field, grid, times=times, tol=tol)
     rhs_marg = float(np.sum(wx * _eval_phi_x(phi_x, fwd.x1[-1])))
     lab_x, lj1, lab_r, lj2 = inverse_flow_grid(
-        field, xs, rs if grid.j else None, t, t0, tol, workers
+        field, xs, rs if grid.j else None, t, t0, tol
     )
     inside_x = _inside(lab_x, grid.x_bounds)
     rho1 = np.where(inside_x, np.exp(-lj1), 0.0)
@@ -594,39 +567,6 @@ def _check_margin(support, bounds, disp, tag):
                 f"{tag}-support ({slo}, {shi}) plus displacement {disp:.3g} "
                 f"leaves the grid box ({blo}, {bhi})"
             )
-
-
-def inflow_measure(
-    field: StructuredVectorField,
-    grid: GridSpec,
-    radius_labels: float,
-    radius_target: float,
-    t: float,
-    tol: float = 1e-8,
-    workers: int = 1,
-) -> float:
-    """Measure of labels outside B_R whose position at time t lies in B_rho.
-
-    Deterministic probe-grid estimate: the grid supplies both the probe
-    points and the quadrature weights of the indicator.  Accuracy is
-    first order in the probe spacing (indicator boundaries cut cells).
-    """
-    if radius_target >= radius_labels:
-        raise ValueError("need radius_target < radius_labels")
-    times = np.array([grid.time_nodes[0], t])
-    fmap = flow_map(field, grid, times=times, tol=tol, workers=workers)
-    pos = fmap.positions()[-1].reshape(-1, grid.n + grid.j)
-    labels = np.concatenate(
-        [
-            np.repeat(grid.x_labels(), grid.num_r, axis=0),
-            np.tile(grid.r_labels(), (grid.num_x, 1)),
-        ],
-        axis=-1,
-    )
-    w = np.multiply.outer(grid.x_weights(), grid.r_weights()).reshape(-1)
-    outside = np.linalg.norm(labels, axis=-1) > radius_labels
-    arrive = np.linalg.norm(pos, axis=-1) < radius_target
-    return float(np.sum(w[outside & arrive]))
 
 
 def flow_map_to_csv(fmap: FlowMap, path) -> None:

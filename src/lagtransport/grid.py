@@ -291,28 +291,6 @@ class NormSpec:
             raise ValueError("p must be >= 1 or inf")
 
 
-def _window_slices(
-    grid: GridSpec, window: tuple[tuple[float, float], ...] | None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-axis (coords, weights) restricted to the window node span."""
-    axes = grid.axes()
-    if window is None:
-        return list(axes), [axis_weights(a) for a in axes]
-    if len(window) != len(axes):
-        raise ValueError("window must give one interval per grid axis")
-    coords_out, weights_out = [], []
-    for a, (lo, hi) in zip(axes, window):
-        mask = (a >= lo - _SNAP * max(1.0, abs(lo))) & (
-            a <= hi + _SNAP * max(1.0, abs(hi))
-        )
-        sub = a[mask]
-        if sub.size < 2:
-            raise ValueError(f"window ({lo}, {hi}) spans fewer than 2 nodes")
-        coords_out.append(sub)
-        weights_out.append(axis_weights(sub))
-    return coords_out, weights_out
-
-
 def _window_mask_weights(
     grid: GridSpec, window: tuple[tuple[float, float], ...] | None
 ) -> np.ndarray:

@@ -74,7 +74,6 @@ class SolverConfig:
     flow_tol: float = 1e-10
     exterior_value: float = 0.0
     exit_fraction_limit: float = 1e-3
-    workers: int = 1
     slab_time_samples: int = 9
     max_halvings: int = 40
 
@@ -271,9 +270,7 @@ def picard_solve(
         raise ValueError("u0_values must have shape (num_x, num_r)")
     times = np.linspace(t_start, t_start + duration, config.nodes_per_slab)
     if fmap is None:
-        fmap = flow_map(
-            field, grid, times=times, tol=config.flow_tol, workers=config.workers
-        )
+        fmap = flow_map(field, grid, times=times, tol=config.flow_tol)
     mats = None if kernel is None else _kernel_matrices(fmap, kernel, grid)
     spec = config.norm_spec()
     u = np.broadcast_to(u0_values[None], (times.size,) + u0_values.shape).copy()
@@ -333,7 +330,7 @@ def eulerian_reconstruct(
     xs = grid_out.x_labels()
     rs = grid_out.r_labels() if grid_out.j else None
     lab_x, _, lab_r, _ = inverse_flow_grid(
-        field, xs, rs, float(state.times[k]), t0, config.flow_tol, config.workers
+        field, xs, rs, float(state.times[k]), t0, config.flow_tol
     )
     n, j = state.grid.n, state.grid.j
     Nx_out = xs.shape[0]

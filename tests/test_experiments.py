@@ -47,21 +47,26 @@ def test_report_passed_and_serialization(tmp_path):
 # ---------------------------------------------------------------------
 
 
-def test_operator_convergence_small_run():
+def test_operator_convergence_small_run(tmp_path):
     grid = GridSpec(
         x_bounds=((-np.pi, np.pi),), x_counts=(33,),
         r_bounds=((0.0, 1.0),), r_counts=(17,),
         time_nodes=np.linspace(0.0, 0.2, 5),
     )
-    report = operator_convergence_experiment(
-        eps_values=(0.2, 0.1, 0.05), t_end=0.2, num_t=5, grid=grid,
-    )
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        report = operator_convergence_experiment(
+            eps_values=(0.2, 0.1, 0.05), t_end=0.2, num_t=5, grid=grid,
+        )
+        report.to_json(path)
     assert report.passed, report.criteria
     dists = [row["distance"] for row in report.rows]
     assert dists[0] > dists[-1]
     # symmetric smoothing of a smooth field cancels the first moment,
     # so the measured order sits near two, well above the threshold
     assert report.criteria["order"]["value"] > 1.7
+    # reports carry no timing data: a rerun writes identical bytes
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_operator_convergence_needs_two_radii():

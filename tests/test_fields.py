@@ -1,10 +1,13 @@
 """Field catalogue, mollification, kernels, and slab bounds."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from lagtransport.fields import (
     FieldValidationError,
+    StructuredVectorField,
     fragmentation_kernel,
     kernel_slab_bound,
     kernel_slab_rate,
@@ -24,6 +27,23 @@ from lagtransport.fields import (
 )
 from lagtransport.grid import GridSpec
 
+
+def _modulated_logistic_field(mu=0.3):
+    """b1 = sin x with a fiber drift whose rate depends on x:
+    b2 = mu (1 + 0.5 sin x) r (1 - r), div_r b2 = mu (1 + 0.5 sin x)(1 - 2r)."""
+
+    def rate(x):
+        return mu * (1.0 + 0.5 * np.sin(x[..., 0]))
+
+    return StructuredVectorField(
+        "modulated_logistic", 1, 1,
+        b1=lambda t, x: np.sin(x),
+        b2=lambda t, x, r: rate(x)[..., None] * r * (1.0 - r),
+        div_b1=lambda t, x: np.cos(x[..., 0]),
+        div_b2=lambda t, x, r: rate(x) * (1.0 - 2.0 * r[..., 0]),
+    )
+
+
 ALL_FIELDS = [
     zero_field(1, 1),
     linear_field(lam=0.4, mu=0.3, n=1, j=1),
@@ -31,6 +51,7 @@ ALL_FIELDS = [
     logistic_field(k=1, mu=0.3),
     swirl_field(omega=0.7),
     sobolev_field(alpha=2.0 / 3.0, j=0),
+    _modulated_logistic_field(),
 ]
 
 
@@ -133,10 +154,70 @@ def test_mollified_oscillatory_field_converges_second_order():
 
 
 def test_mollified_field_passes_divergence_validation():
-    smooth = mollify_field(logistic_field(k=1, mu=0.3), eps=0.1)
     rng = np.random.default_rng(9)
-    pts_x, pts_r = _validation_points(smooth, rng)
-    assert validate_field(smooth, pts_x, pts_r) == []
+    for field in (logistic_field(k=1, mu=0.3), _modulated_logistic_field()):
+        smooth = mollify_field(field, eps=0.1)
+        pts_x, pts_r = _validation_points(smooth, rng)
+        assert validate_field(smooth, pts_x, pts_r) == []
+
+
+def _per_offset_mollified(moll, t, *pts):
+    """Reference: accumulate one shifted base call per stencil offset."""
+    pts = [np.asarray(p, dtype=float) for p in pts]
+    edges = np.cumsum([0] + [p.shape[-1] for p in pts])
+    acc = None
+    for dz, c in zip(moll.offsets, moll.coeffs):
+        shifted = [
+            p - moll.eps * dz[lo:hi]
+            for p, lo, hi in zip(pts, edges[:-1], edges[1:])
+        ]
+        v = c * np.asarray(moll.base(t, *shifted), dtype=float)
+        acc = v if acc is None else acc + v
+    return acc
+
+
+@pytest.mark.parametrize(
+    "field", [logistic_field(k=1, mu=0.3), _modulated_logistic_field()],
+    ids=["logistic", "modulated_logistic"],
+)
+def test_broadcast_mollifier_matches_per_offset_sum(field):
+    # one broadcast base call over the whole stencil must agree with the
+    # per-offset accumulation for every batch shape the solver passes in
+    smooth = mollify_field(field, eps=0.1)
+    rng = np.random.default_rng(17)
+    x_pts = rng.uniform(-2.0, 2.0, size=(11, 1))
+    r_pts = rng.uniform(0.1, 0.9, size=(11, 1))
+    calls = [
+        ("b1", smooth.b1, (x_pts,)),
+        ("div_b1", smooth.div_b1, (x_pts,)),
+    ]
+    for name in ("b2", "div_b2"):
+        moll = getattr(smooth, name)
+        calls += [
+            (name, moll, (x_pts, r_pts)),
+            (name, moll, (np.array([0.7]), rng.uniform(0.1, 0.9, size=(9, 1)))),
+            (name, moll, (
+                rng.uniform(-2.0, 2.0, size=(4, 6, 1)),
+                rng.uniform(0.1, 0.9, size=(4, 6, 1)),
+            )),
+        ]
+    for name, moll, pts in calls:
+        got = moll(0.37, *pts)
+        ref = _per_offset_mollified(moll, 0.37, *pts)
+        assert got.shape == ref.shape, name
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
+def test_mollified_field_survives_pickling():
+    smooth = mollify_field(logistic_field(k=1, mu=0.3), eps=0.1)
+    clone = pickle.loads(pickle.dumps(smooth))
+    x = np.array([[0.3], [1.1]])
+    r = np.array([[0.2], [0.6]])
+    for name in ("b1", "div_b1", "b2", "div_b2"):
+        pts = (x,) if name.endswith("b1") else (x, r)
+        assert np.array_equal(
+            getattr(clone, name)(0.2, *pts), getattr(smooth, name)(0.2, *pts)
+        )
 
 
 # ---------------------------------------------------------------------

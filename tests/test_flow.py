@@ -106,16 +106,6 @@ def test_x_block_shared_bitwise_across_fiber():
         assert np.array_equal(x_part[:, :, q, :], x_part[:, :, 0, :])
 
 
-def test_flow_map_workers_do_not_change_results():
-    grid = _grid(nx=7, nr=5)
-    field = logistic_field(k=1, mu=0.3)
-    f1 = flow_map(field, grid, tol=TOL, workers=1)
-    f4 = flow_map(field, grid, tol=TOL, workers=4)
-    assert np.array_equal(f1.x1, f4.x1)
-    assert np.array_equal(f1.x2, f4.x2)
-    assert np.array_equal(f1.logj2, f4.logj2)
-
-
 # ---------------------------------------------------------------------
 # semigroup and inverse
 # ---------------------------------------------------------------------
