@@ -8,7 +8,9 @@ central differences by `validate_field`.
 Kernels gamma(t, x, r, r_tilde) drive the integral source term.  A kernel
 may declare triangular support (zero unless r < r_tilde) together with its
 smooth factor, which lets the solver place the support jump exactly on
-quadrature nodes instead of smearing it across a cell.
+quadrature nodes instead of smearing it across a cell.  A kernel may also
+declare finite-rank factors, which lets the solver apply it through
+moments instead of a dense r x r_tilde operator.
 """
 
 from __future__ import annotations
@@ -409,6 +411,14 @@ class Kernel:
     support (gamma = 0 unless r < r_tilde componentwise); then
     `smooth_part` must give the smooth factor valid on the closed region
     r <= r_tilde, which quadrature uses on node-aligned tails.
+    `factors` = ((a_1, ..., a_L), (c_1, ..., c_L)) declares the finite-rank
+    form gamma = sum_l a_l(r) c_l(r_tilde), independent of t and x (j = 1
+    only; each factor maps an array of scalar r values to an array of the
+    same shape).  The solver then applies the kernel through the moments
+    <c_l, rho2 u> without building a dense operator, and evaluates the
+    slab rate at a single (t, x).  gamma must still agree with the
+    factors; it serves the slab bound and every consumer without a
+    factored path.
     `singular_at_zero` flags kernels requiring a positive r cutoff.
     """
 
@@ -419,12 +429,21 @@ class Kernel:
     smooth_part: Callable | None = None
     singular_at_zero: bool = False
     params: dict = dc_field(default_factory=dict)
+    factors: tuple[tuple[Callable, ...], tuple[Callable, ...]] | None = None
 
     def __post_init__(self) -> None:
         if self.support not in (None, "triangular"):
             raise ValueError(f"unknown support hint {self.support!r}")
         if self.support == "triangular" and self.smooth_part is None:
             raise ValueError("triangular kernels must provide smooth_part")
+        if self.factors is not None:
+            a_list, c_list = (tuple(fs) for fs in self.factors)
+            if self.j != 1 or self.support is not None:
+                raise ValueError("factors are supported for j = 1 kernels "
+                                 "without a support hint")
+            if not a_list or len(a_list) != len(c_list):
+                raise ValueError("factors need equally many a_l and c_l")
+            self.factors = (a_list, c_list)
 
 
 def _zero_gamma(t, x, r, rt):
@@ -503,20 +522,23 @@ def separable_kernel(
             raise ValueError("each term is (a_center, a_width, c_center, c_width, amp)")
         if term[1] <= 0 or term[3] <= 0:
             raise ValueError("Gaussian widths must be positive")
+    factors = (
+        tuple(partial(_gauss_amp, ca, wa, amp) for (ca, wa, _, _, amp) in terms),
+        tuple(partial(_gauss_amp, cc, wc, 1.0) for (_, _, cc, wc, _) in terms),
+    )
     return Kernel(
-        "separable", 1, partial(_separable_gamma, terms), params={"terms": terms}
+        "separable", 1, partial(_separable_gamma, terms), params={"terms": terms},
+        factors=factors,
     )
 
 
-def separable_factors(kernel: Kernel) -> tuple[list[Callable], list[Callable]]:
-    """The (a_i, c_i) factor callables of a separable kernel."""
-    if kernel.name != "separable":
-        raise ValueError("not a separable kernel")
-    a_list, c_list = [], []
-    for (ca, wa, cc, wc, amp) in kernel.params["terms"]:
-        a_list.append(partial(_gauss_amp, ca, wa, amp))
-        c_list.append(partial(_gauss_amp, cc, wc, 1.0))
-    return a_list, c_list
+def separable_factors(
+    kernel: Kernel,
+) -> tuple[tuple[Callable, ...], tuple[Callable, ...]]:
+    """The declared (a_i, c_i) factor callables of a finite-rank kernel."""
+    if kernel.factors is None:
+        raise ValueError(f"kernel {kernel.name!r} declares no finite-rank factors")
+    return kernel.factors
 
 
 def _gauss_amp(center, width, amp, v):
@@ -555,15 +577,18 @@ def _mixed_norm_matrix(
     )^{p/p'} dr )^{1/p}  with p' the conjugate exponent; for j = 0 the r
     integrals are empty products and the entry is just |gamma(s, x_i)|.
     Triangular kernels are integrated on node-aligned tails so the
-    support jump never crosses a quadrature cell.
+    support jump never crosses a quadrature cell.  Kernels with declared
+    factors do not depend on (s, x_i), so one entry is computed and
+    broadcast.
     """
     if not (1.0 < p < np.inf):
         raise ValueError("slab bound needs a finite exponent p > 1")
     if kernel.j != grid.j:
         raise ValueError("kernel and grid fiber dimensions disagree")
     xs = grid.x_labels()
-    out = np.zeros((ts.size, xs.shape[0]))
+    shape = (ts.size, xs.shape[0])
     if grid.j == 0:
+        out = np.zeros(shape)
         r0 = np.zeros((1, 0))
         for si, s in enumerate(ts):
             for i, x in enumerate(xs):
@@ -575,6 +600,9 @@ def _mixed_norm_matrix(
     r_nodes = grid.r_labels()  # (Nr, 1)
     w_r = grid.r_weights()
     col = r_nodes
+    if kernel.factors is not None:
+        ts, xs = ts[:1], xs[:1]
+    out = np.zeros((ts.size, xs.shape[0]))
     for si, s in enumerate(ts):
         for i, x in enumerate(xs):
             if kernel.support == "triangular":
@@ -586,7 +614,8 @@ def _mixed_norm_matrix(
                 g = kernel.gamma(s, x, col[:, None, :], r_nodes[None, :, :])
                 inner = (np.abs(g) ** pp) @ w_r
             out[si, i] = float(np.sum(w_r * inner ** (p / pp)) ** (1.0 / p))
-    return out
+    # a contiguous copy, so that wt @ mat rounds as for a full matrix
+    return np.broadcast_to(out, shape).copy()
 
 
 def kernel_slab_bound(

@@ -294,7 +294,21 @@ class NormSpec:
 def _window_mask_weights(
     grid: GridSpec, window: tuple[tuple[float, float], ...] | None
 ) -> np.ndarray:
-    """Joint-grid weight array (grid.shape) that is zero outside the window."""
+    """Joint-grid weight array (grid.shape) that is zero outside the window.
+
+    Cached on the grid per window, since every norm evaluation needs it.
+    """
+    if window is not None:
+        window = tuple((float(lo), float(hi)) for lo, hi in window)
+    key = ("window", window)
+    if key not in grid._cache:
+        grid._cache[key] = _build_window_weights(grid, window)
+    return grid._cache[key]
+
+
+def _build_window_weights(
+    grid: GridSpec, window: tuple[tuple[float, float], ...] | None
+) -> np.ndarray:
     axes = grid.axes()
     if window is None:
         per_axis = [axis_weights(a) for a in axes]

@@ -62,7 +62,9 @@ class SolverConfig:
     p and window define the norm used for contraction measurements;
     slab_target is the Lipschitz budget per slab (1/2 gives the classic
     geometric tail); nodes_per_slab fixes the trapezoid resolution of the
-    time integral inside each slab.
+    time integral inside each slab.  Settings that no run could use
+    (non-positive tolerances or budget, too few nodes or iterations, p < 1)
+    raise ValueError at construction.
     """
 
     p: float = 2.0
@@ -76,6 +78,22 @@ class SolverConfig:
     exit_fraction_limit: float = 1e-3
     slab_time_samples: int = 9
     max_halvings: int = 40
+
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("max_iters", 1), ("nodes_per_slab", 2), ("slab_time_samples", 2),
+            ("max_halvings", 0),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name in ("picard_tol", "flow_tol", "slab_target"):
+            value = getattr(self, name)
+            if not value > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        self.norm_spec()  # rejects p < 1
 
     def norm_spec(self) -> NormSpec:
         return NormSpec(p=self.p, window=self.window)
@@ -104,15 +122,31 @@ class EulerianSlice:
     exit_fraction: float
 
 
-def _kernel_matrices(fmap: FlowMap, kernel: Kernel, grid: GridSpec):
-    """Quadrature matrices G[k, i][m, q] ~ gamma(moved coords) * weight(q).
+@dataclass
+class _FactoredOperator:
+    """Finite-rank operator A[k, i, l, m] = a_l(X2[k, i, m]) and
+    C[k, i, l, q] = c_l(X2[k, i, q]) * w_q, each (K_eff, Nx, L, Nr)."""
 
-    Returns (mats, k_index) with mats shaped (K_eff, Nx, Nr, Nr); when the
-    moved coordinates are time-independent (b = 0 in the relevant blocks)
-    a single time slice is stored and k_index collapses to zero.
-    Triangular kernels use node-aligned tail weights via smooth_part, so
-    the support jump never crosses a quadrature cell (the fiber map is
-    monotone, hence label order and moved order agree).
+    a: np.ndarray
+    c: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.a.nbytes + self.c.nbytes
+
+
+def _kernel_matrices(fmap: FlowMap, kernel: Kernel, grid: GridSpec):
+    """The kernel's quadrature operator on the moved fiber coordinates.
+
+    Returns (ops, k_index).  For kernels with declared factors ops is a
+    _FactoredOperator; otherwise it is the dense tensor
+    G[k, i][m, q] ~ gamma(moved coords) * weight(q) shaped
+    (K_eff, Nx, Nr, Nr).  When the moved coordinates are time-independent
+    (b = 0 in the relevant blocks) a single time slice is stored and
+    k_index collapses to zero.  Triangular kernels use node-aligned tail
+    weights via smooth_part, so the support jump never crosses a
+    quadrature cell (the fiber map is monotone, hence label order and
+    moved order agree).
     """
     K = fmap.times.size
     Nx, Nr = fmap.num_x, fmap.num_r
@@ -123,11 +157,18 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel, grid: GridSpec):
         )
     ) and K > 1
     k_list = [0] if static else list(range(K))
+    k_index = np.zeros(K, dtype=int) if static else np.arange(K)
+    wr = grid.r_weights()
+    if kernel.factors is not None:
+        pos = fmap.x2[k_list, ..., 0]  # (K_eff, Nx, Nr)
+        a_list, c_list = kernel.factors
+        a = np.stack([np.asarray(fa(pos), dtype=float) for fa in a_list], axis=2)
+        c = np.stack([np.asarray(fc(pos), dtype=float) for fc in c_list], axis=2)
+        return _FactoredOperator(a=a, c=c * wr), k_index
     if grid.j == 1 and kernel.support == "triangular":
         wmat = grid.r_suffix_weights()
     else:
         wmat = None
-    wr = grid.r_weights()
     mats = np.empty((len(k_list), Nx, Nr, Nr))
     for out_k, k in enumerate(k_list):
         t = fmap.times[k]
@@ -142,7 +183,6 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel, grid: GridSpec):
             else:
                 g = np.asarray(kernel.gamma(t, x, col, row), dtype=float)
                 mats[out_k, i] = g * wr[None, :]
-    k_index = np.zeros(K, dtype=int) if static else np.arange(K)
     return mats, k_index
 
 
@@ -159,33 +199,47 @@ def apply_A(
     `values` is u~ on (K, Nx, Nr); the r~ integral runs over each label's
     r fiber with the density ratio rho2 = exp(logJ - logJ1) as weight,
     and the time integral is the trapezoid rule on the stored nodes.
+    Factored kernels contract the weighted state against the c_l first
+    and expand the moments along the a_l, at O(K Nx Nr L) cost.
     """
     values = np.asarray(values, dtype=float)
     K, Nx, Nr = values.shape
     if kernel is None:
         return np.broadcast_to(u0[None], (K, Nx, Nr)).copy()
-    mats, k_index = _mats if _mats is not None else _kernel_matrices(
+    ops, k_index = _mats if _mats is not None else _kernel_matrices(
         fmap, kernel, grid
     )
-    rho2 = np.exp(fmap.logj2)
-    inner = np.empty((K, Nx, Nr))
-    for k in range(K):
-        weighted = (rho2[k] * values[k])[:, :, None]  # (Nx, Nr, 1)
-        inner[k] = (mats[k_index[k]] @ weighted)[:, :, 0]
+    weighted = np.exp(fmap.logj2) * values  # rho2 u~, (K, Nx, Nr)
+    if isinstance(ops, _FactoredOperator):
+        mom = np.einsum("kilq,kiq->kil", ops.c[k_index], weighted)
+        inner = np.einsum("kilm,kil->kim", ops.a[k_index], mom)
+    else:
+        inner = np.empty((K, Nx, Nr))
+        for k in range(K):
+            inner[k] = (ops[k_index[k]] @ weighted[k][:, :, None])[:, :, 0]
     integral = cumulative_trapezoid(inner, fmap.times, axis=0, initial=0.0)
     return u0[None] + integral
 
 
+def _sup_norm_diff(a: np.ndarray, b: np.ndarray, grid: GridSpec,
+                   spec: NormSpec) -> float:
+    """max over time nodes of the windowed L^p norm of a - b."""
+    return max(lp_norm(a[k] - b[k], grid, spec) for k in range(a.shape[0]))
+
+
 def fixed_point_residual(
-    state: LagrangianState, kernel: Kernel | None, config: SolverConfig
+    state: LagrangianState, kernel: Kernel | None, config: SolverConfig,
+    _mats=None,
 ) -> float:
-    """sup-in-time windowed L^p norm of u~ - A(u~)."""
-    image = apply_A(state.values, state.fmap, kernel, state.grid, state.u0)
-    spec = config.norm_spec()
-    return max(
-        lp_norm(state.values[k] - image[k], state.grid, spec)
-        for k in range(state.times.size)
+    """sup-in-time windowed L^p norm of u~ - A(u~).
+
+    `_mats` reuses an operator already built by `_kernel_matrices` for
+    this state's flow.
+    """
+    image = apply_A(
+        state.values, state.fmap, kernel, state.grid, state.u0, _mats=_mats
     )
+    return _sup_norm_diff(state.values, image, state.grid, config.norm_spec())
 
 
 def _div_r_sup(
@@ -262,8 +316,10 @@ def picard_solve(
 
     Stops when consecutive iterates differ by less than picard_tol in the
     sup-in-time windowed L^p norm; raises PicardConvergenceError when the
-    budget runs out.  The summary records differences and their ratios
-    (the measured contraction rate, meaningful from the second ratio on).
+    budget runs out or a difference is not finite.  The kernel operator
+    is built once and reused for every iteration and the residual.  The
+    summary records differences and their ratios (the measured
+    contraction rate, meaningful from the second ratio on).
     """
     u0_values = np.asarray(u0_values, dtype=float)
     if u0_values.shape != (grid.num_x, grid.num_r):
@@ -277,11 +333,13 @@ def picard_solve(
     diffs: list[float] = []
     for _ in range(config.max_iters):
         u_next = apply_A(u, fmap, kernel, grid, u0_values, _mats=mats)
-        diff = max(
-            lp_norm(u_next[k] - u[k], grid, spec) for k in range(times.size)
-        )
+        diff = _sup_norm_diff(u_next, u, grid, spec)
         diffs.append(diff)
         u = u_next
+        if not np.isfinite(diff):
+            raise PicardConvergenceError(
+                f"non-finite difference at iteration {len(diffs)}", diffs
+            )
         if diff < config.picard_tol:
             state = LagrangianState(
                 grid=grid, times=times, values=u, fmap=fmap, u0=u0_values
@@ -297,7 +355,9 @@ def picard_solve(
                 "iterations": len(diffs),
                 "differences": diffs,
                 "ratios": ratios,
-                "residual": fixed_point_residual(state, kernel, config),
+                "residual": fixed_point_residual(
+                    state, kernel, config, _mats=mats
+                ),
             }
             return state, summary
     raise PicardConvergenceError(
@@ -450,7 +510,8 @@ def continue_solution(
     the label grid (fresh Eulerian datum) and a new flow is launched; the
     run aborts if more than exit_fraction_limit of the labels pull back
     outside the label box, since the lost values would silently float the
-    boundary datum.
+    boundary datum.  Every slab runs on the one `grid` (and its cached
+    weights); its time_nodes only supply the start time t0.
     """
     t0 = float(grid.time_nodes[0])
     if t_end <= t0:
@@ -468,7 +529,6 @@ def continue_solution(
             u_cur, field, kernel, config, grid, t_cur, t0_len
         )
         t_cur = t_cur + t0_len
-        slab_grid_base = _rebase_grid(grid, t_cur)
         if t_cur < t_end - 1e-12 * max(1.0, abs(t_end)):
             slc = eulerian_reconstruct(state, field, state.times[-1], None, config)
             if slc.exit_fraction > config.exit_fraction_limit:
@@ -483,7 +543,6 @@ def continue_solution(
         sol.slabs.append(state)
         sol.summaries.append(summary)
         sol.boundaries.append(float(t_cur))
-        grid = slab_grid_base
     return sol
 
 
@@ -501,18 +560,6 @@ def _sample_initial(u0, grid: GridSpec) -> np.ndarray:
     if vals.shape != (grid.num_x, grid.num_r):
         raise ValueError("u0 must match the label grid")
     return vals.copy()
-
-
-def _rebase_grid(grid: GridSpec, t_new: float) -> GridSpec:
-    """Same spatial grid with the time base moved to t_new (slab chaining)."""
-    return GridSpec(
-        x_bounds=grid.x_bounds,
-        x_counts=grid.x_counts,
-        r_bounds=grid.r_bounds,
-        r_counts=grid.r_counts,
-        time_nodes=np.array([t_new, t_new + 1.0]),
-        r_spacing=grid.r_spacing,
-    )
 
 
 # --- initial datum catalogue -----------------------------------------

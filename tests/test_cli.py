@@ -218,6 +218,30 @@ def test_unknown_kernel_param_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"max_iters": 0},
+        {"nodes_per_slab": 1},
+        {"slab_time_samples": 1},
+        {"picard_tol": -1},
+        {"flow_tol": 0},
+        {"slab_target": -0.5},
+        {"p": 0.5},
+    ],
+    ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
+)
+def test_invalid_solver_settings_exit_2(tmp_path, settings):
+    payload = solve_config()
+    payload["solver"].update(settings)
+    cfg = write_config(tmp_path / "s.json", payload)
+    res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob("solve_*.json"))
+
+
 def test_unknown_subcommand_exits_2(tmp_path):
     res = run_cli("explode", "--config", "x.json")
     assert res.returncode == 2

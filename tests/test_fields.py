@@ -7,6 +7,7 @@ import pytest
 
 from lagtransport.fields import (
     FieldValidationError,
+    Kernel,
     StructuredVectorField,
     fragmentation_kernel,
     kernel_slab_bound,
@@ -251,6 +252,21 @@ def test_separable_kernel_factors_rebuild_gamma():
     assert np.allclose(direct, rebuilt, atol=1e-14)
 
 
+def test_kernel_factors_are_validated_and_picklable():
+    kern = separable_kernel()
+    a_list, c_list = kern.factors
+    with pytest.raises(ValueError):
+        Kernel("bad", 1, kern.gamma, factors=(a_list, ()))
+    with pytest.raises(ValueError):
+        Kernel("bad", 2, kern.gamma, factors=kern.factors)
+    with pytest.raises(ValueError):
+        Kernel("bad", 1, kern.gamma, support="triangular",
+               smooth_part=kern.gamma, factors=kern.factors)
+    clone = pickle.loads(pickle.dumps(kern))
+    v = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(clone.factors[0][0](v), a_list[0](v))
+
+
 def test_make_kernel_and_zero_kernel():
     assert make_kernel("fragmentation", scale=1.5).params["scale"] == 1.5
     kern = zero_kernel()
@@ -295,6 +311,27 @@ def test_slab_rate_dominates_bound_on_subslabs():
     for t_hi in (0.1, 0.25, 0.5):
         bound = kernel_slab_bound(kern, grid, 2.0, 0.0, t_hi)
         assert bound <= rate * t_hi + 1e-12
+
+
+def test_factored_slab_rate_is_bit_identical_to_dense():
+    # a kernel with factors is evaluated at one (t, x) and broadcast; the
+    # same gamma without factors is evaluated at every sample
+    grid = GridSpec(
+        x_bounds=((-3.0, 3.0),), x_counts=(5,),
+        r_bounds=((0.0, 1.0),), r_counts=(33,),
+        time_nodes=np.array([0.0, 1.0]),
+    )
+    kern = separable_kernel(
+        terms=((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
+    )
+    dense = Kernel("separable", 1, kern.gamma)
+    for p in (1.5, 2.0, 3.0):
+        assert kernel_slab_rate(kern, grid, p, 0.1, 0.7) == kernel_slab_rate(
+            dense, grid, p, 0.1, 0.7
+        )
+        assert kernel_slab_bound(kern, grid, p, 0.1, 0.7) == kernel_slab_bound(
+            dense, grid, p, 0.1, 0.7
+        )
 
 
 def test_slab_bound_rejects_bad_exponent():

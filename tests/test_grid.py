@@ -187,6 +187,29 @@ def test_lp_norm_window_restricts_support():
     assert lp_norm(vals, grid, spec_full) == 1.0
 
 
+def test_window_weights_are_built_once_per_window(monkeypatch):
+    import lagtransport.grid as grid_mod
+
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((33, 17))
+    windows = (None, ((-0.4, 0.4), (0.0, 2.0)), ((-1.0, 0.0), (0.5, 1.5)))
+    fresh = [lp_norm(vals, _grid_2d(33, 17), NormSpec(window=w)) for w in windows]
+    calls = []
+    real = grid_mod.axis_weights
+    monkeypatch.setattr(
+        grid_mod, "axis_weights", lambda a: calls.append(1) or real(a)
+    )
+    grid = _grid_2d(33, 17)
+    for _ in range(3):
+        for w, ref in zip(windows, fresh):
+            assert lp_norm(vals, grid, NormSpec(window=w)) == ref
+    assert len(calls) == 2 * len(windows)
+    # a window given as lists hits the same cache entry as the tuple form
+    as_lists = [list(iv) for iv in windows[1]]
+    assert lp_norm(vals, grid, NormSpec(window=as_lists)) == fresh[1]
+    assert len(calls) == 2 * len(windows)
+
+
 def test_lp_norm_p1_matches_integral_of_abs():
     rng = np.random.default_rng(3)
     grid = _grid_2d()

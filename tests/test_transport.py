@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lagtransport.fields import (
+    Kernel,
     constant_kernel,
     fragmentation_kernel,
     linear_field,
     logistic_field,
+    separable_factors,
     separable_kernel,
     zero_field,
 )
@@ -105,6 +107,60 @@ def test_apply_A_constant_kernel_quadrature():
         assert np.allclose(out[k], expected, atol=1e-13)
 
 
+def _raising_gamma(t, x, r, rt):
+    raise AssertionError("gamma evaluated on the factored path")
+
+
+@pytest.mark.parametrize(
+    "field",
+    [logistic_field(k=1, mu=0.3), zero_field(1, 1)],
+    ids=["logistic", "zero_drift"],
+)
+def test_factored_operator_matches_dense(field):
+    # the logistic flow moves the fibers in time (one operator slice per
+    # node); the zero drift keeps them fixed (a single stored slice)
+    grid = _fiber_grid(nr=33, nx=3)
+    kern = separable_kernel(terms=SEPARABLE_TERMS)
+    dense = Kernel("separable", 1, kern.gamma)
+    fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
+    u0 = rng.standard_normal((grid.num_x, grid.num_r))
+    ref = apply_A(values, fmap, dense, grid, u0)
+    out = apply_A(values, fmap, kern, grid, u0)
+    assert np.max(np.abs(out - ref)) < 1e-12
+    # the factored path never evaluates gamma
+    blind = Kernel("separable", 1, _raising_gamma, factors=kern.factors)
+    assert np.array_equal(apply_A(values, fmap, blind, grid, u0), out)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [logistic_field(k=1, mu=0.3), zero_field(1, 1)],
+    ids=["logistic", "zero_drift"],
+)
+@pytest.mark.parametrize("factored", [True, False], ids=["factored", "dense"])
+def test_picard_residual_matches_fixed_point_residual(field, factored):
+    grid = _fiber_grid(nr=33, nx=3)
+    kern = separable_kernel(terms=SEPARABLE_TERMS)
+    if not factored:
+        kern = Kernel("separable", 1, kern.gamma)
+    u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
+    config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
+    state, summary = picard_solve(u0, field, kern, config, grid, 0.0, 0.25)
+    assert abs(summary["residual"] - fixed_point_residual(state, kern, config)) < 1e-14
+
+
+def test_separable_factors_requires_declared_factors():
+    kern = separable_kernel(terms=SEPARABLE_TERMS)
+    assert separable_factors(kern) is kern.factors
+    assert len(kern.factors[0]) == len(kern.factors[1]) == 2
+    with pytest.raises(ValueError):
+        separable_factors(constant_kernel())
+    with pytest.raises(ValueError):
+        separable_factors(Kernel("separable", 1, kern.gamma))
+
+
 def test_fixed_point_residual_vanishes_for_true_fixed_point():
     grid = _fiber_grid(nr=33)
     kern = separable_kernel(terms=SEPARABLE_TERMS)
@@ -186,6 +242,39 @@ def test_picard_diverges_gracefully_when_budget_too_small():
             grid, 0.0, 0.5,
         )
     assert len(err.value.diffs) == 2
+
+
+def test_picard_stops_at_first_non_finite_difference():
+    grid = _fiber_grid(nr=17)
+    u0 = np.ones((grid.num_x, grid.num_r))
+    u0[0, 3] = np.nan
+    with pytest.raises(PicardConvergenceError) as err:
+        picard_solve(
+            u0, zero_field(1, 1), separable_kernel(), SolverConfig(),
+            grid, 0.0, 0.5,
+        )
+    assert len(err.value.diffs) == 1
+    assert not np.isfinite(err.value.diffs[0])
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"max_iters": 0},
+        {"max_iters": 2.5},
+        {"nodes_per_slab": 1},
+        {"slab_time_samples": 1},
+        {"max_halvings": -1},
+        {"picard_tol": -1.0},
+        {"picard_tol": float("nan")},
+        {"flow_tol": 0.0},
+        {"slab_target": 0.0},
+        {"p": 0.5},
+    ],
+)
+def test_solver_config_rejects_invalid_settings(settings):
+    with pytest.raises(ValueError):
+        SolverConfig(**settings)
 
 
 def test_picard_rejects_wrong_datum_shape():
@@ -307,6 +396,9 @@ def test_continue_solution_time_nodes_chain():
     )
     assert sol.boundaries[0] == 0.0
     assert abs(sol.boundaries[-1] - 1.0) < 1e-12
+    assert len(sol.slabs) >= 2
+    # every slab runs on the caller's grid, cached weights included
+    assert all(s.grid is grid for s in sol.slabs)
     times = sol.times
     assert np.all(np.diff(times) > 0)
     # the slice lookup finds a slab for interior times
