@@ -42,6 +42,7 @@ from .flow import (
     PreconditionError,
     check_compressibility,
     density_rho2,
+    flow_from,
     flow_map,
     flow_map_to_csv,
     integrate_flow,
@@ -104,6 +105,7 @@ __all__ = [
     "density_rho2",
     "eulerian_reconstruct",
     "fixed_point_residual",
+    "flow_from",
     "flow_map",
     "flow_map_to_csv",
     "fragmentation_kernel",

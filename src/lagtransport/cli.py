@@ -41,13 +41,12 @@ from .flow import (
     FlowIntegrationError,
     PreconditionError,
     check_compressibility,
+    flow_from,
     flow_map,
     flow_map_to_csv,
     integrate_flow,
     inverse_flow_grid,
     verify_change_of_variables,
-    _solve_r_fiber,
-    _solve_x_block,
 )
 from .grid import GridSpec
 from .oracle import separable_solve
@@ -295,6 +294,11 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     kernel = _build_kernel(cfg.get("kernel"))
     datum = _build_initial(cfg["initial"])
     config = _build_solver(cfg.get("solver"))
+    if kernel is not None and kernel.name != "zero" and not 1.0 < config.p < np.inf:
+        raise ConfigError(
+            f"invalid solver settings: p = {config.p} with a kernel; "
+            "the slab bound needs a finite p > 1"
+        )
     t_end = float(cfg["t_end"])
     sol = continue_solution(datum, field, kernel, config, grid, t_end)
     times, masses = sol.mass_history()
@@ -414,21 +418,12 @@ def _verify_battery(
     lab_x, _, lab_r, _ = inverse_flow_grid(
         field, xs, rs if grid.j else None, t0 + t, t0, flow_tol
     )
-    xpos, _, dense = _solve_x_block(
-        field, lab_x, (t0, t0 + t), np.array([t0 + t]), flow_tol
+    xpos, _, rpos, _ = flow_from(
+        field, lab_x, lab_r, (t0, t0 + t), np.array([t0 + t]), flow_tol
     )
     err = float(np.max(np.abs(xpos[-1] - xs)))
     if grid.j:
-        n = grid.n
-        for i in range(xs.shape[0]):
-            x_of_t = (lambda dn, ii: lambda s: dn(s)[ii * n:(ii + 1) * n])(
-                dense, i
-            )
-            rpos, _ = _solve_r_fiber(
-                field, x_of_t, lab_r[i], (t0, t0 + t), np.array([t0 + t]),
-                flow_tol,
-            )
-            err = max(err, float(np.max(np.abs(rpos[-1] - rs))))
+        err = max(err, float(np.max(np.abs(rpos[-1] - rs))))
     record("inverse_round_trip", err, 1e-7 * scale)
 
     # density bounds along stored trajectories

@@ -244,14 +244,20 @@ def _stencil(dim: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
+# Shifted points per base call: bounds the (S, block, ...) temporaries of
+# a mollified evaluation so they stay in cache for any batch size.
+_MOLLIFY_BLOCK = 2**14
+
+
 class _Mollified:
     """Convolution of a field-block callable with the scaled bump stencil.
 
     The point arrays (x for b1-type callables, x and r for b2-type ones)
-    are broadcast to a common batch shape, shifted by every stencil offset
-    at once, and passed to the base callable in one call; the stencil axis
-    is then contracted with the coefficients.  Offset columns are split
-    across the arrays by their trailing widths.
+    are broadcast to a common batch shape and flattened.  Each block of
+    batch points is shifted by every stencil offset at once and passed to
+    the base callable in one call; the stencil axis is then contracted
+    with the coefficients.  Offset columns are split across the arrays by
+    their trailing widths.
     """
 
     def __init__(self, base: Callable, eps: float, offsets: np.ndarray,
@@ -264,14 +270,24 @@ class _Mollified:
     def __call__(self, t: float, *pts: np.ndarray) -> np.ndarray:
         pts = [np.asarray(p, dtype=float) for p in pts]
         batch = np.broadcast_shapes(*(p.shape[:-1] for p in pts))
-        lift = (slice(None),) + (None,) * len(batch)
-        shifted, col = [], 0
+        flat, shifts, col = [], [], 0
         for p in pts:
-            dz = self.offsets[lift + (slice(col, col + p.shape[-1]),)]
-            shifted.append(np.broadcast_to(p, batch + p.shape[-1:]) - self.eps * dz)
-            col += p.shape[-1]
-        v = np.asarray(self.base(t, *shifted), dtype=float)
-        return np.tensordot(self.coeffs, v, axes=(0, 0))
+            width = p.shape[-1]
+            flat.append(np.broadcast_to(p, batch + (width,)).reshape(-1, width))
+            shifts.append(self.eps * self.offsets[:, None, col : col + width])
+            col += width
+        size = flat[0].shape[0]
+        step = max(1, _MOLLIFY_BLOCK // self.coeffs.size)
+        out = None
+        # an empty batch still makes one (empty) call, which fixes the shape
+        for lo in range(0, max(size, 1), step):
+            shifted = [f[None, lo : lo + step] - dz for f, dz in zip(flat, shifts)]
+            v = np.asarray(self.base(t, *shifted), dtype=float)
+            part = np.tensordot(self.coeffs, v, axes=(0, 0))
+            if out is None:
+                out = np.empty((size,) + part.shape[1:])
+            out[lo : lo + step] = part
+        return out.reshape(batch + out.shape[1:])
 
 
 def mollify_field(
@@ -287,7 +303,8 @@ def mollify_field(
 
     Cost: each evaluation makes one base call over all S stencil points
     (S = 15 for n = 1, 193 for n + j = 2 at the default 17 points per
-    axis), holding a temporary of S times the batch size values.
+    axis) per block of batch points.  A block holds about 2**14 shifted
+    points, so the temporaries stay that size however large the batch.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -7,8 +7,11 @@ Trajectories solve the augmented system
 
 with an adaptive embedded Runge-Kutta pair and interpolated output at the
 requested time nodes.  Because b1 never sees r, the x block is solved once
-per x label and shared across the whole r fiber, so X1 is bit-identical
-for labels (x, r1) and (x, r2) by construction.  The block triangular
+for all x labels and shared across each whole r fiber, so X1 is
+bit-identical for labels (x, r1) and (x, r2) by construction.  The r fibers
+of every x label are then stacked into a single second system driven by
+the x block's dense path, so a flow map makes two integrator calls however
+many labels it has.  The block triangular
 gradient makes logJ = logJ1 + logJ2 the log-determinant of the full flow,
 giving the compressibility densities rho = exp(-logJ) along trajectories
 without any Eulerian reconstruction.
@@ -16,6 +19,7 @@ without any Eulerian reconstruction.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,7 @@ __all__ = [
     "FlowIntegrationError",
     "PreconditionError",
     "integrate_flow",
+    "flow_from",
     "flow_map",
     "inverse_flow_grid",
     "density_rho2",
@@ -87,7 +92,7 @@ def _solve_x_block(
     return pos, logj1, sol.sol
 
 
-def _solve_r_fiber(
+def _solve_r_fibers(
     field: StructuredVectorField,
     x_of_t,
     r0: np.ndarray,
@@ -95,34 +100,80 @@ def _solve_r_fiber(
     t_eval: np.ndarray | None,
     tol: float,
 ):
-    """Integrate (X2, logJ2) for one x label's whole r fiber.
+    """Integrate (X2, logJ2) for the r fibers of M x labels in one system.
 
-    `x_of_t` maps t to the x position (n,) along that label's trajectory.
-    Returns (positions (K, Q, j), logj2 (K, Q)).
+    `r0` holds each label's fiber starts, shape (M, Q, j), and `x_of_t`
+    maps t to the labels' x positions, shape (M, 1, n), so one b2 call per
+    right-hand side covers every fiber.  The step size follows the RMS
+    error norm of the whole stacked state.  When b2 ignores x, as every
+    catalogue b2 does, and every label starts the same fiber, all fibers
+    share one error estimate and the steps are those of a single fiber;
+    otherwise a fiber can move by about the tolerance against a solve of
+    its own.
+    Returns C-contiguous (positions (K, M, Q, j), logj2 (K, M, Q)).
     """
-    r0 = np.atleast_2d(np.asarray(r0, dtype=float))
-    Q, jdim = r0.shape
+    r0 = np.asarray(r0, dtype=float)
+    M, Q, jdim = r0.shape
+    size = M * Q * jdim
 
     def rhs(t, y):
         x = x_of_t(t)
-        R = y[: Q * jdim].reshape(Q, jdim)
+        R = y[:size].reshape(M, Q, jdim)
         out = np.empty_like(y)
-        out[: Q * jdim] = np.asarray(field.b2(t, x, R), dtype=float).reshape(-1)
-        div = np.asarray(field.div_b2(t, x, R), dtype=float)
-        out[Q * jdim :] = np.broadcast_to(div, (Q,))
+        out[:size].reshape(M, Q, jdim)[...] = field.b2(t, x, R)
+        out[size:].reshape(M, Q)[...] = field.div_b2(t, x, R)
         return out
 
-    y0 = np.concatenate([r0.reshape(-1), np.zeros(Q)])
+    y0 = np.concatenate([r0.reshape(-1), np.zeros(M * Q)])
     rtol, atol = _tols(tol)
     sol = solve_ivp(
         rhs, t_span, y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol
     )
+    # scipy's solver object refers to itself through its wrapped rhs, so
+    # its dozen state-sized work arrays outlive the call until the cyclic
+    # collector runs; for a stacked system they are megabytes
+    gc.collect(1)
     if not sol.success:
         raise FlowIntegrationError(f"r-fiber integration failed: {sol.message}")
-    ys = sol.y.T
-    pos = ys[:, : Q * jdim].reshape(-1, Q, jdim)
-    logj2 = ys[:, Q * jdim :]
+    K = sol.y.shape[1]
+    pos = np.ascontiguousarray(sol.y[:size].T).reshape(K, M, Q, jdim)
+    logj2 = np.ascontiguousarray(sol.y[size:].T).reshape(K, M, Q)
     return pos, logj2
+
+
+def flow_from(
+    field: StructuredVectorField,
+    x0: np.ndarray,
+    r0: np.ndarray,
+    t_span: tuple[float, float],
+    t_eval: np.ndarray,
+    tol: float = 1e-10,
+):
+    """Flow M x labels and their r fibers from t_span[0] to t_span[1].
+
+    `x0` holds the x labels, shape (M, n), and `r0` each label's fiber
+    starts, shape (M, Q, j).  The x block is one system for all labels;
+    the fibers are a second, stacked system driven by the x block's dense
+    path.  Returns (x positions (K, M, n), logj1 (K, M), r positions
+    (K, M, Q, j), logj2 (K, M, Q)) at the K nodes of `t_eval`; for j = 0
+    the r positions are empty and logj2 is zero.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    r0 = np.asarray(r0, dtype=float)
+    if (x0.ndim != 2 or x0.shape[1] != field.n or r0.ndim != 3
+            or r0.shape[0] != x0.shape[0] or r0.shape[2] != field.j):
+        raise ValueError(
+            f"need x0 of shape (M, {field.n}) and r0 of shape (M, Q, "
+            f"{field.j}), got {x0.shape} and {r0.shape}"
+        )
+    xpos, logj1, dense = _solve_x_block(field, x0, t_span, t_eval, tol)
+    K, M, n = xpos.shape
+    if field.j == 0:
+        Q = r0.shape[1]
+        return xpos, logj1, np.zeros((K, M, Q, 0)), np.zeros((K, M, Q))
+    x_of_t = lambda t: dense(t)[: M * n].reshape(M, 1, n)
+    rpos, logj2 = _solve_r_fibers(field, x_of_t, r0, t_span, t_eval, tol)
+    return xpos, logj1, rpos, logj2
 
 
 @dataclass
@@ -206,48 +257,29 @@ def integrate_flow(
     n, j = field.n, field.j
     if label.size != n + j:
         raise ValueError(f"label must have {n + j} coordinates")
-    x0 = label[:n][None, :]
-    xpos, logj1, dense = _solve_x_block(
-        field, x0, (times[0], times[-1]), times, tol
-    )
-    if j == 0:
-        return FlowSample(
-            label=label, times=times, positions=xpos[:, 0, :],
-            logj1=logj1[:, 0], logj=logj1[:, 0].copy(),
-        )
-    x_of_t = lambda t: dense(t)[:n]
-    rpos, logj2 = _solve_r_fiber(
-        field, x_of_t, label[n:][None, :], (times[0], times[-1]), times, tol
+    x1, logj1, x2, logj2 = flow_from(
+        field, label[None, :n], label[n:].reshape(1, 1, j),
+        (times[0], times[-1]), times, tol,
     )
     return FlowSample(
         label=label,
         times=times,
-        positions=np.concatenate([xpos[:, 0, :], rpos[:, 0, :]], axis=-1),
+        positions=np.concatenate([x1[:, 0], x2[:, 0, 0]], axis=-1),
         logj1=logj1[:, 0],
-        logj=logj1[:, 0] + logj2[:, 0],
+        logj=logj1[:, 0] + logj2[:, 0, 0],
     )
 
 
 def _forward_flow_map(field, grid, times, tol) -> FlowMap:
     xs = grid.x_labels()
     rs = grid.r_labels()
-    Nx, n = xs.shape
-    Nr = rs.shape[0]
-    K = times.size
-    xpos, logj1, dense = _solve_x_block(
-        field, xs, (times[0], times[-1]), times, tol
+    x1, logj1, x2, logj2 = flow_from(
+        field, xs, np.broadcast_to(rs, (xs.shape[0],) + rs.shape),
+        (times[0], times[-1]), times, tol,
     )
-    x2 = np.zeros((K, Nx, Nr, field.j))
-    logj2 = np.zeros((K, Nx, Nr))
-    if field.j > 0:
-        for i in range(Nx):
-            x_of_t = lambda t: dense(t)[i * n : (i + 1) * n]
-            x2[:, i], logj2[:, i] = _solve_r_fiber(
-                field, x_of_t, rs, (times[0], times[-1]), times, tol
-            )
     return FlowMap(
         grid=grid, direction="forward", times=times,
-        x1=xpos, logj1=logj1, x2=x2, logj2=logj2,
+        x1=x1, logj1=logj1, x2=x2, logj2=logj2,
         field_name=field.name, tol=tol,
     )
 
@@ -290,8 +322,9 @@ def flow_map(
 ) -> FlowMap:
     """Flow of every grid label, forward from times[0] or backward to it.
 
-    The x block is integrated once per x label and shared across the r
-    fiber.
+    The x block is integrated once for all x labels and shared bit-for-bit
+    across each r fiber; the fibers of all x labels form one stacked
+    system.  A backward map makes that pair of solves once per node.
     """
     if field.n != grid.n or field.j != grid.j:
         raise ValueError("field and grid dimensions disagree")
@@ -313,24 +346,14 @@ def _inverse_fiber(field, xs, rs, t, t0, tol):
     integrals of the divergences along each backward path.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    Nx, n = xs.shape
-    t_eval = np.array([t0])
-    xpos, lj1, dense = _solve_x_block(field, xs, (t, t0), t_eval, tol)
-    labels_x = xpos[-1]
-    logj1_fwd = -lj1[-1]
-    if field.j == 0:
-        return labels_x, logj1_fwd, np.zeros((Nx, 1, 0)), np.zeros((Nx, 1))
-    rs = np.atleast_2d(np.asarray(rs, dtype=float))
-    Nr = rs.shape[0]
-    labels_r = np.empty((Nx, Nr, field.j))
-    logj2_fwd = np.empty((Nx, Nr))
-
-    for i in range(Nx):
-        x_of_t = lambda s: dense(s)[i * n : (i + 1) * n]
-        rpos, lj2 = _solve_r_fiber(field, x_of_t, rs, (t, t0), t_eval, tol)
-        labels_r[i] = rpos[-1]
-        logj2_fwd[i] = -lj2[-1]
-    return labels_x, logj1_fwd, labels_r, logj2_fwd
+    rs = np.zeros((1, 0)) if field.j == 0 else np.atleast_2d(
+        np.asarray(rs, dtype=float)
+    )
+    x1, lj1, x2, lj2 = flow_from(
+        field, xs, np.broadcast_to(rs, (xs.shape[0],) + rs.shape),
+        (t, t0), np.array([t0]), tol,
+    )
+    return x1[-1], -lj1[-1], x2[-1], -lj2[-1]
 
 
 def inverse_flow_grid(

@@ -1,0 +1,24 @@
+"""Shared test fields."""
+
+import numpy as np
+
+from lagtransport.fields import StructuredVectorField
+
+
+def modulated_logistic_field(mu=0.3, a=0.5):
+    """b1 = sin x with a fiber drift whose rate depends on x:
+    b2 = mu (1 + a sin x) r (1 - r), div_r b2 = mu (1 + a sin x)(1 - 2r).
+
+    No catalogue field has an x-dependent b2, so this one is where the
+    x path each fiber sees actually matters."""
+
+    def rate(x):
+        return mu * (1.0 + a * np.sin(x[..., 0]))
+
+    return StructuredVectorField(
+        "modulated_logistic", 1, 1,
+        b1=lambda t, x: np.sin(x),
+        b2=lambda t, x, r: rate(x)[..., None] * r * (1.0 - r),
+        div_b1=lambda t, x: np.cos(x[..., 0]),
+        div_b2=lambda t, x, r: rate(x) * (1.0 - 2.0 * r[..., 0]),
+    )

@@ -228,6 +228,9 @@ def test_unknown_kernel_param_exits_2(tmp_path):
         {"flow_tol": 0},
         {"slab_target": -0.5},
         {"p": 0.5},
+        # the kernel's slab bound needs 1 < p < inf
+        {"p": 1},
+        {"p": float("inf")},
     ],
     ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
 )

@@ -8,7 +8,6 @@ import pytest
 from lagtransport.fields import (
     FieldValidationError,
     Kernel,
-    StructuredVectorField,
     fragmentation_kernel,
     kernel_slab_bound,
     kernel_slab_rate,
@@ -28,21 +27,7 @@ from lagtransport.fields import (
 )
 from lagtransport.grid import GridSpec
 
-
-def _modulated_logistic_field(mu=0.3):
-    """b1 = sin x with a fiber drift whose rate depends on x:
-    b2 = mu (1 + 0.5 sin x) r (1 - r), div_r b2 = mu (1 + 0.5 sin x)(1 - 2r)."""
-
-    def rate(x):
-        return mu * (1.0 + 0.5 * np.sin(x[..., 0]))
-
-    return StructuredVectorField(
-        "modulated_logistic", 1, 1,
-        b1=lambda t, x: np.sin(x),
-        b2=lambda t, x, r: rate(x)[..., None] * r * (1.0 - r),
-        div_b1=lambda t, x: np.cos(x[..., 0]),
-        div_b2=lambda t, x, r: rate(x) * (1.0 - 2.0 * r[..., 0]),
-    )
+from conftest import modulated_logistic_field
 
 
 ALL_FIELDS = [
@@ -52,7 +37,7 @@ ALL_FIELDS = [
     logistic_field(k=1, mu=0.3),
     swirl_field(omega=0.7),
     sobolev_field(alpha=2.0 / 3.0, j=0),
-    _modulated_logistic_field(),
+    modulated_logistic_field(),
 ]
 
 
@@ -156,7 +141,7 @@ def test_mollified_oscillatory_field_converges_second_order():
 
 def test_mollified_field_passes_divergence_validation():
     rng = np.random.default_rng(9)
-    for field in (logistic_field(k=1, mu=0.3), _modulated_logistic_field()):
+    for field in (logistic_field(k=1, mu=0.3), modulated_logistic_field()):
         smooth = mollify_field(field, eps=0.1)
         pts_x, pts_r = _validation_points(smooth, rng)
         assert validate_field(smooth, pts_x, pts_r) == []
@@ -178,7 +163,7 @@ def _per_offset_mollified(moll, t, *pts):
 
 
 @pytest.mark.parametrize(
-    "field", [logistic_field(k=1, mu=0.3), _modulated_logistic_field()],
+    "field", [logistic_field(k=1, mu=0.3), modulated_logistic_field()],
     ids=["logistic", "modulated_logistic"],
 )
 def test_broadcast_mollifier_matches_per_offset_sum(field):
@@ -201,12 +186,26 @@ def test_broadcast_mollifier_matches_per_offset_sum(field):
                 rng.uniform(-2.0, 2.0, size=(4, 6, 1)),
                 rng.uniform(0.1, 0.9, size=(4, 6, 1)),
             )),
+            # the stacked-fiber layout: 1225 points span several blocks of
+            # the 193-point stencil and end in a partial one
+            (name, moll, (
+                rng.uniform(-2.0, 2.0, size=(49, 1, 1)),
+                rng.uniform(0.1, 0.9, size=(49, 25, 1)),
+            )),
+            (name, moll, (np.zeros((0, 1)), np.zeros((0, 1)))),
+        ]
+    for name in ("b1", "div_b1"):
+        moll = getattr(smooth, name)
+        calls += [
+            (name, moll, (rng.uniform(-2.0, 2.0, size=(49, 25, 1)),)),
+            (name, moll, (np.zeros((0, 1)),)),
         ]
     for name, moll, pts in calls:
         got = moll(0.37, *pts)
         ref = _per_offset_mollified(moll, 0.37, *pts)
         assert got.shape == ref.shape, name
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+        err = np.max(np.abs(got - ref), initial=0.0)
+        assert err <= 1e-13 * np.max(np.abs(ref), initial=0.0), name
 
 
 def test_mollified_field_survives_pickling():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from lagtransport.fields import (
     linear_field,
@@ -15,6 +16,7 @@ from lagtransport.flow import (
     PreconditionError,
     check_compressibility,
     density_rho2,
+    flow_from,
     flow_map,
     flow_map_to_csv,
     integrate_flow,
@@ -22,6 +24,8 @@ from lagtransport.flow import (
     verify_change_of_variables,
 )
 from lagtransport.grid import GridSpec
+
+from conftest import modulated_logistic_field
 
 TOL = 1e-10
 
@@ -104,6 +108,74 @@ def test_x_block_shared_bitwise_across_fiber():
     x_part = pos[..., : grid.n]
     for q in range(1, grid.num_r):
         assert np.array_equal(x_part[:, :, q, :], x_part[:, :, 0, :])
+
+
+@pytest.mark.parametrize(
+    "field, bound",
+    [
+        # b2 depends on x: each stacked fiber must follow its own x path,
+        # and the shared RMS error norm may move a fiber by up to flow_tol
+        (modulated_logistic_field(mu=2.0, a=0.95), TOL),
+        # b2 ignores x: every fiber has the same error estimate, so the
+        # stacked steps are the per-label steps
+        (logistic_field(k=1, mu=0.3), 1e-14),
+    ],
+    ids=["modulated_logistic", "logistic"],
+)
+def test_stacked_fibers_match_label_by_label(field, bound):
+    grid = _grid(nx=33, nr=129, x_bounds=((-np.pi, np.pi),), r_bounds=((0.0, 1.0),))
+    xs = grid.x_labels()
+    rs = grid.r_labels()
+    times = np.linspace(0.0, 0.5, 5)
+    fwd = flow_map(field, grid, times=times, tol=TOL)
+    lab_x, _, lab_r, lj2 = inverse_flow_grid(field, xs, rs, t=0.5, tol=TOL)
+    for i in range(grid.num_x):
+        x1, _, x2, logj2 = flow_from(
+            field, xs[i : i + 1], rs[None], (0.0, 0.5), times, tol=TOL
+        )
+        # one x label alone takes its own steps in the x block
+        assert np.max(np.abs(fwd.x1[:, i] - x1[:, 0])) <= TOL
+        assert np.max(np.abs(fwd.x2[:, i] - x2[:, 0])) <= bound
+        assert np.max(np.abs(fwd.logj2[:, i] - logj2[:, 0])) <= bound
+        bx1, _, bx2, blj2 = flow_from(
+            field, xs[i : i + 1], rs[None], (0.5, 0.0), np.array([0.0]), tol=TOL
+        )
+        assert np.max(np.abs(lab_x[i] - bx1[-1, 0])) <= TOL
+        assert np.max(np.abs(lab_r[i] - bx2[-1, 0])) <= bound
+        assert np.max(np.abs(lj2[i] + blj2[-1, 0])) <= bound
+    # a single (x, r) label through integrate_flow: a one-state fiber
+    i, q = 7, 40
+    sample = integrate_flow(field, np.concatenate([xs[i], rs[q]]), times, tol=TOL)
+    assert np.max(np.abs(sample.positions[:, 1] - fwd.x2[:, i, q, 0])) <= TOL
+    assert np.max(np.abs(sample.logj - fwd.logj()[:, i, q])) <= TOL
+
+
+def test_flow_maps_make_one_x_solve_and_one_fiber_solve(monkeypatch):
+    calls = []
+
+    def counting(fun, t_span, y0, **kwargs):
+        calls.append(y0.size)
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr("lagtransport.flow.solve_ivp", counting)
+    grid = _grid(nx=9, nr=5)
+    field = modulated_logistic_field()
+    flow_map(field, grid, tol=TOL)
+    # x block: 9 positions + 9 logJ1; fibers: 45 positions + 45 logJ2
+    assert calls == [18, 90]
+    calls.clear()
+    inverse_flow_grid(field, grid.x_labels(), grid.r_labels(), t=0.5, tol=TOL)
+    assert calls == [18, 90]
+
+
+def test_flow_from_rejects_mismatched_shapes():
+    field = logistic_field(k=1, mu=0.3)
+    with pytest.raises(ValueError):
+        flow_from(field, np.zeros((3, 1)), np.zeros((2, 4, 1)), (0.0, 1.0),
+                  np.array([1.0]))
+    with pytest.raises(ValueError):
+        flow_from(field, np.zeros((3, 1)), np.zeros((3, 4)), (0.0, 1.0),
+                  np.array([1.0]))
 
 
 # ---------------------------------------------------------------------
