@@ -39,7 +39,6 @@ def main() -> None:
     grid = GridSpec(
         x_bounds=((-np.pi, np.pi),), x_counts=(args.nx,),
         r_bounds=((0.1, 0.9),), r_counts=(args.nr,),
-        time_nodes=times,
     )
 
     fmap = flow_map(field, grid, times=times, tol=args.tol)
@@ -65,7 +64,6 @@ def main() -> None:
     cov_grid = GridSpec(
         x_bounds=((-np.pi, np.pi),), x_counts=(65,),
         r_bounds=((0.05, 0.95),), r_counts=(17,),
-        time_nodes=np.array([0.0, args.t_end]),
     )
     out = verify_change_of_variables(
         field, cov_grid, args.t_end, phi_x, phi_joint, tol=args.tol

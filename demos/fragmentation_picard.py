@@ -37,7 +37,6 @@ def main() -> None:
     grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(2,),
         r_bounds=((args.r_min, 1.0),), r_counts=(args.num_r,),
-        time_nodes=np.array([0.0, args.t_end]),
         r_spacing="geometric",
     )
     config = SolverConfig(

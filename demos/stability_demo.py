@@ -37,7 +37,6 @@ def main() -> None:
             grid=GridSpec(
                 x_bounds=((-np.pi, np.pi),), x_counts=(33,),
                 r_bounds=((0.05, 0.95),), r_counts=(17,),
-                time_nodes=np.array([0.0, 0.2]),
             ),
         )
 

@@ -203,25 +203,38 @@ def _config_stem(command: str, cfg: dict) -> str:
     return f"{command}_{digest}"
 
 
-def _build_grid(spec: dict) -> GridSpec:
+def _time_nodes(spec: dict) -> np.ndarray:
+    """The grid config's time nodes: a list, or {start, stop, num} spaced
+    as by np.linspace; [0, 1] when absent."""
     nodes = spec.get("time_nodes", [0.0, 1.0])
-    if isinstance(nodes, dict):
-        extra = set(nodes) - {"start", "stop", "num"}
-        if extra:
-            raise ConfigError(f"unknown time_nodes keys {sorted(extra)}")
-        try:
+    try:
+        if isinstance(nodes, dict):
+            if set(nodes) != {"start", "stop", "num"}:
+                raise ValueError("need exactly the keys start, stop and num")
+            if type(nodes["num"]) is not int or nodes["num"] < 0:
+                raise ValueError("num must be a non-negative integer")
             nodes = np.linspace(
-                float(nodes["start"]), float(nodes["stop"]), int(nodes["num"])
+                float(nodes["start"]), float(nodes["stop"]), nodes["num"]
             )
-        except KeyError as exc:
-            raise ConfigError(f"time_nodes missing {exc}") from exc
+        nodes = np.asarray(nodes, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid time_nodes: {exc}") from exc
+    if (nodes.ndim != 1 or nodes.size < 2 or not np.all(np.isfinite(nodes))
+            or np.any(np.diff(nodes) <= 0)):
+        raise ConfigError(
+            "time_nodes must be a flat list of >= 2 finite, strictly "
+            "increasing times"
+        )
+    return nodes
+
+
+def _build_grid(spec: dict) -> GridSpec:
     try:
         return GridSpec(
             x_bounds=tuple(tuple(b) for b in spec["x_bounds"]),
             x_counts=tuple(spec["x_counts"]),
             r_bounds=tuple(tuple(b) for b in spec.get("r_bounds", ())),
             r_counts=tuple(spec.get("r_counts", ())),
-            time_nodes=np.asarray(nodes, dtype=float),
             r_spacing=spec.get("r_spacing", "uniform"),
         )
     except (TypeError, ValueError) as exc:
@@ -269,11 +282,14 @@ def _build_solver(spec: dict | None) -> SolverConfig:
 def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
     field = _build_field(cfg["field"])
     grid = _build_grid(cfg["grid"])
+    times = _time_nodes(cfg["grid"])
     direction = cfg.get("direction", "forward")
     if direction not in ("forward", "backward"):
         raise ConfigError(f"unknown direction {direction!r}")
     tol = float(cfg.get("tol", 1e-10))
-    fmap = flow_map(field, grid, tol=tol, direction=direction)
+    if not tol > 0:
+        raise ConfigError("tol must be positive")
+    fmap = flow_map(field, grid, times, tol=tol, direction=direction)
     report = check_compressibility(fmap, field)
     payload = {
         "command": "flow",
@@ -291,16 +307,21 @@ def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
 def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     field = _build_field(cfg["field"])
     grid = _build_grid(cfg["grid"])
+    t0 = float(_time_nodes(cfg["grid"])[0])
     kernel = _build_kernel(cfg.get("kernel"))
     datum = _build_initial(cfg["initial"])
     config = _build_solver(cfg.get("solver"))
+    if kernel is not None and kernel.j != grid.j:
+        raise ConfigError(f"kernel j = {kernel.j} but grid j = {grid.j}")
     if kernel is not None and kernel.name != "zero" and not 1.0 < config.p < np.inf:
         raise ConfigError(
             f"invalid solver settings: p = {config.p} with a kernel; "
             "the slab bound needs a finite p > 1"
         )
     t_end = float(cfg["t_end"])
-    sol = continue_solution(datum, field, kernel, config, grid, t_end)
+    if not t_end > t0:
+        raise ConfigError(f"t_end must exceed the first time node {t0}")
+    sol = continue_solution(datum, field, kernel, config, grid, t_end, t0=t0)
     times, masses = sol.mass_history()
     final = sol.eulerian_slice(field, sol.boundaries[-1])
     payload = {
@@ -373,14 +394,15 @@ def _cmd_counterexample(cfg: dict, stem: str, out_dir: Path):
 
 
 def _verify_battery(
-    field, grid: GridSpec, t: float, flow_tol: float, scale: float,
+    field, grid: GridSpec, t0: float, t: float, flow_tol: float, scale: float,
 ) -> dict:
     """Named self-checks with scaled tolerances.
 
-    Checks the config's field/grid for flow consistency (semigroup law,
-    inverse round trip, density bounds, change of variables) and runs two
-    canned solver probes (finite-rank oracle equivalence, fragmentation
-    mass law) whose expected accuracy is known a priori.  `scale`
+    Checks the config's field/grid over [t0, t0 + t] for flow consistency
+    (semigroup law, inverse round trip, density bounds, change of
+    variables) and runs two canned solver probes (finite-rank oracle
+    equivalence, fragmentation mass law) whose expected accuracy is known
+    a priori.  `scale`
     multiplies every numeric tolerance; scaling down exposes how much
     margin each check carries.
     """
@@ -393,7 +415,6 @@ def _verify_battery(
             "passed": bool(measured <= tol),
         }
 
-    t0 = float(grid.time_nodes[0])
     xs = grid.x_labels()
     rs = grid.r_labels()
 
@@ -455,7 +476,7 @@ def _verify_battery(
             )
 
     cov = verify_change_of_variables(
-        field, grid, t0 + t, phi_x, phi_joint, tol=flow_tol
+        field, grid, t0 + t, phi_x, phi_joint, tol=flow_tol, t0=t0
     )
     record("change_of_variables_marginal", cov["residual_marginal"], 2e-3 * scale)
     if "residual_joint" in cov:
@@ -465,7 +486,6 @@ def _verify_battery(
     probe_grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(3,),
         r_bounds=((0.0, 1.0),), r_counts=(33,),
-        time_nodes=np.array([0.0, 0.25]),
     )
     probe_kernel = separable_kernel(
         terms=((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
@@ -493,8 +513,7 @@ def _verify_battery(
     # canned probe: fragmentation cascade mass law over many slabs
     mass_grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(2,),
-        r_bounds=((1e-8, 1.0),), r_counts=(257,),
-        time_nodes=np.array([0.0, 1.0]), r_spacing="geometric",
+        r_bounds=((1e-8, 1.0),), r_counts=(257,), r_spacing="geometric",
     )
     sol = continue_solution(
         make_initial("log_gaussian"), zero_field(1, 1),
@@ -512,14 +531,17 @@ def _verify_battery(
 def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
     field = _build_field(cfg["field"])
     grid = _build_grid(cfg["grid"])
+    t0 = float(_time_nodes(cfg["grid"])[0])
     t = float(cfg.get("t", 0.5))
     flow_tol = float(cfg.get("flow_tol", 1e-10))
     scale = float(cfg.get("tolerance_scale", 1.0))
     if t <= 0:
         raise ConfigError("t must be positive")
+    if not flow_tol > 0:
+        raise ConfigError("flow_tol must be positive")
     if scale <= 0:
         raise ConfigError("tolerance_scale must be positive")
-    checks = _verify_battery(field, grid, t, flow_tol, scale)
+    checks = _verify_battery(field, grid, t0, t, flow_tol, scale)
     passed = all(c["passed"] for c in checks.values())
     payload = {
         "command": "verify",

@@ -138,7 +138,6 @@ def operator_convergence_experiment(
     grid = grid or GridSpec(
         x_bounds=((-np.pi, np.pi),), x_counts=(49,),
         r_bounds=((0.0, 1.0),), r_counts=(25,),
-        time_nodes=np.linspace(0.0, t_end, num_t),
     )
     kernel = kernel or separable_kernel()
     window = ((-2.4, 2.4), (0.15, 0.85))
@@ -228,7 +227,6 @@ def stability_experiment(
     grid = grid or GridSpec(
         x_bounds=((-np.pi, np.pi),), x_counts=(49,),
         r_bounds=((0.0, 1.0),), r_counts=(25,),
-        time_nodes=np.array([0.0, t_end]),
     )
     kernel = kernel or separable_kernel()
     window = ((-2.4, 2.4), (0.15, 0.85))

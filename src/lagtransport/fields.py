@@ -476,6 +476,7 @@ def _const_gamma(c, t, x, r, rt):
 
 
 def constant_kernel(c: float = 1.0, j: int = 1) -> Kernel:
+    c = float(c)
     return Kernel("constant", j, partial(_const_gamma, c), params={"c": c})
 
 
@@ -500,6 +501,7 @@ def fragmentation_kernel(scale: float = 1.0) -> Kernel:
     sizes uniform on (0, r_tilde).  With scale=2 and b=0 the total mass
     grows exactly like e^{2t}.
     """
+    scale = float(scale)
     return Kernel(
         "fragmentation", 1, partial(_frag_gamma, scale),
         support="triangular", smooth_part=partial(_frag_smooth, scale),

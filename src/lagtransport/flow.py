@@ -227,21 +227,6 @@ class FlowMap:
         )
         return np.concatenate([x_part, self.x2], axis=-1)
 
-    def sample(self, i_x: int, i_r: int = 0) -> FlowSample:
-        label = np.concatenate(
-            [self.grid.x_labels()[i_x], self.grid.r_labels()[i_r]]
-        )
-        pos = np.concatenate(
-            [self.x1[:, i_x, :], self.x2[:, i_x, i_r, :]], axis=-1
-        )
-        return FlowSample(
-            label=label,
-            times=self.times,
-            positions=pos,
-            logj1=self.logj1[:, i_x].copy(),
-            logj=self.logj1[:, i_x] + self.logj2[:, i_x, i_r],
-        )
-
 
 def integrate_flow(
     field: StructuredVectorField,
@@ -316,19 +301,21 @@ def _backward_flow_map(field, grid, times, tol) -> FlowMap:
 def flow_map(
     field: StructuredVectorField,
     grid: GridSpec,
-    times: np.ndarray | None = None,
+    times: np.ndarray,
     tol: float = 1e-10,
     direction: str = "forward",
 ) -> FlowMap:
     """Flow of every grid label, forward from times[0] or backward to it.
 
-    The x block is integrated once for all x labels and shared bit-for-bit
-    across each r fiber; the fibers of all x labels form one stacked
-    system.  A backward map makes that pair of solves once per node.
+    `times` are the strictly increasing output nodes; the base time is
+    times[0].  The x block is integrated once for all x labels and shared
+    bit-for-bit across each r fiber; the fibers of all x labels form one
+    stacked system.  A backward map makes that pair of solves once per
+    node.
     """
     if field.n != grid.n or field.j != grid.j:
         raise ValueError("field and grid dimensions disagree")
-    times = grid.time_nodes if times is None else np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing with >= 2 entries")
     if direction == "forward":
@@ -481,8 +468,10 @@ def verify_change_of_variables(
     support_x: tuple[tuple[float, float], ...] | None = None,
     support_r: tuple[tuple[float, float], ...] | None = None,
     tol: float = 1e-10,
+    t0: float = 0.0,
 ) -> dict:
-    """Double-entry check of the pushforward identities.
+    """Double-entry check of the pushforward identities of the flow from
+    the base time t0 to t.
 
     Marginal:  int phi(y) rho1(t, y) dy      = int phi(X1(t, x)) dx
     Joint:     int phi(y, s) rho(t, y, s) dyds = int phi(X(t, x, r)) dxdr
@@ -494,9 +483,8 @@ def verify_change_of_variables(
     least the maximal displacement; when support boxes are declared the
     margin is checked against a sampled field bound.
     """
-    t0 = float(grid.time_nodes[0])
     if t <= t0:
-        raise ValueError("need t > the grid's base time")
+        raise ValueError("need t > t0")
     disp = _displacement_bound(field, grid, t0, t)
     if support_x is not None:
         _check_margin(support_x, grid.x_bounds, disp, "x")
@@ -605,25 +593,20 @@ def flow_map_to_csv(fmap: FlowMap, path) -> None:
         + [f"pos_r{i + 1}" for i in range(j)]
         + ["logJ1", "logJ"]
     )
-    xs = fmap.grid.x_labels()
-    rs = fmap.grid.r_labels()
-    logj = fmap.logj()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i_x in range(fmap.num_x):
-            for i_r in range(fmap.num_r):
-                lab = np.concatenate([xs[i_x], rs[i_r]])
-                for k, t in enumerate(fmap.times):
-                    pos = np.concatenate(
-                        [fmap.x1[k, i_x], fmap.x2[k, i_x, i_r]]
-                    )
-                    row = (
-                        [f"{v:.17g}" for v in lab]
-                        + [f"{t:.17g}"]
-                        + [f"{v:.17g}" for v in pos]
-                        + [
-                            f"{fmap.logj1[k, i_x]:.17g}",
-                            f"{logj[k, i_x, i_r]:.17g}",
-                        ]
-                    )
-                    fh.write(",".join(row) + "\n")
+    K, Nx, Nr = fmap.logj2.shape
+    labels = np.concatenate(
+        [np.repeat(fmap.grid.x_labels(), Nr, axis=0),
+         np.tile(fmap.grid.r_labels(), (Nx, 1))],
+        axis=1,
+    )
+    # rows run over (x label, r label, time node), time fastest
+    logj1 = np.broadcast_to(fmap.logj1[:, :, None], (K, Nx, Nr))
+    table = np.column_stack([
+        np.repeat(labels, K, axis=0),
+        np.tile(fmap.times, Nx * Nr),
+        fmap.positions().transpose(1, 2, 0, 3).reshape(Nx * Nr * K, n + j),
+        logj1.transpose(1, 2, 0).reshape(-1),
+        fmap.logj().transpose(1, 2, 0).reshape(-1),
+    ])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header=",".join(cols), comments="")

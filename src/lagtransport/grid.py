@@ -11,7 +11,7 @@ and mass bookkeeping downstream rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -118,12 +118,15 @@ def _build_axis(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:
 class GridSpec:
     """Truncated tensor-product grid over the x-box and r-box.
 
+    The grid is space only: its nodes are the Lagrangian labels and the
+    Eulerian evaluation points.  Times belong to the calls that use them,
+    such as `flow_map(times=...)` and `continue_solution(t0=...)`.
+
     Args:
         x_bounds: per-axis closed intervals for the x block.
         x_counts: node counts per x axis (>= 2).
         r_bounds: per-axis closed intervals for the r block; empty for j=0.
         r_counts: node counts per r axis.
-        time_nodes: strictly increasing evaluation times.
         r_spacing: "uniform" or "geometric" node placement on the r axes.
             Geometric placement resolves kernels singular at r -> 0.
     """
@@ -132,7 +135,6 @@ class GridSpec:
     x_counts: tuple[int, ...]
     r_bounds: tuple[tuple[float, float], ...] = ()
     r_counts: tuple[int, ...] = ()
-    time_nodes: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 1.0, 17))
     r_spacing: str = "uniform"
 
     def __post_init__(self) -> None:
@@ -140,7 +142,6 @@ class GridSpec:
         self.r_bounds = tuple((float(a), float(b)) for a, b in self.r_bounds)
         self.x_counts = tuple(int(c) for c in self.x_counts)
         self.r_counts = tuple(int(c) for c in self.r_counts)
-        self.time_nodes = np.asarray(self.time_nodes, dtype=float)
         if len(self.x_bounds) != len(self.x_counts):
             raise ValueError("x_bounds and x_counts length mismatch")
         if len(self.r_bounds) != len(self.r_counts):
@@ -154,10 +155,6 @@ class GridSpec:
                 raise ValueError(f"empty axis interval ({lo}, {hi})")
             if c < 2:
                 raise ValueError("each axis needs at least 2 nodes")
-        if self.time_nodes.ndim != 1 or self.time_nodes.size < 2:
-            raise ValueError("time_nodes must be a 1-d array with >= 2 entries")
-        if np.any(np.diff(self.time_nodes) <= 0):
-            raise ValueError("time_nodes must be strictly increasing")
         if self.r_spacing not in ("uniform", "geometric"):
             raise ValueError(f"unknown axis spacing {self.r_spacing!r}")
         if self.r_spacing == "geometric":

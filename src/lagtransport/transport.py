@@ -502,6 +502,7 @@ def continue_solution(
     config: SolverConfig,
     grid: GridSpec,
     t_end: float,
+    t0: float = 0.0,
 ) -> ContinuedSolution:
     """Solve on [t0, t_end] by chaining automatically chosen slabs.
 
@@ -511,11 +512,10 @@ def continue_solution(
     run aborts if more than exit_fraction_limit of the labels pull back
     outside the label box, since the lost values would silently float the
     boundary datum.  Every slab runs on the one `grid` (and its cached
-    weights); its time_nodes only supply the start time t0.
+    weights).
     """
-    t0 = float(grid.time_nodes[0])
     if t_end <= t0:
-        raise ValueError("t_end must exceed the grid's base time")
+        raise ValueError("t_end must exceed t0")
     u_cur = _sample_initial(u0, grid)
     sol = ContinuedSolution(
         grid=grid, config=config, field_name=field.name,
@@ -645,50 +645,47 @@ def make_initial(name: str, **params):
     return builder(**kwargs)
 
 
+def _label_table(grid: GridSpec) -> np.ndarray:
+    """Joint (x, r) label coordinates, one row per label, r fastest."""
+    return np.concatenate(
+        [np.repeat(grid.x_labels(), grid.num_r, axis=0),
+         np.tile(grid.r_labels(), (grid.num_x, 1))],
+        axis=1,
+    )
+
+
 def state_to_csv(state: LagrangianState, path) -> None:
     """Rows (t, label coords..., u~) with 17 significant digits."""
     n, j = state.grid.n, state.grid.j
-    xs = state.grid.x_labels()
-    rs = state.grid.r_labels()
     cols = (
         ["t"]
         + [f"label_x{i + 1}" for i in range(n)]
         + [f"label_r{i + 1}" for i in range(j)]
         + ["u"]
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k, t in enumerate(state.times):
-            for i_x in range(state.grid.num_x):
-                for i_r in range(state.grid.num_r):
-                    lab = np.concatenate([xs[i_x], rs[i_r]])
-                    row = (
-                        [f"{t:.17g}"]
-                        + [f"{v:.17g}" for v in lab]
-                        + [f"{state.values[k, i_x, i_r]:.17g}"]
-                    )
-                    fh.write(",".join(row) + "\n")
+    table = np.column_stack([
+        np.repeat(state.times, state.grid.num_x * state.grid.num_r),
+        np.tile(_label_table(state.grid), (state.times.size, 1)),
+        state.values.reshape(-1),
+    ])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header=",".join(cols), comments="")
 
 
 def slice_to_csv(slc: EulerianSlice, path) -> None:
     """Rows (t, point coords..., u) with 17 significant digits."""
     n, j = slc.grid.n, slc.grid.j
-    xs = slc.grid.x_labels()
-    rs = slc.grid.r_labels()
     cols = (
         ["t"]
         + [f"y_x{i + 1}" for i in range(n)]
         + [f"y_r{i + 1}" for i in range(j)]
         + ["u"]
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i_x in range(slc.grid.num_x):
-            for i_r in range(slc.grid.num_r):
-                lab = np.concatenate([xs[i_x], rs[i_r]])
-                row = (
-                    [f"{slc.t:.17g}"]
-                    + [f"{v:.17g}" for v in lab]
-                    + [f"{slc.values[i_x, i_r]:.17g}"]
-                )
-                fh.write(",".join(row) + "\n")
+    labels = _label_table(slc.grid)
+    table = np.column_stack([
+        np.full(labels.shape[0], slc.t),
+        labels,
+        slc.values.reshape(-1),
+    ])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header=",".join(cols), comments="")

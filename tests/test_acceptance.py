@@ -127,7 +127,6 @@ def test_criterion_4_density_bounds():
     box = GridSpec(
         x_bounds=((-np.pi, np.pi),), x_counts=(9,),
         r_bounds=((0.1, 0.9),), r_counts=(5,),
-        time_nodes=times,
     )
     cases = [
         (zero_field(1, 1), box),
@@ -138,12 +137,11 @@ def test_criterion_4_density_bounds():
             swirl_field(omega=0.7),
             GridSpec(
                 x_bounds=((-1.0, 1.0), (-1.0, 1.0)), x_counts=(5, 5),
-                time_nodes=times,
             ),
         ),
         (
             sobolev_field(alpha=2.0 / 3.0),
-            GridSpec(x_bounds=((0.5, 2.0),), x_counts=(9,), time_nodes=times),
+            GridSpec(x_bounds=((0.5, 2.0),), x_counts=(9,)),
         ),
     ]
     for field, grid in cases:
@@ -194,7 +192,6 @@ def test_criterion_5_change_of_variables():
             grid = GridSpec(
                 x_bounds=xb, x_counts=(counts[0],),
                 r_bounds=rb, r_counts=(counts[1],),
-                time_nodes=np.array([0.0, 0.5]),
             )
             out = verify_change_of_variables(
                 field, grid, 0.5, phi_x, phi_joint, tol=FLOW_TOL
@@ -219,7 +216,6 @@ def test_criterion_6_contraction_and_fixed_point():
     grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(2,),
         r_bounds=((0.0, 1.0),), r_counts=(65,),
-        time_nodes=np.array([0.0, 1.0]),
     )
     sol = continue_solution(
         make_initial("gaussian", x_center=0.5, x_width=0.4),
@@ -247,7 +243,6 @@ def test_criterion_7_oracle_equivalence_and_mass_law():
     grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(3,),
         r_bounds=((0.0, 1.0),), r_counts=(33,),
-        time_nodes=np.array([0.0, 0.25]),
     )
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.3))
@@ -263,7 +258,6 @@ def test_criterion_7_oracle_equivalence_and_mass_law():
     mass_grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(2,),
         r_bounds=((1e-10, 1.0),), r_counts=(513,),
-        time_nodes=np.array([0.0, 1.0]),
         r_spacing="geometric",
     )
     sol = continue_solution(
@@ -329,7 +323,6 @@ def test_criterion_9_shared_x_block():
     grid = GridSpec(
         x_bounds=((0.1, 2.0),), x_counts=(7,),
         r_bounds=((0.1, 0.9),), r_counts=(6,),
-        time_nodes=times,
     )
     fmap = flow_map(logistic_field(k=1, mu=0.3), grid, times=times, tol=FLOW_TOL)
     x_part = fmap.positions()[..., : grid.n]

@@ -15,6 +15,7 @@ def run_cli(*args):
         [sys.executable, "-m", "lagtransport.cli", *args],
         capture_output=True,
         text=True,
+        timeout=300,  # a config that integrates toward t = inf must not hang
     )
 
 
@@ -185,6 +186,16 @@ def test_counterexample_fails_with_impossible_floor(tmp_path):
         lambda c: c.pop("field"),
         lambda c: c["grid"].update({"x_bounds": [[1.0, -1.0]]}),
         lambda c: c["field"].update({"name": "no_such_field"}),
+        lambda c: c.update({"tol": 0}),
+        lambda c: c.update({"tol": -1}),
+        lambda c: c["grid"].update({"time_nodes": [0.0, 0.3, 0.2]}),
+        lambda c: c["grid"]["time_nodes"].update({"num": -1}),
+        lambda c: c["grid"]["time_nodes"].update({"num": "x"}),
+        lambda c: c["grid"]["time_nodes"].update({"num": 2.5}),
+        lambda c: c["grid"]["time_nodes"].pop("stop"),
+        lambda c: c["grid"].update({"time_nodes": [0.5]}),
+        lambda c: c["grid"].update({"time_nodes": [[0.0, 0.1], [0.2, 0.3]]}),
+        lambda c: c["grid"].update({"time_nodes": [0.0, float("inf")]}),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, mutate):
@@ -194,8 +205,44 @@ def test_bad_configs_exit_2(tmp_path, mutate):
     res = run_cli("flow", "--config", cfg, "--out", str(tmp_path))
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
     # nothing may be written for a rejected config
     assert not list(tmp_path.glob("flow_*.json"))
+
+
+@pytest.mark.parametrize(
+    "command, mutate",
+    [
+        ("solve", lambda c: c.update(
+            {"kernel": {"name": "constant", "params": {"j": 2}}})),
+        ("solve", lambda c: c.update(
+            {"kernel": {"name": "fragmentation", "params": {"scale": "two"}}})),
+        ("solve", lambda c: c.update(
+            {"kernel": {"name": "constant", "params": {"c": "x"}}})),
+        ("solve", lambda c: c["grid"].update(
+            {"time_nodes": {"start": 0.0, "stop": 0.5, "num": -1}})),
+        ("solve", lambda c: c["grid"].update({"time_nodes": [0.5, 0.0]})),
+        ("solve", lambda c: c.update({"t_end": 0.0})),
+        ("verify", lambda c: c.update({"flow_tol": 0})),
+        ("verify", lambda c: c.update({"flow_tol": -1e-10})),
+        ("verify", lambda c: c["grid"].update(
+            {"time_nodes": {"start": 0.0, "num": 3}})),
+    ],
+    ids=[
+        "solve-kernel_j", "solve-string_scale", "solve-string_c",
+        "solve-time_num", "solve-decreasing_times", "solve-t_end_at_t0",
+        "verify-flow_tol=0", "verify-flow_tol<0", "verify-time_missing_stop",
+    ],
+)
+def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
+    payload = {"solve": solve_config, "verify": verify_config}[command]()
+    mutate(payload)
+    cfg = write_config(tmp_path / "bad.json", payload)
+    res = run_cli(command, "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob(f"{command}_*.json"))
 
 
 def test_malformed_json_exits_2(tmp_path):

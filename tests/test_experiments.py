@@ -51,7 +51,6 @@ def test_operator_convergence_small_run(tmp_path):
     grid = GridSpec(
         x_bounds=((-np.pi, np.pi),), x_counts=(33,),
         r_bounds=((0.0, 1.0),), r_counts=(17,),
-        time_nodes=np.linspace(0.0, 0.2, 5),
     )
     paths = [tmp_path / "first.json", tmp_path / "second.json"]
     for path in paths:
@@ -83,7 +82,6 @@ def test_stability_small_run():
     grid = GridSpec(
         x_bounds=((-np.pi, np.pi),), x_counts=(33,),
         r_bounds=((0.0, 1.0),), r_counts=(17,),
-        time_nodes=np.array([0.0, 0.2]),
     )
     report = stability_experiment(
         eps_values=(0.3, 0.15, 0.075), t_end=0.2, checkpoints=(0.2,),

@@ -282,13 +282,12 @@ def test_make_kernel_and_zero_kernel():
 # ---------------------------------------------------------------------
 
 
-def _unit_r_grid(nr=65, t_hi=0.5):
+def _unit_r_grid(nr=65):
     return GridSpec(
         x_bounds=((0.0, 1.0),),
         x_counts=(2,),
         r_bounds=((0.0, 1.0),),
         r_counts=(nr,),
-        time_nodes=np.array([0.0, t_hi]),
     )
 
 
@@ -318,7 +317,6 @@ def test_factored_slab_rate_is_bit_identical_to_dense():
     grid = GridSpec(
         x_bounds=((-3.0, 3.0),), x_counts=(5,),
         r_bounds=((0.0, 1.0),), r_counts=(33,),
-        time_nodes=np.array([0.0, 1.0]),
     )
     kern = separable_kernel(
         terms=((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
@@ -348,7 +346,6 @@ def test_fragmentation_slab_bound_is_finite_on_geometric_grid():
         x_counts=(2,),
         r_bounds=((1e-8, 1.0),),
         r_counts=(129,),
-        time_nodes=np.array([0.0, 1.0]),
         r_spacing="geometric",
     )
     kern = fragmentation_kernel(scale=2.0)

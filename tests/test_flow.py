@@ -28,15 +28,15 @@ from lagtransport.grid import GridSpec
 from conftest import modulated_logistic_field
 
 TOL = 1e-10
+TIMES = np.linspace(0.0, 0.5, 5)
 
 
-def _grid(nx=9, nr=5, x_bounds=((-1.0, 1.0),), r_bounds=((0.2, 0.8),), t_hi=0.5):
+def _grid(nx=9, nr=5, x_bounds=((-1.0, 1.0),), r_bounds=((0.2, 0.8),)):
     return GridSpec(
         x_bounds=x_bounds,
         x_counts=(nx,),
         r_bounds=r_bounds,
         r_counts=(nr,),
-        time_nodes=np.linspace(0.0, t_hi, 5),
     )
 
 
@@ -47,7 +47,7 @@ def _grid(nx=9, nr=5, x_bounds=((-1.0, 1.0),), r_bounds=((0.2, 0.8),), t_hi=0.5)
 
 def test_zero_field_flow_is_identity():
     grid = _grid()
-    fmap = flow_map(zero_field(1, 1), grid, tol=TOL)
+    fmap = flow_map(zero_field(1, 1), grid, times=TIMES, tol=TOL)
     pos = fmap.positions()
     labels0 = pos[0]
     for k in range(fmap.times.size):
@@ -60,7 +60,7 @@ def test_linear_field_flow_and_jacobian_closed_form():
     # logJ = (lam + mu) t independent of the label
     lam, mu = 0.4, 0.3
     grid = _grid()
-    fmap = flow_map(linear_field(lam=lam, mu=mu, n=1, j=1), grid, tol=TOL)
+    fmap = flow_map(linear_field(lam=lam, mu=mu, n=1, j=1), grid, times=TIMES, tol=TOL)
     xs = grid.x_labels()
     rs = grid.r_labels()
     for k, t in enumerate(fmap.times):
@@ -70,6 +70,41 @@ def test_linear_field_flow_and_jacobian_closed_form():
         )
         assert np.allclose(fmap.logj1[k], lam * t, atol=1e-8)
         assert np.allclose(fmap.logj()[k], (lam + mu) * t, atol=1e-8)
+
+
+def test_backward_flow_map_linear_field_closed_form():
+    # the inverse of (x e^{lam t}, r e^{mu t}) takes the point (y, s) at
+    # time t back to the label (y e^{-lam t}, s e^{-mu t}); the inverse
+    # map has log-Jacobian -(lam + mu) t
+    lam, mu = 0.4, 0.3
+    grid = _grid()
+    fmap = flow_map(
+        linear_field(lam=lam, mu=mu, n=1, j=1), grid, times=TIMES, tol=TOL,
+        direction="backward",
+    )
+    xs = grid.x_labels()
+    rs = grid.r_labels()
+    assert fmap.direction == "backward"
+    # row 0 is the grid itself, with zero log-Jacobian
+    assert np.array_equal(fmap.x1[0], xs)
+    assert np.array_equal(fmap.x2[0], np.broadcast_to(rs[None], fmap.x2[0].shape))
+    assert np.all(fmap.logj()[0] == 0.0)
+    for k, t in enumerate(TIMES):
+        assert np.allclose(fmap.x1[k], xs * np.exp(-lam * t), rtol=1e-8)
+        assert np.allclose(fmap.x2[k], rs[None] * np.exp(-mu * t), rtol=1e-8)
+        assert np.allclose(fmap.logj()[k], -(lam + mu) * t, atol=1e-8)
+
+
+def test_flow_map_rejects_decreasing_times():
+    grid = _grid()
+    for times in (
+        np.array([0.0, -1.0]),
+        np.array([0.0, 0.5, 0.5]),
+        np.array([0.5]),
+        np.zeros((2, 2)),
+    ):
+        with pytest.raises(ValueError):
+            flow_map(zero_field(1, 1), grid, times=times, tol=TOL)
 
 
 def test_integrate_flow_single_label_matches_linear_solution():
@@ -103,7 +138,7 @@ def test_x_block_shared_bitwise_across_fiber():
     # the x block is integrated once per x label; every r label on that
     # fiber must see the exact same x path, bit for bit
     grid = _grid(nx=5, nr=7)
-    fmap = flow_map(logistic_field(k=2, mu=0.4), grid, tol=TOL)
+    fmap = flow_map(logistic_field(k=2, mu=0.4), grid, times=TIMES, tol=TOL)
     pos = fmap.positions()  # (K, Nx, Nr, n + j)
     x_part = pos[..., : grid.n]
     for q in range(1, grid.num_r):
@@ -160,7 +195,7 @@ def test_flow_maps_make_one_x_solve_and_one_fiber_solve(monkeypatch):
     monkeypatch.setattr("lagtransport.flow.solve_ivp", counting)
     grid = _grid(nx=9, nr=5)
     field = modulated_logistic_field()
-    flow_map(field, grid, tol=TOL)
+    flow_map(field, grid, times=TIMES, tol=TOL)
     # x block: 9 positions + 9 logJ1; fibers: 45 positions + 45 logJ2
     assert calls == [18, 90]
     calls.clear()
@@ -242,7 +277,7 @@ def test_inverse_logj_matches_forward_convention():
 def test_density_rho2_linear_field_closed_form():
     mu = 0.3
     grid = _grid()
-    fmap = flow_map(linear_field(lam=0.1, mu=mu, n=1, j=1), grid, tol=TOL)
+    fmap = flow_map(linear_field(lam=0.1, mu=mu, n=1, j=1), grid, times=TIMES, tol=TOL)
     rho2 = density_rho2(fmap)
     for k, t in enumerate(fmap.times):
         assert np.allclose(rho2[k], np.exp(mu * t), rtol=1e-8)
@@ -264,7 +299,6 @@ def test_compressibility_bounds_hold_for_catalogue():
             GridSpec(
                 x_bounds=((-1.0, 1.0), (-1.0, 1.0)),
                 x_counts=(5, 5),
-                time_nodes=times,
             ),
         ),
         (
@@ -272,7 +306,6 @@ def test_compressibility_bounds_hold_for_catalogue():
             GridSpec(
                 x_bounds=((0.5, 2.0),),
                 x_counts=(9,),
-                time_nodes=times,
             ),
         ),
     ]
@@ -285,7 +318,7 @@ def test_compressibility_bounds_hold_for_catalogue():
 
 def test_compressibility_flags_forged_jacobian():
     grid = _grid()
-    fmap = flow_map(zero_field(1, 1), grid, tol=TOL)
+    fmap = flow_map(zero_field(1, 1), grid, times=TIMES, tol=TOL)
     fmap.logj1 = fmap.logj1 + 0.5  # exceeds the zero-divergence envelope
     report = check_compressibility(fmap, zero_field(1, 1))
     assert not report.ok
@@ -311,7 +344,6 @@ def test_change_of_variables_linear_field():
         x_counts=(65,),
         r_bounds=((-3.0, 3.0),),
         r_counts=(65,),
-        time_nodes=np.array([0.0, 0.5]),
     )
 
     def phi_joint(x, r):
@@ -328,12 +360,28 @@ def test_change_of_variables_linear_field():
     assert abs(out["marginal_forward"] - exact_marg) < 1e-4
 
 
+def test_change_of_variables_from_a_later_base_time():
+    # the linear field is autonomous, so the entries over [0.2, 0.7]
+    # equal those over [0, 0.5]; a flow started at 0 would not match
+    field = linear_field(lam=0.4, mu=0.3, n=1, j=1)
+    grid = GridSpec(
+        x_bounds=((-3.0, 3.0),), x_counts=(33,),
+        r_bounds=((-3.0, 3.0),), r_counts=(9,),
+    )
+    phi = _gauss_x(0.0, 0.25)
+    ref = verify_change_of_variables(field, grid, 0.5, phi, tol=TOL)
+    out = verify_change_of_variables(field, grid, 0.7, phi, tol=TOL, t0=0.2)
+    for key in ("marginal_forward", "marginal_eulerian"):
+        assert abs(out[key] - ref[key]) < 1e-9
+    with pytest.raises(ValueError):
+        verify_change_of_variables(field, grid, 0.2, phi, tol=TOL, t0=0.2)
+
+
 def test_change_of_variables_support_margin_guard():
     field = linear_field(lam=1.0, mu=0.0, n=1, j=0)
     grid = GridSpec(
         x_bounds=((-1.0, 1.0),),
         x_counts=(17,),
-        time_nodes=np.array([0.0, 1.0]),
     )
     # displacement sup |b| * T = 1.0 exceeds the margin of this support box
     with pytest.raises(PreconditionError):
@@ -348,9 +396,43 @@ def test_change_of_variables_support_margin_guard():
 # ---------------------------------------------------------------------
 
 
+def _flow_map_csv_by_rows(fmap):
+    """Reference: the row-at-a-time writer flow_map_to_csv used to be."""
+    n = fmap.grid.n
+    j = fmap.grid.j
+    cols = (
+        [f"label_x{i + 1}" for i in range(n)]
+        + [f"label_r{i + 1}" for i in range(j)]
+        + ["t"]
+        + [f"pos_x{i + 1}" for i in range(n)]
+        + [f"pos_r{i + 1}" for i in range(j)]
+        + ["logJ1", "logJ"]
+    )
+    xs = fmap.grid.x_labels()
+    rs = fmap.grid.r_labels()
+    logj = fmap.logj()
+    lines = [",".join(cols)]
+    for i_x in range(fmap.num_x):
+        for i_r in range(fmap.num_r):
+            lab = np.concatenate([xs[i_x], rs[i_r]])
+            for k, t in enumerate(fmap.times):
+                pos = np.concatenate([fmap.x1[k, i_x], fmap.x2[k, i_x, i_r]])
+                row = (
+                    [f"{v:.17g}" for v in lab]
+                    + [f"{t:.17g}"]
+                    + [f"{v:.17g}" for v in pos]
+                    + [
+                        f"{fmap.logj1[k, i_x]:.17g}",
+                        f"{logj[k, i_x, i_r]:.17g}",
+                    ]
+                )
+                lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 def test_flow_map_csv_round_trip(tmp_path):
     grid = _grid(nx=3, nr=3)
-    fmap = flow_map(linear_field(lam=0.2, mu=0.1, n=1, j=1), grid, tol=TOL)
+    fmap = flow_map(linear_field(lam=0.2, mu=0.1, n=1, j=1), grid, times=TIMES, tol=TOL)
     path = tmp_path / "flow.csv"
     flow_map_to_csv(fmap, path)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -362,3 +444,16 @@ def test_flow_map_csv_round_trip(tmp_path):
     assert row[2] == fmap.times[k]
     assert row[3] == fmap.x1[k, i, 0]
     assert row[6] == logj[k, i, q]
+    # the table writer emits the same bytes as a row-by-row f-string
+    # writer, on this fiber grid, for a backward map, and on a j = 0 grid
+    assert path.read_text() == _flow_map_csv_by_rows(fmap)
+    back = flow_map(
+        logistic_field(k=1, mu=0.3), grid, times=TIMES, tol=TOL,
+        direction="backward",
+    )
+    flow_map_to_csv(back, path)
+    assert path.read_text() == _flow_map_csv_by_rows(back)
+    grid0 = GridSpec(x_bounds=((-1.0, 1.0), (0.5, 2.0)), x_counts=(4, 3))
+    fmap0 = flow_map(swirl_field(omega=0.7), grid0, times=TIMES, tol=TOL)
+    flow_map_to_csv(fmap0, path)
+    assert path.read_text() == _flow_map_csv_by_rows(fmap0)

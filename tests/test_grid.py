@@ -21,7 +21,6 @@ def _grid_2d(nx=17, nr=9):
         x_counts=(nx,),
         r_bounds=((0.0, 2.0),),
         r_counts=(nr,),
-        time_nodes=np.array([0.0, 1.0]),
     )
 
 
@@ -121,7 +120,6 @@ def test_grid_without_fiber():
     grid = GridSpec(
         x_bounds=((0.0, 1.0), (0.0, 2.0)),
         x_counts=(5, 7),
-        time_nodes=np.array([0.0, 1.0]),
     )
     assert grid.n == 2 and grid.j == 0
     assert grid.num_x == 35 and grid.num_r == 1
@@ -137,17 +135,7 @@ def test_geometric_spacing_requires_positive_bounds():
             x_counts=(3,),
             r_bounds=((0.0, 1.0),),
             r_counts=(5,),
-            time_nodes=np.array([0.0, 1.0]),
             r_spacing="geometric",
-        )
-
-
-def test_grid_rejects_decreasing_times():
-    with pytest.raises(ValueError):
-        GridSpec(
-            x_bounds=((0.0, 1.0),),
-            x_counts=(3,),
-            time_nodes=np.array([0.0, -1.0]),
         )
 
 
@@ -157,7 +145,6 @@ def test_suffix_weights_need_one_dimensional_fiber():
         x_counts=(3,),
         r_bounds=((0.0, 1.0), (0.0, 1.0)),
         r_counts=(4, 4),
-        time_nodes=np.array([0.0, 1.0]),
     )
     with pytest.raises(ValueError):
         grid.r_suffix_weights()

@@ -157,7 +157,6 @@ def _rank_grid(nr=65):
         x_counts=(2,),
         r_bounds=((0.0, 1.0),),
         r_counts=(nr,),
-        time_nodes=np.array([0.0, 0.5]),
     )
 
 

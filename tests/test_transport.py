@@ -34,13 +34,12 @@ from lagtransport.transport import (
 SEPARABLE_TERMS = ((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
 
 
-def _fiber_grid(nr=33, t_hi=0.5, nx=2):
+def _fiber_grid(nr=33, nx=2):
     return GridSpec(
         x_bounds=((0.0, 1.0),),
         x_counts=(nx,),
         r_bounds=((0.0, 1.0),),
         r_counts=(nr,),
-        time_nodes=np.array([0.0, t_hi]),
     )
 
 
@@ -60,7 +59,9 @@ def _fiber_datum(grid, datum):
 
 def test_apply_A_zero_kernel_returns_datum():
     grid = _fiber_grid()
-    fmap = flow_map(zero_field(1, 1), grid, tol=1e-10)
+    fmap = flow_map(
+        zero_field(1, 1), grid, times=np.array([0.0, 0.5]), tol=1e-10
+    )
     rng = np.random.default_rng(1)
     u0 = rng.uniform(0.0, 1.0, size=(grid.num_x, grid.num_r))
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
@@ -190,7 +191,7 @@ def test_choose_slab_halves_until_budget_met():
     # constant kernel on the unit fiber has rate c; with b = 0 the budget
     # is c * T, so c = 0.7 over T = 1 needs exactly one halving for a
     # 0.5 target
-    grid = _fiber_grid(t_hi=1.0)
+    grid = _fiber_grid()
     kern = constant_kernel(c=0.7)
     length, diag = choose_slab(
         kern, zero_field(1, 1), SolverConfig(slab_target=0.5), grid, 0.0, 1.0
@@ -202,7 +203,7 @@ def test_choose_slab_halves_until_budget_met():
 
 
 def test_choose_slab_raises_when_budget_unreachable():
-    grid = _fiber_grid(t_hi=1.0)
+    grid = _fiber_grid()
     kern = constant_kernel(c=100.0)
     with pytest.raises(SlabSelectionError):
         choose_slab(
@@ -217,7 +218,7 @@ def test_choose_slab_raises_when_budget_unreachable():
 
 
 def test_picard_matches_separable_oracle():
-    grid = _fiber_grid(nr=33, t_hi=0.25, nx=3)
+    grid = _fiber_grid(nr=33, nx=3)
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.3))
     state, summary = picard_solve(
@@ -312,7 +313,6 @@ def test_reconstruct_linear_field_matches_transport():
         x_counts=(65,),
         r_bounds=((0.1, 0.9),),
         r_counts=(33,),
-        time_nodes=np.array([0.0, 0.3]),
     )
     datum = make_initial(
         "gaussian", x_center=0.0, x_width=0.5, r_center=0.5, r_width=0.1
@@ -363,7 +363,6 @@ def test_continue_solution_fragmentation_mass_law():
         x_counts=(2,),
         r_bounds=((1e-10, 1.0),),
         r_counts=(129,),
-        time_nodes=np.array([0.0, 0.5]),
         r_spacing="geometric",
     )
     sol = continue_solution(
@@ -386,7 +385,7 @@ def test_continue_solution_fragmentation_mass_law():
 
 
 def test_continue_solution_time_nodes_chain():
-    grid = _fiber_grid(t_hi=1.0)
+    grid = _fiber_grid()
     kern = constant_kernel(c=0.7)
     sol = continue_solution(
         make_initial("constant", value=1.0),
@@ -405,6 +404,25 @@ def test_continue_solution_time_nodes_chain():
     assert sol.slab_containing(0.51) is not None
 
 
+def test_continue_solution_starts_at_t0():
+    # the start time comes from the caller; zero drift and a constant
+    # kernel are autonomous, so a run over [0.3, 1.3] repeats the run
+    # over [0, 1] shifted in time
+    args = (
+        make_initial("constant", value=1.0), zero_field(1, 1),
+        constant_kernel(c=0.7),
+        SolverConfig(picard_tol=1e-9, nodes_per_slab=9), _fiber_grid(),
+    )
+    ref = continue_solution(*args, 1.0)
+    sol = continue_solution(*args, 1.3, t0=0.3)
+    assert sol.boundaries[0] == 0.3
+    assert abs(sol.boundaries[-1] - 1.3) < 1e-12
+    assert len(sol.slabs) == len(ref.slabs) >= 2
+    assert np.allclose(sol.mass_history()[1], ref.mass_history()[1], rtol=1e-9)
+    with pytest.raises(ValueError):
+        continue_solution(*args, 0.3, t0=0.3)
+
+
 def test_continue_solution_aborts_on_label_exit():
     # strong inward drift makes the backward labels land outside the box
     # at the first re-basing, which must abort rather than zero-fill a
@@ -415,7 +433,6 @@ def test_continue_solution_aborts_on_label_exit():
         x_counts=(17,),
         r_bounds=((0.0, 1.0),),
         r_counts=(9,),
-        time_nodes=np.array([0.0, 2.0]),
     )
     kern = constant_kernel(c=0.4)
     with pytest.raises(PreconditionError):
@@ -450,6 +467,55 @@ def test_make_initial_catalogue():
         make_initial("gaussian", bogus=1.0)
 
 
+def _state_csv_by_rows(state):
+    """Reference: the row-at-a-time writer state_to_csv used to be."""
+    n, j = state.grid.n, state.grid.j
+    xs = state.grid.x_labels()
+    rs = state.grid.r_labels()
+    cols = (
+        ["t"]
+        + [f"label_x{i + 1}" for i in range(n)]
+        + [f"label_r{i + 1}" for i in range(j)]
+        + ["u"]
+    )
+    lines = [",".join(cols)]
+    for k, t in enumerate(state.times):
+        for i_x in range(state.grid.num_x):
+            for i_r in range(state.grid.num_r):
+                lab = np.concatenate([xs[i_x], rs[i_r]])
+                row = (
+                    [f"{t:.17g}"]
+                    + [f"{v:.17g}" for v in lab]
+                    + [f"{state.values[k, i_x, i_r]:.17g}"]
+                )
+                lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _slice_csv_by_rows(slc):
+    """Reference: the row-at-a-time writer slice_to_csv used to be."""
+    n, j = slc.grid.n, slc.grid.j
+    xs = slc.grid.x_labels()
+    rs = slc.grid.r_labels()
+    cols = (
+        ["t"]
+        + [f"y_x{i + 1}" for i in range(n)]
+        + [f"y_r{i + 1}" for i in range(j)]
+        + ["u"]
+    )
+    lines = [",".join(cols)]
+    for i_x in range(slc.grid.num_x):
+        for i_r in range(slc.grid.num_r):
+            lab = np.concatenate([xs[i_x], rs[i_r]])
+            row = (
+                [f"{slc.t:.17g}"]
+                + [f"{v:.17g}" for v in lab]
+                + [f"{slc.values[i_x, i_r]:.17g}"]
+            )
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 def test_state_and_slice_csv_round_trip(tmp_path):
     grid = _fiber_grid(nr=5)
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=5)
@@ -469,3 +535,17 @@ def test_state_and_slice_csv_round_trip(tmp_path):
     assert rows2.shape[0] == grid.num_x * grid.num_r
     # 17 significant digits reproduce the stored doubles exactly
     assert rows2[0, -1] == slc.values[0, 0]
+
+    # the table writers emit the same bytes as a row-by-row f-string
+    # writer, on a fiber grid and on a j = 0 grid with a moving field
+    assert p1.read_text() == _state_csv_by_rows(state)
+    assert p2.read_text() == _slice_csv_by_rows(slc)
+    grid0 = GridSpec(x_bounds=((-1.0, 2.0), (0.0, 1.0)), x_counts=(5, 4))
+    field0 = linear_field(lam=-0.7, mu=0.0, n=2, j=0)
+    u00 = _fiber_datum(grid0, make_initial("gaussian", x_center=0.3))
+    state0, _ = picard_solve(u00, field0, None, config, grid0, 0.0, 0.5)
+    slc0 = eulerian_reconstruct(state0, field0, 0.5, None, config)
+    state_to_csv(state0, p1)
+    slice_to_csv(slc0, p2)
+    assert p1.read_text() == _state_csv_by_rows(state0)
+    assert p2.read_text() == _slice_csv_by_rows(slc0)
