@@ -248,6 +248,14 @@ def _build_field(spec: dict):
         raise ConfigError(f"invalid field: {exc}") from exc
 
 
+def _check_dimensions(field, grid: GridSpec) -> None:
+    if field.n != grid.n or field.j != grid.j:
+        raise ConfigError(
+            f"field {field.name!r} has n = {field.n}, j = {field.j} but the "
+            f"grid has n = {grid.n}, j = {grid.j}"
+        )
+
+
 def _build_kernel(spec: dict | None):
     if spec is None:
         return None
@@ -282,6 +290,7 @@ def _build_solver(spec: dict | None) -> SolverConfig:
 def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
     field = _build_field(cfg["field"])
     grid = _build_grid(cfg["grid"])
+    _check_dimensions(field, grid)
     times = _time_nodes(cfg["grid"])
     direction = cfg.get("direction", "forward")
     if direction not in ("forward", "backward"):
@@ -307,6 +316,7 @@ def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
 def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     field = _build_field(cfg["field"])
     grid = _build_grid(cfg["grid"])
+    _check_dimensions(field, grid)
     t0 = float(_time_nodes(cfg["grid"])[0])
     kernel = _build_kernel(cfg.get("kernel"))
     datum = _build_initial(cfg["initial"])
@@ -531,6 +541,7 @@ def _verify_battery(
 def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
     field = _build_field(cfg["field"])
     grid = _build_grid(cfg["grid"])
+    _check_dimensions(field, grid)
     t0 = float(_time_nodes(cfg["grid"])[0])
     t = float(cfg.get("t", 0.5))
     flow_tol = float(cfg.get("flow_tol", 1e-10))

@@ -5,7 +5,8 @@ Trajectories solve the augmented system
     dX1/dt = b1(t, X1)          dlogJ1/dt = div_x b1(t, X1)
     dX2/dt = b2(t, X1, X2)      dlogJ2/dt = div_r b2(t, X1, X2)
 
-with an adaptive embedded Runge-Kutta pair and interpolated output at the
+with the adaptive Dormand-Prince 5(4) pair of `lagtransport.ode`, which
+reproduces scipy's RK45 bit for bit, and its dense output at the
 requested time nodes.  Because b1 never sees r, the x block is solved once
 for all x labels and shared across each whole r fiber, so X1 is
 bit-identical for labels (x, r1) and (x, r2) by construction.  The r fibers
@@ -19,14 +20,13 @@ without any Eulerian reconstruction.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fields import StructuredVectorField
 from .grid import GridSpec
+from .ode import solve_ivp
 
 __all__ = [
     "FlowSample",
@@ -61,7 +61,7 @@ def _solve_x_block(
     field: StructuredVectorField,
     x0: np.ndarray,
     t_span: tuple[float, float],
-    t_eval: np.ndarray | None,
+    t_eval: np.ndarray,
     tol: float,
 ):
     """Integrate (X1, logJ1) for a batch of x labels in one system.
@@ -81,8 +81,7 @@ def _solve_x_block(
     y0 = np.concatenate([x0.reshape(-1), np.zeros(M)])
     rtol, atol = _tols(tol)
     sol = solve_ivp(
-        rhs, t_span, y0, method="RK45", t_eval=t_eval,
-        dense_output=True, rtol=rtol, atol=atol,
+        rhs, t_span, y0, t_eval=t_eval, dense_output=True, rtol=rtol, atol=atol
     )
     if not sol.success:
         raise FlowIntegrationError(f"x-block integration failed: {sol.message}")
@@ -97,7 +96,7 @@ def _solve_r_fibers(
     x_of_t,
     r0: np.ndarray,
     t_span: tuple[float, float],
-    t_eval: np.ndarray | None,
+    t_eval: np.ndarray,
     tol: float,
 ):
     """Integrate (X2, logJ2) for the r fibers of M x labels in one system.
@@ -126,13 +125,7 @@ def _solve_r_fibers(
 
     y0 = np.concatenate([r0.reshape(-1), np.zeros(M * Q)])
     rtol, atol = _tols(tol)
-    sol = solve_ivp(
-        rhs, t_span, y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol
-    )
-    # scipy's solver object refers to itself through its wrapped rhs, so
-    # its dozen state-sized work arrays outlive the call until the cyclic
-    # collector runs; for a stacked system they are megabytes
-    gc.collect(1)
+    sol = solve_ivp(rhs, t_span, y0, t_eval=t_eval, rtol=rtol, atol=atol)
     if not sol.success:
         raise FlowIntegrationError(f"r-fiber integration failed: {sol.message}")
     K = sol.y.shape[1]

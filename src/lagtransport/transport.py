@@ -14,11 +14,10 @@ Eulerian reconstruction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import RegularGridInterpolator
 
 from .fields import Kernel, StructuredVectorField, kernel_slab_rate
 from .flow import FlowMap, PreconditionError, flow_map, inverse_flow_grid
@@ -217,8 +216,16 @@ def apply_A(
         inner = np.empty((K, Nx, Nr))
         for k in range(K):
             inner[k] = (ops[k_index[k]] @ weighted[k][:, :, None])[:, :, 0]
-    integral = cumulative_trapezoid(inner, fmap.times, axis=0, initial=0.0)
-    return u0[None] + integral
+    return u0[None] + _cumulative_trapezoid(inner, fmap.times)
+
+
+def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of `values` along axis 0 from times[0] to each
+    node, zero at the first, summed as scipy's cumulative_trapezoid does."""
+    dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    out = np.zeros(values.shape)
+    np.cumsum(dt * (values[1:] + values[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
 
 
 def _sup_norm_diff(a: np.ndarray, b: np.ndarray, grid: GridSpec,
@@ -367,6 +374,39 @@ def picard_solve(
     )
 
 
+def _multilinear(axes, values, pts, fill_value) -> np.ndarray:
+    """Multilinear interpolant of `values` on the tensor grid `axes` at
+    the rows of `pts`, `fill_value` outside the box.
+
+    Each coordinate falls in the cell [a_i, a_i+1) with a_i <= p, clamped
+    to the first and last cells, so a point on the upper face uses the
+    last cell.  The corners are summed in scipy's RegularGridInterpolator
+    order, with its 2-d grouping (v w0) w1 and its n-d grouping
+    v (w0 w1 ...), so the two agree bit for bit.
+    """
+    idx, frac = [], []
+    for a, p in zip(axes, pts.T):
+        i = np.clip(np.searchsorted(a, p, side="right") - 1, 0, a.size - 2)
+        idx.append(i)
+        frac.append((p - a[i]) / (a[i + 1] - a[i]))
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        at = tuple(i + c for i, c in zip(idx, corner))
+        ws = [y if c else 1 - y for y, c in zip(frac, corner)]
+        if len(axes) == 2:
+            out = out + values[at] * ws[0] * ws[1]
+        else:
+            weight = 1.0
+            for w in ws:
+                weight = weight * w
+            out = out + values[at] * weight
+    outside = np.zeros(pts.shape[0], dtype=bool)
+    for a, p in zip(axes, pts.T):
+        outside |= (p < a[0]) | (p > a[-1])
+    out[outside] = fill_value
+    return out
+
+
 def eulerian_reconstruct(
     state: LagrangianState,
     field: StructuredVectorField,
@@ -399,15 +439,11 @@ def eulerian_reconstruct(
     pts[..., :n] = lab_x[:, None, :]
     if j:
         pts[..., n:] = lab_r
-    interp = RegularGridInterpolator(
-        state.grid.axes(),
-        state.values[k].reshape(state.grid.shape),
-        method="linear",
-        bounds_error=False,
-        fill_value=config.exterior_value,
-    )
     flat = pts.reshape(-1, n + j)
-    vals = interp(flat).reshape(Nx_out, Nr_out)
+    vals = _multilinear(
+        state.grid.axes(), state.values[k].reshape(state.grid.shape), flat,
+        config.exterior_value,
+    ).reshape(Nx_out, Nr_out)
     outside = np.zeros(flat.shape[0], dtype=bool)
     for axis, a in enumerate(state.grid.axes()):
         pad = 1e-12 * max(1.0, abs(a[-1]) + abs(a[0]))
@@ -468,11 +504,11 @@ class ContinuedSolution:
         w = wx[:, None] * wr[None, :]
         ts, ms = [], []
         for s_idx, s in enumerate(self.slabs):
-            logj = s.fmap.logj()
             start = 0 if s_idx == 0 else 1
-            for k in range(start, s.times.size):
-                ts.append(float(s.times[k]))
-                ms.append(float(np.sum(w * s.values[k] * np.exp(logj[k]))))
+            dens = w * s.values[start:] * np.exp(s.fmap.logj()[start:])
+            ts.extend(s.times[start:].tolist())
+            # a row sum per node: the same pairwise sum as np.sum(dens[k])
+            ms.extend(dens.reshape(dens.shape[0], -1).sum(axis=1).tolist())
         return np.asarray(ts), np.asarray(ms)
 
     def run_summary(self) -> dict:

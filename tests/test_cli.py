@@ -172,6 +172,23 @@ def test_counterexample_fails_with_impossible_floor(tmp_path):
     assert res.returncode == 1
 
 
+def test_cli_runtime_does_not_import_scipy(tmp_path):
+    cfg = write_config(tmp_path / "s.json", solve_config())
+    script = (
+        "import sys\n"
+        "import lagtransport.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by lagtransport.cli'\n"
+        f"code = lagtransport.cli.main(['solve', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by a solve'\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert list(tmp_path.glob("solve_*.json"))
+
+
 # ---------------------------------------------------------------------
 # config rejection (exit 2)
 # ---------------------------------------------------------------------
@@ -196,6 +213,8 @@ def test_counterexample_fails_with_impossible_floor(tmp_path):
         lambda c: c["grid"].update({"time_nodes": [0.5]}),
         lambda c: c["grid"].update({"time_nodes": [[0.0, 0.1], [0.2, 0.3]]}),
         lambda c: c["grid"].update({"time_nodes": [0.0, float("inf")]}),
+        # an n = 1, j = 0 field on the j = 1 grid
+        lambda c: c.update({"field": {"name": "linear"}}),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, mutate):
@@ -227,11 +246,15 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         ("verify", lambda c: c.update({"flow_tol": -1e-10})),
         ("verify", lambda c: c["grid"].update(
             {"time_nodes": {"start": 0.0, "num": 3}})),
+        ("solve", lambda c: c.update(
+            {"field": {"name": "zero", "params": {"n": 2, "j": 1}}})),
+        ("verify", lambda c: c.update({"field": {"name": "linear"}})),
     ],
     ids=[
         "solve-kernel_j", "solve-string_scale", "solve-string_c",
         "solve-time_num", "solve-decreasing_times", "solve-t_end_at_t0",
         "verify-flow_tol=0", "verify-flow_tol<0", "verify-time_missing_stop",
+        "solve-field_n2_on_n1_grid", "verify-field_j0_on_j1_grid",
     ],
 )
 def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):

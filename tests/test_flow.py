@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from lagtransport.fields import (
     linear_field,
@@ -24,6 +24,7 @@ from lagtransport.flow import (
     verify_change_of_variables,
 )
 from lagtransport.grid import GridSpec
+from lagtransport.ode import solve_ivp
 
 from conftest import modulated_logistic_field
 
@@ -186,6 +187,9 @@ def test_stacked_fibers_match_label_by_label(field, bound):
 
 
 def test_flow_maps_make_one_x_solve_and_one_fiber_solve(monkeypatch):
+    import lagtransport.flow
+
+    assert lagtransport.flow.solve_ivp is solve_ivp
     calls = []
 
     def counting(fun, t_span, y0, **kwargs):
@@ -201,6 +205,93 @@ def test_flow_maps_make_one_x_solve_and_one_fiber_solve(monkeypatch):
     calls.clear()
     inverse_flow_grid(field, grid.x_labels(), grid.r_labels(), t=0.5, tol=TOL)
     assert calls == [18, 90]
+
+
+def _stacked_system(field, M, Q):
+    """x block and r fibers of M x labels in one state, (X1, X2, logJ2,
+    logJ1), with the same right side layout as the flow solver's."""
+    size = M * Q
+
+    def rhs(t, y):
+        x = y[:M].reshape(M, 1)
+        r = y[M : M + size].reshape(M, Q, 1)
+        out = np.empty_like(y)
+        out[:M] = field.b1(t, x).reshape(-1)
+        out[M : M + size] = field.b2(t, x[:, None, :], r).reshape(-1)
+        out[M + size : M + 2 * size] = field.div_b2(t, x[:, None, :], r).reshape(-1)
+        out[M + 2 * size :] = field.div_b1(t, x)
+        return out
+
+    rng = np.random.default_rng(7)
+    y0 = np.concatenate([
+        rng.uniform(-np.pi, np.pi, M), rng.uniform(0.05, 0.95, size),
+        np.zeros(size + M),
+    ])
+    return rhs, y0
+
+
+# the ode module reproduces scipy's RK45 step for step; if a scipy release
+# changes its RK45, these comparisons are what report it
+@pytest.mark.parametrize("tol", [1e-4, 1e-7, TOL])
+def test_ode_matches_scipy_rk45_forward(tol):
+    rhs, y0 = _stacked_system(modulated_logistic_field(mu=2.0, a=0.95), 7, 5)
+    t_eval = np.linspace(0.0, 1.5, 7)
+    kwargs = dict(t_eval=t_eval, rtol=tol, atol=tol * 1e-3)
+    ref = scipy_solve_ivp(rhs, (0.0, 1.5), y0, method="RK45", **kwargs)
+    sol = solve_ivp(rhs, (0.0, 1.5), y0, **kwargs)
+    assert ref.success and sol.success
+    assert np.array_equal(sol.y, ref.y)
+    assert sol.nfev == ref.nfev == 2 + 6 * (sol.nsteps + sol.nrejected)
+    assert sol.sol is None
+    if tol == TOL:
+        # the controller rejects steps here, so that branch is compared too
+        assert sol.nrejected > 0
+
+
+@pytest.mark.parametrize("tol", [1e-4, TOL])
+def test_ode_matches_scipy_rk45_backward_with_dense_output(tol):
+    rhs, y0 = _stacked_system(modulated_logistic_field(mu=2.0, a=0.95), 6, 4)
+    t_span = (1.2, -0.3)
+    t_eval = np.array([1.2, 0.7, 0.0, -0.3])
+    kwargs = dict(t_eval=t_eval, dense_output=True, rtol=tol, atol=tol * 1e-3)
+    ref = scipy_solve_ivp(rhs, t_span, y0, method="RK45", **kwargs)
+    sol = solve_ivp(rhs, t_span, y0, **kwargs)
+    assert ref.success and sol.success
+    assert np.array_equal(sol.y, ref.y)
+    assert sol.nfev == ref.nfev
+    # step boundaries, the span's ends, interior points and repeats
+    ts = ref.sol.ts
+    probes = np.concatenate([ts, ts[:-1] + 0.3 * np.diff(ts), [1.2, -0.3, 0.25, 0.25]])
+    for t in probes:
+        assert np.array_equal(sol.sol(t), ref.sol(t))
+    assert np.array_equal(sol.sol(probes), ref.sol(probes))
+    assert np.array_equal(sol.sol(probes[::-1]), ref.sol(probes[::-1]))
+
+
+def test_ode_reports_a_step_size_underflow_like_scipy():
+    # y' = y^2 from y = 1 blows up at t = 1
+    def rhs(t, y):
+        return y * y
+
+    kwargs = dict(t_eval=np.array([2.0]), rtol=1e-6, atol=1e-9)
+    ref = scipy_solve_ivp(rhs, (0.0, 2.0), np.ones(3), method="RK45", **kwargs)
+    sol = solve_ivp(rhs, (0.0, 2.0), np.ones(3), **kwargs)
+    assert not ref.success and not sol.success
+    assert sol.message == ref.message
+    assert sol.nfev == ref.nfev
+    assert sol.y.shape == (3, 0)
+
+
+def test_ode_rejects_bad_spans_and_nodes():
+    def rhs(t, y):
+        return -y
+
+    with pytest.raises(ValueError):
+        solve_ivp(rhs, (1.0, 1.0), np.ones(2), t_eval=np.array([1.0]))
+    with pytest.raises(ValueError):
+        solve_ivp(rhs, (0.0, 1.0), np.ones(2), t_eval=np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        solve_ivp(rhs, (1.0, 0.0), np.ones(2), t_eval=np.array([0.0, 1.0]))
 
 
 def test_flow_from_rejects_mismatched_shapes():

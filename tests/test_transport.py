@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import RegularGridInterpolator
 
 from lagtransport.fields import (
     Kernel,
@@ -17,6 +19,8 @@ from lagtransport.flow import PreconditionError, flow_map
 from lagtransport.grid import GridSpec
 from lagtransport.oracle import separable_solve
 from lagtransport.transport import (
+    _cumulative_trapezoid,
+    _multilinear,
     PicardConvergenceError,
     SlabSelectionError,
     SolverConfig,
@@ -337,6 +341,61 @@ def test_reconstruct_linear_field_matches_transport():
     # the reconstruction interpolates linearly between labels, so the
     # error scale is h^2 |u''| ~ 4e-3 at this resolution
     assert err < 5e-3
+
+
+def _random_axes(rng, dims):
+    """Uniform, geometric and irregular axes of 2 to 7 nodes."""
+    axes = []
+    for d in range(dims):
+        count = int(rng.integers(2, 8))
+        kind = (d + int(rng.integers(3))) % 3
+        if kind == 0:
+            axes.append(np.linspace(-1.5, 2.0, count))
+        elif kind == 1:
+            axes.append(np.geomspace(1e-3, 1.0, count))
+        else:
+            axes.append(np.sort(rng.uniform(-3.0, 3.0, count)))
+    return tuple(axes)
+
+
+# both helpers reproduce scipy's operation order, so the comparisons are
+# exact; scipy stays the reference in the tests only
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_multilinear_matches_scipy_regular_grid_interpolator(dims):
+    rng = np.random.default_rng(dims)
+    for _ in range(10):
+        axes = _random_axes(rng, dims)
+        values = rng.normal(size=tuple(a.size for a in axes))
+        lo = np.array([a[0] for a in axes])
+        hi = np.array([a[-1] for a in axes])
+        inside = rng.uniform(lo, hi, (200, dims))
+        outside = rng.uniform(lo - 1.0, hi + 1.0, (200, dims))
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dims)
+        faces = []
+        for d in range(dims):
+            for edge in (lo[d], hi[d]):
+                face = inside[:20].copy()
+                face[:, d] = edge
+                faces.append(face)
+        pts = np.vstack([inside, outside, nodes, *faces])
+        ref = RegularGridInterpolator(
+            axes, values, method="linear", bounds_error=False, fill_value=-2.5
+        )(pts)
+        out = _multilinear(axes, values, pts, -2.5)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+        assert np.array_equal(out[200 + 200 : 200 + 200 + nodes.shape[0]],
+                              values.reshape(-1))
+
+
+@pytest.mark.parametrize("shape", [(9, 17), (5, 3, 33), (17, 2, 65)])
+def test_cumulative_trapezoid_matches_scipy(shape):
+    rng = np.random.default_rng(len(shape))
+    values = rng.normal(size=shape)
+    for times in (np.linspace(0.1, 0.6, shape[0]),
+                  np.sort(rng.uniform(0.0, 1.0, shape[0]))):
+        ref = cumulative_trapezoid(values, times, axis=0, initial=0.0)
+        assert np.array_equal(_cumulative_trapezoid(values, times), ref)
 
 
 def test_reconstruct_requires_solved_time_node():
