@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +78,8 @@ _REQUIRED = "required"
 _OPTIONAL = "optional"
 _OPEN = "open"          # free-form dict, validated by the builder it feeds
 
-_FIELD_SCHEMA = {"name": (_REQUIRED, str), "params": (_OPTIONAL, _OPEN)}
-_KERNEL_SCHEMA = {"name": (_REQUIRED, str), "params": (_OPTIONAL, _OPEN)}
-_INITIAL_SCHEMA = {"name": (_REQUIRED, str), "params": (_OPTIONAL, _OPEN)}
+# a catalogue entry: a field, kernel or initial datum
+_NAMED_SCHEMA = {"name": (_REQUIRED, str), "params": (_OPTIONAL, _OPEN)}
 _GRID_SCHEMA = {
     "x_bounds": (_REQUIRED, list),
     "x_counts": (_REQUIRED, list),
@@ -96,7 +96,6 @@ _SOLVER_SCHEMA = {
     "max_iters": (_OPTIONAL, int),
     "nodes_per_slab": (_OPTIONAL, int),
     "flow_tol": (_OPTIONAL, (int, float)),
-    "exterior_value": (_OPTIONAL, (int, float)),
     "exit_fraction_limit": (_OPTIONAL, (int, float)),
     "slab_time_samples": (_OPTIONAL, int),
     "max_halvings": (_OPTIONAL, int),
@@ -105,17 +104,17 @@ _SOLVER_SCHEMA = {
 _SCHEMAS = {
     "flow": {
         "schema_version": (_REQUIRED, int),
-        "field": (_REQUIRED, _FIELD_SCHEMA),
+        "field": (_REQUIRED, _NAMED_SCHEMA),
         "grid": (_REQUIRED, _GRID_SCHEMA),
         "direction": (_OPTIONAL, str),
         "tol": (_OPTIONAL, (int, float)),
     },
     "solve": {
         "schema_version": (_REQUIRED, int),
-        "field": (_REQUIRED, _FIELD_SCHEMA),
-        "kernel": (_OPTIONAL, _KERNEL_SCHEMA),
+        "field": (_REQUIRED, _NAMED_SCHEMA),
+        "kernel": (_OPTIONAL, _NAMED_SCHEMA),
         "grid": (_REQUIRED, _GRID_SCHEMA),
-        "initial": (_REQUIRED, _INITIAL_SCHEMA),
+        "initial": (_REQUIRED, _NAMED_SCHEMA),
         "t_end": (_REQUIRED, (int, float)),
         "solver": (_OPTIONAL, _SOLVER_SCHEMA),
     },
@@ -141,7 +140,7 @@ _SCHEMAS = {
     },
     "verify": {
         "schema_version": (_REQUIRED, int),
-        "field": (_REQUIRED, _FIELD_SCHEMA),
+        "field": (_REQUIRED, _NAMED_SCHEMA),
         "grid": (_REQUIRED, _GRID_SCHEMA),
         "t": (_OPTIONAL, (int, float)),
         "flow_tol": (_OPTIONAL, (int, float)),
@@ -151,15 +150,13 @@ _SCHEMAS = {
 
 
 def _check_schema(obj, schema, path: str) -> None:
+    """Check `obj` against a schema of key -> (status, expected type)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
     for key in obj:
         if key not in schema:
             raise ConfigError(f"unknown key {path}{key!r}")
-        rule = schema[key]
-        if rule is _OPEN:
-            continue
-        _, expect = rule if isinstance(rule, tuple) else (None, rule)
+        _, expect = schema[key]
         if expect is _OPEN:
             if not isinstance(obj[key], dict):
                 raise ConfigError(f"{path}{key!r} must be an object")
@@ -173,8 +170,7 @@ def _check_schema(obj, schema, path: str) -> None:
                 else "/".join(t.__name__ for t in expect)
             )
             raise ConfigError(f"{path}{key!r} must be {names}")
-    for key, rule in schema.items():
-        status = rule[0] if isinstance(rule, tuple) else _OPTIONAL
+    for key, (status, _) in schema.items():
         if status == _REQUIRED and key not in obj:
             raise ConfigError(f"missing required key {path}{key!r}")
 
@@ -241,11 +237,22 @@ def _build_grid(spec: dict) -> GridSpec:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _build_field(spec: dict):
+def _build_named(kind: str, spec: dict | None):
+    """The catalogue entry a {name, params} spec names, or None without a
+    spec.  `kind` is "field", "kernel" or "initial datum".
+
+    The builders are looked up when called, not held in a module-level
+    table, so a rebound `make_field` or `make_kernel` takes effect.
+    """
+    if spec is None:
+        return None
+    builder = {
+        "field": make_field, "kernel": make_kernel, "initial datum": make_initial,
+    }[kind]
     try:
-        return make_field(spec["name"], **spec.get("params", {}))
+        return builder(spec["name"], **spec.get("params", {}))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid field: {exc}") from exc
+        raise ConfigError(f"invalid {kind}: {exc}") from exc
 
 
 def _check_dimensions(field, grid: GridSpec) -> None:
@@ -254,22 +261,6 @@ def _check_dimensions(field, grid: GridSpec) -> None:
             f"field {field.name!r} has n = {field.n}, j = {field.j} but the "
             f"grid has n = {grid.n}, j = {grid.j}"
         )
-
-
-def _build_kernel(spec: dict | None):
-    if spec is None:
-        return None
-    try:
-        return make_kernel(spec["name"], **spec.get("params", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid kernel: {exc}") from exc
-
-
-def _build_initial(spec: dict):
-    try:
-        return make_initial(spec["name"], **spec.get("params", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid initial datum: {exc}") from exc
 
 
 def _build_solver(spec: dict | None) -> SolverConfig:
@@ -288,7 +279,7 @@ def _build_solver(spec: dict | None) -> SolverConfig:
 
 
 def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
-    field = _build_field(cfg["field"])
+    field = _build_named("field", cfg["field"])
     grid = _build_grid(cfg["grid"])
     _check_dimensions(field, grid)
     times = _time_nodes(cfg["grid"])
@@ -314,12 +305,12 @@ def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
 
 
 def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
-    field = _build_field(cfg["field"])
+    field = _build_named("field", cfg["field"])
     grid = _build_grid(cfg["grid"])
     _check_dimensions(field, grid)
     t0 = float(_time_nodes(cfg["grid"])[0])
-    kernel = _build_kernel(cfg.get("kernel"))
-    datum = _build_initial(cfg["initial"])
+    kernel = _build_named("kernel", cfg.get("kernel"))
+    datum = _build_named("initial datum", cfg["initial"])
     config = _build_solver(cfg.get("solver"))
     if kernel is not None and kernel.j != grid.j:
         raise ConfigError(f"kernel j = {kernel.j} but grid j = {grid.j}")
@@ -346,51 +337,41 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     return payload, True
 
 
-def _cmd_stability(cfg: dict, stem: str, out_dir: Path):
-    kwargs = {}
-    for key in (
-        "k", "mu", "t_end", "final_threshold", "monotone_slack",
-    ):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    if "eps_values" in cfg:
-        kwargs["eps_values"] = tuple(float(e) for e in cfg["eps_values"])
-    if "checkpoints" in cfg:
-        kwargs["checkpoints"] = tuple(float(c) for c in cfg["checkpoints"])
+# study command -> {config key: element type of the tuple the experiment
+# takes, or None to pass the value as it is}
+_STUDY_ARGS = {
+    "stability": {
+        "eps_values": float, "k": None, "mu": None, "t_end": None,
+        "checkpoints": float, "final_threshold": None, "monotone_slack": None,
+    },
+    "counterexample": {
+        "k_values": int, "t": None, "line_nodes": None, "window": float,
+        "weak_constant": None, "floor_fraction": None, "spread_tol": None,
+    },
+}
+
+
+def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
+    """The stability and counterexample commands: run the experiment on
+    the config's arguments and write its report."""
+    experiment = {
+        "stability": stability_experiment,
+        "counterexample": counterexample_experiment,
+    }[command]
     try:
-        report = stability_experiment(**kwargs)
+        kwargs = {
+            key: cfg[key] if kind is None else tuple(kind(v) for v in cfg[key])
+            for key, kind in _STUDY_ARGS[command].items() if key in cfg
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {command} arguments: {exc}") from exc
+    try:
+        report = experiment(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report.to_csv(out_dir / f"{stem}.csv")
     payload = {
-        "command": "stability",
-        "name": report.name,
-        "params": report.params,
-        "rows": report.rows,
-        "criteria": report.criteria,
-        "passed": report.passed,
-    }
-    return payload, report.passed
-
-
-def _cmd_counterexample(cfg: dict, stem: str, out_dir: Path):
-    kwargs = {}
-    for key in (
-        "t", "line_nodes", "weak_constant", "floor_fraction", "spread_tol",
-    ):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    if "k_values" in cfg:
-        kwargs["k_values"] = tuple(int(k) for k in cfg["k_values"])
-    if "window" in cfg:
-        kwargs["window"] = tuple(float(w) for w in cfg["window"])
-    try:
-        report = counterexample_experiment(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    report.to_csv(out_dir / f"{stem}.csv")
-    payload = {
-        "command": "counterexample",
+        "command": command,
         "name": report.name,
         "params": report.params,
         "rows": report.rows,
@@ -446,9 +427,7 @@ def _verify_battery(
     record("semigroup", err, 1e-8 * scale)
 
     # inverse round trip: backward labels flowed forward return to the grid
-    lab_x, _, lab_r, _ = inverse_flow_grid(
-        field, xs, rs if grid.j else None, t0 + t, t0, flow_tol
-    )
+    lab_x, _, lab_r, _ = inverse_flow_grid(field, xs, rs, t0 + t, t0, flow_tol)
     xpos, _, rpos, _ = flow_from(
         field, lab_x, lab_r, (t0, t0 + t), np.array([t0 + t]), flow_tol
     )
@@ -501,14 +480,8 @@ def _verify_battery(
         terms=((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
     )
     datum = make_initial("gaussian", x_center=0.5, x_width=0.3)
-    xs_p = probe_grid.x_labels()
-    rs_p = probe_grid.r_labels()
-    u0 = datum(
-        np.repeat(xs_p[:, None, :], probe_grid.num_r, axis=1),
-        np.broadcast_to(
-            rs_p[None], (probe_grid.num_x, probe_grid.num_r, 1)
-        ),
-    )
+    labels = probe_grid.joint_labels()
+    u0 = datum(labels[..., :1], labels[..., 1:])
     state, _ = picard_solve(
         u0, zero_field(1, 1), probe_kernel,
         SolverConfig(picard_tol=1e-12, nodes_per_slab=17),
@@ -539,7 +512,7 @@ def _verify_battery(
 
 
 def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
-    field = _build_field(cfg["field"])
+    field = _build_named("field", cfg["field"])
     grid = _build_grid(cfg["grid"])
     _check_dimensions(field, grid)
     t0 = float(_time_nodes(cfg["grid"])[0])
@@ -575,8 +548,8 @@ def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
 _COMMANDS = {
     "flow": _cmd_flow,
     "solve": _cmd_solve,
-    "stability": _cmd_stability,
-    "counterexample": _cmd_counterexample,
+    "stability": partial(_cmd_study, "stability"),
+    "counterexample": partial(_cmd_study, "counterexample"),
     "verify": _cmd_verify,
 }
 

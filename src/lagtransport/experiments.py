@@ -30,9 +30,9 @@ from .fields import (
     separable_kernel,
 )
 from .flow import flow_map, integrate_flow, inverse_flow_grid
-from .grid import GridSpec, NormSpec, axis_weights, lp_norm
+from .grid import GridSpec, NormSpec, axis_weights, lp_norm, sup_in_time
 from .oracle import oscillatory_jacobian, strong_failure_floor
-from .transport import SolverConfig, apply_A, continue_solution
+from .transport import SolverConfig, apply_A, continue_solution, make_initial
 
 __all__ = [
     "ExperimentReport",
@@ -101,16 +101,6 @@ class ExperimentReport:
 # =====================================================================
 
 
-def _probe_values(grid: GridSpec, num_t: int) -> np.ndarray:
-    """Fixed smooth probe, constant in time, on the label grid."""
-    xs = grid.x_labels()[:, 0]
-    rs = grid.r_labels()[:, 0]
-    vals = np.exp(-(xs[:, None] ** 2) / 0.8) * np.exp(
-        -((rs[None, :] - 0.5) ** 2) / 0.08
-    )
-    return np.broadcast_to(vals[None], (num_t,) + vals.shape).copy()
-
-
 def operator_convergence_experiment(
     eps_values: tuple = (0.2, 0.1, 0.05, 0.025),
     k: int = 2,
@@ -124,7 +114,8 @@ def operator_convergence_experiment(
 ) -> ExperimentReport:
     """Distance between the source operators of b_eps and b on a fixed probe.
 
-    Both operators integrate the same kernel against the same probe; only
+    The probe is the default Gaussian datum on the label grid, constant in
+    time.  Both operators integrate the same kernel against it; only
     the trajectories and the fiber density differ.  The distance is the
     sup-in-time windowed L^2 norm of the difference, and the fitted order
     is the mean dyadic slope of the distances.  Symmetric mollification
@@ -143,7 +134,9 @@ def operator_convergence_experiment(
     window = ((-2.4, 2.4), (0.15, 0.85))
     spec = NormSpec(p=2.0, window=window)
     times = np.linspace(0.0, t_end, num_t)
-    probe = _probe_values(grid, num_t)
+    labels = grid.joint_labels()
+    probe_t0 = make_initial("gaussian")(labels[..., : grid.n], labels[..., grid.n :])
+    probe = np.broadcast_to(probe_t0, (num_t,) + probe_t0.shape).copy()
     zero_datum = np.zeros((grid.num_x, grid.num_r))
 
     fmap = flow_map(base, grid, times=times, tol=flow_tol)
@@ -162,9 +155,7 @@ def operator_convergence_experiment(
         fld = mollify_field(base, eps)
         fmap_eps = flow_map(fld, grid, times=times, tol=flow_tol)
         img = apply_A(probe, fmap_eps, kernel, grid, zero_datum)
-        dist = max(
-            lp_norm(img[i] - ref[i], grid, spec) for i in range(times.size)
-        )
+        dist = sup_in_time(img - ref, grid, spec)
         dists.append(dist)
         row = {"eps": float(eps), "distance": float(dist)}
         if len(dists) > 1:
@@ -193,12 +184,6 @@ def operator_convergence_experiment(
 # =====================================================================
 
 
-def _stability_datum(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.exp(-(x[..., 0] ** 2) / 0.8) * np.exp(
-        -((r[..., 0] - 0.5) ** 2) / 0.08
-    )
-
-
 def stability_experiment(
     eps_values: tuple = (0.2, 0.1, 0.05, 0.025),
     k: int = 1,
@@ -218,7 +203,8 @@ def stability_experiment(
     windowed L^2 norm; the per-radius distance is the worst checkpoint.
     Criteria: among the last three radii each distance improves on its
     predecessor (ratio at most `monotone_slack`), and the finest radius
-    lands below `final_threshold`.
+    lands below `final_threshold`.  Every run starts from the default
+    Gaussian datum.
     """
     eps_values = tuple(sorted(eps_values, reverse=True))
     if len(eps_values) < 3:
@@ -237,7 +223,7 @@ def stability_experiment(
 
     def run(field):
         sol = continue_solution(
-            _stability_datum, field, kernel, config, grid, t_end
+            make_initial("gaussian"), field, kernel, config, grid, t_end
         )
         slices = {}
         for t in checkpoints:

@@ -436,7 +436,6 @@ class Kernel:
     slab rate at a single (t, x).  gamma must still agree with the
     factors; it serves the slab bound and every consumer without a
     factored path.
-    `singular_at_zero` flags kernels requiring a positive r cutoff.
     """
 
     name: str
@@ -444,7 +443,6 @@ class Kernel:
     gamma: Callable
     support: str | None = None
     smooth_part: Callable | None = None
-    singular_at_zero: bool = False
     params: dict = dc_field(default_factory=dict)
     factors: tuple[tuple[Callable, ...], tuple[Callable, ...]] | None = None
 
@@ -505,7 +503,7 @@ def fragmentation_kernel(scale: float = 1.0) -> Kernel:
     return Kernel(
         "fragmentation", 1, partial(_frag_gamma, scale),
         support="triangular", smooth_part=partial(_frag_smooth, scale),
-        singular_at_zero=True, params={"scale": scale},
+        params={"scale": scale},
     )
 
 
@@ -549,15 +547,6 @@ def separable_kernel(
         "separable", 1, partial(_separable_gamma, terms), params={"terms": terms},
         factors=factors,
     )
-
-
-def separable_factors(
-    kernel: Kernel,
-) -> tuple[tuple[Callable, ...], tuple[Callable, ...]]:
-    """The declared (a_i, c_i) factor callables of a finite-rank kernel."""
-    if kernel.factors is None:
-        raise ValueError(f"kernel {kernel.name!r} declares no finite-rank factors")
-    return kernel.factors
 
 
 def _gauss_amp(center, width, amp, v):

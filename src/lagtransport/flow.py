@@ -197,8 +197,6 @@ class FlowMap:
     logj1: np.ndarray          # (K, Nx)
     x2: np.ndarray             # (K, Nx, Nr, j)
     logj2: np.ndarray          # (K, Nx, Nr)
-    field_name: str
-    tol: float
 
     @property
     def num_x(self) -> int:
@@ -221,6 +219,13 @@ class FlowMap:
         return np.concatenate([x_part, self.x2], axis=-1)
 
 
+def _check_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing with >= 2 entries")
+    return times
+
+
 def integrate_flow(
     field: StructuredVectorField,
     label: np.ndarray,
@@ -229,9 +234,7 @@ def integrate_flow(
 ) -> FlowSample:
     """Forward trajectory of a single label through the augmented system."""
     label = np.asarray(label, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing with >= 2 entries")
+    times = _check_times(times)
     n, j = field.n, field.j
     if label.size != n + j:
         raise ValueError(f"label must have {n + j} coordinates")
@@ -249,45 +252,32 @@ def integrate_flow(
 
 
 def _forward_flow_map(field, grid, times, tol) -> FlowMap:
-    xs = grid.x_labels()
-    rs = grid.r_labels()
     x1, logj1, x2, logj2 = flow_from(
-        field, xs, np.broadcast_to(rs, (xs.shape[0],) + rs.shape),
+        field, grid.x_labels(), grid.joint_labels()[..., grid.n :],
         (times[0], times[-1]), times, tol,
     )
     return FlowMap(
         grid=grid, direction="forward", times=times,
         x1=x1, logj1=logj1, x2=x2, logj2=logj2,
-        field_name=field.name, tol=tol,
     )
 
 
 def _backward_flow_map(field, grid, times, tol) -> FlowMap:
-    xs = grid.x_labels()
-    rs = grid.r_labels()
-    Nx, n = xs.shape
-    Nr = rs.shape[0]
-    K = times.size
+    xs, rs = grid.x_labels(), grid.r_labels()
+    K, (Nx, n), Nr = times.size, xs.shape, grid.num_r
     x1 = np.empty((K, Nx, n))
-    logj1 = np.zeros((K, Nx))
-    x2 = np.zeros((K, Nx, Nr, field.j))
-    logj2 = np.zeros((K, Nx, Nr))
-    x1[0] = xs
-    if field.j > 0:
-        x2[0] = np.broadcast_to(rs[None, :, :], (Nx, Nr, field.j))
-    for k in range(1, K):
-        lx, lj1, lx2, lj2 = _inverse_fiber(
-            field, xs, rs, times[k], times[0], tol
-        )
-        x1[k] = lx
-        logj1[k] = -lj1
-        if field.j > 0:
-            x2[k] = lx2
-            logj2[k] = -lj2
+    logj1 = np.empty((K, Nx))
+    x2 = np.empty((K, Nx, Nr, grid.j))
+    logj2 = np.empty((K, Nx, Nr))
+    for k, t in enumerate(times):
+        x1[k], lj1, x2[k], lj2 = inverse_flow_grid(field, xs, rs, t, times[0], tol)
+        # 0.0 - v rather than -v: at t = times[0] the forward log-Jacobians
+        # are +0.0, and the inverse map's must stay +0.0, not -0.0
+        logj1[k] = 0.0 - lj1
+        logj2[k] = 0.0 - lj2
     return FlowMap(
         grid=grid, direction="backward", times=times,
         x1=x1, logj1=logj1, x2=x2, logj2=logj2,
-        field_name=field.name, tol=tol,
     )
 
 
@@ -303,37 +293,18 @@ def flow_map(
     `times` are the strictly increasing output nodes; the base time is
     times[0].  The x block is integrated once for all x labels and shared
     bit-for-bit across each r fiber; the fibers of all x labels form one
-    stacked system.  A backward map makes that pair of solves once per
-    node.
+    stacked system.  A backward map takes every node from
+    `inverse_flow_grid`, which makes that pair of solves for each node
+    after the first.
     """
     if field.n != grid.n or field.j != grid.j:
         raise ValueError("field and grid dimensions disagree")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing with >= 2 entries")
+    times = _check_times(times)
     if direction == "forward":
         return _forward_flow_map(field, grid, times, tol)
     if direction == "backward":
         return _backward_flow_map(field, grid, times, tol)
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def _inverse_fiber(field, xs, rs, t, t0, tol):
-    """Backward pass (t -> t0) for Eulerian tensor points xs x rs.
-
-    Returns (labels_x (Nx, n), logj1_fwd (Nx,), labels_r (Nx, Nr, j),
-    logj2_fwd (Nx, Nr)) where the logj values are the forward-orientation
-    integrals of the divergences along each backward path.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    rs = np.zeros((1, 0)) if field.j == 0 else np.atleast_2d(
-        np.asarray(rs, dtype=float)
-    )
-    x1, lj1, x2, lj2 = flow_from(
-        field, xs, np.broadcast_to(rs, (xs.shape[0],) + rs.shape),
-        (t, t0), np.array([t0]), tol,
-    )
-    return x1[-1], -lj1[-1], x2[-1], -lj2[-1]
 
 
 def inverse_flow_grid(
@@ -346,23 +317,23 @@ def inverse_flow_grid(
 ):
     """Inverse flow X^{-1}(t, .) on a tensor set of Eulerian points.
 
-    Also returns the forward log-Jacobians accumulated along each path,
-    so the transported densities at the Eulerian points are
-    rho1 = exp(-logj1) and rho = exp(-(logj1 + logj2)).
+    The points are xs (Nx, n) times rs (Nr, j); `rs` is ignored when
+    j = 0.  Returns (labels_x (Nx, n), logj1 (Nx,), labels_r (Nx, Nr, j),
+    logj2 (Nx, Nr)): the labels reached by flowing back from t to t0, and
+    the forward log-Jacobians accumulated along each path, so the
+    transported densities at the Eulerian points are rho1 = exp(-logj1)
+    and rho = exp(-(logj1 + logj2)).  At t == t0 the labels are the
+    points and the log-Jacobians are +0.0.
     """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    rs = np.zeros((1, 0)) if field.j == 0 else np.atleast_2d(
+        np.asarray(rs, dtype=float)
+    )
+    r0 = np.broadcast_to(rs, (xs.shape[0],) + rs.shape)
     if t == t0:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        Nx = xs.shape[0]
-        if field.j == 0:
-            return xs.copy(), np.zeros(Nx), np.zeros((Nx, 1, 0)), np.zeros((Nx, 1))
-        rs = np.atleast_2d(np.asarray(rs, dtype=float))
-        Nr = rs.shape[0]
-        return (
-            xs.copy(), np.zeros(Nx),
-            np.broadcast_to(rs[None], (Nx, Nr, field.j)).copy(),
-            np.zeros((Nx, Nr)),
-        )
-    return _inverse_fiber(field, xs, rs, t, t0, tol)
+        return xs.copy(), np.zeros(xs.shape[0]), r0.copy(), np.zeros(r0.shape[:2])
+    x1, lj1, x2, lj2 = flow_from(field, xs, r0, (t, t0), np.array([t0]), tol)
+    return x1[-1], -lj1[-1], x2[-1], -lj2[-1]
 
 
 def density_rho2(fmap: FlowMap) -> np.ndarray:
@@ -485,18 +456,17 @@ def verify_change_of_variables(
         _check_margin(support_r, grid.r_bounds, disp, "r")
 
     xs = grid.x_labels()
-    rs = grid.r_labels()
     wx = grid.x_weights()
     wr = grid.r_weights()
     times = np.array([t0, 0.5 * (t0 + t), t])
     fwd = flow_map(field, grid, times=times, tol=tol)
-    rhs_marg = float(np.sum(wx * _eval_phi_x(phi_x, fwd.x1[-1])))
+    rhs_marg = float(np.sum(wx * np.asarray(phi_x(fwd.x1[-1]), dtype=float)))
     lab_x, lj1, lab_r, lj2 = inverse_flow_grid(
-        field, xs, rs if grid.j else None, t, t0, tol
+        field, xs, grid.r_labels(), t, t0, tol
     )
     inside_x = _inside(lab_x, grid.x_bounds)
     rho1 = np.where(inside_x, np.exp(-lj1), 0.0)
-    lhs_marg = float(np.sum(wx * _eval_phi_x(phi_x, xs) * rho1))
+    lhs_marg = float(np.sum(wx * np.asarray(phi_x(xs), dtype=float) * rho1))
     out = {
         "t": t,
         "marginal_forward": rhs_marg,
@@ -508,31 +478,24 @@ def verify_change_of_variables(
         if grid.j == 0:
             raise ValueError("joint identity needs j >= 1")
         pos = fwd.positions()[-1]  # (Nx, Nr, n+j)
-        vals = _eval_phi_joint(phi_joint, pos[..., : grid.n], pos[..., grid.n :])
+        vals = np.asarray(
+            phi_joint(pos[..., : grid.n], pos[..., grid.n :]), dtype=float
+        )
         rhs_joint = float(np.sum(wx[:, None] * wr[None, :] * vals))
         rho = np.where(
-            inside_x[:, None] & _inside_fiber(lab_r, grid.r_bounds),
+            inside_x[:, None] & _inside(lab_r, grid.r_bounds),
             np.exp(-(lj1[:, None] + lj2)),
             0.0,
         )
-        vals_e = _eval_phi_joint(
-            phi_joint,
-            np.broadcast_to(xs[:, None, :], lab_r.shape[:2] + (grid.n,)),
-            np.broadcast_to(rs[None, :, :], lab_r.shape),
+        labels = grid.joint_labels()
+        vals_e = np.asarray(
+            phi_joint(labels[..., : grid.n], labels[..., grid.n :]), dtype=float
         )
         lhs_joint = float(np.sum(wx[:, None] * wr[None, :] * vals_e * rho))
         out["joint_forward"] = rhs_joint
         out["joint_eulerian"] = lhs_joint
         out["residual_joint"] = abs(lhs_joint - rhs_joint)
     return out
-
-
-def _eval_phi_x(phi, pts):
-    return np.asarray(phi(pts), dtype=float)
-
-
-def _eval_phi_joint(phi, x, r):
-    return np.asarray(phi(x, r), dtype=float)
 
 
 def _inside(pts, bounds):
@@ -542,24 +505,19 @@ def _inside(pts, bounds):
     return ok
 
 
-def _inside_fiber(lab_r, bounds):
-    if not bounds:
-        return np.ones(lab_r.shape[:-1], dtype=bool)
-    return _inside(lab_r, bounds)
-
-
 def _displacement_bound(field, grid, t0, t1, samples: int = 5) -> float:
     """Sampled sup of |b| over the grid times the duration."""
     xs = grid.x_labels()
-    rs = grid.r_labels()
+    labels = grid.joint_labels()
     sup = 0.0
     for s in np.linspace(t0, t1, samples):
         v1 = np.asarray(field.b1(s, xs), dtype=float)
         sup = max(sup, float(np.max(np.linalg.norm(v1, axis=-1))))
         if field.j > 0:
-            xrep = np.repeat(xs[:, None, :], rs.shape[0], axis=1)
-            rrep = np.broadcast_to(rs[None], (xs.shape[0],) + rs.shape)
-            v2 = np.asarray(field.b2(s, xrep, rrep), dtype=float)
+            v2 = np.asarray(
+                field.b2(s, labels[..., : grid.n], labels[..., grid.n :]),
+                dtype=float,
+            )
             sup = max(sup, float(np.max(np.linalg.norm(v2, axis=-1))))
     return sup * (t1 - t0)
 
@@ -587,11 +545,7 @@ def flow_map_to_csv(fmap: FlowMap, path) -> None:
         + ["logJ1", "logJ"]
     )
     K, Nx, Nr = fmap.logj2.shape
-    labels = np.concatenate(
-        [np.repeat(fmap.grid.x_labels(), Nr, axis=0),
-         np.tile(fmap.grid.r_labels(), (Nx, 1))],
-        axis=1,
-    )
+    labels = fmap.grid.joint_labels().reshape(Nx * Nr, n + j)
     # rows run over (x label, r label, time node), time fastest
     logj1 = np.broadcast_to(fmap.logj1[:, :, None], (K, Nx, Nr))
     table = np.column_stack([

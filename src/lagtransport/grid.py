@@ -225,6 +225,22 @@ class GridSpec:
                 self._cache[key] = _product_points(self.r_axes())
         return self._cache[key]
 
+    def joint_labels(self) -> np.ndarray:
+        """All (x, r) labels, shape (num_x, num_r, n + j): x slow, r fast.
+
+        Entry [i, q] is x_labels()[i] followed by r_labels()[q]; split it
+        as [..., :n] and [..., n:] to call a field or datum, and reshape
+        to (num_x * num_r, n + j) for one row per label.
+        """
+        key = "joint_labels"
+        if key not in self._cache:
+            xs, rs = self.x_labels(), self.r_labels()
+            out = np.empty((self.num_x, self.num_r, self.n + self.j))
+            out[..., : self.n] = xs[:, None, :]
+            out[..., self.n :] = rs[None, :, :]
+            self._cache[key] = out
+        return self._cache[key]
+
     # --- quadrature -----------------------------------------------------
 
     def x_weights(self) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Kernel, StructuredVectorField, separable_factors
+from .fields import Kernel, StructuredVectorField
 from .grid import GridSpec
 
 __all__ = [
@@ -141,11 +141,14 @@ def separable_solve(
     The solution m(t) = Phi(t) alpha uses the integrated exponential, and
     u(t) = u0 + sum_j a_j(r) m_j(t, x).  Inner products use the grid's
     own r quadrature, so the comparison with the Picard path isolates
-    time-integration and iteration error.
+    time-integration and iteration error.  The factors are the kernel's
+    declared `factors`; a kernel without them raises ValueError.
     """
     if grid.j != 1:
         raise ValueError("finite-rank oracle needs j = 1")
-    a_list, c_list = separable_factors(kernel)
+    if kernel.factors is None:
+        raise ValueError(f"kernel {kernel.name!r} declares no finite-rank factors")
+    a_list, c_list = kernel.factors
     r = grid.r_labels()[:, 0]
     wr = grid.r_weights()
     a_vals = np.stack([np.asarray(a(r), dtype=float) for a in a_list])  # (m, Nr)

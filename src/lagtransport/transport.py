@@ -20,8 +20,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import Kernel, StructuredVectorField, kernel_slab_rate
-from .flow import FlowMap, PreconditionError, flow_map, inverse_flow_grid
-from .grid import GridSpec, NormSpec, lp_norm
+from .flow import (
+    FlowMap,
+    PreconditionError,
+    density_rho2,
+    flow_map,
+    inverse_flow_grid,
+)
+from .grid import GridSpec, NormSpec, sup_in_time
 
 __all__ = [
     "SolverConfig",
@@ -73,7 +79,6 @@ class SolverConfig:
     max_iters: int = 80
     nodes_per_slab: int = 17
     flow_tol: float = 1e-10
-    exterior_value: float = 0.0
     exit_fraction_limit: float = 1e-3
     slab_time_samples: int = 9
     max_halvings: int = 40
@@ -112,8 +117,7 @@ class LagrangianState:
 @dataclass
 class EulerianSlice:
     """u(t, .) on an Eulerian grid, plus the fraction of points whose
-    backward label left the state's label box (filled with the exterior
-    value)."""
+    backward label left the state's label box (filled with 0)."""
 
     grid: GridSpec
     t: float
@@ -208,7 +212,7 @@ def apply_A(
     ops, k_index = _mats if _mats is not None else _kernel_matrices(
         fmap, kernel, grid
     )
-    weighted = np.exp(fmap.logj2) * values  # rho2 u~, (K, Nx, Nr)
+    weighted = density_rho2(fmap) * values  # rho2 u~, (K, Nx, Nr)
     if isinstance(ops, _FactoredOperator):
         mom = np.einsum("kilq,kiq->kil", ops.c[k_index], weighted)
         inner = np.einsum("kilm,kil->kim", ops.a[k_index], mom)
@@ -228,12 +232,6 @@ def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sup_norm_diff(a: np.ndarray, b: np.ndarray, grid: GridSpec,
-                   spec: NormSpec) -> float:
-    """max over time nodes of the windowed L^p norm of a - b."""
-    return max(lp_norm(a[k] - b[k], grid, spec) for k in range(a.shape[0]))
-
-
 def fixed_point_residual(
     state: LagrangianState, kernel: Kernel | None, config: SolverConfig,
     _mats=None,
@@ -246,7 +244,7 @@ def fixed_point_residual(
     image = apply_A(
         state.values, state.fmap, kernel, state.grid, state.u0, _mats=_mats
     )
-    return _sup_norm_diff(state.values, image, state.grid, config.norm_spec())
+    return sup_in_time(state.values - image, state.grid, config.norm_spec())
 
 
 def _div_r_sup(
@@ -256,13 +254,13 @@ def _div_r_sup(
     """Sampled sup of |div_r b2| over the grid and the time window."""
     if field.j == 0:
         return 0.0
-    xs = grid.x_labels()
-    rs = grid.r_labels()
+    labels = grid.joint_labels()
     sup = 0.0
     for s in np.linspace(t_lo, t_hi, samples):
-        xrep = np.repeat(xs[:, None, :], rs.shape[0], axis=1)
-        rrep = np.broadcast_to(rs[None], (xs.shape[0],) + rs.shape)
-        d = np.abs(np.asarray(field.div_b2(s, xrep, rrep), dtype=float))
+        d = np.abs(np.asarray(
+            field.div_b2(s, labels[..., : grid.n], labels[..., grid.n :]),
+            dtype=float,
+        ))
         sup = max(sup, float(np.max(d)))
     return sup
 
@@ -340,7 +338,7 @@ def picard_solve(
     diffs: list[float] = []
     for _ in range(config.max_iters):
         u_next = apply_A(u, fmap, kernel, grid, u0_values, _mats=mats)
-        diff = _sup_norm_diff(u_next, u, grid, spec)
+        diff = sup_in_time(u_next - u, grid, spec)
         diffs.append(diff)
         u = u_next
         if not np.isfinite(diff):
@@ -418,7 +416,7 @@ def eulerian_reconstruct(
 
     Each Eulerian node is pulled back along the field to the state's base
     time and u~(t) is interpolated multilinearly at that label; labels
-    leaving the label box get the exterior value.  `t` must be one of the
+    leaving the label box get 0.  `t` must be one of the
     state's time nodes.
     """
     config = config or SolverConfig()
@@ -428,9 +426,8 @@ def eulerian_reconstruct(
         raise ValueError(f"t={t} is not one of the state's time nodes")
     t0 = float(state.times[0])
     xs = grid_out.x_labels()
-    rs = grid_out.r_labels() if grid_out.j else None
     lab_x, _, lab_r, _ = inverse_flow_grid(
-        field, xs, rs, float(state.times[k]), t0, config.flow_tol
+        field, xs, grid_out.r_labels(), float(state.times[k]), t0, config.flow_tol
     )
     n, j = state.grid.n, state.grid.j
     Nx_out = xs.shape[0]
@@ -441,8 +438,7 @@ def eulerian_reconstruct(
         pts[..., n:] = lab_r
     flat = pts.reshape(-1, n + j)
     vals = _multilinear(
-        state.grid.axes(), state.values[k].reshape(state.grid.shape), flat,
-        config.exterior_value,
+        state.grid.axes(), state.values[k].reshape(state.grid.shape), flat, 0.0
     ).reshape(Nx_out, Nr_out)
     outside = np.zeros(flat.shape[0], dtype=bool)
     for axis, a in enumerate(state.grid.axes()):
@@ -546,8 +542,8 @@ def continue_solution(
     the label grid.  At each slab boundary the state is reconstructed on
     the label grid (fresh Eulerian datum) and a new flow is launched; the
     run aborts if more than exit_fraction_limit of the labels pull back
-    outside the label box, since the lost values would silently float the
-    boundary datum.  Every slab runs on the one `grid` (and its cached
+    outside the label box, since their values would silently be set to 0
+    in the boundary datum.  Every slab runs on the one `grid` (and its cached
     weights).
     """
     if t_end <= t0:
@@ -584,11 +580,10 @@ def continue_solution(
 
 def _sample_initial(u0, grid: GridSpec) -> np.ndarray:
     if callable(u0):
-        xs = grid.x_labels()
-        rs = grid.r_labels()
-        xrep = np.repeat(xs[:, None, :], rs.shape[0], axis=1)
-        rrep = np.broadcast_to(rs[None], (xs.shape[0],) + rs.shape)
-        vals = np.asarray(u0(xrep, rrep), dtype=float)
+        labels = grid.joint_labels()
+        vals = np.asarray(
+            u0(labels[..., : grid.n], labels[..., grid.n :]), dtype=float
+        )
         return np.broadcast_to(vals, (grid.num_x, grid.num_r)).copy()
     vals = np.asarray(u0, dtype=float)
     if vals.shape == grid.shape:
@@ -681,18 +676,10 @@ def make_initial(name: str, **params):
     return builder(**kwargs)
 
 
-def _label_table(grid: GridSpec) -> np.ndarray:
-    """Joint (x, r) label coordinates, one row per label, r fastest."""
-    return np.concatenate(
-        [np.repeat(grid.x_labels(), grid.num_r, axis=0),
-         np.tile(grid.r_labels(), (grid.num_x, 1))],
-        axis=1,
-    )
-
-
 def state_to_csv(state: LagrangianState, path) -> None:
     """Rows (t, label coords..., u~) with 17 significant digits."""
     n, j = state.grid.n, state.grid.j
+    labels = state.grid.joint_labels().reshape(-1, n + j)
     cols = (
         ["t"]
         + [f"label_x{i + 1}" for i in range(n)]
@@ -700,8 +687,8 @@ def state_to_csv(state: LagrangianState, path) -> None:
         + ["u"]
     )
     table = np.column_stack([
-        np.repeat(state.times, state.grid.num_x * state.grid.num_r),
-        np.tile(_label_table(state.grid), (state.times.size, 1)),
+        np.repeat(state.times, labels.shape[0]),
+        np.tile(labels, (state.times.size, 1)),
         state.values.reshape(-1),
     ])
     np.savetxt(path, table, fmt="%.17g", delimiter=",",
@@ -717,7 +704,7 @@ def slice_to_csv(slc: EulerianSlice, path) -> None:
         + [f"y_r{i + 1}" for i in range(j)]
         + ["u"]
     )
-    labels = _label_table(slc.grid)
+    labels = slc.grid.joint_labels().reshape(-1, n + j)
     table = np.column_stack([
         np.full(labels.shape[0], slc.t),
         labels,

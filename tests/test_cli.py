@@ -301,6 +301,8 @@ def test_unknown_kernel_param_exits_2(tmp_path):
         # the kernel's slab bound needs 1 < p < inf
         {"p": 1},
         {"p": float("inf")},
+        # the exterior fill is always 0; the setting no longer exists
+        {"exterior_value": 0.0},
     ],
     ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
 )
@@ -313,6 +315,61 @@ def test_invalid_solver_settings_exit_2(tmp_path, settings):
     assert "config error" in res.stderr
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob("solve_*.json"))
+
+
+@pytest.mark.parametrize(
+    "entry, prefix",
+    [
+        ("field", "invalid field:"),
+        ("kernel", "invalid kernel:"),
+        ("initial", "invalid initial datum:"),
+    ],
+)
+def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix):
+    payload = solve_config()
+    payload[entry] = {"name": "no_such_entry"}
+    cfg = write_config(tmp_path / "s.json", payload)
+    res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert prefix in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("stability", {"eps_values": [0.2, 0.1]}),
+        ("stability", {"eps_values": ["x", 0.1, 0.05]}),
+        ("stability", {"checkpoints": [None]}),
+        ("counterexample", {"k_values": [[2]]}),
+        ("counterexample", {"window": ["a", "b"]}),
+    ],
+    ids=["too_few_eps", "string_eps", "null_checkpoint", "nested_k", "string_window"],
+)
+def test_bad_study_arguments_exit_2(tmp_path, command, settings):
+    cfg = write_config(tmp_path / "s.json", {"schema_version": 1, **settings})
+    res = run_cli(command, "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob(f"{command}_*.json"))
+
+
+def test_catalogue_builders_are_looked_up_when_called(tmp_path, monkeypatch):
+    # a tracing harness (benchmark/layers.py) rebinds cli.make_field and
+    # cli.make_kernel to wrap every field and kernel a run builds
+    from lagtransport import cli
+
+    built = []
+    for name in ("make_field", "make_kernel"):
+        def record(*args, _real=getattr(cli, name), **kwargs):
+            built.append(args[0])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, record)
+    cfg = write_config(tmp_path / "s.json", solve_config())
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert built == ["zero", "separable"]
 
 
 def test_unknown_subcommand_exits_2(tmp_path):

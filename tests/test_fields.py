@@ -17,7 +17,6 @@ from lagtransport.fields import (
     make_kernel,
     mollify_field,
     oscillatory_field,
-    separable_factors,
     separable_kernel,
     sobolev_field,
     swirl_field,
@@ -240,7 +239,7 @@ def test_separable_kernel_factors_rebuild_gamma():
     kern = separable_kernel(
         terms=((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
     )
-    a_list, c_list = separable_factors(kern)
+    a_list, c_list = kern.factors
     rng = np.random.default_rng(21)
     r = rng.uniform(0.0, 1.0, size=(7, 1))
     rt = rng.uniform(0.0, 1.0, size=(7, 1))

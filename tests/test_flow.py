@@ -96,6 +96,25 @@ def test_backward_flow_map_linear_field_closed_form():
         assert np.allclose(fmap.logj()[k], -(lam + mu) * t, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "field, grid",
+    [
+        (oscillatory_field(k=3, j=0),
+         GridSpec(x_bounds=((0.0, 6.0),), x_counts=(9,))),
+        (logistic_field(k=1, mu=0.3), _grid()),
+    ],
+    ids=["j0", "j1"],
+)
+def test_backward_map_node_zero_is_the_grid_with_positive_zero_logj(field, grid):
+    # the CSV writes %.17g, which prints -0.0 as "-0": node 0 must hold +0.0
+    fmap = flow_map(field, grid, times=TIMES, tol=TOL, direction="backward")
+    assert np.array_equal(fmap.x1[0], grid.x_labels())
+    assert np.array_equal(fmap.x2[0], grid.joint_labels()[..., grid.n :])
+    for logj in (fmap.logj1[0], fmap.logj2[0]):
+        assert np.all(logj == 0.0)
+        assert not np.any(np.signbit(logj))
+
+
 def test_flow_map_rejects_decreasing_times():
     grid = _grid()
     for times in (

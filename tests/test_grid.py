@@ -116,6 +116,33 @@ def test_grid_shapes_and_labels():
     assert grid.r_weights().shape == (9,)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec(x_bounds=((0.0, 1.0),), x_counts=(5,)),
+        GridSpec(x_bounds=((-1.0, 1.0),), x_counts=(4,),
+                 r_bounds=((0.2, 0.8),), r_counts=(3,)),
+        GridSpec(x_bounds=((0.0, 1.0), (0.0, 2.0)), x_counts=(3, 4),
+                 r_bounds=((1e-3, 1.0),), r_counts=(5,), r_spacing="geometric"),
+    ],
+    ids=["n1_j0", "n1_j1", "n2_j1"],
+)
+def test_joint_labels_are_the_x_slow_r_fast_layout(grid):
+    xs, rs = grid.x_labels(), grid.r_labels()
+    labels = grid.joint_labels()
+    assert labels.shape == (grid.num_x, grid.num_r, grid.n + grid.j)
+    assert np.array_equal(labels[..., : grid.n],
+                          np.repeat(xs[:, None, :], grid.num_r, axis=1))
+    assert np.array_equal(labels[..., grid.n :],
+                          np.broadcast_to(rs[None], (grid.num_x,) + rs.shape))
+    # one row per label, as the CSV writers lay them out
+    table = np.concatenate(
+        [np.repeat(xs, grid.num_r, axis=0), np.tile(rs, (grid.num_x, 1))], axis=1
+    )
+    assert np.array_equal(labels.reshape(-1, grid.n + grid.j), table)
+    assert grid.joint_labels() is labels
+
+
 def test_grid_without_fiber():
     grid = GridSpec(
         x_bounds=((0.0, 1.0), (0.0, 2.0)),

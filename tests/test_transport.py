@@ -11,7 +11,6 @@ from lagtransport.fields import (
     fragmentation_kernel,
     linear_field,
     logistic_field,
-    separable_factors,
     separable_kernel,
     zero_field,
 )
@@ -156,14 +155,16 @@ def test_picard_residual_matches_fixed_point_residual(field, factored):
     assert abs(summary["residual"] - fixed_point_residual(state, kern, config)) < 1e-14
 
 
-def test_separable_factors_requires_declared_factors():
+def test_separable_solve_requires_declared_factors():
+    grid = _fiber_grid(nr=9)
+    u0 = np.ones((grid.num_x, grid.num_r))
+    times = np.array([0.0, 0.1])
     kern = separable_kernel(terms=SEPARABLE_TERMS)
-    assert separable_factors(kern) is kern.factors
     assert len(kern.factors[0]) == len(kern.factors[1]) == 2
-    with pytest.raises(ValueError):
-        separable_factors(constant_kernel())
-    with pytest.raises(ValueError):
-        separable_factors(Kernel("separable", 1, kern.gamma))
+    assert separable_solve(kern, u0, grid, times).shape == (2,) + u0.shape
+    for undeclared in (constant_kernel(), Kernel("separable", 1, kern.gamma)):
+        with pytest.raises(ValueError, match="declares no finite-rank factors"):
+            separable_solve(undeclared, u0, grid, times)
 
 
 def test_fixed_point_residual_vanishes_for_true_fixed_point():
