@@ -49,7 +49,7 @@ from .flow import (
     inverse_flow_grid,
     verify_change_of_variables,
 )
-from .grid import GridSpec, NormSpec, integrate_full, integrate_r, lp_norm, sup_in_time
+from .grid import GridSpec, NormSpec, lp_norm, sup_in_time
 from .oracle import (
     integrated_expm,
     oscillatory_inverse,
@@ -110,8 +110,6 @@ __all__ = [
     "flow_map_to_csv",
     "fragmentation_kernel",
     "integrate_flow",
-    "integrate_full",
-    "integrate_r",
     "integrated_expm",
     "inverse_flow_grid",
     "kernel_slab_bound",

@@ -228,9 +228,10 @@ def _bump(z2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stencil(dim: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric unit-mass discretization of the bump on [-1, 1]^dim."""
-    axis = np.linspace(-1.0, 1.0, npts)
+def _stencil(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric unit-mass discretization of the bump on [-1, 1]^dim,
+    17 nodes per axis."""
+    axis = np.linspace(-1.0, 1.0, 17)
     w1 = axis_weights(axis)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -290,9 +291,7 @@ class _Mollified:
         return out.reshape(batch + out.shape[1:])
 
 
-def mollify_field(
-    fld: StructuredVectorField, eps: float, stencil_points: int = 17
-) -> StructuredVectorField:
+def mollify_field(fld: StructuredVectorField, eps: float) -> StructuredVectorField:
     """Mollify a field in its space variables with a unit-mass bump.
 
     Convolution acts on x for b1 and on (x, r) for b2, never on time, so
@@ -302,17 +301,17 @@ def mollify_field(
     affine field) exactly.
 
     Cost: each evaluation makes one base call over all S stencil points
-    (S = 15 for n = 1, 193 for n + j = 2 at the default 17 points per
-    axis) per block of batch points.  A block holds about 2**14 shifted
+    (S = 15 for n = 1, 193 for n + j = 2 from 17 nodes per axis) per
+    block of batch points.  A block holds about 2**14 shifted
     points, so the temporaries stay that size however large the batch.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pts1, w1 = _stencil(fld.n, stencil_points)
+    pts1, w1 = _stencil(fld.n)
     b1 = _Mollified(fld.b1, eps, pts1, w1)
     div_b1 = _Mollified(fld.div_b1, eps, pts1, w1)
     if fld.j > 0:
-        pts2, w2 = _stencil(fld.n + fld.j, stencil_points)
+        pts2, w2 = _stencil(fld.n + fld.j)
         b2 = _Mollified(fld.b2, eps, pts2, w2)
         div_b2 = _Mollified(fld.div_b2, eps, pts2, w2)
     else:
@@ -356,18 +355,16 @@ def validate_field(
     fld: StructuredVectorField,
     points_x: np.ndarray,
     points_r: np.ndarray | None = None,
-    t_samples: tuple[float, ...] = (0.0, 0.37, 1.0),
-    h: float = 1e-5,
-    tol: float = 1e-4,
     strict: bool = False,
 ) -> list[dict]:
     """Cross-check analytic divergences against central differences.
 
-    Returns a list of mismatch records (empty when everything agrees
-    within `tol`); with strict=True a non-empty report raises
-    FieldValidationError instead.  The stencil is O(h^2), so `tol`
-    should sit well above h^2 times the third-derivative scale.
+    Compares at the times 0, 0.37 and 1 with step h = 1e-5.  Returns a
+    list of mismatch records (empty when everything agrees within 1e-4);
+    with strict=True a non-empty report raises FieldValidationError
+    instead.
     """
+    h, tol = 1e-5, 1e-4
     points_x = np.atleast_2d(np.asarray(points_x, dtype=float))
     if fld.j > 0:
         if points_r is None:
@@ -376,7 +373,7 @@ def validate_field(
     else:
         points_r = np.zeros((points_x.shape[0], 0))
     report = []
-    for t in t_samples:
+    for t in (0.0, 0.37, 1.0):
         num = np.zeros(points_x.shape[0])
         for axis in range(fld.n):
             dx = np.zeros(fld.n)
@@ -632,19 +629,19 @@ def kernel_slab_bound(
     p: float,
     t_lo: float,
     t_hi: float,
-    time_samples: int = 9,
 ) -> float:
     """Mixed-norm budget of the kernel over a time slab.
 
     Computes  sup_x  int_{t_lo}^{t_hi} ( int_r ( int_rt |gamma|^{p'}
     dr_tilde )^{p/p'} dr )^{1/p} ds  on the grid, with p' the conjugate
-    exponent.  Together with a bound on the flow density ratio this
-    controls the Lipschitz constant of the source operator on the slab,
-    which is what the slab chooser budgets against.
+    exponent and the time integral sampled at 9 nodes.  Together with a
+    bound on the flow density ratio this controls the Lipschitz constant
+    of the source operator on the slab, which is what the slab chooser
+    budgets against.
     """
     if t_hi <= t_lo:
         raise ValueError("need t_hi > t_lo")
-    ts = np.linspace(t_lo, t_hi, time_samples)
+    ts = np.linspace(t_lo, t_hi, 9)
     wt = axis_weights(ts)
     mat = _mixed_norm_matrix(kernel, grid, p, ts)
     return float(np.max(wt @ mat))

@@ -368,10 +368,10 @@ def check_compressibility(
 ) -> CompressibilityReport:
     """Check exp(-D(t)) <= exp(logJ) <= exp(D(t)) with D = int sup|div|.
 
-    The divergence sup is a sampled maximum over the initial labels and
-    every stored trajectory position (an under-estimate in principle,
-    documented as such); `slack` absorbs integrator error.  The same
-    envelope logic is applied per block to logJ1.
+    At each time node the divergence sup is a sampled maximum over every
+    position the map stores, at every node (an under-estimate in
+    principle, documented as such); `slack` absorbs integrator error.
+    The same envelope logic is applied per block to logJ1.
     """
     times = fmap.times
     K = times.size
@@ -379,17 +379,15 @@ def check_compressibility(
     sup_x = np.zeros(K)
     sup_r = np.zeros(K)
     for k, t in enumerate(times):
-        xs = fmap.x1[k]
-        dx = np.abs(np.asarray(field.div_b1(t, xs), dtype=float))
+        dx = np.abs(np.asarray(field.div_b1(t, fmap.x1), dtype=float))
         sup_x[k] = float(np.max(dx))
         if field.j > 0:
-            xrep = np.repeat(xs[:, None, :], fmap.num_r, axis=1)
-            dr = np.abs(
-                np.asarray(field.div_b2(t, xrep, fmap.x2[k]), dtype=float)
-            )
-            dr = np.broadcast_to(dr, (fmap.num_x, fmap.num_r))
+            dr = np.abs(np.asarray(
+                field.div_b2(t, fmap.x1[:, :, None, :], fmap.x2), dtype=float
+            ))
+            dr = np.broadcast_to(dr, fmap.logj2.shape)
             sup_r[k] = float(np.max(dr))
-            sup_tot[k] = float(np.max(dx[:, None] + dr))
+            sup_tot[k] = float(np.max(dx[..., None] + dr))
         else:
             sup_tot[k] = sup_x[k]
     dt = np.diff(times)
@@ -430,7 +428,6 @@ def verify_change_of_variables(
     phi_x,
     phi_joint=None,
     support_x: tuple[tuple[float, float], ...] | None = None,
-    support_r: tuple[tuple[float, float], ...] | None = None,
     tol: float = 1e-10,
     t0: float = 0.0,
 ) -> dict:
@@ -444,16 +441,19 @@ def verify_change_of_variables(
     left sides are Eulerian-grid quadratures with densities obtained from
     backward paths, so the two entries share no trajectory data.  Both
     integrals require phi supported inside the grid box with margin at
-    least the maximal displacement; when support boxes are declared the
+    least the maximal displacement; when an x-support box is declared the
     margin is checked against a sampled field bound.
     """
     if t <= t0:
         raise ValueError("need t > t0")
     disp = _displacement_bound(field, grid, t0, t)
     if support_x is not None:
-        _check_margin(support_x, grid.x_bounds, disp, "x")
-    if support_r is not None and grid.j > 0:
-        _check_margin(support_r, grid.r_bounds, disp, "r")
+        for (slo, shi), (blo, bhi) in zip(support_x, grid.x_bounds):
+            if slo - disp < blo or shi + disp > bhi:
+                raise PreconditionError(
+                    f"x-support ({slo}, {shi}) plus displacement {disp:.3g} "
+                    f"leaves the grid box ({blo}, {bhi})"
+                )
 
     xs = grid.x_labels()
     wx = grid.x_weights()
@@ -505,12 +505,13 @@ def _inside(pts, bounds):
     return ok
 
 
-def _displacement_bound(field, grid, t0, t1, samples: int = 5) -> float:
-    """Sampled sup of |b| over the grid times the duration."""
+def _displacement_bound(field, grid, t0, t1) -> float:
+    """Sup of |b| over the grid, sampled at five times spanning [t0, t1],
+    times the duration."""
     xs = grid.x_labels()
     labels = grid.joint_labels()
     sup = 0.0
-    for s in np.linspace(t0, t1, samples):
+    for s in np.linspace(t0, t1, 5):
         v1 = np.asarray(field.b1(s, xs), dtype=float)
         sup = max(sup, float(np.max(np.linalg.norm(v1, axis=-1))))
         if field.j > 0:
@@ -520,15 +521,6 @@ def _displacement_bound(field, grid, t0, t1, samples: int = 5) -> float:
             )
             sup = max(sup, float(np.max(np.linalg.norm(v2, axis=-1))))
     return sup * (t1 - t0)
-
-
-def _check_margin(support, bounds, disp, tag):
-    for (slo, shi), (blo, bhi) in zip(support, bounds):
-        if slo - disp < blo or shi + disp > bhi:
-            raise PreconditionError(
-                f"{tag}-support ({slo}, {shi}) plus displacement {disp:.3g} "
-                f"leaves the grid box ({blo}, {bhi})"
-            )
 
 
 def flow_map_to_csv(fmap: FlowMap, path) -> None:

@@ -23,8 +23,6 @@ __all__ = [
     "suffix_weight_matrix",
     "lp_norm",
     "sup_in_time",
-    "integrate_r",
-    "integrate_full",
 ]
 
 _SNAP = 1e-12
@@ -376,22 +374,3 @@ def sup_in_time(values_t: np.ndarray, grid: GridSpec, spec: NormSpec) -> float:
     """max over the leading (time) axis of the windowed L^p norm."""
     return max(lp_norm(v, grid, spec) for v in values_t)
 
-
-def integrate_r(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Integrate over the r-box.  `values` has trailing axis num_r (or the
-    r_counts block); for j=0 this is the identity (empty-product measure)."""
-    values = np.asarray(values, dtype=float)
-    w = grid.r_weights()
-    if values.shape[-1] != w.size:
-        if values.shape[-len(grid.r_counts) :] == grid.r_counts and grid.j > 0:
-            values = values.reshape(values.shape[: -len(grid.r_counts)] + (w.size,))
-        else:
-            raise ValueError("trailing axis does not match the r grid")
-    return values @ w
-
-
-def integrate_full(values: np.ndarray, grid: GridSpec) -> float:
-    """Integral over the whole (x, r) box."""
-    joint = _as_joint(values, grid)
-    wts = _window_mask_weights(grid, None)
-    return float(np.sum(wts * joint))

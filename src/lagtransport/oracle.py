@@ -60,28 +60,29 @@ def oscillatory_inverse(k: float, t: float, y) -> np.ndarray:
     return oscillatory_position(k, -t, y)
 
 
-def period_average(k: float, t: float, npts: int = 4096) -> float:
+def period_average(k: float, t: float) -> float:
     """Average of the Jacobian over one spatial period.
 
-    Integrates F(t, w) over a full period of w = kx with the trapezoid
-    rule, which converges spectrally for smooth periodic integrands.
-    The exact value is 1 for every t: the flow fixes all rest points, so
-    each period cell maps onto itself with unit average stretch.
+    Integrates F(t, w) over a full period of w = kx with the 4096-node
+    trapezoid rule, which converges spectrally for smooth periodic
+    integrands.  The exact value is 1 for every t: the flow fixes all
+    rest points, so each period cell maps onto itself with unit average
+    stretch.
     """
-    w = np.linspace(0.0, np.pi, npts, endpoint=False)
+    w = np.linspace(0.0, np.pi, 4096, endpoint=False)
     vals = np.exp(t) / (np.cos(w) ** 2 + np.exp(2.0 * t) * np.sin(w) ** 2)
     return float(np.mean(vals))
 
 
-def strong_failure_floor(t: float = 1.0, npts: int = 200001) -> float:
-    """High-resolution quadrature of |F(t, .) - 1| over (0, 2 pi).
+def strong_failure_floor(t: float = 1.0) -> float:
+    """Trapezoid quadrature on 200001 nodes of |F(t, .) - 1| over (0, 2 pi).
 
     The pushforward density along the flow satisfies
     ||rho_k - 1||_{L^1(0, 2pi)} = 2 int_0^pi |F - 1| F dw, and since
     int |F - 1| (F - 1) = int (F - 1)^2 >= 0, the plain |F - 1| integral
     computed here is a rigorous positive lower bound for it, uniformly
     in k."""
-    w = np.linspace(0.0, 2.0 * np.pi, npts)
+    w = np.linspace(0.0, 2.0 * np.pi, 200001)
     vals = np.abs(
         np.exp(t) / (np.cos(w) ** 2 + np.exp(2.0 * t) * np.sin(w) ** 2) - 1.0
     )

@@ -105,13 +105,20 @@ class SolverConfig:
 
 @dataclass
 class LagrangianState:
-    """u~ sampled on (time nodes) x (label grid), with its flow attached."""
+    """u~ sampled on (time nodes) x (label grid), with its flow attached;
+    the label grid and the time nodes are the flow's."""
 
-    grid: GridSpec
-    times: np.ndarray          # (K,)
     values: np.ndarray         # (K, Nx, Nr)
     fmap: FlowMap
     u0: np.ndarray             # (Nx, Nr)
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.fmap.grid
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.fmap.times
 
 
 @dataclass
@@ -138,8 +145,9 @@ class _FactoredOperator:
         return self.a.nbytes + self.c.nbytes
 
 
-def _kernel_matrices(fmap: FlowMap, kernel: Kernel, grid: GridSpec):
-    """The kernel's quadrature operator on the moved fiber coordinates.
+def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
+    """The kernel's quadrature operator on the moved fiber coordinates of
+    the flow's label grid.
 
     Returns (ops, k_index).  For kernels with declared factors ops is a
     _FactoredOperator; otherwise it is the dense tensor
@@ -161,6 +169,7 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel, grid: GridSpec):
     ) and K > 1
     k_list = [0] if static else list(range(K))
     k_index = np.zeros(K, dtype=int) if static else np.arange(K)
+    grid = fmap.grid
     wr = grid.r_weights()
     if kernel.factors is not None:
         pos = fmap.x2[k_list, ..., 0]  # (K_eff, Nx, Nr)
@@ -193,7 +202,6 @@ def apply_A(
     values: np.ndarray,
     fmap: FlowMap,
     kernel: Kernel | None,
-    grid: GridSpec,
     u0: np.ndarray,
     _mats=None,
 ) -> np.ndarray:
@@ -209,9 +217,7 @@ def apply_A(
     K, Nx, Nr = values.shape
     if kernel is None:
         return np.broadcast_to(u0[None], (K, Nx, Nr)).copy()
-    ops, k_index = _mats if _mats is not None else _kernel_matrices(
-        fmap, kernel, grid
-    )
+    ops, k_index = _mats if _mats is not None else _kernel_matrices(fmap, kernel)
     weighted = density_rho2(fmap) * values  # rho2 u~, (K, Nx, Nr)
     if isinstance(ops, _FactoredOperator):
         mom = np.einsum("kilq,kiq->kil", ops.c[k_index], weighted)
@@ -241,22 +247,20 @@ def fixed_point_residual(
     `_mats` reuses an operator already built by `_kernel_matrices` for
     this state's flow.
     """
-    image = apply_A(
-        state.values, state.fmap, kernel, state.grid, state.u0, _mats=_mats
-    )
+    image = apply_A(state.values, state.fmap, kernel, state.u0, _mats=_mats)
     return sup_in_time(state.values - image, state.grid, config.norm_spec())
 
 
 def _div_r_sup(
     field: StructuredVectorField, grid: GridSpec, t_lo: float, t_hi: float,
-    samples: int = 5,
 ) -> float:
-    """Sampled sup of |div_r b2| over the grid and the time window."""
+    """Sampled sup of |div_r b2| over the grid and five times spanning
+    the window."""
     if field.j == 0:
         return 0.0
     labels = grid.joint_labels()
     sup = 0.0
-    for s in np.linspace(t_lo, t_hi, samples):
+    for s in np.linspace(t_lo, t_hi, 5):
         d = np.abs(np.asarray(
             field.div_b2(s, labels[..., : grid.n], labels[..., grid.n :]),
             dtype=float,
@@ -315,7 +319,6 @@ def picard_solve(
     grid: GridSpec,
     t_start: float,
     duration: float,
-    fmap: FlowMap | None = None,
 ) -> tuple[LagrangianState, dict]:
     """Fixed point of A on one slab by Picard iteration from u0.
 
@@ -330,14 +333,13 @@ def picard_solve(
     if u0_values.shape != (grid.num_x, grid.num_r):
         raise ValueError("u0_values must have shape (num_x, num_r)")
     times = np.linspace(t_start, t_start + duration, config.nodes_per_slab)
-    if fmap is None:
-        fmap = flow_map(field, grid, times=times, tol=config.flow_tol)
-    mats = None if kernel is None else _kernel_matrices(fmap, kernel, grid)
+    fmap = flow_map(field, grid, times=times, tol=config.flow_tol)
+    mats = None if kernel is None else _kernel_matrices(fmap, kernel)
     spec = config.norm_spec()
     u = np.broadcast_to(u0_values[None], (times.size,) + u0_values.shape).copy()
     diffs: list[float] = []
     for _ in range(config.max_iters):
-        u_next = apply_A(u, fmap, kernel, grid, u0_values, _mats=mats)
+        u_next = apply_A(u, fmap, kernel, u0_values, _mats=mats)
         diff = sup_in_time(u_next - u, grid, spec)
         diffs.append(diff)
         u = u_next
@@ -346,9 +348,7 @@ def picard_solve(
                 f"non-finite difference at iteration {len(diffs)}", diffs
             )
         if diff < config.picard_tol:
-            state = LagrangianState(
-                grid=grid, times=times, values=u, fmap=fmap, u0=u0_values
-            )
+            state = LagrangianState(values=u, fmap=fmap, u0=u0_values)
             ratios = [
                 diffs[i + 1] / diffs[i]
                 for i in range(len(diffs) - 1)
@@ -409,43 +409,40 @@ def eulerian_reconstruct(
     state: LagrangianState,
     field: StructuredVectorField,
     t: float,
-    grid_out: GridSpec | None = None,
-    config: SolverConfig | None = None,
+    config: SolverConfig,
 ) -> EulerianSlice:
-    """u(t, .) on an Eulerian grid from the Lagrangian state.
+    """u(t, .) on the state's label grid, read as Eulerian points, from
+    the Lagrangian state.
 
     Each Eulerian node is pulled back along the field to the state's base
     time and u~(t) is interpolated multilinearly at that label; labels
     leaving the label box get 0.  `t` must be one of the
     state's time nodes.
     """
-    config = config or SolverConfig()
-    grid_out = grid_out or state.grid
     k = int(np.argmin(np.abs(state.times - t)))
     if not np.isclose(state.times[k], t, rtol=0.0, atol=1e-12 * max(1.0, abs(t))):
         raise ValueError(f"t={t} is not one of the state's time nodes")
     t0 = float(state.times[0])
-    xs = grid_out.x_labels()
+    grid = state.grid
     lab_x, _, lab_r, _ = inverse_flow_grid(
-        field, xs, grid_out.r_labels(), float(state.times[k]), t0, config.flow_tol
+        field, grid.x_labels(), grid.r_labels(), float(state.times[k]), t0,
+        config.flow_tol,
     )
-    n, j = state.grid.n, state.grid.j
-    Nx_out = xs.shape[0]
-    Nr_out = grid_out.num_r
-    pts = np.empty((Nx_out, Nr_out, n + j))
+    n, j = grid.n, grid.j
+    pts = np.empty((grid.num_x, grid.num_r, n + j))
     pts[..., :n] = lab_x[:, None, :]
     if j:
         pts[..., n:] = lab_r
     flat = pts.reshape(-1, n + j)
     vals = _multilinear(
-        state.grid.axes(), state.values[k].reshape(state.grid.shape), flat, 0.0
-    ).reshape(Nx_out, Nr_out)
+        grid.axes(), state.values[k].reshape(grid.shape), flat, 0.0
+    ).reshape(grid.num_x, grid.num_r)
     outside = np.zeros(flat.shape[0], dtype=bool)
-    for axis, a in enumerate(state.grid.axes()):
+    for axis, a in enumerate(grid.axes()):
         pad = 1e-12 * max(1.0, abs(a[-1]) + abs(a[0]))
         outside |= (flat[:, axis] < a[0] - pad) | (flat[:, axis] > a[-1] + pad)
     return EulerianSlice(
-        grid=grid_out,
+        grid=grid,
         t=float(state.times[k]),
         values=vals,
         exit_fraction=float(np.mean(outside)),
@@ -485,11 +482,8 @@ class ContinuedSolution:
 
     def eulerian_slice(
         self, field: StructuredVectorField, t: float,
-        grid_out: GridSpec | None = None,
     ) -> EulerianSlice:
-        return eulerian_reconstruct(
-            self.slab_containing(t), field, t, grid_out, self.config
-        )
+        return eulerian_reconstruct(self.slab_containing(t), field, t, self.config)
 
     def mass_history(self) -> tuple[np.ndarray, np.ndarray]:
         """Total Eulerian mass int u dy dr at every node, evaluated as the
@@ -562,7 +556,7 @@ def continue_solution(
         )
         t_cur = t_cur + t0_len
         if t_cur < t_end - 1e-12 * max(1.0, abs(t_end)):
-            slc = eulerian_reconstruct(state, field, state.times[-1], None, config)
+            slc = eulerian_reconstruct(state, field, state.times[-1], config)
             if slc.exit_fraction > config.exit_fraction_limit:
                 raise PreconditionError(
                     f"re-basing at t={t_cur:.6g} lost "

@@ -91,6 +91,18 @@ def test_flow_writes_hashed_outputs(tmp_path):
     assert rows.shape[1] == 7  # label, t, position, logJ1, logJ
 
 
+def test_backward_flow_on_few_nodes_keeps_density_bounds(tmp_path):
+    payload = flow_config()
+    payload["grid"]["time_nodes"]["stop"] = 0.5
+    payload["direction"] = "backward"
+    cfg = write_config(tmp_path / "flow.json", payload)
+    res = run_cli("flow", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stdout + res.stderr
+    payload = json.loads(next((tmp_path / "out").glob("flow_*.json")).read_text())
+    assert payload["density_bounds_ok"] is True
+    assert payload["violations"] == []
+
+
 def test_flow_output_name_depends_on_config(tmp_path):
     cfg_a = write_config(tmp_path / "a.json", flow_config())
     payload = flow_config()

@@ -394,10 +394,6 @@ def test_density_rho2_linear_field_closed_form():
 
 
 def test_compressibility_bounds_hold_for_catalogue():
-    # the envelope integral is a trapezoid over the stored nodes, so the
-    # stored flow needs enough of them: a label sitting exactly on the
-    # envelope (rest point with extremal fiber) is compared at the
-    # envelope's own quadrature accuracy
     times = np.linspace(0.0, 0.5, 17)
     cases = [
         (zero_field(1, 1), _grid()),
@@ -424,6 +420,21 @@ def test_compressibility_bounds_hold_for_catalogue():
         report = check_compressibility(fmap, field)
         assert report.ok, f"{field.name}: {report.violations}"
         assert report.incompressibility_constant >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_compressibility_bounds_hold_on_few_nodes(direction):
+    # at each node the divergence sup covers the positions of every node,
+    # so a coarse node set cannot cut the envelope below a label that
+    # sits on it (a rest point with an extremal fiber)
+    field = logistic_field(k=1, mu=0.3)
+    grid = _grid(nr=9, x_bounds=((-np.pi, np.pi),), r_bounds=((0.1, 0.9),))
+    fmap = flow_map(
+        field, grid, times=np.linspace(0.0, 0.5, 4), tol=TOL,
+        direction=direction,
+    )
+    report = check_compressibility(fmap, field)
+    assert report.ok, report.violations
 
 
 def test_compressibility_flags_forged_jacobian():

@@ -7,8 +7,6 @@ from lagtransport.grid import (
     GridSpec,
     NormSpec,
     axis_weights,
-    integrate_full,
-    integrate_r,
     lp_norm,
     sup_in_time,
     suffix_weight_matrix,
@@ -240,19 +238,6 @@ def test_sup_in_time_is_max_over_slices():
     spec = NormSpec(p=2.0)
     per_slice = [lp_norm(vals[k], grid, spec) for k in range(4)]
     assert abs(sup_in_time(vals, grid, spec) - max(per_slice)) < 1e-14
-
-
-def test_integrate_r_and_full_factorize_for_products():
-    grid = _grid_2d(nx=17, nr=33)
-    xs = grid.x_labels()[:, 0]
-    rs = grid.r_labels()[:, 0]
-    vals = np.cos(xs)[:, None] * (rs**2)[None, :]
-    # fiber integral of r^2 over (0, 2) is 8/3, Simpson-exact
-    fiber = integrate_r(vals, grid)
-    assert np.allclose(fiber, np.cos(xs) * (8.0 / 3.0), atol=1e-12)
-    full = integrate_full(vals, grid)
-    exact = 2.0 * np.sin(1.0) * (8.0 / 3.0)
-    assert abs(full - exact) < 1e-4
 
 
 def test_norm_spec_rejects_bad_exponent():

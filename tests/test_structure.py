@@ -1,5 +1,6 @@
 """Package structure: modules reach each other only through public names,
-and every private helper is used by its own module."""
+every private helper is used by its own module, and every defaulted
+parameter is passed by some call."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,126 @@ def test_every_private_def_is_used_in_its_own_module():
         if (names := _unreferenced_private_defs(path.read_text(encoding="utf-8")))
     }
     assert not offenders
+
+
+def _defaulted_params(tree) -> dict[str, list[tuple[str, int | None]]]:
+    """Module-level functions and methods of `tree` with defaulted
+    parameters: name -> [(parameter, position in a call's arguments, or
+    None when keyword-only)].  A method's position skips self."""
+    out: dict[str, list[tuple[str, int | None]]] = {}
+    scopes = [(tree.body, False)] + [
+        (node.body, True) for node in tree.body if isinstance(node, ast.ClassDef)
+    ]
+    for body, in_class in scopes:
+        for node in body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list
+            )
+            skip = 1 if in_class and not static else 0
+            first_default = len(positional) - len(args.defaults)
+            params = [
+                (a.arg, i - skip)
+                for i, a in enumerate(positional) if i >= first_default
+            ]
+            params += [
+                (a.arg, None)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            if params:
+                out.setdefault(node.name, []).extend(params)
+    return out
+
+
+def _unpassed_defaults(library: list[str], callers: list[str]) -> list[str]:
+    """"function.parameter" for every defaulted parameter of a function
+    defined in the `library` sources that no call in the `callers`
+    sources passes, by keyword or by position.
+
+    Calls are matched by the bare name or attribute name of the callee.
+    A function is exempt when some caller names it other than as the
+    callee of a call (it escapes as a value, as into a builder table) or
+    calls it with *args or **kwargs, since its real call sites are then
+    out of sight.
+    """
+    defs: dict[str, list[tuple[str, int | None]]] = {}
+    for source in library:
+        for name, params in _defaulted_params(ast.parse(source)).items():
+            defs.setdefault(name, []).extend(params)
+    most_positional = dict.fromkeys(defs, 0)
+    keywords: dict[str, set] = {name: set() for name in defs}
+    exempt: set[str] = set()
+    for source in callers:
+        tree = ast.parse(source)
+        callees = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callees.add(id(node.func))
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name not in defs:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                kw.arg is None for kw in node.keywords
+            ):
+                exempt.add(name)
+            most_positional[name] = max(most_positional[name], len(node.args))
+            keywords[name].update(kw.arg for kw in node.keywords)
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in callees and name in defs):
+                exempt.add(name)
+    found = []
+    for name, params in defs.items():
+        if name in exempt:
+            continue
+        found += [
+            f"{name}.{param}" for param, pos in params
+            if param not in keywords[name]
+            and (pos is None or most_positional[name] <= pos)
+        ]
+    return found
+
+
+def test_detector_flags_defaults_no_call_passes():
+    library = (
+        "def solve(a, tol=1e-8, iters=10, *, verbose=False): pass\n"
+        "def built(n=1): pass\n"
+        "def splatted(n=1): pass\n"
+        "class Box:\n"
+        "    def area(self, scale=1.0, unit='m'): pass\n"
+        "    def __init__(self, side=1.0): pass\n"
+    )
+    callers = (
+        "solve(1, 1e-6)\n"
+        "solve(2, verbose=True)\n"
+        "TABLE = {'built': built}\n"
+        "splatted(**{'n': 2})\n"
+        "Box().area(2.0)\n"
+    )
+    assert _unpassed_defaults([library], [callers]) == [
+        "solve.iters", "area.unit",
+    ]
+    # positional passing reaches a later default; an escape exempts
+    assert _unpassed_defaults(
+        ["def f(a=1, b=2): pass\n"], ["f(1, 2)\n"]
+    ) == []
+    assert _unpassed_defaults(["def f(a=1): pass\n"], ["g = f\n"]) == []
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    root = Path(lagtransport.__file__).parent
+    repo = Path(__file__).resolve().parents[1]
+    library = [p.read_text(encoding="utf-8") for p in sorted(root.glob("*.py"))]
+    callers = [
+        p.read_text(encoding="utf-8")
+        for d in ("src", "demos", "tests", "benchmark")
+        for p in sorted((repo / d).rglob("*.py"))
+    ]
+    assert not _unpassed_defaults(library, callers)

@@ -68,7 +68,7 @@ def test_apply_A_zero_kernel_returns_datum():
     rng = np.random.default_rng(1)
     u0 = rng.uniform(0.0, 1.0, size=(grid.num_x, grid.num_r))
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
-    out = apply_A(values, fmap, None, grid, u0)
+    out = apply_A(values, fmap, None, u0)
     for k in range(fmap.times.size):
         assert np.array_equal(out[k], u0)
 
@@ -86,9 +86,9 @@ def test_apply_A_is_affine_in_the_state():
     u = rng.standard_normal(shape)
     v = rng.standard_normal(shape)
     u0 = np.zeros((grid.num_x, grid.num_r))
-    a_u = apply_A(u, fmap, kern, grid, u0)
-    a_v = apply_A(v, fmap, kern, grid, u0)
-    a_uv = apply_A(u + v, fmap, kern, grid, u0)
+    a_u = apply_A(u, fmap, kern, u0)
+    a_v = apply_A(v, fmap, kern, u0)
+    a_uv = apply_A(u + v, fmap, kern, u0)
     assert np.allclose(a_uv, a_u + a_v, atol=1e-12)
 
 
@@ -103,7 +103,7 @@ def test_apply_A_constant_kernel_quadrature():
     u_slice = rng.uniform(0.5, 1.5, size=(grid.num_x, grid.num_r))
     values = np.broadcast_to(u_slice[None], (times.size,) + u_slice.shape)
     u0 = np.zeros((grid.num_x, grid.num_r))
-    out = apply_A(values, fmap, kern, grid, u0)
+    out = apply_A(values, fmap, kern, u0)
     wr = grid.r_weights()
     fiber_integral = np.sum(u_slice * wr[None, :], axis=1)  # (Nx,)
     for k, t in enumerate(times):
@@ -130,12 +130,12 @@ def test_factored_operator_matches_dense(field):
     rng = np.random.default_rng(11)
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
     u0 = rng.standard_normal((grid.num_x, grid.num_r))
-    ref = apply_A(values, fmap, dense, grid, u0)
-    out = apply_A(values, fmap, kern, grid, u0)
+    ref = apply_A(values, fmap, dense, u0)
+    out = apply_A(values, fmap, kern, u0)
     assert np.max(np.abs(out - ref)) < 1e-12
     # the factored path never evaluates gamma
     blind = Kernel("separable", 1, _raising_gamma, factors=kern.factors)
-    assert np.array_equal(apply_A(values, fmap, blind, grid, u0), out)
+    assert np.array_equal(apply_A(values, fmap, blind, u0), out)
 
 
 @pytest.mark.parametrize(
@@ -303,7 +303,7 @@ def test_reconstruct_zero_field_returns_lagrangian_slice():
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
     state, _ = picard_solve(u0, zero_field(1, 1), kern, config, grid, 0.0, 0.5)
-    slc = eulerian_reconstruct(state, zero_field(1, 1), 0.5, None, config)
+    slc = eulerian_reconstruct(state, zero_field(1, 1), 0.5, config)
     assert slc.exit_fraction == 0.0
     assert np.allclose(slc.values, state.values[-1], atol=1e-12)
 
@@ -325,7 +325,7 @@ def test_reconstruct_linear_field_matches_transport():
     u0 = _fiber_datum(grid, datum)
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
     state, _ = picard_solve(u0, field, None, config, grid, 0.0, 0.3)
-    slc = eulerian_reconstruct(state, field, 0.3, None, config)
+    slc = eulerian_reconstruct(state, field, 0.3, config)
     xs = grid.x_labels()
     rs = grid.r_labels()
     back_x = np.repeat(xs[:, None, :], grid.num_r, axis=1) * np.exp(-lam * 0.3)
@@ -407,7 +407,7 @@ def test_reconstruct_requires_solved_time_node():
         u0, zero_field(1, 1), None, config, grid, 0.0, 0.5
     )
     with pytest.raises(ValueError):
-        eulerian_reconstruct(state, zero_field(1, 1), 0.123, None, config)
+        eulerian_reconstruct(state, zero_field(1, 1), 0.123, config)
 
 
 # ---------------------------------------------------------------------
@@ -588,7 +588,7 @@ def test_state_and_slice_csv_round_trip(tmp_path):
     rows = np.loadtxt(p1, delimiter=",", skiprows=1)
     assert rows.shape[0] == state.times.size * grid.num_x * grid.num_r
 
-    slc = eulerian_reconstruct(state, zero_field(1, 1), 0.5, None, config)
+    slc = eulerian_reconstruct(state, zero_field(1, 1), 0.5, config)
     p2 = tmp_path / "slice.csv"
     slice_to_csv(slc, p2)
     rows2 = np.loadtxt(p2, delimiter=",", skiprows=1)
@@ -604,7 +604,7 @@ def test_state_and_slice_csv_round_trip(tmp_path):
     field0 = linear_field(lam=-0.7, mu=0.0, n=2, j=0)
     u00 = _fiber_datum(grid0, make_initial("gaussian", x_center=0.3))
     state0, _ = picard_solve(u00, field0, None, config, grid0, 0.0, 0.5)
-    slc0 = eulerian_reconstruct(state0, field0, 0.5, None, config)
+    slc0 = eulerian_reconstruct(state0, field0, 0.5, config)
     state_to_csv(state0, p1)
     slice_to_csv(slc0, p2)
     assert p1.read_text() == _state_csv_by_rows(state0)
