@@ -32,7 +32,6 @@ from .fields import (
     swirl_field,
     validate_field,
     zero_field,
-    zero_kernel,
 )
 from .flow import (
     CompressibilityReport,
@@ -139,6 +138,5 @@ __all__ = [
     "validate_field",
     "verify_change_of_variables",
     "zero_field",
-    "zero_kernel",
     "__version__",
 ]

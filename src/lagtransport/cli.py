@@ -31,7 +31,6 @@ from .experiments import (
     stability_experiment,
 )
 from .fields import (
-    FieldValidationError,
     fragmentation_kernel,
     make_field,
     make_kernel,
@@ -263,14 +262,24 @@ def _check_dimensions(field, grid: GridSpec) -> None:
         )
 
 
-def _build_solver(spec: dict | None) -> SolverConfig:
+def _build_solver(spec: dict | None, grid: GridSpec) -> SolverConfig:
+    """The solver settings; the norm's window must fit `grid`."""
     spec = dict(spec or {})
-    if "window" in spec and spec["window"] is not None:
-        spec["window"] = tuple(tuple(w) for w in spec["window"])
     try:
-        return SolverConfig(**spec)
+        if spec.get("window") is not None:
+            spec["window"] = tuple(tuple(w) for w in spec["window"])
+        config = SolverConfig(**spec)
+        config.norm_spec().weights(grid)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solver settings: {exc}") from exc
+    return config
+
+
+def _finite_positive(cfg: dict, key: str, default: float) -> float:
+    value = float(cfg.get(key, default))
+    if not 0.0 < value < np.inf:  # also rejects NaN
+        raise ConfigError(f"{key} must be finite and positive, got {value!r}")
+    return value
 
 
 # =====================================================================
@@ -286,9 +295,7 @@ def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
     direction = cfg.get("direction", "forward")
     if direction not in ("forward", "backward"):
         raise ConfigError(f"unknown direction {direction!r}")
-    tol = float(cfg.get("tol", 1e-10))
-    if not tol > 0:
-        raise ConfigError("tol must be positive")
+    tol = _finite_positive(cfg, "tol", 1e-10)
     fmap = flow_map(field, grid, times, tol=tol, direction=direction)
     report = check_compressibility(fmap, field)
     payload = {
@@ -311,17 +318,19 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     t0 = float(_time_nodes(cfg["grid"])[0])
     kernel = _build_named("kernel", cfg.get("kernel"))
     datum = _build_named("initial datum", cfg["initial"])
-    config = _build_solver(cfg.get("solver"))
-    if kernel is not None and kernel.j != grid.j:
-        raise ConfigError(f"kernel j = {kernel.j} but grid j = {grid.j}")
-    if kernel is not None and kernel.name != "zero" and not 1.0 < config.p < np.inf:
+    config = _build_solver(cfg.get("solver"), grid)
+    if kernel is not None and grid.j != 1:
+        raise ConfigError(f"a kernel needs a grid with j = 1, not j = {grid.j}")
+    if kernel is not None and not 1.0 < config.p < np.inf:
         raise ConfigError(
             f"invalid solver settings: p = {config.p} with a kernel; "
             "the slab bound needs a finite p > 1"
         )
     t_end = float(cfg["t_end"])
-    if not t_end > t0:
-        raise ConfigError(f"t_end must exceed the first time node {t0}")
+    if not t0 < t_end < np.inf:
+        raise ConfigError(
+            f"t_end must be finite and exceed the first time node {t0}"
+        )
     sol = continue_solution(datum, field, kernel, config, grid, t_end, t0=t0)
     times, masses = sol.mass_history()
     final = sol.eulerian_slice(field, sol.boundaries[-1])
@@ -363,7 +372,7 @@ def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
             key: cfg[key] if kind is None else tuple(kind(v) for v in cfg[key])
             for key, kind in _STUDY_ARGS[command].items() if key in cfg
         }
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"invalid {command} arguments: {exc}") from exc
     try:
         report = experiment(**kwargs)
@@ -516,15 +525,9 @@ def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
     grid = _build_grid(cfg["grid"])
     _check_dimensions(field, grid)
     t0 = float(_time_nodes(cfg["grid"])[0])
-    t = float(cfg.get("t", 0.5))
-    flow_tol = float(cfg.get("flow_tol", 1e-10))
-    scale = float(cfg.get("tolerance_scale", 1.0))
-    if t <= 0:
-        raise ConfigError("t must be positive")
-    if not flow_tol > 0:
-        raise ConfigError("flow_tol must be positive")
-    if scale <= 0:
-        raise ConfigError("tolerance_scale must be positive")
+    t = _finite_positive(cfg, "t", 0.5)
+    flow_tol = _finite_positive(cfg, "flow_tol", 1e-10)
+    scale = _finite_positive(cfg, "tolerance_scale", 1.0)
     checks = _verify_battery(field, grid, t0, t, flow_tol, scale)
     passed = all(c["passed"] for c in checks.values())
     payload = {
@@ -599,7 +602,6 @@ def main(argv=None) -> int:
         PreconditionError,
         PicardConvergenceError,
         SlabSelectionError,
-        FieldValidationError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

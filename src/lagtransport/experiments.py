@@ -214,6 +214,8 @@ def stability_experiment(
     eps_values = tuple(sorted(eps_values, reverse=True))
     if len(eps_values) < 3:
         raise ValueError("need at least three mollification radii")
+    if not all(0 < eps < np.inf for eps in eps_values):
+        raise ValueError("mollification radii must be finite and positive")
     base = logistic_field(k=k, mu=mu)
     grid, kernel = _mollification_setup(grid)
     config = SolverConfig(
@@ -303,6 +305,8 @@ def counterexample_experiment(
     The floor is the closed-form distance at wavenumber 1, which exact
     periodicity makes the common value for every integer k.
     """
+    if not k_values or not all(k == int(k) >= 1 for k in k_values):
+        raise ValueError("k_values must be positive integers")
     jacobian_points, fd_scale = (0.35, 0.8, 1.3, 1.9, 2.2), 1e-3
     jacobian_tol, density_tol = 1e-4, 1e-5
     report = ExperimentReport(

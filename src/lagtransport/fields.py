@@ -5,12 +5,14 @@ its own; everything downstream leans on that structure.  Divergences are
 supplied analytically by each field definition and cross-checked against
 central differences by `validate_field`.
 
-Kernels gamma(t, x, r, r_tilde) drive the integral source term.  A kernel
-may declare triangular support (zero unless r < r_tilde) together with its
-smooth factor, which lets the solver place the support jump exactly on
-quadrature nodes instead of smearing it across a cell.  A kernel may also
-declare finite-rank factors, which lets the solver apply it through
-moments instead of a dense r x r_tilde operator.
+Kernels gamma(t, x, r, r_tilde) on a one-dimensional fiber drive the
+integral source term.  A kernel is data: its gamma plus at most one
+declared structure, which every consumer reads in place of the kernel's
+name.  A smooth factor declares triangular support (zero unless
+r < r_tilde) and lets the solver place the support jump exactly on
+quadrature nodes instead of smearing it across a cell.  Finite-rank
+factors let the solver apply the kernel through moments instead of a
+dense r x r_tilde operator.  With no source term there is no kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "sobolev_field",
     "mollify_field",
     "make_field",
-    "zero_kernel",
     "constant_kernel",
     "fragmentation_kernel",
     "separable_kernel",
@@ -418,61 +419,47 @@ def validate_field(
 
 @dataclass
 class Kernel:
-    """Integral kernel gamma(t, x, r, r_tilde).
+    """Integral kernel gamma(t, x, r, r_tilde) on a one-dimensional fiber.
 
     gamma is vectorized over broadcastable r / r_tilde arrays (trailing
-    axis j) at a single (t, x).  `support` may declare "triangular"
-    support (gamma = 0 unless r < r_tilde componentwise); then
-    `smooth_part` must give the smooth factor valid on the closed region
-    r <= r_tilde, which quadrature uses on node-aligned tails.
-    `factors` = ((a_1, ..., a_L), (c_1, ..., c_L)) declares the finite-rank
-    form gamma = sum_l a_l(r) c_l(r_tilde), independent of t and x (j = 1
-    only; each factor maps an array of scalar r values to an array of the
-    same shape).  The solver then applies the kernel through the moments
-    <c_l, rho2 u> without building a dense operator, and evaluates the
-    slab rate at a single (t, x).  gamma must still agree with the
-    factors; it serves the slab bound and every consumer without a
-    factored path.
+    axis 1) at a single (t, x).  A kernel declares at most one structure:
+
+    * `smooth_part`: triangular support, gamma = 0 unless r < r_tilde.
+      The smooth factor must be valid on the closed region r <= r_tilde;
+      quadrature uses it on node-aligned tails.
+    * `factors` = ((a_1, ..., a_L), (c_1, ..., c_L)): the finite-rank form
+      gamma = sum_l a_l(r) c_l(r_tilde), independent of t and x, where
+      each factor maps an array of scalar r values to an array of the
+      same shape.  The solver then applies the kernel through the moments
+      <c_l, rho2 u> without building a dense operator, and evaluates the
+      slab rate at a single (t, x).
+
+    gamma must agree with the declared structure; it serves the slab
+    bound and every consumer without a structured path.
     """
 
     name: str
-    j: int
     gamma: Callable
-    support: str | None = None
     smooth_part: Callable | None = None
-    params: dict = dc_field(default_factory=dict)
     factors: tuple[tuple[Callable, ...], tuple[Callable, ...]] | None = None
 
     def __post_init__(self) -> None:
-        if self.support not in (None, "triangular"):
-            raise ValueError(f"unknown support hint {self.support!r}")
-        if self.support == "triangular" and self.smooth_part is None:
-            raise ValueError("triangular kernels must provide smooth_part")
         if self.factors is not None:
+            if self.smooth_part is not None:
+                raise ValueError("a kernel declares smooth_part or factors, "
+                                 "not both")
             a_list, c_list = (tuple(fs) for fs in self.factors)
-            if self.j != 1 or self.support is not None:
-                raise ValueError("factors are supported for j = 1 kernels "
-                                 "without a support hint")
             if not a_list or len(a_list) != len(c_list):
                 raise ValueError("factors need equally many a_l and c_l")
             self.factors = (a_list, c_list)
-
-
-def _zero_gamma(t, x, r, rt):
-    return np.zeros(np.broadcast_shapes(r.shape[:-1], rt.shape[:-1]))
-
-
-def zero_kernel(j: int = 1) -> Kernel:
-    return Kernel("zero", j, _zero_gamma)
 
 
 def _const_gamma(c, t, x, r, rt):
     return np.full(np.broadcast_shapes(r.shape[:-1], rt.shape[:-1]), c)
 
 
-def constant_kernel(c: float = 1.0, j: int = 1) -> Kernel:
-    c = float(c)
-    return Kernel("constant", j, partial(_const_gamma, c), params={"c": c})
+def constant_kernel(c: float = 1.0) -> Kernel:
+    return Kernel("constant", partial(_const_gamma, float(c)))
 
 
 def _frag_gamma(scale, t, x, r, rt):
@@ -498,9 +485,8 @@ def fragmentation_kernel(scale: float = 1.0) -> Kernel:
     """
     scale = float(scale)
     return Kernel(
-        "fragmentation", 1, partial(_frag_gamma, scale),
-        support="triangular", smooth_part=partial(_frag_smooth, scale),
-        params={"scale": scale},
+        "fragmentation", partial(_frag_gamma, scale),
+        smooth_part=partial(_frag_smooth, scale),
     )
 
 
@@ -540,10 +526,7 @@ def separable_kernel(
         tuple(partial(_gauss_amp, ca, wa, amp) for (ca, wa, _, _, amp) in terms),
         tuple(partial(_gauss_amp, cc, wc, 1.0) for (_, _, cc, wc, _) in terms),
     )
-    return Kernel(
-        "separable", 1, partial(_separable_gamma, terms), params={"terms": terms},
-        factors=factors,
-    )
+    return Kernel("separable", partial(_separable_gamma, terms), factors=factors)
 
 
 def _gauss_amp(center, width, amp, v):
@@ -551,7 +534,6 @@ def _gauss_amp(center, width, amp, v):
 
 
 _KERNEL_BUILDERS = {
-    "zero": zero_kernel,
     "constant": constant_kernel,
     "fragmentation": fragmentation_kernel,
     "separable": separable_kernel,
@@ -563,8 +545,6 @@ def make_kernel(name: str, **params) -> Kernel:
         builder = _KERNEL_BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown kernel {name!r}") from None
-    if name == "separable" and "terms" in params:
-        params["terms"] = tuple(tuple(t) for t in params["terms"])
     return builder(**params)
 
 
@@ -579,44 +559,32 @@ def _mixed_norm_matrix(
     """Per (time sample, x label) mixed norm of the kernel.
 
     Entry (s, i) is  ( int_r ( int_rt |gamma(s, x_i)|^{p'} dr_tilde
-    )^{p/p'} dr )^{1/p}  with p' the conjugate exponent; for j = 0 the r
-    integrals are empty products and the entry is just |gamma(s, x_i)|.
-    Triangular kernels are integrated on node-aligned tails so the
-    support jump never crosses a quadrature cell.  Kernels with declared
-    factors do not depend on (s, x_i), so one entry is computed and
-    broadcast.
+    )^{p/p'} dr )^{1/p}  with p' the conjugate exponent.  Triangular
+    kernels are integrated on node-aligned tails so the support jump never
+    crosses a quadrature cell.  Kernels with declared factors do not
+    depend on (s, x_i), so one entry is computed and broadcast.
     """
     if not (1.0 < p < np.inf):
         raise ValueError("slab bound needs a finite exponent p > 1")
-    if kernel.j != grid.j:
-        raise ValueError("kernel and grid fiber dimensions disagree")
+    if grid.j != 1:
+        raise ValueError(f"kernels act on a j = 1 fiber, not j = {grid.j}")
     xs = grid.x_labels()
     shape = (ts.size, xs.shape[0])
-    if grid.j == 0:
-        out = np.zeros(shape)
-        r0 = np.zeros((1, 0))
-        for si, s in enumerate(ts):
-            for i, x in enumerate(xs):
-                out[si, i] = float(np.max(np.abs(kernel.gamma(s, x, r0, r0))))
-        return out
-    if grid.j != 1:
-        raise ValueError("slab bound implemented for j <= 1 kernels")
     pp = p / (p - 1.0)
     r_nodes = grid.r_labels()  # (Nr, 1)
     w_r = grid.r_weights()
-    col = r_nodes
     if kernel.factors is not None:
         ts, xs = ts[:1], xs[:1]
     out = np.zeros((ts.size, xs.shape[0]))
     for si, s in enumerate(ts):
         for i, x in enumerate(xs):
-            if kernel.support == "triangular":
-                g = kernel.smooth_part(s, x, col[:, None, :], r_nodes[None, :, :])
+            if kernel.smooth_part is not None:
+                g = kernel.smooth_part(s, x, r_nodes[:, None, :], r_nodes[None, :, :])
                 inner = np.einsum(
                     "mq,mq->m", np.abs(g) ** pp, grid.r_suffix_weights()
                 )
             else:
-                g = kernel.gamma(s, x, col[:, None, :], r_nodes[None, :, :])
+                g = kernel.gamma(s, x, r_nodes[:, None, :], r_nodes[None, :, :])
                 inner = (np.abs(g) ** pp) @ w_r
             out[si, i] = float(np.sum(w_r * inner ** (p / pp)) ** (1.0 / p))
     # a contiguous copy, so that wt @ mat rounds as for a full matrix

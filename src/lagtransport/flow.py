@@ -57,81 +57,36 @@ def _tols(tol: float) -> tuple[float, float]:
     return tol, max(tol * 1e-3, 1e-14)
 
 
-def _solve_x_block(
-    field: StructuredVectorField,
-    x0: np.ndarray,
-    t_span: tuple[float, float],
-    t_eval: np.ndarray,
-    tol: float,
-):
-    """Integrate (X1, logJ1) for a batch of x labels in one system.
+def _solve_block(parts, p0, t_span, t_eval, tol, block, dense_output=False):
+    """Integrate positions p0 (..., d) and a log-Jacobian per point as one
+    system.
 
-    Returns (positions (K, M, n), logj1 (K, M), dense interpolant or None).
+    `parts(t, P)` maps positions shaped like p0 to their (velocity,
+    divergence).  `block` names the system in the error raised when the
+    integrator fails.  Returns C-contiguous (positions (K, *p0.shape),
+    logj (K, *p0.shape[:-1])) and the dense interpolant, or None without
+    `dense_output`.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    M, n = x0.shape
+    shape = p0.shape
+    size = p0.size
 
     def rhs(t, y):
-        X = y[: M * n].reshape(M, n)
+        velocity, divergence = parts(t, y[:size].reshape(shape))
         out = np.empty_like(y)
-        out[: M * n] = np.asarray(field.b1(t, X), dtype=float).reshape(-1)
-        out[M * n :] = np.asarray(field.div_b1(t, X), dtype=float)
+        out[:size].reshape(shape)[...] = velocity
+        out[size:].reshape(shape[:-1])[...] = divergence
         return out
 
-    y0 = np.concatenate([x0.reshape(-1), np.zeros(M)])
+    y0 = np.concatenate([p0.reshape(-1), np.zeros(size // shape[-1])])
     rtol, atol = _tols(tol)
-    sol = solve_ivp(
-        rhs, t_span, y0, t_eval=t_eval, dense_output=True, rtol=rtol, atol=atol
-    )
+    sol = solve_ivp(rhs, t_span, y0, t_eval=t_eval, dense_output=dense_output,
+                    rtol=rtol, atol=atol)
     if not sol.success:
-        raise FlowIntegrationError(f"x-block integration failed: {sol.message}")
-    ys = sol.y.T  # (K, M*n + M)
-    pos = ys[:, : M * n].reshape(-1, M, n)
-    logj1 = ys[:, M * n :]
-    return pos, logj1, sol.sol
-
-
-def _solve_r_fibers(
-    field: StructuredVectorField,
-    x_of_t,
-    r0: np.ndarray,
-    t_span: tuple[float, float],
-    t_eval: np.ndarray,
-    tol: float,
-):
-    """Integrate (X2, logJ2) for the r fibers of M x labels in one system.
-
-    `r0` holds each label's fiber starts, shape (M, Q, j), and `x_of_t`
-    maps t to the labels' x positions, shape (M, 1, n), so one b2 call per
-    right-hand side covers every fiber.  The step size follows the RMS
-    error norm of the whole stacked state.  When b2 ignores x, as every
-    catalogue b2 does, and every label starts the same fiber, all fibers
-    share one error estimate and the steps are those of a single fiber;
-    otherwise a fiber can move by about the tolerance against a solve of
-    its own.
-    Returns C-contiguous (positions (K, M, Q, j), logj2 (K, M, Q)).
-    """
-    r0 = np.asarray(r0, dtype=float)
-    M, Q, jdim = r0.shape
-    size = M * Q * jdim
-
-    def rhs(t, y):
-        x = x_of_t(t)
-        R = y[:size].reshape(M, Q, jdim)
-        out = np.empty_like(y)
-        out[:size].reshape(M, Q, jdim)[...] = field.b2(t, x, R)
-        out[size:].reshape(M, Q)[...] = field.div_b2(t, x, R)
-        return out
-
-    y0 = np.concatenate([r0.reshape(-1), np.zeros(M * Q)])
-    rtol, atol = _tols(tol)
-    sol = solve_ivp(rhs, t_span, y0, t_eval=t_eval, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise FlowIntegrationError(f"r-fiber integration failed: {sol.message}")
+        raise FlowIntegrationError(f"{block} integration failed: {sol.message}")
     K = sol.y.shape[1]
-    pos = np.ascontiguousarray(sol.y[:size].T).reshape(K, M, Q, jdim)
-    logj2 = np.ascontiguousarray(sol.y[size:].T).reshape(K, M, Q)
-    return pos, logj2
+    pos = np.ascontiguousarray(sol.y[:size].T).reshape((K,) + shape)
+    logj = np.ascontiguousarray(sol.y[size:].T).reshape((K,) + shape[:-1])
+    return pos, logj, sol.sol
 
 
 def flow_from(
@@ -146,8 +101,14 @@ def flow_from(
 
     `x0` holds the x labels, shape (M, n), and `r0` each label's fiber
     starts, shape (M, Q, j).  The x block is one system for all labels;
-    the fibers are a second, stacked system driven by the x block's dense
-    path.  Returns (x positions (K, M, n), logj1 (K, M), r positions
+    the fibers are a second, stacked system that reads the labels' x
+    positions from the x block's dense path once per right-hand side, so
+    one b2 call covers every fiber.  The fibers' step size follows the RMS
+    error norm of the whole stacked state.  When b2 ignores x, as every
+    catalogue b2 does, and every label starts the same fiber, all fibers
+    share one error estimate and the steps are those of a single fiber;
+    otherwise a fiber can move by about the tolerance against a solve of
+    its own.  Returns (x positions (K, M, n), logj1 (K, M), r positions
     (K, M, Q, j), logj2 (K, M, Q)) at the K nodes of `t_eval`; for j = 0
     the r positions are empty and logj2 is zero.
     """
@@ -159,13 +120,19 @@ def flow_from(
             f"need x0 of shape (M, {field.n}) and r0 of shape (M, Q, "
             f"{field.j}), got {x0.shape} and {r0.shape}"
         )
-    xpos, logj1, dense = _solve_x_block(field, x0, t_span, t_eval, tol)
-    K, M, n = xpos.shape
+    xpos, logj1, dense = _solve_block(
+        lambda t, X: (field.b1(t, X), field.div_b1(t, X)),
+        x0, t_span, t_eval, tol, "x-block", dense_output=True,
+    )
+    K, (M, n), Q = xpos.shape[0], x0.shape, r0.shape[1]
     if field.j == 0:
-        Q = r0.shape[1]
         return xpos, logj1, np.zeros((K, M, Q, 0)), np.zeros((K, M, Q))
-    x_of_t = lambda t: dense(t)[: M * n].reshape(M, 1, n)
-    rpos, logj2 = _solve_r_fibers(field, x_of_t, r0, t_span, t_eval, tol)
+
+    def fiber_parts(t, R):
+        x = dense(t)[: M * n].reshape(M, 1, n)
+        return field.b2(t, x, R), field.div_b2(t, x, R)
+
+    rpos, logj2, _ = _solve_block(fiber_parts, r0, t_span, t_eval, tol, "r-fiber")
     return xpos, logj1, rpos, logj2
 
 

@@ -301,20 +301,20 @@ class NormSpec:
         if not (self.p >= 1.0 or math.isinf(self.p)):
             raise ValueError("p must be >= 1 or inf")
 
+    def weights(self, grid: GridSpec) -> np.ndarray:
+        """Joint-grid weight array (grid.shape) that is zero outside the
+        window; ValueError unless the window gives one interval per grid
+        axis, each spanning at least 2 nodes.
 
-def _window_mask_weights(
-    grid: GridSpec, window: tuple[tuple[float, float], ...] | None
-) -> np.ndarray:
-    """Joint-grid weight array (grid.shape) that is zero outside the window.
-
-    Cached on the grid per window, since every norm evaluation needs it.
-    """
-    if window is not None:
-        window = tuple((float(lo), float(hi)) for lo, hi in window)
-    key = ("window", window)
-    if key not in grid._cache:
-        grid._cache[key] = _build_window_weights(grid, window)
-    return grid._cache[key]
+        Cached on the grid per window, since every norm evaluation needs it.
+        """
+        window = self.window
+        if window is not None:
+            window = tuple((float(lo), float(hi)) for lo, hi in window)
+        key = ("window", window)
+        if key not in grid._cache:
+            grid._cache[key] = _build_window_weights(grid, window)
+        return grid._cache[key]
 
 
 def _build_window_weights(
@@ -364,7 +364,7 @@ def lp_norm(values: np.ndarray, grid: GridSpec, spec: NormSpec) -> float:
     For p = inf returns the max of |values| over window nodes.
     """
     joint = _as_joint(values, grid)
-    wts = _window_mask_weights(grid, spec.window)
+    wts = spec.weights(grid)
     if math.isinf(spec.p):
         return float(np.max(np.abs(joint)[wts > 0])) if np.any(wts > 0) else 0.0
     return float(np.sum(wts * np.abs(joint) ** spec.p) ** (1.0 / spec.p))

@@ -68,8 +68,9 @@ class SolverConfig:
     slab_target is the Lipschitz budget per slab (1/2 gives the classic
     geometric tail); nodes_per_slab fixes the trapezoid resolution of the
     time integral inside each slab.  Settings that no run could use
-    (non-positive tolerances or budget, too few nodes or iterations, p < 1)
-    raise ValueError at construction.
+    (tolerances or budget that are not finite and positive, too few nodes
+    or iterations, p < 1, an exit fraction limit outside [0, 1]) raise
+    ValueError at construction.
     """
 
     p: float = 2.0
@@ -95,8 +96,13 @@ class SolverConfig:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         for name in ("picard_tol", "flow_tol", "slab_target"):
             value = getattr(self, name)
-            if not value > 0:  # also rejects NaN
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not 0 < value < np.inf:  # also rejects NaN
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
+        if not 0 <= self.exit_fraction_limit <= 1:
+            raise ValueError("exit_fraction_limit must lie in [0, 1], got "
+                             f"{self.exit_fraction_limit!r}")
         self.norm_spec()  # rejects p < 1
 
     def norm_spec(self) -> NormSpec:
@@ -157,8 +163,11 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
     k_index collapses to zero.  Triangular kernels use node-aligned tail
     weights via smooth_part, so the support jump never crosses a
     quadrature cell (the fiber map is monotone, hence label order and
-    moved order agree).
+    moved order agree).  Kernels act on a j = 1 fiber only.
     """
+    grid = fmap.grid
+    if grid.j != 1:
+        raise ValueError(f"kernels act on a j = 1 fiber, not j = {grid.j}")
     K = fmap.times.size
     Nx, Nr = fmap.num_x, fmap.num_r
     static = bool(
@@ -169,7 +178,6 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
     ) and K > 1
     k_list = [0] if static else list(range(K))
     k_index = np.zeros(K, dtype=int) if static else np.arange(K)
-    grid = fmap.grid
     wr = grid.r_weights()
     if kernel.factors is not None:
         pos = fmap.x2[k_list, ..., 0]  # (K_eff, Nx, Nr)
@@ -177,10 +185,7 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
         a = np.stack([np.asarray(fa(pos), dtype=float) for fa in a_list], axis=2)
         c = np.stack([np.asarray(fc(pos), dtype=float) for fc in c_list], axis=2)
         return _FactoredOperator(a=a, c=c * wr), k_index
-    if grid.j == 1 and kernel.support == "triangular":
-        wmat = grid.r_suffix_weights()
-    else:
-        wmat = None
+    wmat = None if kernel.smooth_part is None else grid.r_suffix_weights()
     mats = np.empty((len(k_list), Nx, Nr, Nr))
     for out_k, k in enumerate(k_list):
         t = fmap.times[k]
@@ -256,8 +261,6 @@ def _div_r_sup(
 ) -> float:
     """Sampled sup of |div_r b2| over the grid and five times spanning
     the window."""
-    if field.j == 0:
-        return 0.0
     labels = grid.joint_labels()
     sup = 0.0
     for s in np.linspace(t_lo, t_hi, 5):
@@ -290,7 +293,7 @@ def choose_slab(
     remaining = t_end - t_start
     if remaining <= 0:
         raise ValueError("t_end must exceed t_start")
-    if kernel is None or kernel.name == "zero":
+    if kernel is None:
         return remaining, {"bound": 0.0, "rho2_max": 1.0, "halvings": 0}
     rate = kernel_slab_rate(
         kernel, grid, config.p, t_start, t_end, config.slab_time_samples

@@ -227,6 +227,8 @@ def test_cli_runtime_does_not_import_scipy(tmp_path):
         lambda c: c["grid"].update({"time_nodes": [0.0, float("inf")]}),
         # an n = 1, j = 0 field on the j = 1 grid
         lambda c: c.update({"field": {"name": "linear"}}),
+        # integrating at an infinite tolerance never ends
+        lambda c: c.update({"tol": float("inf")}),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, mutate):
@@ -261,12 +263,36 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         ("solve", lambda c: c.update(
             {"field": {"name": "zero", "params": {"n": 2, "j": 1}}})),
         ("verify", lambda c: c.update({"field": {"name": "linear"}})),
+        # kernels take no j: they act on the grid's one fiber axis
+        ("solve", lambda c: c.update(
+            {"kernel": {"name": "constant", "params": {"j": 1}}})),
+        ("solve", lambda c: c.update({
+            "field": {"name": "zero", "params": {"n": 1, "j": 0}},
+            "grid": {"x_bounds": [[0.0, 1.0]], "x_counts": [3]},
+        })),
+        # the norm window must fit the grid
+        ("solve", lambda c: c["solver"].update({"window": [[0.0, 1.0]]})),
+        ("solve", lambda c: c["solver"].update({"window": [0.0, 1.0]})),
+        ("solve", lambda c: c["solver"].update(
+            {"window": [[0.0, 1.0], [0.5, 0.51]]})),
+        ("solve", lambda c: c["solver"].update(
+            {"window": [[2.0, 3.0], [0.0, 1.0]]})),
+        # non-finite times and tolerances
+        ("solve", lambda c: c.update({"t_end": float("inf")})),
+        ("verify", lambda c: c.update({"t": float("inf")})),
+        ("verify", lambda c: c.update({"flow_tol": float("inf")})),
+        ("verify", lambda c: c.update({"tolerance_scale": float("inf")})),
     ],
     ids=[
         "solve-kernel_j", "solve-string_scale", "solve-string_c",
         "solve-time_num", "solve-decreasing_times", "solve-t_end_at_t0",
         "verify-flow_tol=0", "verify-flow_tol<0", "verify-time_missing_stop",
         "solve-field_n2_on_n1_grid", "verify-field_j0_on_j1_grid",
+        "solve-kernel_j1", "solve-kernel_on_j0_grid",
+        "solve-window_one_interval", "solve-window_flat",
+        "solve-window_under_2_nodes", "solve-window_outside_box",
+        "solve-t_end=inf", "verify-t=inf", "verify-flow_tol=inf",
+        "verify-tolerance_scale=inf",
     ],
 )
 def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
@@ -315,6 +341,10 @@ def test_unknown_kernel_param_exits_2(tmp_path):
         {"p": float("inf")},
         # the exterior fill is always 0; the setting no longer exists
         {"exterior_value": 0.0},
+        {"picard_tol": float("inf")},
+        {"flow_tol": float("inf")},
+        {"slab_target": float("inf")},
+        {"exit_fraction_limit": -1},
     ],
     ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
 )
@@ -325,6 +355,18 @@ def test_invalid_solver_settings_exit_2(tmp_path, settings):
     res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob("solve_*.json"))
+
+
+def test_zero_kernel_is_rejected_naming_the_entry(tmp_path):
+    # with no source term a config has no kernel key
+    payload = solve_config()
+    payload["kernel"] = {"name": "zero"}
+    cfg = write_config(tmp_path / "s.json", payload)
+    res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "invalid kernel:" in res.stderr
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob("solve_*.json"))
 
@@ -355,8 +397,13 @@ def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix
         ("stability", {"checkpoints": [None]}),
         ("counterexample", {"k_values": [[2]]}),
         ("counterexample", {"window": ["a", "b"]}),
+        ("stability", {"eps_values": [0.2, 0.1, 0.0]}),
+        ("counterexample", {"k_values": [0, 2]}),
+        ("counterexample", {"k_values": [-2, 4]}),
+        ("counterexample", {"k_values": [float("inf")]}),
     ],
-    ids=["too_few_eps", "string_eps", "null_checkpoint", "nested_k", "string_window"],
+    ids=["too_few_eps", "string_eps", "null_checkpoint", "nested_k", "string_window",
+         "zero_eps", "zero_k", "negative_k", "infinite_k"],
 )
 def test_bad_study_arguments_exit_2(tmp_path, command, settings):
     cfg = write_config(tmp_path / "s.json", {"schema_version": 1, **settings})

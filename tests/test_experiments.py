@@ -98,6 +98,18 @@ def test_stability_needs_three_radii():
         stability_experiment(eps_values=(0.2, 0.1))
 
 
+@pytest.mark.parametrize("eps_values", [(0.2, 0.1, 0.0), (np.inf, 0.2, 0.1)])
+def test_stability_rejects_bad_radii_before_solving(monkeypatch, eps_values):
+    from lagtransport import experiments
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the radii were checked")
+
+    monkeypatch.setattr(experiments, "continue_solution", no_solve)
+    with pytest.raises(ValueError, match="radii"):
+        stability_experiment(eps_values=eps_values)
+
+
 # ---------------------------------------------------------------------
 # weak-but-not-strong convergence of the densities
 # ---------------------------------------------------------------------
@@ -112,6 +124,12 @@ def test_counterexample_experiment_passes_at_moderate_resolution():
     assert rows[8]["weak_gap"] < rows[2]["weak_gap"]
     l1_vals = [row["l1_distance"] for row in report.rows]
     assert max(l1_vals) - min(l1_vals) < 0.01 * np.mean(l1_vals)
+
+
+@pytest.mark.parametrize("k_values", [(0, 2), (-2, 4), (2.5,), ()])
+def test_counterexample_rejects_k_that_is_not_a_positive_integer(k_values):
+    with pytest.raises(ValueError, match="positive integers"):
+        counterexample_experiment(k_values=k_values, line_nodes=65)
 
 
 def test_counterexample_detects_wrong_floor():

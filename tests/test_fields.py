@@ -8,6 +8,7 @@ import pytest
 from lagtransport.fields import (
     FieldValidationError,
     Kernel,
+    constant_kernel,
     fragmentation_kernel,
     kernel_slab_bound,
     kernel_slab_rate,
@@ -22,7 +23,6 @@ from lagtransport.fields import (
     swirl_field,
     validate_field,
     zero_field,
-    zero_kernel,
 )
 from lagtransport.grid import GridSpec
 
@@ -226,7 +226,7 @@ def test_mollified_field_survives_pickling():
 
 def test_fragmentation_kernel_triangular_structure():
     kern = fragmentation_kernel(scale=2.0)
-    assert kern.support == "triangular"
+    assert kern.smooth_part is not None and kern.factors is None
     r = np.array([[0.3]])
     rt = np.array([[0.6]])
     # gamma(r, rt) = scale / rt on r < rt, zero above the diagonal
@@ -254,26 +254,38 @@ def test_kernel_factors_are_validated_and_picklable():
     kern = separable_kernel()
     a_list, c_list = kern.factors
     with pytest.raises(ValueError):
-        Kernel("bad", 1, kern.gamma, factors=(a_list, ()))
-    with pytest.raises(ValueError):
-        Kernel("bad", 2, kern.gamma, factors=kern.factors)
-    with pytest.raises(ValueError):
-        Kernel("bad", 1, kern.gamma, support="triangular",
-               smooth_part=kern.gamma, factors=kern.factors)
+        Kernel("bad", kern.gamma, factors=(a_list, ()))
+    # a kernel declares at most one structure
+    with pytest.raises(ValueError, match="not both"):
+        Kernel("bad", kern.gamma, smooth_part=kern.gamma, factors=kern.factors)
     clone = pickle.loads(pickle.dumps(kern))
     v = np.linspace(0.0, 1.0, 5)
     assert np.array_equal(clone.factors[0][0](v), a_list[0](v))
 
 
 def test_make_kernel_and_zero_kernel():
-    assert make_kernel("fragmentation", scale=1.5).params["scale"] == 1.5
-    kern = zero_kernel()
-    r = np.zeros((3, 1))
-    assert np.all(kern.gamma(0.0, None, r, r) == 0.0)
+    kern = make_kernel("fragmentation", scale=1.5)
+    assert kern.gamma(0.0, None, np.array([[0.3]]), np.array([[0.6]])) == 1.5 / 0.6
+    # no source term means no kernel: there is no "zero" catalogue entry
+    with pytest.raises(ValueError, match="unknown kernel 'zero'"):
+        make_kernel("zero")
+    with pytest.raises(TypeError):
+        make_kernel("constant", j=1)
     with pytest.raises(ValueError):
         make_kernel("unknown")
     with pytest.raises(ValueError):
         separable_kernel(terms=((0.5, -0.2, 0.6, 0.25, 1.0),))
+
+
+def test_separable_kernel_from_json_lists_is_bit_equal():
+    # config params arrive as nested lists; separable_kernel normalises them
+    terms = ((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
+    from_lists = make_kernel("separable", terms=[list(t) for t in terms])
+    from_tuples = separable_kernel(terms=terms)
+    r = np.linspace(0.0, 1.0, 17)[:, None, None]
+    rt = np.linspace(0.0, 1.0, 17)[None, :, None]
+    assert np.array_equal(from_lists.gamma(0.0, None, r, rt),
+                          from_tuples.gamma(0.0, None, r, rt))
 
 
 # ---------------------------------------------------------------------
@@ -320,7 +332,7 @@ def test_factored_slab_rate_is_bit_identical_to_dense():
     kern = separable_kernel(
         terms=((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
     )
-    dense = Kernel("separable", 1, kern.gamma)
+    dense = Kernel("separable", kern.gamma)
     for p in (1.5, 2.0, 3.0):
         assert kernel_slab_rate(kern, grid, p, 0.1, 0.7) == kernel_slab_rate(
             dense, grid, p, 0.1, 0.7
@@ -337,6 +349,13 @@ def test_slab_bound_rejects_bad_exponent():
         kernel_slab_bound(kern, grid, 1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         kernel_slab_bound(kern, grid, 2.0, 0.5, 0.5)
+
+
+def test_slab_rate_rejects_a_grid_without_a_single_fiber_axis():
+    grid = GridSpec(x_bounds=((0.0, 1.0),), x_counts=(3,))  # j = 0
+    for kern in (constant_kernel(), separable_kernel(), fragmentation_kernel()):
+        with pytest.raises(ValueError, match="j = 1"):
+            kernel_slab_rate(kern, grid, 2.0, 0.0, 0.5)
 
 
 def test_fragmentation_slab_bound_is_finite_on_geometric_grid():

@@ -1,6 +1,7 @@
 """Package structure: modules reach each other only through public names,
-every private helper is used by its own module, and every defaulted
-parameter is passed by some call."""
+every private helper is used by its own module, every defaulted
+parameter is passed by some call, and no module but the oracle branches
+on a field's or kernel's name."""
 
 import ast
 from pathlib import Path
@@ -208,3 +209,48 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         for p in sorted((repo / d).rglob("*.py"))
     ]
     assert not _unpassed_defaults(library, callers)
+
+
+def _name_tests(source: str) -> list[int]:
+    """Lines that compare a `.name` attribute with a string literal, or
+    with a tuple, list or set of them."""
+
+    def is_literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return bool(node.elts) and all(is_literal(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if any(isinstance(o, ast.Attribute) and o.attr == "name" for o in operands) \
+                and any(is_literal(o) for o in operands):
+            found.append(node.lineno)
+    return found
+
+
+def test_detector_flags_name_tests():
+    assert _name_tests('if kernel.name == "zero":\n    pass\n') == [1]
+    assert _name_tests('x = 1\nok = "zero" != fld.name\n') == [2]
+    assert _name_tests('ok = k.name in ("a", "b")\n') == [1]
+    assert _name_tests('ok = 0 < k.name == "a"\n') == [1]
+    # a bare name, a name against a name, and a name in a string are fine
+    assert _name_tests('ok = name == "separable"\n') == []
+    assert _name_tests("ok = k.name == other.name\n") == []
+    assert _name_tests('label = f"{k.name}!"\n') == []
+
+
+def test_no_module_but_the_oracle_tests_a_name():
+    # structure is declared as data (Kernel.smooth_part, Kernel.factors)
+    # and read from it; the oracle keys its closed forms by field name,
+    # which is what a reference does
+    root = Path(lagtransport.__file__).parent
+    offenders = {
+        path.name: lines
+        for path in sorted(root.glob("*.py"))
+        if path.name != "oracle.py"
+        and (lines := _name_tests(path.read_text(encoding="utf-8")))
+    }
+    assert not offenders

@@ -111,6 +111,16 @@ def test_apply_A_constant_kernel_quadrature():
         assert np.allclose(out[k], expected, atol=1e-13)
 
 
+def test_apply_A_rejects_a_kernel_on_a_grid_without_a_fiber():
+    grid = GridSpec(x_bounds=((0.0, 1.0),), x_counts=(3,))  # j = 0
+    fmap = flow_map(zero_field(1, 0), grid, times=np.array([0.0, 0.5]))
+    values = np.ones((2, grid.num_x, grid.num_r))
+    u0 = np.ones((grid.num_x, grid.num_r))
+    for kern in (constant_kernel(), separable_kernel(), fragmentation_kernel()):
+        with pytest.raises(ValueError, match="j = 1"):
+            apply_A(values, fmap, kern, u0)
+
+
 def _raising_gamma(t, x, r, rt):
     raise AssertionError("gamma evaluated on the factored path")
 
@@ -125,7 +135,7 @@ def test_factored_operator_matches_dense(field):
     # node); the zero drift keeps them fixed (a single stored slice)
     grid = _fiber_grid(nr=33, nx=3)
     kern = separable_kernel(terms=SEPARABLE_TERMS)
-    dense = Kernel("separable", 1, kern.gamma)
+    dense = Kernel("separable", kern.gamma)
     fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
     rng = np.random.default_rng(11)
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
@@ -134,7 +144,7 @@ def test_factored_operator_matches_dense(field):
     out = apply_A(values, fmap, kern, u0)
     assert np.max(np.abs(out - ref)) < 1e-12
     # the factored path never evaluates gamma
-    blind = Kernel("separable", 1, _raising_gamma, factors=kern.factors)
+    blind = Kernel("separable", _raising_gamma, factors=kern.factors)
     assert np.array_equal(apply_A(values, fmap, blind, u0), out)
 
 
@@ -148,7 +158,7 @@ def test_picard_residual_matches_fixed_point_residual(field, factored):
     grid = _fiber_grid(nr=33, nx=3)
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     if not factored:
-        kern = Kernel("separable", 1, kern.gamma)
+        kern = Kernel("separable", kern.gamma)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
     state, summary = picard_solve(u0, field, kern, config, grid, 0.0, 0.25)
@@ -162,7 +172,7 @@ def test_separable_solve_requires_declared_factors():
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     assert len(kern.factors[0]) == len(kern.factors[1]) == 2
     assert separable_solve(kern, u0, grid, times).shape == (2,) + u0.shape
-    for undeclared in (constant_kernel(), Kernel("separable", 1, kern.gamma)):
+    for undeclared in (constant_kernel(), Kernel("separable", kern.gamma)):
         with pytest.raises(ValueError, match="declares no finite-rank factors"):
             separable_solve(undeclared, u0, grid, times)
 
@@ -276,6 +286,12 @@ def test_picard_stops_at_first_non_finite_difference():
         {"flow_tol": 0.0},
         {"slab_target": 0.0},
         {"p": 0.5},
+        {"picard_tol": float("inf")},
+        {"flow_tol": float("inf")},
+        {"slab_target": float("inf")},
+        {"exit_fraction_limit": -1.0},
+        {"exit_fraction_limit": 1.5},
+        {"exit_fraction_limit": float("nan")},
     ],
 )
 def test_solver_config_rejects_invalid_settings(settings):
