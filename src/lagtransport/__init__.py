@@ -14,7 +14,6 @@ weak-but-not-strong density convergence studies.
 """
 
 from .fields import (
-    FieldValidationError,
     Kernel,
     StructuredVectorField,
     constant_kernel,
@@ -83,7 +82,6 @@ __all__ = [
     "CompressibilityReport",
     "ContinuedSolution",
     "EulerianSlice",
-    "FieldValidationError",
     "FlowIntegrationError",
     "FlowMap",
     "FlowSample",

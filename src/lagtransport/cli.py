@@ -90,14 +90,9 @@ _GRID_SCHEMA = {
 _SOLVER_SCHEMA = {
     "p": (_OPTIONAL, (int, float)),
     "window": (_OPTIONAL, list),
-    "slab_target": (_OPTIONAL, (int, float)),
     "picard_tol": (_OPTIONAL, (int, float)),
-    "max_iters": (_OPTIONAL, int),
     "nodes_per_slab": (_OPTIONAL, int),
-    "flow_tol": (_OPTIONAL, (int, float)),
-    "exit_fraction_limit": (_OPTIONAL, (int, float)),
     "slab_time_samples": (_OPTIONAL, int),
-    "max_halvings": (_OPTIONAL, int),
 }
 
 _SCHEMAS = {
@@ -149,7 +144,8 @@ _SCHEMAS = {
 
 
 def _check_schema(obj, schema, path: str) -> None:
-    """Check `obj` against a schema of key -> (status, expected type)."""
+    """Check `obj` against a schema of key -> (status, expected type).
+    No schema takes a bool, so true and false are never numbers."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
     for key in obj:
@@ -162,7 +158,7 @@ def _check_schema(obj, schema, path: str) -> None:
             continue
         if isinstance(expect, dict):
             _check_schema(obj[key], expect, f"{path}{key}.")
-        elif not isinstance(obj[key], expect):
+        elif isinstance(obj[key], bool) or not isinstance(obj[key], expect):
             names = (
                 expect.__name__
                 if isinstance(expect, type)
@@ -174,15 +170,37 @@ def _check_schema(obj, schema, path: str) -> None:
             raise ConfigError(f"missing required key {path}{key!r}")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a number")
+
+
+def _in_float_range(parse):
+    """`parse` for the text of a JSON number, rejecting a number beyond
+    the range of a float."""
+    def hook(text: str):
+        if not np.isfinite(float(text)):
+            short = text if len(text) <= 20 else f"{text[:12]}..."
+            raise ValueError(f"{short} is beyond the range of a float")
+        return parse(text)
+    return hook
+
+
 def load_config(path, command: str) -> dict:
+    """The config at `path`, checked against the command's schema.
+    NaN, Infinity and numbers beyond the range of a float are rejected;
+    other numbers parse as by default."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_constant=_reject_constant,
+                         parse_float=_in_float_range(float),
+                         parse_int=_in_float_range(int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except ValueError as exc:  # from the number hooks
+        raise ConfigError(f"invalid number in {path}: {exc}") from exc
     _check_schema(cfg, _SCHEMAS[command], "")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
@@ -354,7 +372,7 @@ _STUDY_ARGS = {
         "checkpoints": float, "final_threshold": None, "monotone_slack": None,
     },
     "counterexample": {
-        "k_values": int, "t": None, "line_nodes": None, "window": float,
+        "k_values": None, "t": None, "line_nodes": None, "window": float,
         "weak_constant": None, "floor_fraction": None, "spread_tol": None,
     },
 }
@@ -372,7 +390,7 @@ def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
             key: cfg[key] if kind is None else tuple(kind(v) for v in cfg[key])
             for key, kind in _STUDY_ARGS[command].items() if key in cfg
         }
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {command} arguments: {exc}") from exc
     try:
         report = experiment(**kwargs)

@@ -28,7 +28,6 @@ from .grid import GridSpec, axis_weights
 __all__ = [
     "StructuredVectorField",
     "Kernel",
-    "FieldValidationError",
     "zero_field",
     "linear_field",
     "oscillatory_field",
@@ -46,10 +45,6 @@ __all__ = [
     "kernel_slab_bound",
     "kernel_slab_rate",
 ]
-
-
-class FieldValidationError(Exception):
-    """Analytic divergence disagrees with finite differences."""
 
 
 @dataclass
@@ -145,8 +140,10 @@ def oscillatory_field(k: int = 1, j: int = 0) -> StructuredVectorField:
     """b1(x) = sin(kx)/k on the line; divergence cos(kx) of unit size.
 
     The optional r block is inert (b2 = 0), so kernel-coupled runs can
-    reuse the same x dynamics.
+    reuse the same x dynamics.  k = 0 is rejected: sin(kx)/k is 0/0.
     """
+    if k == 0:
+        raise ValueError("k must be nonzero")
     return StructuredVectorField(
         "oscillatory", 1, j,
         partial(_osc_b1, float(k)), _zero_b2,
@@ -167,8 +164,11 @@ def logistic_field(k: int = 1, mu: float = 0.3) -> StructuredVectorField:
 
     The fiber block fixes r = 0 and r = 1, so the unit r-box is invariant
     and the fiber map is monotone; div_r b2 = mu(1 - 2r) makes the density
-    ratio rho2 genuinely nonconstant.
+    ratio rho2 genuinely nonconstant.  k = 0 is rejected, as by
+    `oscillatory_field`.
     """
+    if k == 0:
+        raise ValueError("k must be nonzero")
     return StructuredVectorField(
         "logistic", 1, 1,
         partial(_osc_b1, float(k)), partial(_logistic_b2, mu),
@@ -356,14 +356,11 @@ def validate_field(
     fld: StructuredVectorField,
     points_x: np.ndarray,
     points_r: np.ndarray | None = None,
-    strict: bool = False,
 ) -> list[dict]:
     """Cross-check analytic divergences against central differences.
 
     Compares at the times 0, 0.37 and 1 with step h = 1e-5.  Returns a
-    list of mismatch records (empty when everything agrees within 1e-4);
-    with strict=True a non-empty report raises FieldValidationError
-    instead.
+    list of mismatch records, empty when everything agrees within 1e-4.
     """
     h, tol = 1e-5, 1e-4
     points_x = np.atleast_2d(np.asarray(points_x, dtype=float))
@@ -403,12 +400,6 @@ def validate_field(
                     "error": float(abs(num[idx] - ana[idx])),
                 }
             )
-    if strict and report:
-        worst = max(report, key=lambda rec: rec["error"])
-        raise FieldValidationError(
-            f"{len(report)} divergence mismatches for field "
-            f"{fld.name!r}; worst {worst['error']:.3e} at t={worst['t']}"
-        )
     return report
 
 

@@ -122,9 +122,9 @@ class GridSpec:
 
     Args:
         x_bounds: per-axis closed intervals for the x block.
-        x_counts: node counts per x axis (>= 2).
+        x_counts: integer node counts per x axis (>= 2).
         r_bounds: per-axis closed intervals for the r block; empty for j=0.
-        r_counts: node counts per r axis.
+        r_counts: integer node counts per r axis (>= 2).
         r_spacing: "uniform" or "geometric" node placement on the r axes.
             Geometric placement resolves kernels singular at r -> 0.
     """
@@ -138,6 +138,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         self.x_bounds = tuple((float(a), float(b)) for a, b in self.x_bounds)
         self.r_bounds = tuple((float(a), float(b)) for a, b in self.r_bounds)
+        for c in tuple(self.x_counts) + tuple(self.r_counts):
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(f"axis counts must be integers, got {c!r}")
         self.x_counts = tuple(int(c) for c in self.x_counts)
         self.r_counts = tuple(int(c) for c in self.r_counts)
         if len(self.x_bounds) != len(self.x_counts):

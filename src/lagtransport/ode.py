@@ -55,6 +55,7 @@ _MAX_FACTOR = 10
 _EPS = np.finfo(float).eps
 _DONE = "The solver successfully reached the end of the integration interval."
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_NOT_FINITE = "The right-hand side is not finite at the initial state."
 
 
 def _rms(x: np.ndarray):
@@ -140,29 +141,13 @@ class DenseSolution:
         self._last = len(segments) - 1
 
     def __call__(self, t) -> np.ndarray:
-        """y at a scalar t, shape (n,), or at a 1-d array of times,
-        shape (n, len(t))."""
+        """y at a scalar t, shape (n,)."""
         t = np.asarray(t)
-        if t.ndim == 0:
-            ind = np.searchsorted(self._ts_sorted, t, side=self._side)
-            seg = min(max(ind - 1, 0), self._last)
-            return self._segments[seg if self._ascending else self._last - seg](t)
-        if t.ndim != 1:
-            raise ValueError("t must be a scalar or a 1-d array")
-        # each step's quartic is applied to its own run of the sorted times
-        order = np.argsort(t)
-        t_sorted = t[order]
-        seg = np.searchsorted(self._ts_sorted, t_sorted, side=self._side) - 1
-        np.clip(seg, 0, self._last, out=seg)
-        if not self._ascending:
-            seg = self._last - seg
-        cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1), t.size]
-        ys = np.hstack([
-            self._segments[seg[a]](t_sorted[a:b]) for a, b in zip(cuts, cuts[1:])
-        ])
-        out = np.empty_like(ys)
-        out[:, order] = ys
-        return out
+        if t.ndim != 0:
+            raise ValueError("t must be a scalar")
+        ind = np.searchsorted(self._ts_sorted, t, side=self._side)
+        seg = min(max(ind - 1, 0), self._last)
+        return self._segments[seg if self._ascending else self._last - seg](t)
 
 
 @dataclass
@@ -187,7 +172,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, dense_output: bool = False,
     direction.  The step is accepted when the RMS over components of
     error / (atol + rtol max(|y_old|, |y_new|)) is below 1.  With
     `dense_output` the result's `sol` evaluates the solution anywhere in
-    t_span.
+    t_span.  A right-hand side that is not finite at (t0, y0) gives no
+    step size, so the result then reports failure without stepping.
     """
     t0, tf = map(float, t_span)
     if t0 == tf:
@@ -219,6 +205,9 @@ def solve_ivp(fun, t_span, y0, *, t_eval, dense_output: bool = False,
         t_eval = t_eval[::-1]  # increasing, for np.searchsorted
         t_eval_i = t_eval.size
     f = np.asarray(fun(t0, y), dtype=float)
+    if not np.isfinite(f).all():
+        return OdeResult(y=np.empty((y.size, 0)), sol=None, nfev=1, nsteps=0,
+                         nrejected=0, success=False, message=_NOT_FINITE)
     h_abs = _initial_step(fun, t0, y, f, tf, direction, rtol, atol)
     K = np.empty((7, y.size))
     t = t0

@@ -60,49 +60,47 @@ class SlabSelectionError(Exception):
     """No admissible slab length found (kernel budget never satisfied)."""
 
 
+# Every run uses one value of each, so they are constants rather than
+# SolverConfig fields: the Lipschitz budget per slab (1/2 gives the
+# classic geometric tail), the halvings tried to meet it, the Picard
+# iteration cap, and the largest fraction of labels a re-basing may lose
+# out of the label box.
+_SLAB_TARGET = 0.5
+_MAX_HALVINGS = 40
+_MAX_ITERS = 80
+_EXIT_FRACTION_LIMIT = 1e-3
+
+
 @dataclass
 class SolverConfig:
-    """Knobs for the slab/Picard machinery.
+    """The slab/Picard settings that runs vary.
 
     p and window define the norm used for contraction measurements;
-    slab_target is the Lipschitz budget per slab (1/2 gives the classic
-    geometric tail); nodes_per_slab fixes the trapezoid resolution of the
-    time integral inside each slab.  Settings that no run could use
-    (tolerances or budget that are not finite and positive, too few nodes
-    or iterations, p < 1, an exit fraction limit outside [0, 1]) raise
-    ValueError at construction.
+    picard_tol is the difference at which iteration stops;
+    nodes_per_slab fixes the trapezoid resolution of the time integral
+    inside each slab, and slab_time_samples the times at which the
+    kernel's rate is sampled when a slab is chosen.  Settings that no
+    run could use (a tolerance that is not finite and positive, fewer
+    than 2 nodes or samples, p < 1) raise ValueError at construction.
     """
 
     p: float = 2.0
     window: tuple | None = None
-    slab_target: float = 0.5
     picard_tol: float = 1e-8
-    max_iters: int = 80
     nodes_per_slab: int = 17
-    flow_tol: float = 1e-10
-    exit_fraction_limit: float = 1e-3
     slab_time_samples: int = 9
-    max_halvings: int = 40
 
     def __post_init__(self) -> None:
-        for name, least in (
-            ("max_iters", 1), ("nodes_per_slab", 2), ("slab_time_samples", 2),
-            ("max_halvings", 0),
-        ):
+        for name in ("nodes_per_slab", "slab_time_samples"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-        for name in ("picard_tol", "flow_tol", "slab_target"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:  # also rejects NaN
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value!r}"
-                )
-        if not 0 <= self.exit_fraction_limit <= 1:
-            raise ValueError("exit_fraction_limit must lie in [0, 1], got "
-                             f"{self.exit_fraction_limit!r}")
+            if value < 2:
+                raise ValueError(f"{name} must be >= 2, got {value}")
+        if not 0 < self.picard_tol < np.inf:  # also rejects NaN
+            raise ValueError(
+                f"picard_tol must be finite and positive, got {self.picard_tol!r}"
+            )
         self.norm_spec()  # rejects p < 1
 
     def norm_spec(self) -> NormSpec:
@@ -281,7 +279,7 @@ def choose_slab(
     t_end: float,
 ) -> tuple[float, dict]:
     """Longest dyadic fraction of the remaining time whose kernel budget
-    stays within slab_target.
+    stays within the slab target of 1/2.
 
     A candidate of length T is budgeted at rate * T * exp(d * T), where
     rate is the sampled sup of the kernel's mixed norm and d the sampled
@@ -299,18 +297,18 @@ def choose_slab(
         kernel, grid, config.p, t_start, t_end, config.slab_time_samples
     )
     div_sup = _div_r_sup(field, grid, t_start, t_end)
-    for m in range(config.max_halvings + 1):
+    for m in range(_MAX_HALVINGS + 1):
         t0_len = remaining / 2**m
         bound = rate * t0_len
         rho2_max = float(np.exp(div_sup * t0_len))
-        if bound * rho2_max <= config.slab_target:
+        if bound * rho2_max <= _SLAB_TARGET:
             return t0_len, {
                 "rate": rate, "bound": bound, "rho2_max": rho2_max,
                 "halvings": m,
             }
     raise SlabSelectionError(
-        f"kernel budget exceeds {config.slab_target} even after "
-        f"{config.max_halvings} halvings"
+        f"kernel budget exceeds {_SLAB_TARGET} even after "
+        f"{_MAX_HALVINGS} halvings"
     )
 
 
@@ -336,12 +334,12 @@ def picard_solve(
     if u0_values.shape != (grid.num_x, grid.num_r):
         raise ValueError("u0_values must have shape (num_x, num_r)")
     times = np.linspace(t_start, t_start + duration, config.nodes_per_slab)
-    fmap = flow_map(field, grid, times=times, tol=config.flow_tol)
+    fmap = flow_map(field, grid, times=times)
     mats = None if kernel is None else _kernel_matrices(fmap, kernel)
     spec = config.norm_spec()
     u = np.broadcast_to(u0_values[None], (times.size,) + u0_values.shape).copy()
     diffs: list[float] = []
-    for _ in range(config.max_iters):
+    for _ in range(_MAX_ITERS):
         u_next = apply_A(u, fmap, kernel, u0_values, _mats=mats)
         diff = sup_in_time(u_next - u, grid, spec)
         diffs.append(diff)
@@ -369,7 +367,7 @@ def picard_solve(
             }
             return state, summary
     raise PicardConvergenceError(
-        f"no convergence in {config.max_iters} iterations "
+        f"no convergence in {_MAX_ITERS} iterations "
         f"(last difference {diffs[-1]:.3e})",
         diffs,
     )
@@ -412,7 +410,6 @@ def eulerian_reconstruct(
     state: LagrangianState,
     field: StructuredVectorField,
     t: float,
-    config: SolverConfig,
 ) -> EulerianSlice:
     """u(t, .) on the state's label grid, read as Eulerian points, from
     the Lagrangian state.
@@ -428,8 +425,7 @@ def eulerian_reconstruct(
     t0 = float(state.times[0])
     grid = state.grid
     lab_x, _, lab_r, _ = inverse_flow_grid(
-        field, grid.x_labels(), grid.r_labels(), float(state.times[k]), t0,
-        config.flow_tol,
+        field, grid.x_labels(), grid.r_labels(), float(state.times[k]), t0
     )
     n, j = grid.n, grid.j
     pts = np.empty((grid.num_x, grid.num_r, n + j))
@@ -463,7 +459,6 @@ class ContinuedSolution:
     """
 
     grid: GridSpec
-    config: SolverConfig
     field_name: str
     kernel_name: str
     slabs: list = dc_field(default_factory=list)
@@ -486,7 +481,7 @@ class ContinuedSolution:
     def eulerian_slice(
         self, field: StructuredVectorField, t: float,
     ) -> EulerianSlice:
-        return eulerian_reconstruct(self.slab_containing(t), field, t, self.config)
+        return eulerian_reconstruct(self.slab_containing(t), field, t)
 
     def mass_history(self) -> tuple[np.ndarray, np.ndarray]:
         """Total Eulerian mass int u dy dr at every node, evaluated as the
@@ -538,8 +533,8 @@ def continue_solution(
     `u0` is either nodal values (Nx, Nr) or a callable u0(x, r) sampled on
     the label grid.  At each slab boundary the state is reconstructed on
     the label grid (fresh Eulerian datum) and a new flow is launched; the
-    run aborts if more than exit_fraction_limit of the labels pull back
-    outside the label box, since their values would silently be set to 0
+    run aborts if more than 0.1% of the labels pull back outside the
+    label box, since their values would silently be set to 0
     in the boundary datum.  Every slab runs on the one `grid` (and its cached
     weights).
     """
@@ -547,7 +542,7 @@ def continue_solution(
         raise ValueError("t_end must exceed t0")
     u_cur = _sample_initial(u0, grid)
     sol = ContinuedSolution(
-        grid=grid, config=config, field_name=field.name,
+        grid=grid, field_name=field.name,
         kernel_name=kernel.name if kernel is not None else "none",
         boundaries=[t0],
     )
@@ -559,12 +554,12 @@ def continue_solution(
         )
         t_cur = t_cur + t0_len
         if t_cur < t_end - 1e-12 * max(1.0, abs(t_end)):
-            slc = eulerian_reconstruct(state, field, state.times[-1], config)
-            if slc.exit_fraction > config.exit_fraction_limit:
+            slc = eulerian_reconstruct(state, field, state.times[-1])
+            if slc.exit_fraction > _EXIT_FRACTION_LIMIT:
                 raise PreconditionError(
                     f"re-basing at t={t_cur:.6g} lost "
                     f"{slc.exit_fraction:.2%} of labels "
-                    f"(limit {config.exit_fraction_limit:.2%})"
+                    f"(limit {_EXIT_FRACTION_LIMIT:.2%})"
                 )
             u_cur = slc.values
             summary["exit_fraction"] = slc.exit_fraction

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +230,8 @@ def test_cli_runtime_does_not_import_scipy(tmp_path):
         lambda c: c.update({"field": {"name": "linear"}}),
         # integrating at an infinite tolerance never ends
         lambda c: c.update({"tol": float("inf")}),
+        # b1 = sin(kx)/k is NaN everywhere at k = 0
+        lambda c: c["field"]["params"].update({"k": 0}),
     ],
 )
 def test_bad_configs_exit_2(tmp_path, mutate):
@@ -282,6 +285,17 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         ("verify", lambda c: c.update({"t": float("inf")})),
         ("verify", lambda c: c.update({"flow_tol": float("inf")})),
         ("verify", lambda c: c.update({"tolerance_scale": float("inf")})),
+        # NaN, Infinity and integers beyond float range are not numbers
+        ("solve", lambda c: c.update({"field": {
+            "name": "logistic", "params": {"k": 1, "mu": float("nan")}}})),
+        ("solve", lambda c: c.update({"field": {
+            "name": "logistic", "params": {"k": 1, "mu": float("inf")}}})),
+        ("solve", lambda c: c.update({"t_end": 10**400})),
+        ("solve", lambda c: c.update({"field": {
+            "name": "logistic", "params": {"k": 0, "mu": 0.3}}})),
+        # counts are integers and true is not a number
+        ("solve", lambda c: c["grid"].update({"x_counts": [3.7]})),
+        ("solve", lambda c: c.update({"t_end": True})),
     ],
     ids=[
         "solve-kernel_j", "solve-string_scale", "solve-string_c",
@@ -292,7 +306,9 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         "solve-window_one_interval", "solve-window_flat",
         "solve-window_under_2_nodes", "solve-window_outside_box",
         "solve-t_end=inf", "verify-t=inf", "verify-flow_tol=inf",
-        "verify-tolerance_scale=inf",
+        "verify-tolerance_scale=inf", "solve-mu=NaN", "solve-mu=Infinity",
+        "solve-t_end=10**400", "solve-k=0", "solve-x_counts=3.7",
+        "solve-t_end=true",
     ],
 )
 def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
@@ -304,6 +320,43 @@ def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
     assert "config error" in res.stderr
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob(f"{command}_*.json"))
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [("mu", "1e400"), ("t_end", "1" + "0" * 4999)],
+    ids=["mu=1e400", "t_end=5000_digits"],
+)
+def test_numbers_beyond_float_range_exit_2(tmp_path, key, text):
+    # json.dumps cannot write these numbers, so they replace a placeholder
+    payload = solve_config()
+    payload["field"] = {"name": "logistic", "params": {"k": 1, "mu": 0.3}}
+    (payload["field"]["params"] if key == "mu" else payload)[key] = "NUMBER"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload).replace('"NUMBER"', text), encoding="utf-8")
+    res = run_cli("solve", "--config", str(path), "--out", str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob("solve_*.json"))
+
+
+def test_accepted_numbers_parse_as_by_default(tmp_path):
+    # the number hooks leave every accepted number, and so the config
+    # hash, as default parsing gives it
+    from lagtransport import cli
+
+    payload = flow_config()
+    payload["field"]["params"] = {
+        "k": 12345678901234567890, "mu": 1e308, "a": -0.0, "b": 2.5e-300,
+    }
+    paths = [Path(write_config(tmp_path / "flow_numbers.json", payload))]
+    paths += sorted((Path(__file__).parents[1] / "demos" / "configs").glob("*.json"))
+    for path in paths:
+        command = path.name.split("_")[0]
+        loaded = cli.load_config(path, command)
+        default = json.loads(path.read_text(encoding="utf-8"))
+        assert json.dumps(loaded) == json.dumps(default)
 
 
 def test_malformed_json_exits_2(tmp_path):
@@ -401,9 +454,15 @@ def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix
         ("counterexample", {"k_values": [0, 2]}),
         ("counterexample", {"k_values": [-2, 4]}),
         ("counterexample", {"k_values": [float("inf")]}),
+        # a wavenumber is an integer, not a fraction or a bool
+        ("counterexample", {"k_values": [2.5, 4]}),
+        ("counterexample", {"k_values": [True, 4]}),
+        ("stability", {"k": 0}),
+        ("stability", {"t_end": True}),
     ],
     ids=["too_few_eps", "string_eps", "null_checkpoint", "nested_k", "string_window",
-         "zero_eps", "zero_k", "negative_k", "infinite_k"],
+         "zero_eps", "zero_k", "negative_k", "infinite_k", "fractional_k",
+         "bool_k", "stability_zero_k", "stability_bool_t_end"],
 )
 def test_bad_study_arguments_exit_2(tmp_path, command, settings):
     cfg = write_config(tmp_path / "s.json", {"schema_version": 1, **settings})
@@ -442,19 +501,25 @@ def test_unknown_subcommand_exits_2(tmp_path):
 
 
 def test_unreachable_slab_budget_exits_3(tmp_path):
+    # rate 1e13 over 0.5 stays above the budget after every halving
     payload = solve_config()
-    payload["kernel"] = {"name": "constant", "params": {"c": 50.0}}
-    payload["solver"] = {"max_halvings": 1}
+    payload["kernel"] = {"name": "constant", "params": {"c": 1e13}}
+    del payload["solver"]
     cfg = write_config(tmp_path / "s.json", payload)
     res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
     assert res.returncode == 3
     assert "numerical failure" in res.stderr
+    assert "kernel budget exceeds 0.5 even after 40 halvings" in res.stderr
     assert not list(tmp_path.glob("solve_*.json"))
 
 
-def test_picard_budget_exhaustion_exits_3(tmp_path):
-    payload = solve_config()
-    payload["solver"] = {"picard_tol": 1e-9, "max_iters": 1}
-    cfg = write_config(tmp_path / "s.json", payload)
-    res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
-    assert res.returncode == 3
+def test_picard_budget_exhaustion_exits_3(tmp_path, monkeypatch, capsys):
+    # Picard contracts on every slab choose_slab accepts, so no config
+    # exhausts 80 iterations; a cap of 1 stands in for a slow slab
+    from lagtransport import cli, transport
+
+    monkeypatch.setattr(transport, "_MAX_ITERS", 1)
+    cfg = write_config(tmp_path / "s.json", solve_config())
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(tmp_path.glob("solve_*.json"))

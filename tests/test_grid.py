@@ -153,6 +153,30 @@ def test_grid_without_fiber():
     assert grid.r_weights()[0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {"x_counts": (3.7,)},
+        {"x_counts": (3.0,)},
+        {"x_counts": (True,)},
+        {"x_counts": ("3",)},
+        {"r_counts": (4.5,)},
+    ],
+    ids=["fraction", "integral_float", "bool", "string", "r_fraction"],
+)
+def test_grid_counts_must_be_integers(counts):
+    spec = dict(x_bounds=((0.0, 1.0),), x_counts=(3,),
+                r_bounds=((0.0, 1.0),), r_counts=(4,))
+    spec.update(counts)
+    with pytest.raises(ValueError, match="must be integers"):
+        GridSpec(**spec)
+
+
+def test_grid_accepts_numpy_integer_counts():
+    grid = GridSpec(x_bounds=((0.0, 1.0),), x_counts=(np.int64(3),))
+    assert grid.x_counts == (3,) and type(grid.x_counts[0]) is int
+
+
 def test_geometric_spacing_requires_positive_bounds():
     with pytest.raises(ValueError):
         GridSpec(

@@ -1,12 +1,17 @@
 """Package structure: modules reach each other only through public names,
 every private helper is used by its own module, every defaulted
-parameter is passed by some call, and no module but the oracle branches
-on a field's or kernel's name."""
+parameter is passed by some call, every solver setting is set by some
+run, and no module but the oracle branches on a field's or kernel's
+name."""
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
 
 import lagtransport
+from lagtransport import cli
+from lagtransport.transport import SolverConfig
 
 
 def _private_sibling_imports(source: str) -> list[str]:
@@ -254,3 +259,53 @@ def test_no_module_but_the_oracle_tests_a_name():
         and (lines := _name_tests(path.read_text(encoding="utf-8")))
     }
     assert not offenders
+
+
+def _solver_settings_set(source: str) -> set[str]:
+    """Settings a source sets: the keywords of its SolverConfig(...)
+    calls and the keys of every dict literal that a "solver" key maps
+    to."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "SolverConfig":
+                found.update(kw.arg for kw in node.keywords if kw.arg)
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if (isinstance(key, ast.Constant) and key.value == "solver"
+                        and isinstance(value, ast.Dict)):
+                    found.update(
+                        k.value for k in value.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    )
+    return found
+
+
+def test_detector_finds_solver_settings():
+    source = (
+        "a = SolverConfig(p=2.0, picard_tol=1e-9)\n"
+        "b = transport.SolverConfig(window=w, **extra)\n"
+        "cfg = {'grid': {}, 'solver': {'nodes_per_slab': 9}}\n"
+        "other = {'solver': make()}\n"
+        "c = Other(slab_time_samples=3)\n"
+        "d = {'slab_time_samples': 3}\n"
+    )
+    assert _solver_settings_set(source) == {
+        "p", "picard_tol", "window", "nodes_per_slab",
+    }
+    assert _solver_settings_set("SolverConfig()\n") == set()
+
+
+def test_every_solver_setting_is_set_outside_the_tests():
+    # a setting only tests vary has one value in use: make it a constant
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert set(cli._SOLVER_SCHEMA) == fields
+    repo = Path(__file__).resolve().parents[1]
+    used = set()
+    for d in ("src", "demos", "benchmark"):
+        for path in sorted((repo / d).rglob("*.py")):
+            used |= _solver_settings_set(path.read_text(encoding="utf-8"))
+    for path in sorted((repo / "demos" / "configs").glob("*.json")):
+        used |= set(json.loads(path.read_text(encoding="utf-8")).get("solver", {}))
+    assert sorted(fields - used) == []
