@@ -18,7 +18,6 @@ from .fields import (
     StructuredVectorField,
     constant_kernel,
     fragmentation_kernel,
-    kernel_slab_bound,
     kernel_slab_rate,
     linear_field,
     logistic_field,
@@ -29,7 +28,6 @@ from .fields import (
     separable_kernel,
     sobolev_field,
     swirl_field,
-    validate_field,
     zero_field,
 )
 from .flow import (
@@ -50,13 +48,11 @@ from .flow import (
 from .grid import GridSpec, NormSpec, lp_norm, sup_in_time
 from .oracle import (
     integrated_expm,
-    oscillatory_inverse,
     oscillatory_jacobian,
     oscillatory_position,
     period_average,
     separable_solve,
     strong_failure_floor,
-    transport_solution,
 )
 from .transport import (
     ContinuedSolution,
@@ -73,7 +69,6 @@ from .transport import (
     make_initial,
     picard_solve,
     slice_to_csv,
-    state_to_csv,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +104,6 @@ __all__ = [
     "integrate_flow",
     "integrated_expm",
     "inverse_flow_grid",
-    "kernel_slab_bound",
     "kernel_slab_rate",
     "linear_field",
     "logistic_field",
@@ -119,7 +113,6 @@ __all__ = [
     "make_kernel",
     "mollify_field",
     "oscillatory_field",
-    "oscillatory_inverse",
     "oscillatory_jacobian",
     "oscillatory_position",
     "period_average",
@@ -128,12 +121,9 @@ __all__ = [
     "separable_solve",
     "slice_to_csv",
     "sobolev_field",
-    "state_to_csv",
     "strong_failure_floor",
     "sup_in_time",
     "swirl_field",
-    "transport_solution",
-    "validate_field",
     "verify_change_of_variables",
     "zero_field",
     "__version__",

@@ -364,15 +364,23 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     return payload, True
 
 
-# study command -> {config key: element type of the tuple the experiment
+def _number(value) -> float:
+    """A list element that is a JSON number, as a float.  true, false
+    and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+# study command -> {config key: element parser of the tuple the experiment
 # takes, or None to pass the value as it is}
 _STUDY_ARGS = {
     "stability": {
-        "eps_values": float, "k": None, "mu": None, "t_end": None,
-        "checkpoints": float, "final_threshold": None, "monotone_slack": None,
+        "eps_values": _number, "k": None, "mu": None, "t_end": None,
+        "checkpoints": _number, "final_threshold": None, "monotone_slack": None,
     },
     "counterexample": {
-        "k_values": None, "t": None, "line_nodes": None, "window": float,
+        "k_values": None, "t": None, "line_nodes": None, "window": _number,
         "weak_constant": None, "floor_fraction": None, "spread_tol": None,
     },
 }
@@ -387,8 +395,8 @@ def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
     }[command]
     try:
         kwargs = {
-            key: cfg[key] if kind is None else tuple(kind(v) for v in cfg[key])
-            for key, kind in _STUDY_ARGS[command].items() if key in cfg
+            key: cfg[key] if parse is None else tuple(parse(v) for v in cfg[key])
+            for key, parse in _STUDY_ARGS[command].items() if key in cfg
         }
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {command} arguments: {exc}") from exc

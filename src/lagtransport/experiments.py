@@ -1,10 +1,7 @@
 """Reproducible experiment harnesses with explicit pass/fail criteria.
 
-Three studies, each returning an ExperimentReport:
+Two studies, each returning an ExperimentReport:
 
-* operator_convergence_experiment: the source operator built on mollified
-  trajectories converges to the unmollified one as the mollification
-  radius shrinks, at second order for smooth fields.
 * stability_experiment: solutions driven by mollified fields converge to
   the limit solution, measured on Eulerian slices at checkpoint times.
 * counterexample_experiment: the oscillatory field family whose flow
@@ -17,7 +14,6 @@ no timing data, so a rerun with the same inputs writes identical bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -28,14 +24,13 @@ from .fields import (
     oscillatory_field,
     separable_kernel,
 )
-from .flow import flow_map, integrate_flow, inverse_flow_grid
-from .grid import GridSpec, NormSpec, axis_weights, lp_norm, sup_in_time
+from .flow import integrate_flow, inverse_flow_grid
+from .grid import GridSpec, NormSpec, axis_weights, lp_norm
 from .oracle import oscillatory_jacobian, strong_failure_floor
-from .transport import SolverConfig, apply_A, continue_solution, make_initial
+from .transport import SolverConfig, continue_solution, make_initial
 
 __all__ = [
     "ExperimentReport",
-    "operator_convergence_experiment",
     "stability_experiment",
     "counterexample_experiment",
 ]
@@ -63,18 +58,6 @@ class ExperimentReport:
             "note": note,
         }
 
-    def to_json(self, path) -> None:
-        payload = {
-            "name": self.name,
-            "params": self.params,
-            "rows": self.rows,
-            "criteria": self.criteria,
-            "passed": self.passed,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     def to_csv(self, path) -> None:
         """One CSV row per data row; columns are the union of row keys."""
         keys: list[str] = []
@@ -95,93 +78,9 @@ class ExperimentReport:
                 fh.write(",".join(cells) + "\n")
 
 
-# windowed L^2 norm of the two mollification studies
+# windowed L^2 norm of the stability study
 _WINDOW = ((-2.4, 2.4), (0.15, 0.85))
 _SPEC = NormSpec(p=2.0, window=_WINDOW)
-
-
-def _mollification_setup(grid: GridSpec | None):
-    """The label grid (49 x 25 on [-pi, pi] x [0, 1] unless given) and
-    the kernel of the two mollification studies."""
-    grid = grid or GridSpec(
-        x_bounds=((-np.pi, np.pi),), x_counts=(49,),
-        r_bounds=((0.0, 1.0),), r_counts=(25,),
-    )
-    return grid, separable_kernel()
-
-
-# =====================================================================
-# operator convergence under mollification
-# =====================================================================
-
-
-def operator_convergence_experiment(
-    eps_values: tuple = (0.2, 0.1, 0.05, 0.025),
-    t_end: float = 0.4,
-    num_t: int = 9,
-    grid: GridSpec | None = None,
-) -> ExperimentReport:
-    """Distance between the source operators of b_eps and b on a fixed probe.
-
-    The probe is the default Gaussian datum on the label grid, constant in
-    time.  Both operators integrate the same kernel against it; only
-    the trajectories and the fiber density differ.  The distance is the
-    sup-in-time windowed L^2 norm of the difference, and the fitted order
-    is the mean dyadic slope of the distances.  The field is the logistic
-    one with k = 2, mu = 0.3.  Symmetric mollification of a smooth field
-    cancels the first moment, so the observed order is about 2; the
-    criterion only demands the guaranteed order 1.
-    """
-    eps_values = tuple(sorted(eps_values, reverse=True))
-    if len(eps_values) < 2:
-        raise ValueError("need at least two mollification radii")
-    k, mu = 2, 0.3
-    base = logistic_field(k=k, mu=mu)
-    grid, kernel = _mollification_setup(grid)
-    times = np.linspace(0.0, t_end, num_t)
-    labels = grid.joint_labels()
-    probe_t0 = make_initial("gaussian")(labels[..., : grid.n], labels[..., grid.n :])
-    probe = np.broadcast_to(probe_t0, (num_t,) + probe_t0.shape).copy()
-    zero_datum = np.zeros((grid.num_x, grid.num_r))
-
-    fmap = flow_map(base, grid, times=times)
-    ref = apply_A(probe, fmap, kernel, zero_datum)
-
-    report = ExperimentReport(
-        name="operator_convergence",
-        params={
-            "eps_values": list(eps_values), "k": k, "mu": mu,
-            "t_end": t_end, "num_t": num_t, "p": 2.0,
-            "window": [list(w) for w in _WINDOW],
-        },
-    )
-    dists = []
-    for eps in eps_values:
-        fld = mollify_field(base, eps)
-        fmap_eps = flow_map(fld, grid, times=times)
-        img = apply_A(probe, fmap_eps, kernel, zero_datum)
-        dist = sup_in_time(img - ref, grid, _SPEC)
-        dists.append(dist)
-        row = {"eps": float(eps), "distance": float(dist)}
-        if len(dists) > 1:
-            step = np.log(eps_values[len(dists) - 2] / eps)
-            row["order_from_prev"] = float(
-                np.log(dists[-2] / dists[-1]) / step
-            )
-        report.rows.append(row)
-
-    orders = [r["order_from_prev"] for r in report.rows if "order_from_prev" in r]
-    fitted = float(np.mean(orders))
-    report.add_criterion(
-        "order", fitted, 1.0, fitted >= 1.0,
-        "mean dyadic slope of operator distances",
-    )
-    monotone = all(dists[i + 1] < dists[i] for i in range(len(dists) - 1))
-    report.add_criterion(
-        "monotone_decrease", float(monotone), 1.0, monotone,
-        "distances shrink with the mollification radius",
-    )
-    return report
 
 
 # =====================================================================
@@ -206,8 +105,9 @@ def stability_experiment(
     windowed L^2 norm; the per-radius distance is the worst checkpoint.
     Criteria: among the last three radii each distance improves on its
     predecessor (ratio at most `monotone_slack`), and the finest radius
-    lands below `final_threshold`.  Every run starts from the default
-    Gaussian datum.
+    lands below `final_threshold`.  Every run uses the default separable
+    kernel and starts from the default Gaussian datum, on a 49 x 25
+    label grid over [-pi, pi] x [0, 1] unless `grid` is given.
     """
     eps_values = tuple(sorted(eps_values, reverse=True))
     if len(eps_values) < 3:
@@ -215,7 +115,11 @@ def stability_experiment(
     if not all(0 < eps < np.inf for eps in eps_values):
         raise ValueError("mollification radii must be finite and positive")
     base = logistic_field(k=k, mu=mu)
-    grid, kernel = _mollification_setup(grid)
+    grid = grid or GridSpec(
+        x_bounds=((-np.pi, np.pi),), x_counts=(49,),
+        r_bounds=((0.0, 1.0),), r_counts=(25,),
+    )
+    kernel = separable_kernel()
     config = SolverConfig(
         p=2.0, window=_WINDOW, picard_tol=1e-10, nodes_per_slab=17
     )

@@ -2,8 +2,8 @@
 
 The first block never sees r, so the x-part of the flow can be solved on
 its own; everything downstream leans on that structure.  Divergences are
-supplied analytically by each field definition and cross-checked against
-central differences by `validate_field`.
+supplied analytically by each field definition; the tests cross-check
+them against central differences.
 
 Kernels gamma(t, x, r, r_tilde) on a one-dimensional fiber drive the
 integral source term.  A kernel is data: its gamma plus at most one
@@ -40,9 +40,6 @@ __all__ = [
     "fragmentation_kernel",
     "separable_kernel",
     "make_kernel",
-    "eval_divergence",
-    "validate_field",
-    "kernel_slab_bound",
     "kernel_slab_rate",
 ]
 
@@ -65,17 +62,6 @@ class StructuredVectorField:
     div_b1: Callable
     div_b2: Callable
     params: dict = dc_field(default_factory=dict)
-
-
-def eval_divergence(
-    fld: StructuredVectorField, t: float, x: np.ndarray, r: np.ndarray
-) -> np.ndarray:
-    """Full spatial divergence div_x b1 + div_r b2."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(fld.div_b1(t, x), dtype=float)
-    if fld.j == 0:
-        return d
-    return d + np.asarray(fld.div_b2(t, x, np.asarray(r, dtype=float)), dtype=float)
 
 
 # =====================================================================
@@ -348,62 +334,6 @@ def make_field(name: str, **params) -> StructuredVectorField:
 
 
 # =====================================================================
-# divergence validation
-# =====================================================================
-
-
-def validate_field(
-    fld: StructuredVectorField,
-    points_x: np.ndarray,
-    points_r: np.ndarray | None = None,
-) -> list[dict]:
-    """Cross-check analytic divergences against central differences.
-
-    Compares at the times 0, 0.37 and 1 with step h = 1e-5.  Returns a
-    list of mismatch records, empty when everything agrees within 1e-4.
-    """
-    h, tol = 1e-5, 1e-4
-    points_x = np.atleast_2d(np.asarray(points_x, dtype=float))
-    if fld.j > 0:
-        if points_r is None:
-            raise ValueError("points_r required for j > 0")
-        points_r = np.atleast_2d(np.asarray(points_r, dtype=float))
-    else:
-        points_r = np.zeros((points_x.shape[0], 0))
-    report = []
-    for t in (0.0, 0.37, 1.0):
-        num = np.zeros(points_x.shape[0])
-        for axis in range(fld.n):
-            dx = np.zeros(fld.n)
-            dx[axis] = h
-            num += (
-                fld.b1(t, points_x + dx)[..., axis]
-                - fld.b1(t, points_x - dx)[..., axis]
-            ) / (2 * h)
-        for axis in range(fld.j):
-            dr = np.zeros(fld.j)
-            dr[axis] = h
-            num += (
-                fld.b2(t, points_x, points_r + dr)[..., axis]
-                - fld.b2(t, points_x, points_r - dr)[..., axis]
-            ) / (2 * h)
-        ana = eval_divergence(fld, t, points_x, points_r)
-        bad = np.abs(num - ana) > tol
-        for idx in np.nonzero(bad)[0]:
-            report.append(
-                {
-                    "t": t,
-                    "x": points_x[idx].tolist(),
-                    "r": points_r[idx].tolist(),
-                    "analytic": float(ana[idx]),
-                    "numeric": float(num[idx]),
-                    "error": float(abs(num[idx] - ana[idx])),
-                }
-            )
-    return report
-
-
-# =====================================================================
 # kernels
 # =====================================================================
 
@@ -553,14 +483,13 @@ def _mixed_norm_matrix(
     )^{p/p'} dr )^{1/p}  with p' the conjugate exponent.  Triangular
     kernels are integrated on node-aligned tails so the support jump never
     crosses a quadrature cell.  Kernels with declared factors do not
-    depend on (s, x_i), so one entry is computed and broadcast.
+    depend on (s, x_i), so a single entry is computed.
     """
     if not (1.0 < p < np.inf):
         raise ValueError("slab bound needs a finite exponent p > 1")
     if grid.j != 1:
         raise ValueError(f"kernels act on a j = 1 fiber, not j = {grid.j}")
     xs = grid.x_labels()
-    shape = (ts.size, xs.shape[0])
     pp = p / (p - 1.0)
     r_nodes = grid.r_labels()  # (Nr, 1)
     w_r = grid.r_weights()
@@ -578,32 +507,7 @@ def _mixed_norm_matrix(
                 g = kernel.gamma(s, x, r_nodes[:, None, :], r_nodes[None, :, :])
                 inner = (np.abs(g) ** pp) @ w_r
             out[si, i] = float(np.sum(w_r * inner ** (p / pp)) ** (1.0 / p))
-    # a contiguous copy, so that wt @ mat rounds as for a full matrix
-    return np.broadcast_to(out, shape).copy()
-
-
-def kernel_slab_bound(
-    kernel: Kernel,
-    grid: GridSpec,
-    p: float,
-    t_lo: float,
-    t_hi: float,
-) -> float:
-    """Mixed-norm budget of the kernel over a time slab.
-
-    Computes  sup_x  int_{t_lo}^{t_hi} ( int_r ( int_rt |gamma|^{p'}
-    dr_tilde )^{p/p'} dr )^{1/p} ds  on the grid, with p' the conjugate
-    exponent and the time integral sampled at 9 nodes.  Together with a
-    bound on the flow density ratio this controls the Lipschitz constant
-    of the source operator on the slab, which is what the slab chooser
-    budgets against.
-    """
-    if t_hi <= t_lo:
-        raise ValueError("need t_hi > t_lo")
-    ts = np.linspace(t_lo, t_hi, 9)
-    wt = axis_weights(ts)
-    mat = _mixed_norm_matrix(kernel, grid, p, ts)
-    return float(np.max(wt @ mat))
+    return out
 
 
 def kernel_slab_rate(
@@ -616,8 +520,9 @@ def kernel_slab_rate(
 ) -> float:
     """Sampled sup over (time, x) of the kernel's mixed norm.
 
-    rate * T dominates `kernel_slab_bound` over any sub-slab of length T,
-    so the slab chooser can test dyadic candidates without re-evaluating
+    On any sub-slab of length T, rate * T dominates the slab bound: the
+    sup over x of the mixed norm's time integral over the sub-slab.  So
+    the slab chooser can test dyadic candidates without re-evaluating
     kernel quadratures per candidate.  For autonomous kernels the product
     is exact rather than conservative.
     """

@@ -2,27 +2,25 @@
 
 Everything here is independent of the trajectory integrator and the
 Picard machinery: explicit formulas for the oscillatory flow family,
-a small hand-rolled matrix exponential, the finite-rank (separable)
-kernel solution, and pure-transport solutions for catalogue fields.
+a small hand-rolled matrix exponential, and the finite-rank
+(separable) kernel solution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import Kernel, StructuredVectorField
+from .fields import Kernel
 from .grid import GridSpec
 
 __all__ = [
     "oscillatory_position",
     "oscillatory_jacobian",
-    "oscillatory_inverse",
     "period_average",
     "strong_failure_floor",
     "expm_small",
     "integrated_expm",
     "separable_solve",
-    "transport_solution",
 ]
 
 
@@ -55,19 +53,15 @@ def oscillatory_jacobian(k: float, t: float, x) -> np.ndarray:
     return np.exp(t) / (np.cos(half) ** 2 + np.exp(2.0 * t) * np.sin(half) ** 2)
 
 
-def oscillatory_inverse(k: float, t: float, y) -> np.ndarray:
-    """Exact inverse flow: run the tangent relation backward in time."""
-    return oscillatory_position(k, -t, y)
-
-
-def period_average(k: float, t: float) -> float:
+def period_average(t: float) -> float:
     """Average of the Jacobian over one spatial period.
 
-    Integrates F(t, w) over a full period of w = kx with the 4096-node
-    trapezoid rule, which converges spectrally for smooth periodic
-    integrands.  The exact value is 1 for every t: the flow fixes all
-    rest points, so each period cell maps onto itself with unit average
-    stretch.
+    The Jacobian depends on x only through w = kx, so the average is the
+    same for every wavenumber.  Integrates F(t, w) over a full period of
+    w with the 4096-node trapezoid rule, which converges spectrally for
+    smooth periodic integrands.  The exact value is 1 for every t: the
+    flow fixes all rest points, so each period cell maps onto itself with
+    unit average stretch.
     """
     w = np.linspace(0.0, np.pi, 4096, endpoint=False)
     vals = np.exp(t) / (np.cos(w) ** 2 + np.exp(2.0 * t) * np.sin(w) ** 2)
@@ -167,42 +161,3 @@ def separable_solve(
         moments = alpha @ phi.T  # (Nx, m)
         out[idx] = u0_values + moments @ a_vals
     return out
-
-
-# --- pure transport closed forms ---------------------------------------
-
-
-def transport_solution(
-    field: StructuredVectorField,
-    u0,
-    t: float,
-    x_pts: np.ndarray,
-    r_pts: np.ndarray | None = None,
-):
-    """Eulerian solution of the source-free equation for catalogue fields
-    with closed-form inverse flows: u(t, y) = u0(X^{-1}(t, y)).
-
-    Supported: zero, linear, oscillatory.  `u0` is a callable of (x, r)
-    (or of x alone when j = 0).
-    """
-    x_pts = np.asarray(x_pts, dtype=float)
-    if field.j > 0:
-        if r_pts is None:
-            raise ValueError("r_pts required for j > 0")
-        r_pts = np.asarray(r_pts, dtype=float)
-    if field.name == "zero":
-        back_x, back_r = x_pts, r_pts
-    elif field.name == "linear":
-        lam = field.params["lam"]
-        mu = field.params["mu"]
-        back_x = x_pts * np.exp(-lam * t)
-        back_r = None if field.j == 0 else r_pts * np.exp(-mu * t)
-    elif field.name == "oscillatory":
-        k = field.params["k"]
-        back_x = oscillatory_inverse(k, t, x_pts)
-        back_r = r_pts
-    else:
-        raise ValueError(f"no closed-form transport solution for {field.name!r}")
-    if field.j == 0:
-        return np.asarray(u0(back_x), dtype=float)
-    return np.asarray(u0(back_x, back_r), dtype=float)

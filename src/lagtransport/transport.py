@@ -43,7 +43,6 @@ __all__ = [
     "eulerian_reconstruct",
     "continue_solution",
     "make_initial",
-    "state_to_csv",
     "slice_to_csv",
 ]
 
@@ -283,10 +282,11 @@ def choose_slab(
 
     A candidate of length T is budgeted at rate * T * exp(d * T), where
     rate is the sampled sup of the kernel's mixed norm and d the sampled
-    sup of |div_r b2| over the whole remaining window.  That product
-    dominates kernel_slab_bound times the density-ratio envelope on every
-    sub-slab, so any accepted candidate honors the contraction budget;
-    the measured Picard ratios are the binding check downstream.
+    sup of |div_r b2| over the whole remaining window.  On every
+    sub-slab that product dominates the sup over x of the time integral
+    of the kernel's mixed norm, times the density-ratio envelope, so any
+    accepted candidate honors the contraction budget; the measured Picard
+    ratios are the binding check downstream.
     """
     remaining = t_end - t_start
     if remaining <= 0:
@@ -666,25 +666,6 @@ def make_initial(name: str, **params):
             raise ValueError(f"unknown parameter {key!r} for datum {name!r}")
         kwargs[key] = val
     return builder(**kwargs)
-
-
-def state_to_csv(state: LagrangianState, path) -> None:
-    """Rows (t, label coords..., u~) with 17 significant digits."""
-    n, j = state.grid.n, state.grid.j
-    labels = state.grid.joint_labels().reshape(-1, n + j)
-    cols = (
-        ["t"]
-        + [f"label_x{i + 1}" for i in range(n)]
-        + [f"label_r{i + 1}" for i in range(j)]
-        + ["u"]
-    )
-    table = np.column_stack([
-        np.repeat(state.times, labels.shape[0]),
-        np.tile(labels, (state.times.size, 1)),
-        state.values.reshape(-1),
-    ])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",",
-               header=",".join(cols), comments="")
 
 
 def slice_to_csv(slc: EulerianSlice, path) -> None:

@@ -102,8 +102,7 @@ def test_criterion_3_weak_limit_and_strong_failure():
     # L1(0, 2pi) distance of the density from 1 at t = 1 is k-independent
     # within 1% and stays above the high-resolution oracle floor
     for t in (0.5, 1.0, 2.0):
-        for k in (1, 4):
-            assert abs(period_average(k, t) - 1.0) < 1e-8
+        assert abs(period_average(t) - 1.0) < 1e-8
     report = counterexample_experiment(k_values=(2, 4, 8, 16))
     l1_vals = [row["l1_distance"] for row in report.rows]
     spread = (max(l1_vals) - min(l1_vals)) / float(np.mean(l1_vals))

@@ -134,10 +134,17 @@ def test_counterexample_subcommand(tmp_path):
         tmp_path / "ce.json",
         {"schema_version": 1, "k_values": [2, 4], "line_nodes": 1025},
     )
-    res = run_cli("counterexample", "--config", cfg, "--out", str(tmp_path))
-    assert res.returncode == 0, res.stderr
-    payload = json.loads(next(tmp_path.glob("counterexample_*.json")).read_text())
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        res = run_cli("counterexample", "--config", cfg, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+    payload = json.loads(next(outs[0].glob("counterexample_*.json")).read_text())
     assert payload["passed"] is True
+    # reports carry no timing data: a rerun writes identical bytes
+    for pattern in ("counterexample_*.json", "counterexample_*.csv"):
+        (first,), (second,) = (list(out.glob(pattern)) for out in outs)
+        assert first.name == second.name
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_verify_battery_passes_at_default_scale(tmp_path):
@@ -459,10 +466,19 @@ def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix
         ("counterexample", {"k_values": [True, 4]}),
         ("stability", {"k": 0}),
         ("stability", {"t_end": True}),
+        # list elements are numbers, not bools or numeric strings
+        ("stability", {"eps_values": [True, 0.1, 0.05]}),
+        ("stability", {"eps_values": ["0.3", 0.1, 0.05]}),
+        ("stability", {"checkpoints": [True]}),
+        ("stability", {"checkpoints": ["0.3"]}),
+        ("counterexample", {"window": [True, 2.3]}),
+        ("counterexample", {"window": ["0.3", 2.3]}),
     ],
     ids=["too_few_eps", "string_eps", "null_checkpoint", "nested_k", "string_window",
          "zero_eps", "zero_k", "negative_k", "infinite_k", "fractional_k",
-         "bool_k", "stability_zero_k", "stability_bool_t_end"],
+         "bool_k", "stability_zero_k", "stability_bool_t_end",
+         "bool_eps", "numeric_string_eps", "bool_checkpoint",
+         "numeric_string_checkpoint", "bool_window", "numeric_string_window"],
 )
 def test_bad_study_arguments_exit_2(tmp_path, command, settings):
     cfg = write_config(tmp_path / "s.json", {"schema_version": 1, **settings})
@@ -470,7 +486,7 @@ def test_bad_study_arguments_exit_2(tmp_path, command, settings):
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
     assert "Traceback" not in res.stderr
-    assert not list(tmp_path.glob(f"{command}_*.json"))
+    assert not list(tmp_path.glob(f"{command}_*"))
 
 
 def test_catalogue_builders_are_looked_up_when_called(tmp_path, monkeypatch):

@@ -1,6 +1,4 @@
-"""Experiment harnesses: operator convergence, stability, counterexample."""
-
-import json
+"""Experiment harnesses: stability, counterexample."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ import pytest
 from lagtransport.experiments import (
     ExperimentReport,
     counterexample_experiment,
-    operator_convergence_experiment,
     stability_experiment,
 )
 from lagtransport.grid import GridSpec
@@ -28,49 +25,11 @@ def test_report_passed_and_serialization(tmp_path):
     report.add_criterion("extra", 0.0, 1.0, False, "deliberately failing")
     assert not report.passed
 
-    jpath = tmp_path / "report.json"
-    report.to_json(jpath)
-    data = json.loads(jpath.read_text())
-    assert data["name"] == "demo"
-    assert data["criteria"]["order"]["passed"] is True
-    assert data["passed"] is False
-
     cpath = tmp_path / "report.csv"
     report.to_csv(cpath)
     header = cpath.read_text().splitlines()[0].split(",")
     # union of row keys, order-stable
     assert set(header) == {"eps", "distance", "order_from_prev"}
-
-
-# ---------------------------------------------------------------------
-# operator convergence
-# ---------------------------------------------------------------------
-
-
-def test_operator_convergence_small_run(tmp_path):
-    grid = GridSpec(
-        x_bounds=((-np.pi, np.pi),), x_counts=(33,),
-        r_bounds=((0.0, 1.0),), r_counts=(17,),
-    )
-    paths = [tmp_path / "first.json", tmp_path / "second.json"]
-    for path in paths:
-        report = operator_convergence_experiment(
-            eps_values=(0.2, 0.1, 0.05), t_end=0.2, num_t=5, grid=grid,
-        )
-        report.to_json(path)
-    assert report.passed, report.criteria
-    dists = [row["distance"] for row in report.rows]
-    assert dists[0] > dists[-1]
-    # symmetric smoothing of a smooth field cancels the first moment,
-    # so the measured order sits near two, well above the threshold
-    assert report.criteria["order"]["value"] > 1.7
-    # reports carry no timing data: a rerun writes identical bytes
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_operator_convergence_needs_two_radii():
-    with pytest.raises(ValueError):
-        operator_convergence_experiment(eps_values=(0.1,))
 
 
 # ---------------------------------------------------------------------

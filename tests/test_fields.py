@@ -9,7 +9,6 @@ from lagtransport.fields import (
     Kernel,
     constant_kernel,
     fragmentation_kernel,
-    kernel_slab_bound,
     kernel_slab_rate,
     linear_field,
     logistic_field,
@@ -20,7 +19,6 @@ from lagtransport.fields import (
     separable_kernel,
     sobolev_field,
     swirl_field,
-    validate_field,
     zero_field,
 )
 from lagtransport.grid import GridSpec
@@ -39,6 +37,54 @@ ALL_FIELDS = [
 ]
 
 
+def _validate_field(fld, points_x, points_r) -> list[dict]:
+    """Cross-check analytic divergences against central differences.
+
+    Compares at the times 0, 0.37 and 1 with step h = 1e-5.  Returns a
+    list of mismatch records, empty when everything agrees within 1e-4.
+    """
+    h, tol = 1e-5, 1e-4
+    points_x = np.atleast_2d(np.asarray(points_x, dtype=float))
+    if fld.j > 0:
+        points_r = np.atleast_2d(np.asarray(points_r, dtype=float))
+    else:
+        points_r = np.zeros((points_x.shape[0], 0))
+    report = []
+    for t in (0.0, 0.37, 1.0):
+        num = np.zeros(points_x.shape[0])
+        for axis in range(fld.n):
+            dx = np.zeros(fld.n)
+            dx[axis] = h
+            num += (
+                fld.b1(t, points_x + dx)[..., axis]
+                - fld.b1(t, points_x - dx)[..., axis]
+            ) / (2 * h)
+        for axis in range(fld.j):
+            dr = np.zeros(fld.j)
+            dr[axis] = h
+            num += (
+                fld.b2(t, points_x, points_r + dr)[..., axis]
+                - fld.b2(t, points_x, points_r - dr)[..., axis]
+            ) / (2 * h)
+        # the full spatial divergence div_x b1 + div_r b2
+        ana = np.asarray(fld.div_b1(t, points_x), dtype=float)
+        if fld.j > 0:
+            ana = ana + np.asarray(fld.div_b2(t, points_x, points_r), dtype=float)
+        bad = np.abs(num - ana) > tol
+        for idx in np.nonzero(bad)[0]:
+            report.append(
+                {
+                    "t": t,
+                    "x": points_x[idx].tolist(),
+                    "r": points_r[idx].tolist(),
+                    "analytic": float(ana[idx]),
+                    "numeric": float(num[idx]),
+                    "error": float(abs(num[idx] - ana[idx])),
+                }
+            )
+    return report
+
+
 def _validation_points(field, rng, count=40):
     pts_x = rng.uniform(0.3, 1.0, size=(count, field.n))
     pts_r = rng.uniform(0.1, 0.9, size=(count, field.j)) if field.j else None
@@ -51,12 +97,12 @@ def _validation_points(field, rng, count=40):
 
 
 def test_divergences_match_finite_differences():
-    # validate_field central-differences b1 and b2 against the declared
+    # _validate_field central-differences b1 and b2 against the declared
     # divergences at sampled points and reports every mismatch
     rng = np.random.default_rng(42)
     for field in ALL_FIELDS:
         pts_x, pts_r = _validation_points(field, rng)
-        assert validate_field(field, pts_x, pts_r) == []
+        assert _validate_field(field, pts_x, pts_r) == []
 
 
 def test_validate_field_catches_wrong_divergence():
@@ -68,7 +114,7 @@ def test_validate_field_catches_wrong_divergence():
     )
     rng = np.random.default_rng(0)
     pts_x, pts_r = _validation_points(broken, rng)
-    assert validate_field(broken, pts_x, pts_r) != []
+    assert _validate_field(broken, pts_x, pts_r) != []
 
 
 def test_structured_split_b1_ignores_fiber():
@@ -146,7 +192,7 @@ def test_mollified_field_passes_divergence_validation():
     for field in (logistic_field(k=1, mu=0.3), modulated_logistic_field()):
         smooth = mollify_field(field, eps=0.1)
         pts_x, pts_r = _validation_points(smooth, rng)
-        assert validate_field(smooth, pts_x, pts_r) == []
+        assert _validate_field(smooth, pts_x, pts_r) == []
 
 
 def _per_offset_mollified(moll, t, *pts):
@@ -306,28 +352,17 @@ def _unit_r_grid(nr=65):
 
 
 def test_slab_bound_constant_kernel_closed_form():
-    # gamma = c on the unit fiber with p = 2: the mixed norm per time is
-    # c, so the slab bound is c * T and the rate is c
+    # gamma = c on the unit fiber with p = 2: the mixed norm at every
+    # (time, x) sample is c, so the rate is c
     grid = _unit_r_grid()
     kern = make_kernel("constant", c=0.7)
-    bound = kernel_slab_bound(kern, grid, 2.0, 0.0, 0.5)
     rate = kernel_slab_rate(kern, grid, 2.0, 0.0, 0.5)
-    assert abs(bound - 0.35) < 1e-10
     assert abs(rate - 0.7) < 1e-10
 
 
-def test_slab_rate_dominates_bound_on_subslabs():
-    grid = _unit_r_grid()
-    kern = separable_kernel()
-    rate = kernel_slab_rate(kern, grid, 2.0, 0.0, 0.5)
-    for t_hi in (0.1, 0.25, 0.5):
-        bound = kernel_slab_bound(kern, grid, 2.0, 0.0, t_hi)
-        assert bound <= rate * t_hi + 1e-12
-
-
 def test_factored_slab_rate_is_bit_identical_to_dense():
-    # a kernel with factors is evaluated at one (t, x) and broadcast; the
-    # same gamma without factors is evaluated at every sample
+    # a kernel with factors is evaluated at one (t, x); the same gamma
+    # without factors is evaluated at every sample
     grid = GridSpec(
         x_bounds=((-3.0, 3.0),), x_counts=(5,),
         r_bounds=((0.0, 1.0),), r_counts=(33,),
@@ -340,18 +375,15 @@ def test_factored_slab_rate_is_bit_identical_to_dense():
         assert kernel_slab_rate(kern, grid, p, 0.1, 0.7) == kernel_slab_rate(
             dense, grid, p, 0.1, 0.7
         )
-        assert kernel_slab_bound(kern, grid, p, 0.1, 0.7) == kernel_slab_bound(
-            dense, grid, p, 0.1, 0.7
-        )
 
 
 def test_slab_bound_rejects_bad_exponent():
     grid = _unit_r_grid()
     kern = separable_kernel()
     with pytest.raises(ValueError):
-        kernel_slab_bound(kern, grid, 1.0, 0.0, 0.5)
+        kernel_slab_rate(kern, grid, 1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        kernel_slab_bound(kern, grid, 2.0, 0.5, 0.5)
+        kernel_slab_rate(kern, grid, 2.0, 0.5, 0.5)
 
 
 def test_slab_rate_rejects_a_grid_without_a_single_fiber_axis():
@@ -370,6 +402,6 @@ def test_fragmentation_slab_bound_is_finite_on_geometric_grid():
         r_spacing="geometric",
     )
     kern = fragmentation_kernel(scale=2.0)
-    bound = kernel_slab_bound(kern, grid, 2.0, 0.0, 1.0)
-    assert np.isfinite(bound)
-    assert bound > 0.0
+    rate = kernel_slab_rate(kern, grid, 2.0, 0.0, 1.0)
+    assert np.isfinite(rate)
+    assert rate > 0.0

@@ -1,12 +1,13 @@
 """Package structure: modules reach each other only through public names,
-every private helper is used by its own module, every defaulted
-parameter is passed by some call, every solver setting is set by some
-run, and no module but the oracle branches on a field's or kernel's
-name."""
+every private helper is used by its own module, every public name is
+used outside the tests, every defaulted parameter is passed by some
+call, every solver setting is set by some run, no module branches on a
+field's or kernel's name, and no module imports a name it never uses."""
 
 import ast
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import lagtransport
@@ -247,16 +248,14 @@ def test_detector_flags_name_tests():
     assert _name_tests('label = f"{k.name}!"\n') == []
 
 
-def test_no_module_but_the_oracle_tests_a_name():
+def test_no_module_tests_a_name():
     # structure is declared as data (Kernel.smooth_part, Kernel.factors)
-    # and read from it; the oracle keys its closed forms by field name,
-    # which is what a reference does
+    # and read from it, never from a name
     root = Path(lagtransport.__file__).parent
     offenders = {
         path.name: lines
         for path in sorted(root.glob("*.py"))
-        if path.name != "oracle.py"
-        and (lines := _name_tests(path.read_text(encoding="utf-8")))
+        if (lines := _name_tests(path.read_text(encoding="utf-8")))
     }
     assert not offenders
 
@@ -309,3 +308,162 @@ def test_every_solver_setting_is_set_outside_the_tests():
     for path in sorted((repo / "demos" / "configs").glob("*.json")):
         used |= set(json.loads(path.read_text(encoding="utf-8")).get("solver", {}))
     assert sorted(fields - used) == []
+
+
+def _loaded_names(node) -> Counter:
+    """How often each name is loaded under `node`: the id of a Name and
+    the attribute of an Attribute in load context."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+    return found
+
+
+def _unnamed_public_defs(library: dict[str, str], others: list[str]) -> list[str]:
+    """"module.name" for every public module-level function or class of
+    the `library` sources (module name -> source), and "module.Class.name"
+    for every public method or property of a public class, that neither
+    the library nor the `others` sources name.
+
+    A name counts when it is loaded as a Name or as an Attribute.  Imports,
+    `__all__` strings and loads inside the definition's own body do not.
+    """
+    named = Counter()
+    for source in [*library.values(), *others]:
+        named += _loaded_names(ast.parse(source))
+    found = []
+    for module, source in library.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{node.name}.{sub.name}", sub) for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                    and not sub.name.startswith("_")
+                ]
+            found += [
+                f"{module}.{qualified}" for qualified, d in defs
+                if named[d.name] <= _loaded_names(d)[d.name]
+            ]
+    return found
+
+
+def test_detector_flags_public_defs_without_a_caller():
+    library = {
+        "mod": (
+            "__all__ = ['exported']\n"
+            "def used(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def imported(): pass\n"
+            "def exported(): pass\n"
+            "def _private(): pass\n"
+            "class Box:\n"
+            "    def grow(self): return self.grow()\n"
+            "    def area(self): pass\n"
+            "    @property\n"
+            "    def side(self): return 1.0\n"
+            "    def __len__(self): return 0\n"
+            "class _Hidden:\n"
+            "    def method(self): pass\n"
+        ),
+    }
+    others = [
+        "from mod import Box, imported, used\n"
+        "used()\n"
+        "box = Box()\n"
+        "print(box.area(), box.side, 'recursive')\n"
+    ]
+    assert _unnamed_public_defs(library, others) == [
+        "mod.recursive", "mod.imported", "mod.exported", "mod.Box.grow",
+    ]
+    # a class named only inside its own methods has no caller
+    assert _unnamed_public_defs(
+        {"m": "class Node:\n    def clone(self): return Node()\n"},
+        ["node.clone()\n"],
+    ) == ["m.Node"]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public name that only tests call checks nothing the library does;
+    # the oracle exists for the acceptance criteria, so their uses count
+    root = Path(lagtransport.__file__).parent
+    repo = Path(__file__).resolve().parents[1]
+    library = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(root.glob("*.py"))
+    }
+    others = [
+        path.read_text(encoding="utf-8")
+        for d in ("demos", "benchmark")
+        for path in sorted((repo / d).rglob("*.py"))
+    ]
+    acceptance = _loaded_names(ast.parse(
+        (repo / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    ))
+    offenders = [
+        name for name in _unnamed_public_defs(library, others)
+        if not (name.startswith("oracle.") and acceptance[name.split(".")[-1]])
+    ]
+    assert not offenders
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a source imports and never loads.  Names listed in its
+    `__all__` and `__future__` imports are exempt."""
+    tree = ast.parse(source)
+    used = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            used |= {
+                elt.value for elt in ast.walk(node.value)
+                if isinstance(elt, ast.Constant)
+            }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        found += [name for name in bound if name not in used]
+    return found
+
+
+def test_detector_flags_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import numpy.linalg\n"
+        "from json import dump, load as read\n"
+        "from .fields import Kernel\n"
+        "__all__ = ['Kernel']\n"
+        "def f(x):\n"
+        "    return numpy.linalg.norm(read(x))\n"
+    )
+    assert _unused_imports(source) == ["os", "osp", "dump"]
+    # an attribute of the same name is not a use of the import
+    assert _unused_imports("from json import dump\nx.dump\n") == ["dump"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    root = Path(lagtransport.__file__).parent
+    tests = Path(__file__).resolve().parent
+    offenders = {
+        path.name: names
+        for path in [*sorted(root.glob("*.py")), *sorted(tests.glob("*.py"))]
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert not offenders

@@ -31,7 +31,6 @@ from lagtransport.transport import (
     make_initial,
     picard_solve,
     slice_to_csv,
-    state_to_csv,
 )
 
 SEPARABLE_TERMS = ((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
@@ -546,31 +545,6 @@ def test_make_initial_catalogue():
         make_initial("gaussian", bogus=1.0)
 
 
-def _state_csv_by_rows(state):
-    """Reference: the row-at-a-time writer state_to_csv used to be."""
-    n, j = state.grid.n, state.grid.j
-    xs = state.grid.x_labels()
-    rs = state.grid.r_labels()
-    cols = (
-        ["t"]
-        + [f"label_x{i + 1}" for i in range(n)]
-        + [f"label_r{i + 1}" for i in range(j)]
-        + ["u"]
-    )
-    lines = [",".join(cols)]
-    for k, t in enumerate(state.times):
-        for i_x in range(state.grid.num_x):
-            for i_r in range(state.grid.num_r):
-                lab = np.concatenate([xs[i_x], rs[i_r]])
-                row = (
-                    [f"{t:.17g}"]
-                    + [f"{v:.17g}" for v in lab]
-                    + [f"{state.values[k, i_x, i_r]:.17g}"]
-                )
-                lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def _slice_csv_by_rows(slc):
     """Reference: the row-at-a-time writer slice_to_csv used to be."""
     n, j = slc.grid.n, slc.grid.j
@@ -602,29 +576,21 @@ def test_state_and_slice_csv_round_trip(tmp_path):
     state, _ = picard_solve(
         u0, zero_field(1, 1), None, config, grid, 0.0, 0.5
     )
-    p1 = tmp_path / "state.csv"
-    state_to_csv(state, p1)
-    rows = np.loadtxt(p1, delimiter=",", skiprows=1)
-    assert rows.shape[0] == state.times.size * grid.num_x * grid.num_r
-
     slc = eulerian_reconstruct(state, zero_field(1, 1), 0.5)
-    p2 = tmp_path / "slice.csv"
-    slice_to_csv(slc, p2)
-    rows2 = np.loadtxt(p2, delimiter=",", skiprows=1)
-    assert rows2.shape[0] == grid.num_x * grid.num_r
+    path = tmp_path / "slice.csv"
+    slice_to_csv(slc, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows.shape[0] == grid.num_x * grid.num_r
     # 17 significant digits reproduce the stored doubles exactly
-    assert rows2[0, -1] == slc.values[0, 0]
+    assert rows[0, -1] == slc.values[0, 0]
 
-    # the table writers emit the same bytes as a row-by-row f-string
+    # the table writer emits the same bytes as a row-by-row f-string
     # writer, on a fiber grid and on a j = 0 grid with a moving field
-    assert p1.read_text() == _state_csv_by_rows(state)
-    assert p2.read_text() == _slice_csv_by_rows(slc)
+    assert path.read_text() == _slice_csv_by_rows(slc)
     grid0 = GridSpec(x_bounds=((-1.0, 2.0), (0.0, 1.0)), x_counts=(5, 4))
     field0 = linear_field(lam=-0.7, mu=0.0, n=2, j=0)
     u00 = _fiber_datum(grid0, make_initial("gaussian", x_center=0.3))
     state0, _ = picard_solve(u00, field0, None, config, grid0, 0.0, 0.5)
     slc0 = eulerian_reconstruct(state0, field0, 0.5)
-    state_to_csv(state0, p1)
-    slice_to_csv(slc0, p2)
-    assert p1.read_text() == _state_csv_by_rows(state0)
-    assert p2.read_text() == _slice_csv_by_rows(slc0)
+    slice_to_csv(slc0, path)
+    assert path.read_text() == _slice_csv_by_rows(slc0)
