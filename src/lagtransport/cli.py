@@ -12,7 +12,9 @@ exit code:
 
 Configs declare schema_version 1 and are validated against a strict
 whitelist; unknown keys anywhere are rejected before anything runs, and
-no output files are written unless the computation finishes.
+no output files are written unless the computation finishes.  A run that
+exits 2 or 3 removes the output directories it created, while they are
+empty.
 """
 
 from __future__ import annotations
@@ -591,6 +593,16 @@ _HELP = {
 }
 
 
+def _remove_empty(dirs: list[Path]) -> None:
+    """Remove `dirs` in order, stopping at the first that is not empty
+    (or cannot be removed)."""
+    for d in dirs:
+        try:
+            d.rmdir()
+        except OSError:
+            return
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lagtransport",
@@ -611,10 +623,14 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(args.out)
+    # the directories this run makes, deepest first: a rejected run
+    # removes those that are still empty
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"config error: cannot create {out_dir}: {exc}", file=sys.stderr)
+        _remove_empty(created)
         return 2
 
     stem = _config_stem(args.command, cfg)
@@ -622,6 +638,7 @@ def main(argv=None) -> int:
         payload, verdict = _COMMANDS[args.command](cfg, stem, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        _remove_empty(created)
         return 2
     except (
         FlowIntegrationError,
@@ -630,6 +647,7 @@ def main(argv=None) -> int:
         SlabSelectionError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        _remove_empty(created)
         return 3
 
     with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:

@@ -52,6 +52,10 @@ class StructuredVectorField:
     -> [..., j].  div_b1 and div_b2 return the spatial divergences of the
     respective blocks with matching batch shape.  All callables must be
     vectorized over leading axes.
+
+    `zero_blocks` declares the blocks, "x" (b1) and "r" (b2), whose drift
+    and divergence are exactly 0.0 everywhere; the flow of a declared
+    block is the identity and is returned without integrating.
     """
 
     name: str
@@ -62,6 +66,14 @@ class StructuredVectorField:
     div_b1: Callable
     div_b2: Callable
     params: dict = dc_field(default_factory=dict)
+    zero_blocks: frozenset = frozenset()
+
+    def __post_init__(self) -> None:
+        self.zero_blocks = frozenset(self.zero_blocks)
+        if not self.zero_blocks <= {"x", "r"}:
+            raise ValueError(
+                f"zero_blocks holds 'x' and/or 'r', got {set(self.zero_blocks)}"
+            )
 
 
 # =====================================================================
@@ -87,6 +99,7 @@ def zero_field(n: int = 1, j: int = 0) -> StructuredVectorField:
     return StructuredVectorField(
         "zero", n, j, _zero_b1, _zero_b2, _zero_div,
         partial(_linear_div_b2, 0.0), {"n": n, "j": j},
+        zero_blocks={"x", "r"},
     )
 
 
@@ -134,7 +147,7 @@ def oscillatory_field(k: int = 1, j: int = 0) -> StructuredVectorField:
         "oscillatory", 1, j,
         partial(_osc_b1, float(k)), _zero_b2,
         partial(_osc_div, float(k)), partial(_linear_div_b2, 0.0),
-        {"k": int(k), "j": j},
+        {"k": int(k), "j": j}, zero_blocks={"r"},
     )
 
 
@@ -198,7 +211,7 @@ def sobolev_field(alpha: float = 2.0 / 3.0, j: int = 0) -> StructuredVectorField
         "sobolev", 1, j,
         partial(_sobolev_b1, alpha), _zero_b2,
         partial(_sobolev_div, alpha), partial(_linear_div_b2, 0.0),
-        {"alpha": alpha, "j": j},
+        {"alpha": alpha, "j": j}, zero_blocks={"r"},
     )
 
 
@@ -285,7 +298,8 @@ def mollify_field(fld: StructuredVectorField, eps: float) -> StructuredVectorFie
     the block structure survives.  Divergences are mollified with the same
     stencil, which keeps div(b_eps) = (div b)_eps exactly at the discrete
     level.  The symmetric normalized stencil reproduces constants (and any
-    affine field) exactly.
+    affine field) exactly.  A mollified zero is exactly zero, so the
+    declared zero blocks carry over.
 
     Cost: each evaluation makes one base call over all S stencil points
     (S = 15 for n = 1, 193 for n + j = 2 from 17 nodes per axis) per
@@ -306,7 +320,8 @@ def mollify_field(fld: StructuredVectorField, eps: float) -> StructuredVectorFie
     params = dict(fld.params)
     params["eps"] = eps
     return StructuredVectorField(
-        fld.name + "_mollified", fld.n, fld.j, b1, b2, div_b1, div_b2, params
+        fld.name + "_mollified", fld.n, fld.j, b1, b2, div_b1, div_b2, params,
+        fld.zero_blocks,
     )
 
 

@@ -12,7 +12,9 @@ for all x labels and shared across each whole r fiber, so X1 is
 bit-identical for labels (x, r1) and (x, r2) by construction.  The r fibers
 of every x label are then stacked into a single second system driven by
 the x block's dense path, so a flow map makes two integrator calls however
-many labels it has.  The block triangular
+many labels it has, and none for a block that the field declares zero
+(`StructuredVectorField.zero_blocks`), whose flow is the identity.  The
+block triangular
 gradient makes logJ = logJ1 + logJ2 the log-determinant of the full flow,
 giving the compressibility densities rho = exp(-logJ) along trajectories
 without any Eulerian reconstruction.
@@ -89,6 +91,15 @@ def _solve_block(parts, p0, t_span, t_eval, tol, block, dense_output=False):
     return pos, logj, sol.sol
 
 
+def _identity_block(p0, t_span, K):
+    """What `_solve_block` returns for a block of zero drift, without
+    integrating: RK45 on f = 0 adds to every position a zero that carries
+    the sign of the step, and leaves every log-Jacobian at +0.0."""
+    moved = p0 + np.copysign(0.0, t_span[1] - t_span[0])
+    pos = np.broadcast_to(moved, (K,) + p0.shape).copy()
+    return pos, np.zeros((K,) + p0.shape[:-1])
+
+
 def flow_from(
     field: StructuredVectorField,
     x0: np.ndarray,
@@ -103,7 +114,9 @@ def flow_from(
     starts, shape (M, Q, j).  The x block is one system for all labels;
     the fibers are a second, stacked system that reads the labels' x
     positions from the x block's dense path once per right-hand side, so
-    one b2 call covers every fiber.  The fibers' step size follows the RMS
+    one b2 call covers every fiber.  That is two integrator calls however
+    many labels there are, and none for a block in `field.zero_blocks`,
+    whose flow is the identity.  The fibers' step size follows the RMS
     error norm of the whole stacked state.  When b2 ignores x, as every
     catalogue b2 does, and every label starts the same fiber, all fibers
     share one error estimate and the steps are those of a single fiber;
@@ -120,16 +133,27 @@ def flow_from(
             f"need x0 of shape (M, {field.n}) and r0 of shape (M, Q, "
             f"{field.j}), got {x0.shape} and {r0.shape}"
         )
-    xpos, logj1, dense = _solve_block(
-        lambda t, X: (field.b1(t, X), field.div_b1(t, X)),
-        x0, t_span, t_eval, tol, "x-block", dense_output=True,
-    )
-    K, (M, n), Q = xpos.shape[0], x0.shape, r0.shape[1]
+    K, (M, n), Q = len(t_eval), x0.shape, r0.shape[1]
+    if "x" in field.zero_blocks:
+        xpos, logj1 = _identity_block(x0, t_span, K)
+
+        def x_at(t):
+            return xpos[0, :, None, :]
+    else:
+        xpos, logj1, dense = _solve_block(
+            lambda t, X: (field.b1(t, X), field.div_b1(t, X)),
+            x0, t_span, t_eval, tol, "x-block", dense_output=True,
+        )
+
+        def x_at(t):
+            return dense(t)[: M * n].reshape(M, 1, n)
     if field.j == 0:
         return xpos, logj1, np.zeros((K, M, Q, 0)), np.zeros((K, M, Q))
+    if "r" in field.zero_blocks:
+        return (xpos, logj1) + _identity_block(r0, t_span, K)
 
     def fiber_parts(t, R):
-        x = dense(t)[: M * n].reshape(M, 1, n)
+        x = x_at(t)
         return field.b2(t, x, R), field.div_b2(t, x, R)
 
     rpos, logj2, _ = _solve_block(fiber_parts, r0, t_span, t_eval, tol, "r-fiber")

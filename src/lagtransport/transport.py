@@ -78,9 +78,10 @@ class SolverConfig:
     picard_tol is the difference at which iteration stops;
     nodes_per_slab fixes the trapezoid resolution of the time integral
     inside each slab, and slab_time_samples the times at which the
-    kernel's rate is sampled when a slab is chosen.  Settings that no
-    run could use (a tolerance that is not finite and positive, fewer
-    than 2 nodes or samples, p < 1) raise ValueError at construction.
+    kernel's rate is sampled when the run's slab budget is measured.
+    Settings that no run could use (a tolerance that is not finite and
+    positive, fewer than 2 nodes or samples, p < 1) raise ValueError at
+    construction.
     """
 
     p: float = 2.0
@@ -152,15 +153,15 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
     """The kernel's quadrature operator on the moved fiber coordinates of
     the flow's label grid.
 
-    Returns (ops, k_index).  For kernels with declared factors ops is a
-    _FactoredOperator; otherwise it is the dense tensor
-    G[k, i][m, q] ~ gamma(moved coords) * weight(q) shaped
-    (K_eff, Nx, Nr, Nr).  When the moved coordinates are time-independent
-    (b = 0 in the relevant blocks) a single time slice is stored and
-    k_index collapses to zero.  Triangular kernels use node-aligned tail
-    weights via smooth_part, so the support jump never crosses a
-    quadrature cell (the fiber map is monotone, hence label order and
-    moved order agree).  Kernels act on a j = 1 fiber only.
+    For kernels with declared factors it returns a _FactoredOperator;
+    otherwise the dense tensor G[k, i][m, q] ~ gamma(moved coords) *
+    weight(q) shaped (K_eff, Nx, Nr, Nr).  When the moved coordinates are
+    time-independent (b = 0 in the relevant blocks) K_eff = 1: a single
+    time slice is stored and broadcasts over the nodes.  Triangular
+    kernels use node-aligned tail weights via smooth_part, so the support
+    jump never crosses a quadrature cell (the fiber map is monotone, hence
+    label order and moved order agree).  Kernels act on a j = 1 fiber
+    only.
     """
     grid = fmap.grid
     if grid.j != 1:
@@ -174,14 +175,13 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
         )
     ) and K > 1
     k_list = [0] if static else list(range(K))
-    k_index = np.zeros(K, dtype=int) if static else np.arange(K)
     wr = grid.r_weights()
     if kernel.factors is not None:
         pos = fmap.x2[k_list, ..., 0]  # (K_eff, Nx, Nr)
         a_list, c_list = kernel.factors
         a = np.stack([np.asarray(fa(pos), dtype=float) for fa in a_list], axis=2)
         c = np.stack([np.asarray(fc(pos), dtype=float) for fc in c_list], axis=2)
-        return _FactoredOperator(a=a, c=c * wr), k_index
+        return _FactoredOperator(a=a, c=c * wr)
     wmat = None if kernel.smooth_part is None else grid.r_suffix_weights()
     mats = np.empty((len(k_list), Nx, Nr, Nr))
     for out_k, k in enumerate(k_list):
@@ -197,7 +197,7 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
             else:
                 g = np.asarray(kernel.gamma(t, x, col, row), dtype=float)
                 mats[out_k, i] = g * wr[None, :]
-    return mats, k_index
+    return mats
 
 
 def apply_A(
@@ -219,15 +219,15 @@ def apply_A(
     K, Nx, Nr = values.shape
     if kernel is None:
         return np.broadcast_to(u0[None], (K, Nx, Nr)).copy()
-    ops, k_index = _mats if _mats is not None else _kernel_matrices(fmap, kernel)
+    ops = _mats if _mats is not None else _kernel_matrices(fmap, kernel)
     weighted = density_rho2(fmap) * values  # rho2 u~, (K, Nx, Nr)
+    # a static operator's single slice broadcasts over the nodes rather
+    # than being copied K times
     if isinstance(ops, _FactoredOperator):
-        mom = np.einsum("kilq,kiq->kil", ops.c[k_index], weighted)
-        inner = np.einsum("kilm,kil->kim", ops.a[k_index], mom)
+        mom = np.einsum("kilq,kiq->kil", ops.c, weighted)
+        inner = np.einsum("kilm,kil->kim", ops.a, mom)
     else:
-        inner = np.empty((K, Nx, Nr))
-        for k in range(K):
-            inner[k] = (ops[k_index[k]] @ weighted[k][:, :, None])[:, :, 0]
+        inner = (ops @ weighted[..., None])[..., 0]
     return u0[None] + _cumulative_trapezoid(inner, fmap.times)
 
 
@@ -270,33 +270,25 @@ def _div_r_sup(
 
 
 def choose_slab(
-    kernel: Kernel | None,
-    field: StructuredVectorField,
-    config: SolverConfig,
-    grid: GridSpec,
-    t_start: float,
-    t_end: float,
+    rate: float | None, div_sup: float, remaining: float,
 ) -> tuple[float, dict]:
     """Longest dyadic fraction of the remaining time whose kernel budget
     stays within the slab target of 1/2.
 
-    A candidate of length T is budgeted at rate * T * exp(d * T), where
-    rate is the sampled sup of the kernel's mixed norm and d the sampled
-    sup of |div_r b2| over the whole remaining window.  On every
-    sub-slab that product dominates the sup over x of the time integral
-    of the kernel's mixed norm, times the density-ratio envelope, so any
-    accepted candidate honors the contraction budget; the measured Picard
-    ratios are the binding check downstream.
+    A candidate of length T is budgeted at rate * T * exp(div_sup * T),
+    where `rate` is the sampled sup of the kernel's mixed norm (None
+    without a kernel, which takes all the remaining time) and `div_sup`
+    the sampled sup of |div_r b2|.  `continue_solution` measures both
+    once, over the whole run.  On every sub-slab that product dominates
+    the sup over x of the time integral of the kernel's mixed norm, times
+    the density-ratio envelope, so any accepted candidate honors the
+    contraction budget; the measured Picard ratios are the binding check
+    downstream.
     """
-    remaining = t_end - t_start
     if remaining <= 0:
-        raise ValueError("t_end must exceed t_start")
-    if kernel is None:
+        raise ValueError("the remaining time must be positive")
+    if rate is None:
         return remaining, {"bound": 0.0, "rho2_max": 1.0, "halvings": 0}
-    rate = kernel_slab_rate(
-        kernel, grid, config.p, t_start, t_end, config.slab_time_samples
-    )
-    div_sup = _div_r_sup(field, grid, t_start, t_end)
     for m in range(_MAX_HALVINGS + 1):
         t0_len = remaining / 2**m
         bound = rate * t0_len
@@ -537,10 +529,22 @@ def continue_solution(
     label box, since their values would silently be set to 0
     in the boundary datum.  Every slab runs on the one `grid` (and its cached
     weights).
+
+    The slab budget (the kernel's slab rate and the sup of |div_r b2|) is
+    measured once, over [t0, t_end], and every slab is chosen from it.  A
+    sup over the whole run bounds the sup over any slab, so this is exact
+    for autonomous kernels and fields and conservative, giving shorter
+    slabs, for time-dependent ones.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     u_cur = _sample_initial(u0, grid)
+    rate, div_sup = None, 0.0
+    if kernel is not None:
+        rate = kernel_slab_rate(
+            kernel, grid, config.p, t0, t_end, config.slab_time_samples
+        )
+        div_sup = _div_r_sup(field, grid, t0, t_end)
     sol = ContinuedSolution(
         grid=grid, field_name=field.name,
         kernel_name=kernel.name if kernel is not None else "none",
@@ -548,7 +552,7 @@ def continue_solution(
     )
     t_cur = t0
     while t_cur < t_end - 1e-12 * max(1.0, abs(t_end)):
-        t0_len, diag = choose_slab(kernel, field, config, grid, t_cur, t_end)
+        t0_len, diag = choose_slab(rate, div_sup, t_end - t_cur)
         state, summary = picard_solve(
             u_cur, field, kernel, config, grid, t_cur, t0_len
         )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 PI = 3.141592653589793
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def run_cli(*args):
@@ -487,6 +488,66 @@ def test_bad_study_arguments_exit_2(tmp_path, command, settings):
     assert "config error" in res.stderr
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob(f"{command}_*"))
+
+
+def _fragmentation_config_on_a_2d_field():
+    payload = json.loads((CONFIGS / "solve_fragmentation.json").read_text())
+    payload["field"]["params"]["n"] = 2
+    return payload
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("solve", _fragmentation_config_on_a_2d_field()),
+        ("counterexample", {"schema_version": 1, "k_values": [2], "line_nodes": 65,
+                            "window": ["0.3", 2.3]}),
+    ],
+    ids=["field_grid_mismatch", "bad_study_list"],
+)
+def test_rejected_run_removes_the_directories_it_created(tmp_path, command, payload):
+    cfg = write_config(tmp_path / "c.json", payload)
+    (tmp_path / "kept").mkdir()
+    res = run_cli(command, "--config", cfg, "--out", str(tmp_path / "kept/new/deep"))
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr
+    # the directories the run made are gone; the one that was there stays
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "kept"]
+    assert not any((tmp_path / "kept").iterdir())
+
+
+def test_numerical_failure_removes_the_directories_it_created(tmp_path, monkeypatch):
+    from lagtransport import cli, transport
+
+    monkeypatch.setattr(transport, "_MAX_ITERS", 1)
+    cfg = write_config(tmp_path / "s.json", solve_config())
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "a/b")]) == 3
+    assert not (tmp_path / "a").exists()
+
+
+def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatch):
+    # b = 0 is declared, so no flow integrates; the slab budget is
+    # measured once for the run, not at each of its slab boundaries
+    from lagtransport import cli, flow, transport
+
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(flow, "solve_ivp")
+    counted(transport, "kernel_slab_rate")
+    cfg = str(CONFIGS / "solve_fragmentation.json")
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert calls == ["kernel_slab_rate"]
+    payload = json.loads(next(tmp_path.glob("solve_*.json")).read_text())
+    assert len(payload["run"]["slabs"]) == 23
 
 
 def test_catalogue_builders_are_looked_up_when_called(tmp_path, monkeypatch):

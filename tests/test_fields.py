@@ -1,5 +1,6 @@
 """Field catalogue, mollification, kernels, and slab bounds."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -125,6 +126,45 @@ def test_structured_split_b1_ignores_fiber():
     v = field.b1(0.2, xs)
     assert v.shape == xs.shape
     assert np.array_equal(v, field.b1(0.2, xs))
+
+
+# every catalogue field that declares a zero block, bare and mollified
+DECLARED_FIELDS = [
+    zero_field(1, 0), zero_field(1, 1), zero_field(2, 1),
+    oscillatory_field(k=2, j=0), oscillatory_field(k=2, j=1),
+    sobolev_field(j=0), sobolev_field(j=1),
+]
+
+
+@pytest.mark.parametrize(
+    "field", DECLARED_FIELDS + [mollify_field(f, 0.1) for f in DECLARED_FIELDS],
+    ids=lambda f: f"{f.name}_n{f.n}_j{f.j}",
+)
+def test_declared_zero_blocks_are_exactly_zero(field):
+    expected = {"x", "r"} if field.name.startswith("zero") else {"r"}
+    assert field.zero_blocks == expected
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0.3, 2.0, size=(6, 5, field.n))
+    r = rng.uniform(0.0, 1.0, size=(6, 5, field.j))
+    t = float(rng.uniform(0.0, 1.0))
+    values = []
+    if "x" in field.zero_blocks:
+        values += [field.b1(t, x), field.div_b1(t, x)]
+    if "r" in field.zero_blocks:
+        values += [field.b2(t, x, r), field.div_b2(t, x, r)]
+    for v in values:
+        v = np.asarray(v)
+        assert np.array_equal(v, np.zeros(v.shape))
+        assert not np.any(np.signbit(v))
+
+
+def test_undeclared_fields_and_bad_declarations():
+    for field in (linear_field(lam=0.0, mu=0.0, n=1, j=1), logistic_field(),
+                  swirl_field(), modulated_logistic_field()):
+        assert field.zero_blocks == frozenset()
+    assert make_field("zero", n=1, j=1, eps=0.1).zero_blocks == {"x", "r"}
+    with pytest.raises(ValueError, match="zero_blocks"):
+        dataclasses.replace(zero_field(1, 1), zero_blocks={"x", "t"})
 
 
 def test_make_field_catalogue_and_unknown_name():

@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from lagtransport.fields import (
     linear_field,
     logistic_field,
+    mollify_field,
     oscillatory_field,
     sobolev_field,
     swirl_field,
@@ -227,6 +228,64 @@ def test_flow_maps_make_one_x_solve_and_one_fiber_solve(monkeypatch):
     calls.clear()
     inverse_flow_grid(field, grid.x_labels(), grid.r_labels(), t=0.5, tol=TOL)
     assert calls == [18, 90]
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize(
+    "field, grid",
+    [
+        (zero_field(1, 0), GridSpec(x_bounds=((-1.0, 1.0),), x_counts=(9,))),
+        (zero_field(1, 1), _grid()),
+        (oscillatory_field(k=2, j=1), _grid()),
+        (sobolev_field(j=1), _grid(x_bounds=((0.5, 1.5),))),
+        (mollify_field(zero_field(1, 1), 0.1), _grid(nx=5, nr=4)),
+        (mollify_field(oscillatory_field(k=2, j=1), 0.1), _grid(nx=5, nr=4)),
+    ],
+    ids=["zero_j0", "zero_j1", "oscillatory", "sobolev", "mollified_zero",
+         "mollified_oscillatory"],
+)
+def test_declared_zero_blocks_match_the_integrator_bit_for_bit(
+    field, grid, monkeypatch
+):
+    # skipping the integrator for a declared block must not move a bit,
+    # signed zeros included: the same field without the declaration
+    # integrates every block
+    plain = dataclasses.replace(field, zero_blocks=frozenset())
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr("lagtransport.flow.solve_ivp", counting)
+    # a -0.0 label, where the declared block is at rest, keeps its sign
+    # only on backward paths, as under the integrator
+    xs = grid.x_labels()
+    if "x" in field.zero_blocks:
+        xs = np.vstack([xs, np.full((1, field.n), -0.0)])
+    rs = np.vstack([grid.r_labels(), np.full((1, field.j), -0.0)])
+    label = np.concatenate([xs[-1], rs[-1]])
+    times = np.linspace(0.1, 0.6, 5)
+    out, solves = {}, {}
+    for name, fld in (("declared", field), ("plain", plain)):
+        calls.clear()
+        fwd = flow_map(fld, grid, times=times, tol=TOL)
+        bwd = flow_map(fld, grid, times=times, tol=TOL, direction="backward")
+        inv = inverse_flow_grid(fld, xs, rs, 0.5, 0.1, TOL)
+        one = integrate_flow(fld, label, times, tol=TOL)
+        out[name] = [fwd.x1, fwd.logj1, fwd.x2, fwd.logj2,
+                     bwd.x1, bwd.logj1, bwd.x2, bwd.logj2,
+                     *inv, one.positions, one.logj1, one.logj]
+        solves[name] = len(calls)
+    for a, b in zip(out["declared"], out["plain"]):
+        assert _same_bits(a, b)
+    # one integrator call per flow and block, none for a declared block
+    blocks = {"x", "r"} if field.j else {"x"}
+    undeclared = blocks - field.zero_blocks
+    assert solves["declared"] * len(blocks) == solves["plain"] * len(undeclared)
 
 
 def _stacked_system(field, M, Q):

@@ -264,6 +264,27 @@ def test_sup_in_time_is_max_over_slices():
     assert abs(sup_in_time(vals, grid, spec) - max(per_slice)) < 1e-14
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize(
+    "window", [None, ((-0.5, 0.75), (0.2, 1.0), (0.5, 1.5))],
+    ids=["whole", "window"],
+)
+@pytest.mark.parametrize("joint", [False, True], ids=["flat", "joint"])
+def test_sup_in_time_is_bit_identical_to_max_of_lp_norms(p, window, joint):
+    # one row sum per node and a scalar root per node must round as
+    # lp_norm does, for every exponent and either accepted value shape
+    rng = np.random.default_rng(17)
+    grid = GridSpec(
+        x_bounds=((-1.0, 1.0), (0.0, 1.0)), x_counts=(9, 6),
+        r_bounds=((0.0, 2.0),), r_counts=(11,),
+    )
+    spec = NormSpec(p=p, window=window)
+    shape = grid.shape if joint else (grid.num_x, grid.num_r)
+    for scale in (1e-9, 1.0, 1e7):
+        vals = scale * rng.standard_normal((17,) + shape)
+        assert sup_in_time(vals, grid, spec) == max(lp_norm(v, grid, spec) for v in vals)
+
+
 def test_norm_spec_rejects_bad_exponent():
     with pytest.raises(ValueError):
         NormSpec(p=0.5)

@@ -9,6 +9,7 @@ from lagtransport.fields import (
     Kernel,
     constant_kernel,
     fragmentation_kernel,
+    kernel_slab_rate,
     linear_field,
     logistic_field,
     separable_kernel,
@@ -19,6 +20,7 @@ from lagtransport.grid import GridSpec
 from lagtransport.oracle import separable_solve
 from lagtransport.transport import (
     _cumulative_trapezoid,
+    _kernel_matrices,
     _multilinear,
     PicardConvergenceError,
     SlabSelectionError,
@@ -120,6 +122,47 @@ def test_apply_A_rejects_a_kernel_on_a_grid_without_a_fiber():
             apply_A(values, fmap, kern, u0)
 
 
+@pytest.mark.parametrize(
+    "field, kern, slices",
+    [
+        (zero_field(1, 1), fragmentation_kernel(scale=2.0), 1),
+        (logistic_field(k=1, mu=0.3), constant_kernel(c=0.7), 9),
+        (zero_field(1, 1), separable_kernel(terms=SEPARABLE_TERMS), 1),
+        (logistic_field(k=1, mu=0.3), separable_kernel(terms=SEPARABLE_TERMS), 9),
+    ],
+    ids=["static_dense", "time_dependent_dense", "static_factored",
+         "time_dependent_factored"],
+)
+def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
+    # a static operator stores one slice, a moving flow one per node, and
+    # broadcasting the stored slices must round every entry as a dense
+    # matvec per node, or a factored contraction of per-node copies, did.
+    # The geometric fiber keeps the fragmentation kernel's 1/r~ finite.
+    grid = GridSpec(
+        x_bounds=((0.0, 1.0),), x_counts=(3,),
+        r_bounds=((1e-3, 1.0),), r_counts=(33,), r_spacing="geometric",
+    )
+    fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
+    ops = _kernel_matrices(fmap, kern)
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
+    u0 = rng.standard_normal((grid.num_x, grid.num_r))
+    weighted = np.exp(fmap.logj2) * values
+    per_node = np.arange(fmap.times.size) % slices
+    if kern.factors is not None:
+        assert ops.a.shape[0] == ops.c.shape[0] == slices
+        mom = np.einsum("kilq,kiq->kil", ops.c[per_node], weighted)
+        inner = np.einsum("kilm,kil->kim", ops.a[per_node], mom)
+    else:
+        assert ops.shape == (slices, grid.num_x, grid.num_r, grid.num_r)
+        inner = np.empty_like(values)
+        for k, stored in enumerate(per_node):
+            inner[k] = (ops[stored] @ weighted[k][:, :, None])[:, :, 0]
+    expected = u0[None] + _cumulative_trapezoid(inner, fmap.times)
+    assert np.array_equal(apply_A(values, fmap, kern, u0), expected)
+    assert np.array_equal(apply_A(values, fmap, kern, u0, _mats=ops), expected)
+
+
 def _raising_gamma(t, x, r, rt):
     raise AssertionError("gamma evaluated on the factored path")
 
@@ -193,10 +236,7 @@ def test_fixed_point_residual_vanishes_for_true_fixed_point():
 
 
 def test_choose_slab_without_kernel_takes_everything():
-    grid = _fiber_grid()
-    length, diag = choose_slab(
-        None, zero_field(1, 1), SolverConfig(), grid, 0.0, 3.0
-    )
+    length, diag = choose_slab(None, 0.0, 3.0)
     assert length == 3.0
     assert diag["bound"] == 0.0
 
@@ -205,11 +245,8 @@ def test_choose_slab_halves_until_budget_met():
     # constant kernel on the unit fiber has rate c; with b = 0 the budget
     # is c * T, so c = 0.7 over T = 1 needs exactly one halving for a
     # 0.5 target
-    grid = _fiber_grid()
-    kern = constant_kernel(c=0.7)
-    length, diag = choose_slab(
-        kern, zero_field(1, 1), SolverConfig(), grid, 0.0, 1.0
-    )
+    rate = kernel_slab_rate(constant_kernel(c=0.7), _fiber_grid(), 2.0, 0.0, 1.0)
+    length, diag = choose_slab(rate, 0.0, 1.0)
     assert abs(length - 0.5) < 1e-12
     assert diag["halvings"] == 1
     assert abs(diag["rate"] - 0.7) < 1e-10
@@ -218,10 +255,9 @@ def test_choose_slab_halves_until_budget_met():
 
 def test_choose_slab_raises_when_budget_unreachable():
     # rate 1e13 over T = 1 stays above the 0.5 target after 40 halvings
-    grid = _fiber_grid()
-    kern = constant_kernel(c=1e13)
+    rate = kernel_slab_rate(constant_kernel(c=1e13), _fiber_grid(), 2.0, 0.0, 1.0)
     with pytest.raises(SlabSelectionError, match="0.5 even after 40 halvings"):
-        choose_slab(kern, zero_field(1, 1), SolverConfig(), grid, 0.0, 1.0)
+        choose_slab(rate, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------
