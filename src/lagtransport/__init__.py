@@ -4,9 +4,12 @@ The library integrates structured vector fields b = (b1(t, x), b2(t, x, r))
 together with their log-Jacobians, builds the compressibility densities
 carried by the flow, and solves
 
-    du/dt along the flow = integral of gamma(t, x, r, r~) u(t, x, r~) dr~
+    du/dt along the flow = integral of gamma(r, r~) u(t, x, r~) dr~
 
-by Picard iteration on automatically chosen contraction slabs.  Closed
+by Picard iteration on automatically chosen contraction slabs.  A kernel
+is gamma(r, r~) on its support, triangular or finite-rank when it says
+so; it depends on neither t nor x, so the solver evaluates it once per
+operator slice and once for the slab rate.  Closed
 form references (an oscillatory one-dimensional flow, matrix-exponential
 solutions for finite-rank kernels) back every numerical claim, and two
 experiment harnesses package the mollification-stability and the

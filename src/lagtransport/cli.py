@@ -145,28 +145,45 @@ _SCHEMAS = {
 }
 
 
+def _check_numbers(value, path: str) -> None:
+    """Reject any leaf of `value` that is not a number: null, true,
+    false and strings are not numbers."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_numbers(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_numbers(item, f"{path}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, not {json.dumps(value)}")
+
+
 def _check_schema(obj, schema, path: str) -> None:
     """Check `obj` against a schema of key -> (status, expected type).
-    No schema takes a bool, so true and false are never numbers."""
+
+    Outside the keys typed `str`, a config holds only numbers, lists and
+    objects, so null, true, false and strings never stand for a number."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
     for key in obj:
         if key not in schema:
             raise ConfigError(f"unknown key {path}{key!r}")
         _, expect = schema[key]
+        if isinstance(expect, dict):
+            _check_schema(obj[key], expect, f"{path}{key}.")
+            continue
         if expect is _OPEN:
             if not isinstance(obj[key], dict):
                 raise ConfigError(f"{path}{key!r} must be an object")
-            continue
-        if isinstance(expect, dict):
-            _check_schema(obj[key], expect, f"{path}{key}.")
-        elif isinstance(obj[key], bool) or not isinstance(obj[key], expect):
+        elif not isinstance(obj[key], expect):
             names = (
                 expect.__name__
                 if isinstance(expect, type)
                 else "/".join(t.__name__ for t in expect)
             )
             raise ConfigError(f"{path}{key!r} must be {names}")
+        if expect is not str:
+            _check_numbers(obj[key], f"{path}{key}")
     for key, (status, _) in schema.items():
         if status == _REQUIRED and key not in obj:
             raise ConfigError(f"missing required key {path}{key!r}")
@@ -366,23 +383,15 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     return payload, True
 
 
-def _number(value) -> float:
-    """A list element that is a JSON number, as a float.  true, false
-    and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
 # study command -> {config key: element parser of the tuple the experiment
 # takes, or None to pass the value as it is}
 _STUDY_ARGS = {
     "stability": {
-        "eps_values": _number, "k": None, "mu": None, "t_end": None,
-        "checkpoints": _number, "final_threshold": None, "monotone_slack": None,
+        "eps_values": float, "k": None, "mu": None, "t_end": None,
+        "checkpoints": float, "final_threshold": None, "monotone_slack": None,
     },
     "counterexample": {
-        "k_values": None, "t": None, "line_nodes": None, "window": _number,
+        "k_values": None, "t": None, "line_nodes": None, "window": float,
         "weak_constant": None, "floor_fraction": None, "spread_tol": None,
     },
 }

@@ -5,19 +5,19 @@ its own; everything downstream leans on that structure.  Divergences are
 supplied analytically by each field definition; the tests cross-check
 them against central differences.
 
-Kernels gamma(t, x, r, r_tilde) on a one-dimensional fiber drive the
-integral source term.  A kernel is data: its gamma plus at most one
-declared structure, which every consumer reads in place of the kernel's
-name.  A smooth factor declares triangular support (zero unless
-r < r_tilde) and lets the solver place the support jump exactly on
-quadrature nodes instead of smearing it across a cell.  Finite-rank
-factors let the solver apply the kernel through moments instead of a
-dense r x r_tilde operator.  With no source term there is no kernel.
+Kernels gamma(r, r_tilde) on a one-dimensional fiber drive the integral
+source term.  A kernel is data: its gamma plus at most one declared
+structure, which every consumer reads in place of the kernel's name.
+Triangular support (zero unless r < r_tilde) lets the solver place the
+support jump exactly on quadrature nodes instead of smearing it across a
+cell.  Finite-rank factors let the solver apply the kernel through
+moments instead of a dense r x r_tilde operator.  With no source term
+there is no kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -65,7 +65,6 @@ class StructuredVectorField:
     b2: Callable
     div_b1: Callable
     div_b2: Callable
-    params: dict = dc_field(default_factory=dict)
     zero_blocks: frozenset = frozenset()
 
     def __post_init__(self) -> None:
@@ -98,8 +97,7 @@ def _zero_b2(t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
 def zero_field(n: int = 1, j: int = 0) -> StructuredVectorField:
     return StructuredVectorField(
         "zero", n, j, _zero_b1, _zero_b2, _zero_div,
-        partial(_linear_div_b2, 0.0), {"n": n, "j": j},
-        zero_blocks={"x", "r"},
+        partial(_linear_div_b2, 0.0), zero_blocks={"x", "r"},
     )
 
 
@@ -120,11 +118,11 @@ def linear_field(
     lam: float = 0.5, mu: float = 0.0, n: int = 1, j: int = 0
 ) -> StructuredVectorField:
     """b1 = lam*x, b2 = mu*r: closed-form flow X = (x e^{lam t}, r e^{mu t})."""
+    lam, mu = float(lam), float(mu)
     return StructuredVectorField(
         "linear", n, j,
         partial(_linear_b1, lam), partial(_linear_b2, mu),
         partial(_linear_div_b1, lam, n), partial(_linear_div_b2, mu),
-        {"lam": lam, "mu": mu, "n": n, "j": j},
     )
 
 
@@ -141,13 +139,14 @@ def oscillatory_field(k: int = 1, j: int = 0) -> StructuredVectorField:
     The optional r block is inert (b2 = 0), so kernel-coupled runs can
     reuse the same x dynamics.  k = 0 is rejected: sin(kx)/k is 0/0.
     """
+    k = float(k)
     if k == 0:
         raise ValueError("k must be nonzero")
     return StructuredVectorField(
         "oscillatory", 1, j,
-        partial(_osc_b1, float(k)), _zero_b2,
-        partial(_osc_div, float(k)), partial(_linear_div_b2, 0.0),
-        {"k": int(k), "j": j}, zero_blocks={"r"},
+        partial(_osc_b1, k), _zero_b2,
+        partial(_osc_div, k), partial(_linear_div_b2, 0.0),
+        zero_blocks={"r"},
     )
 
 
@@ -166,13 +165,13 @@ def logistic_field(k: int = 1, mu: float = 0.3) -> StructuredVectorField:
     ratio rho2 genuinely nonconstant.  k = 0 is rejected, as by
     `oscillatory_field`.
     """
+    k, mu = float(k), float(mu)
     if k == 0:
         raise ValueError("k must be nonzero")
     return StructuredVectorField(
         "logistic", 1, 1,
-        partial(_osc_b1, float(k)), partial(_logistic_b2, mu),
-        partial(_osc_div, float(k)), partial(_logistic_div_b2, mu),
-        {"k": int(k), "mu": mu},
+        partial(_osc_b1, k), partial(_logistic_b2, mu),
+        partial(_osc_div, k), partial(_logistic_div_b2, mu),
     )
 
 
@@ -187,9 +186,8 @@ def swirl_field(omega: float = 1.0) -> StructuredVectorField:
     """Rigid rotation in the plane; divergence-free."""
     return StructuredVectorField(
         "swirl", 2, 0,
-        partial(_swirl_b1, omega), _zero_b2,
+        partial(_swirl_b1, float(omega)), _zero_b2,
         _zero_div, partial(_linear_div_b2, 0.0),
-        {"omega": omega},
     )
 
 
@@ -205,13 +203,14 @@ def _sobolev_div(alpha: float, t: float, x: np.ndarray) -> np.ndarray:
 def sobolev_field(alpha: float = 2.0 / 3.0, j: int = 0) -> StructuredVectorField:
     """b1(x) = |x|^alpha sign(x): W^{1,q}_loc but with divergence blowing
     up at the origin, so working windows must stay away from x = 0."""
+    alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     return StructuredVectorField(
         "sobolev", 1, j,
         partial(_sobolev_b1, alpha), _zero_b2,
         partial(_sobolev_div, alpha), partial(_linear_div_b2, 0.0),
-        {"alpha": alpha, "j": j}, zero_blocks={"r"},
+        zero_blocks={"r"},
     )
 
 
@@ -317,10 +316,8 @@ def mollify_field(fld: StructuredVectorField, eps: float) -> StructuredVectorFie
         div_b2 = _Mollified(fld.div_b2, eps, pts2, w2)
     else:
         b2, div_b2 = fld.b2, fld.div_b2
-    params = dict(fld.params)
-    params["eps"] = eps
     return StructuredVectorField(
-        fld.name + "_mollified", fld.n, fld.j, b1, b2, div_b1, div_b2, params,
+        fld.name + "_mollified", fld.n, fld.j, b1, b2, div_b1, div_b2,
         fld.zero_blocks,
     )
 
@@ -355,34 +352,37 @@ def make_field(name: str, **params) -> StructuredVectorField:
 
 @dataclass
 class Kernel:
-    """Integral kernel gamma(t, x, r, r_tilde) on a one-dimensional fiber.
+    """Integral kernel gamma(r, r_tilde) on a one-dimensional fiber.
 
     gamma is vectorized over broadcastable r / r_tilde arrays (trailing
-    axis 1) at a single (t, x).  A kernel declares at most one structure:
+    axis 1).  It depends on neither time nor x, so one evaluation on a
+    set of fiber points serves every (t, x) at which the fiber sits
+    there.  A kernel declares at most one structure:
 
-    * `smooth_part`: triangular support, gamma = 0 unless r < r_tilde.
-      The smooth factor must be valid on the closed region r <= r_tilde;
-      quadrature uses it on node-aligned tails.
+    * `triangular`: the kernel is gamma on r <= r_tilde and zero above
+      it, so gamma is only its smooth factor and must be valid on that
+      closed region.  Quadrature applies it on the node-aligned tails of
+      `GridSpec.r_suffix_weights()`, so the support jump never crosses a
+      quadrature cell.
     * `factors` = ((a_1, ..., a_L), (c_1, ..., c_L)): the finite-rank form
-      gamma = sum_l a_l(r) c_l(r_tilde), independent of t and x, where
-      each factor maps an array of scalar r values to an array of the
-      same shape.  The solver then applies the kernel through the moments
-      <c_l, rho2 u> without building a dense operator, and evaluates the
-      slab rate at a single (t, x).
+      gamma = sum_l a_l(r) c_l(r_tilde), where each factor maps an array
+      of scalar r values to an array of the same shape.  The solver then
+      applies the kernel through the moments <c_l, rho2 u> without
+      building a dense operator.
 
     gamma must agree with the declared structure; it serves the slab
-    bound and every consumer without a structured path.
+    rate and every consumer without a structured path.
     """
 
     name: str
     gamma: Callable
-    smooth_part: Callable | None = None
+    triangular: bool = False
     factors: tuple[tuple[Callable, ...], tuple[Callable, ...]] | None = None
 
     def __post_init__(self) -> None:
         if self.factors is not None:
-            if self.smooth_part is not None:
-                raise ValueError("a kernel declares smooth_part or factors, "
+            if self.triangular:
+                raise ValueError("a kernel declares triangular or factors, "
                                  "not both")
             a_list, c_list = (tuple(fs) for fs in self.factors)
             if not a_list or len(a_list) != len(c_list):
@@ -390,7 +390,7 @@ class Kernel:
             self.factors = (a_list, c_list)
 
 
-def _const_gamma(c, t, x, r, rt):
+def _const_gamma(c, r, rt):
     return np.full(np.broadcast_shapes(r.shape[:-1], rt.shape[:-1]), c)
 
 
@@ -398,15 +398,7 @@ def constant_kernel(c: float = 1.0) -> Kernel:
     return Kernel("constant", partial(_const_gamma, float(c)))
 
 
-def _frag_gamma(scale, t, x, r, rt):
-    rr = r[..., 0]
-    tt = rt[..., 0]
-    with np.errstate(divide="ignore"):
-        val = np.where((rr < tt) & (tt > 0.0), scale / np.where(tt > 0, tt, 1.0), 0.0)
-    return np.broadcast_to(val, np.broadcast_shapes(rr.shape, tt.shape)).copy()
-
-
-def _frag_smooth(scale, t, x, r, rt):
+def _frag_smooth(scale, r, rt):
     tt = rt[..., 0]
     val = scale / tt
     return np.broadcast_to(val, np.broadcast_shapes(r.shape[:-1], tt.shape)).copy()
@@ -417,12 +409,11 @@ def fragmentation_kernel(scale: float = 1.0) -> Kernel:
 
     Uniform-daughter fragmentation: a parent of size r_tilde spreads into
     sizes uniform on (0, r_tilde).  With scale=2 and b=0 the total mass
-    grows exactly like e^{2t}.
+    grows exactly like e^{2t}.  The kernel is triangular; its gamma is
+    the smooth factor scale / r_tilde.
     """
-    scale = float(scale)
     return Kernel(
-        "fragmentation", partial(_frag_gamma, scale),
-        smooth_part=partial(_frag_smooth, scale),
+        "fragmentation", partial(_frag_smooth, float(scale)), triangular=True,
     )
 
 
@@ -430,7 +421,7 @@ def _gauss(center, width, v):
     return np.exp(-((v - center) ** 2) / (2.0 * width**2))
 
 
-def _separable_gamma(terms, t, x, r, rt):
+def _separable_gamma(terms, r, rt):
     rr = r[..., 0]
     tt = rt[..., 0]
     acc = 0.0
@@ -489,59 +480,28 @@ def make_kernel(name: str, **params) -> Kernel:
 # =====================================================================
 
 
-def _mixed_norm_matrix(
-    kernel: Kernel, grid: GridSpec, p: float, ts: np.ndarray
-) -> np.ndarray:
-    """Per (time sample, x label) mixed norm of the kernel.
+def kernel_slab_rate(kernel: Kernel, grid: GridSpec, p: float) -> float:
+    """The kernel's mixed norm on the grid's fiber,
 
-    Entry (s, i) is  ( int_r ( int_rt |gamma(s, x_i)|^{p'} dr_tilde
-    )^{p/p'} dr )^{1/p}  with p' the conjugate exponent.  Triangular
-    kernels are integrated on node-aligned tails so the support jump never
-    crosses a quadrature cell.  Kernels with declared factors do not
-    depend on (s, x_i), so a single entry is computed.
+        ( int_r ( int_rt |gamma(r, rt)|^{p'} dr_tilde )^{p/p'} dr )^{1/p}
+
+    with p' the conjugate exponent, from one evaluation of gamma on the
+    fiber nodes.  The norm depends on neither time nor x, so on any slab
+    of length T the slab bound is rate * T, and the slab chooser tests
+    its candidates without evaluating the kernel again.  Triangular
+    kernels are integrated on node-aligned tails, so the support jump
+    never crosses a quadrature cell.
     """
     if not (1.0 < p < np.inf):
         raise ValueError("slab bound needs a finite exponent p > 1")
     if grid.j != 1:
         raise ValueError(f"kernels act on a j = 1 fiber, not j = {grid.j}")
-    xs = grid.x_labels()
     pp = p / (p - 1.0)
     r_nodes = grid.r_labels()  # (Nr, 1)
     w_r = grid.r_weights()
-    if kernel.factors is not None:
-        ts, xs = ts[:1], xs[:1]
-    out = np.zeros((ts.size, xs.shape[0]))
-    for si, s in enumerate(ts):
-        for i, x in enumerate(xs):
-            if kernel.smooth_part is not None:
-                g = kernel.smooth_part(s, x, r_nodes[:, None, :], r_nodes[None, :, :])
-                inner = np.einsum(
-                    "mq,mq->m", np.abs(g) ** pp, grid.r_suffix_weights()
-                )
-            else:
-                g = kernel.gamma(s, x, r_nodes[:, None, :], r_nodes[None, :, :])
-                inner = (np.abs(g) ** pp) @ w_r
-            out[si, i] = float(np.sum(w_r * inner ** (p / pp)) ** (1.0 / p))
-    return out
-
-
-def kernel_slab_rate(
-    kernel: Kernel,
-    grid: GridSpec,
-    p: float,
-    t_lo: float,
-    t_hi: float,
-    time_samples: int = 9,
-) -> float:
-    """Sampled sup over (time, x) of the kernel's mixed norm.
-
-    On any sub-slab of length T, rate * T dominates the slab bound: the
-    sup over x of the mixed norm's time integral over the sub-slab.  So
-    the slab chooser can test dyadic candidates without re-evaluating
-    kernel quadratures per candidate.  For autonomous kernels the product
-    is exact rather than conservative.
-    """
-    if t_hi <= t_lo:
-        raise ValueError("need t_hi > t_lo")
-    ts = np.linspace(t_lo, t_hi, time_samples)
-    return float(np.max(_mixed_norm_matrix(kernel, grid, p, ts)))
+    g = np.abs(kernel.gamma(r_nodes[:, None, :], r_nodes[None, :, :])) ** pp
+    if kernel.triangular:
+        inner = np.einsum("mq,mq->m", g, grid.r_suffix_weights())
+    else:
+        inner = g @ w_r
+    return float(np.sum(w_r * inner ** (p / pp)) ** (1.0 / p))

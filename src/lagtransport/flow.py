@@ -164,7 +164,6 @@ def flow_from(
 class FlowSample:
     """One trajectory: positions and log-Jacobians at shared time nodes."""
 
-    label: np.ndarray          # (n + j,)
     times: np.ndarray          # (K,)
     positions: np.ndarray      # (K, n + j)
     logj1: np.ndarray          # (K,)
@@ -182,7 +181,6 @@ class FlowMap:
     """
 
     grid: GridSpec
-    direction: str
     times: np.ndarray          # (K,)
     x1: np.ndarray             # (K, Nx, n)
     logj1: np.ndarray          # (K, Nx)
@@ -234,7 +232,6 @@ def integrate_flow(
         (times[0], times[-1]), times, tol,
     )
     return FlowSample(
-        label=label,
         times=times,
         positions=np.concatenate([x1[:, 0], x2[:, 0, 0]], axis=-1),
         logj1=logj1[:, 0],
@@ -248,7 +245,7 @@ def _forward_flow_map(field, grid, times, tol) -> FlowMap:
         (times[0], times[-1]), times, tol,
     )
     return FlowMap(
-        grid=grid, direction="forward", times=times,
+        grid=grid, times=times,
         x1=x1, logj1=logj1, x2=x2, logj2=logj2,
     )
 
@@ -267,7 +264,7 @@ def _backward_flow_map(field, grid, times, tol) -> FlowMap:
         logj1[k] = 0.0 - lj1
         logj2[k] = 0.0 - lj2
     return FlowMap(
-        grid=grid, direction="backward", times=times,
+        grid=grid, times=times,
         x1=x1, logj1=logj1, x2=x2, logj2=logj2,
     )
 
@@ -340,14 +337,7 @@ class CompressibilityReport:
 
     times: np.ndarray
     bound_total: np.ndarray      # integral of sampled sup |div b| up to t_k
-    bound_x: np.ndarray
-    bound_r: np.ndarray
-    min_logj: np.ndarray
-    max_logj: np.ndarray
-    min_logj1: np.ndarray
-    max_logj1: np.ndarray
     incompressibility_constant: float
-    slack: float
     ok: bool
     violations: list
 
@@ -368,7 +358,6 @@ def check_compressibility(
     K = times.size
     sup_tot = np.zeros(K)
     sup_x = np.zeros(K)
-    sup_r = np.zeros(K)
     for k, t in enumerate(times):
         dx = np.abs(np.asarray(field.div_b1(t, fmap.x1), dtype=float))
         sup_x[k] = float(np.max(dx))
@@ -377,7 +366,6 @@ def check_compressibility(
                 field.div_b2(t, fmap.x1[:, :, None, :], fmap.x2), dtype=float
             ))
             dr = np.broadcast_to(dr, fmap.logj2.shape)
-            sup_r[k] = float(np.max(dr))
             sup_tot[k] = float(np.max(dx[..., None] + dr))
         else:
             sup_tot[k] = sup_x[k]
@@ -386,7 +374,6 @@ def check_compressibility(
         [[0.0], np.cumsum(0.5 * dt * (sup_tot[:-1] + sup_tot[1:]))]
     )
     bound_x = np.concatenate([[0.0], np.cumsum(0.5 * dt * (sup_x[:-1] + sup_x[1:]))])
-    bound_r = np.concatenate([[0.0], np.cumsum(0.5 * dt * (sup_r[:-1] + sup_r[1:]))])
     logj = fmap.logj()
     min_lj = logj.min(axis=(1, 2))
     max_lj = logj.max(axis=(1, 2))
@@ -405,10 +392,9 @@ def check_compressibility(
                  float(bound_x[k]))
             )
     return CompressibilityReport(
-        times=times, bound_total=bound_tot, bound_x=bound_x, bound_r=bound_r,
-        min_logj=min_lj, max_logj=max_lj, min_logj1=min_lj1, max_logj1=max_lj1,
+        times=times, bound_total=bound_tot,
         incompressibility_constant=float(np.max(np.exp(-logj))),
-        slack=slack, ok=not violations, violations=violations,
+        ok=not violations, violations=violations,
     )
 
 

@@ -2,14 +2,16 @@
 
 In label coordinates the problem is a Volterra-type equation
 
-    u~(t, x, r) = u0(x, r) + int_0^t int gamma(s, X1(s,x), X2(s,x,r),
-                  X2(s,x,rt)) rho2(s,x,rt) u~(s, x, rt) drt ds,
+    u~(t, x, r) = u0(x, r) + int_0^t int gamma(X2(s,x,r), X2(s,x,rt))
+                  rho2(s,x,rt) u~(s, x, rt) drt ds,
 
-whose right side defines the affine operator A.  On a short enough time
-slab A is a contraction in the sup-in-time windowed L^p norm, so Picard
-iteration from u0 converges geometrically; longer horizons are covered by
-chaining slabs, re-basing the initial datum at each boundary through an
-Eulerian reconstruction.
+whose right side defines the affine operator A.  The kernel sees only the
+moved fiber coordinates, so the operator is one gamma evaluation per
+stored time slice, and a single slice when the fibers do not move.  On a
+short enough time slab A is a contraction in the sup-in-time windowed L^p
+norm, so Picard iteration from u0 converges geometrically; longer
+horizons are covered by chaining slabs, re-basing the initial datum at
+each boundary through an Eulerian reconstruction.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ class SolverConfig:
     p and window define the norm used for contraction measurements;
     picard_tol is the difference at which iteration stops;
     nodes_per_slab fixes the trapezoid resolution of the time integral
-    inside each slab, and slab_time_samples the times at which the
-    kernel's rate is sampled when the run's slab budget is measured.
+    inside each slab, and slab_time_samples the number of times, spread
+    over the run, at which |div_r b2| is sampled when the run's slab
+    budget is measured.
     Settings that no run could use (a tolerance that is not finite and
     positive, fewer than 2 nodes or samples, p < 1) raise ValueError at
     construction.
@@ -88,7 +91,7 @@ class SolverConfig:
     window: tuple | None = None
     picard_tol: float = 1e-8
     nodes_per_slab: int = 17
-    slab_time_samples: int = 9
+    slab_time_samples: int = 5
 
     def __post_init__(self) -> None:
         for name in ("nodes_per_slab", "slab_time_samples"):
@@ -154,26 +157,25 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
     the flow's label grid.
 
     For kernels with declared factors it returns a _FactoredOperator;
-    otherwise the dense tensor G[k, i][m, q] ~ gamma(moved coords) *
-    weight(q) shaped (K_eff, Nx, Nr, Nr).  When the moved coordinates are
-    time-independent (b = 0 in the relevant blocks) K_eff = 1: a single
-    time slice is stored and broadcasts over the nodes.  Triangular
-    kernels use node-aligned tail weights via smooth_part, so the support
-    jump never crosses a quadrature cell (the fiber map is monotone, hence
-    label order and moved order agree).  Kernels act on a j = 1 fiber
-    only.
+    otherwise the dense tensor G[k, i][m, q] = gamma(X2[k, i, m],
+    X2[k, i, q]) * weight(m, q) shaped (K_eff, Nx, Nr, Nr), from one
+    gamma call per stored slice written into the preallocated tensor.
+    When the moved fiber coordinates are time-independent (b2 = 0) K_eff
+    = 1: a single time slice is stored and broadcasts over the nodes.
+    Triangular kernels take the node-aligned tail weights of
+    `GridSpec.r_suffix_weights()`, which also zero the entries above the
+    support (the fiber map is monotone, hence label order and moved order
+    agree); other kernels take the fiber weights w(q).  Kernels act on a
+    j = 1 fiber only.
     """
     grid = fmap.grid
     if grid.j != 1:
         raise ValueError(f"kernels act on a j = 1 fiber, not j = {grid.j}")
     K = fmap.times.size
     Nx, Nr = fmap.num_x, fmap.num_r
-    static = bool(
-        np.array_equal(fmap.x1[1:], np.broadcast_to(fmap.x1[:1], fmap.x1[1:].shape))
-        and np.array_equal(
-            fmap.x2[1:], np.broadcast_to(fmap.x2[:1], fmap.x2[1:].shape)
-        )
-    ) and K > 1
+    static = K > 1 and bool(np.array_equal(
+        fmap.x2[1:], np.broadcast_to(fmap.x2[:1], fmap.x2[1:].shape)
+    ))
     k_list = [0] if static else list(range(K))
     wr = grid.r_weights()
     if kernel.factors is not None:
@@ -182,21 +184,12 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
         a = np.stack([np.asarray(fa(pos), dtype=float) for fa in a_list], axis=2)
         c = np.stack([np.asarray(fc(pos), dtype=float) for fc in c_list], axis=2)
         return _FactoredOperator(a=a, c=c * wr)
-    wmat = None if kernel.smooth_part is None else grid.r_suffix_weights()
+    wmat = grid.r_suffix_weights() if kernel.triangular else wr
     mats = np.empty((len(k_list), Nx, Nr, Nr))
     for out_k, k in enumerate(k_list):
-        t = fmap.times[k]
-        for i in range(Nx):
-            x = fmap.x1[k, i]
-            pos2 = fmap.x2[k, i]  # (Nr, j)
-            col = pos2[:, None, :]
-            row = pos2[None, :, :]
-            if wmat is not None:
-                g = np.asarray(kernel.smooth_part(t, x, col, row), dtype=float)
-                mats[out_k, i] = g * wmat
-            else:
-                g = np.asarray(kernel.gamma(t, x, col, row), dtype=float)
-                mats[out_k, i] = g * wr[None, :]
+        pos2 = fmap.x2[k]  # (Nx, Nr, 1)
+        g = kernel.gamma(pos2[:, :, None, :], pos2[:, None, :, :])
+        np.multiply(g, wmat, out=mats[out_k])
     return mats
 
 
@@ -255,12 +248,13 @@ def fixed_point_residual(
 
 def _div_r_sup(
     field: StructuredVectorField, grid: GridSpec, t_lo: float, t_hi: float,
+    samples: int,
 ) -> float:
-    """Sampled sup of |div_r b2| over the grid and five times spanning
-    the window."""
+    """Sampled sup of |div_r b2| over the grid and `samples` times
+    spanning the window."""
     labels = grid.joint_labels()
     sup = 0.0
-    for s in np.linspace(t_lo, t_hi, 5):
+    for s in np.linspace(t_lo, t_hi, samples):
         d = np.abs(np.asarray(
             field.div_b2(s, labels[..., : grid.n], labels[..., grid.n :]),
             dtype=float,
@@ -276,14 +270,13 @@ def choose_slab(
     stays within the slab target of 1/2.
 
     A candidate of length T is budgeted at rate * T * exp(div_sup * T),
-    where `rate` is the sampled sup of the kernel's mixed norm (None
-    without a kernel, which takes all the remaining time) and `div_sup`
-    the sampled sup of |div_r b2|.  `continue_solution` measures both
-    once, over the whole run.  On every sub-slab that product dominates
-    the sup over x of the time integral of the kernel's mixed norm, times
-    the density-ratio envelope, so any accepted candidate honors the
-    contraction budget; the measured Picard ratios are the binding check
-    downstream.
+    where `rate` is the kernel's mixed norm (None without a kernel, which
+    takes all the remaining time) and `div_sup` the sampled sup of
+    |div_r b2|.  `continue_solution` measures both once, over the whole
+    run.  rate * T is the time integral of the mixed norm over the
+    candidate, and exp(div_sup * T) the density-ratio envelope, so any
+    accepted candidate honors the contraction budget; the measured Picard
+    ratios are the binding check downstream.
     """
     if remaining <= 0:
         raise ValueError("the remaining time must be positive")
@@ -530,21 +523,18 @@ def continue_solution(
     in the boundary datum.  Every slab runs on the one `grid` (and its cached
     weights).
 
-    The slab budget (the kernel's slab rate and the sup of |div_r b2|) is
-    measured once, over [t0, t_end], and every slab is chosen from it.  A
-    sup over the whole run bounds the sup over any slab, so this is exact
-    for autonomous kernels and fields and conservative, giving shorter
-    slabs, for time-dependent ones.
+    The slab budget is measured once and every slab is chosen from it:
+    the kernel's slab rate, which depends on neither time nor x, and the
+    sup of |div_r b2| sampled at `config.slab_time_samples` times over
+    [t0, t_end].  A sup over the whole run bounds the sup over any slab.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     u_cur = _sample_initial(u0, grid)
     rate, div_sup = None, 0.0
     if kernel is not None:
-        rate = kernel_slab_rate(
-            kernel, grid, config.p, t0, t_end, config.slab_time_samples
-        )
-        div_sup = _div_r_sup(field, grid, t0, t_end)
+        rate = kernel_slab_rate(kernel, grid, config.p)
+        div_sup = _div_r_sup(field, grid, t0, t_end, config.slab_time_samples)
     sol = ContinuedSolution(
         grid=grid, field_name=field.name,
         kernel_name=kernel.name if kernel is not None else "none",

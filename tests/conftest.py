@@ -1,4 +1,4 @@
-"""Shared test fields."""
+"""Shared test fields and kernels."""
 
 import numpy as np
 
@@ -22,3 +22,15 @@ def modulated_logistic_field(mu=0.3, a=0.5):
         div_b1=lambda t, x: np.cos(x[..., 0]),
         div_b2=lambda t, x, r: rate(x) * (1.0 - 2.0 * r[..., 0]),
     )
+
+
+class CountingGamma:
+    """A kernel's gamma that counts its calls."""
+
+    def __init__(self, gamma):
+        self.gamma = gamma
+        self.calls = 0
+
+    def __call__(self, r, rt):
+        self.calls += 1
+        return self.gamma(r, rt)

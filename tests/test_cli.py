@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CountingGamma
+
 PI = 3.141592653589793
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -304,6 +306,37 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         # counts are integers and true is not a number
         ("solve", lambda c: c["grid"].update({"x_counts": [3.7]})),
         ("solve", lambda c: c.update({"t_end": True})),
+        # outside the keys typed str, a config holds only numbers, lists
+        # and objects: null, true, false and strings are not numbers
+        ("solve", lambda c: c.update({"field": {
+            "name": "logistic", "params": {"k": 1, "mu": "0.3"}}})),
+        ("solve", lambda c: c.update({"field": {
+            "name": "logistic", "params": {"k": 1, "mu": None}}})),
+        ("solve", lambda c: c["initial"]["params"].update({"x_center": None})),
+        ("solve", lambda c: c.update({"field": {
+            "name": "logistic", "params": {"k": 1, "mu": True}}})),
+        ("solve", lambda c: c.update({"field": {
+            "name": "logistic", "params": {"k": True, "mu": 0.3}}})),
+        ("solve", lambda c: c.update({"field": {
+            "name": "logistic", "params": {"k": 1, "mu": 0.3, "eps": "0.05"}}})),
+        ("solve", lambda c: c.update(
+            {"kernel": {"name": "constant", "params": {"c": "0.5"}}})),
+        ("solve", lambda c: c.update({"kernel": {
+            "name": "separable",
+            "params": {"terms": [[0.5, 0.2, 0.6, 0.25, True]]}}})),
+        ("solve", lambda c: c["solver"].update(
+            {"window": [[0.0, True], [0.0, 1.0]]})),
+        ("solve", lambda c: c["solver"].update(
+            {"window": [["0.0", 1.0], [0.0, 1.0]]})),
+        ("solve", lambda c: c["grid"].update({"x_bounds": [["0", 1.0]]})),
+        ("solve", lambda c: c["grid"].update({"x_bounds": [[0.0, True]]})),
+        ("solve", lambda c: c["grid"].update({"time_nodes": ["0", 0.5]})),
+        ("solve", lambda c: c["grid"].update({"time_nodes": [False, 0.5]})),
+        ("solve", lambda c: c["grid"].update(
+            {"time_nodes": {"start": False, "stop": 0.5, "num": 3}})),
+        # a list is not a rate: the catalogue builders convert with float()
+        ("solve", lambda c: c.update({"field": {
+            "name": "logistic", "params": {"k": 1, "mu": [0.3]}}})),
     ],
     ids=[
         "solve-kernel_j", "solve-string_scale", "solve-string_c",
@@ -316,7 +349,12 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         "solve-t_end=inf", "verify-t=inf", "verify-flow_tol=inf",
         "verify-tolerance_scale=inf", "solve-mu=NaN", "solve-mu=Infinity",
         "solve-t_end=10**400", "solve-k=0", "solve-x_counts=3.7",
-        "solve-t_end=true",
+        "solve-t_end=true", "solve-string_mu", "solve-null_mu",
+        "solve-null_x_center", "solve-bool_mu", "solve-bool_k",
+        "solve-string_eps", "solve-numeric_string_c", "solve-bool_in_terms",
+        "solve-bool_in_window", "solve-string_in_window",
+        "solve-string_x_bound", "solve-bool_x_bound", "solve-string_time_node",
+        "solve-bool_time_node", "solve-bool_time_start", "solve-list_mu",
     ],
 )
 def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
@@ -527,10 +565,21 @@ def test_numerical_failure_removes_the_directories_it_created(tmp_path, monkeypa
 
 def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatch):
     # b = 0 is declared, so no flow integrates; the slab budget is
-    # measured once for the run, not at each of its slab boundaries
+    # measured once for the run, not at each of its slab boundaries.  The
+    # kernel is evaluated once for the slab rate and once for the single
+    # stored operator slice of each of the 23 slabs
     from lagtransport import cli, flow, transport
 
     calls = []
+    kernels = []
+
+    def counting_kernel(*args, _real=cli.make_kernel, **kwargs):
+        kern = _real(*args, **kwargs)
+        kern.gamma = CountingGamma(kern.gamma)
+        kernels.append(kern)
+        return kern
+
+    monkeypatch.setattr(cli, "make_kernel", counting_kernel)
 
     def counted(module, name):
         real = getattr(module, name)
@@ -548,6 +597,7 @@ def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatc
     assert calls == ["kernel_slab_rate"]
     payload = json.loads(next(tmp_path.glob("solve_*.json")).read_text())
     assert len(payload["run"]["slabs"]) == 23
+    assert [k.gamma.calls for k in kernels] == [24]
 
 
 def test_catalogue_builders_are_looked_up_when_called(tmp_path, monkeypatch):

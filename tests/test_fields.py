@@ -24,7 +24,7 @@ from lagtransport.fields import (
 )
 from lagtransport.grid import GridSpec
 
-from conftest import modulated_logistic_field
+from conftest import CountingGamma, modulated_logistic_field
 
 
 ALL_FIELDS = [
@@ -111,7 +111,7 @@ def test_validate_field_catches_wrong_divergence():
     broken = type(field)(
         name=field.name, n=field.n, j=field.j, b1=field.b1, b2=field.b2,
         div_b1=lambda t, x: np.full(x.shape[:-1], -1.23),
-        div_b2=field.div_b2, params=field.params,
+        div_b2=field.div_b2,
     )
     rng = np.random.default_rng(0)
     pts_x, pts_r = _validation_points(broken, rng)
@@ -180,6 +180,24 @@ def test_make_field_catalogue_and_unknown_name():
         assert field.name == name
     with pytest.raises(ValueError):
         make_field("no_such_field")
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("linear", {"lam": [0.4]}),
+        ("linear", {"mu": [0.3]}),
+        ("oscillatory", {"k": [2]}),
+        ("logistic", {"mu": [0.3]}),
+        ("logistic", {"k": [1]}),
+        ("swirl", {"omega": [1.0]}),
+        ("sobolev", {"alpha": [0.5]}),
+    ],
+)
+def test_catalogue_fields_read_scalar_params_as_floats(name, params):
+    # a list is not a rate: the builder converts with float() and fails
+    with pytest.raises(TypeError):
+        make_field(name, **params)
 
 
 @pytest.mark.parametrize("name", ["oscillatory", "logistic"])
@@ -314,14 +332,13 @@ def test_mollified_field_survives_pickling():
 
 
 def test_fragmentation_kernel_triangular_structure():
+    # the kernel is scale / rt on r < rt; it declares the triangle, and
+    # gamma is the smooth factor (the operator tests check the support)
     kern = fragmentation_kernel(scale=2.0)
-    assert kern.smooth_part is not None and kern.factors is None
+    assert kern.triangular and kern.factors is None
     r = np.array([[0.3]])
     rt = np.array([[0.6]])
-    # gamma(r, rt) = scale / rt on r < rt, zero above the diagonal
-    assert np.allclose(kern.gamma(0.0, None, r, rt), 2.0 / 0.6)
-    assert np.allclose(kern.gamma(0.0, None, rt, r), 0.0)
-    assert np.allclose(kern.smooth_part(0.0, None, r, rt), 2.0 / 0.6)
+    assert np.allclose(kern.gamma(r, rt), 2.0 / 0.6)
 
 
 def test_separable_kernel_factors_rebuild_gamma():
@@ -332,7 +349,7 @@ def test_separable_kernel_factors_rebuild_gamma():
     rng = np.random.default_rng(21)
     r = rng.uniform(0.0, 1.0, size=(7, 1))
     rt = rng.uniform(0.0, 1.0, size=(7, 1))
-    direct = kern.gamma(0.0, None, r, rt)
+    direct = kern.gamma(r, rt)
     rebuilt = sum(
         a(r[..., 0]) * c(rt[..., 0]) for a, c in zip(a_list, c_list)
     )
@@ -346,7 +363,7 @@ def test_kernel_factors_are_validated_and_picklable():
         Kernel("bad", kern.gamma, factors=(a_list, ()))
     # a kernel declares at most one structure
     with pytest.raises(ValueError, match="not both"):
-        Kernel("bad", kern.gamma, smooth_part=kern.gamma, factors=kern.factors)
+        Kernel("bad", kern.gamma, triangular=True, factors=kern.factors)
     clone = pickle.loads(pickle.dumps(kern))
     v = np.linspace(0.0, 1.0, 5)
     assert np.array_equal(clone.factors[0][0](v), a_list[0](v))
@@ -354,7 +371,7 @@ def test_kernel_factors_are_validated_and_picklable():
 
 def test_make_kernel_and_zero_kernel():
     kern = make_kernel("fragmentation", scale=1.5)
-    assert kern.gamma(0.0, None, np.array([[0.3]]), np.array([[0.6]])) == 1.5 / 0.6
+    assert kern.gamma(np.array([[0.3]]), np.array([[0.6]])) == 1.5 / 0.6
     # no source term means no kernel: there is no "zero" catalogue entry
     with pytest.raises(ValueError, match="unknown kernel 'zero'"):
         make_kernel("zero")
@@ -373,8 +390,7 @@ def test_separable_kernel_from_json_lists_is_bit_equal():
     from_tuples = separable_kernel(terms=terms)
     r = np.linspace(0.0, 1.0, 17)[:, None, None]
     rt = np.linspace(0.0, 1.0, 17)[None, :, None]
-    assert np.array_equal(from_lists.gamma(0.0, None, r, rt),
-                          from_tuples.gamma(0.0, None, r, rt))
+    assert np.array_equal(from_lists.gamma(r, rt), from_tuples.gamma(r, rt))
 
 
 # ---------------------------------------------------------------------
@@ -392,17 +408,34 @@ def _unit_r_grid(nr=65):
 
 
 def test_slab_bound_constant_kernel_closed_form():
-    # gamma = c on the unit fiber with p = 2: the mixed norm at every
-    # (time, x) sample is c, so the rate is c
+    # gamma = c on the unit fiber with p = 2: the mixed norm is c, so the
+    # rate is c
     grid = _unit_r_grid()
     kern = make_kernel("constant", c=0.7)
-    rate = kernel_slab_rate(kern, grid, 2.0, 0.0, 0.5)
+    rate = kernel_slab_rate(kern, grid, 2.0)
     assert abs(rate - 0.7) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "kern",
+    [constant_kernel(c=0.7), fragmentation_kernel(scale=2.0),
+     separable_kernel()],
+    ids=["dense", "triangular", "factored"],
+)
+def test_slab_rate_evaluates_gamma_once(kern):
+    # the kernel depends on neither t nor x, so one evaluation on the
+    # fiber nodes gives the rate, however many x labels the grid has
+    grid = GridSpec(
+        x_bounds=((0.0, 1.0),), x_counts=(5,),
+        r_bounds=((1e-3, 1.0),), r_counts=(33,), r_spacing="geometric",
+    )
+    counting = dataclasses.replace(kern, gamma=CountingGamma(kern.gamma))
+    assert kernel_slab_rate(counting, grid, 2.0) == kernel_slab_rate(kern, grid, 2.0)
+    assert counting.gamma.calls == 1
+
+
 def test_factored_slab_rate_is_bit_identical_to_dense():
-    # a kernel with factors is evaluated at one (t, x); the same gamma
-    # without factors is evaluated at every sample
+    # the rate reads gamma alone: declared factors do not change it
     grid = GridSpec(
         x_bounds=((-3.0, 3.0),), x_counts=(5,),
         r_bounds=((0.0, 1.0),), r_counts=(33,),
@@ -412,25 +445,21 @@ def test_factored_slab_rate_is_bit_identical_to_dense():
     )
     dense = Kernel("separable", kern.gamma)
     for p in (1.5, 2.0, 3.0):
-        assert kernel_slab_rate(kern, grid, p, 0.1, 0.7) == kernel_slab_rate(
-            dense, grid, p, 0.1, 0.7
-        )
+        assert kernel_slab_rate(kern, grid, p) == kernel_slab_rate(dense, grid, p)
 
 
 def test_slab_bound_rejects_bad_exponent():
     grid = _unit_r_grid()
     kern = separable_kernel()
     with pytest.raises(ValueError):
-        kernel_slab_rate(kern, grid, 1.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        kernel_slab_rate(kern, grid, 2.0, 0.5, 0.5)
+        kernel_slab_rate(kern, grid, 1.0)
 
 
 def test_slab_rate_rejects_a_grid_without_a_single_fiber_axis():
     grid = GridSpec(x_bounds=((0.0, 1.0),), x_counts=(3,))  # j = 0
     for kern in (constant_kernel(), separable_kernel(), fragmentation_kernel()):
         with pytest.raises(ValueError, match="j = 1"):
-            kernel_slab_rate(kern, grid, 2.0, 0.0, 0.5)
+            kernel_slab_rate(kern, grid, 2.0)
 
 
 def test_fragmentation_slab_bound_is_finite_on_geometric_grid():
@@ -442,6 +471,6 @@ def test_fragmentation_slab_bound_is_finite_on_geometric_grid():
         r_spacing="geometric",
     )
     kern = fragmentation_kernel(scale=2.0)
-    rate = kernel_slab_rate(kern, grid, 2.0, 0.0, 1.0)
+    rate = kernel_slab_rate(kern, grid, 2.0)
     assert np.isfinite(rate)
     assert rate > 0.0

@@ -89,7 +89,6 @@ def test_backward_flow_map_linear_field_closed_form():
     )
     xs = grid.x_labels()
     rs = grid.r_labels()
-    assert fmap.direction == "backward"
     # row 0 is the grid itself, with zero log-Jacobian
     assert np.array_equal(fmap.x1[0], xs)
     assert np.array_equal(fmap.x2[0], np.broadcast_to(rs[None], fmap.x2[0].shape))

@@ -166,9 +166,7 @@ def test_separable_solve_against_direct_ode():
     )
     rs = grid.r_labels()
     wr = grid.r_weights()
-    gmat = kern.gamma(
-        0.0, None, rs[:, None, :], rs[None, :, :]
-    ) * wr[None, :]
+    gmat = kern.gamma(rs[:, None, :], rs[None, :, :]) * wr[None, :]
     rng = np.random.default_rng(3)
     u0_fiber = rng.uniform(0.5, 1.5, size=grid.num_r)
     sol = solve_ivp(

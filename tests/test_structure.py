@@ -249,7 +249,7 @@ def test_detector_flags_name_tests():
 
 
 def test_no_module_tests_a_name():
-    # structure is declared as data (Kernel.smooth_part, Kernel.factors)
+    # structure is declared as data (Kernel.triangular, Kernel.factors)
     # and read from it, never from a name
     root = Path(lagtransport.__file__).parent
     offenders = {

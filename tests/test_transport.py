@@ -1,5 +1,7 @@
 """Source operator, Picard iteration, slab selection, and continuation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -7,6 +9,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from lagtransport.fields import (
     Kernel,
+    StructuredVectorField,
     constant_kernel,
     fragmentation_kernel,
     kernel_slab_rate,
@@ -34,6 +37,8 @@ from lagtransport.transport import (
     picard_solve,
     slice_to_csv,
 )
+
+from conftest import CountingGamma
 
 SEPARABLE_TERMS = ((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
 
@@ -122,6 +127,14 @@ def test_apply_A_rejects_a_kernel_on_a_grid_without_a_fiber():
             apply_A(values, fmap, kern, u0)
 
 
+def _triangular_grid():
+    # the geometric fiber keeps the fragmentation kernel's 1/r~ finite
+    return GridSpec(
+        x_bounds=((0.0, 1.0),), x_counts=(3,),
+        r_bounds=((1e-3, 1.0),), r_counts=(33,), r_spacing="geometric",
+    )
+
+
 @pytest.mark.parametrize(
     "field, kern, slices",
     [
@@ -136,12 +149,8 @@ def test_apply_A_rejects_a_kernel_on_a_grid_without_a_fiber():
 def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
     # a static operator stores one slice, a moving flow one per node, and
     # broadcasting the stored slices must round every entry as a dense
-    # matvec per node, or a factored contraction of per-node copies, did.
-    # The geometric fiber keeps the fragmentation kernel's 1/r~ finite.
-    grid = GridSpec(
-        x_bounds=((0.0, 1.0),), x_counts=(3,),
-        r_bounds=((1e-3, 1.0),), r_counts=(33,), r_spacing="geometric",
-    )
+    # matvec per node, or a factored contraction of per-node copies, did
+    grid = _triangular_grid()
     fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
     ops = _kernel_matrices(fmap, kern)
     rng = np.random.default_rng(13)
@@ -163,7 +172,48 @@ def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
     assert np.array_equal(apply_A(values, fmap, kern, u0, _mats=ops), expected)
 
 
-def _raising_gamma(t, x, r, rt):
+@pytest.mark.parametrize(
+    "field", [zero_field(1, 1), logistic_field(k=1, mu=0.3)],
+    ids=["static", "moving"],
+)
+def test_triangular_operator_is_gamma_times_suffix_weights(field):
+    # each stored slice is the smooth factor on the moved fiber times the
+    # node-aligned tail weights, which are zero below the diagonal: the
+    # kernel vanishes wherever r > r~
+    grid = _triangular_grid()
+    kern = fragmentation_kernel(scale=2.0)
+    fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
+    ops = _kernel_matrices(fmap, kern)
+    suffix = grid.r_suffix_weights()
+    assert np.all(np.tril(suffix, -1) == 0.0)
+    for k in range(ops.shape[0]):
+        pos = fmap.x2[k]
+        expected = kern.gamma(pos[:, :, None, :], pos[:, None, :, :]) * suffix
+        assert np.array_equal(ops[k], expected)
+
+
+@pytest.mark.parametrize(
+    "field, slices",
+    [(zero_field(1, 1), 1), (logistic_field(k=1, mu=0.3), 9)],
+    ids=["static", "moving"],
+)
+@pytest.mark.parametrize(
+    "kern", [constant_kernel(c=0.7), fragmentation_kernel(scale=2.0)],
+    ids=["dense", "triangular"],
+)
+def test_operator_evaluates_gamma_once_per_stored_slice(field, slices, kern):
+    # the kernel depends on neither t nor x: one call covers every x
+    # label of a slice, and a static flow stores a single slice
+    grid = _triangular_grid()
+    fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
+    counting = dataclasses.replace(kern, gamma=CountingGamma(kern.gamma))
+    ops = _kernel_matrices(fmap, counting)
+    assert ops.shape[0] == slices
+    assert counting.gamma.calls == slices
+    assert np.array_equal(ops, _kernel_matrices(fmap, kern))
+
+
+def _raising_gamma(r, rt):
     raise AssertionError("gamma evaluated on the factored path")
 
 
@@ -245,7 +295,7 @@ def test_choose_slab_halves_until_budget_met():
     # constant kernel on the unit fiber has rate c; with b = 0 the budget
     # is c * T, so c = 0.7 over T = 1 needs exactly one halving for a
     # 0.5 target
-    rate = kernel_slab_rate(constant_kernel(c=0.7), _fiber_grid(), 2.0, 0.0, 1.0)
+    rate = kernel_slab_rate(constant_kernel(c=0.7), _fiber_grid(), 2.0)
     length, diag = choose_slab(rate, 0.0, 1.0)
     assert abs(length - 0.5) < 1e-12
     assert diag["halvings"] == 1
@@ -255,7 +305,7 @@ def test_choose_slab_halves_until_budget_met():
 
 def test_choose_slab_raises_when_budget_unreachable():
     # rate 1e13 over T = 1 stays above the 0.5 target after 40 halvings
-    rate = kernel_slab_rate(constant_kernel(c=1e13), _fiber_grid(), 2.0, 0.0, 1.0)
+    rate = kernel_slab_rate(constant_kernel(c=1e13), _fiber_grid(), 2.0)
     with pytest.raises(SlabSelectionError, match="0.5 even after 40 halvings"):
         choose_slab(rate, 0.0, 1.0)
 
@@ -538,6 +588,34 @@ def test_continue_solution_starts_at_t0():
     assert np.allclose(sol.mass_history()[1], ref.mass_history()[1], rtol=1e-9)
     with pytest.raises(ValueError):
         continue_solution(*args, 0.3, t0=0.3)
+
+
+def test_slab_count_follows_slab_time_samples():
+    # a logistic fiber drift switched on by sin^2(pi t): over [0, 1],
+    # |div_r b2| is 0 at the two ends and 2 at t = 1/2.  Two samples see
+    # only the ends, so the budget of the constant kernel (rate 0.7) takes
+    # 2 slabs; three samples see the peak, and exp(2 T) takes 4
+    def rate(t):
+        return 2.0 * np.sin(np.pi * t) ** 2
+
+    field = StructuredVectorField(
+        "pulse", 1, 1,
+        b1=lambda t, x: np.zeros_like(x),
+        b2=lambda t, x, r: rate(t) * r * (1.0 - r),
+        div_b1=lambda t, x: np.zeros(x.shape[:-1]),
+        div_b2=lambda t, x, r: rate(t) * (1.0 - 2.0 * r[..., 0]),
+        zero_blocks={"x"},
+    )
+    slabs = {}
+    for samples in (2, 3):
+        sol = continue_solution(
+            make_initial("constant", value=1.0), field, constant_kernel(c=0.7),
+            SolverConfig(picard_tol=1e-9, nodes_per_slab=9,
+                         slab_time_samples=samples),
+            _fiber_grid(nr=17), 1.0,
+        )
+        slabs[samples] = len(sol.slabs)
+    assert slabs == {2: 2, 3: 4}
 
 
 def test_continue_solution_aborts_on_label_exit():
