@@ -8,11 +8,11 @@ them against central differences.
 Kernels gamma(r, r_tilde) on a one-dimensional fiber drive the integral
 source term.  A kernel is data: its gamma plus at most one declared
 structure, which every consumer reads in place of the kernel's name.
-Triangular support (zero unless r < r_tilde) lets the solver place the
-support jump exactly on quadrature nodes instead of smearing it across a
-cell.  Finite-rank factors let the solver apply the kernel through
-moments instead of a dense r x r_tilde operator.  With no source term
-there is no kernel.
+Triangular support (gamma on r <= r_tilde, zero above) lets the solver
+place the support jump exactly on quadrature nodes instead of smearing
+it across a cell.  Finite-rank factors let the solver apply the kernel
+through moments instead of a dense r x r_tilde operator.  With no source
+term there is no kernel.
 """
 
 from __future__ import annotations
@@ -370,8 +370,16 @@ class Kernel:
       applies the kernel through the moments <c_l, rho2 u> without
       building a dense operator.
 
-    gamma must agree with the declared structure; it serves the slab
-    rate and every consumer without a structured path.
+    The kernel is gamma on its declared support, so every consumer of
+    gamma must read `triangular`: the operator and the slab rate apply
+    the support through the tail weights, and a new Kernel wrapping a
+    triangular kernel's gamma without `triangular=True` is that smooth
+    factor on the whole square.  With `factors`, gamma must equal the
+    finite-rank sum; the slab rate evaluates it.
+
+    gamma may return a read-only broadcast view; the catalogue kernels do
+    where their value is constant along an axis, so building the dense
+    operator holds no temporary the size of a slice.
     """
 
     name: str
@@ -391,7 +399,8 @@ class Kernel:
 
 
 def _const_gamma(c, r, rt):
-    return np.full(np.broadcast_shapes(r.shape[:-1], rt.shape[:-1]), c)
+    shape = np.broadcast_shapes(r.shape[:-1], rt.shape[:-1])
+    return np.broadcast_to(np.float64(c), shape)
 
 
 def constant_kernel(c: float = 1.0) -> Kernel:
@@ -401,7 +410,7 @@ def constant_kernel(c: float = 1.0) -> Kernel:
 def _frag_smooth(scale, r, rt):
     tt = rt[..., 0]
     val = scale / tt
-    return np.broadcast_to(val, np.broadcast_shapes(r.shape[:-1], tt.shape)).copy()
+    return np.broadcast_to(val, np.broadcast_shapes(r.shape[:-1], tt.shape))
 
 
 def fragmentation_kernel(scale: float = 1.0) -> Kernel:
@@ -424,10 +433,10 @@ def _gauss(center, width, v):
 def _separable_gamma(terms, r, rt):
     rr = r[..., 0]
     tt = rt[..., 0]
-    acc = 0.0
+    acc = np.zeros(np.broadcast_shapes(rr.shape, tt.shape))
     for (ca, wa, cc, wc, amp) in terms:
-        acc = acc + amp * _gauss(ca, wa, rr) * _gauss(cc, wc, tt)
-    return np.broadcast_to(acc, np.broadcast_shapes(rr.shape, tt.shape)).copy()
+        acc += amp * _gauss(ca, wa, rr) * _gauss(cc, wc, tt)
+    return acc
 
 
 def separable_kernel(

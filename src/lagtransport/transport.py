@@ -79,9 +79,10 @@ class SolverConfig:
     p and window define the norm used for contraction measurements;
     picard_tol is the difference at which iteration stops;
     nodes_per_slab fixes the trapezoid resolution of the time integral
-    inside each slab, and slab_time_samples the number of times, spread
-    over the run, at which |div_r b2| is sampled when the run's slab
-    budget is measured.
+    inside each slab.  slab_time_samples is validated but read by
+    nothing: it counted the times at which a time-dependent kernel's rate
+    was sampled, and a kernel no longer depends on time.  It stays until
+    the configs that set it drop it.
     Settings that no run could use (a tolerance that is not finite and
     positive, fewer than 2 nodes or samples, p < 1) raise ValueError at
     construction.
@@ -91,7 +92,7 @@ class SolverConfig:
     window: tuple | None = None
     picard_tol: float = 1e-8
     nodes_per_slab: int = 17
-    slab_time_samples: int = 5
+    slab_time_samples: int = 9
 
     def __post_init__(self) -> None:
         for name in ("nodes_per_slab", "slab_time_samples"):
@@ -248,13 +249,12 @@ def fixed_point_residual(
 
 def _div_r_sup(
     field: StructuredVectorField, grid: GridSpec, t_lo: float, t_hi: float,
-    samples: int,
 ) -> float:
-    """Sampled sup of |div_r b2| over the grid and `samples` times
-    spanning the window."""
+    """Sampled sup of |div_r b2| over the grid and five times spanning
+    the window."""
     labels = grid.joint_labels()
     sup = 0.0
-    for s in np.linspace(t_lo, t_hi, samples):
+    for s in np.linspace(t_lo, t_hi, 5):
         d = np.abs(np.asarray(
             field.div_b2(s, labels[..., : grid.n], labels[..., grid.n :]),
             dtype=float,
@@ -525,8 +525,8 @@ def continue_solution(
 
     The slab budget is measured once and every slab is chosen from it:
     the kernel's slab rate, which depends on neither time nor x, and the
-    sup of |div_r b2| sampled at `config.slab_time_samples` times over
-    [t0, t_end].  A sup over the whole run bounds the sup over any slab.
+    sup of |div_r b2| sampled at five times over [t0, t_end].  A sup
+    over the whole run bounds the sup over any slab.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
@@ -534,7 +534,7 @@ def continue_solution(
     rate, div_sup = None, 0.0
     if kernel is not None:
         rate = kernel_slab_rate(kernel, grid, config.p)
-        div_sup = _div_r_sup(field, grid, t0, t_end, config.slab_time_samples)
+        div_sup = _div_r_sup(field, grid, t0, t_end)
     sol = ContinuedSolution(
         grid=grid, field_name=field.name,
         kernel_name=kernel.name if kernel is not None else "none",
