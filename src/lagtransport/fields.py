@@ -17,6 +17,7 @@ term there is no kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -56,6 +57,11 @@ class StructuredVectorField:
     `zero_blocks` declares the blocks, "x" (b1) and "r" (b2), whose drift
     and divergence are exactly 0.0 everywhere; the flow of a declared
     block is the identity and is returned without integrating.
+
+    `b1_and_div` and `b2_and_div` give a block's drift and divergence at
+    the same points in one call, which the flow's right-hand sides make.
+    Here they are the two separate calls; a mollified field evaluates
+    both on one set of shifted stencil points.
     """
 
     name: str
@@ -73,6 +79,14 @@ class StructuredVectorField:
             raise ValueError(
                 f"zero_blocks holds 'x' and/or 'r', got {set(self.zero_blocks)}"
             )
+
+    def b1_and_div(self, t, x):
+        """(b1, div_b1) at the same points."""
+        return self.b1(t, x), self.div_b1(t, x)
+
+    def b2_and_div(self, t, x, r):
+        """(b2, div_b2) at the same points."""
+        return self.b2(t, x, r), self.div_b2(t, x, r)
 
 
 # =====================================================================
@@ -250,44 +264,72 @@ _MOLLIFY_BLOCK = 2**14
 
 
 class _Mollified:
-    """Convolution of a field-block callable with the scaled bump stencil.
+    """Convolution of field-block callables with the scaled bump stencil.
 
     The point arrays (x for b1-type callables, x and r for b2-type ones)
     are broadcast to a common batch shape and flattened.  Each block of
-    batch points is shifted by every stencil offset at once and passed to
-    the base callable in one call; the stencil axis is then contracted
-    with the coefficients.  Offset columns are split across the arrays by
-    their trailing widths.
+    batch points is shifted by every stencil offset at once, and every
+    base callable is called once on those shared shifts; each result's
+    stencil axis is then contracted with the coefficients.  Offset
+    columns are split across the arrays by their trailing widths.
+
+    `parts` returns one convolution per base, in order; calling the
+    object returns the convolution of its single base.
     """
 
-    def __init__(self, base: Callable, eps: float, offsets: np.ndarray,
-                 coeffs: np.ndarray):
-        self.base = base
+    def __init__(self, bases: tuple[Callable, ...], eps: float,
+                 offsets: np.ndarray, coeffs: np.ndarray):
+        self.bases = bases
         self.eps = eps
         self.offsets = offsets
         self.coeffs = coeffs
 
     def __call__(self, t: float, *pts: np.ndarray) -> np.ndarray:
+        (out,) = self.parts(t, *pts)
+        return out
+
+    def parts(self, t: float, *pts: np.ndarray) -> tuple[np.ndarray, ...]:
         pts = [np.asarray(p, dtype=float) for p in pts]
         batch = np.broadcast_shapes(*(p.shape[:-1] for p in pts))
+        size = math.prod(batch)
         flat, shifts, col = [], [], 0
         for p in pts:
             width = p.shape[-1]
-            flat.append(np.broadcast_to(p, batch + (width,)).reshape(-1, width))
+            flat.append(np.broadcast_to(p, batch + (width,)).reshape(size, width))
             shifts.append(self.eps * self.offsets[:, None, col : col + width])
             col += width
-        size = flat[0].shape[0]
         step = max(1, _MOLLIFY_BLOCK // self.coeffs.size)
-        out = None
+        outs = [None] * len(self.bases)
         # an empty batch still makes one (empty) call, which fixes the shape
         for lo in range(0, max(size, 1), step):
             shifted = [f[None, lo : lo + step] - dz for f, dz in zip(flat, shifts)]
-            v = np.asarray(self.base(t, *shifted), dtype=float)
-            part = np.tensordot(self.coeffs, v, axes=(0, 0))
-            if out is None:
-                out = np.empty((size,) + part.shape[1:])
-            out[lo : lo + step] = part
-        return out.reshape(batch + out.shape[1:])
+            for i, base in enumerate(self.bases):
+                v = np.asarray(base(t, *shifted), dtype=float)
+                part = np.tensordot(self.coeffs, v, axes=(0, 0))
+                if outs[i] is None:
+                    outs[i] = np.empty((size,) + part.shape[1:])
+                outs[i][lo : lo + step] = part
+        return tuple(out.reshape(batch + out.shape[1:]) for out in outs)
+
+
+@dataclass(kw_only=True)
+class _MollifiedField(StructuredVectorField):
+    """A mollified field whose drift and divergence pairs share shifts.
+
+    `pair1` and `pair2` convolve the base field's (b1, div_b1) and
+    (b2, div_b2) on one set of shifted stencil points per block.  They
+    hold the base callables themselves, so the pairs run the same code
+    whether or not b1, b2, div_b1 and div_b2 have been rebound.
+    """
+
+    pair1: _Mollified
+    pair2: _Mollified
+
+    def b1_and_div(self, t, x):
+        return self.pair1.parts(t, x)
+
+    def b2_and_div(self, t, x, r):
+        return self.pair2.parts(t, x, r)
 
 
 def mollify_field(fld: StructuredVectorField, eps: float) -> StructuredVectorField:
@@ -298,27 +340,29 @@ def mollify_field(fld: StructuredVectorField, eps: float) -> StructuredVectorFie
     stencil, which keeps div(b_eps) = (div b)_eps exactly at the discrete
     level.  The symmetric normalized stencil reproduces constants (and any
     affine field) exactly.  A mollified zero is exactly zero, so the
-    declared zero blocks carry over.
+    declared zero blocks carry over.  `eps` must be positive and finite.
 
-    Cost: each evaluation makes one base call over all S stencil points
-    (S = 15 for n = 1, 193 for n + j = 2 from 17 nodes per axis) per
-    block of batch points.  A block holds about 2**14 shifted
-    points, so the temporaries stay that size however large the batch.
+    Cost: each evaluation shifts every block of batch points by all S
+    stencil offsets once (S = 15 for n = 1, 193 for n + j = 2 from 17
+    nodes per axis) and makes one base call on those shifts; a block
+    holds about 2**14 shifted points, so the temporaries stay that size
+    however large the batch.  `b1_and_div` and `b2_and_div` call the
+    drift and the divergence base on the same shifts, so the pair costs
+    one shift per block, shared by both.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (0.0 < eps < np.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     pts1, w1 = _stencil(fld.n)
-    b1 = _Mollified(fld.b1, eps, pts1, w1)
-    div_b1 = _Mollified(fld.div_b1, eps, pts1, w1)
-    if fld.j > 0:
-        pts2, w2 = _stencil(fld.n + fld.j)
-        b2 = _Mollified(fld.b2, eps, pts2, w2)
-        div_b2 = _Mollified(fld.div_b2, eps, pts2, w2)
-    else:
-        b2, div_b2 = fld.b2, fld.div_b2
-    return StructuredVectorField(
-        fld.name + "_mollified", fld.n, fld.j, b1, b2, div_b1, div_b2,
-        fld.zero_blocks,
+    pts2, w2 = _stencil(fld.n + fld.j)
+    return _MollifiedField(
+        name=fld.name + "_mollified", n=fld.n, j=fld.j,
+        b1=_Mollified((fld.b1,), eps, pts1, w1),
+        b2=_Mollified((fld.b2,), eps, pts2, w2),
+        div_b1=_Mollified((fld.div_b1,), eps, pts1, w1),
+        div_b2=_Mollified((fld.div_b2,), eps, pts2, w2),
+        zero_blocks=fld.zero_blocks,
+        pair1=_Mollified((fld.b1, fld.div_b1), eps, pts1, w1),
+        pair2=_Mollified((fld.b2, fld.div_b2), eps, pts2, w2),
     )
 
 

@@ -13,11 +13,13 @@ bit-identical for labels (x, r1) and (x, r2) by construction.  The r fibers
 of every x label are then stacked into a single second system driven by
 the x block's dense path, so a flow map makes two integrator calls however
 many labels it has, and none for a block that the field declares zero
-(`StructuredVectorField.zero_blocks`), whose flow is the identity.  The
-block triangular
-gradient makes logJ = logJ1 + logJ2 the log-determinant of the full flow,
-giving the compressibility densities rho = exp(-logJ) along trajectories
-without any Eulerian reconstruction.
+(`StructuredVectorField.zero_blocks`), whose flow is the identity.  Each
+right-hand side asks the field for its drift and divergence at the same
+points in one call (`b1_and_div`, `b2_and_div`); a mollified field
+answers it with one set of shifted stencil points per block.  The block
+triangular gradient makes logJ = logJ1 + logJ2 the log-determinant of
+the full flow, giving the compressibility densities rho = exp(-logJ)
+along trajectories without any Eulerian reconstruction.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "check_compressibility",
     "verify_change_of_variables",
     "flow_map_to_csv",
+    "write_csv",
 ]
 
 
@@ -114,14 +117,14 @@ def flow_from(
     starts, shape (M, Q, j).  The x block is one system for all labels;
     the fibers are a second, stacked system that reads the labels' x
     positions from the x block's dense path once per right-hand side, so
-    one b2 call covers every fiber.  That is two integrator calls however
-    many labels there are, and none for a block in `field.zero_blocks`,
-    whose flow is the identity.  The fibers' step size follows the RMS
-    error norm of the whole stacked state.  When b2 ignores x, as every
-    catalogue b2 does, and every label starts the same fiber, all fibers
-    share one error estimate and the steps are those of a single fiber;
-    otherwise a fiber can move by about the tolerance against a solve of
-    its own.  Returns (x positions (K, M, n), logj1 (K, M), r positions
+    one `b2_and_div` call covers every fiber.  That is two integrator
+    calls however many labels there are, and none for a block in
+    `field.zero_blocks`, whose flow is the identity.  The fibers' step
+    size follows the RMS error norm of the whole stacked state.  When b2
+    ignores x, as every catalogue b2 does, and every label starts the
+    same fiber, all fibers share one error estimate and the steps are
+    those of a single fiber; otherwise a fiber can move by about the
+    tolerance against a solve of its own.  Returns (x positions (K, M, n), logj1 (K, M), r positions
     (K, M, Q, j), logj2 (K, M, Q)) at the K nodes of `t_eval`; for j = 0
     the r positions are empty and logj2 is zero.
     """
@@ -141,8 +144,8 @@ def flow_from(
             return xpos[0, :, None, :]
     else:
         xpos, logj1, dense = _solve_block(
-            lambda t, X: (field.b1(t, X), field.div_b1(t, X)),
-            x0, t_span, t_eval, tol, "x-block", dense_output=True,
+            field.b1_and_div, x0, t_span, t_eval, tol, "x-block",
+            dense_output=True,
         )
 
         def x_at(t):
@@ -153,8 +156,7 @@ def flow_from(
         return (xpos, logj1) + _identity_block(r0, t_span, K)
 
     def fiber_parts(t, R):
-        x = x_at(t)
-        return field.b2(t, x, R), field.div_b2(t, x, R)
+        return field.b2_and_div(t, x_at(t), R)
 
     rpos, logj2, _ = _solve_block(fiber_parts, r0, t_span, t_eval, tol, "r-fiber")
     return xpos, logj1, rpos, logj2
@@ -524,5 +526,26 @@ def flow_map_to_csv(fmap: FlowMap, path) -> None:
         logj1.transpose(1, 2, 0).reshape(-1),
         fmap.logj().transpose(1, 2, 0).reshape(-1),
     ])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",",
-               header=",".join(cols), comments="")
+    write_csv(path, cols, table)
+
+
+# rows per format operation: keeps the tuple and the string that one
+# operation builds to a block's size however long the table
+_CSV_BLOCK_ROWS = 2**10
+
+
+def write_csv(path, cols: list[str], table: np.ndarray) -> None:
+    """Write the header `cols` and one comma-separated row per row of the
+    2-d float `table`, every value with 17 significant digits.
+
+    The bytes are those of `np.savetxt(path, table, fmt="%.17g",
+    delimiter=",", header=",".join(cols), comments="")`, but each block
+    of rows is formatted by one string operation instead of one per row.
+    """
+    nrows, ncols = table.shape
+    row = ",".join(["%.17g"] * ncols) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for lo in range(0, nrows, _CSV_BLOCK_ROWS):
+            block = table[lo : lo + _CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))

@@ -28,6 +28,7 @@ from .flow import (
     density_rho2,
     flow_map,
     inverse_flow_grid,
+    write_csv,
 )
 from .grid import GridSpec, NormSpec, sup_in_time
 
@@ -677,5 +678,4 @@ def slice_to_csv(slc: EulerianSlice, path) -> None:
         labels,
         slc.values.reshape(-1),
     ])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",",
-               header=",".join(cols), comments="")
+    write_csv(path, cols, table)

@@ -22,9 +22,10 @@ from lagtransport.fields import (
     swirl_field,
     zero_field,
 )
+import lagtransport.fields as fields_module
 from lagtransport.grid import GridSpec
 
-from conftest import CountingGamma, modulated_logistic_field
+from conftest import CountingGamma, modulated_logistic_field, same_bits
 
 
 ALL_FIELDS = [
@@ -257,13 +258,14 @@ def _per_offset_mollified(moll, t, *pts):
     """Reference: accumulate one shifted base call per stencil offset."""
     pts = [np.asarray(p, dtype=float) for p in pts]
     edges = np.cumsum([0] + [p.shape[-1] for p in pts])
+    (base,) = moll.bases
     acc = None
     for dz, c in zip(moll.offsets, moll.coeffs):
         shifted = [
             p - moll.eps * dz[lo:hi]
             for p, lo, hi in zip(pts, edges[:-1], edges[1:])
         ]
-        v = c * np.asarray(moll.base(t, *shifted), dtype=float)
+        v = c * np.asarray(base(t, *shifted), dtype=float)
         acc = v if acc is None else acc + v
     return acc
 
@@ -324,6 +326,81 @@ def test_mollified_field_survives_pickling():
         assert np.array_equal(
             getattr(clone, name)(0.2, *pts), getattr(smooth, name)(0.2, *pts)
         )
+    # the fused pairs travel with the field
+    for a, b in zip(clone.b1_and_div(0.2, x) + clone.b2_and_div(0.2, x, r),
+                    smooth.b1_and_div(0.2, x) + smooth.b2_and_div(0.2, x, r)):
+        assert np.array_equal(a, b)
+
+
+def _block_step(moll):
+    return max(1, fields_module._MOLLIFY_BLOCK // moll.coeffs.size)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [logistic_field(k=1, mu=0.3), swirl_field(omega=0.7),
+     oscillatory_field(k=2, j=1), sobolev_field(j=1)],
+    ids=["logistic", "swirl", "oscillatory_j1", "sobolev_j1"],
+)
+def test_fused_pair_is_bit_identical_to_separate_calls(field):
+    # b1_and_div and b2_and_div call both bases on one set of shifts per
+    # block; each result must keep every bit, signed zeros included, of
+    # the separate b1 / div_b1 and b2 / div_b2 calls, for batches that
+    # are empty, one point, and around one and two blocks
+    smooth = mollify_field(field, eps=0.1)
+    rng = np.random.default_rng(31)
+    x_lo = 0.5 if field.name == "sobolev" else -2.0
+    for block, moll, pair in (
+        ("x", smooth.b1, smooth.b1_and_div),
+        ("r", smooth.b2, smooth.b2_and_div),
+    ):
+        step = _block_step(moll)
+        shapes = [((size,), (size,)) for size in
+                  (0, 1, step - 1, step, step + 1, 2 * step + 3)]
+        # the fiber right-hand side's broadcast: (M, 1, n) x (M, Q, j)
+        shapes.append(((5, 1), (5, step // 2 + 1)))
+        for x_batch, r_batch in shapes:
+            x = rng.uniform(x_lo, 2.0, size=x_batch + (field.n,))
+            if block == "x":
+                pts, separate = (x,), (smooth.b1, smooth.div_b1)
+            else:
+                r = rng.uniform(0.1, 0.9, size=r_batch + (field.j,))
+                pts, separate = (x, r), (smooth.b2, smooth.div_b2)
+            got = pair(0.4, *pts)
+            assert len(got) == 2
+            for fused, single in zip(got, separate):
+                assert same_bits(fused, single(0.4, *pts)), (block, x_batch)
+
+
+def test_fused_pair_shifts_each_block_once():
+    # one fiber right-hand side calls the drift and the divergence base
+    # once per block each, on the very same shifted arrays
+    seen = {"b2": [], "div_b2": []}
+
+    def recording(name, fn):
+        def call(t, *pts):
+            seen[name].append(pts)
+            return fn(t, *pts)
+        return call
+
+    base = logistic_field(k=1, mu=0.3)
+    smooth = mollify_field(dataclasses.replace(
+        base, b2=recording("b2", base.b2), div_b2=recording("div_b2", base.div_b2),
+    ), eps=0.1)
+    step = _block_step(smooth.b2)
+    x = np.linspace(-1.0, 1.0, 3)[:, None, None]
+    r = np.broadcast_to(np.linspace(0.2, 0.8, step)[:, None], (3, step, 1))
+    smooth.b2_and_div(0.2, x, r)
+    assert len(seen["b2"]) == len(seen["div_b2"]) == 3
+    for drift_pts, div_pts in zip(seen["b2"], seen["div_b2"]):
+        assert all(a is b for a, b in zip(drift_pts, div_pts))
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_mollify_field_rejects_non_positive_or_non_finite_eps(eps):
+    # a NaN or infinite radius would give a field that is NaN everywhere
+    with pytest.raises(ValueError, match="eps"):
+        mollify_field(logistic_field(k=1, mu=0.3), eps)
 
 
 # ---------------------------------------------------------------------

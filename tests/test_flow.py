@@ -26,11 +26,12 @@ from lagtransport.flow import (
     integrate_flow,
     inverse_flow_grid,
     verify_change_of_variables,
+    write_csv,
 )
 from lagtransport.grid import GridSpec
 from lagtransport.ode import solve_ivp
 
-from conftest import modulated_logistic_field
+from conftest import modulated_logistic_field, same_bits
 
 TOL = 1e-10
 TIMES = np.linspace(0.0, 0.5, 5)
@@ -229,10 +230,6 @@ def test_flow_maps_make_one_x_solve_and_one_fiber_solve(monkeypatch):
     assert calls == [18, 90]
 
 
-def _same_bits(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @pytest.mark.parametrize(
     "field, grid",
     [
@@ -280,7 +277,7 @@ def test_declared_zero_blocks_match_the_integrator_bit_for_bit(
                      *inv, one.positions, one.logj1, one.logj]
         solves[name] = len(calls)
     for a, b in zip(out["declared"], out["plain"]):
-        assert _same_bits(a, b)
+        assert same_bits(a, b)
     # one integrator call per flow and block, none for a declared block
     blocks = {"x", "r"} if field.j else {"x"}
     undeclared = blocks - field.zero_blocks
@@ -390,6 +387,54 @@ def test_flow_from_raises_on_a_non_finite_field():
     with pytest.raises(FlowIntegrationError, match="x-block"):
         flow_from(field, np.zeros((3, 1)), np.zeros((3, 4, 1)), (0.0, 1.0),
                   np.array([1.0]))
+
+
+def test_mollified_flow_runs_the_fused_pairs_however_the_callables_are_bound(
+    monkeypatch,
+):
+    # a tracer rebinds b1, b2, div_b1 and div_b2; the flow of a mollified
+    # field must run the same code either way, calling each base once per
+    # right-hand side and block, and never the rebound attributes
+    calls = {"b1": 0, "div_b1": 0, "b2": 0, "div_b2": 0, "rebound": 0}
+
+    def counting(name, fn):
+        def call(t, *pts):
+            calls[name] += 1
+            return fn(t, *pts)
+        return call
+
+    base = logistic_field(k=1, mu=0.3)
+    smooth = mollify_field(dataclasses.replace(
+        base, **{name: counting(name, getattr(base, name))
+                 for name in ("b1", "div_b1", "b2", "div_b2")},
+    ), eps=0.1)
+    rebound = dataclasses.replace(
+        smooth, **{name: counting("rebound", getattr(smooth, name))
+                   for name in ("b1", "div_b1", "b2", "div_b2")},
+    )
+    nfev = []
+
+    def recording(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr("lagtransport.flow.solve_ivp", recording)
+    # 3 x 60 fiber points span three blocks of the 193-point stencil
+    x0 = np.linspace(-1.0, 1.0, 3)[:, None]
+    r0 = np.broadcast_to(np.linspace(0.2, 0.8, 60)[:, None], (3, 60, 1))
+    out = {}
+    for name, fld in (("bound", smooth), ("rebound", rebound)):
+        for key in calls:
+            calls[key] = 0
+        nfev.clear()
+        out[name] = flow_from(fld, x0, r0, (0.0, 0.3), np.array([0.1, 0.3]), TOL)
+        nfev_x, nfev_r = nfev
+        assert calls["b1"] == calls["div_b1"] == nfev_x
+        assert calls["b2"] == calls["div_b2"] == 3 * nfev_r
+        assert calls["rebound"] == 0
+    for a, b in zip(out["bound"], out["rebound"]):
+        assert same_bits(a, b)
 
 
 def test_flow_from_rejects_mismatched_shapes():
@@ -628,6 +673,32 @@ def _flow_map_csv_by_rows(fmap):
                 )
                 lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _subnormal(k):
+    return np.nextafter(0.0, 1.0) * k
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([[0.0, -0.0, np.inf, -np.inf, np.nan]]),
+        np.array([[_subnormal(1), -_subnormal(3)], [2.2250738585072014e-308 / 3,
+                   1e-300], [1.0 / 3.0, -2.5e17], [np.pi, 0.1]]),
+        np.arange(30.0).reshape(10, 3) / 7.0 - 1.0,
+        np.zeros((0, 4)),
+    ],
+    ids=["specials", "subnormals", "blocks", "no_rows"],
+)
+def test_write_csv_matches_savetxt_byte_for_byte(table, tmp_path, monkeypatch):
+    # four-row blocks make the ten-row table cross block edges
+    monkeypatch.setattr("lagtransport.flow._CSV_BLOCK_ROWS", 4)
+    cols = [f"c{i}" for i in range(table.shape[1])]
+    path, ref = tmp_path / "table.csv", tmp_path / "ref.csv"
+    write_csv(path, cols, table)
+    np.savetxt(ref, table, fmt="%.17g", delimiter=",", header=",".join(cols),
+               comments="")
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_flow_map_csv_round_trip(tmp_path):
