@@ -1,8 +1,8 @@
 """Transport equations with integral source terms along Lagrangian flows.
 
-The library integrates structured vector fields b = (b1(t, x), b2(t, x, r))
-together with their log-Jacobians, builds the compressibility densities
-carried by the flow, and solves
+The library integrates structured vector fields b = (b1(x), b2(x, r)),
+functions of space alone, together with their log-Jacobians, builds the
+compressibility densities carried by the flow, and solves
 
     du/dt along the flow = integral of gamma(r, r~) u(t, x, r~) dr~
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .experiments import (
     counterexample_experiment,
+    rows_to_csv,
     stability_experiment,
 )
 from .fields import (
@@ -56,6 +57,7 @@ from .transport import (
     PicardConvergenceError,
     SlabSelectionError,
     SolverConfig,
+    check_horizon,
     continue_solution,
     make_initial,
     picard_solve,
@@ -364,10 +366,10 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
             "the slab bound needs a finite p > 1"
         )
     t_end = float(cfg["t_end"])
-    if not t0 < t_end < np.inf:
-        raise ConfigError(
-            f"t_end must be finite and exceed the first time node {t0}"
-        )
+    try:
+        check_horizon(t0, t_end)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (t0 is the first time node)") from exc
     sol = continue_solution(datum, field, kernel, config, grid, t_end, t0=t0)
     times, masses = sol.mass_history()
     final = sol.eulerian_slice(field, sol.boundaries[-1])
@@ -415,7 +417,7 @@ def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
         report = experiment(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report.to_csv(out_dir / f"{stem}.csv")
+    rows_to_csv(report.rows, out_dir / f"{stem}.csv")
     payload = {
         "command": command,
         "name": report.name,
@@ -575,13 +577,10 @@ def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
         "checks": checks,
         "passed": passed,
     }
-    with open(out_dir / f"{stem}.csv", "w", encoding="utf-8") as fh:
-        fh.write("check,measured,tolerance,passed\n")
-        for name, c in checks.items():
-            fh.write(
-                f"{name},{c['measured']:.17g},{c['tolerance']:.17g},"
-                f"{c['passed']}\n"
-            )
+    rows_to_csv(
+        [{"check": name, **c} for name, c in checks.items()],
+        out_dir / f"{stem}.csv",
+    )
     return payload, passed
 
 

@@ -31,6 +31,7 @@ from .transport import SolverConfig, continue_solution, make_initial
 
 __all__ = [
     "ExperimentReport",
+    "rows_to_csv",
     "stability_experiment",
     "counterexample_experiment",
 ]
@@ -58,24 +59,19 @@ class ExperimentReport:
             "note": note,
         }
 
-    def to_csv(self, path) -> None:
-        """One CSV row per data row; columns are the union of row keys."""
-        keys: list[str] = []
-        for row in self.rows:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(keys) + "\n")
-            for row in self.rows:
-                cells = []
-                for k in keys:
-                    v = row.get(k, "")
-                    if isinstance(v, float):
-                        cells.append(f"{v:.17g}")
-                    else:
-                        cells.append(str(v))
-                fh.write(",".join(cells) + "\n")
+
+def rows_to_csv(rows: list[dict], path) -> None:
+    """One CSV row per dict; columns are the union of the keys in order of
+    first appearance, a missing key is an empty cell, floats carry 17
+    significant digits and every other value is written with str."""
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(keys) + "\n")
+        for row in rows:
+            cells = (row.get(k, "") for k in keys)
+            fh.write(",".join(
+                f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells
+            ) + "\n")
 
 
 # windowed L^2 norm of the stability study

@@ -1,4 +1,4 @@
-"""Structured vector fields b = (b1(t,x), b2(t,x,r)) and integral kernels.
+"""Structured vector fields b = (b1(x), b2(x, r)) and integral kernels.
 
 The first block never sees r, so the x-part of the flow can be solved on
 its own; everything downstream leans on that structure.  Divergences are
@@ -47,12 +47,14 @@ __all__ = [
 
 @dataclass
 class StructuredVectorField:
-    """Vector field with the block structure b = (b1(t,x), b2(t,x,r)).
+    """Vector field with the block structure b = (b1(x), b2(x, r)).
 
-    b1 maps (t, x[..., n]) -> [..., n]; b2 maps (t, x[..., n], r[..., j])
-    -> [..., j].  div_b1 and div_b2 return the spatial divergences of the
+    b1 maps x[..., n] -> [..., n]; b2 maps (x[..., n], r[..., j]) ->
+    [..., j].  div_b1 and div_b2 return the spatial divergences of the
     respective blocks with matching batch shape.  All callables must be
-    vectorized over leading axes.
+    vectorized over leading axes.  A field does not depend on time, so
+    one evaluation on a set of points gives its sup over any time
+    window.
 
     `zero_blocks` declares the blocks, "x" (b1) and "r" (b2), whose drift
     and divergence are exactly 0.0 everywhere; the flow of a declared
@@ -80,13 +82,13 @@ class StructuredVectorField:
                 f"zero_blocks holds 'x' and/or 'r', got {set(self.zero_blocks)}"
             )
 
-    def b1_and_div(self, t, x):
+    def b1_and_div(self, x):
         """(b1, div_b1) at the same points."""
-        return self.b1(t, x), self.div_b1(t, x)
+        return self.b1(x), self.div_b1(x)
 
-    def b2_and_div(self, t, x, r):
+    def b2_and_div(self, x, r):
         """(b2, div_b2) at the same points."""
-        return self.b2(t, x, r), self.div_b2(t, x, r)
+        return self.b2(x, r), self.div_b2(x, r)
 
 
 # =====================================================================
@@ -96,15 +98,15 @@ class StructuredVectorField:
 # instances picklable for process-based maps.
 
 
-def _zero_div(t: float, *pts: np.ndarray) -> np.ndarray:
+def _zero_div(*pts: np.ndarray) -> np.ndarray:
     return np.zeros(pts[0].shape[:-1])
 
 
-def _zero_b1(t: float, x: np.ndarray) -> np.ndarray:
+def _zero_b1(x: np.ndarray) -> np.ndarray:
     return np.zeros_like(x)
 
 
-def _zero_b2(t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _zero_b2(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.zeros_like(r)
 
 
@@ -115,16 +117,16 @@ def zero_field(n: int = 1, j: int = 0) -> StructuredVectorField:
     )
 
 
-def _linear_b1(lam: float, t: float, x: np.ndarray) -> np.ndarray:
+def _linear_b1(lam: float, x: np.ndarray) -> np.ndarray:
     return lam * x
 
-def _linear_b2(mu: float, t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _linear_b2(mu: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return mu * r
 
-def _linear_div_b1(lam: float, n: int, t: float, x: np.ndarray) -> np.ndarray:
+def _linear_div_b1(lam: float, n: int, x: np.ndarray) -> np.ndarray:
     return np.full(x.shape[:-1], lam * n)
 
-def _linear_div_b2(mu: float, t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _linear_div_b2(mu: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.full(r.shape[:-1], mu * r.shape[-1])
 
 
@@ -140,10 +142,10 @@ def linear_field(
     )
 
 
-def _osc_b1(k: float, t: float, x: np.ndarray) -> np.ndarray:
+def _osc_b1(k: float, x: np.ndarray) -> np.ndarray:
     return np.sin(k * x) / k
 
-def _osc_div(k: float, t: float, x: np.ndarray) -> np.ndarray:
+def _osc_div(k: float, x: np.ndarray) -> np.ndarray:
     return np.cos(k * x[..., 0])
 
 
@@ -164,10 +166,10 @@ def oscillatory_field(k: int = 1, j: int = 0) -> StructuredVectorField:
     )
 
 
-def _logistic_b2(mu: float, t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _logistic_b2(mu: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return mu * r * (1.0 - r)
 
-def _logistic_div_b2(mu: float, t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _logistic_div_b2(mu: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return mu * (1.0 - 2.0 * r[..., 0])
 
 
@@ -189,7 +191,7 @@ def logistic_field(k: int = 1, mu: float = 0.3) -> StructuredVectorField:
     )
 
 
-def _swirl_b1(omega: float, t: float, x: np.ndarray) -> np.ndarray:
+def _swirl_b1(omega: float, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     out[..., 0] = -omega * x[..., 1]
     out[..., 1] = omega * x[..., 0]
@@ -205,10 +207,10 @@ def swirl_field(omega: float = 1.0) -> StructuredVectorField:
     )
 
 
-def _sobolev_b1(alpha: float, t: float, x: np.ndarray) -> np.ndarray:
+def _sobolev_b1(alpha: float, x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** alpha
 
-def _sobolev_div(alpha: float, t: float, x: np.ndarray) -> np.ndarray:
+def _sobolev_div(alpha: float, x: np.ndarray) -> np.ndarray:
     ax = np.abs(x[..., 0])
     with np.errstate(divide="ignore"):
         return alpha * ax ** (alpha - 1.0)
@@ -284,11 +286,11 @@ class _Mollified:
         self.offsets = offsets
         self.coeffs = coeffs
 
-    def __call__(self, t: float, *pts: np.ndarray) -> np.ndarray:
-        (out,) = self.parts(t, *pts)
+    def __call__(self, *pts: np.ndarray) -> np.ndarray:
+        (out,) = self.parts(*pts)
         return out
 
-    def parts(self, t: float, *pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    def parts(self, *pts: np.ndarray) -> tuple[np.ndarray, ...]:
         pts = [np.asarray(p, dtype=float) for p in pts]
         batch = np.broadcast_shapes(*(p.shape[:-1] for p in pts))
         size = math.prod(batch)
@@ -304,7 +306,7 @@ class _Mollified:
         for lo in range(0, max(size, 1), step):
             shifted = [f[None, lo : lo + step] - dz for f, dz in zip(flat, shifts)]
             for i, base in enumerate(self.bases):
-                v = np.asarray(base(t, *shifted), dtype=float)
+                v = np.asarray(base(*shifted), dtype=float)
                 part = np.tensordot(self.coeffs, v, axes=(0, 0))
                 if outs[i] is None:
                     outs[i] = np.empty((size,) + part.shape[1:])
@@ -325,18 +327,18 @@ class _MollifiedField(StructuredVectorField):
     pair1: _Mollified
     pair2: _Mollified
 
-    def b1_and_div(self, t, x):
-        return self.pair1.parts(t, x)
+    def b1_and_div(self, x):
+        return self.pair1.parts(x)
 
-    def b2_and_div(self, t, x, r):
-        return self.pair2.parts(t, x, r)
+    def b2_and_div(self, x, r):
+        return self.pair2.parts(x, r)
 
 
 def mollify_field(fld: StructuredVectorField, eps: float) -> StructuredVectorField:
     """Mollify a field in its space variables with a unit-mass bump.
 
-    Convolution acts on x for b1 and on (x, r) for b2, never on time, so
-    the block structure survives.  Divergences are mollified with the same
+    Convolution acts on x for b1 and on (x, r) for b2, so the block
+    structure survives.  Divergences are mollified with the same
     stencil, which keeps div(b_eps) = (div b)_eps exactly at the discrete
     level.  The symmetric normalized stencil reproduces constants (and any
     affine field) exactly.  A mollified zero is exactly zero, so the

@@ -2,8 +2,8 @@
 
 Trajectories solve the augmented system
 
-    dX1/dt = b1(t, X1)          dlogJ1/dt = div_x b1(t, X1)
-    dX2/dt = b2(t, X1, X2)      dlogJ2/dt = div_r b2(t, X1, X2)
+    dX1/dt = b1(X1)             dlogJ1/dt = div_x b1(X1)
+    dX2/dt = b2(X1, X2)         dlogJ2/dt = div_r b2(X1, X2)
 
 with the adaptive Dormand-Prince 5(4) pair of `lagtransport.ode`, which
 reproduces scipy's RK45 bit for bit, and its dense output at the
@@ -66,9 +66,9 @@ def _solve_block(parts, p0, t_span, t_eval, tol, block, dense_output=False):
     """Integrate positions p0 (..., d) and a log-Jacobian per point as one
     system.
 
-    `parts(t, P)` maps positions shaped like p0 to their (velocity,
-    divergence).  `block` names the system in the error raised when the
-    integrator fails.  Returns C-contiguous (positions (K, *p0.shape),
+    `parts(t, P)` maps positions shaped like p0 at time t to their
+    (velocity, divergence).  `block` names the system in the error raised
+    when the integrator fails.  Returns C-contiguous (positions (K, *p0.shape),
     logj (K, *p0.shape[:-1])) and the dense interpolant, or None without
     `dense_output`.
     """
@@ -144,8 +144,8 @@ def flow_from(
             return xpos[0, :, None, :]
     else:
         xpos, logj1, dense = _solve_block(
-            field.b1_and_div, x0, t_span, t_eval, tol, "x-block",
-            dense_output=True,
+            lambda t, X: field.b1_and_div(X), x0, t_span, t_eval, tol,
+            "x-block", dense_output=True,
         )
 
         def x_at(t):
@@ -155,10 +155,10 @@ def flow_from(
     if "r" in field.zero_blocks:
         return (xpos, logj1) + _identity_block(r0, t_span, K)
 
-    def fiber_parts(t, R):
-        return field.b2_and_div(t, x_at(t), R)
-
-    rpos, logj2, _ = _solve_block(fiber_parts, r0, t_span, t_eval, tol, "r-fiber")
+    rpos, logj2, _ = _solve_block(
+        lambda t, R: field.b2_and_div(x_at(t), R), r0, t_span, t_eval, tol,
+        "r-fiber",
+    )
     return xpos, logj1, rpos, logj2
 
 
@@ -351,26 +351,23 @@ def check_compressibility(
 ) -> CompressibilityReport:
     """Check exp(-D(t)) <= exp(logJ) <= exp(D(t)) with D = int sup|div|.
 
-    At each time node the divergence sup is a sampled maximum over every
-    position the map stores, at every node (an under-estimate in
-    principle, documented as such); `slack` absorbs integrator error.
-    The same envelope logic is applied per block to logJ1.
+    The divergence sup is a sampled maximum over every position the map
+    stores, at every node (an under-estimate in principle, documented as
+    such), from one evaluation of each divergence: the field does not
+    depend on time, so the sup is the same at every node.  `slack`
+    absorbs integrator error.  The same envelope logic is applied per
+    block to logJ1.
     """
     times = fmap.times
-    K = times.size
-    sup_tot = np.zeros(K)
-    sup_x = np.zeros(K)
-    for k, t in enumerate(times):
-        dx = np.abs(np.asarray(field.div_b1(t, fmap.x1), dtype=float))
-        sup_x[k] = float(np.max(dx))
-        if field.j > 0:
-            dr = np.abs(np.asarray(
-                field.div_b2(t, fmap.x1[:, :, None, :], fmap.x2), dtype=float
-            ))
-            dr = np.broadcast_to(dr, fmap.logj2.shape)
-            sup_tot[k] = float(np.max(dx[..., None] + dr))
-        else:
-            sup_tot[k] = sup_x[k]
+    dx = np.abs(np.asarray(field.div_b1(fmap.x1), dtype=float))
+    sup_x = np.full(times.size, np.max(dx))
+    sup_tot = sup_x
+    if field.j > 0:
+        dr = np.abs(np.asarray(
+            field.div_b2(fmap.x1[:, :, None, :], fmap.x2), dtype=float
+        ))
+        dr = np.broadcast_to(dr, fmap.logj2.shape)
+        sup_tot = np.full(times.size, np.max(dx[..., None] + dr))
     dt = np.diff(times)
     bound_tot = np.concatenate(
         [[0.0], np.cumsum(0.5 * dt * (sup_tot[:-1] + sup_tot[1:]))]
@@ -382,7 +379,7 @@ def check_compressibility(
     min_lj1 = fmap.logj1.min(axis=1)
     max_lj1 = fmap.logj1.max(axis=1)
     violations = []
-    for k in range(K):
+    for k in range(times.size):
         if max_lj[k] > bound_tot[k] + slack or min_lj[k] < -bound_tot[k] - slack:
             violations.append(
                 ("logJ", float(times[k]), float(min_lj[k]), float(max_lj[k]),
@@ -421,14 +418,15 @@ def verify_change_of_variables(
     backward paths, so the two entries share no trajectory data.  Both
     integrals require phi supported inside the grid box with margin at
     least the maximal displacement; when an x-support box is declared the
-    margin is checked against a sampled field bound.
+    margin is checked against a sampled field bound, and a bound that is
+    NaN fails the check.
     """
     if t <= t0:
         raise ValueError("need t > t0")
     disp = _displacement_bound(field, grid, t0, t)
     if support_x is not None:
         for (slo, shi), (blo, bhi) in zip(support_x, grid.x_bounds):
-            if slo - disp < blo or shi + disp > bhi:
+            if not (slo - disp >= blo and shi + disp <= bhi):
                 raise PreconditionError(
                     f"x-support ({slo}, {shi}) plus displacement {disp:.3g} "
                     f"leaves the grid box ({blo}, {bhi})"
@@ -485,21 +483,17 @@ def _inside(pts, bounds):
 
 
 def _displacement_bound(field, grid, t0, t1) -> float:
-    """Sup of |b| over the grid, sampled at five times spanning [t0, t1],
-    times the duration."""
-    xs = grid.x_labels()
-    labels = grid.joint_labels()
-    sup = 0.0
-    for s in np.linspace(t0, t1, 5):
-        v1 = np.asarray(field.b1(s, xs), dtype=float)
-        sup = max(sup, float(np.max(np.linalg.norm(v1, axis=-1))))
-        if field.j > 0:
-            v2 = np.asarray(
-                field.b2(s, labels[..., : grid.n], labels[..., grid.n :]),
-                dtype=float,
-            )
-            sup = max(sup, float(np.max(np.linalg.norm(v2, axis=-1))))
-    return sup * (t1 - t0)
+    """Sampled sup of |b| over the grid's labels, from one evaluation of
+    each block, times the duration; a NaN drift gives NaN."""
+    v1 = np.asarray(field.b1(grid.x_labels()), dtype=float)
+    sup = np.max(np.linalg.norm(v1, axis=-1))
+    if field.j > 0:
+        labels = grid.joint_labels()
+        v2 = np.asarray(
+            field.b2(labels[..., : grid.n], labels[..., grid.n :]), dtype=float
+        )
+        sup = np.maximum(sup, np.max(np.linalg.norm(v2, axis=-1)))
+    return float(sup) * (t1 - t0)
 
 
 def flow_map_to_csv(fmap: FlowMap, path) -> None:

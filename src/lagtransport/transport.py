@@ -11,7 +11,9 @@ stored time slice, and a single slice when the fibers do not move.  On a
 short enough time slab A is a contraction in the sup-in-time windowed L^p
 norm, so Picard iteration from u0 converges geometrically; longer
 horizons are covered by chaining slabs, re-basing the initial datum at
-each boundary through an Eulerian reconstruction.
+each boundary through an Eulerian reconstruction.  Neither the kernel
+nor the drift b = (b1(x), b2(x, r)) depends on time, so the slab budget
+is measured once per run, from one evaluation of each.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "picard_solve",
     "eulerian_reconstruct",
     "continue_solution",
+    "check_horizon",
     "make_initial",
     "slice_to_csv",
 ]
@@ -248,22 +251,6 @@ def fixed_point_residual(
     return sup_in_time(state.values - image, state.grid, config.norm_spec())
 
 
-def _div_r_sup(
-    field: StructuredVectorField, grid: GridSpec, t_lo: float, t_hi: float,
-) -> float:
-    """Sampled sup of |div_r b2| over the grid and five times spanning
-    the window."""
-    labels = grid.joint_labels()
-    sup = 0.0
-    for s in np.linspace(t_lo, t_hi, 5):
-        d = np.abs(np.asarray(
-            field.div_b2(s, labels[..., : grid.n], labels[..., grid.n :]),
-            dtype=float,
-        ))
-        sup = max(sup, float(np.max(d)))
-    return sup
-
-
 def choose_slab(
     rate: float | None, div_sup: float, remaining: float,
 ) -> tuple[float, dict]:
@@ -272,12 +259,13 @@ def choose_slab(
 
     A candidate of length T is budgeted at rate * T * exp(div_sup * T),
     where `rate` is the kernel's mixed norm (None without a kernel, which
-    takes all the remaining time) and `div_sup` the sampled sup of
-    |div_r b2|.  `continue_solution` measures both once, over the whole
-    run.  rate * T is the time integral of the mixed norm over the
-    candidate, and exp(div_sup * T) the density-ratio envelope, so any
-    accepted candidate honors the contraction budget; the measured Picard
-    ratios are the binding check downstream.
+    takes all the remaining time) and `div_sup` the sup of |div_r b2|
+    over the label grid.  `continue_solution` measures both once per run;
+    neither depends on time.  rate * T is the time integral of the mixed
+    norm over the candidate, and exp(div_sup * T) the density-ratio
+    envelope, so any accepted candidate honors the contraction budget;
+    the measured Picard ratios are the binding check downstream.  A NaN
+    `div_sup` meets no budget and raises SlabSelectionError.
     """
     if remaining <= 0:
         raise ValueError("the remaining time must be positive")
@@ -451,13 +439,6 @@ class ContinuedSolution:
     summaries: list = dc_field(default_factory=list)
     boundaries: list = dc_field(default_factory=list)
 
-    @property
-    def times(self) -> np.ndarray:
-        """All time nodes, slab boundaries listed once."""
-        pieces = [self.slabs[0].times]
-        pieces += [s.times[1:] for s in self.slabs[1:]]
-        return np.concatenate(pieces)
-
     def slab_containing(self, t: float):
         for s in self.slabs:
             if s.times[0] - 1e-12 <= t <= s.times[-1] + 1e-12:
@@ -525,30 +506,33 @@ def continue_solution(
     weights).
 
     The slab budget is measured once and every slab is chosen from it:
-    the kernel's slab rate, which depends on neither time nor x, and the
-    sup of |div_r b2| sampled at five times over [t0, t_end].  A sup
-    over the whole run bounds the sup over any slab.
+    the kernel's slab rate and the sup of |div_r b2| over the label grid,
+    neither of which depends on time.  `check_horizon` rejects a horizon
+    that no slab can cover.
     """
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
+    t_stop = check_horizon(t0, t_end)
     u_cur = _sample_initial(u0, grid)
     rate, div_sup = None, 0.0
     if kernel is not None:
         rate = kernel_slab_rate(kernel, grid, config.p)
-        div_sup = _div_r_sup(field, grid, t0, t_end)
+        labels = grid.joint_labels()
+        div_sup = float(np.max(np.abs(np.asarray(
+            field.div_b2(labels[..., : grid.n], labels[..., grid.n :]),
+            dtype=float,
+        ))))
     sol = ContinuedSolution(
         grid=grid, field_name=field.name,
         kernel_name=kernel.name if kernel is not None else "none",
         boundaries=[t0],
     )
     t_cur = t0
-    while t_cur < t_end - 1e-12 * max(1.0, abs(t_end)):
+    while t_cur < t_stop:
         t0_len, diag = choose_slab(rate, div_sup, t_end - t_cur)
         state, summary = picard_solve(
             u_cur, field, kernel, config, grid, t_cur, t0_len
         )
         t_cur = t_cur + t0_len
-        if t_cur < t_end - 1e-12 * max(1.0, abs(t_end)):
+        if t_cur < t_stop:
             slc = eulerian_reconstruct(state, field, state.times[-1])
             if slc.exit_fraction > _EXIT_FRACTION_LIMIT:
                 raise PreconditionError(
@@ -563,6 +547,21 @@ def continue_solution(
         sol.summaries.append(summary)
         sol.boundaries.append(float(t_cur))
     return sol
+
+
+def check_horizon(t0: float, t_end: float) -> float:
+    """The time at which the slab loop over [t0, t_end] stops: t_end less
+    1e-12 max(1, |t_end|), which absorbs the rounding of summed slab
+    lengths.  Raises ValueError when no slab can cover the horizon: t_end
+    must be finite and exceed t0 by more than that tolerance (a
+    non-finite t_end makes the stop time NaN or -inf)."""
+    tol = 1e-12 * max(1.0, abs(t_end))
+    if not t0 < t_end - tol:
+        raise ValueError(
+            f"t_end = {t_end!r} must be finite and exceed t0 = {t0!r} by "
+            f"more than {tol:.3g}"
+        )
+    return t_end - tol
 
 
 def _sample_initial(u0, grid: GridSpec) -> np.ndarray:

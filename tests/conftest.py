@@ -1,5 +1,7 @@
 """Shared test fields and kernels."""
 
+import dataclasses
+
 import numpy as np
 
 from lagtransport.fields import StructuredVectorField
@@ -17,11 +19,28 @@ def modulated_logistic_field(mu=0.3, a=0.5):
 
     return StructuredVectorField(
         "modulated_logistic", 1, 1,
-        b1=lambda t, x: np.sin(x),
-        b2=lambda t, x, r: rate(x)[..., None] * r * (1.0 - r),
-        div_b1=lambda t, x: np.cos(x[..., 0]),
-        div_b2=lambda t, x, r: rate(x) * (1.0 - 2.0 * r[..., 0]),
+        b1=lambda x: np.sin(x),
+        b2=lambda x, r: rate(x)[..., None] * r * (1.0 - r),
+        div_b1=lambda x: np.cos(x[..., 0]),
+        div_b2=lambda x, r: rate(x) * (1.0 - 2.0 * r[..., 0]),
     )
+
+
+def counting_field(field, names):
+    """`field` with the callables `names` rebound to count their calls;
+    returns the field and its {name: calls} dict."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def call(*pts):
+            calls[name] += 1
+            return fn(*pts)
+        return call
+
+    counted = dataclasses.replace(
+        field, **{name: counting(name, getattr(field, name)) for name in names}
+    )
+    return counted, calls
 
 
 class CountingGamma:

@@ -181,6 +181,39 @@ def test_verify_fails_when_tolerances_scaled_down(tmp_path):
     assert failing  # the scaled-down windows expose the real margins
 
 
+def _verify_csv_by_hand(checks):
+    """Reference: the rows the verify command used to write itself."""
+    text = "check,measured,tolerance,passed\n"
+    for name, c in checks.items():
+        text += (f"{name},{c['measured']:.17g},{c['tolerance']:.17g},"
+                 f"{c['passed']}\n")
+    return text.encode("utf-8")
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1], ids=["passing", "failing"])
+def test_verify_csv_keeps_its_bytes(tmp_path, scale, monkeypatch):
+    # the verify CSV goes through the experiment reports' row writer and
+    # keeps the bytes of the rows written by hand, failing checks included
+    from lagtransport import cli
+
+    batteries = []
+
+    def recording(*args, _real=cli._verify_battery):
+        batteries.append(_real(*args))
+        return batteries[-1]
+
+    monkeypatch.setattr(cli, "_verify_battery", recording)
+    payload = verify_config()
+    payload["tolerance_scale"] = scale
+    cfg = write_config(tmp_path / "verify.json", payload)
+    code = cli.main(["verify", "--config", cfg, "--out", str(tmp_path)])
+    (checks,) = batteries
+    assert code == (0 if scale == 1.0 else 1)
+    assert any(not c["passed"] for c in checks.values()) == (code == 1)
+    csv = next(tmp_path.glob("verify_*.csv")).read_bytes()
+    assert csv == _verify_csv_by_hand(checks)
+
+
 def test_counterexample_fails_with_impossible_floor(tmp_path):
     cfg = write_config(
         tmp_path / "ce.json",
@@ -337,6 +370,12 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         # a list is not a rate: the catalogue builders convert with float()
         ("solve", lambda c: c.update({"field": {
             "name": "logistic", "params": {"k": 1, "mu": [0.3]}}})),
+        # a horizon inside the slab loop's end tolerance has no slab
+        ("solve", lambda c: c.update({"t_end": 1e-13})),
+        ("solve", lambda c: c.update({"t_end": 5e-13})),
+        ("solve", lambda c: c.update({"t_end": 1e-12})),
+        ("solve", lambda c: (c["grid"].update({"time_nodes": [1e6, 1e6 + 0.5]}),
+                             c.update({"t_end": 1e6 + 1e-7}))),
     ],
     ids=[
         "solve-kernel_j", "solve-string_scale", "solve-string_c",
@@ -355,17 +394,20 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         "solve-bool_in_window", "solve-string_in_window",
         "solve-string_x_bound", "solve-bool_x_bound", "solve-string_time_node",
         "solve-bool_time_node", "solve-bool_time_start", "solve-list_mu",
+        "solve-t_end=1e-13", "solve-t_end=5e-13", "solve-t_end=1e-12",
+        "solve-t_end_1e-7_past_1e6",
     ],
 )
 def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
     payload = {"solve": solve_config, "verify": verify_config}[command]()
     mutate(payload)
     cfg = write_config(tmp_path / "bad.json", payload)
-    res = run_cli(command, "--config", cfg, "--out", str(tmp_path))
+    out = tmp_path / "out"
+    res = run_cli(command, "--config", cfg, "--out", str(out))
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
     assert "Traceback" not in res.stderr
-    assert not list(tmp_path.glob(f"{command}_*.json"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from lagtransport.experiments import (
     ExperimentReport,
     counterexample_experiment,
+    rows_to_csv,
     stability_experiment,
 )
 from lagtransport.grid import GridSpec
@@ -26,7 +27,7 @@ def test_report_passed_and_serialization(tmp_path):
     assert not report.passed
 
     cpath = tmp_path / "report.csv"
-    report.to_csv(cpath)
+    rows_to_csv(report.rows, cpath)
     header = cpath.read_text().splitlines()[0].split(",")
     # union of row keys, order-stable
     assert set(header) == {"eps", "distance", "order_from_prev"}

@@ -42,8 +42,8 @@ ALL_FIELDS = [
 def _validate_field(fld, points_x, points_r) -> list[dict]:
     """Cross-check analytic divergences against central differences.
 
-    Compares at the times 0, 0.37 and 1 with step h = 1e-5.  Returns a
-    list of mismatch records, empty when everything agrees within 1e-4.
+    Compares with step h = 1e-5.  Returns a list of mismatch records,
+    empty when everything agrees within 1e-4.
     """
     h, tol = 1e-5, 1e-4
     points_x = np.atleast_2d(np.asarray(points_x, dtype=float))
@@ -52,38 +52,36 @@ def _validate_field(fld, points_x, points_r) -> list[dict]:
     else:
         points_r = np.zeros((points_x.shape[0], 0))
     report = []
-    for t in (0.0, 0.37, 1.0):
-        num = np.zeros(points_x.shape[0])
-        for axis in range(fld.n):
-            dx = np.zeros(fld.n)
-            dx[axis] = h
-            num += (
-                fld.b1(t, points_x + dx)[..., axis]
-                - fld.b1(t, points_x - dx)[..., axis]
-            ) / (2 * h)
-        for axis in range(fld.j):
-            dr = np.zeros(fld.j)
-            dr[axis] = h
-            num += (
-                fld.b2(t, points_x, points_r + dr)[..., axis]
-                - fld.b2(t, points_x, points_r - dr)[..., axis]
-            ) / (2 * h)
-        # the full spatial divergence div_x b1 + div_r b2
-        ana = np.asarray(fld.div_b1(t, points_x), dtype=float)
-        if fld.j > 0:
-            ana = ana + np.asarray(fld.div_b2(t, points_x, points_r), dtype=float)
-        bad = np.abs(num - ana) > tol
-        for idx in np.nonzero(bad)[0]:
-            report.append(
-                {
-                    "t": t,
-                    "x": points_x[idx].tolist(),
-                    "r": points_r[idx].tolist(),
-                    "analytic": float(ana[idx]),
-                    "numeric": float(num[idx]),
-                    "error": float(abs(num[idx] - ana[idx])),
-                }
-            )
+    num = np.zeros(points_x.shape[0])
+    for axis in range(fld.n):
+        dx = np.zeros(fld.n)
+        dx[axis] = h
+        num += (
+            fld.b1(points_x + dx)[..., axis]
+            - fld.b1(points_x - dx)[..., axis]
+        ) / (2 * h)
+    for axis in range(fld.j):
+        dr = np.zeros(fld.j)
+        dr[axis] = h
+        num += (
+            fld.b2(points_x, points_r + dr)[..., axis]
+            - fld.b2(points_x, points_r - dr)[..., axis]
+        ) / (2 * h)
+    # the full spatial divergence div_x b1 + div_r b2
+    ana = np.asarray(fld.div_b1(points_x), dtype=float)
+    if fld.j > 0:
+        ana = ana + np.asarray(fld.div_b2(points_x, points_r), dtype=float)
+    bad = np.abs(num - ana) > tol
+    for idx in np.nonzero(bad)[0]:
+        report.append(
+            {
+                "x": points_x[idx].tolist(),
+                "r": points_r[idx].tolist(),
+                "analytic": float(ana[idx]),
+                "numeric": float(num[idx]),
+                "error": float(abs(num[idx] - ana[idx])),
+            }
+        )
     return report
 
 
@@ -111,7 +109,7 @@ def test_validate_field_catches_wrong_divergence():
     field = linear_field(lam=0.4, mu=0.0, n=1, j=0)
     broken = type(field)(
         name=field.name, n=field.n, j=field.j, b1=field.b1, b2=field.b2,
-        div_b1=lambda t, x: np.full(x.shape[:-1], -1.23),
+        div_b1=lambda x: np.full(x.shape[:-1], -1.23),
         div_b2=field.div_b2,
     )
     rng = np.random.default_rng(0)
@@ -120,13 +118,13 @@ def test_validate_field_catches_wrong_divergence():
 
 
 def test_structured_split_b1_ignores_fiber():
-    # the x block of every built-in field is a function of (t, x) alone:
+    # the x block of every built-in field is a function of x alone:
     # evaluating b1 never receives r, so two fibers see identical drift
     field = logistic_field(k=2, mu=0.4)
     xs = np.array([[0.3], [1.2]])
-    v = field.b1(0.2, xs)
+    v = field.b1(xs)
     assert v.shape == xs.shape
-    assert np.array_equal(v, field.b1(0.2, xs))
+    assert np.array_equal(v, field.b1(xs))
 
 
 # every catalogue field that declares a zero block, bare and mollified
@@ -147,12 +145,11 @@ def test_declared_zero_blocks_are_exactly_zero(field):
     rng = np.random.default_rng(23)
     x = rng.uniform(0.3, 2.0, size=(6, 5, field.n))
     r = rng.uniform(0.0, 1.0, size=(6, 5, field.j))
-    t = float(rng.uniform(0.0, 1.0))
     values = []
     if "x" in field.zero_blocks:
-        values += [field.b1(t, x), field.div_b1(t, x)]
+        values += [field.b1(x), field.div_b1(x)]
     if "r" in field.zero_blocks:
-        values += [field.b2(t, x, r), field.div_b2(t, x, r)]
+        values += [field.b2(x, r), field.div_b2(x, r)]
     for v in values:
         v = np.asarray(v)
         assert np.array_equal(v, np.zeros(v.shape))
@@ -229,9 +226,9 @@ def test_mollified_affine_field_is_reproduced_exactly():
     rng = np.random.default_rng(5)
     xs = rng.uniform(-1.0, 1.0, size=(25, 1))
     rs = rng.uniform(0.2, 0.8, size=(25, 1))
-    assert np.allclose(smooth.b1(0.3, xs), field.b1(0.3, xs), atol=1e-12)
+    assert np.allclose(smooth.b1(xs), field.b1(xs), atol=1e-12)
     assert np.allclose(
-        smooth.b2(0.3, xs[0], rs), field.b2(0.3, xs[0], rs), atol=1e-12
+        smooth.b2(xs[0], rs), field.b2(xs[0], rs), atol=1e-12
     )
 
 
@@ -241,7 +238,7 @@ def test_mollified_oscillatory_field_converges_second_order():
     errs = []
     for eps in (0.2, 0.1, 0.05):
         smooth = mollify_field(field, eps=eps)
-        errs.append(float(np.max(np.abs(smooth.b1(0.0, xs) - field.b1(0.0, xs)))))
+        errs.append(float(np.max(np.abs(smooth.b1(xs) - field.b1(xs)))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) > 1.8
 
@@ -254,7 +251,7 @@ def test_mollified_field_passes_divergence_validation():
         assert _validate_field(smooth, pts_x, pts_r) == []
 
 
-def _per_offset_mollified(moll, t, *pts):
+def _per_offset_mollified(moll, *pts):
     """Reference: accumulate one shifted base call per stencil offset."""
     pts = [np.asarray(p, dtype=float) for p in pts]
     edges = np.cumsum([0] + [p.shape[-1] for p in pts])
@@ -265,7 +262,7 @@ def _per_offset_mollified(moll, t, *pts):
             p - moll.eps * dz[lo:hi]
             for p, lo, hi in zip(pts, edges[:-1], edges[1:])
         ]
-        v = c * np.asarray(base(t, *shifted), dtype=float)
+        v = c * np.asarray(base(*shifted), dtype=float)
         acc = v if acc is None else acc + v
     return acc
 
@@ -309,8 +306,8 @@ def test_broadcast_mollifier_matches_per_offset_sum(field):
             (name, moll, (np.zeros((0, 1)),)),
         ]
     for name, moll, pts in calls:
-        got = moll(0.37, *pts)
-        ref = _per_offset_mollified(moll, 0.37, *pts)
+        got = moll(*pts)
+        ref = _per_offset_mollified(moll, *pts)
         assert got.shape == ref.shape, name
         err = np.max(np.abs(got - ref), initial=0.0)
         assert err <= 1e-13 * np.max(np.abs(ref), initial=0.0), name
@@ -324,11 +321,11 @@ def test_mollified_field_survives_pickling():
     for name in ("b1", "div_b1", "b2", "div_b2"):
         pts = (x,) if name.endswith("b1") else (x, r)
         assert np.array_equal(
-            getattr(clone, name)(0.2, *pts), getattr(smooth, name)(0.2, *pts)
+            getattr(clone, name)(*pts), getattr(smooth, name)(*pts)
         )
     # the fused pairs travel with the field
-    for a, b in zip(clone.b1_and_div(0.2, x) + clone.b2_and_div(0.2, x, r),
-                    smooth.b1_and_div(0.2, x) + smooth.b2_and_div(0.2, x, r)):
+    for a, b in zip(clone.b1_and_div(x) + clone.b2_and_div(x, r),
+                    smooth.b1_and_div(x) + smooth.b2_and_div(x, r)):
         assert np.array_equal(a, b)
 
 
@@ -366,10 +363,10 @@ def test_fused_pair_is_bit_identical_to_separate_calls(field):
             else:
                 r = rng.uniform(0.1, 0.9, size=r_batch + (field.j,))
                 pts, separate = (x, r), (smooth.b2, smooth.div_b2)
-            got = pair(0.4, *pts)
+            got = pair(*pts)
             assert len(got) == 2
             for fused, single in zip(got, separate):
-                assert same_bits(fused, single(0.4, *pts)), (block, x_batch)
+                assert same_bits(fused, single(*pts)), (block, x_batch)
 
 
 def test_fused_pair_shifts_each_block_once():
@@ -378,9 +375,9 @@ def test_fused_pair_shifts_each_block_once():
     seen = {"b2": [], "div_b2": []}
 
     def recording(name, fn):
-        def call(t, *pts):
+        def call(*pts):
             seen[name].append(pts)
-            return fn(t, *pts)
+            return fn(*pts)
         return call
 
     base = logistic_field(k=1, mu=0.3)
@@ -390,7 +387,7 @@ def test_fused_pair_shifts_each_block_once():
     step = _block_step(smooth.b2)
     x = np.linspace(-1.0, 1.0, 3)[:, None, None]
     r = np.broadcast_to(np.linspace(0.2, 0.8, step)[:, None], (3, step, 1))
-    smooth.b2_and_div(0.2, x, r)
+    smooth.b2_and_div(x, r)
     assert len(seen["b2"]) == len(seen["div_b2"]) == 3
     for drift_pts, div_pts in zip(seen["b2"], seen["div_b2"]):
         assert all(a is b for a, b in zip(drift_pts, div_pts))

@@ -16,6 +16,7 @@ from lagtransport.fields import (
     zero_field,
 )
 from lagtransport.flow import (
+    _displacement_bound,
     FlowIntegrationError,
     PreconditionError,
     check_compressibility,
@@ -31,7 +32,7 @@ from lagtransport.flow import (
 from lagtransport.grid import GridSpec
 from lagtransport.ode import solve_ivp
 
-from conftest import modulated_logistic_field, same_bits
+from conftest import counting_field, modulated_logistic_field, same_bits
 
 TOL = 1e-10
 TIMES = np.linspace(0.0, 0.5, 5)
@@ -293,10 +294,10 @@ def _stacked_system(field, M, Q):
         x = y[:M].reshape(M, 1)
         r = y[M : M + size].reshape(M, Q, 1)
         out = np.empty_like(y)
-        out[:M] = field.b1(t, x).reshape(-1)
-        out[M : M + size] = field.b2(t, x[:, None, :], r).reshape(-1)
-        out[M + size : M + 2 * size] = field.div_b2(t, x[:, None, :], r).reshape(-1)
-        out[M + 2 * size :] = field.div_b1(t, x)
+        out[:M] = field.b1(x).reshape(-1)
+        out[M : M + size] = field.b2(x[:, None, :], r).reshape(-1)
+        out[M + size : M + 2 * size] = field.div_b2(x[:, None, :], r).reshape(-1)
+        out[M + 2 * size :] = field.div_b1(x)
         return out
 
     rng = np.random.default_rng(7)
@@ -382,7 +383,7 @@ def test_ode_fails_without_stepping_on_a_non_finite_initial_slope():
 
 def test_flow_from_raises_on_a_non_finite_field():
     field = dataclasses.replace(
-        logistic_field(k=1, mu=0.3), b1=lambda t, x: np.full_like(x, np.nan)
+        logistic_field(k=1, mu=0.3), b1=lambda x: np.full_like(x, np.nan)
     )
     with pytest.raises(FlowIntegrationError, match="x-block"):
         flow_from(field, np.zeros((3, 1)), np.zeros((3, 4, 1)), (0.0, 1.0),
@@ -398,9 +399,9 @@ def test_mollified_flow_runs_the_fused_pairs_however_the_callables_are_bound(
     calls = {"b1": 0, "div_b1": 0, "b2": 0, "div_b2": 0, "rebound": 0}
 
     def counting(name, fn):
-        def call(t, *pts):
+        def call(*pts):
             calls[name] += 1
-            return fn(t, *pts)
+            return fn(*pts)
         return call
 
     base = logistic_field(k=1, mu=0.3)
@@ -570,6 +571,74 @@ def test_compressibility_flags_forged_jacobian():
     assert report.violations
 
 
+def _per_node_report(fmap, field, slack=1e-6):
+    """Reference: the envelope as a loop over the nodes, each evaluating
+    the divergences at every node's positions; returns (bound_total,
+    violations)."""
+    times = fmap.times
+    K = times.size
+    sup_tot = np.zeros(K)
+    sup_x = np.zeros(K)
+    for k in range(K):
+        dx = np.abs(np.asarray(field.div_b1(fmap.x1), dtype=float))
+        sup_x[k] = float(np.max(dx))
+        if field.j > 0:
+            dr = np.abs(np.asarray(
+                field.div_b2(fmap.x1[:, :, None, :], fmap.x2), dtype=float
+            ))
+            dr = np.broadcast_to(dr, fmap.logj2.shape)
+            sup_tot[k] = float(np.max(dx[..., None] + dr))
+        else:
+            sup_tot[k] = sup_x[k]
+    dt = np.diff(times)
+    bound_tot = np.concatenate(
+        [[0.0], np.cumsum(0.5 * dt * (sup_tot[:-1] + sup_tot[1:]))]
+    )
+    bound_x = np.concatenate([[0.0], np.cumsum(0.5 * dt * (sup_x[:-1] + sup_x[1:]))])
+    logj = fmap.logj()
+    violations = []
+    for k in range(K):
+        lo, hi = logj[k].min(), logj[k].max()
+        if hi > bound_tot[k] + slack or lo < -bound_tot[k] - slack:
+            violations.append(("logJ", float(times[k]), float(lo), float(hi),
+                               float(bound_tot[k])))
+        lo1, hi1 = fmap.logj1[k].min(), fmap.logj1[k].max()
+        if hi1 > bound_x[k] + slack or lo1 < -bound_x[k] - slack:
+            violations.append(("logJ1", float(times[k]), float(lo1), float(hi1),
+                               float(bound_x[k])))
+    return bound_tot, violations
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("num", [4, 17])
+@pytest.mark.parametrize(
+    "field", [logistic_field(k=1, mu=0.3), oscillatory_field(k=2, j=0)],
+    ids=["logistic", "oscillatory"],
+)
+def test_check_compressibility_evaluates_each_divergence_once(
+    field, num, direction,
+):
+    # a field does not depend on time, so the sup over the stored
+    # positions is one evaluation of each divergence, and the envelope
+    # keeps every bit of the per-node loop
+    grid = _grid(nr=5, x_bounds=((-np.pi, np.pi),), r_bounds=((0.1, 0.9),))
+    if field.j == 0:
+        grid = GridSpec(x_bounds=((-np.pi, np.pi),), x_counts=(9,))
+    fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, num), tol=TOL,
+                    direction=direction)
+    # a forged log-Jacobian adds violations at some nodes and not others
+    forged = dataclasses.replace(fmap, logj1=fmap.logj1 + 0.02 * fmap.times[:, None])
+    for fm in (fmap, forged):
+        counted, calls = counting_field(field, ("div_b1", "div_b2"))
+        report = check_compressibility(fm, counted)
+        assert calls == {"div_b1": 1, "div_b2": 1 if field.j else 0}
+        bound, violations = _per_node_report(fm, field)
+        assert same_bits(report.bound_total, bound)
+        assert report.violations == violations
+        assert report.ok == (not violations)
+    assert report.violations
+
+
 # ---------------------------------------------------------------------
 # change of variables
 # ---------------------------------------------------------------------
@@ -633,6 +702,40 @@ def test_change_of_variables_support_margin_guard():
         verify_change_of_variables(
             field, grid, 1.0, _gauss_x(0.0, 0.3),
             support_x=((-0.9, 0.9),), tol=TOL,
+        )
+
+
+def test_displacement_bound_evaluates_each_drift_once():
+    # the bound of verify_change_of_variables is one evaluation of b1 and
+    # of b2 on the grid's labels; it keeps the bits of a sup over five
+    # time samples of the same evaluations
+    grid = _grid(nx=9, nr=5, x_bounds=((-np.pi, np.pi),), r_bounds=((0.1, 0.9),))
+    labels = grid.joint_labels()
+    for field in (logistic_field(k=2, mu=0.7), modulated_logistic_field()):
+        counted, calls = counting_field(field, ("b1", "b2"))
+        disp = _displacement_bound(counted, grid, 0.1, 0.6)
+        assert calls == {"b1": 1, "b2": 1}
+        sup = 0.0
+        for _ in range(5):
+            v1 = field.b1(grid.x_labels())
+            sup = max(sup, float(np.max(np.linalg.norm(v1, axis=-1))))
+            v2 = field.b2(labels[..., :1], labels[..., 1:])
+            sup = max(sup, float(np.max(np.linalg.norm(v2, axis=-1))))
+        assert disp == sup * (0.6 - 0.1)
+
+
+def test_change_of_variables_support_guard_rejects_a_nan_drift():
+    # a NaN drift gives a NaN displacement bound, which no support fits
+    field = dataclasses.replace(
+        linear_field(lam=0.1, mu=0.0, n=1, j=0),
+        b1=lambda x: np.where(x > 0.5, np.nan, 0.1 * x),
+    )
+    grid = GridSpec(x_bounds=((-1.0, 1.0),), x_counts=(17,))
+    assert np.isnan(_displacement_bound(field, grid, 0.0, 1.0))
+    with pytest.raises(PreconditionError, match="displacement nan"):
+        verify_change_of_variables(
+            field, grid, 1.0, _gauss_x(0.0, 0.1),
+            support_x=((-0.2, 0.2),), tol=TOL,
         )
 
 

@@ -29,6 +29,7 @@ from lagtransport.transport import (
     SlabSelectionError,
     SolverConfig,
     apply_A,
+    check_horizon,
     choose_slab,
     continue_solution,
     eulerian_reconstruct,
@@ -38,7 +39,7 @@ from lagtransport.transport import (
     slice_to_csv,
 )
 
-from conftest import CountingGamma
+from conftest import CountingGamma, counting_field
 
 SEPARABLE_TERMS = ((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
 
@@ -591,7 +592,7 @@ def test_continue_solution_time_nodes_chain():
     assert len(sol.slabs) >= 2
     # every slab runs on the caller's grid, cached weights included
     assert all(s.grid is grid for s in sol.slabs)
-    times = sol.times
+    times = sol.mass_history()[0]
     assert np.all(np.diff(times) > 0)
     # the slice lookup finds a slab for interior times
     assert sol.slab_containing(0.51) is not None
@@ -614,6 +615,63 @@ def test_continue_solution_starts_at_t0():
     assert np.allclose(sol.mass_history()[1], ref.mass_history()[1], rtol=1e-9)
     with pytest.raises(ValueError):
         continue_solution(*args, 0.3, t0=0.3)
+
+
+@pytest.mark.parametrize(
+    "t0, t_end",
+    [(0.0, 1e-13), (0.0, 5e-13), (0.0, 1e-12), (1e6, 1e6 + 1e-7),
+     (0.0, np.inf), (0.0, np.nan)],
+    ids=["1e-13", "5e-13", "1e-12", "1e-7_past_1e6", "inf", "nan"],
+)
+def test_continue_solution_rejects_a_horizon_no_slab_covers(t0, t_end):
+    # a horizon inside the slab loop's end tolerance would give a
+    # solution with no slab; it is rejected before any work
+    args = (
+        make_initial("constant", value=1.0), zero_field(1, 1),
+        constant_kernel(c=0.7), SolverConfig(picard_tol=1e-9), _fiber_grid(),
+    )
+    with pytest.raises(ValueError, match="must be finite and exceed t0"):
+        check_horizon(t0, t_end)
+    with pytest.raises(ValueError, match="must be finite and exceed t0"):
+        continue_solution(*args, t_end, t0=t0)
+
+
+def test_continue_solution_covers_a_horizon_just_past_the_tolerance():
+    sol = continue_solution(
+        make_initial("constant", value=1.0), zero_field(1, 1),
+        constant_kernel(c=0.7), SolverConfig(picard_tol=1e-9), _fiber_grid(),
+        2e-12,
+    )
+    assert len(sol.slabs) == 1
+    assert sol.boundaries == [0.0, 2e-12]
+
+
+def test_continue_solution_evaluates_the_divergence_budget_once():
+    # a field does not depend on time, so the sup of |div_r b2| over the
+    # run is one evaluation on the label grid; the zero field makes no
+    # call while flowing, so every call counted is the budget's
+    field, calls = counting_field(zero_field(1, 1), ("div_b2",))
+    sol = continue_solution(
+        make_initial("constant", value=1.0), field, constant_kernel(c=0.7),
+        SolverConfig(picard_tol=1e-9, nodes_per_slab=9), _fiber_grid(), 1.0,
+    )
+    assert len(sol.slabs) >= 2
+    assert calls == {"div_b2": 1}
+
+
+def test_nan_divergence_budget_raises_slab_selection_error():
+    # a NaN in the divergence sup is kept, not dropped, so the budget
+    # rate * T * exp(NaN) meets no slab target
+    field = dataclasses.replace(
+        zero_field(1, 1),
+        div_b2=lambda x, r: np.where(r[..., 0] > 0.9, np.nan, 0.0),
+    )
+    with pytest.raises(SlabSelectionError, match="kernel budget"):
+        continue_solution(
+            make_initial("constant", value=1.0), field, constant_kernel(c=0.7),
+            SolverConfig(picard_tol=1e-9, nodes_per_slab=9), _fiber_grid(),
+            1.0,
+        )
 
 
 def test_continue_solution_aborts_on_label_exit():
