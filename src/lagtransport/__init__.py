@@ -7,11 +7,11 @@ compressibility densities carried by the flow, and solves
     du/dt along the flow = integral of gamma(r, r~) u(t, x, r~) dr~
 
 by Picard iteration on automatically chosen contraction slabs.  The
-integral runs over the kernel's declared support: all r~ for a dense or
-finite-rank kernel, and r <= r~ for a triangular one, whose gamma is the
-smooth factor on that support.  A kernel depends on neither t nor x, so
-the solver evaluates it once per operator slice and once for the slab
-rate.  Closed form references (an oscillatory one-dimensional flow,
+kernel is finite rank, gamma = sum_l a_l(r) c_l(r~), and the integral
+runs over its declared support: all r~, or r <= r~ for a triangular
+kernel.  A kernel depends on neither t nor x, so the solver evaluates
+its factors once per operator slice and gamma once for the slab rate.
+Closed form references (an oscillatory one-dimensional flow,
 matrix-exponential solutions for finite-rank kernels) back every
 numerical claim, and two experiment harnesses package the
 mollification-stability and the weak-but-not-strong density convergence

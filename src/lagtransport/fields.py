@@ -6,13 +6,13 @@ supplied analytically by each field definition; the tests cross-check
 them against central differences.
 
 Kernels gamma(r, r_tilde) on a one-dimensional fiber drive the integral
-source term.  A kernel is data: its gamma plus at most one declared
-structure, which every consumer reads in place of the kernel's name.
-Triangular support (gamma on r <= r_tilde, zero above) lets the solver
-place the support jump exactly on quadrature nodes instead of smearing
-it across a cell.  Finite-rank factors let the solver apply the kernel
-through moments instead of a dense r x r_tilde operator.  With no source
-term there is no kernel.
+source term.  A kernel is data: its finite-rank factors, gamma =
+sum_l a_l(r) c_l(r_tilde), and whether its support is triangular, which
+every consumer reads in place of the kernel's name.  The factors let the
+solver apply the kernel through moments instead of an r x r_tilde
+operator; triangular support (r <= r_tilde, zero above) lets it place
+the support jump exactly on quadrature nodes instead of smearing it
+across a cell.  With no source term there is no kernel.
 """
 
 from __future__ import annotations
@@ -398,65 +398,56 @@ def make_field(name: str, **params) -> StructuredVectorField:
 
 @dataclass
 class Kernel:
-    """Integral kernel gamma(r, r_tilde) on a one-dimensional fiber.
+    """Finite-rank integral kernel on a one-dimensional fiber,
 
-    gamma is vectorized over broadcastable r / r_tilde arrays (trailing
-    axis 1).  It depends on neither time nor x, so one evaluation on a
-    set of fiber points serves every (t, x) at which the fiber sits
-    there.  A kernel declares at most one structure:
+        gamma(r, r_tilde) = sum_l a_l(r) c_l(r_tilde),
 
-    * `triangular`: the kernel is gamma on r <= r_tilde and zero above
-      it, so gamma is only its smooth factor and must be valid on that
-      closed region.  Quadrature applies it on the node-aligned tails of
-      `GridSpec.r_suffix_weights()`, so the support jump never crosses a
-      quadrature cell.
-    * `factors` = ((a_1, ..., a_L), (c_1, ..., c_L)): the finite-rank form
-      gamma = sum_l a_l(r) c_l(r_tilde), where each factor maps an array
-      of scalar r values to an array of the same shape.  The solver then
-      applies the kernel through the moments <c_l, rho2 u> without
-      building a dense operator.
+    declared as `factors` = ((a_1, ..., a_L), (c_1, ..., c_L)), where
+    each factor maps an array of scalar r values to an array of the same
+    shape (a constant factor returns a read-only broadcast view).  The
+    kernel depends on neither time nor x, so one evaluation of the
+    factors on a set of fiber points serves every (t, x) at which the
+    fiber sits there.  The solver applies it through the factors, never
+    through a dense r x r_tilde operator.
 
-    The kernel is gamma on its declared support, so every consumer of
-    gamma must read `triangular`: the operator and the slab rate apply
-    the support through the tail weights, and a new Kernel wrapping a
-    triangular kernel's gamma without `triangular=True` is that smooth
-    factor on the whole square.  With `factors`, gamma must equal the
-    finite-rank sum; the slab rate evaluates it.
+    `triangular` declares the support r <= r_tilde: the kernel is the
+    factored sum there and zero above.  Quadrature applies it on the
+    node-aligned tails of `GridSpec.r_suffix_weights()`, so the support
+    jump never crosses a quadrature cell.
 
-    gamma may return a read-only broadcast view; the catalogue kernels do
-    where their value is constant along an axis, so building the dense
-    operator holds no temporary the size of a slice.
+    `gamma(r, r_tilde)` evaluates the factored sum on broadcastable r and
+    r_tilde arrays (trailing axis 1); the slab rate reads it.  For a
+    triangular kernel it is the sum on the whole square, of which the
+    kernel keeps the part on r <= r_tilde.
     """
 
     name: str
-    gamma: Callable
+    factors: tuple[tuple[Callable, ...], tuple[Callable, ...]]
     triangular: bool = False
-    factors: tuple[tuple[Callable, ...], tuple[Callable, ...]] | None = None
 
     def __post_init__(self) -> None:
-        if self.factors is not None:
-            if self.triangular:
-                raise ValueError("a kernel declares triangular or factors, "
-                                 "not both")
-            a_list, c_list = (tuple(fs) for fs in self.factors)
-            if not a_list or len(a_list) != len(c_list):
-                raise ValueError("factors need equally many a_l and c_l")
-            self.factors = (a_list, c_list)
+        a_list, c_list = (tuple(fs) for fs in self.factors)
+        if not a_list or len(a_list) != len(c_list):
+            raise ValueError("factors need equally many a_l and c_l")
+        self.factors = (a_list, c_list)
+
+    def gamma(self, r: np.ndarray, rt: np.ndarray) -> np.ndarray:
+        return sum(a(r[..., 0]) * c(rt[..., 0]) for a, c in zip(*self.factors))
 
 
-def _const_gamma(c, r, rt):
-    shape = np.broadcast_shapes(r.shape[:-1], rt.shape[:-1])
-    return np.broadcast_to(np.float64(c), shape)
+def _const(value, v):
+    return np.broadcast_to(np.float64(value), np.shape(v))
 
 
 def constant_kernel(c: float = 1.0) -> Kernel:
-    return Kernel("constant", partial(_const_gamma, float(c)))
+    """gamma = c: rank 1, with a = c and c_1 = 1."""
+    return Kernel(
+        "constant", ((partial(_const, float(c)),), (partial(_const, 1.0),)),
+    )
 
 
-def _frag_smooth(scale, r, rt):
-    tt = rt[..., 0]
-    val = scale / tt
-    return np.broadcast_to(val, np.broadcast_shapes(r.shape[:-1], tt.shape))
+def _reciprocal(scale, v):
+    return scale / np.asarray(v, dtype=float)
 
 
 def fragmentation_kernel(scale: float = 1.0) -> Kernel:
@@ -464,25 +455,14 @@ def fragmentation_kernel(scale: float = 1.0) -> Kernel:
 
     Uniform-daughter fragmentation: a parent of size r_tilde spreads into
     sizes uniform on (0, r_tilde).  With scale=2 and b=0 the total mass
-    grows exactly like e^{2t}.  The kernel is triangular; its gamma is
-    the smooth factor scale / r_tilde.
+    grows exactly like e^{2t}.  The kernel is triangular and rank 1 on
+    its support, with a = 1 and c = scale / r_tilde.
     """
     return Kernel(
-        "fragmentation", partial(_frag_smooth, float(scale)), triangular=True,
+        "fragmentation",
+        ((partial(_const, 1.0),), (partial(_reciprocal, float(scale)),)),
+        triangular=True,
     )
-
-
-def _gauss(center, width, v):
-    return np.exp(-((v - center) ** 2) / (2.0 * width**2))
-
-
-def _separable_gamma(terms, r, rt):
-    rr = r[..., 0]
-    tt = rt[..., 0]
-    acc = np.zeros(np.broadcast_shapes(rr.shape, tt.shape))
-    for (ca, wa, cc, wc, amp) in terms:
-        acc += amp * _gauss(ca, wa, rr) * _gauss(cc, wc, tt)
-    return acc
 
 
 def separable_kernel(
@@ -508,11 +488,12 @@ def separable_kernel(
         tuple(partial(_gauss_amp, ca, wa, amp) for (ca, wa, _, _, amp) in terms),
         tuple(partial(_gauss_amp, cc, wc, 1.0) for (_, _, cc, wc, _) in terms),
     )
-    return Kernel("separable", partial(_separable_gamma, terms), factors=factors)
+    return Kernel("separable", factors)
 
 
 def _gauss_amp(center, width, amp, v):
-    return amp * _gauss(center, width, np.asarray(v, dtype=float))
+    v = np.asarray(v, dtype=float)
+    return amp * np.exp(-((v - center) ** 2) / (2.0 * width**2))
 
 
 _KERNEL_BUILDERS = {

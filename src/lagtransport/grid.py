@@ -92,7 +92,9 @@ def suffix_weight_matrix(coords: np.ndarray) -> np.ndarray:
     Row m holds quadrature weights for the subgrid coords[m:], zero below
     the diagonal.  Used for kernels supported on ``r < r_tilde`` so the
     integrand jump always lands exactly on a node.  The last row is zero
-    (empty integration range).
+    (empty integration range).  `GridSpec.r_suffix_weights()` builds it
+    once per grid and caches it; the operator of a triangular kernel and
+    the slab rate both read that copy.
     """
     coords = np.asarray(coords, dtype=float)
     npts = coords.size

@@ -137,12 +137,14 @@ def separable_solve(
     u(t) = u0 + sum_j a_j(r) m_j(t, x).  Inner products use the grid's
     own r quadrature, so the comparison with the Picard path isolates
     time-integration and iteration error.  The factors are the kernel's
-    declared `factors`; a kernel without them raises ValueError.
+    declared `factors`, integrated over the whole square; a triangular
+    kernel, whose support is r <= rt, raises ValueError.
     """
     if grid.j != 1:
         raise ValueError("finite-rank oracle needs j = 1")
-    if kernel.factors is None:
-        raise ValueError(f"kernel {kernel.name!r} declares no finite-rank factors")
+    if kernel.triangular:
+        raise ValueError(f"kernel {kernel.name!r} is triangular; the oracle "
+                         "needs support on the whole square")
     a_list, c_list = kernel.factors
     r = grid.r_labels()[:, 0]
     wr = grid.r_weights()

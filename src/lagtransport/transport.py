@@ -6,8 +6,9 @@ In label coordinates the problem is a Volterra-type equation
                   rho2(s,x,rt) u~(s, x, rt) drt ds,
 
 whose right side defines the affine operator A.  The kernel sees only the
-moved fiber coordinates, so the operator is one gamma evaluation per
-stored time slice, and a single slice when the fibers do not move.  On a
+moved fiber coordinates, so the operator is one evaluation of the
+kernel's factors per stored time slice, and a single slice when the
+fibers do not move.  On a
 short enough time slab A is a contraction in the sup-in-time windowed L^p
 norm, so Picard iteration from u0 converges geometrically; longer
 horizons are covered by chaining slabs, re-basing the initial datum at
@@ -146,56 +147,50 @@ class EulerianSlice:
 
 @dataclass
 class _FactoredOperator:
-    """Finite-rank operator A[k, i, l, m] = a_l(X2[k, i, m]) and
-    C[k, i, l, q] = c_l(X2[k, i, q]) * w_q, each (K_eff, Nx, L, Nr)."""
+    """Finite-rank operator a[k, i, l, m] = a_l(X2[k, i, m]) and
+    c[k, i, l, q] = c_l(X2[k, i, q]) * w_q, each (K_eff, Nx, L, Nr); a
+    triangular kernel has no w_q in c and its `tail` weights are the
+    grid's cached suffix weight matrix, which `nbytes` leaves out."""
 
     a: np.ndarray
     c: np.ndarray
+    tail: np.ndarray | None
 
     @property
     def nbytes(self) -> int:
         return self.a.nbytes + self.c.nbytes
 
 
-def _kernel_matrices(fmap: FlowMap, kernel: Kernel):
+def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
     """The kernel's quadrature operator on the moved fiber coordinates of
-    the flow's label grid.
+    the flow's label grid, from its declared factors.
 
-    For kernels with declared factors it returns a _FactoredOperator;
-    otherwise the dense tensor G[k, i][m, q] = gamma(X2[k, i, m],
-    X2[k, i, q]) * weight(m, q) shaped (K_eff, Nx, Nr, Nr), from one
-    gamma call per stored slice written into the preallocated tensor.
-    When the moved fiber coordinates are time-independent (b2 = 0) K_eff
-    = 1: a single time slice is stored and broadcasts over the nodes.
-    Triangular kernels take the node-aligned tail weights of
-    `GridSpec.r_suffix_weights()`, which also zero the entries above the
-    support (the fiber map is monotone, hence label order and moved order
-    agree); other kernels take the fiber weights w(q).  Kernels act on a
-    j = 1 fiber only.
+    Each factor is called once per stored time slice, so no temporary
+    outgrows an (Nx, Nr) slice.  When the moved fiber coordinates are
+    time-independent (b2 = 0) K_eff = 1: a single time slice is stored
+    and broadcasts over the nodes.  A triangular kernel keeps the
+    node-aligned tail weights of `GridSpec.r_suffix_weights()`, which
+    also zero the entries above the support (the fiber map is monotone,
+    hence label order and moved order agree); other kernels fold the
+    fiber weights w(q) into the c_l.  Kernels act on a j = 1 fiber only.
     """
     grid = fmap.grid
     if grid.j != 1:
         raise ValueError(f"kernels act on a j = 1 fiber, not j = {grid.j}")
     K = fmap.times.size
-    Nx, Nr = fmap.num_x, fmap.num_r
     static = K > 1 and bool(np.array_equal(
         fmap.x2[1:], np.broadcast_to(fmap.x2[:1], fmap.x2[1:].shape)
     ))
-    k_list = [0] if static else list(range(K))
-    wr = grid.r_weights()
-    if kernel.factors is not None:
-        pos = fmap.x2[k_list, ..., 0]  # (K_eff, Nx, Nr)
-        a_list, c_list = kernel.factors
-        a = np.stack([np.asarray(fa(pos), dtype=float) for fa in a_list], axis=2)
-        c = np.stack([np.asarray(fc(pos), dtype=float) for fc in c_list], axis=2)
-        return _FactoredOperator(a=a, c=c * wr)
-    wmat = grid.r_suffix_weights() if kernel.triangular else wr
-    mats = np.empty((len(k_list), Nx, Nr, Nr))
-    for out_k, k in enumerate(k_list):
-        pos2 = fmap.x2[k]  # (Nx, Nr, 1)
-        g = kernel.gamma(pos2[:, :, None, :], pos2[:, None, :, :])
-        np.multiply(g, wmat, out=mats[out_k])
-    return mats
+    pos = fmap.x2[:1, ..., 0] if static else fmap.x2[..., 0]  # (K_eff, Nx, Nr)
+    a_list, c_list = kernel.factors
+    a = np.empty((pos.shape[0], fmap.num_x, len(a_list), fmap.num_r))
+    c = np.empty_like(a)
+    wr = 1.0 if kernel.triangular else grid.r_weights()
+    for k, l in np.ndindex(a.shape[0], a.shape[2]):
+        a[k, :, l] = a_list[l](pos[k])
+        np.multiply(c_list[l](pos[k]), wr, out=c[k, :, l])
+    tail = grid.r_suffix_weights() if kernel.triangular else None
+    return _FactoredOperator(a=a, c=c, tail=tail)
 
 
 def apply_A(
@@ -209,9 +204,12 @@ def apply_A(
 
     `values` is u~ on (K, Nx, Nr); the r~ integral runs over each label's
     r fiber with the density ratio rho2 = exp(logJ - logJ1) as weight,
-    and the time integral is the trapezoid rule on the stored nodes.
-    Factored kernels contract the weighted state against the c_l first
-    and expand the moments along the a_l, at O(K Nx Nr L) cost.
+    and the time integral is the trapezoid rule on the stored nodes.  The
+    kernel acts through its factors at O(K Nx Nr L) cost: the weighted
+    state is contracted against the c_l and the moments are expanded
+    along the a_l.  A triangular kernel takes its moments on every
+    node-aligned tail, one (K Nx L, Nr) x (Nr, Nr) product with the
+    grid's suffix weights.
     """
     values = np.asarray(values, dtype=float)
     K, Nx, Nr = values.shape
@@ -221,11 +219,13 @@ def apply_A(
     weighted = density_rho2(fmap) * values  # rho2 u~, (K, Nx, Nr)
     # a static operator's single slice broadcasts over the nodes rather
     # than being copied K times
-    if isinstance(ops, _FactoredOperator):
+    if ops.tail is None:
         mom = np.einsum("kilq,kiq->kil", ops.c, weighted)
         inner = np.einsum("kilm,kil->kim", ops.a, mom)
     else:
-        inner = (ops @ weighted[..., None])[..., 0]
+        rows = ops.c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
+        tails = (rows.reshape(-1, Nr) @ ops.tail.T).reshape(rows.shape)
+        inner = np.einsum("kilm,kilm->kim", ops.a, tails)
     return u0[None] + _cumulative_trapezoid(inner, fmap.times)
 
 

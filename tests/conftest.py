@@ -43,16 +43,17 @@ def counting_field(field, names):
     return counted, calls
 
 
-class CountingGamma:
-    """A kernel's gamma that counts its calls."""
+class Counting:
+    """A callable, such as a kernel's gamma or factor, that counts its
+    calls."""
 
-    def __init__(self, gamma):
-        self.gamma = gamma
+    def __init__(self, fn):
+        self.fn = fn
         self.calls = 0
 
-    def __call__(self, r, rt):
+    def __call__(self, *args):
         self.calls += 1
-        return self.gamma(r, rt)
+        return self.fn(*args)
 
 
 def same_bits(a, b):

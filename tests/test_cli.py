@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountingGamma
+from conftest import Counting
 
 PI = 3.141592653589793
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -607,9 +607,9 @@ def test_numerical_failure_removes_the_directories_it_created(tmp_path, monkeypa
 
 def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatch):
     # b = 0 is declared, so no flow integrates; the slab budget is
-    # measured once for the run, not at each of its slab boundaries.  The
-    # kernel is evaluated once for the slab rate and once for the single
-    # stored operator slice of each of the 23 slabs
+    # measured once for the run, not at each of its slab boundaries.
+    # gamma is evaluated once, for the slab rate: each of the 23 slabs
+    # applies the kernel through its factors
     from lagtransport import cli, flow, transport
 
     calls = []
@@ -617,7 +617,7 @@ def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatc
 
     def counting_kernel(*args, _real=cli.make_kernel, **kwargs):
         kern = _real(*args, **kwargs)
-        kern.gamma = CountingGamma(kern.gamma)
+        kern.gamma = Counting(kern.gamma)
         kernels.append(kern)
         return kern
 
@@ -639,7 +639,7 @@ def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatc
     assert calls == ["kernel_slab_rate"]
     payload = json.loads(next(tmp_path.glob("solve_*.json")).read_text())
     assert len(payload["run"]["slabs"]) == 23
-    assert [k.gamma.calls for k in kernels] == [24]
+    assert [k.gamma.calls for k in kernels] == [1]
 
 
 def test_catalogue_builders_are_looked_up_when_called(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Field catalogue, mollification, kernels, and slab bounds."""
 
 import dataclasses
+import functools
 import pickle
 
 import numpy as np
@@ -25,7 +26,7 @@ from lagtransport.fields import (
 import lagtransport.fields as fields_module
 from lagtransport.grid import GridSpec
 
-from conftest import CountingGamma, modulated_logistic_field, same_bits
+from conftest import Counting, modulated_logistic_field, same_bits
 
 
 ALL_FIELDS = [
@@ -406,13 +407,20 @@ def test_mollify_field_rejects_non_positive_or_non_finite_eps(eps):
 
 
 def test_fragmentation_kernel_triangular_structure():
-    # the kernel is scale / rt on r < rt; it declares the triangle, and
-    # gamma is the smooth factor (the operator tests check the support)
+    # the kernel is scale / rt on r < rt; it declares the triangle and its
+    # rank-1 factors a = 1, c = scale / rt, and gamma is their product
+    # (the operator tests check the support)
     kern = fragmentation_kernel(scale=2.0)
-    assert kern.triangular and kern.factors is None
+    assert kern.triangular
+    (a,), (c,) = kern.factors
+    v = np.array([1e-3, 0.3, 0.6, 1.0])
+    assert np.array_equal(a(v), np.ones(4))
+    assert np.array_equal(c(v), 2.0 / v)
     r = np.array([[0.3]])
     rt = np.array([[0.6]])
-    assert np.allclose(kern.gamma(r, rt), 2.0 / 0.6)
+    assert kern.gamma(r, rt) == 2.0 / 0.6
+    assert not constant_kernel(c=0.7).triangular
+    assert constant_kernel(c=0.7).gamma(r, rt) == 0.7
 
 
 def test_separable_kernel_factors_rebuild_gamma():
@@ -427,20 +435,35 @@ def test_separable_kernel_factors_rebuild_gamma():
     rebuilt = sum(
         a(r[..., 0]) * c(rt[..., 0]) for a, c in zip(a_list, c_list)
     )
-    assert np.allclose(direct, rebuilt, atol=1e-14)
+    assert np.array_equal(direct, rebuilt)
+    # the factors are the Gaussians amp_i a_i(r) c_i(rt) of the terms
+    closed = (
+        np.exp(-((r[..., 0] - 0.5) ** 2) / 0.08)
+        * np.exp(-((rt[..., 0] - 0.6) ** 2) / 0.125)
+        + 0.6 * np.exp(-((r[..., 0] - 0.3) ** 2) / 0.045)
+        * np.exp(-((rt[..., 0] - 0.35) ** 2) / 0.08)
+    )
+    assert np.allclose(direct, closed, rtol=1e-14, atol=0.0)
 
 
 def test_kernel_factors_are_validated_and_picklable():
     kern = separable_kernel()
     a_list, c_list = kern.factors
-    with pytest.raises(ValueError):
-        Kernel("bad", kern.gamma, factors=(a_list, ()))
-    # a kernel declares at most one structure
-    with pytest.raises(ValueError, match="not both"):
-        Kernel("bad", kern.gamma, triangular=True, factors=kern.factors)
-    clone = pickle.loads(pickle.dumps(kern))
-    v = np.linspace(0.0, 1.0, 5)
-    assert np.array_equal(clone.factors[0][0](v), a_list[0](v))
+    for bad in ((a_list, ()), ((), ()), (a_list, c_list + c_list)):
+        with pytest.raises(ValueError, match="equally many"):
+            Kernel("bad", bad)
+    # factors declared as lists are kept as tuples, and a triangular
+    # kernel declares its factors too
+    listed = Kernel("listed", [list(a_list), list(c_list)], triangular=True)
+    assert listed.factors == (a_list, c_list) and listed.triangular
+    for kern in (separable_kernel(), constant_kernel(0.7),
+                 fragmentation_kernel(2.0)):
+        clone = pickle.loads(pickle.dumps(kern))
+        v = np.linspace(0.1, 1.0, 5)
+        for fs, clone_fs in zip(kern.factors, clone.factors):
+            for f, g in zip(fs, clone_fs):
+                assert np.array_equal(g(v), f(v))
+        assert clone.triangular == kern.triangular
 
 
 def test_make_kernel_and_zero_kernel():
@@ -503,21 +526,35 @@ def test_slab_rate_evaluates_gamma_once(kern):
         x_bounds=((0.0, 1.0),), x_counts=(5,),
         r_bounds=((1e-3, 1.0),), r_counts=(33,), r_spacing="geometric",
     )
-    counting = dataclasses.replace(kern, gamma=CountingGamma(kern.gamma))
+    counting = dataclasses.replace(kern)
+    counting.gamma = Counting(kern.gamma)
     assert kernel_slab_rate(counting, grid, 2.0) == kernel_slab_rate(kern, grid, 2.0)
     assert counting.gamma.calls == 1
 
 
+def _dense_separable_gamma(terms, r, rt):
+    # the Gaussian sum evaluated term by term on the square
+    acc = np.zeros(np.broadcast_shapes(r.shape[:-1], rt.shape[:-1]))
+    for (ca, wa, cc, wc, amp) in terms:
+        acc += (amp * np.exp(-((r[..., 0] - ca) ** 2) / (2.0 * wa**2))
+                * np.exp(-((rt[..., 0] - cc) ** 2) / (2.0 * wc**2)))
+    return acc
+
+
 def test_factored_slab_rate_is_bit_identical_to_dense():
-    # the rate reads gamma alone: declared factors do not change it
+    # the rate reads gamma, the sum of the declared factors, which keeps
+    # the bits of the Gaussian sum evaluated on the square
     grid = GridSpec(
         x_bounds=((-3.0, 3.0),), x_counts=(5,),
         r_bounds=((0.0, 1.0),), r_counts=(33,),
     )
-    kern = separable_kernel(
-        terms=((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
-    )
-    dense = Kernel("separable", kern.gamma)
+    terms = ((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
+    kern = separable_kernel(terms=terms)
+    dense = dataclasses.replace(kern)
+    dense.gamma = functools.partial(_dense_separable_gamma, terms)
+    rs = grid.r_labels()
+    assert np.array_equal(kern.gamma(rs[:, None], rs[None]),
+                          dense.gamma(rs[:, None], rs[None]))
     for p in (1.5, 2.0, 3.0):
         assert kernel_slab_rate(kern, grid, p) == kernel_slab_rate(dense, grid, p)
 

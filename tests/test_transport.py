@@ -19,7 +19,7 @@ from lagtransport.fields import (
     zero_field,
 )
 from lagtransport.flow import PreconditionError, flow_map
-from lagtransport.grid import GridSpec
+from lagtransport.grid import GridSpec, sup_in_time, suffix_weight_matrix
 from lagtransport.oracle import separable_solve
 from lagtransport.transport import (
     _cumulative_trapezoid,
@@ -39,7 +39,7 @@ from lagtransport.transport import (
     slice_to_csv,
 )
 
-from conftest import CountingGamma, counting_field
+from conftest import Counting, counting_field
 
 SEPARABLE_TERMS = ((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
 
@@ -136,6 +136,25 @@ def _triangular_grid():
     )
 
 
+def _dense_apply_A(values, fmap, kern, u0):
+    """apply_A from a dense reference operator: on each node, gamma on
+    the moved fiber times the tail weights of `suffix_weight_matrix`
+    (triangular) or the fiber weights."""
+    grid = fmap.grid
+    if kern.triangular:
+        weights = suffix_weight_matrix(grid.r_axes()[0])
+    else:
+        weights = grid.r_weights()
+    weighted = np.exp(fmap.logj2) * values
+    inner = np.empty_like(weighted)
+    for k, pos in enumerate(fmap.x2):
+        dense = kern.gamma(pos[:, :, None, :], pos[:, None, :, :]) * weights
+        inner[k] = (dense @ weighted[k][:, :, None])[:, :, 0]
+    return u0[None] + cumulative_trapezoid(inner, fmap.times, axis=0, initial=0.0)
+
+
+# "dense" names a kernel supported on the whole square, "triangular" one
+# supported on r <= r~; every kernel is applied through its factors
 @pytest.mark.parametrize(
     "field, kern, slices",
     [
@@ -149,28 +168,30 @@ def _triangular_grid():
 )
 def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
     # a static operator stores one slice, a moving flow one per node, and
-    # broadcasting the stored slices must round every entry as a dense
-    # matvec per node, or a factored contraction of per-node copies, did
+    # broadcasting the stored slices must round every entry as the same
+    # contraction of per-node copies did; both match a dense reference
     grid = _triangular_grid()
     fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
     ops = _kernel_matrices(fmap, kern)
+    assert ops.a.shape[0] == ops.c.shape[0] == slices
     rng = np.random.default_rng(13)
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
     u0 = rng.standard_normal((grid.num_x, grid.num_r))
     weighted = np.exp(fmap.logj2) * values
     per_node = np.arange(fmap.times.size) % slices
-    if kern.factors is not None:
-        assert ops.a.shape[0] == ops.c.shape[0] == slices
-        mom = np.einsum("kilq,kiq->kil", ops.c[per_node], weighted)
-        inner = np.einsum("kilm,kil->kim", ops.a[per_node], mom)
+    a, c = ops.a[per_node], ops.c[per_node]
+    if kern.triangular:
+        rows = c * weighted[:, :, None, :]
+        tails = (rows.reshape(-1, grid.num_r) @ ops.tail.T).reshape(rows.shape)
+        inner = np.einsum("kilm,kilm->kim", a, tails)
     else:
-        assert ops.shape == (slices, grid.num_x, grid.num_r, grid.num_r)
-        inner = np.empty_like(values)
-        for k, stored in enumerate(per_node):
-            inner[k] = (ops[stored] @ weighted[k][:, :, None])[:, :, 0]
+        mom = np.einsum("kilq,kiq->kil", c, weighted)
+        inner = np.einsum("kilm,kil->kim", a, mom)
     expected = u0[None] + _cumulative_trapezoid(inner, fmap.times)
     assert np.array_equal(apply_A(values, fmap, kern, u0), expected)
     assert np.array_equal(apply_A(values, fmap, kern, u0, _mats=ops), expected)
+    ref = _dense_apply_A(values, fmap, kern, u0)
+    assert np.max(np.abs(expected - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize(
@@ -178,19 +199,69 @@ def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
     ids=["static", "moving"],
 )
 def test_triangular_operator_is_gamma_times_suffix_weights(field):
-    # each stored slice is the smooth factor on the moved fiber times the
-    # node-aligned tail weights, which are zero below the diagonal: the
-    # kernel vanishes wherever r > r~
+    # each stored slice, expanded, is the kernel on the moved fiber times
+    # the node-aligned tail weights, which are zero below the diagonal:
+    # the kernel vanishes wherever r > r~
     grid = _triangular_grid()
     kern = fragmentation_kernel(scale=2.0)
     fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
     ops = _kernel_matrices(fmap, kern)
-    suffix = grid.r_suffix_weights()
+    suffix = suffix_weight_matrix(grid.r_axes()[0])
+    assert ops.tail is grid.r_suffix_weights()
+    assert np.array_equal(ops.tail, suffix)
     assert np.all(np.tril(suffix, -1) == 0.0)
-    for k in range(ops.shape[0]):
+    for k in range(ops.a.shape[0]):
         pos = fmap.x2[k]
         expected = kern.gamma(pos[:, :, None, :], pos[:, None, :, :]) * suffix
-        assert np.array_equal(ops[k], expected)
+        rebuilt = np.einsum("ilm,ilq->imq", ops.a[k], ops.c[k]) * ops.tail
+        assert np.array_equal(rebuilt, expected)
+
+
+def _triangular_gauss_kernel():
+    # rank 2 and finite at r = 0, so it runs on a uniform fiber from 0
+    return Kernel("triangular_gauss", separable_kernel(SEPARABLE_TERMS).factors,
+                  triangular=True)
+
+
+@pytest.mark.parametrize("nr", [2, 3, 8, 9, 33, 34])
+@pytest.mark.parametrize(
+    "spacing, kern",
+    [("geometric", fragmentation_kernel(scale=2.0)),
+     ("geometric", _triangular_gauss_kernel()),
+     ("uniform", _triangular_gauss_kernel())],
+    ids=["geometric-fragmentation", "geometric-gauss", "uniform-gauss"],
+)
+@pytest.mark.parametrize(
+    "field", [zero_field(1, 1), logistic_field(k=1, mu=0.3)],
+    ids=["static", "moving"],
+)
+def test_triangular_apply_A_matches_dense_suffix_reference(field, spacing, kern, nr):
+    # the tails of 2 and 3 points, and the trapezoid patch of an even
+    # count, are the quadrature's special cases
+    lo = 1e-3 if spacing == "geometric" else 0.0
+    grid = GridSpec(
+        x_bounds=((0.0, 1.0),), x_counts=(3,),
+        r_bounds=((lo, 1.0),), r_counts=(nr,), r_spacing=spacing,
+    )
+    fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
+    rng = np.random.default_rng(nr)
+    values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
+    u0 = rng.standard_normal((grid.num_x, grid.num_r))
+    ref = _dense_apply_A(values, fmap, kern, u0)
+    out = apply_A(values, fmap, kern, u0)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class _CountingKernel:
+    """A kernel whose gamma and factors count their calls."""
+
+    def __init__(self, kern):
+        self.gamma = Counting(kern.gamma)
+        self.factors = tuple(tuple(Counting(f) for f in fs) for fs in kern.factors)
+        self.triangular = kern.triangular
+
+    def factor_calls(self):
+        return [f.calls for fs in self.factors for f in fs]
 
 
 @pytest.mark.parametrize(
@@ -203,15 +274,24 @@ def test_triangular_operator_is_gamma_times_suffix_weights(field):
     ids=["dense", "triangular"],
 )
 def test_operator_evaluates_gamma_once_per_stored_slice(field, slices, kern):
-    # the kernel depends on neither t nor x: one call covers every x
-    # label of a slice, and a static flow stores a single slice
+    # the kernel depends on neither t nor x: one call of each factor
+    # covers every x label of a slice, a static flow stores a single
+    # slice, and gamma itself is never called
     grid = _triangular_grid()
     fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
-    counting = dataclasses.replace(kern, gamma=CountingGamma(kern.gamma))
+    counting = _CountingKernel(kern)
     ops = _kernel_matrices(fmap, counting)
-    assert ops.shape[0] == slices
-    assert counting.gamma.calls == slices
-    assert np.array_equal(ops, _kernel_matrices(fmap, kern))
+    assert ops.a.shape[0] == slices
+    assert counting.factor_calls() == [slices, slices]
+    assert counting.gamma.calls == 0
+    plain = _kernel_matrices(fmap, kern)
+    assert np.array_equal(ops.a, plain.a) and np.array_equal(ops.c, plain.c)
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
+    u0 = np.zeros((grid.num_x, grid.num_r))
+    ref = _dense_apply_A(values, fmap, kern, u0)
+    out = apply_A(values, fmap, kern, u0, _mats=ops)
+    assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize(
@@ -219,10 +299,10 @@ def test_operator_evaluates_gamma_once_per_stored_slice(field, slices, kern):
     ids=["dense", "triangular"],
 )
 def test_operator_builds_on_a_moving_flow_without_slice_temporaries(kern):
-    # the catalogue kernels return broadcast views, so each slice is
-    # written straight into the preallocated tensor: beyond the operator
-    # itself, the build holds only numpy's fixed-size ufunc buffers, far
-    # less than one (Nx, Nr, Nr) slice
+    # the operator is its factors on the moved fibers, evaluated one
+    # stored slice at a time: the whole build, operator included, holds
+    # less than one Nr x Nr slice, which a dense operator would need per
+    # stored (t, x) fiber
     grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(16,),
         r_bounds=((1e-3, 1.0),), r_counts=(129,), r_spacing="geometric",
@@ -230,14 +310,15 @@ def test_operator_builds_on_a_moving_flow_without_slice_temporaries(kern):
     fmap = flow_map(logistic_field(k=1, mu=0.3), grid,
                     times=np.linspace(0.0, 0.5, 3), tol=1e-10)
     grid.r_suffix_weights()  # cached on the grid before the trace
+    grid.r_weights()
     tracemalloc.start()
     try:
         ops = _kernel_matrices(fmap, kern)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ops.shape == (3, 16, 129, 129)
-    assert peak - ops.nbytes < ops[0].nbytes / 4
+    assert peak < 129 * 129 * 8
+    assert ops.a.shape == ops.c.shape == (3, 16, 1, 129)
 
 
 def _raising_gamma(r, rt):
@@ -254,16 +335,16 @@ def test_factored_operator_matches_dense(field):
     # node); the zero drift keeps them fixed (a single stored slice)
     grid = _fiber_grid(nr=33, nx=3)
     kern = separable_kernel(terms=SEPARABLE_TERMS)
-    dense = Kernel("separable", kern.gamma)
     fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
     rng = np.random.default_rng(11)
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
     u0 = rng.standard_normal((grid.num_x, grid.num_r))
-    ref = apply_A(values, fmap, dense, u0)
+    ref = _dense_apply_A(values, fmap, kern, u0)
     out = apply_A(values, fmap, kern, u0)
     assert np.max(np.abs(out - ref)) < 1e-12
     # the factored path never evaluates gamma
-    blind = Kernel("separable", _raising_gamma, factors=kern.factors)
+    blind = Kernel("separable", kern.factors)
+    blind.gamma = _raising_gamma
     assert np.array_equal(apply_A(values, fmap, blind, u0), out)
 
 
@@ -274,26 +355,56 @@ def test_factored_operator_matches_dense(field):
 )
 @pytest.mark.parametrize("factored", [True, False], ids=["factored", "dense"])
 def test_picard_residual_matches_fixed_point_residual(field, factored):
+    # the summary's residual is the library's fixed-point residual, and
+    # within 1e-14 of one taken against a dense reference operator
     grid = _fiber_grid(nr=33, nx=3)
     kern = separable_kernel(terms=SEPARABLE_TERMS)
-    if not factored:
-        kern = Kernel("separable", kern.gamma)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
     state, summary = picard_solve(u0, field, kern, config, grid, 0.0, 0.25)
-    assert abs(summary["residual"] - fixed_point_residual(state, kern, config)) < 1e-14
+    if factored:
+        residual = fixed_point_residual(state, kern, config)
+    else:
+        image = _dense_apply_A(state.values, state.fmap, kern, state.u0)
+        residual = sup_in_time(state.values - image, grid, config.norm_spec())
+    assert abs(summary["residual"] - residual) < 1e-14
 
 
 def test_separable_solve_requires_declared_factors():
+    # the oracle integrates the declared factors over the whole square,
+    # so a triangular kernel, factored on its support only, is refused
     grid = _fiber_grid(nr=9)
     u0 = np.ones((grid.num_x, grid.num_r))
     times = np.array([0.0, 0.1])
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     assert len(kern.factors[0]) == len(kern.factors[1]) == 2
     assert separable_solve(kern, u0, grid, times).shape == (2,) + u0.shape
-    for undeclared in (constant_kernel(), Kernel("separable", kern.gamma)):
-        with pytest.raises(ValueError, match="declares no finite-rank factors"):
-            separable_solve(undeclared, u0, grid, times)
+    for triangular in (fragmentation_kernel(scale=2.0), _triangular_gauss_kernel()):
+        with pytest.raises(ValueError, match="is triangular"):
+            separable_solve(triangular, u0, grid, times)
+
+
+def test_separable_solve_matches_a_constant_kernel_solve():
+    # the constant kernel is rank 1 (a = c, c_1 = 1), so the oracle
+    # accepts it; with b = 0 both slabs of the chained solve match it at
+    # criterion 7's tolerance (the trapezoid error grows as dt^2 and
+    # carries over the slab boundary)
+    grid = _fiber_grid(nr=33, nx=3)
+    kern = constant_kernel(c=0.7)
+    u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.3))
+    sol = continue_solution(
+        u0, zero_field(1, 1), kern,
+        SolverConfig(picard_tol=1e-10, nodes_per_slab=129), grid, 1.0,
+    )
+    assert len(sol.slabs) == 2
+    times, _ = sol.mass_history()
+    ref = separable_solve(kern, u0, grid, times)
+    start = 0
+    for slab in sol.slabs:
+        nodes = slab.times.size
+        gap = np.max(np.abs(slab.values - ref[start : start + nodes]))
+        assert gap < 1e-6
+        start += nodes - 1
 
 
 def test_fixed_point_residual_vanishes_for_true_fixed_point():
