@@ -412,7 +412,7 @@ class Kernel:
 
     `triangular` declares the support r <= r_tilde: the kernel is the
     factored sum there and zero above.  Quadrature applies it on the
-    node-aligned tails of `GridSpec.r_suffix_weights()`, so the support
+    node-aligned tails of `grid.suffix_weight_matrix`, so the support
     jump never crosses a quadrature cell.
 
     `gamma(r, r_tilde)` evaluates the factored sum on broadcastable r and

@@ -21,6 +21,7 @@ __all__ = [
     "NormSpec",
     "axis_weights",
     "suffix_weight_matrix",
+    "suffix_integrals",
     "lp_norm",
     "sup_in_time",
 ]
@@ -32,7 +33,9 @@ def _uniform_spacing(coords: np.ndarray) -> float | None:
     """Return the common spacing of `coords`, or None if not uniform."""
     d = np.diff(coords)
     h = d[0]
-    if np.allclose(d, h, rtol=1e-9, atol=0.0):
+    # np.allclose(d, h, rtol=1e-9, atol=0.0) for finite d, without its
+    # per-call cost: suffix_integrals tests its axis on every call
+    if np.all(np.abs(d - h) <= 1e-9 * np.abs(h)):
         return float(h)
     return None
 
@@ -92,9 +95,8 @@ def suffix_weight_matrix(coords: np.ndarray) -> np.ndarray:
     Row m holds quadrature weights for the subgrid coords[m:], zero below
     the diagonal.  Used for kernels supported on ``r < r_tilde`` so the
     integrand jump always lands exactly on a node.  The last row is zero
-    (empty integration range).  `GridSpec.r_suffix_weights()` builds it
-    once per grid and caches it; the operator of a triangular kernel and
-    the slab rate both read that copy.
+    (empty integration range).  The slab rate reads it cached, as
+    `GridSpec.r_suffix_weights()`; `suffix_integrals` applies it in O(N).
     """
     coords = np.asarray(coords, dtype=float)
     npts = coords.size
@@ -102,6 +104,32 @@ def suffix_weight_matrix(coords: np.ndarray) -> np.ndarray:
     for m in range(npts - 1):
         mat[m, m:] = axis_weights(coords[m:])
     return mat
+
+
+def suffix_integrals(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values @ suffix_weight_matrix(coords).T`` to rounding, in O(N) per
+    row of `values` (last axis on `coords`) and without a matrix product.
+
+    A tail of N >= 3 nodes is Simpson panels (in log r on a geometric
+    axis), plus the trapezoid on its last cell if N is even, so the tails
+    of each parity are reverse cumulative sums of every other panel.  The
+    2-node tail is the trapezoid in r.  Uniform and geometric axes only.
+    """
+    coords, values = np.asarray(coords, float), np.asarray(values, float)
+    s, g = coords, values
+    if _uniform_spacing(s) is None and np.all(coords > 0.0):
+        s, g = np.log(coords), values * coords
+    if _uniform_spacing(s) is None:
+        raise ValueError("suffix integrals need a uniform or geometric axis")
+    h = np.diff(s)  # each tail its own spacing, as axis_weights(coords[m:])
+    panels = g[..., :-2] + 4.0 * g[..., 1:-1] + g[..., 2:]
+    odd, even = np.arange(s.size - 3, -1, -2), np.arange(s.size - 4, -1, -2)
+    out = np.zeros(values.shape)
+    out[..., odd] = h[odd] / 3.0 * np.cumsum(panels[..., odd], axis=-1)
+    out[..., even] = (h[even] / 3.0 * np.cumsum(panels[..., even], axis=-1)
+                      + 0.5 * h[even] * (g[..., -2] + g[..., -1])[..., None])
+    out[..., -2] = 0.5 * (coords[-1] - coords[-2]) * (values[..., -2] + values[..., -1])
+    return out
 
 
 def _build_axis(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:

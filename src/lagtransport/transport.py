@@ -33,7 +33,7 @@ from .flow import (
     inverse_flow_grid,
     write_csv,
 )
-from .grid import GridSpec, NormSpec, sup_in_time
+from .grid import GridSpec, NormSpec, suffix_integrals, sup_in_time
 
 __all__ = [
     "SolverConfig",
@@ -149,12 +149,11 @@ class EulerianSlice:
 class _FactoredOperator:
     """Finite-rank operator a[k, i, l, m] = a_l(X2[k, i, m]) and
     c[k, i, l, q] = c_l(X2[k, i, q]) * w_q, each (K_eff, Nx, L, Nr); a
-    triangular kernel has no w_q in c and its `tail` weights are the
-    grid's cached suffix weight matrix, which `nbytes` leaves out."""
+    triangular kernel has no w_q in c, as each tail has its own weights."""
 
     a: np.ndarray
     c: np.ndarray
-    tail: np.ndarray | None
+    triangular: bool
 
     @property
     def nbytes(self) -> int:
@@ -168,20 +167,16 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
     Each factor is called once per stored time slice, so no temporary
     outgrows an (Nx, Nr) slice.  When the moved fiber coordinates are
     time-independent (b2 = 0) K_eff = 1: a single time slice is stored
-    and broadcasts over the nodes.  A triangular kernel keeps the
-    node-aligned tail weights of `GridSpec.r_suffix_weights()`, which
-    also zero the entries above the support (the fiber map is monotone,
-    hence label order and moved order agree); other kernels fold the
+    and broadcasts over the nodes.  A triangular kernel is integrated over
+    the node-aligned tails of the label fiber, as the fiber map is
+    monotone (label order and moved order agree); other kernels fold the
     fiber weights w(q) into the c_l.  Kernels act on a j = 1 fiber only.
     """
     grid = fmap.grid
     if grid.j != 1:
         raise ValueError(f"kernels act on a j = 1 fiber, not j = {grid.j}")
-    K = fmap.times.size
-    static = K > 1 and bool(np.array_equal(
-        fmap.x2[1:], np.broadcast_to(fmap.x2[:1], fmap.x2[1:].shape)
-    ))
-    pos = fmap.x2[:1, ..., 0] if static else fmap.x2[..., 0]  # (K_eff, Nx, Nr)
+    moving = bool(np.any(fmap.x2[1:] != fmap.x2[:1]))
+    pos = fmap.x2[..., 0] if moving else fmap.x2[:1, ..., 0]  # (K_eff, Nx, Nr)
     a_list, c_list = kernel.factors
     a = np.empty((pos.shape[0], fmap.num_x, len(a_list), fmap.num_r))
     c = np.empty_like(a)
@@ -189,8 +184,7 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
     for k, l in np.ndindex(a.shape[0], a.shape[2]):
         a[k, :, l] = a_list[l](pos[k])
         np.multiply(c_list[l](pos[k]), wr, out=c[k, :, l])
-    tail = grid.r_suffix_weights() if kernel.triangular else None
-    return _FactoredOperator(a=a, c=c, tail=tail)
+    return _FactoredOperator(a=a, c=c, triangular=kernel.triangular)
 
 
 def apply_A(
@@ -208,24 +202,22 @@ def apply_A(
     kernel acts through its factors at O(K Nx Nr L) cost: the weighted
     state is contracted against the c_l and the moments are expanded
     along the a_l.  A triangular kernel takes its moments on every
-    node-aligned tail, one (K Nx L, Nr) x (Nr, Nr) product with the
-    grid's suffix weights.
+    node-aligned tail, as the parity suffix sums of `suffix_integrals`.
     """
     values = np.asarray(values, dtype=float)
-    K, Nx, Nr = values.shape
     if kernel is None:
-        return np.broadcast_to(u0[None], (K, Nx, Nr)).copy()
+        return np.broadcast_to(u0[None], values.shape).copy()
     ops = _mats if _mats is not None else _kernel_matrices(fmap, kernel)
     weighted = density_rho2(fmap) * values  # rho2 u~, (K, Nx, Nr)
     # a static operator's single slice broadcasts over the nodes rather
     # than being copied K times
-    if ops.tail is None:
+    if ops.triangular:
+        rows = ops.c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
+        tails = suffix_integrals(fmap.grid.r_axes()[0], rows)
+        inner = np.einsum("kilm,kilm->kim", ops.a, tails)
+    else:
         mom = np.einsum("kilq,kiq->kil", ops.c, weighted)
         inner = np.einsum("kilm,kil->kim", ops.a, mom)
-    else:
-        rows = ops.c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
-        tails = (rows.reshape(-1, Nr) @ ops.tail.T).reshape(rows.shape)
-        inner = np.einsum("kilm,kilm->kim", ops.a, tails)
     return u0[None] + _cumulative_trapezoid(inner, fmap.times)
 
 

@@ -9,6 +9,7 @@ from lagtransport.grid import (
     axis_weights,
     lp_norm,
     sup_in_time,
+    suffix_integrals,
     suffix_weight_matrix,
 )
 
@@ -97,6 +98,29 @@ def test_suffix_weight_matrix_rows_integrate_tails():
     # strictly lower-triangular part vanishes
     for m in range(17):
         assert np.all(mat[m, :m] == 0.0)
+
+
+@pytest.mark.parametrize("npts", [2, 3, 4, 5, 8, 9, 33, 34])
+@pytest.mark.parametrize(
+    "coords",
+    [lambda n: np.linspace(-2.0, 3.0, n), lambda n: np.geomspace(1e-8, 5.0, n)],
+    ids=["uniform", "geometric"],
+)
+def test_suffix_integrals_match_suffix_weight_matrix(coords, npts):
+    # odd and even tails, the trapezoid patch of an even tail, and the
+    # 2-point tail, which is the linear trapezoid even on a geometric axis
+    c = coords(npts)
+    values = np.random.default_rng(npts).standard_normal((3, 2, npts))
+    ref = values @ suffix_weight_matrix(c).T
+    out = suffix_integrals(c, values)
+    assert out.shape == values.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.all(out[..., -1] == 0.0)
+
+
+def test_suffix_integrals_reject_other_axes():
+    with pytest.raises(ValueError, match="uniform or geometric"):
+        suffix_integrals(np.array([0.0, 0.1, 0.5, 1.0]), np.ones(4))
 
 
 # ---------------------------------------------------------------------

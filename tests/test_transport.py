@@ -19,7 +19,12 @@ from lagtransport.fields import (
     zero_field,
 )
 from lagtransport.flow import PreconditionError, flow_map
-from lagtransport.grid import GridSpec, sup_in_time, suffix_weight_matrix
+from lagtransport.grid import (
+    GridSpec,
+    suffix_integrals,
+    suffix_weight_matrix,
+    sup_in_time,
+)
 from lagtransport.oracle import separable_solve
 from lagtransport.transport import (
     _cumulative_trapezoid,
@@ -182,7 +187,7 @@ def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
     a, c = ops.a[per_node], ops.c[per_node]
     if kern.triangular:
         rows = c * weighted[:, :, None, :]
-        tails = (rows.reshape(-1, grid.num_r) @ ops.tail.T).reshape(rows.shape)
+        tails = suffix_integrals(grid.r_axes()[0], rows)
         inner = np.einsum("kilm,kilm->kim", a, tails)
     else:
         mom = np.einsum("kilq,kiq->kil", c, weighted)
@@ -207,13 +212,12 @@ def test_triangular_operator_is_gamma_times_suffix_weights(field):
     fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
     ops = _kernel_matrices(fmap, kern)
     suffix = suffix_weight_matrix(grid.r_axes()[0])
-    assert ops.tail is grid.r_suffix_weights()
-    assert np.array_equal(ops.tail, suffix)
+    assert ops.triangular
     assert np.all(np.tril(suffix, -1) == 0.0)
     for k in range(ops.a.shape[0]):
         pos = fmap.x2[k]
         expected = kern.gamma(pos[:, :, None, :], pos[:, None, :, :]) * suffix
-        rebuilt = np.einsum("ilm,ilq->imq", ops.a[k], ops.c[k]) * ops.tail
+        rebuilt = np.einsum("ilm,ilq->imq", ops.a[k], ops.c[k]) * suffix
         assert np.array_equal(rebuilt, expected)
 
 
@@ -309,8 +313,7 @@ def test_operator_builds_on_a_moving_flow_without_slice_temporaries(kern):
     )
     fmap = flow_map(logistic_field(k=1, mu=0.3), grid,
                     times=np.linspace(0.0, 0.5, 3), tol=1e-10)
-    grid.r_suffix_weights()  # cached on the grid before the trace
-    grid.r_weights()
+    grid.r_weights()  # cached on the grid before the trace
     tracemalloc.start()
     try:
         ops = _kernel_matrices(fmap, kern)
