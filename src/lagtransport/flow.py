@@ -9,17 +9,20 @@ with the adaptive Dormand-Prince 5(4) pair of `lagtransport.ode`, which
 reproduces scipy's RK45 bit for bit, and its dense output at the
 requested time nodes.  Because b1 never sees r, the x block is solved once
 for all x labels and shared across each whole r fiber, so X1 is
-bit-identical for labels (x, r1) and (x, r2) by construction.  The r fibers
-of every x label are then stacked into a single second system driven by
-the x block's dense path, so a flow map makes two integrator calls however
-many labels it has, and none for a block that the field declares zero
-(`StructuredVectorField.zero_blocks`), whose flow is the identity.  Each
-right-hand side asks the field for its drift and divergence at the same
-points in one call (`b1_and_div`, `b2_and_div`); a mollified field
-answers it with one set of shifted stencil points per block.  The block
-triangular gradient makes logJ = logJ1 + logJ2 the log-determinant of
-the full flow, giving the compressibility densities rho = exp(-logJ)
-along trajectories without any Eulerian reconstruction.
+bit-identical for labels (x, r1) and (x, r2) by construction.  When b2
+never reads x (`StructuredVectorField.fiber_ignores_x`) the flow splits as
+X(t, x, r) = (X1(t, x), X2(t, r)), so labels that start the same fiber
+share one fiber solve of Nr points, whatever their x.  Otherwise the r
+fibers of every x label are stacked into a single second system driven by
+the x block's dense path.  Either way a flow map makes two integrator
+calls however many labels it has, and none for a block that the field
+declares zero (`StructuredVectorField.zero_blocks`), whose flow is the
+identity.  Each right-hand side asks the field for its drift and
+divergence at the same points in one call (`b1_and_div`, `b2_and_div`);
+a mollified field answers it with one set of shifted stencil points per
+block.  The block triangular gradient makes logJ = logJ1 + logJ2 the
+log-determinant of the full flow, giving the compressibility densities
+rho = exp(-logJ) along trajectories without any Eulerian reconstruction.
 """
 
 from __future__ import annotations
@@ -114,19 +117,23 @@ def flow_from(
     """Flow M x labels and their r fibers from t_span[0] to t_span[1].
 
     `x0` holds the x labels, shape (M, n), and `r0` each label's fiber
-    starts, shape (M, Q, j).  The x block is one system for all labels;
-    the fibers are a second, stacked system that reads the labels' x
-    positions from the x block's dense path once per right-hand side, so
-    one `b2_and_div` call covers every fiber.  That is two integrator
-    calls however many labels there are, and none for a block in
-    `field.zero_blocks`, whose flow is the identity.  The fibers' step
-    size follows the RMS error norm of the whole stacked state.  When b2
-    ignores x, as every catalogue b2 does, and every label starts the
-    same fiber, all fibers share one error estimate and the steps are
-    those of a single fiber; otherwise a fiber can move by about the
-    tolerance against a solve of its own.  Returns (x positions (K, M, n), logj1 (K, M), r positions
-    (K, M, Q, j), logj2 (K, M, Q)) at the K nodes of `t_eval`; for j = 0
-    the r positions are empty and logj2 is zero.
+    starts, shape (M, Q, j).  The x block is one system for all labels.
+    That is at most two integrator calls however many labels there are,
+    and none for a block in `field.zero_blocks`, whose flow is the
+    identity.
+
+    When the field declares `fiber_ignores_x` and every label starts the
+    same fiber (the rows of `r0` are equal bit for bit, signed zeros
+    included), every label carries the same fiber trajectory: the fiber
+    block is one system of Q points, whose result is copied to all M
+    labels.  Otherwise the fibers are a stacked system that reads the
+    labels' x positions from the x block's dense path once per
+    right-hand side, so one `b2_and_div` call covers every fiber; its
+    step size follows the RMS error norm of the whole stacked state, so
+    a fiber can move by about the tolerance against a solve of its own.
+    Returns C-contiguous (x positions (K, M, n), logj1 (K, M), r
+    positions (K, M, Q, j), logj2 (K, M, Q)) at the K nodes of `t_eval`;
+    for j = 0 the r positions are empty and logj2 is zero.
     """
     x0 = np.asarray(x0, dtype=float)
     r0 = np.asarray(r0, dtype=float)
@@ -154,6 +161,14 @@ def flow_from(
         return xpos, logj1, np.zeros((K, M, Q, 0)), np.zeros((K, M, Q))
     if "r" in field.zero_blocks:
         return (xpos, logj1) + _identity_block(r0, t_span, K)
+    bits = r0.view(np.int64)
+    if field.fiber_ignores_x and np.all(bits == bits[:1]):
+        rpos, logj2, _ = _solve_block(
+            lambda t, R: field.b2_and_div(x0[:1, None, :], R), r0[:1], t_span,
+            t_eval, tol, "r-fiber",
+        )
+        return (xpos, logj1, np.repeat(rpos, M, axis=1),
+                np.repeat(logj2, M, axis=1))
 
     rpos, logj2, _ = _solve_block(
         lambda t, R: field.b2_and_div(x_at(t), R), r0, t_span, t_eval, tol,
@@ -282,10 +297,11 @@ def flow_map(
 
     `times` are the strictly increasing output nodes; the base time is
     times[0].  The x block is integrated once for all x labels and shared
-    bit-for-bit across each r fiber; the fibers of all x labels form one
-    stacked system.  A backward map takes every node from
-    `inverse_flow_grid`, which makes that pair of solves for each node
-    after the first.
+    bit-for-bit across each r fiber.  Every x label starts the grid's
+    r fiber, so a field that declares `fiber_ignores_x` solves that one
+    fiber; otherwise the fibers of all x labels form one stacked system.
+    A backward map takes every node from `inverse_flow_grid`, which makes
+    that pair of solves for each node after the first.
     """
     if field.n != grid.n or field.j != grid.j:
         raise ValueError("field and grid dimensions disagree")

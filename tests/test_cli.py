@@ -642,6 +642,40 @@ def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatc
     assert [k.gamma.calls for k in kernels] == [1]
 
 
+def test_mollified_solve_flows_one_fiber_per_solve(tmp_path, monkeypatch):
+    # the logistic fiber drift ignores x, and the mollified field says so:
+    # every forward map and Eulerian re-basing of a solve integrates one
+    # fiber of Nr points, never the Nx x Nr labels as a stacked system
+    from lagtransport import cli, flow
+
+    sizes = []
+
+    def counting(fun, t_span, y0, *, _real=flow.solve_ivp, **kwargs):
+        sizes.append(y0.size)
+        return _real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", counting)
+    nx, nr = 9, 7
+    cfg = solve_config()
+    cfg.update({
+        "field": {"name": "logistic", "params": {"k": 1, "mu": 0.3, "eps": 0.05}},
+        "grid": {
+            "x_bounds": [[-PI, PI]], "x_counts": [nx],
+            "r_bounds": [[0.0, 0.9]], "r_counts": [nr],
+        },
+        "initial": {"name": "gaussian", "params": {"x_center": 0.0, "r_center": 0.5}},
+        "t_end": 1.6,
+        "solver": {"p": 2, "picard_tol": 1e-10, "nodes_per_slab": 9},
+    })
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+    payload = json.loads(next(tmp_path.glob("solve_*.json")).read_text())
+    # each of the two slabs flows its labels forward, then re-bases its
+    # end on the grid through the inverse flow: an x block and one fiber
+    assert len(payload["run"]["slabs"]) == 2
+    assert sizes == [2 * nx, 2 * nr] * 4
+
+
 def test_catalogue_builders_are_looked_up_when_called(tmp_path, monkeypatch):
     # a tracing harness (benchmark/layers.py) rebinds cli.make_field and
     # cli.make_kernel to wrap every field and kernel a run builds

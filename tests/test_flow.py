@@ -171,18 +171,21 @@ def test_x_block_shared_bitwise_across_fiber():
 
 
 @pytest.mark.parametrize(
-    "field, bound",
+    "field, shared",
     [
         # b2 depends on x: each stacked fiber must follow its own x path,
         # and the shared RMS error norm may move a fiber by up to flow_tol
-        (modulated_logistic_field(mu=2.0, a=0.95), TOL),
-        # b2 ignores x: every fiber has the same error estimate, so the
-        # stacked steps are the per-label steps
-        (logistic_field(k=1, mu=0.3), 1e-14),
+        (modulated_logistic_field(mu=2.0, a=0.95), False),
+        # b2 ignores x, as declared: the grid's fiber and a single label's
+        # fiber are the same one-fiber solve
+        (logistic_field(k=1, mu=0.3), True),
     ],
     ids=["modulated_logistic", "logistic"],
 )
-def test_stacked_fibers_match_label_by_label(field, bound):
+def test_stacked_fibers_match_label_by_label(field, shared):
+    def agree(a, b):
+        return same_bits(a, b) if shared else np.max(np.abs(a - b)) <= TOL
+
     grid = _grid(nx=33, nr=129, x_bounds=((-np.pi, np.pi),), r_bounds=((0.0, 1.0),))
     xs = grid.x_labels()
     rs = grid.r_labels()
@@ -195,14 +198,14 @@ def test_stacked_fibers_match_label_by_label(field, bound):
         )
         # one x label alone takes its own steps in the x block
         assert np.max(np.abs(fwd.x1[:, i] - x1[:, 0])) <= TOL
-        assert np.max(np.abs(fwd.x2[:, i] - x2[:, 0])) <= bound
-        assert np.max(np.abs(fwd.logj2[:, i] - logj2[:, 0])) <= bound
+        assert agree(fwd.x2[:, i], x2[:, 0])
+        assert agree(fwd.logj2[:, i], logj2[:, 0])
         bx1, _, bx2, blj2 = flow_from(
             field, xs[i : i + 1], rs[None], (0.5, 0.0), np.array([0.0]), tol=TOL
         )
         assert np.max(np.abs(lab_x[i] - bx1[-1, 0])) <= TOL
-        assert np.max(np.abs(lab_r[i] - bx2[-1, 0])) <= bound
-        assert np.max(np.abs(lj2[i] + blj2[-1, 0])) <= bound
+        assert agree(lab_r[i], bx2[-1, 0])
+        assert agree(lj2[i], -blj2[-1, 0])
     # a single (x, r) label through integrate_flow: a one-state fiber
     i, q = 7, 40
     sample = integrate_flow(field, np.concatenate([xs[i], rs[q]]), times, tol=TOL)
@@ -222,13 +225,106 @@ def test_flow_maps_make_one_x_solve_and_one_fiber_solve(monkeypatch):
 
     monkeypatch.setattr("lagtransport.flow.solve_ivp", counting)
     grid = _grid(nx=9, nr=5)
+    # x block: 9 positions + 9 logJ1; fibers: 45 positions + 45 logJ2, or
+    # one fiber of 5 positions + 5 logJ2 when b2 is declared to ignore x
+    for field, sizes in (
+        (modulated_logistic_field(), [18, 90]),
+        (logistic_field(k=1, mu=0.3), [18, 10]),
+        (mollify_field(logistic_field(k=1, mu=0.3), 0.1), [18, 10]),
+    ):
+        calls.clear()
+        flow_map(field, grid, times=TIMES, tol=TOL)
+        assert calls == sizes
+        calls.clear()
+        inverse_flow_grid(field, grid.x_labels(), grid.r_labels(), t=0.5, tol=TOL)
+        assert calls == sizes
+        calls.clear()
+        flow_map(field, grid, times=TIMES, tol=TOL, direction="backward")
+        assert calls == sizes * (TIMES.size - 1)
+
+
+_IGNORING_X = [
+    logistic_field(k=2, mu=0.4),
+    linear_field(lam=0.3, mu=-0.2, n=1, j=1),
+    mollify_field(logistic_field(k=2, mu=0.4), 0.1),
+    mollify_field(linear_field(lam=0.3, mu=-0.2, n=1, j=1), 0.1),
+]
+_IGNORING_X_IDS = ["logistic", "linear", "mollified_logistic", "mollified_linear"]
+
+
+@pytest.mark.parametrize("field", _IGNORING_X, ids=_IGNORING_X_IDS)
+def test_declared_fiber_drift_gives_the_same_bits_at_every_x(field):
+    # the declaration is a claim about bits: the same r at another x gives
+    # the same drift and divergence, in every way the flow asks for them
+    assert field.fiber_ignores_x
+    r = np.linspace(-0.1, 1.1, 100)[:, None]
+    r[0] = -0.0
+    at = {}
+    for x in (-2.7, 0.0, 1.3, 40.0):
+        xs = np.full((r.shape[0], 1), x)
+        at[x] = (field.b2(xs, r), field.div_b2(xs, r), *field.b2_and_div(xs, r))
+    for x in at:
+        for a, b in zip(at[x], at[0.0]):
+            assert same_bits(a, b)
+
+
+def test_fields_with_an_x_dependent_fiber_drift_do_not_declare_it():
+    # the default is the stacked path; the modulated fiber rate really
+    # reads x, so declaring it would be false
     field = modulated_logistic_field()
-    flow_map(field, grid, times=TIMES, tol=TOL)
-    # x block: 9 positions + 9 logJ1; fibers: 45 positions + 45 logJ2
-    assert calls == [18, 90]
-    calls.clear()
-    inverse_flow_grid(field, grid.x_labels(), grid.r_labels(), t=0.5, tol=TOL)
-    assert calls == [18, 90]
+    assert not field.fiber_ignores_x
+    assert not mollify_field(field, 0.1).fiber_ignores_x
+    r = np.full((1, 1), 0.4)
+    assert field.b2(np.full((1, 1), 0.0), r) != field.b2(np.full((1, 1), 1.0), r)
+
+
+@pytest.mark.parametrize("field", _IGNORING_X, ids=_IGNORING_X_IDS)
+def test_one_shared_fiber_matches_the_stacked_fibers(field):
+    # the same field without the declaration solves every x label's copy
+    # of the fiber as one stacked system: the maps agree to rounding
+    plain = dataclasses.replace(field, fiber_ignores_x=False)
+    grid = _grid(nx=7, nr=6, r_bounds=((0.05, 0.95),))
+    times = np.linspace(0.1, 0.6, 4)
+    maps = {}
+    for name, fld in (("declared", field), ("plain", plain)):
+        fwd = flow_map(fld, grid, times=times, tol=TOL)
+        bwd = flow_map(fld, grid, times=times, tol=TOL, direction="backward")
+        inv = inverse_flow_grid(fld, grid.x_labels(), grid.r_labels(), 0.6, 0.1, TOL)
+        maps[name] = [fwd.x1, fwd.logj1, fwd.x2, fwd.logj2,
+                      bwd.x1, bwd.logj1, bwd.x2, bwd.logj2, *inv]
+    for a, b in zip(maps["declared"], maps["plain"]):
+        assert a.shape == b.shape and a.flags.c_contiguous and a.flags.writeable
+        assert np.max(np.abs(a - b)) <= 1e-14
+
+
+def test_per_label_fiber_starts_take_the_stacked_path(monkeypatch):
+    # the shared fiber needs every row of r0 equal bit for bit: a row that
+    # differs, if only in the sign of a zero, makes the fibers stack
+    calls = []
+
+    def counting(fun, t_span, y0, **kwargs):
+        calls.append(y0.size)
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr("lagtransport.flow.solve_ivp", counting)
+    field = logistic_field(k=1, mu=0.3)
+    x0 = np.linspace(-1.0, 1.0, 3)[:, None]
+    shared = np.broadcast_to(np.linspace(0.0, 0.6, 4)[:, None], (3, 4, 1))
+    signed = shared.copy()
+    signed[1, 0, 0] = -0.0
+    shifted = shared + np.array([0.0, 0.1, 0.2])[:, None, None]
+    out = {}
+    for name, r0, sizes in (("shared", shared, [6, 8]), ("signed", signed, [6, 24]),
+                            ("shifted", shifted, [6, 24])):
+        calls.clear()
+        out[name] = flow_from(field, x0, r0, (0.0, 0.5), TIMES[1:], TOL)
+        assert calls == sizes
+    # stacked or not, each label's fiber is the one it starts
+    assert np.max(np.abs(out["signed"][2] - out["shared"][2])) <= TOL
+    for k in range(3):
+        one = flow_from(field, x0[k : k + 1], shifted[k : k + 1], (0.0, 0.5),
+                        TIMES[1:], TOL)
+        assert np.max(np.abs(out["shifted"][2][:, k] - one[2][:, 0])) <= TOL
 
 
 @pytest.mark.parametrize(
@@ -421,9 +517,11 @@ def test_mollified_flow_runs_the_fused_pairs_however_the_callables_are_bound(
         return sol
 
     monkeypatch.setattr("lagtransport.flow.solve_ivp", recording)
-    # 3 x 60 fiber points span three blocks of the 193-point stencil
+    # 3 x 60 fiber points span three blocks of the 193-point stencil; each
+    # label starts its own fiber, so the fibers stack rather than share
     x0 = np.linspace(-1.0, 1.0, 3)[:, None]
-    r0 = np.broadcast_to(np.linspace(0.2, 0.8, 60)[:, None], (3, 60, 1))
+    r0 = (np.linspace(0.2, 0.8, 60)[None, :, None]
+          + np.array([0.0, 0.01, 0.02])[:, None, None])
     out = {}
     for name, fld in (("bound", smooth), ("rebound", rebound)):
         for key in calls:
