@@ -55,14 +55,14 @@ def main() -> None:
           f"kernel scale {args.scale}, t_end {args.t_end}")
     print(f"{'slab':>4}  {'interval':>18}  {'iters':>5}  "
           f"{'worst ratio':>11}  {'residual':>10}")
-    for m, (slab, info) in enumerate(zip(sol.slabs, sol.summaries)):
+    for m, info in enumerate(sol.summaries):
         ratios = info["ratios"]
         worst = max(ratios) if ratios else 0.0
-        print(f"{m:>4}  [{slab.times[0]:>7.4f}, {slab.times[-1]:>7.4f}]  "
+        print(f"{m:>4}  [{info['t_start']:>7.4f}, {info['t_end']:>7.4f}]  "
               f"{info['iterations']:>5}  {worst:>11.4f}  "
               f"{info['residual']:>10.2e}")
 
-    t_hist, masses = sol.mass_history()
+    t_hist, masses = sol.mass_times, sol.masses
     print()
     print(f"{'t':>7}  {'mass':>12}  {'exact e^(ct) m0':>16}  {'rel err':>10}")
     step = max(1, t_hist.size // 8)

@@ -371,17 +371,15 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     except ValueError as exc:
         raise ConfigError(f"{exc} (t0 is the first time node)") from exc
     sol = continue_solution(datum, field, kernel, config, grid, t_end, t0=t0)
-    times, masses = sol.mass_history()
-    final = sol.eulerian_slice(field, sol.boundaries[-1])
     payload = {
         "command": "solve",
         "t_end": t_end,
         "run": sol.run_summary(),
-        "mass_times": [float(t) for t in times],
-        "masses": [float(m) for m in masses],
-        "final_exit_fraction": final.exit_fraction,
+        "mass_times": [float(t) for t in sol.mass_times],
+        "masses": [float(m) for m in sol.masses],
+        "final_exit_fraction": sol.final.exit_fraction,
     }
-    slice_to_csv(final, out_dir / f"{stem}.csv")
+    slice_to_csv(sol.final, out_dir / f"{stem}.csv")
     return payload, True
 
 
@@ -546,13 +544,12 @@ def _verify_battery(
         x_bounds=((0.0, 1.0),), x_counts=(2,),
         r_bounds=((1e-8, 1.0),), r_counts=(257,), r_spacing="geometric",
     )
-    sol = continue_solution(
+    masses = continue_solution(
         make_initial("log_gaussian"), zero_field(1, 1),
         fragmentation_kernel(scale=2.0),
         SolverConfig(picard_tol=1e-9, nodes_per_slab=17, slab_time_samples=3),
         mass_grid, 1.0,
-    )
-    _, masses = sol.mass_history()
+    ).masses
     rel = abs(masses[-1] - np.exp(2.0) * masses[0]) / (np.exp(2.0) * masses[0])
     record("mass_law", rel, 1e-3 * scale)
 

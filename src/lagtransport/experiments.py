@@ -121,15 +121,12 @@ def stability_experiment(
     )
 
     def run(field):
-        sol = continue_solution(
-            make_initial("gaussian"), field, kernel, config, grid, t_end
-        )
-        slices = {}
-        for t in checkpoints:
-            slices[t] = sol.eulerian_slice(field, t)
-        return sol, slices
+        return continue_solution(
+            make_initial("gaussian"), field, kernel, config, grid, t_end,
+            slice_times=checkpoints,
+        ).slices
 
-    _, ref_slices = run(base)
+    ref_slices = run(base)
     report = ExperimentReport(
         name="stability",
         params={
@@ -143,7 +140,7 @@ def stability_experiment(
     dists = []
     for eps in eps_values:
         fld = mollify_field(base, eps)
-        _, slices = run(fld)
+        slices = run(fld)
         per_t = {
             t: lp_norm(slices[t].values - ref_slices[t].values, grid, _SPEC)
             for t in checkpoints

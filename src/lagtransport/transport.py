@@ -20,7 +20,7 @@ is measured once per run, from one evaluation of each.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -372,6 +372,23 @@ def _multilinear(axes, values, pts, fill_value) -> np.ndarray:
     return out
 
 
+def _node_index(times: np.ndarray, t: float) -> int:
+    """Index of the node at t, within 1e-12 max(1, |t|), or ValueError."""
+    k = int(np.argmin(np.abs(times - t)))
+    if not np.isclose(times[k], t, rtol=0.0, atol=1e-12 * max(1.0, abs(t))):
+        raise ValueError(f"t={t} is not one of the state's time nodes")
+    return k
+
+
+def _slab_node(plan: list, config: SolverConfig, t: float) -> tuple[int, int]:
+    """(slab, node) of t: the first planned slab covering t within 1e-12."""
+    for i, (start, length, _) in enumerate(plan):
+        if start - 1e-12 <= t <= start + length + 1e-12:
+            times = np.linspace(start, start + length, config.nodes_per_slab)
+            return i, _node_index(times, t)
+    raise ValueError(f"t={t} outside the solved horizon")
+
+
 def eulerian_reconstruct(
     state: LagrangianState,
     field: StructuredVectorField,
@@ -382,12 +399,9 @@ def eulerian_reconstruct(
 
     Each Eulerian node is pulled back along the field to the state's base
     time and u~(t) is interpolated multilinearly at that label; labels
-    leaving the label box get 0.  `t` must be one of the
-    state's time nodes.
+    leaving the label box get 0.  `t` must be one of the state's nodes.
     """
-    k = int(np.argmin(np.abs(state.times - t)))
-    if not np.isclose(state.times[k], t, rtol=0.0, atol=1e-12 * max(1.0, abs(t))):
-        raise ValueError(f"t={t} is not one of the state's time nodes")
+    k = _node_index(state.times, t)
     t0 = float(state.times[0])
     grid = state.grid
     lab_x, _, lab_r, _ = inverse_flow_grid(
@@ -416,47 +430,19 @@ def eulerian_reconstruct(
 
 @dataclass
 class ContinuedSolution:
-    """Solution on [t0, T] assembled from contraction slabs.
+    """Solution on [t0, T] from contraction slabs, read off each slab
+    while its state is alive: the total Eulerian mass at every node, and
+    the Eulerian slices at the requested times (keyed as requested) and
+    at the last boundary.  Boundaries and Picard summaries document it."""
 
-    Each slab is a Lagrangian state on its own flow, launched from the
-    Eulerian reconstruction of the previous slab's endpoint.  Quantities
-    of interest are read off per slab (mass history, Eulerian slices);
-    boundaries and per-slab Picard summaries document the run.
-    """
-
-    grid: GridSpec
     field_name: str
     kernel_name: str
-    slabs: list = dc_field(default_factory=list)
-    summaries: list = dc_field(default_factory=list)
-    boundaries: list = dc_field(default_factory=list)
-
-    def slab_containing(self, t: float):
-        for s in self.slabs:
-            if s.times[0] - 1e-12 <= t <= s.times[-1] + 1e-12:
-                return s
-        raise ValueError(f"t={t} outside the solved horizon")
-
-    def eulerian_slice(
-        self, field: StructuredVectorField, t: float,
-    ) -> EulerianSlice:
-        return eulerian_reconstruct(self.slab_containing(t), field, t)
-
-    def mass_history(self) -> tuple[np.ndarray, np.ndarray]:
-        """Total Eulerian mass int u dy dr at every node, evaluated as the
-        label-grid quadrature of u~ exp(logJ) (pushforward change of
-        variables)."""
-        wx = self.grid.x_weights()
-        wr = self.grid.r_weights()
-        w = wx[:, None] * wr[None, :]
-        ts, ms = [], []
-        for s_idx, s in enumerate(self.slabs):
-            start = 0 if s_idx == 0 else 1
-            dens = w * s.values[start:] * np.exp(s.fmap.logj()[start:])
-            ts.extend(s.times[start:].tolist())
-            # a row sum per node: the same pairwise sum as np.sum(dens[k])
-            ms.extend(dens.reshape(dens.shape[0], -1).sum(axis=1).tolist())
-        return np.asarray(ts), np.asarray(ms)
+    mass_times: np.ndarray
+    masses: np.ndarray
+    slices: dict
+    final: EulerianSlice
+    summaries: list
+    boundaries: list
 
     def run_summary(self) -> dict:
         return {
@@ -486,6 +472,7 @@ def continue_solution(
     grid: GridSpec,
     t_end: float,
     t0: float = 0.0,
+    slice_times=(),
 ) -> ContinuedSolution:
     """Solve on [t0, t_end] by chaining automatically chosen slabs.
 
@@ -493,14 +480,15 @@ def continue_solution(
     the label grid.  At each slab boundary the state is reconstructed on
     the label grid (fresh Eulerian datum) and a new flow is launched; the
     run aborts if more than 0.1% of the labels pull back outside the
-    label box, since their values would silently be set to 0
-    in the boundary datum.  Every slab runs on the one `grid` (and its cached
+    label box, since their values would silently be set to 0 in the
+    boundary datum.  Every slab runs on the one `grid` (and its cached
     weights).
 
-    The slab budget is measured once and every slab is chosen from it:
-    the kernel's slab rate and the sup of |div_r b2| over the label grid,
-    neither of which depends on time.  `check_horizon` rejects a horizon
-    that no slab can cover.
+    The slab budget (the kernel's slab rate and the sup of |div_r b2| over
+    the label grid) does not depend on time, so all slabs are planned
+    first: a horizon `check_horizon` rejects, or a slice time off the
+    planned nodes, raises ValueError before any work.  Each slab's state
+    is dropped once its masses and slices are read.
     """
     t_stop = check_horizon(t0, t_end)
     u_cur = _sample_initial(u0, grid)
@@ -512,33 +500,51 @@ def continue_solution(
             field.div_b2(labels[..., : grid.n], labels[..., grid.n :]),
             dtype=float,
         ))))
-    sol = ContinuedSolution(
-        grid=grid, field_name=field.name,
-        kernel_name=kernel.name if kernel is not None else "none",
-        boundaries=[t0],
-    )
-    t_cur = t0
-    while t_cur < t_stop:
-        t0_len, diag = choose_slab(rate, div_sup, t_end - t_cur)
+    plan, boundaries = [], [t0]
+    while boundaries[-1] < t_stop:
+        t0_len, diag = choose_slab(rate, div_sup, t_end - boundaries[-1])
+        plan.append((boundaries[-1], t0_len, diag))
+        boundaries.append(float(boundaries[-1] + t0_len))
+    where = {t: _slab_node(plan, config, t) for t in (*slice_times, boundaries[-1])}
+    made = dict.fromkeys(where.values())  # (slab, node) -> EulerianSlice
+    w = grid.x_weights()[:, None] * grid.r_weights()[None, :]
+    mass_times, masses, summaries = [], [], []
+    for i, (t_start, t0_len, diag) in enumerate(plan):
         state, summary = picard_solve(
-            u_cur, field, kernel, config, grid, t_cur, t0_len
+            u_cur, field, kernel, config, grid, t_start, t0_len
         )
-        t_cur = t_cur + t0_len
-        if t_cur < t_stop:
-            slc = eulerian_reconstruct(state, field, state.times[-1])
+        for slab, k in made:
+            if slab == i:
+                made[slab, k] = eulerian_reconstruct(state, field, state.times[k])
+        start = 0 if i == 0 else 1
+        # mass int u dy dr as the label-grid quadrature of u~ exp(logJ), a
+        # row sum per node: the same pairwise sum as np.sum(dens[k])
+        dens = w * state.values[start:] * np.exp(state.fmap.logj()[start:])
+        mass_times.extend(state.times[start:].tolist())
+        masses.extend(dens.reshape(dens.shape[0], -1).sum(axis=1).tolist())
+        del dens
+        if i + 1 < len(plan):
+            slc = made.get((i, config.nodes_per_slab - 1))
+            slc = slc or eulerian_reconstruct(state, field, state.times[-1])
             if slc.exit_fraction > _EXIT_FRACTION_LIMIT:
                 raise PreconditionError(
-                    f"re-basing at t={t_cur:.6g} lost "
+                    f"re-basing at t={boundaries[i + 1]:.6g} lost "
                     f"{slc.exit_fraction:.2%} of labels "
                     f"(limit {_EXIT_FRACTION_LIMIT:.2%})"
                 )
             u_cur = slc.values
             summary["exit_fraction"] = slc.exit_fraction
         summary["slab_budget"] = diag
-        sol.slabs.append(state)
-        sol.summaries.append(summary)
-        sol.boundaries.append(float(t_cur))
-    return sol
+        summaries.append(summary)
+        del state
+    return ContinuedSolution(
+        field_name=field.name,
+        kernel_name=kernel.name if kernel is not None else "none",
+        mass_times=np.asarray(mass_times), masses=np.asarray(masses),
+        slices={t: made[where[t]] for t in slice_times},
+        final=made[where[boundaries[-1]]],
+        summaries=summaries, boundaries=boundaries,
+    )
 
 
 def check_horizon(t0: float, t_end: float) -> float:

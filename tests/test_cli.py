@@ -570,6 +570,20 @@ def test_bad_study_arguments_exit_2(tmp_path, command, settings):
     assert not list(tmp_path.glob(f"{command}_*"))
 
 
+def test_stability_checkpoint_off_the_slab_nodes_exits_2(tmp_path):
+    # a checkpoint that is no slab node is a config error, raised before
+    # any solve
+    payload = json.loads((CONFIGS / "stability_default.json").read_text())
+    payload["checkpoints"] = [0.13, 0.4]
+    cfg = write_config(tmp_path / "s.json", payload)
+    out = tmp_path / "out"
+    res = run_cli("stability", "--config", cfg, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "t=0.13 is not one of the state's time nodes" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def _fragmentation_config_on_a_2d_field():
     payload = json.loads((CONFIGS / "solve_fragmentation.json").read_text())
     payload["field"]["params"]["n"] = 2

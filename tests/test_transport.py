@@ -2,12 +2,14 @@
 
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RegularGridInterpolator
 
+from lagtransport import transport
 from lagtransport.fields import (
     Kernel,
     constant_kernel,
@@ -395,19 +397,19 @@ def test_separable_solve_matches_a_constant_kernel_solve():
     grid = _fiber_grid(nr=33, nx=3)
     kern = constant_kernel(c=0.7)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.3))
-    sol = continue_solution(
+    args = (
         u0, zero_field(1, 1), kern,
         SolverConfig(picard_tol=1e-10, nodes_per_slab=129), grid, 1.0,
     )
-    assert len(sol.slabs) == 2
-    times, _ = sol.mass_history()
+    times = continue_solution(*args).mass_times
+    # under the zero field a slice is u~ at its node, so slices at every
+    # node compare every slab node with the oracle
+    sol = continue_solution(*args, slice_times=times)
+    assert len(sol.summaries) == 2
+    assert times.size == 2 * 129 - 1
     ref = separable_solve(kern, u0, grid, times)
-    start = 0
-    for slab in sol.slabs:
-        nodes = slab.times.size
-        gap = np.max(np.abs(slab.values - ref[start : start + nodes]))
-        assert gap < 1e-6
-        start += nodes - 1
+    for t, ref_t in zip(times, ref):
+        assert np.max(np.abs(sol.slices[t].values - ref_t)) < 1e-6
 
 
 def test_fixed_point_residual_vanishes_for_true_fixed_point():
@@ -681,8 +683,8 @@ def test_continue_solution_fragmentation_mass_law():
         grid,
         0.5,
     )
-    assert len(sol.slabs) >= 2
-    ts, ms = sol.mass_history()
+    assert len(sol.summaries) >= 2
+    ms = sol.masses
     rel = abs(ms[-1] - np.exp(2.0 * 0.5) * ms[0]) / (np.exp(1.0) * ms[0])
     assert rel < 5e-4
     # mass history is strictly increasing for a positive kernel
@@ -695,21 +697,26 @@ def test_continue_solution_fragmentation_mass_law():
 def test_continue_solution_time_nodes_chain():
     grid = _fiber_grid()
     kern = constant_kernel(c=0.7)
-    sol = continue_solution(
+    args = (
         make_initial("constant", value=1.0),
         zero_field(1, 1), kern,
         SolverConfig(picard_tol=1e-9, nodes_per_slab=9),
         grid, 1.0,
     )
+    sol = continue_solution(*args)
     assert sol.boundaries[0] == 0.0
     assert abs(sol.boundaries[-1] - 1.0) < 1e-12
-    assert len(sol.slabs) >= 2
-    # every slab runs on the caller's grid, cached weights included
-    assert all(s.grid is grid for s in sol.slabs)
-    times = sol.mass_history()[0]
+    assert len(sol.summaries) >= 2
+    times = sol.mass_times
     assert np.all(np.diff(times) > 0)
-    # the slice lookup finds a slab for interior times
-    assert sol.slab_containing(0.51) is not None
+    assert times.size == 8 * len(sol.summaries) + 1
+    # every slab runs on the caller's grid, cached weights included: a
+    # slice at each boundary reads the slab that ends there, and a slice
+    # at an interior node is found too
+    inner = times[(times > sol.boundaries[1]) & (times < sol.boundaries[2])]
+    sol = continue_solution(*args, slice_times=(*sol.boundaries[1:], inner[0]))
+    assert all(s.grid is grid for s in (*sol.slices.values(), sol.final))
+    assert sol.slices[inner[0]].t == inner[0]
 
 
 def test_continue_solution_starts_at_t0():
@@ -725,8 +732,8 @@ def test_continue_solution_starts_at_t0():
     sol = continue_solution(*args, 1.3, t0=0.3)
     assert sol.boundaries[0] == 0.3
     assert abs(sol.boundaries[-1] - 1.3) < 1e-12
-    assert len(sol.slabs) == len(ref.slabs) >= 2
-    assert np.allclose(sol.mass_history()[1], ref.mass_history()[1], rtol=1e-9)
+    assert len(sol.summaries) == len(ref.summaries) >= 2
+    assert np.allclose(sol.masses, ref.masses, rtol=1e-9)
     with pytest.raises(ValueError):
         continue_solution(*args, 0.3, t0=0.3)
 
@@ -756,7 +763,7 @@ def test_continue_solution_covers_a_horizon_just_past_the_tolerance():
         constant_kernel(c=0.7), SolverConfig(picard_tol=1e-9), _fiber_grid(),
         2e-12,
     )
-    assert len(sol.slabs) == 1
+    assert len(sol.summaries) == 1
     assert sol.boundaries == [0.0, 2e-12]
 
 
@@ -769,8 +776,83 @@ def test_continue_solution_evaluates_the_divergence_budget_once():
         make_initial("constant", value=1.0), field, constant_kernel(c=0.7),
         SolverConfig(picard_tol=1e-9, nodes_per_slab=9), _fiber_grid(), 1.0,
     )
-    assert len(sol.slabs) >= 2
+    assert len(sol.summaries) >= 2
     assert calls == {"div_b2": 1}
+
+
+def _growth_run_args(grid):
+    return (
+        make_initial("constant", value=1.0), zero_field(1, 1),
+        constant_kernel(c=0.7), SolverConfig(picard_tol=1e-9, nodes_per_slab=9),
+        grid,
+    )
+
+
+def test_a_run_holds_at_most_one_slab_state(monkeypatch):
+    # a slab's masses and slices are read off and its state dropped, so a
+    # run with ten times the slabs peaks within one slab's state (values
+    # plus flow map) of the small run
+    grid = _fiber_grid(nr=65, nx=8)
+    args = _growth_run_args(grid)
+    state, _ = picard_solve(
+        np.ones((grid.num_x, grid.num_r)), *args[1:], 0.0, 0.5
+    )
+    fmap = state.fmap
+    one_state = state.values.nbytes + sum(
+        a.nbytes for a in (fmap.x1, fmap.logj1, fmap.x2, fmap.logj2)
+    )
+    del state, fmap
+    continue_solution(*args, 1.0)  # caches the grid's weights and labels
+    peaks, slabs = [], []
+    for t_end in (1.0, 11.0):
+        tracemalloc.start()
+        try:
+            slabs.append(len(continue_solution(*args, t_end).summaries))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert slabs[1] >= 10 * slabs[0]
+    assert peaks[1] - peaks[0] < one_state
+    # no earlier state is alive when the next slab is solved
+    states = []
+
+    def solve(*solve_args):
+        assert all(ref() is None for ref in states)
+        out = picard_solve(*solve_args)
+        states.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(transport, "picard_solve", solve)
+    assert len(continue_solution(*args, 11.0).summaries) == len(states) == slabs[1]
+
+
+def test_slices_on_the_boundaries_reuse_the_re_basing_slices(monkeypatch):
+    # each (slab, node) is reconstructed once: slices asked at every
+    # boundary are the re-basing slices and the final one
+    args = (*_growth_run_args(_fiber_grid()), 1.0)
+    boundaries = continue_solution(*args).boundaries
+    counted = Counting(transport.eulerian_reconstruct)
+    monkeypatch.setattr(transport, "eulerian_reconstruct", counted)
+    sol = continue_solution(*args, slice_times=boundaries[1:])
+    assert counted.calls == len(sol.summaries) >= 2
+    assert sol.slices[boundaries[-1]] is sol.final
+    assert [sol.slices[b].t for b in boundaries[1:]] == boundaries[1:]
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [(0.123, "is not one of the state's time nodes"),
+     (1.5, "outside the solved horizon")],
+    ids=["off_the_nodes", "past_the_horizon"],
+)
+def test_a_bad_slice_time_is_rejected_before_any_solve(monkeypatch, t, message):
+    counted = Counting(transport.picard_solve)
+    monkeypatch.setattr(transport, "picard_solve", counted)
+    with pytest.raises(ValueError, match=message):
+        continue_solution(
+            *_growth_run_args(_fiber_grid()), 1.0, slice_times=(0.5, t)
+        )
+    assert counted.calls == 0
 
 
 def test_nan_divergence_budget_raises_slab_selection_error():
