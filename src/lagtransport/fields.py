@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridSpec, axis_weights
+from .grid import GridSpec, axis_weights, suffix_integrals
 
 __all__ = [
     "StructuredVectorField",
@@ -425,8 +425,8 @@ class Kernel:
 
     `triangular` declares the support r <= r_tilde: the kernel is the
     factored sum there and zero above.  Quadrature applies it on the
-    node-aligned tails of `grid.suffix_weight_matrix`, so the support
-    jump never crosses a quadrature cell.
+    node-aligned tails of `grid.suffix_integrals`, so the support jump
+    never crosses a quadrature cell.
 
     `gamma(r, r_tilde)` evaluates the factored sum on broadcastable r and
     r_tilde arrays (trailing axis 1); the slab rate reads it.  For a
@@ -528,6 +528,8 @@ def make_kernel(name: str, **params) -> Kernel:
 # slab bound
 # =====================================================================
 
+_RATE_ROWS = 32  # kernel rows per block of a triangular kernel's tails
+
 
 def kernel_slab_rate(kernel: Kernel, grid: GridSpec, p: float) -> float:
     """The kernel's mixed norm on the grid's fiber,
@@ -539,7 +541,9 @@ def kernel_slab_rate(kernel: Kernel, grid: GridSpec, p: float) -> float:
     of length T the slab bound is rate * T, and the slab chooser tests
     its candidates without evaluating the kernel again.  Triangular
     kernels are integrated on node-aligned tails, so the support jump
-    never crosses a quadrature cell.
+    never crosses a quadrature cell: row m's tail integral is taken by
+    `suffix_integrals` in blocks of rows, and no Nr x Nr weight matrix is
+    built.
     """
     if not (1.0 < p < np.inf):
         raise ValueError("slab bound needs a finite exponent p > 1")
@@ -550,7 +554,14 @@ def kernel_slab_rate(kernel: Kernel, grid: GridSpec, p: float) -> float:
     w_r = grid.r_weights()
     g = np.abs(kernel.gamma(r_nodes[:, None, :], r_nodes[None, :, :])) ** pp
     if kernel.triangular:
-        inner = np.einsum("mq,mq->m", g, grid.r_suffix_weights())
+        # row m's tail from node m is entry (m, m) of its suffix integrals;
+        # blocks of rows keep the temporaries far below one Nr x Nr array
+        r = grid.r_axes()[0]
+        inner = np.empty(r.size)
+        for m0 in range(0, r.size, _RATE_ROWS):
+            block = g[m0 : m0 + _RATE_ROWS]
+            m = np.arange(block.shape[0])
+            inner[m0 : m0 + m.size] = suffix_integrals(r, block)[m, m0 + m]
     else:
         inner = g @ w_r
     return float(np.sum(w_r * inner ** (p / pp)) ** (1.0 / p))

@@ -10,6 +10,7 @@ and mass bookkeeping downstream rely on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,7 +35,7 @@ def _uniform_spacing(coords: np.ndarray) -> float | None:
     d = np.diff(coords)
     h = d[0]
     # np.allclose(d, h, rtol=1e-9, atol=0.0) for finite d, without its
-    # per-call cost: suffix_integrals tests its axis on every call
+    # per-call cost
     if np.all(np.abs(d - h) <= 1e-9 * np.abs(h)):
         return float(h)
     return None
@@ -95,8 +96,9 @@ def suffix_weight_matrix(coords: np.ndarray) -> np.ndarray:
     Row m holds quadrature weights for the subgrid coords[m:], zero below
     the diagonal.  Used for kernels supported on ``r < r_tilde`` so the
     integrand jump always lands exactly on a node.  The last row is zero
-    (empty integration range).  The slab rate reads it cached, as
-    `GridSpec.r_suffix_weights()`; `suffix_integrals` applies it in O(N).
+    (empty integration range).  This is the reference for
+    `suffix_integrals`, which applies it in O(N) per row without building
+    it; no solver path builds the matrix.
     """
     coords = np.asarray(coords, dtype=float)
     npts = coords.size
@@ -104,6 +106,30 @@ def suffix_weight_matrix(coords: np.ndarray) -> np.ndarray:
     for m in range(npts - 1):
         mat[m, m:] = axis_weights(coords[m:])
     return mat
+
+
+@functools.lru_cache(maxsize=32)
+def _tail_plan(axis: bytes) -> tuple:
+    """What `suffix_integrals` needs of one axis, given as its float64
+    bytes: (log, odd, even, h_odd / 3, h_even / 3, h_even / 2, h_last / 2)
+    with `log` whether the panels are Simpson in log c, `odd` and `even`
+    the strided parity slices of the tails of 3 and more nodes, and the
+    spacing factors of those tails.  Raises ValueError on an axis that is
+    neither uniform nor geometric."""
+    coords = np.frombuffer(axis)
+    s = coords
+    log = _uniform_spacing(s) is None and bool(np.all(coords > 0.0))
+    if log:
+        s = np.log(coords)
+    if _uniform_spacing(s) is None:
+        raise ValueError("suffix integrals need a uniform or geometric axis")
+    n = s.size
+    h = np.diff(s)  # each tail its own spacing, as axis_weights(coords[m:])
+    # a negative start would wrap around, so short axes select nothing
+    odd = slice(n - 3, None, -2) if n >= 3 else slice(0, 0)
+    even = slice(n - 4, None, -2) if n >= 4 else slice(0, 0)
+    return (log, odd, even, h[odd] / 3.0, h[even] / 3.0, 0.5 * h[even],
+            0.5 * (coords[-1] - coords[-2]))
 
 
 def suffix_integrals(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -114,21 +140,20 @@ def suffix_integrals(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     axis), plus the trapezoid on its last cell if N is even, so the tails
     of each parity are reverse cumulative sums of every other panel.  The
     2-node tail is the trapezoid in r.  Uniform and geometric axes only.
+    The axis work (its spacing tests, logarithm and panel factors) is
+    cached per axis, so repeated calls on one axis only sum panels.
     """
     coords, values = np.asarray(coords, float), np.asarray(values, float)
-    s, g = coords, values
-    if _uniform_spacing(s) is None and np.all(coords > 0.0):
-        s, g = np.log(coords), values * coords
-    if _uniform_spacing(s) is None:
-        raise ValueError("suffix integrals need a uniform or geometric axis")
-    h = np.diff(s)  # each tail its own spacing, as axis_weights(coords[m:])
+    log, odd, even, h_odd, h_even, half_even, half_last = _tail_plan(
+        coords.tobytes()
+    )
+    g = values * coords if log else values
     panels = g[..., :-2] + 4.0 * g[..., 1:-1] + g[..., 2:]
-    odd, even = np.arange(s.size - 3, -1, -2), np.arange(s.size - 4, -1, -2)
     out = np.zeros(values.shape)
-    out[..., odd] = h[odd] / 3.0 * np.cumsum(panels[..., odd], axis=-1)
-    out[..., even] = (h[even] / 3.0 * np.cumsum(panels[..., even], axis=-1)
-                      + 0.5 * h[even] * (g[..., -2] + g[..., -1])[..., None])
-    out[..., -2] = 0.5 * (coords[-1] - coords[-2]) * (values[..., -2] + values[..., -1])
+    out[..., odd] = h_odd * np.cumsum(panels[..., odd], axis=-1)
+    out[..., even] = (h_even * np.cumsum(panels[..., even], axis=-1)
+                      + half_even * (g[..., -2] + g[..., -1])[..., None])
+    out[..., -2] = half_last * (values[..., -2] + values[..., -1])
     return out
 
 
@@ -291,15 +316,6 @@ class GridSpec:
                 self._cache[key] = _product_weights(
                     [axis_weights(a) for a in self.r_axes()]
                 )
-        return self._cache[key]
-
-    def r_suffix_weights(self) -> np.ndarray:
-        """Tail-quadrature matrix for the (single) r axis; requires j=1."""
-        if self.j != 1:
-            raise ValueError("suffix weights are defined for j=1 grids")
-        key = "r_suffix"
-        if key not in self._cache:
-            self._cache[key] = suffix_weight_matrix(self.r_axes()[0])
         return self._cache[key]
 
 

@@ -225,8 +225,15 @@ def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Trapezoid integrals of `values` along axis 0 from times[0] to each
     node, zero at the first, summed as scipy's cumulative_trapezoid does."""
     dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
-    out = np.zeros(values.shape)
-    np.cumsum(dt * (values[1:] + values[:-1]) / 2.0, axis=0, out=out[1:])
+    out = np.empty(values.shape)
+    out[0] = 0.0
+    np.add(values[1:], values[:-1], out=out[1:])
+    out[1:] *= dt
+    out[1:] /= 2.0
+    # the sequential sums of np.cumsum, node by node: a cumsum along axis 0
+    # strides across the whole array at every step
+    for prev, row in zip(out[1:-1], out[2:]):
+        np.add(prev, row, out=row)
     return out
 
 
@@ -382,7 +389,7 @@ def _node_index(times: np.ndarray, t: float) -> int:
 
 def _slab_node(plan: list, config: SolverConfig, t: float) -> tuple[int, int]:
     """(slab, node) of t: the first planned slab covering t within 1e-12."""
-    for i, (start, length, _) in enumerate(plan):
+    for i, (start, length) in enumerate(plan):
         if start - 1e-12 <= t <= start + length + 1e-12:
             times = np.linspace(start, start + length, config.nodes_per_slab)
             return i, _node_index(times, t)
@@ -502,14 +509,14 @@ def continue_solution(
         ))))
     plan, boundaries = [], [t0]
     while boundaries[-1] < t_stop:
-        t0_len, diag = choose_slab(rate, div_sup, t_end - boundaries[-1])
-        plan.append((boundaries[-1], t0_len, diag))
+        t0_len, _ = choose_slab(rate, div_sup, t_end - boundaries[-1])
+        plan.append((boundaries[-1], t0_len))
         boundaries.append(float(boundaries[-1] + t0_len))
     where = {t: _slab_node(plan, config, t) for t in (*slice_times, boundaries[-1])}
     made = dict.fromkeys(where.values())  # (slab, node) -> EulerianSlice
     w = grid.x_weights()[:, None] * grid.r_weights()[None, :]
     mass_times, masses, summaries = [], [], []
-    for i, (t_start, t0_len, diag) in enumerate(plan):
+    for i, (t_start, t0_len) in enumerate(plan):
         state, summary = picard_solve(
             u_cur, field, kernel, config, grid, t_start, t0_len
         )
@@ -534,7 +541,6 @@ def continue_solution(
                 )
             u_cur = slc.values
             summary["exit_fraction"] = slc.exit_fraction
-        summary["slab_budget"] = diag
         summaries.append(summary)
         del state
     return ContinuedSolution(

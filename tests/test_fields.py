@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from lagtransport.fields import (
     zero_field,
 )
 import lagtransport.fields as fields_module
-from lagtransport.grid import GridSpec
+from lagtransport.grid import GridSpec, suffix_weight_matrix
 
 from conftest import Counting, modulated_logistic_field, same_bits
 
@@ -557,6 +558,58 @@ def test_factored_slab_rate_is_bit_identical_to_dense():
                           dense.gamma(rs[:, None], rs[None]))
     for p in (1.5, 2.0, 3.0):
         assert kernel_slab_rate(kern, grid, p) == kernel_slab_rate(dense, grid, p)
+
+
+def _suffix_matrix_rate(kern, grid, p):
+    # the rate with every row's tail weights read off the whole matrix
+    pp = p / (p - 1.0)
+    rs = grid.r_labels()
+    g = np.abs(kern.gamma(rs[:, None], rs[None])) ** pp
+    inner = np.einsum("mq,mq->m", g, suffix_weight_matrix(grid.r_axes()[0]))
+    return float(np.sum(grid.r_weights() * inner ** (p / pp)) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("nr", [2, 3, 32, 33, 65, 100])
+@pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+@pytest.mark.parametrize(
+    "kern",
+    [fragmentation_kernel(scale=2.0),
+     Kernel("triangular_gauss",
+            separable_kernel(((0.5, 0.2, 0.6, 0.25, 1.0),
+                              (0.3, 0.15, 0.35, 0.2, 0.6))).factors,
+            triangular=True)],
+    ids=["fragmentation", "gauss_rank_2"],
+)
+def test_triangular_slab_rate_matches_the_suffix_weight_matrix(kern, spacing, nr):
+    # row blocks of 32 kernel rows: fewer rows than a block, exactly one
+    # block, and blocks with a short last one
+    grid = GridSpec(
+        x_bounds=((0.0, 1.0),), x_counts=(2,),
+        r_bounds=((0.05, 1.0),), r_counts=(nr,), r_spacing=spacing,
+    )
+    for p in (1.5, 2.0, 3.0):
+        ref = _suffix_matrix_rate(kern, grid, p)
+        assert abs(kernel_slab_rate(kern, grid, p) - ref) <= 1e-14 * ref
+
+
+def test_triangular_slab_rate_builds_no_whole_matrix_of_tails():
+    # frag_cascade's fiber.  |gamma|^p' on the square and one temporary of
+    # its evaluation are two Nr x Nr arrays (1.06 MB); the diagonal of the
+    # suffix integrals of the whole square peaked at 2.89 MB
+    nr = 257
+    grid = GridSpec(
+        x_bounds=((0.0, 1.0),), x_counts=(2,),
+        r_bounds=((1e-8, 1.0),), r_counts=(nr,), r_spacing="geometric",
+    )
+    kern = fragmentation_kernel(scale=2.0)
+    kernel_slab_rate(kern, grid, 2.0)  # the grid's weights and tail plan
+    tracemalloc.start()
+    try:
+        kernel_slab_rate(kern, grid, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * nr * nr * 8
 
 
 def test_slab_bound_rejects_bad_exponent():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lagtransport.grid as grid_module
 from lagtransport.grid import (
     GridSpec,
     NormSpec,
@@ -118,6 +119,60 @@ def test_suffix_integrals_match_suffix_weight_matrix(coords, npts):
     assert np.all(out[..., -1] == 0.0)
 
 
+def _index_array_suffix_integrals(coords, values):
+    # the parity tails with index arrays and the axis work redone per call:
+    # the formula the cached tail plan replaced, kept as its bit reference
+    s, g = coords, values
+    if grid_module._uniform_spacing(s) is None and np.all(coords > 0.0):
+        s, g = np.log(coords), values * coords
+    h = np.diff(s)
+    panels = g[..., :-2] + 4.0 * g[..., 1:-1] + g[..., 2:]
+    odd, even = np.arange(s.size - 3, -1, -2), np.arange(s.size - 4, -1, -2)
+    out = np.zeros(values.shape)
+    out[..., odd] = h[odd] / 3.0 * np.cumsum(panels[..., odd], axis=-1)
+    out[..., even] = (h[even] / 3.0 * np.cumsum(panels[..., even], axis=-1)
+                      + 0.5 * h[even] * (g[..., -2] + g[..., -1])[..., None])
+    out[..., -2] = 0.5 * (coords[-1] - coords[-2]) * (values[..., -2] + values[..., -1])
+    return out
+
+
+@pytest.mark.parametrize("npts", [2, 3, 4, 5, 8, 9, 33, 34])
+@pytest.mark.parametrize(
+    "coords",
+    [lambda n: np.linspace(-2.0, 3.0, n), lambda n: np.geomspace(1e-8, 5.0, n)],
+    ids=["uniform", "geometric"],
+)
+def test_tail_plan_keeps_the_bits_of_the_index_array_formula(coords, npts):
+    # the strided parity slices select the nodes the index arrays did, and
+    # a 2- or 3-node axis selects nothing where a negative start would wrap
+    c = coords(npts)
+    values = np.random.default_rng(npts).standard_normal((3, 2, npts))
+    ref = _index_array_suffix_integrals(c, values)
+    for _ in range(2):  # a first call and one that reuses the plan
+        assert np.array_equal(suffix_integrals(c, values), ref)
+
+
+def test_tail_plan_tests_each_axis_once(monkeypatch):
+    calls = []
+
+    def counting(coords):
+        calls.append(coords.size)
+        return uniform_spacing(coords)
+
+    uniform_spacing = grid_module._uniform_spacing
+    monkeypatch.setattr(grid_module, "_uniform_spacing", counting)
+    values = np.ones((2, 21))
+    for axis in (np.geomspace(0.37, 2.9, 21), np.linspace(-0.37, 2.9, 21)):
+        suffix_integrals(axis, values)
+        assert len(calls) > 0
+        calls.clear()
+        suffix_integrals(axis.copy(), 2.0 * values)
+        assert calls == []
+    # an axis of the same size with other nodes is planned on its own
+    suffix_integrals(np.geomspace(0.38, 2.9, 21), values)
+    assert len(calls) == 2
+
+
 def test_suffix_integrals_reject_other_axes():
     with pytest.raises(ValueError, match="uniform or geometric"):
         suffix_integrals(np.array([0.0, 0.1, 0.5, 1.0]), np.ones(4))
@@ -210,17 +265,6 @@ def test_geometric_spacing_requires_positive_bounds():
             r_counts=(5,),
             r_spacing="geometric",
         )
-
-
-def test_suffix_weights_need_one_dimensional_fiber():
-    grid = GridSpec(
-        x_bounds=((0.0, 1.0),),
-        x_counts=(3,),
-        r_bounds=((0.0, 1.0), (0.0, 1.0)),
-        r_counts=(4, 4),
-    )
-    with pytest.raises(ValueError):
-        grid.r_suffix_weights()
 
 
 # ---------------------------------------------------------------------

@@ -2,10 +2,12 @@
 every private helper is used by its own module, every public name is
 used outside the tests, every defaulted parameter is passed by some
 call, every solver setting is set by some run, no module branches on a
-field's or kernel's name, and no module imports a name it never uses."""
+field's or kernel's name, no module imports a name it never uses, and
+every library name the benchmark hooks still resolves."""
 
 import ast
 import dataclasses
+import importlib.util
 import json
 from collections import Counter
 from pathlib import Path
@@ -389,9 +391,49 @@ def test_detector_flags_public_defs_without_a_caller():
     ) == ["m.Node"]
 
 
+def _benchmark_layers():
+    """benchmark/layers.py loaded by path, read only: its hooks are not
+    installed and it is not added to sys.modules."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "layers.py"
+    spec = importlib.util.spec_from_file_location("benchmark_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+# the targets `install` hooks for their results, besides SPAN_HOOKS
+_RESULT_HOOKS = (
+    ("lagtransport.cli", "make_field"),
+    ("lagtransport.cli", "make_kernel"),
+    ("lagtransport.transport", "_kernel_matrices"),
+)
+
+
+def test_every_benchmark_hook_resolves():
+    # a hook whose target is gone is skipped, and every metric it feeds
+    # goes missing from the traced run
+    layers = _benchmark_layers()
+    install = next(
+        node for node in ast.parse(Path(layers.__file__).read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "install"
+    )
+    named = {
+        sub.value for sub in ast.walk(install)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    }
+    assert all({module, path} <= named for module, path in _RESULT_HOOKS)
+    targets = [(m, p) for m, p, _ in layers.SPAN_HOOKS.values()]
+    missing = [
+        f"{module}:{path}" for module, path in [*targets, *_RESULT_HOOKS]
+        if layers._resolve(module, path) is None
+    ]
+    assert not missing
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # a public name that only tests call checks nothing the library does;
-    # the oracle exists for the acceptance criteria, so their uses count
+    # the oracle exists for the acceptance criteria, so their uses count,
+    # and so do the names the benchmark hooks, which it resolves by string
     root = Path(lagtransport.__file__).parent
     repo = Path(__file__).resolve().parents[1]
     library = {
@@ -406,9 +448,14 @@ def test_every_public_name_is_used_outside_the_tests():
     acceptance = _loaded_names(ast.parse(
         (repo / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
     ))
+    hooked = {
+        f"{module.rsplit('.', 1)[-1]}.{path}"
+        for module, path, _ in _benchmark_layers().SPAN_HOOKS.values()
+    }
     offenders = [
         name for name in _unnamed_public_defs(library, others)
         if not (name.startswith("oracle.") and acceptance[name.split(".")[-1]])
+        and name not in hooked
     ]
     assert not offenders
 

@@ -639,8 +639,11 @@ def test_multilinear_matches_scipy_regular_grid_interpolator(dims):
                               values.reshape(-1))
 
 
-@pytest.mark.parametrize("shape", [(9, 17), (5, 3, 33), (17, 2, 65)])
+@pytest.mark.parametrize(
+    "shape", [(9, 17), (5, 3, 33), (17, 2, 65), (2, 5), (2, 3, 4)]
+)
 def test_cumulative_trapezoid_matches_scipy(shape):
+    # two nodes take one trapezoid step and no running sum
     rng = np.random.default_rng(len(shape))
     values = rng.normal(size=shape)
     for times in (np.linspace(0.1, 0.6, shape[0]),
