@@ -99,6 +99,8 @@ _SOLVER_SCHEMA = {
     "slab_time_samples": (_OPTIONAL, int),
 }
 
+# command -> {key: (status, expected type)}; a study argument that the
+# experiment takes as a tuple adds its element parser as a third entry
 _SCHEMAS = {
     "flow": {
         "schema_version": (_REQUIRED, int),
@@ -118,11 +120,11 @@ _SCHEMAS = {
     },
     "stability": {
         "schema_version": (_REQUIRED, int),
-        "eps_values": (_OPTIONAL, list),
+        "eps_values": (_OPTIONAL, list, float),
         "k": (_OPTIONAL, int),
         "mu": (_OPTIONAL, (int, float)),
         "t_end": (_OPTIONAL, (int, float)),
-        "checkpoints": (_OPTIONAL, list),
+        "checkpoints": (_OPTIONAL, list, float),
         "final_threshold": (_OPTIONAL, (int, float)),
         "monotone_slack": (_OPTIONAL, (int, float)),
     },
@@ -131,7 +133,7 @@ _SCHEMAS = {
         "k_values": (_OPTIONAL, list),
         "t": (_OPTIONAL, (int, float)),
         "line_nodes": (_OPTIONAL, int),
-        "window": (_OPTIONAL, list),
+        "window": (_OPTIONAL, list, float),
         "weak_constant": (_OPTIONAL, (int, float)),
         "floor_fraction": (_OPTIONAL, (int, float)),
         "spread_tol": (_OPTIONAL, (int, float)),
@@ -161,7 +163,7 @@ def _check_numbers(value, path: str) -> None:
 
 
 def _check_schema(obj, schema, path: str) -> None:
-    """Check `obj` against a schema of key -> (status, expected type).
+    """Check `obj` against a schema of key -> (status, expected type, ...).
 
     Outside the keys typed `str`, a config holds only numbers, lists and
     objects, so null, true, false and strings never stand for a number."""
@@ -170,7 +172,7 @@ def _check_schema(obj, schema, path: str) -> None:
     for key in obj:
         if key not in schema:
             raise ConfigError(f"unknown key {path}{key!r}")
-        _, expect = schema[key]
+        expect = schema[key][1]
         if isinstance(expect, dict):
             _check_schema(obj[key], expect, f"{path}{key}.")
             continue
@@ -186,7 +188,7 @@ def _check_schema(obj, schema, path: str) -> None:
             raise ConfigError(f"{path}{key!r} must be {names}")
         if expect is not str:
             _check_numbers(obj[key], f"{path}{key}")
-    for key, (status, _) in schema.items():
+    for key, (status, *_) in schema.items():
         if status == _REQUIRED and key not in obj:
             raise ConfigError(f"missing required key {path}{key!r}")
 
@@ -383,31 +385,20 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
     return payload, True
 
 
-# study command -> {config key: element parser of the tuple the experiment
-# takes, or None to pass the value as it is}
-_STUDY_ARGS = {
-    "stability": {
-        "eps_values": float, "k": None, "mu": None, "t_end": None,
-        "checkpoints": float, "final_threshold": None, "monotone_slack": None,
-    },
-    "counterexample": {
-        "k_values": None, "t": None, "line_nodes": None, "window": float,
-        "weak_constant": None, "floor_fraction": None, "spread_tol": None,
-    },
-}
-
-
 def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
     """The stability and counterexample commands: run the experiment on
-    the config's arguments and write its report."""
+    the config's arguments (every schema key but schema_version, parsed
+    into a tuple where the schema gives an element parser) and write its
+    report."""
     experiment = {
         "stability": stability_experiment,
         "counterexample": counterexample_experiment,
     }[command]
     try:
         kwargs = {
-            key: cfg[key] if parse is None else tuple(parse(v) for v in cfg[key])
-            for key, parse in _STUDY_ARGS[command].items() if key in cfg
+            key: tuple(map(parse[0], cfg[key])) if parse else cfg[key]
+            for key, (_, _, *parse) in _SCHEMAS[command].items()
+            if key in cfg and key != "schema_version"
         }
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {command} arguments: {exc}") from exc

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridSpec, axis_weights, suffix_integrals
+from .grid import GridSpec, suffix_integrals
 
 __all__ = [
     "StructuredVectorField",
@@ -253,15 +253,10 @@ def _bump(z2: np.ndarray) -> np.ndarray:
 
 def _stencil(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric unit-mass discretization of the bump on [-1, 1]^dim,
-    17 nodes per axis."""
-    axis = np.linspace(-1.0, 1.0, 17)
-    w1 = axis_weights(axis)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = w1
-    for _ in range(dim - 1):
-        w = np.multiply.outer(w, w1)
-    w = w.ravel() * _bump(np.sum(pts**2, axis=-1))
+    17 nodes per axis: the nodes and weights of that grid."""
+    grid = GridSpec(x_bounds=((-1.0, 1.0),) * dim, x_counts=(17,) * dim)
+    pts = grid.x_labels()
+    w = grid.x_weights() * _bump(np.sum(pts**2, axis=-1))
     keep = w > 0.0
     pts, w = pts[keep], w[keep]
     w = w / np.sum(w)  # exact discrete unit mass

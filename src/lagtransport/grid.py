@@ -59,8 +59,45 @@ def _uniform_weights(npts: int, h: float) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=32)
+def _axis_plan(axis: bytes) -> tuple[np.ndarray, tuple | None]:
+    """(weights, tails) of one axis, given as its float64 bytes: the
+    read-only `axis_weights` result, and what `suffix_integrals` needs,
+    (log, odd, even, h_odd / 3, h_even / 3, h_even / 2, h_last / 2) with
+    `log` whether the panels are Simpson in log c and `odd`, `even` the
+    strided parity slices of the tails of 3 and more nodes; tails is None
+    on an axis that is neither uniform nor geometric."""
+    coords = np.frombuffer(axis)
+    npts = coords.size
+    if npts < 2:
+        raise ValueError("axis needs at least 2 points")
+    s, log = coords, False
+    h = _uniform_spacing(s)
+    if h is None and np.all(coords > 0.0):
+        s, log = np.log(coords), True
+        h = _uniform_spacing(s)
+    if h is None:
+        d = np.diff(coords)
+        w = np.zeros(npts)
+        w[:-1] += 0.5 * d
+        w[1:] += 0.5 * d
+        tails = None
+    else:
+        w = _uniform_weights(npts, h)
+        if log:
+            w = w * coords
+        d = np.diff(s)  # each tail its own spacing, as axis_weights(coords[m:])
+        # a negative start would wrap around, so short axes select nothing
+        odd = slice(npts - 3, None, -2) if npts >= 3 else slice(0, 0)
+        even = slice(npts - 4, None, -2) if npts >= 4 else slice(0, 0)
+        tails = (log, odd, even, d[odd] / 3.0, d[even] / 3.0, 0.5 * d[even],
+                 0.5 * (coords[-1] - coords[-2]))
+    w.flags.writeable = False
+    return w, tails
+
+
 def axis_weights(coords: np.ndarray) -> np.ndarray:
-    """Quadrature weights for one axis.
+    """Quadrature weights for one axis, read-only.
 
     Uniform axes get composite Simpson weights; when the point count is
     even the last cell is patched with the trapezoid rule.  Geometric
@@ -69,25 +106,10 @@ def axis_weights(coords: np.ndarray) -> np.ndarray:
     accuracy for integrands smooth in the log variable.  Any other
     spacing falls back to the trapezoid rule.  Weights are always
     positive; uniform and trapezoid weights sum to the interval length
-    exactly, log-Simpson weights to quadrature accuracy.
+    exactly, log-Simpson weights to quadrature accuracy.  The rule is
+    decided once per axis, in the plan `suffix_integrals` also reads.
     """
-    coords = np.asarray(coords, dtype=float)
-    npts = coords.size
-    if npts < 2:
-        raise ValueError("axis needs at least 2 points")
-    h = _uniform_spacing(coords)
-    if h is not None:
-        return _uniform_weights(npts, h)
-    if np.all(coords > 0.0):
-        logc = np.log(coords)
-        hv = _uniform_spacing(logc)
-        if hv is not None:
-            return _uniform_weights(npts, hv) * coords
-    w = np.zeros(npts)
-    d = np.diff(coords)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
+    return _axis_plan(np.asarray(coords, dtype=float).tobytes())[0]
 
 
 def suffix_weight_matrix(coords: np.ndarray) -> np.ndarray:
@@ -108,30 +130,6 @@ def suffix_weight_matrix(coords: np.ndarray) -> np.ndarray:
     return mat
 
 
-@functools.lru_cache(maxsize=32)
-def _tail_plan(axis: bytes) -> tuple:
-    """What `suffix_integrals` needs of one axis, given as its float64
-    bytes: (log, odd, even, h_odd / 3, h_even / 3, h_even / 2, h_last / 2)
-    with `log` whether the panels are Simpson in log c, `odd` and `even`
-    the strided parity slices of the tails of 3 and more nodes, and the
-    spacing factors of those tails.  Raises ValueError on an axis that is
-    neither uniform nor geometric."""
-    coords = np.frombuffer(axis)
-    s = coords
-    log = _uniform_spacing(s) is None and bool(np.all(coords > 0.0))
-    if log:
-        s = np.log(coords)
-    if _uniform_spacing(s) is None:
-        raise ValueError("suffix integrals need a uniform or geometric axis")
-    n = s.size
-    h = np.diff(s)  # each tail its own spacing, as axis_weights(coords[m:])
-    # a negative start would wrap around, so short axes select nothing
-    odd = slice(n - 3, None, -2) if n >= 3 else slice(0, 0)
-    even = slice(n - 4, None, -2) if n >= 4 else slice(0, 0)
-    return (log, odd, even, h[odd] / 3.0, h[even] / 3.0, 0.5 * h[even],
-            0.5 * (coords[-1] - coords[-2]))
-
-
 def suffix_integrals(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``values @ suffix_weight_matrix(coords).T`` to rounding, in O(N) per
     row of `values` (last axis on `coords`) and without a matrix product.
@@ -140,13 +138,15 @@ def suffix_integrals(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     axis), plus the trapezoid on its last cell if N is even, so the tails
     of each parity are reverse cumulative sums of every other panel.  The
     2-node tail is the trapezoid in r.  Uniform and geometric axes only.
-    The axis work (its spacing tests, logarithm and panel factors) is
-    cached per axis, so repeated calls on one axis only sum panels.
+    The axis work (its spacing tests, logarithm and panel factors) is the
+    axis's cached plan, the one `axis_weights` reads, so repeated calls on
+    one axis only sum panels.
     """
     coords, values = np.asarray(coords, float), np.asarray(values, float)
-    log, odd, even, h_odd, h_even, half_even, half_last = _tail_plan(
-        coords.tobytes()
-    )
+    tails = _axis_plan(coords.tobytes())[1]
+    if tails is None:
+        raise ValueError("suffix integrals need a uniform or geometric axis")
+    log, odd, even, h_odd, h_even, half_even, half_last = tails
     g = values * coords if log else values
     panels = g[..., :-2] + 4.0 * g[..., 1:-1] + g[..., 2:]
     out = np.zeros(values.shape)
@@ -167,13 +167,34 @@ def _build_axis(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:
     raise ValueError(f"unknown axis spacing {spacing!r}")
 
 
-@dataclass
+def _memo(method):
+    """A GridSpec method whose result is built once per grid and argument
+    tuple, and made read-only: the array, or each array of a tuple."""
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._cache:
+            out = method(self, *args)
+            for arr in out if isinstance(out, tuple) else (out,):
+                arr.flags.writeable = False
+            self._cache[key] = out
+        return self._cache[key]
+
+    return cached
+
+
+@dataclass(frozen=True)
 class GridSpec:
     """Truncated tensor-product grid over the x-box and r-box.
 
     The grid is space only: its nodes are the Lagrangian labels and the
     Eulerian evaluation points.  Times belong to the calls that use them,
     such as `flow_map(times=...)` and `continue_solution(t0=...)`.
+
+    A grid is an immutable value: assigning a field raises
+    `FrozenInstanceError`.  Its derived arrays (axes, labels, weights and
+    window weights) are built once, on first use, and are read-only.
 
     Args:
         x_bounds: per-axis closed intervals for the x block.
@@ -191,13 +212,16 @@ class GridSpec:
     r_spacing: str = "uniform"
 
     def __post_init__(self) -> None:
-        self.x_bounds = tuple((float(a), float(b)) for a, b in self.x_bounds)
-        self.r_bounds = tuple((float(a), float(b)) for a, b in self.r_bounds)
+        # lists become tuples; the instance is frozen, hence object.__setattr__
+        for name in ("x_bounds", "r_bounds"):
+            object.__setattr__(self, name, tuple(
+                (float(a), float(b)) for a, b in getattr(self, name)
+            ))
         for c in tuple(self.x_counts) + tuple(self.r_counts):
             if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
                 raise ValueError(f"axis counts must be integers, got {c!r}")
-        self.x_counts = tuple(int(c) for c in self.x_counts)
-        self.r_counts = tuple(int(c) for c in self.r_counts)
+        for name in ("x_counts", "r_counts"):
+            object.__setattr__(self, name, tuple(int(c) for c in getattr(self, name)))
         if len(self.x_bounds) != len(self.x_counts):
             raise ValueError("x_bounds and x_counts length mismatch")
         if len(self.r_bounds) != len(self.r_counts):
@@ -217,7 +241,7 @@ class GridSpec:
             for lo, _ in self.r_bounds:
                 if lo <= 0:
                     raise ValueError("geometric axis requires positive lower bound")
-        self._cache: dict = {}
+        object.__setattr__(self, "_cache", {})
 
     # --- dimensions -----------------------------------------------------
 
@@ -243,44 +267,34 @@ class GridSpec:
 
     # --- coordinates ----------------------------------------------------
 
+    @_memo
     def x_axes(self) -> tuple[np.ndarray, ...]:
-        key = "x_axes"
-        if key not in self._cache:
-            self._cache[key] = tuple(
-                _build_axis(lo, hi, c, "uniform")
-                for (lo, hi), c in zip(self.x_bounds, self.x_counts)
-            )
-        return self._cache[key]
+        return tuple(
+            _build_axis(lo, hi, c, "uniform")
+            for (lo, hi), c in zip(self.x_bounds, self.x_counts)
+        )
 
+    @_memo
     def r_axes(self) -> tuple[np.ndarray, ...]:
-        key = "r_axes"
-        if key not in self._cache:
-            self._cache[key] = tuple(
-                _build_axis(lo, hi, c, self.r_spacing)
-                for (lo, hi), c in zip(self.r_bounds, self.r_counts)
-            )
-        return self._cache[key]
+        return tuple(
+            _build_axis(lo, hi, c, self.r_spacing)
+            for (lo, hi), c in zip(self.r_bounds, self.r_counts)
+        )
 
     def axes(self) -> tuple[np.ndarray, ...]:
         return self.x_axes() + self.r_axes()
 
+    @_memo
     def x_labels(self) -> np.ndarray:
         """All x nodes, shape (num_x, n), C-order over the axis product."""
-        key = "x_labels"
-        if key not in self._cache:
-            self._cache[key] = _product_points(self.x_axes())
-        return self._cache[key]
+        return _product_points(self.x_axes())
 
+    @_memo
     def r_labels(self) -> np.ndarray:
         """All r nodes, shape (num_r, j); a single empty row when j=0."""
-        key = "r_labels"
-        if key not in self._cache:
-            if self.j == 0:
-                self._cache[key] = np.zeros((1, 0))
-            else:
-                self._cache[key] = _product_points(self.r_axes())
-        return self._cache[key]
+        return _product_points(self.r_axes()) if self.j else np.zeros((1, 0))
 
+    @_memo
     def joint_labels(self) -> np.ndarray:
         """All (x, r) labels, shape (num_x, num_r, n + j): x slow, r fast.
 
@@ -288,35 +302,48 @@ class GridSpec:
         as [..., :n] and [..., n:] to call a field or datum, and reshape
         to (num_x * num_r, n + j) for one row per label.
         """
-        key = "joint_labels"
-        if key not in self._cache:
-            xs, rs = self.x_labels(), self.r_labels()
-            out = np.empty((self.num_x, self.num_r, self.n + self.j))
-            out[..., : self.n] = xs[:, None, :]
-            out[..., self.n :] = rs[None, :, :]
-            self._cache[key] = out
-        return self._cache[key]
+        out = np.empty((self.num_x, self.num_r, self.n + self.j))
+        out[..., : self.n] = self.x_labels()[:, None, :]
+        out[..., self.n :] = self.r_labels()[None, :, :]
+        return out
 
     # --- quadrature -----------------------------------------------------
 
+    @_memo
     def x_weights(self) -> np.ndarray:
-        key = "x_weights"
-        if key not in self._cache:
-            self._cache[key] = _product_weights(
-                [axis_weights(a) for a in self.x_axes()]
-            )
-        return self._cache[key]
+        return _product_weights([axis_weights(a) for a in self.x_axes()]).ravel()
 
+    @_memo
     def r_weights(self) -> np.ndarray:
-        key = "r_weights"
-        if key not in self._cache:
-            if self.j == 0:
-                self._cache[key] = np.ones(1)
-            else:
-                self._cache[key] = _product_weights(
-                    [axis_weights(a) for a in self.r_axes()]
-                )
-        return self._cache[key]
+        if self.j == 0:
+            return np.ones(1)
+        return _product_weights([axis_weights(a) for a in self.r_axes()]).ravel()
+
+    @_memo
+    def window_weights(
+        self, window: tuple[tuple[float, float], ...] | None
+    ) -> np.ndarray:
+        """Joint-grid weights (shape `shape`) of the sub-box `window`, one
+        (lo, hi) pair of floats per axis, or of the whole grid for None.
+        Window edges snap outward to grid nodes; nodes outside get 0.
+        ValueError unless each interval spans at least 2 nodes."""
+        axes = self.axes()
+        if window is None:
+            return _product_weights([axis_weights(a) for a in axes])
+        if len(window) != len(axes):
+            raise ValueError("window must give one interval per grid axis")
+        per_axis = []
+        for a, (lo, hi) in zip(axes, window):
+            mask = (a >= lo - _SNAP * max(1.0, abs(lo))) & (
+                a <= hi + _SNAP * max(1.0, abs(hi))
+            )
+            sub = a[mask]
+            if sub.size < 2:
+                raise ValueError(f"window ({lo}, {hi}) spans fewer than 2 nodes")
+            w = np.zeros_like(a)
+            w[mask] = axis_weights(sub)
+            per_axis.append(w)
+        return _product_weights(per_axis)
 
 
 def _product_points(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -325,10 +352,11 @@ def _product_points(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _product_weights(per_axis: Sequence[np.ndarray]) -> np.ndarray:
+    """The outer product of per-axis weights, one array axis per grid axis."""
     w = per_axis[0]
     for nxt in per_axis[1:]:
         w = np.multiply.outer(w, nxt)
-    return w.ravel()
+    return w
 
 
 # --- windowed norms -----------------------------------------------------
@@ -355,41 +383,14 @@ class NormSpec:
         window; ValueError unless the window gives one interval per grid
         axis, each spanning at least 2 nodes.
 
-        Cached on the grid per window, since every norm evaluation needs it.
+        The window is read as a tuple of float pairs, and the array is the
+        grid's `window_weights` of it: built once per grid and window, and
+        read-only.
         """
         window = self.window
         if window is not None:
             window = tuple((float(lo), float(hi)) for lo, hi in window)
-        key = ("window", window)
-        if key not in grid._cache:
-            grid._cache[key] = _build_window_weights(grid, window)
-        return grid._cache[key]
-
-
-def _build_window_weights(
-    grid: GridSpec, window: tuple[tuple[float, float], ...] | None
-) -> np.ndarray:
-    axes = grid.axes()
-    if window is None:
-        per_axis = [axis_weights(a) for a in axes]
-    else:
-        if len(window) != len(axes):
-            raise ValueError("window must give one interval per grid axis")
-        per_axis = []
-        for a, (lo, hi) in zip(axes, window):
-            mask = (a >= lo - _SNAP * max(1.0, abs(lo))) & (
-                a <= hi + _SNAP * max(1.0, abs(hi))
-            )
-            sub = a[mask]
-            if sub.size < 2:
-                raise ValueError(f"window ({lo}, {hi}) spans fewer than 2 nodes")
-            w = np.zeros_like(a)
-            w[mask] = axis_weights(sub)
-            per_axis.append(w)
-    full = per_axis[0]
-    for nxt in per_axis[1:]:
-        full = np.multiply.outer(full, nxt)
-    return full
+        return grid.window_weights(window)
 
 
 def _as_joint(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -397,8 +398,6 @@ def _as_joint(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     if values.shape == grid.shape:
         return values
     if values.shape == (grid.num_x, grid.num_r):
-        return values.reshape(grid.shape)
-    if grid.j == 0 and values.shape == (grid.num_x,):
         return values.reshape(grid.shape)
     raise ValueError(
         f"values shape {values.shape} does not match grid "

@@ -137,7 +137,7 @@ class LagrangianState:
 @dataclass
 class EulerianSlice:
     """u(t, .) on an Eulerian grid, plus the fraction of points whose
-    backward label left the state's label box (filled with 0)."""
+    backward label lies beyond the padded label box (filled with 0)."""
 
     grid: GridSpec
     t: float
@@ -405,8 +405,13 @@ def eulerian_reconstruct(
     the Lagrangian state.
 
     Each Eulerian node is pulled back along the field to the state's base
-    time and u~(t) is interpolated multilinearly at that label; labels
-    leaving the label box get 0.  `t` must be one of the state's nodes.
+    time and u~(t) is interpolated multilinearly at that label.  `t` must
+    be one of the state's nodes.
+
+    Box rule: each axis [lo, hi] has a pad of 1e-12 max(1, |lo| + |hi|)
+    for the rounding of the pull-back.  A label within the pad is clipped
+    onto the box face and interpolated there; a label beyond it gets 0,
+    and `exit_fraction` counts exactly those labels.
     """
     k = _node_index(state.times, t)
     t0 = float(state.times[0])
@@ -420,13 +425,16 @@ def eulerian_reconstruct(
     if j:
         pts[..., n:] = lab_r
     flat = pts.reshape(-1, n + j)
+    outside = np.zeros(flat.shape[0], dtype=bool)
+    for a, col in zip(grid.axes(), flat.T):
+        pad = 1e-12 * max(1.0, abs(a[-1]) + abs(a[0]))
+        beyond = (col < a[0] - pad) | (col > a[-1] + pad)
+        outside |= beyond
+        col[~beyond] = np.clip(col[~beyond], a[0], a[-1])
+    # only the labels beyond the pad are left outside the box, to be 0
     vals = _multilinear(
         grid.axes(), state.values[k].reshape(grid.shape), flat, 0.0
     ).reshape(grid.num_x, grid.num_r)
-    outside = np.zeros(flat.shape[0], dtype=bool)
-    for axis, a in enumerate(grid.axes()):
-        pad = 1e-12 * max(1.0, abs(a[-1]) + abs(a[0]))
-        outside |= (flat[:, axis] < a[0] - pad) | (flat[:, axis] > a[-1] + pad)
     return EulerianSlice(
         grid=grid,
         t=float(state.times[k]),
@@ -485,11 +493,11 @@ def continue_solution(
 
     `u0` is either nodal values (Nx, Nr) or a callable u0(x, r) sampled on
     the label grid.  At each slab boundary the state is reconstructed on
-    the label grid (fresh Eulerian datum) and a new flow is launched; the
-    run aborts if more than 0.1% of the labels pull back outside the
-    label box, since their values would silently be set to 0 in the
-    boundary datum.  Every slab runs on the one `grid` (and its cached
-    weights).
+    the label grid (fresh Eulerian datum) and a new flow is launched.  By
+    `eulerian_reconstruct`'s box rule, a label pulled back within the
+    box's 1e-12 pad is read on the box face, and one beyond it is set to 0
+    and counted; the run aborts if more than 0.1% of the labels are set
+    to 0.  Every slab runs on the one `grid` (and its cached weights).
 
     The slab budget (the kernel's slab rate and the sup of |div_r b2| over
     the label grid) does not depend on time, so all slabs are planned

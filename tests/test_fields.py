@@ -25,7 +25,7 @@ from lagtransport.fields import (
     zero_field,
 )
 import lagtransport.fields as fields_module
-from lagtransport.grid import GridSpec, suffix_weight_matrix
+from lagtransport.grid import GridSpec, axis_weights, suffix_weight_matrix
 
 from conftest import Counting, modulated_logistic_field, same_bits
 
@@ -329,6 +329,25 @@ def test_mollified_field_survives_pickling():
     for a, b in zip(clone.b1_and_div(x) + clone.b2_and_div(x, r),
                     smooth.b1_and_div(x) + smooth.b2_and_div(x, r)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stencil_is_the_bits_of_the_meshgrid_formula(dim):
+    # the stencil's nodes and weights are a GridSpec's; the meshgrid and
+    # outer-product formula they replaced is kept here as the bit reference
+    axis = np.linspace(-1.0, 1.0, 17)
+    w1 = axis_weights(axis)
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    w = w1
+    for _ in range(dim - 1):
+        w = np.multiply.outer(w, w1)
+    w = w.ravel() * fields_module._bump(np.sum(pts**2, axis=-1))
+    keep = w > 0.0
+    pts, w = pts[keep], w[keep]
+    got_pts, got_w = fields_module._stencil(dim)
+    assert np.array_equal(got_pts, pts)
+    assert np.array_equal(got_w, w / np.sum(w))
 
 
 def _block_step(moll):

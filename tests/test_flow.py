@@ -179,8 +179,16 @@ def test_x_block_shared_bitwise_across_fiber():
         # b2 ignores x, as declared: the grid's fiber and a single label's
         # fiber are the same one-fiber solve
         (logistic_field(k=1, mu=0.3), True),
+        # a declared zero x block: each stacked fiber reads its x label
+        # from the identity block, not from a dense x path
+        (dataclasses.replace(
+            modulated_logistic_field(mu=2.0, a=0.95),
+            b1=lambda x: np.zeros_like(x),
+            div_b1=lambda x: np.zeros(x.shape[:-1]),
+            zero_blocks={"x"},
+        ), False),
     ],
-    ids=["modulated_logistic", "logistic"],
+    ids=["modulated_logistic", "logistic", "modulated_logistic_identity_x"],
 )
 def test_stacked_fibers_match_label_by_label(field, shared):
     def agree(a, b):

@@ -1,5 +1,7 @@
 """Grid axes, quadrature weights, and windowed norms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,13 @@ def test_tail_plan_tests_each_axis_once(monkeypatch):
     # an axis of the same size with other nodes is planned on its own
     suffix_integrals(np.geomspace(0.38, 2.9, 21), values)
     assert len(calls) == 2
+    # the weights and the tails of a new axis come from one plan: a
+    # geometric axis is tested once on its nodes and once in log
+    calls.clear()
+    axis = np.geomspace(0.39, 2.9, 21)
+    axis_weights(axis)
+    suffix_integrals(axis, values)
+    assert calls == [21, 21]
 
 
 def test_suffix_integrals_reject_other_axes():
@@ -218,6 +227,52 @@ def test_joint_labels_are_the_x_slow_r_fast_layout(grid):
     )
     assert np.array_equal(labels.reshape(-1, grid.n + grid.j), table)
     assert grid.joint_labels() is labels
+
+
+def test_grid_is_an_immutable_value():
+    # a grid built from lists holds tuples, and no field can be assigned:
+    # its derived arrays would otherwise describe the grid it used to be
+    grid = GridSpec(x_bounds=[[-1, 1]], x_counts=[5], r_bounds=[[0, 1]], r_counts=[3])
+    assert grid == GridSpec(x_bounds=((-1.0, 1.0),), x_counts=(5,),
+                            r_bounds=((0.0, 1.0),), r_counts=(3,))
+    for name, value in (("x_bounds", ((0.0, 2.0),)), ("x_counts", (9,)),
+                        ("r_bounds", ()), ("r_counts", ()),
+                        ("r_spacing", "geometric")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(grid, name, value)
+    assert grid.x_labels().shape == (5, 1)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec(x_bounds=((0.0, 1.0),), x_counts=(5,)),
+        GridSpec(x_bounds=((0.0, 1.0), (0.0, 2.0)), x_counts=(3, 4),
+                 r_bounds=((1e-3, 1.0),), r_counts=(5,), r_spacing="geometric"),
+    ],
+    ids=["n1_j0", "n2_j1"],
+)
+def test_derived_arrays_are_built_once_and_read_only(grid):
+    window = tuple((float(a[0]), float(a[-1])) for a in grid.axes())
+    made = {
+        name: (lambda name=name: getattr(grid, name)())
+        for name in ("x_axes", "r_axes", "x_labels", "r_labels",
+                     "joint_labels", "x_weights", "r_weights")
+    }
+    made["whole_window"] = lambda: NormSpec().weights(grid)
+    made["window"] = lambda: NormSpec(window=window).weights(grid)
+    for name, make in made.items():
+        out = make()
+        assert make() is out, name
+        for arr in out if isinstance(out, tuple) else (out,):
+            assert not arr.flags.writeable, name
+            if arr.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = 99.0
+    # the whole-grid window is the product of the axis weights
+    assert np.array_equal(NormSpec().weights(grid).ravel(), np.multiply.outer(
+        grid.x_weights(), grid.r_weights()).ravel())
+    assert not axis_weights(grid.x_axes()[0]).flags.writeable
 
 
 def test_grid_without_fiber():

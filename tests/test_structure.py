@@ -1,5 +1,6 @@
 """Package structure: modules reach each other only through public names,
-every private helper is used by its own module, every public name is
+no code reads or writes another object's private attributes, every
+private helper is used by its own module, every public name is
 used outside the tests, every defaulted parameter is passed by some
 call, every solver setting is set by some run, no module branches on a
 field's or kernel's name, no module imports a name it never uses, and
@@ -46,6 +47,42 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         path.name: names
         for path in sorted(root.glob("*.py"))
         if (names := _private_sibling_imports(path.read_text(encoding="utf-8")))
+    }
+    assert not offenders
+
+
+def _foreign_private_attributes(source: str) -> list[str]:
+    """`obj._name` reads and writes where `obj` is not `self` or `cls`."""
+    return [
+        ast.unparse(node) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_detector_flags_foreign_private_attributes():
+    source = (
+        "class A:\n"
+        "    def f(self, grid):\n"
+        "        self._cache = {}\n"
+        "        grid._cache[1] = 2\n"
+        "        return cls._table, grid.x_labels(), self.__class__\n"
+        "def g(state):\n"
+        "    state._data = None\n"
+        "    return np._core, object.__setattr__\n"
+    )
+    assert sorted(_foreign_private_attributes(source)) == [
+        "grid._cache", "np._core", "state._data"
+    ]
+
+
+def test_no_module_reaches_into_another_objects_private_attributes():
+    root = Path(lagtransport.__file__).parent
+    offenders = {
+        path.name: names
+        for path in sorted(root.glob("*.py"))
+        if (names := _foreign_private_attributes(path.read_text(encoding="utf-8")))
     }
     assert not offenders
 

@@ -594,6 +594,39 @@ def test_reconstruct_linear_field_matches_transport():
     assert err < 5e-3
 
 
+
+def _rebasing_grid():
+    return GridSpec(x_bounds=((-1.0, 1.0),), x_counts=(9,),
+                    r_bounds=((0.0, 1.0),), r_counts=(17,))
+
+
+def test_rebasing_reads_labels_within_the_pad_on_the_box_face():
+    # b1 = -1e-13 x pulls the outer x labels back about 1e-13 beyond the
+    # box, inside its 1e-12 pad: they are the box face up to the rounding
+    # of the pull-back, so the boundary datum keeps their values
+    grid = _rebasing_grid()
+    sol, ref = (
+        continue_solution(make_initial("constant"),
+                          linear_field(lam=lam, mu=0.0, n=1, j=1),
+                          separable_kernel(), SolverConfig(), grid, 3.0)
+        for lam in (-1e-13, 0.0)
+    )
+    assert len(sol.boundaries) == 4  # two re-basings
+    assert abs(sol.masses[-1] - ref.masses[-1]) <= 1e-9 * ref.masses[-1]
+    assert not np.any(sol.final.values == 0.0)
+    assert [s["exit_fraction"] for s in sol.summaries[:-1]] == [0.0, 0.0]
+
+
+def test_rebasing_zero_fills_exactly_the_labels_it_counts():
+    # b1 = -x pulls the labels with |x| > e^-0.5 back well beyond the box
+    field = linear_field(lam=-1.0, mu=0.0, n=1, j=1)
+    grid = _rebasing_grid()
+    u0 = np.ones((grid.num_x, grid.num_r))
+    config = SolverConfig(nodes_per_slab=9)
+    state, _ = picard_solve(u0, field, None, config, grid, 0.0, 0.5)
+    slc = eulerian_reconstruct(state, field, 0.5)
+    assert slc.exit_fraction == np.mean(slc.values == 0.0) == 4 / 9
+
 def _random_axes(rng, dims):
     """Uniform, geometric and irregular axes of 2 to 7 nodes."""
     axes = []
