@@ -6,7 +6,7 @@ compressibility densities carried by the flow, and solves
 
     du/dt along the flow = integral of gamma(r, r~) u(t, x, r~) dr~
 
-by Picard iteration on automatically chosen contraction slabs.  The
+by Picard iteration on equal contraction slabs of one template.  The
 kernel is finite rank, gamma = sum_l a_l(r) c_l(r~), and the integral
 runs over its declared support: all r~, or r <= r~ for a triangular
 kernel.  A kernel depends on neither t nor x, so the solver evaluates

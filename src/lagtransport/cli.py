@@ -367,12 +367,17 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
             f"invalid solver settings: p = {config.p} with a kernel; "
             "the slab bound needs a finite p > 1"
         )
+    labels = grid.joint_labels()
+    try:
+        u0 = datum(labels[..., : grid.n], labels[..., grid.n :])
+    except ValueError as exc:
+        raise ConfigError(f"invalid initial datum: {exc}") from exc
     t_end = float(cfg["t_end"])
     try:
         check_horizon(t0, t_end)
     except ValueError as exc:
         raise ConfigError(f"{exc} (t0 is the first time node)") from exc
-    sol = continue_solution(datum, field, kernel, config, grid, t_end, t0=t0)
+    sol = continue_solution(u0, field, kernel, config, grid, t_end, t0=t0)
     payload = {
         "command": "solve",
         "t_end": t_end,
@@ -519,10 +524,9 @@ def _verify_battery(
     datum = make_initial("gaussian", x_center=0.5, x_width=0.3)
     labels = probe_grid.joint_labels()
     u0 = datum(labels[..., :1], labels[..., 1:])
+    probe_flow = flow_map(zero_field(1, 1), probe_grid, np.linspace(0.0, 0.25, 17))
     state, _ = picard_solve(
-        u0, zero_field(1, 1), probe_kernel,
-        SolverConfig(picard_tol=1e-12, nodes_per_slab=17),
-        probe_grid, 0.0, 0.25,
+        u0, probe_flow, probe_kernel, SolverConfig(picard_tol=1e-12)
     )
     ref = separable_solve(probe_kernel, state.u0, probe_grid, state.times)
     record(

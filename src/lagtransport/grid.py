@@ -120,13 +120,15 @@ def suffix_weight_matrix(coords: np.ndarray) -> np.ndarray:
     integrand jump always lands exactly on a node.  The last row is zero
     (empty integration range).  This is the reference for
     `suffix_integrals`, which applies it in O(N) per row without building
-    it; no solver path builds the matrix.
+    it; no solver path builds the matrix.  Each row is the `axis_weights`
+    of its subgrid, planned without the plan cache, so one call leaves
+    the cached plans of the process as they were.
     """
     coords = np.asarray(coords, dtype=float)
     npts = coords.size
     mat = np.zeros((npts, npts))
     for m in range(npts - 1):
-        mat[m, m:] = axis_weights(coords[m:])
+        mat[m, m:] = _axis_plan.__wrapped__(coords[m:].tobytes())[0]
     return mat
 
 

@@ -14,13 +14,15 @@ norm, so Picard iteration from u0 converges geometrically; longer
 horizons are covered by chaining slabs, re-basing the initial datum at
 each boundary through an Eulerian reconstruction.  Neither the kernel
 nor the drift b = (b1(x), b2(x, r)) depends on time, so the slab budget
-is measured once per run, from one evaluation of each.
+is measured once per run, from one evaluation of each, and the run is
+equal slabs of one template: flow, operator and pull-backs built once.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,11 +70,11 @@ class SlabSelectionError(Exception):
 
 # Every run uses one value of each, so they are constants rather than
 # SolverConfig fields: the Lipschitz budget per slab (1/2 gives the
-# classic geometric tail), the halvings tried to meet it, the Picard
+# classic geometric tail), the most slabs a run may plan, the Picard
 # iteration cap, and the largest fraction of labels a re-basing may lose
 # out of the label box.
 _SLAB_TARGET = 0.5
-_MAX_HALVINGS = 40
+_MAX_SLABS = 2**40
 _MAX_ITERS = 80
 _EXIT_FRACTION_LIMIT = 1e-3
 
@@ -251,69 +253,72 @@ def fixed_point_residual(
 
 
 def choose_slab(
-    rate: float | None, div_sup: float, remaining: float,
-) -> tuple[float, dict]:
-    """Longest dyadic fraction of the remaining time whose kernel budget
-    stays within the slab target of 1/2.
+    rate: float | None, div_sup: float, horizon: float,
+) -> tuple[float, int]:
+    """(length, count): the fewest equal slabs over the horizon whose
+    kernel budget stays within the slab target of 1/2.
 
-    A candidate of length T is budgeted at rate * T * exp(div_sup * T),
-    where `rate` is the kernel's mixed norm (None without a kernel, which
-    takes all the remaining time) and `div_sup` the sup of |div_r b2|
-    over the label grid.  `continue_solution` measures both once per run;
-    neither depends on time.  rate * T is the time integral of the mixed
-    norm over the candidate, and exp(div_sup * T) the density-ratio
-    envelope, so any accepted candidate honors the contraction budget;
-    the measured Picard ratios are the binding check downstream.  A NaN
-    `div_sup` meets no budget and raises SlabSelectionError.
+    A slab of length T is budgeted at rate * T * exp(div_sup * T), where
+    `rate` is the kernel's mixed norm (None without a kernel: one slab)
+    and `div_sup` the sup of |div_r b2| over the label grid, measured
+    once per run.  rate * T is the time integral of the mixed norm over
+    the slab, and exp(div_sup * T) the density-ratio envelope; the
+    measured Picard ratios are the binding check downstream.  The budget
+    grows with T, so the count is found by bisection over 1 ... 2**40:
+    it is ceil(horizon / T_max), T_max the longest length within the
+    budget.  A budget that needs more than 2**40 slabs, or is NaN and so
+    meets no target, raises SlabSelectionError.
     """
-    if remaining <= 0:
-        raise ValueError("the remaining time must be positive")
+    if not horizon > 0:
+        raise ValueError("the horizon must be positive")
     if rate is None:
-        return remaining, {"bound": 0.0, "rho2_max": 1.0, "halvings": 0}
-    for m in range(_MAX_HALVINGS + 1):
-        t0_len = remaining / 2**m
-        bound = rate * t0_len
-        rho2_max = float(np.exp(div_sup * t0_len))
-        if bound * rho2_max <= _SLAB_TARGET:
-            return t0_len, {
-                "rate": rate, "bound": bound, "rho2_max": rho2_max,
-                "halvings": m,
-            }
-    raise SlabSelectionError(
-        f"kernel budget exceeds {_SLAB_TARGET} even after "
-        f"{_MAX_HALVINGS} halvings"
-    )
+        return horizon, 1
+
+    def within(count):
+        length = horizon / count
+        return rate * length * np.exp(div_sup * length) <= _SLAB_TARGET
+
+    if not within(_MAX_SLABS):
+        raise SlabSelectionError(
+            f"kernel budget (rate {rate:.6g}, divergence sup {div_sup:.6g}) "
+            f"exceeds {_SLAB_TARGET} unless the horizon {horizon:.6g} is cut "
+            "into more than 2**40 slabs"
+        )
+    lo, hi = 0, _MAX_SLABS  # hi slabs meet the budget, lo slabs do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if within(mid) else (mid, hi)
+    return horizon / hi, hi
 
 
 def picard_solve(
     u0_values: np.ndarray,
-    field: StructuredVectorField,
+    fmap: FlowMap,
     kernel: Kernel | None,
     config: SolverConfig,
-    grid: GridSpec,
-    t_start: float,
-    duration: float,
+    _mats=None,
 ) -> tuple[LagrangianState, dict]:
-    """Fixed point of A on one slab by Picard iteration from u0.
+    """Fixed point of A on the slab of `fmap` (its label grid and time
+    nodes) by Picard iteration from u0.
 
     Stops when consecutive iterates differ by less than picard_tol in the
     sup-in-time windowed L^p norm; raises PicardConvergenceError when the
-    budget runs out or a difference is not finite.  The kernel operator
-    is built once and reused for every iteration and the residual.  The
-    summary records differences and their ratios (the measured
+    budget runs out or a difference is not finite.  The kernel operator,
+    `_mats` or else built here, serves every iteration and the residual.
+    The summary records differences and their ratios (the measured
     contraction rate, meaningful from the second ratio on).
     """
     u0_values = np.asarray(u0_values, dtype=float)
+    grid = fmap.grid
     if u0_values.shape != (grid.num_x, grid.num_r):
         raise ValueError("u0_values must have shape (num_x, num_r)")
-    times = np.linspace(t_start, t_start + duration, config.nodes_per_slab)
-    fmap = flow_map(field, grid, times=times)
-    mats = None if kernel is None else _kernel_matrices(fmap, kernel)
+    if _mats is None and kernel is not None:
+        _mats = _kernel_matrices(fmap, kernel)
     spec = config.norm_spec()
-    u = np.broadcast_to(u0_values[None], (times.size,) + u0_values.shape).copy()
+    u = np.repeat(u0_values[None], fmap.times.size, axis=0)
     diffs: list[float] = []
     for _ in range(_MAX_ITERS):
-        u_next = apply_A(u, fmap, kernel, u0_values, _mats=mats)
+        u_next = apply_A(u, fmap, kernel, u0_values, _mats=_mats)
         diff = sup_in_time(u_next - u, grid, spec)
         diffs.append(diff)
         u = u_next
@@ -329,13 +334,11 @@ def picard_solve(
                 if diffs[i] > max(config.picard_tol * 1e-3, 1e-15)
             ]
             summary = {
-                "t_start": float(t_start),
-                "t_end": float(t_start + duration),
                 "iterations": len(diffs),
                 "differences": diffs,
                 "ratios": ratios,
                 "residual": fixed_point_residual(
-                    state, kernel, config, _mats=mats
+                    state, kernel, config, _mats=_mats
                 ),
             }
             return state, summary
@@ -387,26 +390,45 @@ def _node_index(times: np.ndarray, t: float) -> int:
     return k
 
 
-def _slab_node(plan: list, config: SolverConfig, t: float) -> tuple[int, int]:
-    """(slab, node) of t: the first planned slab covering t within 1e-12."""
-    for i, (start, length) in enumerate(plan):
-        if start - 1e-12 <= t <= start + length + 1e-12:
-            times = np.linspace(start, start + length, config.nodes_per_slab)
-            return i, _node_index(times, t)
+def _slab_node(boundaries: list, tau: np.ndarray, t: float) -> tuple[int, int]:
+    """(slab, node) of t: the first slab covering t within 1e-12, whose
+    nodes are its start plus the local nodes `tau`."""
+    for i, (start, end) in enumerate(zip(boundaries[:-1], boundaries[1:])):
+        if start - 1e-12 <= t <= end + 1e-12:
+            return i, _node_index(start + tau, t)
     raise ValueError(f"t={t} outside the solved horizon")
+
+
+def _pull_back(field: StructuredVectorField, grid: GridSpec, t: float, t0: float):
+    """(labels (Nx Nr, n + j), beyond) of the grid's points at t pulled
+    back to t0, under `eulerian_reconstruct`'s box rule."""
+    lab_x, _, lab_r, _ = inverse_flow_grid(
+        field, grid.x_labels(), grid.r_labels(), t, t0
+    )
+    x_part = np.broadcast_to(lab_x[:, None], lab_r.shape[:2] + lab_x.shape[1:])
+    flat = np.concatenate([x_part, lab_r], axis=-1).reshape(-1, grid.n + grid.j)
+    outside = np.zeros(flat.shape[0], dtype=bool)
+    for a, col in zip(grid.axes(), flat.T):
+        pad = 1e-12 * max(1.0, abs(a[-1]) + abs(a[0]))
+        beyond = (col < a[0] - pad) | (col > a[-1] + pad)
+        outside |= beyond
+        col[~beyond] = np.clip(col[~beyond], a[0], a[-1])
+    return flat, outside
 
 
 def eulerian_reconstruct(
     state: LagrangianState,
     field: StructuredVectorField,
     t: float,
+    _pull=None,
 ) -> EulerianSlice:
     """u(t, .) on the state's label grid, read as Eulerian points, from
     the Lagrangian state.
 
     Each Eulerian node is pulled back along the field to the state's base
     time and u~(t) is interpolated multilinearly at that label.  `t` must
-    be one of the state's nodes.
+    be one of the state's nodes.  `_pull` passes the node's pull-back, if
+    already made; `continue_solution` shares one across its slabs.
 
     Box rule: each axis [lo, hi] has a pad of 1e-12 max(1, |lo| + |hi|)
     for the rounding of the pull-back.  A label within the pad is clipped
@@ -414,23 +436,10 @@ def eulerian_reconstruct(
     and `exit_fraction` counts exactly those labels.
     """
     k = _node_index(state.times, t)
-    t0 = float(state.times[0])
     grid = state.grid
-    lab_x, _, lab_r, _ = inverse_flow_grid(
-        field, grid.x_labels(), grid.r_labels(), float(state.times[k]), t0
-    )
-    n, j = grid.n, grid.j
-    pts = np.empty((grid.num_x, grid.num_r, n + j))
-    pts[..., :n] = lab_x[:, None, :]
-    if j:
-        pts[..., n:] = lab_r
-    flat = pts.reshape(-1, n + j)
-    outside = np.zeros(flat.shape[0], dtype=bool)
-    for a, col in zip(grid.axes(), flat.T):
-        pad = 1e-12 * max(1.0, abs(a[-1]) + abs(a[0]))
-        beyond = (col < a[0] - pad) | (col > a[-1] + pad)
-        outside |= beyond
-        col[~beyond] = np.clip(col[~beyond], a[0], a[-1])
+    if _pull is None:
+        _pull = _pull_back(field, grid, state.times[k], state.times[0])
+    flat, outside = _pull
     # only the labels beyond the pad are left outside the box, to be 0
     vals = _multilinear(
         grid.axes(), state.values[k].reshape(grid.shape), flat, 0.0
@@ -489,23 +498,23 @@ def continue_solution(
     t0: float = 0.0,
     slice_times=(),
 ) -> ContinuedSolution:
-    """Solve on [t0, t_end] by chaining automatically chosen slabs.
+    """Solve on [t0, t_end] by chaining equal slabs of one template.
 
     `u0` is either nodal values (Nx, Nr) or a callable u0(x, r) sampled on
-    the label grid.  At each slab boundary the state is reconstructed on
-    the label grid (fresh Eulerian datum) and a new flow is launched.  By
-    `eulerian_reconstruct`'s box rule, a label pulled back within the
-    box's 1e-12 pad is read on the box face, and one beyond it is set to 0
-    and counted; the run aborts if more than 0.1% of the labels are set
-    to 0.  Every slab runs on the one `grid` (and its cached weights).
-
-    The slab budget (the kernel's slab rate and the sup of |div_r b2| over
-    the label grid) does not depend on time, so all slabs are planned
-    first: a horizon `check_horizon` rejects, or a slice time off the
-    planned nodes, raises ValueError before any work.  Each slab's state
-    is dropped once its masses and slices are read.
+    the label grid.  The slab budget (the kernel's slab rate and the sup
+    of |div_r b2| over the label grid) does not depend on time, so
+    `choose_slab` plans the run once; a horizon `check_horizon` rejects,
+    or a slice time off the planned nodes, raises before any work.  Every
+    slab is the first shifted in time, so the flow map, the kernel
+    operator and the pull-back of each node read are built once, on the
+    local nodes tau = linspace(0, T0, nodes_per_slab).  Each slab iterates
+    Picard on them, reads its masses and slices at t_start + tau, drops
+    its state, and re-bases its last node on the label grid.  By
+    `eulerian_reconstruct`'s box rule a label pulled back beyond the
+    box's 1e-12 pad is set to 0; a run of more than one slab whose
+    re-basing would set more than 0.1% of them aborts before solving.
     """
-    t_stop = check_horizon(t0, t_end)
+    check_horizon(t0, t_end)
     u_cur = _sample_initial(u0, grid)
     rate, div_sup = None, 0.0
     if kernel is not None:
@@ -515,40 +524,44 @@ def continue_solution(
             field.div_b2(labels[..., : grid.n], labels[..., grid.n :]),
             dtype=float,
         ))))
-    plan, boundaries = [], [t0]
-    while boundaries[-1] < t_stop:
-        t0_len, _ = choose_slab(rate, div_sup, t_end - boundaries[-1])
-        plan.append((boundaries[-1], t0_len))
-        boundaries.append(float(boundaries[-1] + t0_len))
-    where = {t: _slab_node(plan, config, t) for t in (*slice_times, boundaries[-1])}
+    length, count = choose_slab(rate, div_sup, t_end - t0)
+    boundaries = list(itertools.accumulate([length] * count, initial=t0))
+    tau = np.linspace(0.0, length, config.nodes_per_slab)
+    last = tau.size - 1
+    where = {t: _slab_node(boundaries, tau, t) for t in (*slice_times, boundaries[-1])}
+    nodes = {k for _, k in where.values()}  # the last node among them
+    pulls = {k: _pull_back(field, grid, tau[k], 0.0) for k in nodes}
+    exit_fraction = float(np.mean(pulls[last][1]))
+    if count > 1 and exit_fraction > _EXIT_FRACTION_LIMIT:
+        raise PreconditionError(
+            f"re-basing at t={boundaries[1]:.6g} lost {exit_fraction:.2%} "
+            f"of labels (limit {_EXIT_FRACTION_LIMIT:.2%})"
+        )
+    fmap = flow_map(field, grid, tau)
+    mats = None if kernel is None else _kernel_matrices(fmap, kernel)
     made = dict.fromkeys(where.values())  # (slab, node) -> EulerianSlice
     w = grid.x_weights()[:, None] * grid.r_weights()[None, :]
     mass_times, masses, summaries = [], [], []
-    for i, (t_start, t0_len) in enumerate(plan):
-        state, summary = picard_solve(
-            u_cur, field, kernel, config, grid, t_start, t0_len
-        )
+    for i, t_start in enumerate(boundaries[:-1]):
+        # the template shifted in time: its arrays on the nodes t_start + tau
+        shifted = replace(fmap, times=t_start + tau)
+        state, summary = picard_solve(u_cur, shifted, kernel, config, _mats=mats)
         for slab, k in made:
             if slab == i:
-                made[slab, k] = eulerian_reconstruct(state, field, state.times[k])
+                made[slab, k] = eulerian_reconstruct(
+                    state, field, state.times[k], _pull=pulls[k])
         start = 0 if i == 0 else 1
         # mass int u dy dr as the label-grid quadrature of u~ exp(logJ), a
         # row sum per node: the same pairwise sum as np.sum(dens[k])
-        dens = w * state.values[start:] * np.exp(state.fmap.logj()[start:])
+        dens = w * state.values[start:] * np.exp(fmap.logj()[start:])
         mass_times.extend(state.times[start:].tolist())
         masses.extend(dens.reshape(dens.shape[0], -1).sum(axis=1).tolist())
         del dens
-        if i + 1 < len(plan):
-            slc = made.get((i, config.nodes_per_slab - 1))
-            slc = slc or eulerian_reconstruct(state, field, state.times[-1])
-            if slc.exit_fraction > _EXIT_FRACTION_LIMIT:
-                raise PreconditionError(
-                    f"re-basing at t={boundaries[i + 1]:.6g} lost "
-                    f"{slc.exit_fraction:.2%} of labels "
-                    f"(limit {_EXIT_FRACTION_LIMIT:.2%})"
-                )
-            u_cur = slc.values
-            summary["exit_fraction"] = slc.exit_fraction
+        summary.update(t_start=float(t_start), t_end=float(boundaries[i + 1]))
+        if i + 1 < count:
+            u_cur = (made.get((i, last)) or eulerian_reconstruct(
+                state, field, state.times[last], _pull=pulls[last])).values
+            summary["exit_fraction"] = exit_fraction
         summaries.append(summary)
         del state
     return ContinuedSolution(
@@ -561,19 +574,17 @@ def continue_solution(
     )
 
 
-def check_horizon(t0: float, t_end: float) -> float:
-    """The time at which the slab loop over [t0, t_end] stops: t_end less
-    1e-12 max(1, |t_end|), which absorbs the rounding of summed slab
-    lengths.  Raises ValueError when no slab can cover the horizon: t_end
-    must be finite and exceed t0 by more than that tolerance (a
-    non-finite t_end makes the stop time NaN or -inf)."""
+def check_horizon(t0: float, t_end: float) -> None:
+    """Raise ValueError when no slab can cover the horizon [t0, t_end]:
+    t_end must be finite and exceed t0 by more than 1e-12 max(1, |t_end|),
+    the tolerance that absorbs the rounding of summed slab lengths (a
+    non-finite t_end fails the comparison)."""
     tol = 1e-12 * max(1.0, abs(t_end))
     if not t0 < t_end - tol:
         raise ValueError(
             f"t_end = {t_end!r} must be finite and exceed t0 = {t0!r} by "
             f"more than {tol:.3g}"
         )
-    return t_end - tol
 
 
 def _sample_initial(u0, grid: GridSpec) -> np.ndarray:
@@ -595,16 +606,32 @@ def _sample_initial(u0, grid: GridSpec) -> np.ndarray:
 
 
 class _GaussianDatum:
-    """amp * exp(-|x - cx|^2 / wx) * exp(-|r - cr|^2 / wr)."""
+    """amp * exp(-|x - cx|^2 / wx) * exp(-|r - cr|^2 / wr).
 
-    def __init__(self, x_center, x_width, r_center, r_width, amplitude):
+    A center is a number or a flat list of one value or one per axis of
+    its block, checked when the datum is called; a width is finite and
+    positive."""
+
+    def __init__(self, x_center=0.0, x_width=0.8, r_center=0.5, r_width=0.08,
+                 amplitude=1.0):
         self.x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
         self.x_width = float(x_width)
         self.r_center = np.atleast_1d(np.asarray(r_center, dtype=float))
         self.r_width = float(r_width)
         self.amplitude = float(amplitude)
+        if self.x_center.ndim > 1 or self.r_center.ndim > 1:
+            raise ValueError("a center must be a number or a flat list")
+        if not (0.0 < self.x_width < np.inf and 0.0 < self.r_width < np.inf):
+            raise ValueError(f"widths must be finite and positive, got "
+                             f"{self.x_width!r} and {self.r_width!r}")
 
     def __call__(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        if (self.x_center.size not in (1, x.shape[-1])
+                or self.r_center.size not in (1, r.shape[-1])):
+            raise ValueError(
+                f"centers of {self.x_center.size} and {self.r_center.size} "
+                f"values for blocks of dimension {x.shape[-1]} and {r.shape[-1]}"
+            )
         out = self.amplitude * np.exp(
             -np.sum((x - self.x_center) ** 2, axis=-1) / self.x_width
         )
@@ -622,7 +649,7 @@ class _LogGaussianDatum:
     decades of r: smooth and well resolved on geometric r grids.
     """
 
-    def __init__(self, r_center, r_sigma, amplitude):
+    def __init__(self, r_center=0.25, r_sigma=0.2, amplitude=1.0):
         self.r_center = float(r_center)
         self.r_sigma = float(r_sigma)
         self.amplitude = float(amplitude)
@@ -638,7 +665,7 @@ class _LogGaussianDatum:
 
 
 class _ConstantDatum:
-    def __init__(self, value):
+    def __init__(self, value=1.0):
         self.value = float(value)
 
     def __call__(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -653,25 +680,17 @@ _INITIAL_BUILDERS = {
 
 
 def make_initial(name: str, **params):
-    """Catalogue initial data: gaussian, log_gaussian, constant."""
-    defaults = {
-        "gaussian": {
-            "x_center": 0.0, "x_width": 0.8,
-            "r_center": 0.5, "r_width": 0.08, "amplitude": 1.0,
-        },
-        "log_gaussian": {"r_center": 0.25, "r_sigma": 0.2, "amplitude": 1.0},
-        "constant": {"value": 1.0},
-    }
+    """Catalogue initial data: gaussian, log_gaussian, constant; each
+    parameter left out takes its default in the datum's signature."""
     try:
         builder = _INITIAL_BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown initial datum {name!r}") from None
-    kwargs = dict(defaults[name])
-    for key, val in params.items():
-        if key not in kwargs:
+    known = inspect.signature(builder).parameters
+    for key in params:
+        if key not in known:
             raise ValueError(f"unknown parameter {key!r} for datum {name!r}")
-        kwargs[key] = val
-    return builder(**kwargs)
+    return builder(**params)
 
 
 def slice_to_csv(slc: EulerianSlice, path) -> None:

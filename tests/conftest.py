@@ -26,6 +26,30 @@ def modulated_logistic_field(mu=0.3, a=0.5):
     )
 
 
+def sobolev_shear_field(alpha=0.5, mu=0.3):
+    """A shear on n = 2, j = 1: b1 = (|x2|^alpha, 0), div b1 = 0, with
+    the logistic fiber b2 = mu r (1 - r), which ignores x.
+
+    b1 is in W^{1,p}_loc for p < 1/(1 - alpha) but not Lipschitz at
+    x2 = 0, the setting of the paper's stability theorem, and its
+    divergence is bounded.  Its flow is X1 = (x1 + t |x2|^alpha, x2), with
+    logJ1 = 0."""
+
+    def b1(x):
+        out = np.zeros(x.shape)
+        out[..., 0] = np.abs(x[..., 1]) ** alpha
+        return out
+
+    return StructuredVectorField(
+        "sobolev_shear", 2, 1,
+        b1=b1,
+        b2=lambda x, r: mu * r * (1.0 - r),
+        div_b1=lambda x: np.zeros(x.shape[:-1]),
+        div_b2=lambda x, r: mu * (1.0 - 2.0 * r[..., 0]),
+        fiber_ignores_x=True,
+    )
+
+
 def counting_field(field, names):
     """`field` with the callables `names` rebound to count their calls;
     returns the field and its {name: calls} dict."""
@@ -51,9 +75,9 @@ class Counting:
         self.fn = fn
         self.calls = 0
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.fn(*args)
+        return self.fn(*args, **kwargs)
 
 
 def same_bits(a, b):

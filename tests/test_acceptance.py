@@ -246,9 +246,8 @@ def test_criterion_7_oracle_equivalence_and_mass_law():
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.3))
     state, _ = picard_solve(
-        u0, zero_field(1, 1), kern,
-        SolverConfig(picard_tol=1e-10, nodes_per_slab=33),
-        grid, 0.0, 0.25,
+        u0, flow_map(zero_field(1, 1), grid, np.linspace(0.0, 0.25, 33)), kern,
+        SolverConfig(picard_tol=1e-10),
     )
     ref = separable_solve(kern, state.u0, grid, state.times)
     gap = float(np.max(np.abs(state.values - ref)))

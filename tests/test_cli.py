@@ -1,8 +1,10 @@
 """Command line interface: config validation, outputs, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +291,22 @@ def test_bad_configs_exit_2(tmp_path, mutate):
     assert not list(tmp_path.glob("flow_*.json"))
 
 
+# Gaussian data the solve grid (n = j = 1) cannot take
+_BAD_GAUSSIANS = (
+    {"x_center": [[0.5, 0.5], [0.5, 0.5]]},
+    {"r_center": [[0.5, 0.5], [0.5, 0.5]]},
+    {"x_center": [0.5, 0.2]},
+    {"r_center": [0.5, 0.4]},
+    {"x_width": 0},
+    {"r_width": 0},
+    {"x_width": -1},
+)
+
+
+def _set_datum(params, cfg):
+    cfg["initial"] = {"name": "gaussian", "params": params}
+
+
 @pytest.mark.parametrize(
     "command, mutate",
     [
@@ -376,6 +394,9 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         ("solve", lambda c: c.update({"t_end": 1e-12})),
         ("solve", lambda c: (c["grid"].update({"time_nodes": [1e6, 1e6 + 0.5]}),
                              c.update({"t_end": 1e6 + 1e-7}))),
+        # a Gaussian center is a number or a flat list of one value or one
+        # per axis of its block, and a width is finite and positive
+        *(("solve", partial(_set_datum, params)) for params in _BAD_GAUSSIANS),
     ],
     ids=[
         "solve-kernel_j", "solve-string_scale", "solve-string_c",
@@ -396,6 +417,8 @@ def test_bad_configs_exit_2(tmp_path, mutate):
         "solve-bool_time_node", "solve-bool_time_start", "solve-list_mu",
         "solve-t_end=1e-13", "solve-t_end=5e-13", "solve-t_end=1e-12",
         "solve-t_end_1e-7_past_1e6",
+        *(f"solve-{'-'.join(f'{k}={v}' for k, v in params.items())}"
+          for params in _BAD_GAUSSIANS),
     ],
 )
 def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
@@ -407,6 +430,24 @@ def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
     assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", _BAD_GAUSSIANS)
+def test_bad_gaussian_datum_is_rejected_before_any_work(
+    tmp_path, monkeypatch, capsys, params
+):
+    from lagtransport import cli, transport
+
+    solved = Counting(transport.continue_solution)
+    monkeypatch.setattr(cli, "continue_solution", solved)
+    cfg = solve_config()
+    _set_datum(params, cfg)
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "bad.json", cfg)
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert "config error: invalid initial datum: " in capsys.readouterr().err
+    assert solved.calls == 0
     assert not out.exists()
 
 
@@ -622,8 +663,8 @@ def test_numerical_failure_removes_the_directories_it_created(tmp_path, monkeypa
 def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatch):
     # b = 0 is declared, so no flow integrates; the slab budget is
     # measured once for the run, not at each of its slab boundaries.
-    # gamma is evaluated once, for the slab rate: each of the 23 slabs
-    # applies the kernel through its factors
+    # gamma is evaluated once, for the slab rate: each of the 17 equal
+    # slabs applies the kernel through its factors
     from lagtransport import cli, flow, transport
 
     calls = []
@@ -652,13 +693,13 @@ def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatc
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert calls == ["kernel_slab_rate"]
     payload = json.loads(next(tmp_path.glob("solve_*.json")).read_text())
-    assert len(payload["run"]["slabs"]) == 23
+    assert len(payload["run"]["slabs"]) == 17
     assert [k.gamma.calls for k in kernels] == [1]
 
 
 def test_mollified_solve_flows_one_fiber_per_solve(tmp_path, monkeypatch):
     # the logistic fiber drift ignores x, and the mollified field says so:
-    # every forward map and Eulerian re-basing of a solve integrates one
+    # the forward map and the Eulerian re-basing of a solve integrate one
     # fiber of Nr points, never the Nx x Nr labels as a stacked system
     from lagtransport import cli, flow
 
@@ -684,10 +725,10 @@ def test_mollified_solve_flows_one_fiber_per_solve(tmp_path, monkeypatch):
     path = write_config(tmp_path / "cfg.json", cfg)
     assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
     payload = json.loads(next(tmp_path.glob("solve_*.json")).read_text())
-    # each of the two slabs flows its labels forward, then re-bases its
-    # end on the grid through the inverse flow: an x block and one fiber
+    # the two slabs share one forward flow of the labels and one inverse
+    # flow of their end for the re-basing: each an x block and one fiber
     assert len(payload["run"]["slabs"]) == 2
-    assert sizes == [2 * nx, 2 * nr] * 4
+    assert sizes == [2 * nx, 2 * nr] * 2
 
 
 def test_catalogue_builders_are_looked_up_when_called(tmp_path, monkeypatch):
@@ -718,16 +759,41 @@ def test_unknown_subcommand_exits_2(tmp_path):
 
 
 def test_unreachable_slab_budget_exits_3(tmp_path):
-    # rate 1e13 over 0.5 stays above the budget after every halving
+    # rate 1e13 over 0.5 needs about 1e13 slabs, more than 2**40
     payload = solve_config()
     payload["kernel"] = {"name": "constant", "params": {"c": 1e13}}
     del payload["solver"]
     cfg = write_config(tmp_path / "s.json", payload)
-    res = run_cli("solve", "--config", cfg, "--out", str(tmp_path))
+    out = tmp_path / "out"
+    res = run_cli("solve", "--config", cfg, "--out", str(out))
     assert res.returncode == 3
     assert "numerical failure" in res.stderr
-    assert "kernel budget exceeds 0.5 even after 40 halvings" in res.stderr
-    assert not list(tmp_path.glob("solve_*.json"))
+    assert ("kernel budget (rate 1e+13, divergence sup 0) exceeds 0.5 unless "
+            "the horizon 0.5 is cut into more than 2**40 slabs") in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("poisoned", ["rate", "div_sup"])
+def test_nan_slab_budget_exits_3(tmp_path, monkeypatch, capsys, poisoned):
+    # a NaN kernel rate or divergence sup meets no slab budget
+    from lagtransport import cli, transport
+
+    if poisoned == "rate":
+        monkeypatch.setattr(transport, "kernel_slab_rate", lambda *args: np.nan)
+    else:
+        def nan_divergence(*args, _real=cli.make_field, **kwargs):
+            return dataclasses.replace(
+                _real(*args, **kwargs),
+                div_b2=lambda x, r: np.full(r.shape[:-1], np.nan),
+            )
+
+        monkeypatch.setattr(cli, "make_field", nan_divergence)
+    cfg = write_config(tmp_path / "s.json", solve_config())
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure: kernel budget (rate " in (err := capsys.readouterr().err)
+    assert "nan" in err
+    assert not out.exists()
 
 
 def test_picard_budget_exhaustion_exits_3(tmp_path, monkeypatch, capsys):

@@ -182,6 +182,26 @@ def test_tail_plan_tests_each_axis_once(monkeypatch):
     assert calls == [21, 21]
 
 
+def test_suffix_weight_matrix_leaves_the_plan_cache_alone():
+    # a row per tail of the axis: planned through the cache, one call on
+    # 257 nodes would make 256 misses and evict every cached plan
+    planned = np.geomspace(0.41, 2.9, 33)
+    axis_weights(planned)
+    plan = grid_module._axis_plan
+    before = plan.cache_info()
+    coords = np.geomspace(1e-8, 1.0, 257)
+    mat = suffix_weight_matrix(coords)
+    after = plan.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    axis_weights(planned)
+    assert plan.cache_info().hits == after.hits + 1
+    # each row keeps the bits of its subgrid's axis_weights
+    for m in (0, 1, 100, 254, 255):
+        assert np.array_equal(mat[m, m:], axis_weights(coords[m:]))
+        assert not mat[m, :m].any()
+    assert not mat[-1].any()
+
+
 def test_suffix_integrals_reject_other_axes():
     with pytest.raises(ValueError, match="uniform or geometric"):
         suffix_integrals(np.array([0.0, 0.1, 0.5, 1.0]), np.ones(4))

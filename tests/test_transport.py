@@ -46,7 +46,7 @@ from lagtransport.transport import (
     slice_to_csv,
 )
 
-from conftest import Counting, counting_field
+from conftest import Counting, counting_field, modulated_logistic_field
 
 SEPARABLE_TERMS = ((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
 
@@ -58,6 +58,11 @@ def _fiber_grid(nr=33, nx=2):
         r_bounds=((0.0, 1.0),),
         r_counts=(nr,),
     )
+
+
+def _slab(field, grid, duration, nodes):
+    """The flow map of the slab [0, duration] on `nodes` equal steps."""
+    return flow_map(field, grid, np.linspace(0.0, duration, nodes))
 
 
 def _fiber_datum(grid, datum):
@@ -366,7 +371,7 @@ def test_picard_residual_matches_fixed_point_residual(field, factored):
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
-    state, summary = picard_solve(u0, field, kern, config, grid, 0.0, 0.25)
+    state, summary = picard_solve(u0, _slab(field, grid, 0.25, 9), kern, config)
     if factored:
         residual = fixed_point_residual(state, kern, config)
     else:
@@ -417,9 +422,7 @@ def test_fixed_point_residual_vanishes_for_true_fixed_point():
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-12, nodes_per_slab=17)
-    state, _ = picard_solve(
-        u0, zero_field(1, 1), kern, config, grid, 0.0, 0.5
-    )
+    state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 17), kern, config)
     assert fixed_point_residual(state, kern, config) < 1e-11
 
 
@@ -429,28 +432,41 @@ def test_fixed_point_residual_vanishes_for_true_fixed_point():
 
 
 def test_choose_slab_without_kernel_takes_everything():
-    length, diag = choose_slab(None, 0.0, 3.0)
-    assert length == 3.0
-    assert diag["bound"] == 0.0
+    assert choose_slab(None, 0.0, 3.0) == (3.0, 1)
 
 
-def test_choose_slab_halves_until_budget_met():
-    # constant kernel on the unit fiber has rate c; with b = 0 the budget
-    # is c * T, so c = 0.7 over T = 1 needs exactly one halving for a
-    # 0.5 target
+def _slab_budget(rate, div_sup, length):
+    return rate * length * np.exp(div_sup * length)
+
+
+@pytest.mark.parametrize(
+    "div_sup, horizon, count", [(0.0, 1.0, 2), (1.0, 3.0, 7), (0.0, 0.7, 1)],
+)
+def test_choose_slab_cuts_the_horizon_into_equal_slabs(div_sup, horizon, count):
+    # constant kernel on the unit fiber has rate c; the budget of a slab
+    # of length T is c T exp(div_sup T).  c = 0.7 over T = 1 needs two
+    # slabs of 0.5 for a 0.5 target; one slab fewer breaks the budget
     rate = kernel_slab_rate(constant_kernel(c=0.7), _fiber_grid(), 2.0)
-    length, diag = choose_slab(rate, 0.0, 1.0)
-    assert abs(length - 0.5) < 1e-12
-    assert diag["halvings"] == 1
-    assert abs(diag["rate"] - 0.7) < 1e-10
-    assert abs(diag["bound"] - 0.35) < 1e-10
+    assert abs(rate - 0.7) < 1e-10
+    length, got = choose_slab(rate, div_sup, horizon)
+    assert got == count
+    assert length == horizon / count
+    assert _slab_budget(rate, div_sup, length) <= 0.5
+    if count > 1:
+        assert _slab_budget(rate, div_sup, horizon / (count - 1)) > 0.5
 
 
 def test_choose_slab_raises_when_budget_unreachable():
-    # rate 1e13 over T = 1 stays above the 0.5 target after 40 halvings
+    # rate 1e13 over T = 1 needs 1e13 slabs, more than 2**40; a NaN rate
+    # or divergence sup meets no budget at any slab length
     rate = kernel_slab_rate(constant_kernel(c=1e13), _fiber_grid(), 2.0)
-    with pytest.raises(SlabSelectionError, match="0.5 even after 40 halvings"):
-        choose_slab(rate, 0.0, 1.0)
+    for args, shown in (((rate, 0.0), "rate 1e+13, divergence sup 0"),
+                        ((np.nan, 0.0), "rate nan, divergence sup 0"),
+                        ((0.7, np.nan), "rate 0.7, divergence sup nan")):
+        with pytest.raises(SlabSelectionError) as err:
+            choose_slab(*args, 1.0)
+        assert f"kernel budget ({shown}) exceeds 0.5" in str(err.value)
+        assert "more than 2**40 slabs" in str(err.value)
 
 
 # ---------------------------------------------------------------------
@@ -463,9 +479,8 @@ def test_picard_matches_separable_oracle():
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.3))
     state, summary = picard_solve(
-        u0, zero_field(1, 1), kern,
-        SolverConfig(picard_tol=1e-10, nodes_per_slab=33),
-        grid, 0.0, 0.25,
+        u0, _slab(zero_field(1, 1), grid, 0.25, 33), kern,
+        SolverConfig(picard_tol=1e-10),
     )
     ref = separable_solve(kern, state.u0, grid, state.times)
     assert np.max(np.abs(state.values - ref)) < 1e-6
@@ -481,8 +496,8 @@ def test_picard_diverges_gracefully_when_budget_too_small():
     u0 = np.ones((grid.num_x, grid.num_r))
     with pytest.raises(PicardConvergenceError, match="in 80 iterations") as err:
         picard_solve(
-            u0, zero_field(1, 1), kern, SolverConfig(picard_tol=1e-8),
-            grid, 0.0, 1.0,
+            u0, _slab(zero_field(1, 1), grid, 1.0, 17), kern,
+            SolverConfig(picard_tol=1e-8),
         )
     assert len(err.value.diffs) == 80
     assert np.all(np.isfinite(err.value.diffs))
@@ -494,8 +509,8 @@ def test_picard_stops_at_first_non_finite_difference():
     u0[0, 3] = np.nan
     with pytest.raises(PicardConvergenceError) as err:
         picard_solve(
-            u0, zero_field(1, 1), separable_kernel(), SolverConfig(),
-            grid, 0.0, 0.5,
+            u0, _slab(zero_field(1, 1), grid, 0.5, 17), separable_kernel(),
+            SolverConfig(),
         )
     assert len(err.value.diffs) == 1
     assert not np.isfinite(err.value.diffs[0])
@@ -537,8 +552,8 @@ def test_picard_rejects_wrong_datum_shape():
     grid = _fiber_grid()
     with pytest.raises(ValueError):
         picard_solve(
-            np.ones((3, 3)), zero_field(1, 1), None, SolverConfig(),
-            grid, 0.0, 0.5,
+            np.ones((3, 3)), _slab(zero_field(1, 1), grid, 0.5, 17), None,
+            SolverConfig(),
         )
 
 
@@ -552,7 +567,7 @@ def test_reconstruct_zero_field_returns_lagrangian_slice():
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
-    state, _ = picard_solve(u0, zero_field(1, 1), kern, config, grid, 0.0, 0.5)
+    state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 9), kern, config)
     slc = eulerian_reconstruct(state, zero_field(1, 1), 0.5)
     assert slc.exit_fraction == 0.0
     assert np.allclose(slc.values, state.values[-1], atol=1e-12)
@@ -574,7 +589,7 @@ def test_reconstruct_linear_field_matches_transport():
     )
     u0 = _fiber_datum(grid, datum)
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
-    state, _ = picard_solve(u0, field, None, config, grid, 0.0, 0.3)
+    state, _ = picard_solve(u0, _slab(field, grid, 0.3, 9), None, config)
     slc = eulerian_reconstruct(state, field, 0.3)
     xs = grid.x_labels()
     rs = grid.r_labels()
@@ -623,7 +638,7 @@ def test_rebasing_zero_fills_exactly_the_labels_it_counts():
     grid = _rebasing_grid()
     u0 = np.ones((grid.num_x, grid.num_r))
     config = SolverConfig(nodes_per_slab=9)
-    state, _ = picard_solve(u0, field, None, config, grid, 0.0, 0.5)
+    state, _ = picard_solve(u0, _slab(field, grid, 0.5, 9), None, config)
     slc = eulerian_reconstruct(state, field, 0.5)
     assert slc.exit_fraction == np.mean(slc.values == 0.0) == 4 / 9
 
@@ -689,9 +704,7 @@ def test_reconstruct_requires_solved_time_node():
     grid = _fiber_grid()
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
     u0 = np.ones((grid.num_x, grid.num_r))
-    state, _ = picard_solve(
-        u0, zero_field(1, 1), None, config, grid, 0.0, 0.5
-    )
+    state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 9), None, config)
     with pytest.raises(ValueError):
         eulerian_reconstruct(state, zero_field(1, 1), 0.123)
 
@@ -831,7 +844,8 @@ def test_a_run_holds_at_most_one_slab_state(monkeypatch):
     grid = _fiber_grid(nr=65, nx=8)
     args = _growth_run_args(grid)
     state, _ = picard_solve(
-        np.ones((grid.num_x, grid.num_r)), *args[1:], 0.0, 0.5
+        np.ones((grid.num_x, grid.num_r)), _slab(args[1], grid, 0.5, 9),
+        *args[2:4],
     )
     fmap = state.fmap
     one_state = state.values.nbytes + sum(
@@ -840,7 +854,7 @@ def test_a_run_holds_at_most_one_slab_state(monkeypatch):
     del state, fmap
     continue_solution(*args, 1.0)  # caches the grid's weights and labels
     peaks, slabs = [], []
-    for t_end in (1.0, 11.0):
+    for t_end in (1.0, 14.5):
         tracemalloc.start()
         try:
             slabs.append(len(continue_solution(*args, t_end).summaries))
@@ -852,14 +866,14 @@ def test_a_run_holds_at_most_one_slab_state(monkeypatch):
     # no earlier state is alive when the next slab is solved
     states = []
 
-    def solve(*solve_args):
+    def solve(*solve_args, **solve_kwargs):
         assert all(ref() is None for ref in states)
-        out = picard_solve(*solve_args)
+        out = picard_solve(*solve_args, **solve_kwargs)
         states.append(weakref.ref(out[0]))
         return out
 
     monkeypatch.setattr(transport, "picard_solve", solve)
-    assert len(continue_solution(*args, 11.0).summaries) == len(states) == slabs[1]
+    assert len(continue_solution(*args, 14.5).summaries) == len(states) == slabs[1]
 
 
 def test_slices_on_the_boundaries_reuse_the_re_basing_slices(monkeypatch):
@@ -873,6 +887,100 @@ def test_slices_on_the_boundaries_reuse_the_re_basing_slices(monkeypatch):
     assert counted.calls == len(sol.summaries) >= 2
     assert sol.slices[boundaries[-1]] is sol.final
     assert [sol.slices[b].t for b in boundaries[1:]] == boundaries[1:]
+
+
+class _Spy:
+    """A callable that records the arguments and results of its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.args, self.results = [], []
+
+    def __call__(self, *args, **kwargs):
+        self.args.append(args)
+        self.results.append(self.fn(*args, **kwargs))
+        return self.results[-1]
+
+
+@pytest.mark.parametrize("t_end", [2.3, 5.3], ids=["3_slabs", "7_slabs"])
+def test_a_run_plans_once_and_builds_one_slab_template(monkeypatch, t_end):
+    # neither the kernel nor the drift depends on time: a run is one plan
+    # of equal slabs, and one flow map, one operator and one pull-back per
+    # node it reads serve every slab, whatever the slab count
+    field = logistic_field(k=1, mu=0.3)
+    args = (
+        make_initial("gaussian", x_center=0.5), field,
+        separable_kernel(terms=SEPARABLE_TERMS),
+        SolverConfig(picard_tol=1e-10, nodes_per_slab=9), _fiber_grid(nr=17, nx=5),
+        t_end,
+    )
+    ref = continue_solution(*args, t0=0.3)
+    # a boundary and an interior node of the third slab: two nodes read
+    slice_times = (ref.boundaries[1], ref.mass_times[2 * 8 + 3])
+    spies = {
+        name: _Spy(getattr(transport, name))
+        for name in ("choose_slab", "flow_map", "_kernel_matrices",
+                     "inverse_flow_grid", "picard_solve")
+    }
+    for name, spy in spies.items():
+        monkeypatch.setattr(transport, name, spy)
+    sol = continue_solution(*args, t0=0.3, slice_times=slice_times)
+    (rate, div_sup, horizon), = spies["choose_slab"].args
+    (length, count), = spies["choose_slab"].results
+    assert count == len(sol.summaries) >= 3
+    assert rate * (horizon / (count - 1)) * np.exp(div_sup * horizon / (count - 1)) > 0.5
+    calls = {name: len(spy.args) for name, spy in spies.items()}
+    assert calls == {"choose_slab": 1, "flow_map": 1, "_kernel_matrices": 1,
+                     "inverse_flow_grid": 2, "picard_solve": count}
+    # every slab iterates on the one template, built on local nodes and
+    # shifted to the slab's start
+    fmap, = spies["flow_map"].results
+    assert fmap.times[0] == 0.0 and fmap.times[-1] == length
+    for i, start in enumerate(sol.boundaries[:-1]):
+        slab = spies["picard_solve"].args[i][1]
+        assert all(getattr(slab, a) is getattr(fmap, a)
+                   for a in ("grid", "x1", "logj1", "x2", "logj2"))
+        assert np.array_equal(slab.times, start + fmap.times)
+        assert np.array_equal(sol.mass_times[8 * i + 1 : 8 * i + 9], slab.times[1:])
+    assert [sol.slices[t].t for t in slice_times] == list(slice_times)
+    assert np.array_equal(sol.masses, ref.masses)
+
+
+@pytest.mark.parametrize(
+    "field", [modulated_logistic_field(), logistic_field(k=1, mu=0.3)],
+    ids=["modulated_logistic", "logistic"],
+)
+def test_the_slab_template_is_each_slab_on_its_own_nodes(field):
+    # slab k's flow on the local nodes tau is its flow on t_start + tau to
+    # rounding, so chaining per-slab flows on absolute nodes, on the same
+    # plan, gives the template run's masses and final slice
+    grid = GridSpec(x_bounds=((-np.pi, np.pi),), x_counts=(17,),
+                    r_bounds=((0.0, 1.0),), r_counts=(65,))
+    kern = separable_kernel(terms=SEPARABLE_TERMS)
+    config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
+    datum = make_initial("gaussian", x_center=0.3)
+    sol = continue_solution(datum, field, kern, config, grid, 3.3, t0=0.3)
+    assert len(sol.summaries) >= 4
+    tau = np.linspace(0.0, sol.boundaries[1] - sol.boundaries[0], 9)
+    local = flow_map(field, grid, tau)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    u = _fiber_datum(grid, datum)
+    w = grid.x_weights()[:, None] * grid.r_weights()[None, :]
+    masses = []
+    for start in sol.boundaries[:-1]:
+        fmap = flow_map(field, grid, start + tau)
+        for a, b in ((local.x1, fmap.x1), (local.x2, fmap.x2),
+                     (local.logj(), fmap.logj())):
+            assert rel(a, b) < 1e-14
+        state, _ = picard_solve(u, fmap, kern, config)
+        dens = (w * state.values * np.exp(fmap.logj())).reshape(9, -1)
+        masses.extend(dens.sum(axis=1)[1 if masses else 0 :])
+        u = eulerian_reconstruct(state, field, state.times[-1]).values
+    assert rel(np.array(masses), sol.masses) < 1e-14
+    assert rel(u, sol.final.values) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -906,10 +1014,13 @@ def test_nan_divergence_budget_raises_slab_selection_error():
         )
 
 
-def test_continue_solution_aborts_on_label_exit():
+def test_continue_solution_aborts_on_label_exit(monkeypatch):
     # strong inward drift makes the backward labels land outside the box
     # at the first re-basing, which must abort rather than zero-fill a
-    # large fraction of the new datum
+    # large fraction of the new datum; every re-basing shares one
+    # pull-back, so the run aborts before it solves a slab
+    solved = Counting(transport.picard_solve)
+    monkeypatch.setattr(transport, "picard_solve", solved)
     field = linear_field(lam=-2.0, mu=0.0, n=1, j=1)
     grid = GridSpec(
         x_bounds=((-1.0, 1.0),),
@@ -925,6 +1036,7 @@ def test_continue_solution_aborts_on_label_exit():
             SolverConfig(picard_tol=1e-8, nodes_per_slab=9),
             grid, 2.0,
         )
+    assert solved.calls == 0
 
 
 # ---------------------------------------------------------------------
@@ -975,9 +1087,7 @@ def test_state_and_slice_csv_round_trip(tmp_path):
     grid = _fiber_grid(nr=5)
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=5)
     u0 = _fiber_datum(grid, make_initial("gaussian"))
-    state, _ = picard_solve(
-        u0, zero_field(1, 1), None, config, grid, 0.0, 0.5
-    )
+    state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 5), None, config)
     slc = eulerian_reconstruct(state, zero_field(1, 1), 0.5)
     path = tmp_path / "slice.csv"
     slice_to_csv(slc, path)
@@ -992,7 +1102,7 @@ def test_state_and_slice_csv_round_trip(tmp_path):
     grid0 = GridSpec(x_bounds=((-1.0, 2.0), (0.0, 1.0)), x_counts=(5, 4))
     field0 = linear_field(lam=-0.7, mu=0.0, n=2, j=0)
     u00 = _fiber_datum(grid0, make_initial("gaussian", x_center=0.3))
-    state0, _ = picard_solve(u00, field0, None, config, grid0, 0.0, 0.5)
+    state0, _ = picard_solve(u00, _slab(field0, grid0, 0.5, 5), None, config)
     slc0 = eulerian_reconstruct(state0, field0, 0.5)
     slice_to_csv(slc0, path)
     assert path.read_text() == _slice_csv_by_rows(slc0)
