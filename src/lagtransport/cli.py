@@ -640,6 +640,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         _remove_empty(created)
         return 2
+    except MemoryError as exc:
+        # a size numpy refuses to allocate: the config asks for more than
+        # the machine has
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        _remove_empty(created)
+        return 2
     except (
         FlowIntegrationError,
         PreconditionError,

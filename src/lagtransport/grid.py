@@ -420,21 +420,25 @@ def lp_norm(values: np.ndarray, grid: GridSpec, spec: NormSpec) -> float:
     return float(np.sum(wts * np.abs(joint) ** spec.p) ** (1.0 / spec.p))
 
 
-def sup_in_time(values_t: np.ndarray, grid: GridSpec, spec: NormSpec) -> float:
+def sup_in_time(
+    values_t: np.ndarray, grid: GridSpec, spec: NormSpec, out=None,
+) -> float:
     """max over the leading (time) axis of the windowed L^p norm.
 
     Equal to the max of `lp_norm` over the nodes, bit for bit: the
-    weighted powers of all nodes are formed in one temporary and summed
-    one row per node, the same pairwise sum as `lp_norm`'s, and each
-    node's root is taken on its own numpy scalar, as `lp_norm` takes it
-    (an array power would turn ** 0.5 into sqrt).
+    weighted powers of all nodes are formed in one array and summed one
+    row per node, the same pairwise sum as `lp_norm`'s, and each node's
+    root is taken on its own numpy scalar, as `lp_norm` takes it (an
+    array power would turn ** 0.5 into sqrt).  The weighted powers are
+    written into `out`, a C-contiguous float array of values_t's shape
+    (values_t itself allowed), or into a new array when it is None.
     """
     if math.isinf(spec.p):
         return max(lp_norm(v, grid, spec) for v in values_t)
     values_t = np.asarray(values_t, dtype=float)
     _as_joint(values_t[0], grid)  # rejects a node shape that does not fit
     K = values_t.shape[0]
-    terms = np.abs(values_t).reshape((K,) + grid.shape)
+    terms = np.abs(values_t, out=out).reshape((K,) + grid.shape)
     terms **= spec.p
     terms *= spec.weights(grid)
     sums = terms.reshape(K, -1).sum(axis=1)

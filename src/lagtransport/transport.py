@@ -15,7 +15,8 @@ horizons are covered by chaining slabs, re-basing the initial datum at
 each boundary through an Eulerian reconstruction.  Neither the kernel
 nor the drift b = (b1(x), b2(x, r)) depends on time, so the slab budget
 is measured once per run, from one evaluation of each, and the run is
-equal slabs of one template: flow, operator and pull-backs built once.
+equal slabs of one template: flow, operator, pull-backs and the buffers
+Picard iterates in, built once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .flow import (
     density_rho2,
     flow_map,
     inverse_flow_grid,
-    write_csv,
 )
 from .grid import GridSpec, NormSpec, suffix_integrals, sup_in_time
 
@@ -189,12 +189,31 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
     return _FactoredOperator(a=a, c=c, triangular=kernel.triangular)
 
 
+class _Workspace:
+    """The (K, Nx, Nr) arrays a Picard solve iterates in: the current
+    iterate `u`, the next one `u_next`, a `scratch` buffer, and the
+    slab's density ratio rho2 = exp(logJ2) (None without a kernel).
+
+    `continue_solution` builds one next to its slab template, so a run
+    allocates no slab-sized array after that; a state whose values are
+    `u` is valid until the next solve in the same workspace."""
+
+    def __init__(self, fmap: FlowMap, kernel: Kernel | None):
+        shape = fmap.logj2.shape
+        self.rho2 = None if kernel is None else density_rho2(fmap)
+        self.u, self.u_next, self.scratch = (np.empty(shape) for _ in range(3))
+
+    def swap(self) -> None:
+        self.u, self.u_next = self.u_next, self.u
+
+
 def apply_A(
     values: np.ndarray,
     fmap: FlowMap,
     kernel: Kernel | None,
     u0: np.ndarray,
     _mats=None,
+    _work=None,
 ) -> np.ndarray:
     """One application of the affine Volterra operator.
 
@@ -205,29 +224,42 @@ def apply_A(
     state is contracted against the c_l and the moments are expanded
     along the a_l.  A triangular kernel takes its moments on every
     node-aligned tail, as the parity suffix sums of `suffix_integrals`.
+
+    The image is written into the `u_next` buffer of `_work`, a
+    `_Workspace` of this flow and kernel, and returned; without one it
+    is a new array.  `_mats` reuses an
+    operator already built by `_kernel_matrices` for this flow.
     """
     values = np.asarray(values, dtype=float)
+    work = _work if _work is not None else _Workspace(fmap, kernel)
+    out = work.u_next
     if kernel is None:
-        return np.broadcast_to(u0[None], values.shape).copy()
+        out[...] = u0
+        return out
     ops = _mats if _mats is not None else _kernel_matrices(fmap, kernel)
-    weighted = density_rho2(fmap) * values  # rho2 u~, (K, Nx, Nr)
+    weighted = np.multiply(work.rho2, values, out=work.scratch)  # rho2 u~
     # a static operator's single slice broadcasts over the nodes rather
-    # than being copied K times
+    # than being copied K times; the contraction overwrites the weighted
+    # state, which it no longer needs
     if ops.triangular:
         rows = ops.c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
         tails = suffix_integrals(fmap.grid.r_axes()[0], rows)
-        inner = np.einsum("kilm,kilm->kim", ops.a, tails)
+        inner = np.einsum("kilm,kilm->kim", ops.a, tails, out=work.scratch)
     else:
         mom = np.einsum("kilq,kiq->kil", ops.c, weighted)
-        inner = np.einsum("kilm,kil->kim", ops.a, mom)
-    return u0[None] + _cumulative_trapezoid(inner, fmap.times)
+        inner = np.einsum("kilm,kil->kim", ops.a, mom, out=work.scratch)
+    _cumulative_trapezoid(inner, fmap.times, out)
+    out += u0
+    return out
 
 
-def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _cumulative_trapezoid(
+    values: np.ndarray, times: np.ndarray, out: np.ndarray,
+) -> np.ndarray:
     """Trapezoid integrals of `values` along axis 0 from times[0] to each
-    node, zero at the first, summed as scipy's cumulative_trapezoid does."""
+    node, zero at the first, summed as scipy's cumulative_trapezoid does,
+    written into `out` (values' shape, not aliasing it) and returned."""
     dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
-    out = np.empty(values.shape)
     out[0] = 0.0
     np.add(values[1:], values[:-1], out=out[1:])
     out[1:] *= dt
@@ -241,15 +273,19 @@ def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def fixed_point_residual(
     state: LagrangianState, kernel: Kernel | None, config: SolverConfig,
-    _mats=None,
+    _mats=None, _work=None,
 ) -> float:
     """sup-in-time windowed L^p norm of u~ - A(u~).
 
     `_mats` reuses an operator already built by `_kernel_matrices` for
-    this state's flow.
+    this state's flow, and `_work` a `_Workspace` whose `u_next` and
+    `scratch` the state's values do not alias.
     """
-    image = apply_A(state.values, state.fmap, kernel, state.u0, _mats=_mats)
-    return sup_in_time(state.values - image, state.grid, config.norm_spec())
+    work = _work if _work is not None else _Workspace(state.fmap, kernel)
+    image = apply_A(state.values, state.fmap, kernel, state.u0,
+                    _mats=_mats, _work=work)
+    diff = np.subtract(state.values, image, out=work.scratch)
+    return sup_in_time(diff, state.grid, config.norm_spec(), out=diff)
 
 
 def choose_slab(
@@ -297,6 +333,7 @@ def picard_solve(
     kernel: Kernel | None,
     config: SolverConfig,
     _mats=None,
+    _work=None,
 ) -> tuple[LagrangianState, dict]:
     """Fixed point of A on the slab of `fmap` (its label grid and time
     nodes) by Picard iteration from u0.
@@ -305,8 +342,12 @@ def picard_solve(
     sup-in-time windowed L^p norm; raises PicardConvergenceError when the
     budget runs out or a difference is not finite.  The kernel operator,
     `_mats` or else built here, serves every iteration and the residual.
-    The summary records differences and their ratios (the measured
-    contraction rate, meaningful from the second ratio on).
+    So does the `_Workspace` `_work`, or else a new one: each step writes
+    A(u) into its next-iterate buffer and the difference into its
+    scratch buffer, then swaps the iterates, so the loop allocates no
+    (K, Nx, Nr) array.  The returned state's values are the workspace's
+    buffer.  The summary records differences and their ratios (the
+    measured contraction rate, meaningful from the second ratio on).
     """
     u0_values = np.asarray(u0_values, dtype=float)
     grid = fmap.grid
@@ -314,20 +355,24 @@ def picard_solve(
         raise ValueError("u0_values must have shape (num_x, num_r)")
     if _mats is None and kernel is not None:
         _mats = _kernel_matrices(fmap, kernel)
+    if _work is None:
+        _work = _Workspace(fmap, kernel)
     spec = config.norm_spec()
-    u = np.repeat(u0_values[None], fmap.times.size, axis=0)
+    _work.u[...] = u0_values
     diffs: list[float] = []
     for _ in range(_MAX_ITERS):
-        u_next = apply_A(u, fmap, kernel, u0_values, _mats=_mats)
-        diff = sup_in_time(u_next - u, grid, spec)
+        u_next = apply_A(_work.u, fmap, kernel, u0_values,
+                         _mats=_mats, _work=_work)
+        step = np.subtract(u_next, _work.u, out=_work.scratch)
+        diff = sup_in_time(step, grid, spec, out=step)
         diffs.append(diff)
-        u = u_next
+        _work.swap()
         if not np.isfinite(diff):
             raise PicardConvergenceError(
                 f"non-finite difference at iteration {len(diffs)}", diffs
             )
         if diff < config.picard_tol:
-            state = LagrangianState(values=u, fmap=fmap, u0=u0_values)
+            state = LagrangianState(values=_work.u, fmap=fmap, u0=u0_values)
             ratios = [
                 diffs[i + 1] / diffs[i]
                 for i in range(len(diffs) - 1)
@@ -338,7 +383,7 @@ def picard_solve(
                 "differences": diffs,
                 "ratios": ratios,
                 "residual": fixed_point_residual(
-                    state, kernel, config, _mats=_mats
+                    state, kernel, config, _mats=_mats, _work=_work
                 ),
             }
             return state, summary
@@ -507,9 +552,10 @@ def continue_solution(
     or a slice time off the planned nodes, raises before any work.  Every
     slab is the first shifted in time, so the flow map, the kernel
     operator and the pull-back of each node read are built once, on the
-    local nodes tau = linspace(0, T0, nodes_per_slab).  Each slab iterates
-    Picard on them, reads its masses and slices at t_start + tau, drops
-    its state, and re-bases its last node on the label grid.  By
+    local nodes tau = linspace(0, T0, nodes_per_slab), and so is the
+    Picard workspace every slab iterates in.  Each slab iterates Picard
+    on them, reads its masses and slices at t_start + tau, drops its
+    state, and re-bases its last node on the label grid.  By
     `eulerian_reconstruct`'s box rule a label pulled back beyond the
     box's 1e-12 pad is set to 0; a run of more than one slab whose
     re-basing would set more than 0.1% of them aborts before solving.
@@ -539,24 +585,28 @@ def continue_solution(
         )
     fmap = flow_map(field, grid, tau)
     mats = None if kernel is None else _kernel_matrices(fmap, kernel)
+    work = _Workspace(fmap, kernel)
     made = dict.fromkeys(where.values())  # (slab, node) -> EulerianSlice
     w = grid.x_weights()[:, None] * grid.r_weights()[None, :]
     mass_times, masses, summaries = [], [], []
     for i, t_start in enumerate(boundaries[:-1]):
         # the template shifted in time: its arrays on the nodes t_start + tau
         shifted = replace(fmap, times=t_start + tau)
-        state, summary = picard_solve(u_cur, shifted, kernel, config, _mats=mats)
+        state, summary = picard_solve(
+            u_cur, shifted, kernel, config, _mats=mats, _work=work)
         for slab, k in made:
             if slab == i:
                 made[slab, k] = eulerian_reconstruct(
                     state, field, state.times[k], _pull=pulls[k])
         start = 0 if i == 0 else 1
-        # mass int u dy dr as the label-grid quadrature of u~ exp(logJ), a
-        # row sum per node: the same pairwise sum as np.sum(dens[k])
-        dens = w * state.values[start:] * np.exp(fmap.logj()[start:])
+        # mass int u dy dr as the label-grid quadrature of u~ exp(logJ), in
+        # the two workspace buffers the state does not use, and a row sum
+        # per node: the same pairwise sum as np.sum(dens[k])
+        dens = np.multiply(w, state.values, out=work.u_next)
+        logj = np.add(fmap.logj1[:, :, None], fmap.logj2, out=work.scratch)
+        dens *= np.exp(logj, out=logj)
         mass_times.extend(state.times[start:].tolist())
-        masses.extend(dens.reshape(dens.shape[0], -1).sum(axis=1).tolist())
-        del dens
+        masses.extend(dens[start:].reshape(tau.size - start, -1).sum(axis=1).tolist())
         summary.update(t_start=float(t_start), t_end=float(boundaries[i + 1]))
         if i + 1 < count:
             u_cur = (made.get((i, last)) or eulerian_reconstruct(
@@ -694,18 +744,28 @@ def make_initial(name: str, **params):
 
 
 def slice_to_csv(slc: EulerianSlice, path) -> None:
-    """Rows (t, point coords..., u) with 17 significant digits."""
-    n, j = slc.grid.n, slc.grid.j
+    """Rows (t, point coords..., u) with 17 significant digits.
+
+    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",",
+    comments="")` with the column names as header.  A row is its x
+    label's columns, then its r label's, so t and each label are
+    formatted once, and each row formats only its u.
+    """
+    grid = slc.grid
+    n, j = grid.n, grid.j
     cols = (
         ["t"]
         + [f"y_x{i + 1}" for i in range(n)]
         + [f"y_r{i + 1}" for i in range(j)]
         + ["u"]
     )
-    labels = slc.grid.joint_labels().reshape(-1, n + j)
-    table = np.column_stack([
-        np.full(labels.shape[0], slc.t),
-        labels,
-        slc.values.reshape(-1),
-    ])
-    write_csv(path, cols, table)
+    t_col = "%.17g," % slc.t
+    x_cols = [t_col + ("%.17g," * n) % tuple(x) for x in grid.x_labels().tolist()]
+    r_cols = [("%.17g," * j) % tuple(r) for r in grid.r_labels().tolist()]
+    row = "%s%.17g\n" * grid.num_r
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        # one string operation per x label, over its (prefix, u) pairs
+        for x_col, u in zip(x_cols, slc.values.tolist()):
+            prefixes = [x_col + r_col for r_col in r_cols]
+            fh.write(row % tuple(itertools.chain.from_iterable(zip(prefixes, u))))

@@ -773,6 +773,20 @@ def test_unreachable_slab_budget_exits_3(tmp_path):
     assert not out.exists()
 
 
+def test_an_impossible_array_size_exits_2(tmp_path):
+    # 10**15 time nodes are 8 PB, more than any address space, so numpy
+    # refuses them at once: a config error, not a traceback
+    payload = solve_config()
+    payload["solver"]["nodes_per_slab"] = 10**15
+    cfg = write_config(tmp_path / "s.json", payload)
+    out = tmp_path / "a" / "out"
+    res = run_cli("solve", "--config", cfg, "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith("config error: out of memory: ")
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("poisoned", ["rate", "div_sup"])
 def test_nan_slab_budget_exits_3(tmp_path, monkeypatch, capsys, poisoned):
     # a NaN kernel rate or divergence sup meets no slab budget

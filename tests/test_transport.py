@@ -32,6 +32,7 @@ from lagtransport.transport import (
     _cumulative_trapezoid,
     _kernel_matrices,
     _multilinear,
+    EulerianSlice,
     PicardConvergenceError,
     SlabSelectionError,
     SolverConfig,
@@ -199,7 +200,8 @@ def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
     else:
         mom = np.einsum("kilq,kiq->kil", c, weighted)
         inner = np.einsum("kilm,kil->kim", a, mom)
-    expected = u0[None] + _cumulative_trapezoid(inner, fmap.times)
+    expected = u0[None] + _cumulative_trapezoid(
+        inner, fmap.times, np.empty(inner.shape))
     assert np.array_equal(apply_A(values, fmap, kern, u0), expected)
     assert np.array_equal(apply_A(values, fmap, kern, u0, _mats=ops), expected)
     ref = _dense_apply_A(values, fmap, kern, u0)
@@ -548,6 +550,93 @@ def test_solver_config_rejects_invalid_settings(settings):
         SolverConfig(**settings)
 
 
+def _picard_on_fresh_arrays(u0, fmap, kern, config):
+    """Reference: Picard iteration whose every A(u) and u_next - u is a
+    new array; returns the last iterate, differences, ratios, residual."""
+    spec = config.norm_spec()
+    u = np.repeat(u0[None], fmap.times.size, axis=0)
+    diffs = []
+    for _ in range(80):
+        u_next = apply_A(u, fmap, kern, u0)
+        diffs.append(sup_in_time(u_next - u, fmap.grid, spec))
+        u = u_next
+        if diffs[-1] < config.picard_tol:
+            break
+    ratios = [
+        diffs[i + 1] / diffs[i]
+        for i in range(len(diffs) - 1)
+        if diffs[i] > max(config.picard_tol * 1e-3, 1e-15)
+    ]
+    residual = sup_in_time(u - apply_A(u, fmap, kern, u0), fmap.grid, spec)
+    return u, diffs, ratios, residual
+
+
+@pytest.mark.parametrize(
+    "field, kern, grid, settings",
+    [
+        (zero_field(1, 1), fragmentation_kernel(scale=2.0), _triangular_grid(), {}),
+        (logistic_field(k=1, mu=0.3), separable_kernel(terms=SEPARABLE_TERMS),
+         _fiber_grid(nr=33, nx=5), {}),
+        (modulated_logistic_field(), separable_kernel(terms=SEPARABLE_TERMS),
+         _fiber_grid(nr=33, nx=5), {}),
+        (logistic_field(k=1, mu=0.3), separable_kernel(terms=SEPARABLE_TERMS),
+         _fiber_grid(nr=33, nx=5), {"p": 3.0, "window": ((0.2, 0.8), (0.1, 0.9))}),
+        (logistic_field(k=1, mu=0.3), None, _fiber_grid(nr=33, nx=5),
+         {"p": np.inf}),
+    ],
+    ids=["fragmentation_zero_field", "separable_logistic",
+         "separable_modulated_logistic", "window_p3", "no_kernel_p_inf"],
+)
+def test_picard_in_a_workspace_is_bit_identical_to_fresh_arrays(
+    field, kern, grid, settings,
+):
+    # the workspace loop makes the same numpy operations in the same
+    # order, and a reused workspace carries nothing from one solve over
+    fmap = _slab(field, grid, 0.4, 9)
+    u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4, r_center=0.45))
+    config = SolverConfig(picard_tol=1e-11, nodes_per_slab=9, **settings)
+    values, diffs, ratios, residual = _picard_on_fresh_arrays(u0, fmap, kern, config)
+    assert len(diffs) >= (1 if kern is None else 5)
+    work = transport._Workspace(fmap, kern)
+    for _ in range(2):
+        state, summary = picard_solve(u0, fmap, kern, config, _work=work)
+        assert state.values is work.u
+        assert np.array_equal(state.values, values)
+        assert summary["differences"] == diffs
+        assert summary["ratios"] == ratios
+        assert summary["residual"] == residual
+    assert fixed_point_residual(state, kern, config) == residual
+    _, summary = picard_solve(u0, fmap, kern, config)
+    assert summary["residual"] == residual
+
+
+def test_picard_allocates_no_slab_sized_array_per_iteration():
+    # with the operator and the workspace built, a solve's traced peak is
+    # below one (K, Nx, Nr) array at any iteration count: a temporary of
+    # that size, even one freed within its iteration, would exceed it
+    grid = _fiber_grid(nr=129, nx=16)
+    kern = separable_kernel(terms=SEPARABLE_TERMS)
+    fmap = _slab(logistic_field(k=1, mu=0.3), grid, 0.4, 17)
+    u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4))
+    mats = _kernel_matrices(fmap, kern)
+    work = transport._Workspace(fmap, kern)
+    configs = [SolverConfig(picard_tol=tol, nodes_per_slab=17)
+               for tol in (1e-6, 1e-12)]
+    picard_solve(u0, fmap, kern, configs[0], _mats=mats, _work=work)  # warm caches
+    peaks, iterations = [], []
+    for config in configs:
+        tracemalloc.start()
+        try:
+            _, summary = picard_solve(u0, fmap, kern, config, _mats=mats, _work=work)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        iterations.append(summary["iterations"])
+    assert iterations[1] > iterations[0]
+    assert abs(peaks[1] - peaks[0]) < work.u.nbytes
+    assert max(peaks) < work.u.nbytes
+
+
 def test_picard_rejects_wrong_datum_shape():
     grid = _fiber_grid()
     with pytest.raises(ValueError):
@@ -697,7 +786,8 @@ def test_cumulative_trapezoid_matches_scipy(shape):
     for times in (np.linspace(0.1, 0.6, shape[0]),
                   np.sort(rng.uniform(0.0, 1.0, shape[0]))):
         ref = cumulative_trapezoid(values, times, axis=0, initial=0.0)
-        assert np.array_equal(_cumulative_trapezoid(values, times), ref)
+        out = _cumulative_trapezoid(values, times, np.empty(shape))
+        assert np.array_equal(out, ref)
 
 
 def test_reconstruct_requires_solved_time_node():
@@ -1106,3 +1196,33 @@ def test_state_and_slice_csv_round_trip(tmp_path):
     slc0 = eulerian_reconstruct(state0, field0, 0.5)
     slice_to_csv(slc0, path)
     assert path.read_text() == _slice_csv_by_rows(slc0)
+
+
+@pytest.mark.parametrize(
+    "grid, header",
+    [
+        (_fiber_grid(nr=5, nx=3), "t,y_x1,y_r1,u"),
+        (GridSpec(x_bounds=((-1.0, 2.0), (0.0, 1.0)), x_counts=(3, 4)),
+         "t,y_x1,y_x2,u"),
+    ],
+    ids=["n1_j1", "n2_j0"],
+)
+def test_slice_csv_is_the_bytes_of_savetxt(tmp_path, grid, header):
+    # t and every label column are formatted once, u once per row; the
+    # bytes are savetxt's, on -0.0, a subnormal and 17 significant digits
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal((grid.num_x, grid.num_r))
+    values.reshape(-1)[:4] = (-0.0, 5e-324, 0.1 + 0.2, -2.2250738585072014e-308)
+    slc = EulerianSlice(grid=grid, t=0.1 + 0.2, values=values, exit_fraction=0.0)
+    slice_to_csv(slc, tmp_path / "slice.csv")
+    labels = grid.joint_labels().reshape(-1, grid.n + grid.j)
+    table = np.column_stack(
+        [np.full(labels.shape[0], slc.t), labels, values.reshape(-1)]
+    )
+    np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g", delimiter=",",
+               header=header, comments="")
+    text = (tmp_path / "slice.csv").read_bytes()
+    assert text == (tmp_path / "ref.csv").read_bytes()
+    for formatted in (b",-0\n", b",4.9406564584124654e-324\n",
+                      b"\n0.30000000000000004,"):
+        assert formatted in text
