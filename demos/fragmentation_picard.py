@@ -39,9 +39,7 @@ def main() -> None:
         r_bounds=((args.r_min, 1.0),), r_counts=(args.num_r,),
         r_spacing="geometric",
     )
-    config = SolverConfig(
-        picard_tol=1e-9, nodes_per_slab=17, slab_time_samples=3
-    )
+    config = SolverConfig(picard_tol=1e-9, nodes_per_slab=17)
     sol = continue_solution(
         make_initial("log_gaussian"),
         zero_field(1, 1),
@@ -56,7 +54,7 @@ def main() -> None:
     print(f"{'slab':>4}  {'interval':>18}  {'iters':>5}  "
           f"{'worst ratio':>11}  {'residual':>10}")
     for m, info in enumerate(sol.summaries):
-        ratios = info["ratios"]
+        ratios = info["contraction_ratios"]
         worst = max(ratios) if ratios else 0.0
         print(f"{m:>4}  [{info['t_start']:>7.4f}, {info['t_end']:>7.4f}]  "
               f"{info['iterations']:>5}  {worst:>11.4f}  "

@@ -542,7 +542,7 @@ def _verify_battery(
     masses = continue_solution(
         make_initial("log_gaussian"), zero_field(1, 1),
         fragmentation_kernel(scale=2.0),
-        SolverConfig(picard_tol=1e-9, nodes_per_slab=17, slab_time_samples=3),
+        SolverConfig(picard_tol=1e-9, nodes_per_slab=17),
         mass_grid, 1.0,
     ).masses
     rel = abs(masses[-1] - np.exp(2.0) * masses[0]) / (np.exp(2.0) * masses[0])

@@ -162,11 +162,7 @@ def suffix_integrals(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _build_axis(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:
     if spacing == "uniform":
         return np.linspace(lo, hi, count)
-    if spacing == "geometric":
-        if lo <= 0:
-            raise ValueError("geometric axis requires positive lower bound")
-        return np.geomspace(lo, hi, count)
-    raise ValueError(f"unknown axis spacing {spacing!r}")
+    return np.geomspace(lo, hi, count)
 
 
 def _memo(method):
@@ -408,16 +404,13 @@ def _as_joint(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def lp_norm(values: np.ndarray, grid: GridSpec, spec: NormSpec) -> float:
-    """Windowed L^p norm of nodal values via the grid quadrature.
+    """Windowed L^p norm of nodal values via the grid quadrature: the
+    one-node case of `sup_in_time`.
 
     Accepts values shaped like the joint grid or as (num_x, num_r).
     For p = inf returns the max of |values| over window nodes.
     """
-    joint = _as_joint(values, grid)
-    wts = spec.weights(grid)
-    if math.isinf(spec.p):
-        return float(np.max(np.abs(joint)[wts > 0])) if np.any(wts > 0) else 0.0
-    return float(np.sum(wts * np.abs(joint) ** spec.p) ** (1.0 / spec.p))
+    return sup_in_time(np.asarray(values, dtype=float)[None], grid, spec)
 
 
 def sup_in_time(
@@ -425,22 +418,23 @@ def sup_in_time(
 ) -> float:
     """max over the leading (time) axis of the windowed L^p norm.
 
-    Equal to the max of `lp_norm` over the nodes, bit for bit: the
-    weighted powers of all nodes are formed in one array and summed one
-    row per node, the same pairwise sum as `lp_norm`'s, and each node's
-    root is taken on its own numpy scalar, as `lp_norm` takes it (an
-    array power would turn ** 0.5 into sqrt).  The weighted powers are
-    written into `out`, a C-contiguous float array of values_t's shape
-    (values_t itself allowed), or into a new array when it is None.
+    A node's norm is (sum of w |v|^p)^(1/p): the weighted powers of all
+    nodes are formed in one array and summed one row per node, a pairwise
+    sum, and the root is taken once, of the largest sum, on its numpy
+    scalar (an array power would turn ** 0.5 into sqrt).  For p = inf it
+    is the max of |values| over the window's nodes.  A NaN at any node
+    gives NaN.  |values|, then its weighted powers, are written into
+    `out`, a C-contiguous float array of values_t's shape (values_t
+    itself allowed), or into a new array when it is None.
     """
-    if math.isinf(spec.p):
-        return max(lp_norm(v, grid, spec) for v in values_t)
     values_t = np.asarray(values_t, dtype=float)
     _as_joint(values_t[0], grid)  # rejects a node shape that does not fit
     K = values_t.shape[0]
     terms = np.abs(values_t, out=out).reshape((K,) + grid.shape)
+    wts = spec.weights(grid)
+    if math.isinf(spec.p):
+        return float(np.max(terms, where=wts > 0, initial=0.0))
     terms **= spec.p
-    terms *= spec.weights(grid)
-    sums = terms.reshape(K, -1).sum(axis=1)
-    return max(float(s ** (1.0 / spec.p)) for s in sums)
+    terms *= wts
+    return float(np.max(terms.reshape(K, -1).sum(axis=1)) ** (1.0 / spec.p))
 

@@ -57,15 +57,15 @@ def period_average(t: float) -> float:
     """Average of the Jacobian over one spatial period.
 
     The Jacobian depends on x only through w = kx, so the average is the
-    same for every wavenumber.  Integrates F(t, w) over a full period of
-    w with the 4096-node trapezoid rule, which converges spectrally for
-    smooth periodic integrands.  The exact value is 1 for every t: the
-    flow fixes all rest points, so each period cell maps onto itself with
-    unit average stretch.
+    same for every wavenumber.  Integrates F(t, w), the Jacobian at
+    k = 2 and x = w, over a full period of w with the 4096-node
+    trapezoid rule, which converges spectrally for smooth periodic
+    integrands.  The exact value is 1 for every t: the flow fixes all
+    rest points, so each period cell maps onto itself with unit average
+    stretch.
     """
     w = np.linspace(0.0, np.pi, 4096, endpoint=False)
-    vals = np.exp(t) / (np.cos(w) ** 2 + np.exp(2.0 * t) * np.sin(w) ** 2)
-    return float(np.mean(vals))
+    return float(np.mean(oscillatory_jacobian(2.0, t, w)))
 
 
 def strong_failure_floor(t: float = 1.0) -> float:
@@ -77,10 +77,7 @@ def strong_failure_floor(t: float = 1.0) -> float:
     computed here is a rigorous positive lower bound for it, uniformly
     in k."""
     w = np.linspace(0.0, 2.0 * np.pi, 200001)
-    vals = np.abs(
-        np.exp(t) / (np.cos(w) ** 2 + np.exp(2.0 * t) * np.sin(w) ** 2) - 1.0
-    )
-    return float(np.trapezoid(vals, w))
+    return float(np.trapezoid(np.abs(oscillatory_jacobian(2.0, t, w) - 1.0), w))
 
 
 # --- small dense matrix exponential -----------------------------------

@@ -70,11 +70,11 @@ class SlabSelectionError(Exception):
 
 # Every run uses one value of each, so they are constants rather than
 # SolverConfig fields: the Lipschitz budget per slab (1/2 gives the
-# classic geometric tail), the most slabs a run may plan, the Picard
-# iteration cap, and the largest fraction of labels a re-basing may lose
-# out of the label box.
+# classic geometric tail), the most slabs a run may plan and record, the
+# Picard iteration cap, and the largest fraction of labels a re-basing
+# may lose out of the label box.
 _SLAB_TARGET = 0.5
-_MAX_SLABS = 2**40
+_MAX_SLABS = 2**16
 _MAX_ITERS = 80
 _EXIT_FRACTION_LIMIT = 1e-3
 
@@ -190,16 +190,19 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
 
 
 class _Workspace:
-    """The (K, Nx, Nr) arrays a Picard solve iterates in: the current
-    iterate `u`, the next one `u_next`, a `scratch` buffer, and the
-    slab's density ratio rho2 = exp(logJ2) (None without a kernel).
+    """What a Picard solve on one flow and kernel reads and writes: the
+    kernel operator `ops` and the density ratio rho2 = exp(logJ2) (both
+    None without a kernel), and the (K, Nx, Nr) buffers it iterates in,
+    the current iterate `u`, the next one `u_next` and `scratch`.
 
     `continue_solution` builds one next to its slab template, so a run
-    allocates no slab-sized array after that; a state whose values are
-    `u` is valid until the next solve in the same workspace."""
+    builds its operator once and allocates no slab-sized array after
+    that; a state whose values are `u` is valid until the next solve in
+    the same workspace."""
 
     def __init__(self, fmap: FlowMap, kernel: Kernel | None):
         shape = fmap.logj2.shape
+        self.ops = None if kernel is None else _kernel_matrices(fmap, kernel)
         self.rho2 = None if kernel is None else density_rho2(fmap)
         self.u, self.u_next, self.scratch = (np.empty(shape) for _ in range(3))
 
@@ -212,7 +215,6 @@ def apply_A(
     fmap: FlowMap,
     kernel: Kernel | None,
     u0: np.ndarray,
-    _mats=None,
     _work=None,
 ) -> np.ndarray:
     """One application of the affine Volterra operator.
@@ -225,10 +227,9 @@ def apply_A(
     along the a_l.  A triangular kernel takes its moments on every
     node-aligned tail, as the parity suffix sums of `suffix_integrals`.
 
-    The image is written into the `u_next` buffer of `_work`, a
-    `_Workspace` of this flow and kernel, and returned; without one it
-    is a new array.  `_mats` reuses an
-    operator already built by `_kernel_matrices` for this flow.
+    The operator is the one of `_work`, a `_Workspace` of this flow and
+    kernel, and the image is written into its `u_next` buffer and
+    returned; without a workspace both are built anew.
     """
     values = np.asarray(values, dtype=float)
     work = _work if _work is not None else _Workspace(fmap, kernel)
@@ -236,7 +237,7 @@ def apply_A(
     if kernel is None:
         out[...] = u0
         return out
-    ops = _mats if _mats is not None else _kernel_matrices(fmap, kernel)
+    ops = work.ops
     weighted = np.multiply(work.rho2, values, out=work.scratch)  # rho2 u~
     # a static operator's single slice broadcasts over the nodes rather
     # than being copied K times; the contraction overwrites the weighted
@@ -273,17 +274,16 @@ def _cumulative_trapezoid(
 
 def fixed_point_residual(
     state: LagrangianState, kernel: Kernel | None, config: SolverConfig,
-    _mats=None, _work=None,
+    _work=None,
 ) -> float:
     """sup-in-time windowed L^p norm of u~ - A(u~).
 
-    `_mats` reuses an operator already built by `_kernel_matrices` for
-    this state's flow, and `_work` a `_Workspace` whose `u_next` and
-    `scratch` the state's values do not alias.
+    `_work` is a `_Workspace` of this state's flow and kernel whose
+    `u_next` and `scratch` the state's values do not alias; without one
+    a new one is built.
     """
     work = _work if _work is not None else _Workspace(state.fmap, kernel)
-    image = apply_A(state.values, state.fmap, kernel, state.u0,
-                    _mats=_mats, _work=work)
+    image = apply_A(state.values, state.fmap, kernel, state.u0, _work=work)
     diff = np.subtract(state.values, image, out=work.scratch)
     return sup_in_time(diff, state.grid, config.norm_spec(), out=diff)
 
@@ -300,10 +300,10 @@ def choose_slab(
     once per run.  rate * T is the time integral of the mixed norm over
     the slab, and exp(div_sup * T) the density-ratio envelope; the
     measured Picard ratios are the binding check downstream.  The budget
-    grows with T, so the count is found by bisection over 1 ... 2**40:
+    grows with T, so the count is found by bisection over 1 ... 2**16:
     it is ceil(horizon / T_max), T_max the longest length within the
-    budget.  A budget that needs more than 2**40 slabs, or is NaN and so
-    meets no target, raises SlabSelectionError.
+    budget.  A budget that needs more than 2**16 slabs, or is NaN and so
+    meets no target, raises SlabSelectionError before any work.
     """
     if not horizon > 0:
         raise ValueError("the horizon must be positive")
@@ -318,7 +318,7 @@ def choose_slab(
         raise SlabSelectionError(
             f"kernel budget (rate {rate:.6g}, divergence sup {div_sup:.6g}) "
             f"exceeds {_SLAB_TARGET} unless the horizon {horizon:.6g} is cut "
-            "into more than 2**40 slabs"
+            "into more than 2**16 slabs"
         )
     lo, hi = 0, _MAX_SLABS  # hi slabs meet the budget, lo slabs do not
     while hi - lo > 1:
@@ -332,7 +332,6 @@ def picard_solve(
     fmap: FlowMap,
     kernel: Kernel | None,
     config: SolverConfig,
-    _mats=None,
     _work=None,
 ) -> tuple[LagrangianState, dict]:
     """Fixed point of A on the slab of `fmap` (its label grid and time
@@ -340,29 +339,27 @@ def picard_solve(
 
     Stops when consecutive iterates differ by less than picard_tol in the
     sup-in-time windowed L^p norm; raises PicardConvergenceError when the
-    budget runs out or a difference is not finite.  The kernel operator,
-    `_mats` or else built here, serves every iteration and the residual.
-    So does the `_Workspace` `_work`, or else a new one: each step writes
-    A(u) into its next-iterate buffer and the difference into its
-    scratch buffer, then swaps the iterates, so the loop allocates no
-    (K, Nx, Nr) array.  The returned state's values are the workspace's
-    buffer.  The summary records differences and their ratios (the
-    measured contraction rate, meaningful from the second ratio on).
+    budget runs out or a difference is not finite.  One `_Workspace`,
+    `_work` or else a new one, serves every iteration and the residual:
+    its operator is built with it, and each step writes A(u) into its
+    next-iterate buffer and the difference into its scratch buffer, then
+    swaps the iterates, so the loop allocates no (K, Nx, Nr) array.  The
+    returned state's values are the workspace's buffer.  The summary
+    records the iterations, the differences, their ratios
+    (`contraction_ratios`, the measured contraction rate, meaningful from
+    the second ratio on) and the residual.
     """
     u0_values = np.asarray(u0_values, dtype=float)
     grid = fmap.grid
     if u0_values.shape != (grid.num_x, grid.num_r):
         raise ValueError("u0_values must have shape (num_x, num_r)")
-    if _mats is None and kernel is not None:
-        _mats = _kernel_matrices(fmap, kernel)
     if _work is None:
         _work = _Workspace(fmap, kernel)
     spec = config.norm_spec()
     _work.u[...] = u0_values
     diffs: list[float] = []
     for _ in range(_MAX_ITERS):
-        u_next = apply_A(_work.u, fmap, kernel, u0_values,
-                         _mats=_mats, _work=_work)
+        u_next = apply_A(_work.u, fmap, kernel, u0_values, _work=_work)
         step = np.subtract(u_next, _work.u, out=_work.scratch)
         diff = sup_in_time(step, grid, spec, out=step)
         diffs.append(diff)
@@ -380,11 +377,9 @@ def picard_solve(
             ]
             summary = {
                 "iterations": len(diffs),
+                "contraction_ratios": ratios,
                 "differences": diffs,
-                "ratios": ratios,
-                "residual": fixed_point_residual(
-                    state, kernel, config, _mats=_mats, _work=_work
-                ),
+                "residual": fixed_point_residual(state, kernel, config, _work=_work),
             }
             return state, summary
     raise PicardConvergenceError(
@@ -502,7 +497,9 @@ class ContinuedSolution:
     """Solution on [t0, T] from contraction slabs, read off each slab
     while its state is alive: the total Eulerian mass at every node, and
     the Eulerian slices at the requested times (keyed as requested) and
-    at the last boundary.  Boundaries and Picard summaries document it."""
+    at the last boundary.  Boundaries and one record per slab document
+    it: the slab's t_start, t_end and exit_fraction (that of its
+    re-basing, 0.0 on the last slab) with its Picard summary."""
 
     field_name: str
     kernel_name: str
@@ -518,18 +515,7 @@ class ContinuedSolution:
             "field": self.field_name,
             "kernel": self.kernel_name,
             "slab_boundaries": [float(b) for b in self.boundaries],
-            "slabs": [
-                {
-                    "t_start": s["t_start"],
-                    "t_end": s["t_end"],
-                    "iterations": s["iterations"],
-                    "contraction_ratios": s["ratios"],
-                    "differences": s["differences"],
-                    "residual": s["residual"],
-                    "exit_fraction": s.get("exit_fraction", 0.0),
-                }
-                for s in self.summaries
-            ],
+            "slabs": self.summaries,
         }
 
 
@@ -550,10 +536,10 @@ def continue_solution(
     of |div_r b2| over the label grid) does not depend on time, so
     `choose_slab` plans the run once; a horizon `check_horizon` rejects,
     or a slice time off the planned nodes, raises before any work.  Every
-    slab is the first shifted in time, so the flow map, the kernel
-    operator and the pull-back of each node read are built once, on the
-    local nodes tau = linspace(0, T0, nodes_per_slab), and so is the
-    Picard workspace every slab iterates in.  Each slab iterates Picard
+    slab is the first shifted in time, so the flow map, the pull-back of
+    each node read and the Picard workspace every slab iterates in (with
+    the kernel operator) are built once, on the local nodes
+    tau = linspace(0, T0, nodes_per_slab).  Each slab iterates Picard
     on them, reads its masses and slices at t_start + tau, drops its
     state, and re-bases its last node on the label grid.  By
     `eulerian_reconstruct`'s box rule a label pulled back beyond the
@@ -584,7 +570,6 @@ def continue_solution(
             f"of labels (limit {_EXIT_FRACTION_LIMIT:.2%})"
         )
     fmap = flow_map(field, grid, tau)
-    mats = None if kernel is None else _kernel_matrices(fmap, kernel)
     work = _Workspace(fmap, kernel)
     made = dict.fromkeys(where.values())  # (slab, node) -> EulerianSlice
     w = grid.x_weights()[:, None] * grid.r_weights()[None, :]
@@ -592,8 +577,7 @@ def continue_solution(
     for i, t_start in enumerate(boundaries[:-1]):
         # the template shifted in time: its arrays on the nodes t_start + tau
         shifted = replace(fmap, times=t_start + tau)
-        state, summary = picard_solve(
-            u_cur, shifted, kernel, config, _mats=mats, _work=work)
+        state, summary = picard_solve(u_cur, shifted, kernel, config, _work=work)
         for slab, k in made:
             if slab == i:
                 made[slab, k] = eulerian_reconstruct(
@@ -607,11 +591,12 @@ def continue_solution(
         dens *= np.exp(logj, out=logj)
         mass_times.extend(state.times[start:].tolist())
         masses.extend(dens[start:].reshape(tau.size - start, -1).sum(axis=1).tolist())
-        summary.update(t_start=float(t_start), t_end=float(boundaries[i + 1]))
-        if i + 1 < count:
+        rebased = i + 1 < count
+        summary.update(t_start=float(t_start), t_end=float(boundaries[i + 1]),
+                       exit_fraction=exit_fraction if rebased else 0.0)
+        if rebased:
             u_cur = (made.get((i, last)) or eulerian_reconstruct(
                 state, field, state.times[last], _pull=pulls[last])).values
-            summary["exit_fraction"] = exit_fraction
         summaries.append(summary)
         del state
     return ContinuedSolution(

@@ -225,7 +225,7 @@ def test_criterion_6_contraction_and_fixed_point():
         1.0,
     )
     assert len(sol.summaries) >= 2, "benchmark must cross a slab boundary"
-    worst_ratio = max(r for s in sol.summaries for r in s["ratios"])
+    worst_ratio = max(r for s in sol.summaries for r in s["contraction_ratios"])
     assert worst_ratio <= 0.6, f"Picard ratio {worst_ratio:.3f}"
     final_residual = sol.summaries[-1]["residual"]
     assert final_residual <= 2e-8, f"residual {final_residual:.3e}"

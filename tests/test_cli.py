@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -759,7 +760,7 @@ def test_unknown_subcommand_exits_2(tmp_path):
 
 
 def test_unreachable_slab_budget_exits_3(tmp_path):
-    # rate 1e13 over 0.5 needs about 1e13 slabs, more than 2**40
+    # rate 1e13 over 0.5 needs about 1e13 slabs, more than 2**16
     payload = solve_config()
     payload["kernel"] = {"name": "constant", "params": {"c": 1e13}}
     del payload["solver"]
@@ -769,7 +770,25 @@ def test_unreachable_slab_budget_exits_3(tmp_path):
     assert res.returncode == 3
     assert "numerical failure" in res.stderr
     assert ("kernel budget (rate 1e+13, divergence sup 0) exceeds 0.5 unless "
-            "the horizon 0.5 is cut into more than 2**40 slabs") in res.stderr
+            "the horizon 0.5 is cut into more than 2**16 slabs") in res.stderr
+    assert not out.exists()
+
+
+def test_a_slab_plan_too_large_to_hold_exits_3_at_once(tmp_path):
+    # the fragmentation demo on a 2-node fiber has slab rate 1e8, so its
+    # budget needs about 2e8 slabs: more than a run can plan and record
+    payload = json.loads(
+        (CONFIGS / "solve_fragmentation.json").read_text(encoding="utf-8"))
+    payload["grid"]["r_counts"] = [2]
+    cfg = write_config(tmp_path / "s.json", payload)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    res = run_cli("solve", "--config", cfg, "--out", str(out))
+    assert time.perf_counter() - start < 20.0
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("numerical failure: kernel budget (rate 1e+08")
+    assert "more than 2**16 slabs" in res.stderr
     assert not out.exists()
 
 

@@ -414,18 +414,40 @@ def test_sup_in_time_is_max_over_slices():
 )
 @pytest.mark.parametrize("joint", [False, True], ids=["flat", "joint"])
 def test_sup_in_time_is_bit_identical_to_max_of_lp_norms(p, window, joint):
-    # one row sum per node and a scalar root per node must round as
-    # lp_norm does, for every exponent and either accepted value shape
+    # one row sum per node and one root of the largest sum must round as
+    # the one-node formula does, for every exponent and either accepted
+    # value shape; lp_norm is the one-node case
     rng = np.random.default_rng(17)
     grid = GridSpec(
         x_bounds=((-1.0, 1.0), (0.0, 1.0)), x_counts=(9, 6),
         r_bounds=((0.0, 2.0),), r_counts=(11,),
     )
     spec = NormSpec(p=p, window=window)
+    w = spec.weights(grid)
     shape = grid.shape if joint else (grid.num_x, grid.num_r)
+
+    def one_node(v):
+        v = np.abs(v.reshape(grid.shape))
+        if np.isinf(p):
+            return float(np.max(v[w > 0]))
+        return float(np.sum(w * v**p) ** (1.0 / p))
+
     for scale in (1e-9, 1.0, 1e7):
         vals = scale * rng.standard_normal((17,) + shape)
-        assert sup_in_time(vals, grid, spec) == max(lp_norm(v, grid, spec) for v in vals)
+        ref = [one_node(v) for v in vals]
+        assert sup_in_time(vals, grid, spec) == max(ref)
+        assert [lp_norm(v, grid, spec) for v in vals] == ref
+
+
+def test_sup_in_time_propagates_a_nan_at_any_node():
+    # a NaN must reach the caller wherever it sits: Picard stops on a
+    # non-finite difference, whose first node is always 0
+    grid = GridSpec(x_bounds=((0.0, 1.0),), x_counts=(5,),
+                    r_bounds=((0.0, 1.0),), r_counts=(5,))
+    vals = np.zeros((3, grid.num_x, grid.num_r))
+    vals[2, 1, 1] = np.nan
+    for p in (1.0, 2.0, np.inf):
+        assert np.isnan(sup_in_time(vals, grid, NormSpec(p=p)))
 
 
 def test_norm_spec_rejects_bad_exponent():

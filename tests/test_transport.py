@@ -203,7 +203,8 @@ def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
     expected = u0[None] + _cumulative_trapezoid(
         inner, fmap.times, np.empty(inner.shape))
     assert np.array_equal(apply_A(values, fmap, kern, u0), expected)
-    assert np.array_equal(apply_A(values, fmap, kern, u0, _mats=ops), expected)
+    work = transport._Workspace(fmap, kern)
+    assert np.array_equal(apply_A(values, fmap, kern, u0, _work=work), expected)
     ref = _dense_apply_A(values, fmap, kern, u0)
     assert np.max(np.abs(expected - ref)) < 1e-12 * np.max(np.abs(ref))
 
@@ -293,7 +294,8 @@ def test_operator_evaluates_gamma_once_per_stored_slice(field, slices, kern):
     grid = _triangular_grid()
     fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=1e-10)
     counting = _CountingKernel(kern)
-    ops = _kernel_matrices(fmap, counting)
+    work = transport._Workspace(fmap, counting)
+    ops = work.ops
     assert ops.a.shape[0] == slices
     assert counting.factor_calls() == [slices, slices]
     assert counting.gamma.calls == 0
@@ -303,7 +305,8 @@ def test_operator_evaluates_gamma_once_per_stored_slice(field, slices, kern):
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
     u0 = np.zeros((grid.num_x, grid.num_r))
     ref = _dense_apply_A(values, fmap, kern, u0)
-    out = apply_A(values, fmap, kern, u0, _mats=ops)
+    out = apply_A(values, fmap, counting, u0, _work=work)
+    assert counting.factor_calls() == [slices, slices]
     assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -459,7 +462,7 @@ def test_choose_slab_cuts_the_horizon_into_equal_slabs(div_sup, horizon, count):
 
 
 def test_choose_slab_raises_when_budget_unreachable():
-    # rate 1e13 over T = 1 needs 1e13 slabs, more than 2**40; a NaN rate
+    # rate 1e13 over T = 1 needs 1e13 slabs, more than 2**16; a NaN rate
     # or divergence sup meets no budget at any slab length
     rate = kernel_slab_rate(constant_kernel(c=1e13), _fiber_grid(), 2.0)
     for args, shown in (((rate, 0.0), "rate 1e+13, divergence sup 0"),
@@ -468,7 +471,7 @@ def test_choose_slab_raises_when_budget_unreachable():
         with pytest.raises(SlabSelectionError) as err:
             choose_slab(*args, 1.0)
         assert f"kernel budget ({shown}) exceeds 0.5" in str(err.value)
-        assert "more than 2**40 slabs" in str(err.value)
+        assert "more than 2**16 slabs" in str(err.value)
 
 
 # ---------------------------------------------------------------------
@@ -487,7 +490,7 @@ def test_picard_matches_separable_oracle():
     ref = separable_solve(kern, state.u0, grid, state.times)
     assert np.max(np.abs(state.values - ref)) < 1e-6
     assert summary["residual"] <= 2e-10
-    assert all(r < 0.6 for r in summary["ratios"])
+    assert all(r < 0.6 for r in summary["contraction_ratios"])
 
 
 def test_picard_diverges_gracefully_when_budget_too_small():
@@ -603,7 +606,7 @@ def test_picard_in_a_workspace_is_bit_identical_to_fresh_arrays(
         assert state.values is work.u
         assert np.array_equal(state.values, values)
         assert summary["differences"] == diffs
-        assert summary["ratios"] == ratios
+        assert summary["contraction_ratios"] == ratios
         assert summary["residual"] == residual
     assert fixed_point_residual(state, kern, config) == residual
     _, summary = picard_solve(u0, fmap, kern, config)
@@ -618,23 +621,34 @@ def test_picard_allocates_no_slab_sized_array_per_iteration():
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     fmap = _slab(logistic_field(k=1, mu=0.3), grid, 0.4, 17)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4))
-    mats = _kernel_matrices(fmap, kern)
     work = transport._Workspace(fmap, kern)
-    configs = [SolverConfig(picard_tol=tol, nodes_per_slab=17)
-               for tol in (1e-6, 1e-12)]
-    picard_solve(u0, fmap, kern, configs[0], _mats=mats, _work=work)  # warm caches
-    peaks, iterations = [], []
-    for config in configs:
-        tracemalloc.start()
-        try:
-            _, summary = picard_solve(u0, fmap, kern, config, _mats=mats, _work=work)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        iterations.append(summary["iterations"])
-    assert iterations[1] > iterations[0]
-    assert abs(peaks[1] - peaks[0]) < work.u.nbytes
-    assert max(peaks) < work.u.nbytes
+    for p in (2.0, np.inf):  # the sup norm's window max is taken in place too
+        configs = [SolverConfig(p=p, picard_tol=tol, nodes_per_slab=17)
+                   for tol in (1e-6, 1e-12)]
+        picard_solve(u0, fmap, kern, configs[0], _work=work)  # warm caches
+        peaks, iterations = [], []
+        for config in configs:
+            tracemalloc.start()
+            try:
+                _, summary = picard_solve(u0, fmap, kern, config, _work=work)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            iterations.append(summary["iterations"])
+        assert iterations[1] > iterations[0]
+        assert abs(peaks[1] - peaks[0]) < work.u.nbytes
+        assert max(peaks) < work.u.nbytes
+
+
+def test_picard_stops_on_a_nan_past_the_first_node():
+    # A(u) is u0 at the first node whatever the kernel, so a NaN kernel
+    # shows at the later nodes only, and must still stop the iteration
+    grid = _fiber_grid(nr=9, nx=3)
+    nan = Kernel("nan", ((lambda r: np.full(r.shape, np.nan),), (np.ones_like,)))
+    with pytest.raises(PicardConvergenceError,
+                       match="non-finite difference at iteration 1"):
+        picard_solve(np.ones((grid.num_x, grid.num_r)),
+                     _slab(zero_field(1, 1), grid, 0.2, 5), nan, SolverConfig())
 
 
 def test_picard_rejects_wrong_datum_shape():
@@ -830,7 +844,25 @@ def test_continue_solution_fragmentation_mass_law():
     assert np.all(np.diff(ms) > 0)
     # ratios stayed within the contraction budget on every slab
     for s in sol.summaries:
-        assert all(r <= 0.6 for r in s["ratios"])
+        assert all(r <= 0.6 for r in s["contraction_ratios"])
+
+
+def test_run_summary_slabs_are_the_slab_records():
+    # each slab's record is built once, with the result JSON's keys, and
+    # the run summary hands the records over as they are
+    sol = continue_solution(
+        make_initial("constant"), zero_field(1, 1), constant_kernel(c=0.7),
+        SolverConfig(nodes_per_slab=9), _fiber_grid(nr=17), 3.0,
+    )
+    slabs = sol.run_summary()["slabs"]
+    assert len(slabs) >= 2
+    assert slabs == sol.summaries
+    for s, start, end in zip(slabs, sol.boundaries, sol.boundaries[1:]):
+        assert set(s) == {"t_start", "t_end", "iterations", "contraction_ratios",
+                          "differences", "residual", "exit_fraction"}
+        assert (s["t_start"], s["t_end"]) == (start, end)
+        assert s["exit_fraction"] == 0.0  # the zero field moves no label
+        assert s["iterations"] == len(s["differences"])
 
 
 def test_continue_solution_time_nodes_chain():
