@@ -205,6 +205,8 @@ def counterexample_experiment(
         for k in k_values
     ):
         raise ValueError("k_values must be positive integers")
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ValueError(f"window must be (lo, hi) with lo < hi, got {list(window)}")
     jacobian_points, fd_scale = (0.35, 0.8, 1.3, 1.9, 2.2), 1e-3
     jacobian_tol, density_tol = 1e-4, 1e-5
     report = ExperimentReport(

@@ -63,7 +63,7 @@ class StructuredVectorField:
     `fiber_ignores_x` declares that b2 and div_b2 never read x, so the
     same r gives the same bits at any x.  The flow then splits as
     X(t, x, r) = (X1(t, x), X2(t, r)), and labels that start the same
-    fiber share one fiber solve.
+    fiber share one fiber solve, stored once.
 
     `b1_and_div` and `b2_and_div` give a block's drift and divergence at
     the same points in one call, which the flow's right-hand sides make.
@@ -358,7 +358,8 @@ def mollify_field(fld: StructuredVectorField, eps: float) -> StructuredVectorFie
     drift and the divergence base on the same shifts, so the pair costs
     one shift per block, shared by both.  The fiber block dominates a
     flow's cost (S = 193 against 15), so a field whose fiber ignores x
-    pays it on one fiber of Nr points, not on all Nx x Nr labels.
+    pays it on one fiber of Nr points, not on all Nx x Nr labels, and
+    the flow map stores that one fiber.
     """
     if not (0.0 < eps < np.inf):
         raise ValueError(f"eps must be positive and finite, got {eps}")

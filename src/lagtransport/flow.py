@@ -11,13 +11,13 @@ requested time nodes.  Because b1 never sees r, the x block is solved once
 for all x labels and shared across each whole r fiber, so X1 is
 bit-identical for labels (x, r1) and (x, r2) by construction.  When b2
 never reads x (`StructuredVectorField.fiber_ignores_x`) the flow splits as
-X(t, x, r) = (X1(t, x), X2(t, r)), so labels that start the same fiber
-share one fiber solve of Nr points, whatever their x.  Otherwise the r
-fibers of every x label are stacked into a single second system driven by
-the x block's dense path.  Either way a flow map makes two integrator
-calls however many labels it has, and none for a block that the field
-declares zero (`StructuredVectorField.zero_blocks`), whose flow is the
-identity.  Each right-hand side asks the field for its drift and
+X(t, x, r) = (X1(t, x), X2(t, r)): labels that start one shared fiber
+share one solve of it, stored once with an x axis of length 1.  Otherwise
+the r fibers of every x label are stacked into a single second system
+driven by the x block's dense path.  Either way a flow map makes two
+integrator calls however many labels it has, and none for a block that
+the field declares zero (`StructuredVectorField.zero_blocks`), whose flow
+is the identity.  Each right-hand side asks the field for its drift and
 divergence at the same points in one call (`b1_and_div`, `b2_and_div`);
 a mollified field answers it with one set of shifted stencil points per
 block.  The block triangular gradient makes logJ = logJ1 + logJ2 the
@@ -116,31 +116,31 @@ def flow_from(
 ):
     """Flow M x labels and their r fibers from t_span[0] to t_span[1].
 
-    `x0` holds the x labels, shape (M, n), and `r0` each label's fiber
-    starts, shape (M, Q, j).  The x block is one system for all labels.
-    That is at most two integrator calls however many labels there are,
-    and none for a block in `field.zero_blocks`, whose flow is the
-    identity.
+    `x0` holds the x labels, shape (M, n), and `r0` the fiber starts,
+    (M, Q, j), or (1, Q, j) for one fiber that every label starts.  The
+    x block is one system for all labels.  That is at most two integrator
+    calls however many labels there are, and none for a block in
+    `field.zero_blocks`, whose flow is the identity.
 
-    When the field declares `fiber_ignores_x` and every label starts the
-    same fiber (the rows of `r0` are equal bit for bit, signed zeros
-    included), every label carries the same fiber trajectory: the fiber
-    block is one system of Q points, whose result is copied to all M
-    labels.  Otherwise the fibers are a stacked system that reads the
+    When the field declares `fiber_ignores_x` and `r0` has one row, every
+    label carries the same fiber trajectory: the fiber block is one
+    system of Q points, kept on that one row, as a zero r block keeps
+    its identity on the rows of `r0`.  Otherwise the fibers (one row is
+    broadcast to all M labels) are a stacked system that reads the
     labels' x positions from the x block's dense path once per
     right-hand side, so one `b2_and_div` call covers every fiber; its
     step size follows the RMS error norm of the whole stacked state, so
     a fiber can move by about the tolerance against a solve of its own.
     Returns C-contiguous (x positions (K, M, n), logj1 (K, M), r
-    positions (K, M, Q, j), logj2 (K, M, Q)) at the K nodes of `t_eval`;
-    for j = 0 the r positions are empty and logj2 is zero.
+    positions (K, R, Q, j), logj2 (K, R, Q)) at the K nodes of `t_eval`,
+    R = 1 or M rows; for j = 0 the r positions are empty, logj2 zero.
     """
     x0 = np.asarray(x0, dtype=float)
     r0 = np.asarray(r0, dtype=float)
     if (x0.ndim != 2 or x0.shape[1] != field.n or r0.ndim != 3
-            or r0.shape[0] != x0.shape[0] or r0.shape[2] != field.j):
+            or r0.shape[0] not in (1, x0.shape[0]) or r0.shape[2] != field.j):
         raise ValueError(
-            f"need x0 of shape (M, {field.n}) and r0 of shape (M, Q, "
+            f"need x0 of shape (M, {field.n}) and r0 of shape (M or 1, Q, "
             f"{field.j}), got {x0.shape} and {r0.shape}"
         )
     K, (M, n), Q = len(t_eval), x0.shape, r0.shape[1]
@@ -158,21 +158,19 @@ def flow_from(
         def x_at(t):
             return dense(t)[: M * n].reshape(M, 1, n)
     if field.j == 0:
-        return xpos, logj1, np.zeros((K, M, Q, 0)), np.zeros((K, M, Q))
+        return xpos, logj1, np.zeros((K,) + r0.shape), np.zeros((K,) + r0.shape[:2])
     if "r" in field.zero_blocks:
         return (xpos, logj1) + _identity_block(r0, t_span, K)
-    bits = r0.view(np.int64)
-    if field.fiber_ignores_x and np.all(bits == bits[:1]):
+    if field.fiber_ignores_x and r0.shape[0] == 1:
         rpos, logj2, _ = _solve_block(
-            lambda t, R: field.b2_and_div(x0[:1, None, :], R), r0[:1], t_span,
+            lambda t, R: field.b2_and_div(x0[:1, None, :], R), r0, t_span,
             t_eval, tol, "r-fiber",
         )
-        return (xpos, logj1, np.repeat(rpos, M, axis=1),
-                np.repeat(logj2, M, axis=1))
+        return xpos, logj1, rpos, logj2
 
     rpos, logj2, _ = _solve_block(
-        lambda t, R: field.b2_and_div(x_at(t), R), r0, t_span, t_eval, tol,
-        "r-fiber",
+        lambda t, R: field.b2_and_div(x_at(t), R),
+        np.broadcast_to(r0, (M, Q, field.j)), t_span, t_eval, tol, "r-fiber",
     )
     return xpos, logj1, rpos, logj2
 
@@ -195,14 +193,16 @@ class FlowMap:
     Backward maps store, per Eulerian point y and node t_k, the label
     X^{-1}(t_k, y) in the positions slot and the log-Jacobian of the
     inverse map in the logj slots (so positions[0] = y, logj[0] = 0).
+    A fiber that every x label shares is stored once, with an x axis of
+    length 1 in x2 and logj2 that every consumer broadcasts.
     """
 
     grid: GridSpec
     times: np.ndarray          # (K,)
     x1: np.ndarray             # (K, Nx, n)
     logj1: np.ndarray          # (K, Nx)
-    x2: np.ndarray             # (K, Nx, Nr, j)
-    logj2: np.ndarray          # (K, Nx, Nr)
+    x2: np.ndarray             # (K, Nx or 1, Nr, j)
+    logj2: np.ndarray          # (K, Nx or 1, Nr)
 
     @property
     def num_x(self) -> int:
@@ -218,11 +218,10 @@ class FlowMap:
 
     def positions(self) -> np.ndarray:
         """Joint positions, shape (K, Nx, Nr, n + j)."""
-        K, Nx, Nr = self.x2.shape[:3]
-        x_part = np.broadcast_to(
-            self.x1[:, :, None, :], (K, Nx, Nr, self.x1.shape[-1])
-        )
-        return np.concatenate([x_part, self.x2], axis=-1)
+        shape = (self.times.size, self.num_x, self.num_r)
+        return np.concatenate([
+            np.broadcast_to(self.x1[:, :, None, :], shape + self.x1.shape[-1:]),
+            np.broadcast_to(self.x2, shape + self.x2.shape[-1:])], axis=-1)
 
 
 def _check_times(times) -> np.ndarray:
@@ -258,7 +257,7 @@ def integrate_flow(
 
 def _forward_flow_map(field, grid, times, tol) -> FlowMap:
     x1, logj1, x2, logj2 = flow_from(
-        field, grid.x_labels(), grid.joint_labels()[..., grid.n :],
+        field, grid.x_labels(), grid.r_labels()[None],
         (times[0], times[-1]), times, tol,
     )
     return FlowMap(
@@ -269,20 +268,14 @@ def _forward_flow_map(field, grid, times, tol) -> FlowMap:
 
 def _backward_flow_map(field, grid, times, tol) -> FlowMap:
     xs, rs = grid.x_labels(), grid.r_labels()
-    K, (Nx, n), Nr = times.size, xs.shape, grid.num_r
-    x1 = np.empty((K, Nx, n))
-    logj1 = np.empty((K, Nx))
-    x2 = np.empty((K, Nx, Nr, grid.j))
-    logj2 = np.empty((K, Nx, Nr))
-    for k, t in enumerate(times):
-        x1[k], lj1, x2[k], lj2 = inverse_flow_grid(field, xs, rs, t, times[0], tol)
-        # 0.0 - v rather than -v: at t = times[0] the forward log-Jacobians
-        # are +0.0, and the inverse map's must stay +0.0, not -0.0
-        logj1[k] = 0.0 - lj1
-        logj2[k] = 0.0 - lj2
+    nodes = [inverse_flow_grid(field, xs, rs, t, times[0], tol) for t in times]
+    # the first node's one fiber row broadcasts to the rows of the others
+    x1, lj1, x2, lj2 = (np.stack(np.broadcast_arrays(*v)) for v in zip(*nodes))
+    # 0.0 - v rather than -v: at t = times[0] the forward log-Jacobians
+    # are +0.0, and the inverse map's must stay +0.0, not -0.0
     return FlowMap(
         grid=grid, times=times,
-        x1=x1, logj1=logj1, x2=x2, logj2=logj2,
+        x1=x1, logj1=0.0 - lj1, x2=x2, logj2=0.0 - lj2,
     )
 
 
@@ -298,8 +291,9 @@ def flow_map(
     `times` are the strictly increasing output nodes; the base time is
     times[0].  The x block is integrated once for all x labels and shared
     bit-for-bit across each r fiber.  Every x label starts the grid's
-    r fiber, so a field that declares `fiber_ignores_x` solves that one
-    fiber; otherwise the fibers of all x labels form one stacked system.
+    r fiber, so a field that declares `fiber_ignores_x` or a zero r block
+    solves and stores that one fiber; otherwise the fibers of all x
+    labels form one stacked system.
     A backward map takes every node from `inverse_flow_grid`, which makes
     that pair of solves for each node after the first.
     """
@@ -324,18 +318,19 @@ def inverse_flow_grid(
     """Inverse flow X^{-1}(t, .) on a tensor set of Eulerian points.
 
     The points are xs (Nx, n) times rs (Nr, j); `rs` is ignored when
-    j = 0.  Returns (labels_x (Nx, n), logj1 (Nx,), labels_r (Nx, Nr, j),
-    logj2 (Nx, Nr)): the labels reached by flowing back from t to t0, and
+    j = 0.  Returns (labels_x (Nx, n), logj1 (Nx,), labels_r (R, Nr, j),
+    logj2 (R, Nr)): the labels reached by flowing back from t to t0, and
     the forward log-Jacobians accumulated along each path, so the
     transported densities at the Eulerian points are rho1 = exp(-logj1)
-    and rho = exp(-(logj1 + logj2)).  At t == t0 the labels are the
-    points and the log-Jacobians are +0.0.
+    and rho = exp(-(logj1 + logj2)), R = 1 where `flow_from` shares the
+    fiber rs, else Nx.  At t == t0 the labels are the points (R = 1) and
+    the log-Jacobians are +0.0.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     rs = np.zeros((1, 0)) if field.j == 0 else np.atleast_2d(
         np.asarray(rs, dtype=float)
     )
-    r0 = np.broadcast_to(rs, (xs.shape[0],) + rs.shape)
+    r0 = rs[None]
     if t == t0:
         return xs.copy(), np.zeros(xs.shape[0]), r0.copy(), np.zeros(r0.shape[:2])
     x1, lj1, x2, lj2 = flow_from(field, xs, r0, (t, t0), np.array([t0]), tol)
@@ -344,8 +339,8 @@ def inverse_flow_grid(
 
 def density_rho2(fmap: FlowMap) -> np.ndarray:
     """Fiber density ratio rho2 = rho1(t, X1)/rho(t, X) = exp(logJ - logJ1),
-    shape (K, Nx, Nr).  This is the weight the source operator carries in
-    label coordinates."""
+    shaped like `fmap.logj2`, one row for a shared fiber.  This is the
+    weight the source operator carries in label coordinates."""
     return np.exp(fmap.logj2)
 
 
@@ -379,10 +374,9 @@ def check_compressibility(
     sup_x = np.full(times.size, np.max(dx))
     sup_tot = sup_x
     if field.j > 0:
-        dr = np.abs(np.asarray(
-            field.div_b2(fmap.x1[:, :, None, :], fmap.x2), dtype=float
-        ))
-        dr = np.broadcast_to(dr, fmap.logj2.shape)
+        # a fiber stored once is read at one x label, as b2 ignores x there
+        x1 = fmap.x1[:, : fmap.x2.shape[1], None, :]
+        dr = np.abs(np.asarray(field.div_b2(x1, fmap.x2), dtype=float))
         sup_tot = np.full(times.size, np.max(dx[..., None] + dr))
     dt = np.diff(times)
     bound_tot = np.concatenate(
@@ -525,7 +519,7 @@ def flow_map_to_csv(fmap: FlowMap, path) -> None:
         + [f"pos_r{i + 1}" for i in range(j)]
         + ["logJ1", "logJ"]
     )
-    K, Nx, Nr = fmap.logj2.shape
+    K, Nx, Nr = fmap.times.size, fmap.num_x, fmap.num_r
     labels = fmap.grid.joint_labels().reshape(Nx * Nr, n + j)
     # rows run over (x label, r label, time node), time fastest
     logj1 = np.broadcast_to(fmap.logj1[:, :, None], (K, Nx, Nr))

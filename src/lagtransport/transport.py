@@ -150,8 +150,8 @@ class EulerianSlice:
 @dataclass
 class _FactoredOperator:
     """Finite-rank operator a[k, i, l, m] = a_l(X2[k, i, m]) and
-    c[k, i, l, q] = c_l(X2[k, i, q]) * w_q, each (K_eff, Nx, L, Nr); a
-    triangular kernel has no w_q in c, as each tail has its own weights."""
+    c[k, i, l, q] = c_l(X2[k, i, q]) * w_q, each (K_eff, R, L, Nr) on the
+    flow's R fiber rows; a triangular kernel has no w_q in c."""
 
     a: np.ndarray
     c: np.ndarray
@@ -169,8 +169,9 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
     Each factor is called once per stored time slice, so no temporary
     outgrows an (Nx, Nr) slice.  When the moved fiber coordinates are
     time-independent (b2 = 0) K_eff = 1: a single time slice is stored
-    and broadcasts over the nodes.  A triangular kernel is integrated over
-    the node-aligned tails of the label fiber, as the fiber map is
+    and broadcasts over the nodes, as a shared fiber's one row broadcasts
+    over the x labels.  A triangular kernel is integrated over the
+    node-aligned tails of the label fiber, as the fiber map is
     monotone (label order and moved order agree); other kernels fold the
     fiber weights w(q) into the c_l.  Kernels act on a j = 1 fiber only.
     """
@@ -178,9 +179,9 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
     if grid.j != 1:
         raise ValueError(f"kernels act on a j = 1 fiber, not j = {grid.j}")
     moving = bool(np.any(fmap.x2[1:] != fmap.x2[:1]))
-    pos = fmap.x2[..., 0] if moving else fmap.x2[:1, ..., 0]  # (K_eff, Nx, Nr)
+    pos = fmap.x2[..., 0] if moving else fmap.x2[:1, ..., 0]  # (K_eff, R, Nr)
     a_list, c_list = kernel.factors
-    a = np.empty((pos.shape[0], fmap.num_x, len(a_list), fmap.num_r))
+    a = np.empty(pos.shape[:2] + (len(a_list), fmap.num_r))
     c = np.empty_like(a)
     wr = 1.0 if kernel.triangular else grid.r_weights()
     for k, l in np.ndindex(a.shape[0], a.shape[2]):
@@ -192,8 +193,8 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
 class _Workspace:
     """What a Picard solve on one flow and kernel reads and writes: the
     kernel operator `ops` and the density ratio rho2 = exp(logJ2) (both
-    None without a kernel), and the (K, Nx, Nr) buffers it iterates in,
-    the current iterate `u`, the next one `u_next` and `scratch`.
+    None without a kernel; one row for a shared fiber), and the (K, Nx,
+    Nr) buffers it iterates in, `u`, `u_next` and `scratch`.
 
     `continue_solution` builds one next to its slab template, so a run
     builds its operator once and allocates no slab-sized array after
@@ -201,7 +202,7 @@ class _Workspace:
     the same workspace."""
 
     def __init__(self, fmap: FlowMap, kernel: Kernel | None):
-        shape = fmap.logj2.shape
+        shape = (fmap.times.size, fmap.num_x, fmap.num_r)
         self.ops = None if kernel is None else _kernel_matrices(fmap, kernel)
         self.rho2 = None if kernel is None else density_rho2(fmap)
         self.u, self.u_next, self.scratch = (np.empty(shape) for _ in range(3))
@@ -239,9 +240,9 @@ def apply_A(
         return out
     ops = work.ops
     weighted = np.multiply(work.rho2, values, out=work.scratch)  # rho2 u~
-    # a static operator's single slice broadcasts over the nodes rather
-    # than being copied K times; the contraction overwrites the weighted
-    # state, which it no longer needs
+    # a static operator's single slice broadcasts over the nodes, and a
+    # shared fiber's one row over the x labels, rather than being copied;
+    # the contraction overwrites the weighted state, which it no longer needs
     if ops.triangular:
         rows = ops.c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
         tails = suffix_integrals(fmap.grid.r_axes()[0], rows)
@@ -445,8 +446,9 @@ def _pull_back(field: StructuredVectorField, grid: GridSpec, t: float, t0: float
     lab_x, _, lab_r, _ = inverse_flow_grid(
         field, grid.x_labels(), grid.r_labels(), t, t0
     )
-    x_part = np.broadcast_to(lab_x[:, None], lab_r.shape[:2] + lab_x.shape[1:])
-    flat = np.concatenate([x_part, lab_r], axis=-1).reshape(-1, grid.n + grid.j)
+    flat = np.empty((grid.num_x, grid.num_r, grid.n + grid.j))
+    flat[..., : grid.n], flat[..., grid.n :] = lab_x[:, None], lab_r
+    flat = flat.reshape(-1, grid.n + grid.j)
     outside = np.zeros(flat.shape[0], dtype=bool)
     for a, col in zip(grid.axes(), flat.T):
         pad = 1e-12 * max(1.0, abs(a[-1]) + abs(a[0]))
@@ -678,7 +680,7 @@ class _GaussianDatum:
 
 
 class _LogGaussianDatum:
-    """amp * exp(-(ln r - ln c)^2 / (2 sigma^2)), x-independent.
+    """amp * exp(-(ln r - ln c)^2 / (2 sigma^2)) on a j = 1 fiber, x-independent.
 
     The natural shape for fragmentation cascades, which spread mass over
     decades of r: smooth and well resolved on geometric r grids.
@@ -692,6 +694,8 @@ class _LogGaussianDatum:
             raise ValueError("log-Gaussian needs positive center and sigma")
 
     def __call__(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        if r.shape[-1] != 1:
+            raise ValueError(f"log-Gaussian reads j = 1, not j = {r.shape[-1]}")
         v = np.log(r[..., 0])
         out = self.amplitude * np.exp(
             -((v - np.log(self.r_center)) ** 2) / (2.0 * self.r_sigma**2)

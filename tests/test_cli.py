@@ -395,6 +395,13 @@ def _set_datum(params, cfg):
         ("solve", lambda c: c.update({"t_end": 1e-12})),
         ("solve", lambda c: (c["grid"].update({"time_nodes": [1e6, 1e6 + 0.5]}),
                              c.update({"t_end": 1e6 + 1e-7}))),
+        # a log-Gaussian reads a j = 1 fiber, and a j = 0 grid has none
+        ("solve", lambda c: (c.pop("kernel"), c.update({
+            "field": {"name": "zero", "params": {"n": 1, "j": 0}},
+            "grid": {"x_bounds": [[0.0, 1.0]], "x_counts": [3],
+                     "time_nodes": [0.0, 0.5]},
+            "initial": {"name": "log_gaussian"},
+        }))),
         # a Gaussian center is a number or a flat list of one value or one
         # per axis of its block, and a width is finite and positive
         *(("solve", partial(_set_datum, params)) for params in _BAD_GAUSSIANS),
@@ -417,7 +424,7 @@ def _set_datum(params, cfg):
         "solve-string_x_bound", "solve-bool_x_bound", "solve-string_time_node",
         "solve-bool_time_node", "solve-bool_time_start", "solve-list_mu",
         "solve-t_end=1e-13", "solve-t_end=5e-13", "solve-t_end=1e-12",
-        "solve-t_end_1e-7_past_1e6",
+        "solve-t_end_1e-7_past_1e6", "solve-log_gaussian_on_j0_grid",
         *(f"solve-{'-'.join(f'{k}={v}' for k, v in params.items())}"
           for params in _BAD_GAUSSIANS),
     ],
@@ -596,12 +603,19 @@ def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix
         ("stability", {"checkpoints": ["0.3"]}),
         ("counterexample", {"window": [True, 2.3]}),
         ("counterexample", {"window": ["0.3", 2.3]}),
+        # a window is two numbers, lo below hi
+        ("counterexample", {"window": [1]}),
+        ("counterexample", {"window": []}),
+        ("counterexample", {"window": [0.3, 2.3, 5]}),
+        ("counterexample", {"window": [2.3, 0.3]}),
     ],
     ids=["too_few_eps", "string_eps", "null_checkpoint", "nested_k", "string_window",
          "zero_eps", "zero_k", "negative_k", "infinite_k", "fractional_k",
          "bool_k", "stability_zero_k", "stability_bool_t_end",
          "bool_eps", "numeric_string_eps", "bool_checkpoint",
-         "numeric_string_checkpoint", "bool_window", "numeric_string_window"],
+         "numeric_string_checkpoint", "bool_window", "numeric_string_window",
+         "one_number_window", "empty_window", "three_number_window",
+         "reversed_window"],
 )
 def test_bad_study_arguments_exit_2(tmp_path, command, settings):
     cfg = write_config(tmp_path / "s.json", {"schema_version": 1, **settings})

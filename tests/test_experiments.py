@@ -146,6 +146,12 @@ def test_counterexample_rejects_k_that_is_not_a_positive_integer(k_values):
         counterexample_experiment(k_values=k_values, line_nodes=65)
 
 
+@pytest.mark.parametrize("window", [(1.0,), (), (0.3, 2.3, 5.0), (2.3, 0.3)])
+def test_counterexample_rejects_a_window_that_is_not_lo_below_hi(window):
+    with pytest.raises(ValueError, match="window"):
+        counterexample_experiment(k_values=(2,), line_nodes=65, window=window)
+
+
 def test_counterexample_detects_wrong_floor():
     report = counterexample_experiment(
         k_values=(2, 4), line_nodes=1025, floor_fraction=1.5,

@@ -114,7 +114,8 @@ def test_backward_map_node_zero_is_the_grid_with_positive_zero_logj(field, grid)
     # the CSV writes %.17g, which prints -0.0 as "-0": node 0 must hold +0.0
     fmap = flow_map(field, grid, times=TIMES, tol=TOL, direction="backward")
     assert np.array_equal(fmap.x1[0], grid.x_labels())
-    assert np.array_equal(fmap.x2[0], grid.joint_labels()[..., grid.n :])
+    x2 = np.broadcast_to(fmap.x2[0], (grid.num_x,) + fmap.x2.shape[2:])
+    assert np.array_equal(x2, grid.joint_labels()[..., grid.n :])
     for logj in (fmap.logj1[0], fmap.logj2[0]):
         assert np.all(logj == 0.0)
         assert not np.any(np.signbit(logj))
@@ -200,24 +201,29 @@ def test_stacked_fibers_match_label_by_label(field, shared):
     times = np.linspace(0.0, 0.5, 5)
     fwd = flow_map(field, grid, times=times, tol=TOL)
     lab_x, _, lab_r, lj2 = inverse_flow_grid(field, xs, rs, t=0.5, tol=TOL)
+    # a shared fiber is stored once: label i reads its row 0
+    rows = 1 if shared else grid.num_x
+    assert fwd.x2.shape[1] == fwd.logj2.shape[1] == lab_r.shape[0] == rows
     for i in range(grid.num_x):
+        f = 0 if shared else i
         x1, _, x2, logj2 = flow_from(
             field, xs[i : i + 1], rs[None], (0.0, 0.5), times, tol=TOL
         )
         # one x label alone takes its own steps in the x block
         assert np.max(np.abs(fwd.x1[:, i] - x1[:, 0])) <= TOL
-        assert agree(fwd.x2[:, i], x2[:, 0])
-        assert agree(fwd.logj2[:, i], logj2[:, 0])
+        assert agree(fwd.x2[:, f], x2[:, 0])
+        assert agree(fwd.logj2[:, f], logj2[:, 0])
         bx1, _, bx2, blj2 = flow_from(
             field, xs[i : i + 1], rs[None], (0.5, 0.0), np.array([0.0]), tol=TOL
         )
         assert np.max(np.abs(lab_x[i] - bx1[-1, 0])) <= TOL
-        assert agree(lab_r[i], bx2[-1, 0])
-        assert agree(lj2[i], -blj2[-1, 0])
+        assert agree(lab_r[f], bx2[-1, 0])
+        assert agree(lj2[f], -blj2[-1, 0])
     # a single (x, r) label through integrate_flow: a one-state fiber
     i, q = 7, 40
     sample = integrate_flow(field, np.concatenate([xs[i], rs[q]]), times, tol=TOL)
-    assert np.max(np.abs(sample.positions[:, 1] - fwd.x2[:, i, q, 0])) <= TOL
+    f = 0 if shared else i
+    assert np.max(np.abs(sample.positions[:, 1] - fwd.x2[:, f, q, 0])) <= TOL
     assert np.max(np.abs(sample.logj - fwd.logj()[:, i, q])) <= TOL
 
 
@@ -289,25 +295,34 @@ def test_fields_with_an_x_dependent_fiber_drift_do_not_declare_it():
 @pytest.mark.parametrize("field", _IGNORING_X, ids=_IGNORING_X_IDS)
 def test_one_shared_fiber_matches_the_stacked_fibers(field):
     # the same field without the declaration solves every x label's copy
-    # of the fiber as one stacked system: the maps agree to rounding
+    # of the fiber as one stacked system: the maps agree to rounding, and
+    # the declared fiber is stored once, as one row on the x label axis
     plain = dataclasses.replace(field, fiber_ignores_x=False)
     grid = _grid(nx=7, nr=6, r_bounds=((0.05, 0.95),))
     times = np.linspace(0.1, 0.6, 4)
-    maps = {}
+    maps, fibers = {}, {}
     for name, fld in (("declared", field), ("plain", plain)):
         fwd = flow_map(fld, grid, times=times, tol=TOL)
         bwd = flow_map(fld, grid, times=times, tol=TOL, direction="backward")
         inv = inverse_flow_grid(fld, grid.x_labels(), grid.r_labels(), 0.6, 0.1, TOL)
-        maps[name] = [fwd.x1, fwd.logj1, fwd.x2, fwd.logj2,
-                      bwd.x1, bwd.logj1, bwd.x2, bwd.logj2, *inv]
-    for a, b in zip(maps["declared"], maps["plain"]):
-        assert a.shape == b.shape and a.flags.c_contiguous and a.flags.writeable
+        maps[name] = [fwd.x1, fwd.logj1, bwd.x1, bwd.logj1, inv[0], inv[1]]
+        fibers[name] = [fwd.x2, fwd.logj2, bwd.x2, bwd.logj2, inv[2][None],
+                        inv[3][None]]
+    for a, b in zip(maps["declared"] + fibers["declared"],
+                    maps["plain"] + fibers["plain"]):
+        assert a.flags.c_contiguous and a.flags.writeable
         assert np.max(np.abs(a - b)) <= 1e-14
+    for a, b in zip(maps["declared"], maps["plain"]):
+        assert a.shape == b.shape
+    for a, b in zip(fibers["declared"], fibers["plain"]):
+        assert a.shape == b.shape[:1] + (1,) + b.shape[2:]
+        assert b.shape[1] == grid.num_x
 
 
 def test_per_label_fiber_starts_take_the_stacked_path(monkeypatch):
-    # the shared fiber needs every row of r0 equal bit for bit: a row that
-    # differs, if only in the sign of a zero, makes the fibers stack
+    # one row of r0 is one fiber that every label starts, solved and
+    # returned once; M rows are per-label starts, and they stack even
+    # when they are equal
     calls = []
 
     def counting(fun, t_span, y0, **kwargs):
@@ -317,18 +332,20 @@ def test_per_label_fiber_starts_take_the_stacked_path(monkeypatch):
     monkeypatch.setattr("lagtransport.flow.solve_ivp", counting)
     field = logistic_field(k=1, mu=0.3)
     x0 = np.linspace(-1.0, 1.0, 3)[:, None]
-    shared = np.broadcast_to(np.linspace(0.0, 0.6, 4)[:, None], (3, 4, 1))
-    signed = shared.copy()
-    signed[1, 0, 0] = -0.0
-    shifted = shared + np.array([0.0, 0.1, 0.2])[:, None, None]
+    row = np.linspace(0.0, 0.6, 4)[None, :, None]
+    equal = np.broadcast_to(row, (3, 4, 1))
+    shifted = equal + np.array([0.0, 0.1, 0.2])[:, None, None]
     out = {}
-    for name, r0, sizes in (("shared", shared, [6, 8]), ("signed", signed, [6, 24]),
+    for name, r0, sizes in (("row", row, [6, 8]), ("equal", equal, [6, 24]),
                             ("shifted", shifted, [6, 24])):
         calls.clear()
         out[name] = flow_from(field, x0, r0, (0.0, 0.5), TIMES[1:], TOL)
         assert calls == sizes
+    assert out["row"][2].shape == (TIMES.size - 1, 1, 4, 1)
+    assert out["row"][3].shape == (TIMES.size - 1, 1, 4)
+    assert out["equal"][2].shape == (TIMES.size - 1, 3, 4, 1)
     # stacked or not, each label's fiber is the one it starts
-    assert np.max(np.abs(out["signed"][2] - out["shared"][2])) <= TOL
+    assert np.max(np.abs(out["equal"][2] - out["row"][2])) <= TOL
     for k in range(3):
         one = flow_from(field, x0[k : k + 1], shifted[k : k + 1], (0.0, 0.5),
                         TIMES[1:], TOL)
@@ -381,8 +398,10 @@ def test_declared_zero_blocks_match_the_integrator_bit_for_bit(
                      bwd.x1, bwd.logj1, bwd.x2, bwd.logj2,
                      *inv, one.positions, one.logj1, one.logj]
         solves[name] = len(calls)
+    # a declared zero r block keeps the one fiber its flow starts; the
+    # plain field stacks a copy per x label
     for a, b in zip(out["declared"], out["plain"]):
-        assert same_bits(a, b)
+        assert same_bits(np.broadcast_to(a, b.shape), b)
     # one integrator call per flow and block, none for a declared block
     blocks = {"x", "r"} if field.j else {"x"}
     undeclared = blocks - field.zero_blocks
@@ -577,10 +596,12 @@ def test_inverse_flow_round_trip():
     xs = grid.x_labels()
     rs = grid.r_labels()
     lab_x, lj1, lab_r, lj2 = inverse_flow_grid(field, xs, rs, t=0.5, tol=TOL)
+    # the fiber ignores x: every x point shares one fiber of labels
+    assert lab_r.shape == (1, rs.shape[0], 1) and lj2.shape == (1, rs.shape[0])
     # flowing the recovered labels forward must land on the grid points
     for i in range(xs.shape[0]):
         for q in range(rs.shape[0]):
-            label = np.concatenate([lab_x[i], lab_r[i, q]])
+            label = np.concatenate([lab_x[i], lab_r[0, q]])
             fwd = integrate_flow(field, label, np.array([0.0, 0.5]), tol=TOL)
             target = np.concatenate([xs[i], rs[q]])
             assert np.allclose(fwd.positions[-1], target, atol=1e-8)
@@ -745,6 +766,25 @@ def test_check_compressibility_evaluates_each_divergence_once(
     assert report.violations
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_check_compressibility_reads_a_shared_fiber_at_one_x_label(direction):
+    # a fiber stored once is not broadcast to every x label before its
+    # divergence is taken: one row of points, for the same report
+    field = logistic_field(k=1, mu=0.3)
+    seen = []
+
+    def div_b2(x, r):
+        seen.append(np.broadcast_shapes(x.shape[:-1], r.shape[:-1]))
+        return field.div_b2(x, r)
+
+    grid = _grid(nr=5, x_bounds=((-np.pi, np.pi),), r_bounds=((0.1, 0.9),))
+    fmap = flow_map(field, grid, times=TIMES, tol=TOL, direction=direction)
+    report = check_compressibility(fmap, dataclasses.replace(field, div_b2=div_b2))
+    assert seen == [(TIMES.size, 1, grid.num_r)]
+    bound, violations = _per_node_report(fmap, field)
+    assert same_bits(report.bound_total, bound) and report.violations == violations
+
+
 # ---------------------------------------------------------------------
 # change of variables
 # ---------------------------------------------------------------------
@@ -865,12 +905,14 @@ def _flow_map_csv_by_rows(fmap):
     xs = fmap.grid.x_labels()
     rs = fmap.grid.r_labels()
     logj = fmap.logj()
+    # a shared fiber's one row stands for every x label
+    x2 = np.broadcast_to(fmap.x2, logj.shape + (j,))
     lines = [",".join(cols)]
     for i_x in range(fmap.num_x):
         for i_r in range(fmap.num_r):
             lab = np.concatenate([xs[i_x], rs[i_r]])
             for k, t in enumerate(fmap.times):
-                pos = np.concatenate([fmap.x1[k, i_x], fmap.x2[k, i_x, i_r]])
+                pos = np.concatenate([fmap.x1[k, i_x], x2[k, i_x, i_r]])
                 row = (
                     [f"{v:.17g}" for v in lab]
                     + [f"{t:.17g}"]

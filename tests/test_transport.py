@@ -318,12 +318,13 @@ def test_operator_builds_on_a_moving_flow_without_slice_temporaries(kern):
     # the operator is its factors on the moved fibers, evaluated one
     # stored slice at a time: the whole build, operator included, holds
     # less than one Nr x Nr slice, which a dense operator would need per
-    # stored (t, x) fiber
+    # stored (t, x) fiber.  The fiber drift reads x, so every x label
+    # has a fiber of its own
     grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(16,),
         r_bounds=((1e-3, 1.0),), r_counts=(129,), r_spacing="geometric",
     )
-    fmap = flow_map(logistic_field(k=1, mu=0.3), grid,
+    fmap = flow_map(modulated_logistic_field(mu=0.3), grid,
                     times=np.linspace(0.0, 0.5, 3), tol=1e-10)
     grid.r_weights()  # cached on the grid before the trace
     tracemalloc.start()
@@ -334,6 +335,31 @@ def test_operator_builds_on_a_moving_flow_without_slice_temporaries(kern):
         tracemalloc.stop()
     assert peak < 129 * 129 * 8
     assert ops.a.shape == ops.c.shape == (3, 16, 1, 129)
+
+
+@pytest.mark.parametrize(
+    "field, rows",
+    [
+        (logistic_field(k=1, mu=0.3), 1),
+        (zero_field(1, 1), 1),
+        # b2 reads x: every x label moves a fiber of its own
+        (modulated_logistic_field(mu=0.3), 33),
+    ],
+    ids=["logistic", "zero", "modulated_logistic"],
+)
+def test_a_shared_fiber_is_stored_once(field, rows):
+    # X(t, x, r) = (X1(t, x), X2(t, r)) when b2 ignores x: the flow map,
+    # rho2 and the operator each hold that one fiber row, and together
+    # take fewer bytes than one (K, Nx, Nr) array
+    grid = GridSpec(x_bounds=((-np.pi, np.pi),), x_counts=(33,),
+                    r_bounds=((0.0, 1.0),), r_counts=(257,))
+    fmap = flow_map(field, grid, times=np.linspace(0.0, 0.5, 17), tol=1e-10)
+    work = transport._Workspace(fmap, separable_kernel(terms=SEPARABLE_TERMS))
+    fiber = [fmap.x2, fmap.logj2, work.rho2, work.ops.a, work.ops.c]
+    assert [a.shape[1] for a in fiber] == [rows] * 5
+    assert work.u.shape == (17, 33, 257)
+    if rows == 1:
+        assert sum(a.nbytes for a in fiber) < work.u.nbytes
 
 
 def _raising_gamma(r, rt):
@@ -713,6 +739,15 @@ def test_reconstruct_linear_field_matches_transport():
 
 
 
+@pytest.mark.parametrize("j", [0, 2])
+def test_log_gaussian_datum_reads_a_j1_fiber_only(j):
+    # it reads r[..., 0] alone, so a second fiber axis would be ignored
+    datum = make_initial("log_gaussian")
+    with pytest.raises(ValueError, match=f"log-Gaussian reads j = 1, not j = {j}"):
+        datum(np.zeros((3, 1)), np.full((3, j), 0.5))
+    assert datum(np.zeros((3, 1)), np.full((3, 1), 0.25)).tolist() == [1.0] * 3
+
+
 def _rebasing_grid():
     return GridSpec(x_bounds=((-1.0, 1.0),), x_counts=(9,),
                     r_bounds=((0.0, 1.0),), r_counts=(17,))
@@ -845,6 +880,28 @@ def test_continue_solution_fragmentation_mass_law():
     # ratios stayed within the contraction budget on every slab
     for s in sol.summaries:
         assert all(r <= 0.6 for r in s["contraction_ratios"])
+
+
+@pytest.mark.parametrize("mu", [0.05, -0.05])
+def test_fragmentation_on_a_moving_fiber_follows_its_mass_law(mu):
+    # an exact reference where the fiber moves: fragmentation grows the
+    # mass at rate 2 and the fiber drift b2 = mu r adds int u div_r b2 =
+    # mu int u, so the mass is e^{(2 + mu) t} times its start
+    grid = GridSpec(x_bounds=((0.0, 1.0),), x_counts=(3,),
+                    r_bounds=((1e-8, 1.0),), r_counts=(1025,),
+                    r_spacing="geometric")
+    sol = continue_solution(
+        make_initial("log_gaussian"), linear_field(lam=0.0, mu=mu, n=1, j=1),
+        fragmentation_kernel(scale=2.0), SolverConfig(picard_tol=1e-9), grid, 1.0,
+    )
+    drift = np.abs(sol.masses / (sol.masses[0] * np.exp((2.0 + mu) * sol.mass_times))
+                   - 1.0)
+    at = [int(np.argmin(np.abs(sol.mass_times - b))) for b in sol.boundaries[1:]]
+    # the drift each re-basing adds, for the record of the boundary error
+    print(f"mu={mu}: drift at each slab end", [f"{drift[k]:.1e}" for k in at])
+    assert len(at) > 1
+    assert np.max(drift[: at[0] + 1]) < 1e-6  # within the first slab
+    assert drift[-1] < 1e-3
 
 
 def test_run_summary_slabs_are_the_slab_records():
