@@ -42,7 +42,7 @@ def main() -> None:
     )
 
     fmap = flow_map(field, grid, times=times, tol=args.tol)
-    report = check_compressibility(fmap, field, slack=1e-6)
+    report = check_compressibility(fmap, field)
     logj = fmap.logj()
 
     print(f"field {field.name!r}, {grid.num_x} x-labels, "
@@ -65,8 +65,12 @@ def main() -> None:
         x_bounds=((-np.pi, np.pi),), x_counts=(65,),
         r_bounds=((0.05, 0.95),), r_counts=(17,),
     )
+    cov_times = [0.0, args.t_end]
     out = verify_change_of_variables(
-        field, cov_grid, args.t_end, phi_x, phi_joint, tol=args.tol
+        flow_map(field, cov_grid, times=cov_times, tol=args.tol),
+        flow_map(field, cov_grid, times=cov_times, tol=args.tol,
+                 direction="backward"),
+        phi_x, phi_joint,
     )
     print()
     print("change of variables with Gaussian test functions")

@@ -8,13 +8,13 @@ exit code:
     0  success, all criteria met
     1  computation finished but a criterion or check failed
     2  configuration rejected (bad JSON, unknown keys, invalid values)
-    3  numerical failure (integration, contraction, or precondition)
+    3  numerical failure (integration, contraction, precondition, non-finite result)
 
 Configs declare schema_version 1 and are validated against a strict
 whitelist; unknown keys anywhere are rejected before anything runs, and
-no output files are written unless the computation finishes.  A run that
-exits 2 or 3 removes the output directories it created, while they are
-empty.
+no output files are written unless the computation finishes with a
+finite result.  A run that exits 2 or 3 removes the output directories
+it created, while they are empty.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .flow import (
     flow_map,
     flow_map_to_csv,
     integrate_flow,
-    inverse_flow_grid,
     verify_change_of_variables,
 )
 from .grid import GridSpec
@@ -468,10 +467,13 @@ def _verify_battery(
         ))))
     record("semigroup", err, 1e-8 * scale)
 
+    # one forward and one backward map of the grid for every flow check
+    fmap = flow_map(field, grid, times=np.linspace(t0, t0 + t, 9), tol=flow_tol)
+    bwd = flow_map(field, grid, [t0, t0 + t], tol=flow_tol, direction="backward")
+
     # inverse round trip: backward labels flowed forward return to the grid
-    lab_x, _, lab_r, _ = inverse_flow_grid(field, xs, rs, t0 + t, t0, flow_tol)
     xpos, _, rpos, _ = flow_from(
-        field, lab_x, lab_r, (t0, t0 + t), np.array([t0 + t]), flow_tol
+        field, bwd.x1[-1], bwd.x2[-1], (t0, t0 + t), np.array([t0 + t]), flow_tol
     )
     err = float(np.max(np.abs(xpos[-1] - xs)))
     if grid.j:
@@ -479,7 +481,6 @@ def _verify_battery(
     record("inverse_round_trip", err, 1e-7 * scale)
 
     # density bounds along stored trajectories
-    fmap = flow_map(field, grid, times=np.linspace(t0, t0 + t, 9), tol=flow_tol)
     rep = check_compressibility(fmap, field)
     checks["density_bounds"] = {
         "measured": float(len(rep.violations)),
@@ -506,9 +507,7 @@ def _verify_battery(
                 -np.sum((r - r_center) ** 2, axis=-1) / (r_width / 6.0) ** 2
             )
 
-    cov = verify_change_of_variables(
-        field, grid, t0 + t, phi_x, phi_joint, tol=flow_tol, t0=t0
-    )
+    cov = verify_change_of_variables(fmap, bwd, phi_x, phi_joint)
     record("change_of_variables_marginal", cov["residual_marginal"], 2e-3 * scale)
     if "residual_joint" in cov:
         record("change_of_variables_joint", cov["residual_joint"], 2e-3 * scale)
@@ -656,9 +655,15 @@ def main(argv=None) -> int:
         _remove_empty(created)
         return 3
 
-    with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        # NaN and Infinity are not JSON: a number the run could not compute
+        print(f"numerical failure: the result is not finite: {exc}", file=sys.stderr)
+        (out_dir / f"{stem}.csv").unlink(missing_ok=True)
+        _remove_empty(created)
+        return 3
+    (out_dir / f"{stem}.json").write_text(text + "\n", encoding="utf-8")
     status = "ok" if verdict else "FAILED"
     print(f"{args.command}: {status}  ->  {out_dir / stem}.json")
     return 0 if verdict else 1

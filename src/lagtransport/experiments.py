@@ -110,6 +110,9 @@ def stability_experiment(
         raise ValueError("need at least three mollification radii")
     if not all(0 < eps < np.inf for eps in eps_values):
         raise ValueError("mollification radii must be finite and positive")
+    if not checkpoints or min(checkpoints) <= 0:
+        # at t = 0 every run holds the one initial datum: distance 0
+        raise ValueError("checkpoints must name at least one time, all after 0")
     base = logistic_field(k=k, mu=mu)
     grid = grid or GridSpec(
         x_bounds=((-np.pi, np.pi),), x_counts=(49,),

@@ -23,6 +23,8 @@ a mollified field answers it with one set of shifted stencil points per
 block.  The block triangular gradient makes logJ = logJ1 + logJ2 the
 log-determinant of the full flow, giving the compressibility densities
 rho = exp(-logJ) along trajectories without any Eulerian reconstruction.
+The checks integrate nothing: `check_compressibility` reads one map and
+`verify_change_of_variables` the last nodes of a forward and a backward map.
 """
 
 from __future__ import annotations
@@ -355,18 +357,20 @@ class CompressibilityReport:
     violations: list
 
 
+# how far a log-Jacobian may pass its envelope by integrator error
+_BOUND_SLACK = 1e-6
+
+
 def check_compressibility(
-    fmap: FlowMap,
-    field: StructuredVectorField,
-    slack: float = 1e-6,
+    fmap: FlowMap, field: StructuredVectorField,
 ) -> CompressibilityReport:
     """Check exp(-D(t)) <= exp(logJ) <= exp(D(t)) with D = int sup|div|.
 
     The divergence sup is a sampled maximum over every position the map
     stores, at every node (an under-estimate in principle, documented as
     such), from one evaluation of each divergence: the field does not
-    depend on time, so the sup is the same at every node.  `slack`
-    absorbs integrator error.  The same envelope logic is applied per
+    depend on time, so the sup is the same at every node.  A slack of
+    1e-6 absorbs integrator error.  The same envelope logic is applied per
     block to logJ1.
     """
     times = fmap.times
@@ -388,14 +392,15 @@ def check_compressibility(
     max_lj = logj.max(axis=(1, 2))
     min_lj1 = fmap.logj1.min(axis=1)
     max_lj1 = fmap.logj1.max(axis=1)
+    env_tot, env_x = bound_tot + _BOUND_SLACK, bound_x + _BOUND_SLACK
     violations = []
     for k in range(times.size):
-        if max_lj[k] > bound_tot[k] + slack or min_lj[k] < -bound_tot[k] - slack:
+        if max_lj[k] > env_tot[k] or min_lj[k] < -env_tot[k]:
             violations.append(
                 ("logJ", float(times[k]), float(min_lj[k]), float(max_lj[k]),
                  float(bound_tot[k]))
             )
-        if max_lj1[k] > bound_x[k] + slack or min_lj1[k] < -bound_x[k] - slack:
+        if max_lj1[k] > env_x[k] or min_lj1[k] < -env_x[k]:
             violations.append(
                 ("logJ1", float(times[k]), float(min_lj1[k]), float(max_lj1[k]),
                  float(bound_x[k]))
@@ -408,58 +413,41 @@ def check_compressibility(
 
 
 def verify_change_of_variables(
-    field: StructuredVectorField,
-    grid: GridSpec,
-    t: float,
-    phi_x,
-    phi_joint=None,
-    support_x: tuple[tuple[float, float], ...] | None = None,
-    tol: float = 1e-10,
-    t0: float = 0.0,
+    fwd: FlowMap, bwd: FlowMap, phi_x, phi_joint=None,
 ) -> dict:
     """Double-entry check of the pushforward identities of the flow from
-    the base time t0 to t.
+    the maps' first node t0 to their last node t.
 
     Marginal:  int phi(y) rho1(t, y) dy      = int phi(X1(t, x)) dx
     Joint:     int phi(y, s) rho(t, y, s) dyds = int phi(X(t, x, r)) dxdr
 
-    The right sides are label-grid quadratures along the forward flow; the
-    left sides are Eulerian-grid quadratures with densities obtained from
-    backward paths, so the two entries share no trajectory data.  Both
-    integrals require phi supported inside the grid box with margin at
-    least the maximal displacement; when an x-support box is declared the
-    margin is checked against a sampled field bound, and a bound that is
-    NaN fails the check.
+    The right sides are label-grid quadratures at the last node of the
+    forward map `fwd`; the left sides are Eulerian-grid quadratures at
+    the last node of the backward map `bwd`, whose labels and inverse
+    log-Jacobians give the densities rho1 = exp(logj1) and
+    rho = exp(logj1 + logj2), zero where a label leaves the box.  The two
+    entries share no trajectory data.  Both integrals require phi
+    supported inside the grid box with margin at least the maximal
+    displacement over [t0, t]; the caller chooses phi to meet it.
     """
-    if t <= t0:
-        raise ValueError("need t > t0")
-    disp = _displacement_bound(field, grid, t0, t)
-    if support_x is not None:
-        for (slo, shi), (blo, bhi) in zip(support_x, grid.x_bounds):
-            if not (slo - disp >= blo and shi + disp <= bhi):
-                raise PreconditionError(
-                    f"x-support ({slo}, {shi}) plus displacement {disp:.3g} "
-                    f"leaves the grid box ({blo}, {bhi})"
-                )
-
+    if (fwd.grid != bwd.grid or fwd.times[0] != bwd.times[0]
+            or fwd.times[-1] != bwd.times[-1]):
+        raise ValueError("the forward and backward maps need one grid and "
+                         "the same first and last nodes")
+    grid = fwd.grid
     xs = grid.x_labels()
     wx = grid.x_weights()
     wr = grid.r_weights()
-    times = np.array([t0, 0.5 * (t0 + t), t])
-    fwd = flow_map(field, grid, times=times, tol=tol)
     rhs_marg = float(np.sum(wx * np.asarray(phi_x(fwd.x1[-1]), dtype=float)))
-    lab_x, lj1, lab_r, lj2 = inverse_flow_grid(
-        field, xs, grid.r_labels(), t, t0, tol
-    )
-    inside_x = _inside(lab_x, grid.x_bounds)
-    rho1 = np.where(inside_x, np.exp(-lj1), 0.0)
+    lj1 = bwd.logj1[-1]
+    inside_x = _inside(bwd.x1[-1], grid.x_bounds)
+    rho1 = np.where(inside_x, np.exp(lj1), 0.0)
     lhs_marg = float(np.sum(wx * np.asarray(phi_x(xs), dtype=float) * rho1))
     out = {
-        "t": t,
+        "t": float(fwd.times[-1]),
         "marginal_forward": rhs_marg,
         "marginal_eulerian": lhs_marg,
         "residual_marginal": abs(lhs_marg - rhs_marg),
-        "displacement_bound": disp,
     }
     if phi_joint is not None:
         if grid.j == 0:
@@ -470,8 +458,8 @@ def verify_change_of_variables(
         )
         rhs_joint = float(np.sum(wx[:, None] * wr[None, :] * vals))
         rho = np.where(
-            inside_x[:, None] & _inside(lab_r, grid.r_bounds),
-            np.exp(-(lj1[:, None] + lj2)),
+            inside_x[:, None] & _inside(bwd.x2[-1], grid.r_bounds),
+            np.exp(lj1[:, None] + bwd.logj2[-1]),
             0.0,
         )
         labels = grid.joint_labels()
@@ -490,20 +478,6 @@ def _inside(pts, bounds):
     for axis, (lo, hi) in enumerate(bounds):
         ok &= (pts[..., axis] >= lo) & (pts[..., axis] <= hi)
     return ok
-
-
-def _displacement_bound(field, grid, t0, t1) -> float:
-    """Sampled sup of |b| over the grid's labels, from one evaluation of
-    each block, times the duration; a NaN drift gives NaN."""
-    v1 = np.asarray(field.b1(grid.x_labels()), dtype=float)
-    sup = np.max(np.linalg.norm(v1, axis=-1))
-    if field.j > 0:
-        labels = grid.joint_labels()
-        v2 = np.asarray(
-            field.b2(labels[..., : grid.n], labels[..., grid.n :]), dtype=float
-        )
-        sup = np.maximum(sup, np.max(np.linalg.norm(v2, axis=-1)))
-    return float(sup) * (t1 - t0)
 
 
 def flow_map_to_csv(fmap: FlowMap, path) -> None:

@@ -535,7 +535,8 @@ def continue_solution(
 
     `u0` is either nodal values (Nx, Nr) or a callable u0(x, r) sampled on
     the label grid.  The slab budget (the kernel's slab rate and the sup
-    of |div_r b2| over the label grid) does not depend on time, so
+    of |div_r b2| over the label grid, read on one fiber row when b2
+    ignores x) does not depend on time, so
     `choose_slab` plans the run once; a horizon `check_horizon` rejects,
     or a slice time off the planned nodes, raises before any work.  Every
     slab is the first shifted in time, so the flow map, the pull-back of
@@ -553,7 +554,8 @@ def continue_solution(
     rate, div_sup = None, 0.0
     if kernel is not None:
         rate = kernel_slab_rate(kernel, grid, config.p)
-        labels = grid.joint_labels()
+        # b2 reads no x of a shared fiber: one row of labels has its sup
+        labels = grid.joint_labels()[: 1 if field.fiber_ignores_x else None]
         div_sup = float(np.max(np.abs(np.asarray(
             field.div_b2(labels[..., : grid.n], labels[..., grid.n :]),
             dtype=float,

@@ -145,7 +145,7 @@ def test_criterion_4_density_bounds():
     ]
     for field, grid in cases:
         fmap = flow_map(field, grid, times=times, tol=FLOW_TOL)
-        report = check_compressibility(fmap, field, slack=1e-6)
+        report = check_compressibility(fmap, field)
         assert report.ok, f"{field.name}: {report.violations}"
     print(f"criterion 4 (density bounds): PASS  {len(cases)} fields")
 
@@ -192,9 +192,12 @@ def test_criterion_5_change_of_variables():
                 x_bounds=xb, x_counts=(counts[0],),
                 r_bounds=rb, r_counts=(counts[1],),
             )
-            out = verify_change_of_variables(
-                field, grid, 0.5, phi_x, phi_joint, tol=FLOW_TOL
+            fwd, bwd = (
+                flow_map(field, grid, times=[0.0, 0.5], tol=FLOW_TOL,
+                         direction=direction)
+                for direction in ("forward", "backward")
             )
+            out = verify_change_of_variables(fwd, bwd, phi_x, phi_joint)
             residuals[counts] = (
                 out["residual_marginal"], out["residual_joint"]
             )

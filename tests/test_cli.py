@@ -1,7 +1,9 @@
 """Command line interface: config validation, outputs, exit codes."""
 
+import copy
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 import time
@@ -165,6 +167,34 @@ def test_verify_battery_passes_at_default_scale(tmp_path):
         "change_of_variables_marginal", "change_of_variables_joint",
         "oracle_equivalence", "mass_law",
     } <= names
+
+
+def test_verify_flow_checks_share_one_forward_and_one_backward_map(
+    tmp_path, monkeypatch,
+):
+    # the round trip, the density bounds and the change of variables read
+    # the same two maps: 18 integrator calls, of which the forward and
+    # backward maps of the config's grid make 2 each
+    from lagtransport import cli, flow
+
+    maps, calls = [], []
+
+    def recording(*args, _real=flow.flow_map, **kwargs):
+        maps.append(_real(*args, **kwargs))
+        return maps[-1]
+
+    def counting(*args, _real=flow.solve_ivp, **kwargs):
+        calls.append(args[1])
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "flow_map", recording)
+    monkeypatch.setattr(flow, "solve_ivp", counting)
+    cfg = str(CONFIGS / "verify_logistic.json")
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 18
+    fwd, bwd, _ = maps  # the third is the oracle probe's
+    assert fwd.times.size == 9 and list(bwd.times) == [0.0, 0.5]
+    assert fwd.grid == bwd.grid and fwd.x2.shape[1] == bwd.x2.shape[1] == 1
 
 
 # ---------------------------------------------------------------------
@@ -585,6 +615,8 @@ def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix
         ("stability", {"eps_values": [0.2, 0.1]}),
         ("stability", {"eps_values": ["x", 0.1, 0.05]}),
         ("stability", {"checkpoints": [None]}),
+        ("stability", {"checkpoints": []}),
+        ("stability", {"checkpoints": [0]}),
         ("counterexample", {"k_values": [[2]]}),
         ("counterexample", {"window": ["a", "b"]}),
         ("stability", {"eps_values": [0.2, 0.1, 0.0]}),
@@ -609,8 +641,8 @@ def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix
         ("counterexample", {"window": [0.3, 2.3, 5]}),
         ("counterexample", {"window": [2.3, 0.3]}),
     ],
-    ids=["too_few_eps", "string_eps", "null_checkpoint", "nested_k", "string_window",
-         "zero_eps", "zero_k", "negative_k", "infinite_k", "fractional_k",
+    ids=["too_few_eps", "string_eps", "null_checkpoint", "no_checkpoints",
+         "checkpoint_at_start", "nested_k", "string_window", "zero_eps", "zero_k", "negative_k", "infinite_k", "fractional_k",
          "bool_k", "stability_zero_k", "stability_bool_t_end",
          "bool_eps", "numeric_string_eps", "bool_checkpoint",
          "numeric_string_checkpoint", "bool_window", "numeric_string_window",
@@ -672,6 +704,34 @@ def test_numerical_failure_removes_the_directories_it_created(tmp_path, monkeypa
     monkeypatch.setattr(transport, "_MAX_ITERS", 1)
     cfg = write_config(tmp_path / "s.json", solve_config())
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "a/b")]) == 3
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        # the backward density exp(-logJ) overflows: an infinite constant
+        ("flow", {
+            "schema_version": 1,
+            "field": {"name": "linear", "params": {"lam": 1000, "n": 1, "j": 0}},
+            "grid": {"x_bounds": [[-1, 1]], "x_counts": [4], "time_nodes": [0, 10]},
+            "direction": "backward",
+        }),
+        # the closed-form density is inf / inf: NaN errors and a NaN floor
+        ("counterexample", {
+            "schema_version": 1, "k_values": [2], "t": 1000, "line_nodes": 65,
+        }),
+    ],
+    ids=["infinite_flow_constant", "nan_counterexample"],
+)
+def test_a_result_that_is_not_finite_exits_3_and_writes_nothing(
+    tmp_path, command, payload,
+):
+    cfg = write_config(tmp_path / "c.json", payload)
+    res = run_cli(command, "--config", cfg, "--out", str(tmp_path / "a/b"))
+    assert res.returncode == 3, res.stderr
+    assert "numerical failure: the result is not finite" in res.stderr
+    assert "Traceback" not in res.stderr
     assert not (tmp_path / "a").exists()
 
 
@@ -853,3 +913,105 @@ def test_picard_budget_exhaustion_exits_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not list(tmp_path.glob("solve_*.json"))
+
+
+# ---------------------------------------------------------------------
+# the exit-code contract under config mutations
+# ---------------------------------------------------------------------
+
+# each demo config shrunk to a grid or a study of a few points
+_TINY = {
+    "counterexample_default": {("k_values",): [2, 4], ("line_nodes",): 65},
+    "flow_logistic": {("grid", "x_counts"): [5], ("grid", "r_counts"): [3],
+                      ("grid", "time_nodes", "num"): 3},
+    "solve_fragmentation": {("grid", "r_counts"): [33], ("t_end",): 0.25},
+    "solve_separable": {("grid", "r_counts"): [9], ("t_end",): 0.25},
+    "stability_default": {("eps_values",): [0.2, 0.1, 0.05], ("t_end",): 0.1,
+                          ("checkpoints",): [0.1]},
+    "verify_logistic": {("grid", "x_counts"): [5], ("grid", "r_counts"): [5]},
+}
+_DELETE = object()
+# values of an entry's own kind, and values of no kind that fits it
+_KINDS = {
+    (int, float): [0, -1, 0.5, 3, 1e-9, 40.0],
+    str: ["", "zero", "linear", "logistic", "oscillatory", "swirl",
+          "separable", "fragmentation", "geometric", "backward"],
+    list: [[], [0.5], [3, 1e-9], [[0, 1]]],
+    dict: [{}],
+}
+_ODD = [_DELETE, None, True, "x", [], {}]
+
+
+def _entries(obj, path=()):
+    """(path, value) of every key and list element under `obj`."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _entries(value, path + (key,))
+
+
+def _set(cfg, path, value):
+    for key in path[:-1]:
+        cfg = cfg[key]
+    if value is _DELETE:
+        del cfg[path[-1]]
+    else:
+        cfg[path[-1]] = copy.deepcopy(value)
+
+
+def _mutants(name, count):
+    """`count` copies of a tiny demo config, each with one or two entries
+    replaced or deleted; the draws are seeded by the config's name."""
+    base = json.loads((CONFIGS / f"{name}.json").read_text())
+    for path, value in _TINY[name].items():
+        _set(base, path, value)
+    rng = random.Random(name)
+    for _ in range(count):
+        cfg = copy.deepcopy(base)
+        for _ in range(rng.choice((1, 2))):
+            path, value = rng.choice(list(_entries(cfg)))
+            pool = next((
+                pool for kinds, pool in _KINDS.items()
+                if isinstance(value, kinds) and not isinstance(value, bool)
+            ), _ODD)
+            new = rng.choice(_ODD if rng.random() < 0.2 else pool)
+            if new is _DELETE and isinstance(path[-1], int):
+                new = None  # a list element is replaced, not removed
+            _set(cfg, path, new)
+        yield cfg
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(_TINY))
+def test_config_mutations_keep_the_exit_code_contract(tmp_path, capsys, name):
+    # whatever a config holds, a run exits 0-3 without an exception; 1
+    # only with a failed verdict, 2 and 3 leaving no output, and every
+    # result it writes is JSON
+    from lagtransport import cli
+
+    command = name.split("_")[0]
+    for i, cfg in enumerate(_mutants(name, 40)):
+        path = write_config(tmp_path / f"{i}.json", cfg)
+        out = tmp_path / f"out{i}" / "deep"
+        try:
+            with np.errstate(all="ignore"):
+                code = cli.main([command, "--config", path, "--out", str(out)])
+        except Exception as exc:
+            raise AssertionError(f"cli.main raised on {cfg}") from exc
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (cfg, err)
+        if code in (2, 3):
+            assert not out.parent.exists(), (cfg, err)
+            continue
+        (result,) = out.glob(f"{command}_*.json")
+        payload = json.loads(result.read_text(), parse_constant=_reject_constant)
+        verdict = payload.get("passed", payload.get("density_bounds_ok", True))
+        assert verdict is (code == 0), (cfg, payload)

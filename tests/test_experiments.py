@@ -152,6 +152,14 @@ def test_counterexample_rejects_a_window_that_is_not_lo_below_hi(window):
         counterexample_experiment(k_values=(2,), line_nodes=65, window=window)
 
 
+@pytest.mark.parametrize("checkpoints", [(), (0.0,), (0.2, 0.0)])
+def test_stability_rejects_checkpoints_that_compare_nothing(checkpoints):
+    # raised before any solve, naming the argument: a study needs a
+    # checkpoint after the start, where the runs can differ
+    with pytest.raises(ValueError, match="checkpoints must name at least one"):
+        stability_experiment(checkpoints=checkpoints)
+
+
 def test_counterexample_detects_wrong_floor():
     report = counterexample_experiment(
         k_values=(2, 4), line_nodes=1025, floor_fraction=1.5,

@@ -16,9 +16,7 @@ from lagtransport.fields import (
     zero_field,
 )
 from lagtransport.flow import (
-    _displacement_bound,
     FlowIntegrationError,
-    PreconditionError,
     check_compressibility,
     density_rho2,
     flow_from,
@@ -797,6 +795,15 @@ def _gauss_x(center, width):
     return phi
 
 
+def _maps(field, grid, t, t0=0.0):
+    """The forward and backward maps of `grid` from t0 to t."""
+    times = [t0, t]
+    return (
+        flow_map(field, grid, times=times, tol=TOL),
+        flow_map(field, grid, times=times, tol=TOL, direction="backward"),
+    )
+
+
 def test_change_of_variables_linear_field():
     field = linear_field(lam=0.4, mu=0.3, n=1, j=1)
     grid = GridSpec(
@@ -810,7 +817,7 @@ def test_change_of_variables_linear_field():
         return _gauss_x(0.0, 0.25)(x) * _gauss_x(0.0, 0.25)(r)
 
     out = verify_change_of_variables(
-        field, grid, 0.5, _gauss_x(0.0, 0.25), phi_joint, tol=TOL
+        *_maps(field, grid, 0.5), _gauss_x(0.0, 0.25), phi_joint
     )
     assert out["residual_marginal"] < 1e-4
     assert out["residual_joint"] < 1e-4
@@ -829,60 +836,58 @@ def test_change_of_variables_from_a_later_base_time():
         r_bounds=((-3.0, 3.0),), r_counts=(9,),
     )
     phi = _gauss_x(0.0, 0.25)
-    ref = verify_change_of_variables(field, grid, 0.5, phi, tol=TOL)
-    out = verify_change_of_variables(field, grid, 0.7, phi, tol=TOL, t0=0.2)
+    ref = verify_change_of_variables(*_maps(field, grid, 0.5), phi)
+    out = verify_change_of_variables(*_maps(field, grid, 0.7, t0=0.2), phi)
     for key in ("marginal_forward", "marginal_eulerian"):
         assert abs(out[key] - ref[key]) < 1e-9
-    with pytest.raises(ValueError):
-        verify_change_of_variables(field, grid, 0.2, phi, tol=TOL, t0=0.2)
 
 
-def test_change_of_variables_support_margin_guard():
-    field = linear_field(lam=1.0, mu=0.0, n=1, j=0)
-    grid = GridSpec(
-        x_bounds=((-1.0, 1.0),),
-        x_counts=(17,),
+def test_change_of_variables_reads_the_last_nodes_of_the_maps():
+    # a forward map with more nodes ends on the same positions, so the
+    # entries keep their bits; the Eulerian entries are those of the
+    # inverse flow's labels and log-Jacobians, whose signs the backward
+    # map flips
+    field = logistic_field(k=2, mu=0.3)
+    grid = _grid(nx=17, nr=9, x_bounds=((-np.pi, np.pi),), r_bounds=((0.05, 0.95),))
+    phi_x, phi_r = _gauss_x(0.3, 0.6), _gauss_x(0.5, 0.15)
+
+    def phi_joint(x, r):
+        return phi_x(x) * phi_r(r)
+
+    fwd, bwd = _maps(field, grid, 0.5)
+    many = flow_map(field, grid, times=np.linspace(0.0, 0.5, 9), tol=TOL)
+    out = verify_change_of_variables(fwd, bwd, phi_x, phi_joint)
+    assert out == verify_change_of_variables(many, bwd, phi_x, phi_joint)
+    lab_x, lj1, lab_r, lj2 = inverse_flow_grid(
+        field, grid.x_labels(), grid.r_labels(), 0.5, 0.0, TOL
     )
-    # displacement sup |b| * T = 1.0 exceeds the margin of this support box
-    with pytest.raises(PreconditionError):
-        verify_change_of_variables(
-            field, grid, 1.0, _gauss_x(0.0, 0.3),
-            support_x=((-0.9, 0.9),), tol=TOL,
-        )
-
-
-def test_displacement_bound_evaluates_each_drift_once():
-    # the bound of verify_change_of_variables is one evaluation of b1 and
-    # of b2 on the grid's labels; it keeps the bits of a sup over five
-    # time samples of the same evaluations
-    grid = _grid(nx=9, nr=5, x_bounds=((-np.pi, np.pi),), r_bounds=((0.1, 0.9),))
+    # a label pulled back out of the box carries no density
+    inside = (np.abs(lab_x[:, 0]) <= np.pi)[:, None] & (
+        (lab_r[..., 0] >= 0.05) & (lab_r[..., 0] <= 0.95)
+    )
+    assert inside.any() and not inside.all()
+    wx, wr = grid.x_weights(), grid.r_weights()
     labels = grid.joint_labels()
-    for field in (logistic_field(k=2, mu=0.7), modulated_logistic_field()):
-        counted, calls = counting_field(field, ("b1", "b2"))
-        disp = _displacement_bound(counted, grid, 0.1, 0.6)
-        assert calls == {"b1": 1, "b2": 1}
-        sup = 0.0
-        for _ in range(5):
-            v1 = field.b1(grid.x_labels())
-            sup = max(sup, float(np.max(np.linalg.norm(v1, axis=-1))))
-            v2 = field.b2(labels[..., :1], labels[..., 1:])
-            sup = max(sup, float(np.max(np.linalg.norm(v2, axis=-1))))
-        assert disp == sup * (0.6 - 0.1)
+    marg = float(np.sum(wx * phi_x(grid.x_labels()) * np.exp(-lj1)))
+    joint = float(np.sum(
+        wx[:, None] * wr[None, :] * phi_joint(labels[..., :1], labels[..., 1:])
+        * np.where(inside, np.exp(-(lj1[:, None] + lj2)), 0.0)
+    ))
+    assert out["marginal_eulerian"] == marg
+    assert out["joint_eulerian"] == joint
 
 
-def test_change_of_variables_support_guard_rejects_a_nan_drift():
-    # a NaN drift gives a NaN displacement bound, which no support fits
-    field = dataclasses.replace(
-        linear_field(lam=0.1, mu=0.0, n=1, j=0),
-        b1=lambda x: np.where(x > 0.5, np.nan, 0.1 * x),
-    )
-    grid = GridSpec(x_bounds=((-1.0, 1.0),), x_counts=(17,))
-    assert np.isnan(_displacement_bound(field, grid, 0.0, 1.0))
-    with pytest.raises(PreconditionError, match="displacement nan"):
-        verify_change_of_variables(
-            field, grid, 1.0, _gauss_x(0.0, 0.1),
-            support_x=((-0.2, 0.2),), tol=TOL,
-        )
+def test_change_of_variables_rejects_maps_that_do_not_match():
+    field = linear_field(lam=0.4, mu=0.3, n=1, j=1)
+    grid = _grid()
+    fwd, bwd = _maps(field, grid, 0.5)
+    for pair in [
+        (fwd, _maps(field, _grid(nx=5), 0.5)[1]),  # another grid
+        (fwd, _maps(field, grid, 0.4)[1]),  # another last node
+        (_maps(field, grid, 0.5, t0=0.1)[0], bwd),  # another first node
+    ]:
+        with pytest.raises(ValueError, match="one grid and the same first and last"):
+            verify_change_of_variables(*pair, _gauss_x(0.0, 0.25))
 
 
 # ---------------------------------------------------------------------

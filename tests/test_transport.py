@@ -17,6 +17,7 @@ from lagtransport.fields import (
     kernel_slab_rate,
     linear_field,
     logistic_field,
+    mollify_field,
     separable_kernel,
     zero_field,
 )
@@ -360,6 +361,50 @@ def test_a_shared_fiber_is_stored_once(field, rows):
     assert work.u.shape == (17, 33, 257)
     if rows == 1:
         assert sum(a.nbytes for a in fiber) < work.u.nbytes
+
+
+class _Planned(Exception):
+    """Raised by a spy on `choose_slab` to stop a run once it is planned."""
+
+
+@pytest.mark.parametrize(
+    "field, points",
+    [
+        (logistic_field(k=1, mu=0.3), 7),
+        (mollify_field(logistic_field(k=1, mu=0.3), 0.05), 7),
+        # b2 reads x: every x label's fiber counts
+        (modulated_logistic_field(mu=0.3), 9 * 7),
+    ],
+    ids=["logistic", "mollified_logistic", "modulated_logistic"],
+)
+def test_the_slab_budget_reads_a_shared_fiber_once(monkeypatch, field, points):
+    # the sup of |div_r b2| over one fiber row is the sup over the label
+    # grid, bit for bit, when b2 ignores x: the plan does not change
+    grid = GridSpec(x_bounds=((-np.pi, np.pi),), x_counts=(9,),
+                    r_bounds=((0.0, 1.0),), r_counts=(7,))
+    labels = grid.joint_labels()
+    full = np.max(np.abs(field.div_b2(labels[..., :1], labels[..., 1:])))
+    seen, plans = [], []
+
+    def div_b2(x, r, _real=field.div_b2):
+        seen.append(np.broadcast_shapes(x.shape[:-1], r.shape[:-1]))
+        return _real(x, r)
+
+    def planning(*args, _real=transport.choose_slab):
+        plans.append((args, _real(*args)))
+        raise _Planned
+
+    monkeypatch.setattr(transport, "choose_slab", planning)
+    kern = separable_kernel()
+    with pytest.raises(_Planned):
+        continue_solution(
+            make_initial("gaussian"), dataclasses.replace(field, div_b2=div_b2),
+            kern, SolverConfig(), grid, 1.6,
+        )
+    assert [int(np.prod(shape)) for shape in seen] == [points]
+    ((_, div_sup, _), plan), = plans
+    assert div_sup.hex() == float(full).hex() and div_sup > 0
+    assert plan == choose_slab(kernel_slab_rate(kern, grid, 2.0), float(full), 1.6)
 
 
 def _raising_gamma(r, rt):
