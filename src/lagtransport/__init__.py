@@ -42,7 +42,6 @@ from .flow import (
     FlowSample,
     PreconditionError,
     check_compressibility,
-    density_rho2,
     flow_from,
     flow_map,
     flow_map_to_csv,
@@ -99,7 +98,6 @@ __all__ = [
     "choose_slab",
     "constant_kernel",
     "continue_solution",
-    "density_rho2",
     "eulerian_reconstruct",
     "fixed_point_residual",
     "flow_from",

@@ -266,9 +266,9 @@ def _time_nodes(spec: dict) -> np.ndarray:
 def _build_grid(spec: dict) -> GridSpec:
     try:
         return GridSpec(
-            x_bounds=tuple(tuple(b) for b in spec["x_bounds"]),
+            x_bounds=spec["x_bounds"],
             x_counts=tuple(spec["x_counts"]),
-            r_bounds=tuple(tuple(b) for b in spec.get("r_bounds", ())),
+            r_bounds=spec.get("r_bounds", ()),
             r_counts=tuple(spec.get("r_counts", ())),
             r_spacing=spec.get("r_spacing", "uniform"),
         )
@@ -304,11 +304,8 @@ def _check_dimensions(field, grid: GridSpec) -> None:
 
 def _build_solver(spec: dict | None, grid: GridSpec) -> SolverConfig:
     """The solver settings; the norm's window must fit `grid`."""
-    spec = dict(spec or {})
     try:
-        if spec.get("window") is not None:
-            spec["window"] = tuple(tuple(w) for w in spec["window"])
-        config = SolverConfig(**spec)
+        config = SolverConfig(**(spec or {}))
         config.norm_spec().weights(grid)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solver settings: {exc}") from exc
@@ -398,16 +395,17 @@ def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
         "stability": stability_experiment,
         "counterexample": counterexample_experiment,
     }[command]
-    try:
-        kwargs = {
-            key: tuple(map(parse[0], cfg[key])) if parse else cfg[key]
-            for key, (_, _, *parse) in _SCHEMAS[command].items()
-            if key in cfg and key != "schema_version"
-        }
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {command} arguments: {exc}") from exc
+    kwargs = {}
+    for key, (_, _, *parse) in _SCHEMAS[command].items():
+        if key in cfg and key != "schema_version":
+            try:
+                kwargs[key] = tuple(map(parse[0], cfg[key])) if parse else cfg[key]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid {command} argument {key!r}: {exc}") from exc
     try:
         report = experiment(**kwargs)
+    except PreconditionError:
+        raise  # a re-basing that loses labels fails as it does in a solve
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows_to_csv(report.rows, out_dir / f"{stem}.csv")

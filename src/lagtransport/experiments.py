@@ -227,7 +227,10 @@ def counterexample_experiment(
     in_win = (ys >= window[0]) & (ys <= window[1])
     ys_win = ys[in_win]
     w_win = axis_weights(ys_win)
-    floor = strong_failure_floor(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(2 t) overflows
+        floor = strong_failure_floor(t)
+    if not np.isfinite(floor):
+        raise ValueError(f"t = {t!r} is too large: the L1 floor is not finite")
 
     jac_errs, den_errs, weak_gaps, l1_vals = [], [], [], []
     for k in k_values:

@@ -47,7 +47,6 @@ __all__ = [
     "flow_from",
     "flow_map",
     "inverse_flow_grid",
-    "density_rho2",
     "check_compressibility",
     "verify_change_of_variables",
     "flow_map_to_csv",
@@ -159,9 +158,7 @@ def flow_from(
 
         def x_at(t):
             return dense(t)[: M * n].reshape(M, 1, n)
-    if field.j == 0:
-        return xpos, logj1, np.zeros((K,) + r0.shape), np.zeros((K,) + r0.shape[:2])
-    if "r" in field.zero_blocks:
+    if field.j == 0 or "r" in field.zero_blocks:
         return (xpos, logj1) + _identity_block(r0, t_span, K)
     if field.fiber_ignores_x and r0.shape[0] == 1:
         rpos, logj2, _ = _solve_block(
@@ -337,13 +334,6 @@ def inverse_flow_grid(
         return xs.copy(), np.zeros(xs.shape[0]), r0.copy(), np.zeros(r0.shape[:2])
     x1, lj1, x2, lj2 = flow_from(field, xs, r0, (t, t0), np.array([t0]), tol)
     return x1[-1], -lj1[-1], x2[-1], -lj2[-1]
-
-
-def density_rho2(fmap: FlowMap) -> np.ndarray:
-    """Fiber density ratio rho2 = rho1(t, X1)/rho(t, X) = exp(logJ - logJ1),
-    shaped like `fmap.logj2`, one row for a shared fiber.  This is the
-    weight the source operator carries in label coordinates."""
-    return np.exp(fmap.logj2)
 
 
 @dataclass

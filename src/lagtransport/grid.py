@@ -182,6 +182,17 @@ def _memo(method):
     return cached
 
 
+def _pairs(name: str, bounds) -> tuple[tuple[float, float], ...]:
+    """`bounds` as a tuple of (lo, hi) float pairs, or a ValueError that
+    names them."""
+    try:
+        return tuple((float(lo), float(hi)) for lo, hi in bounds)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{name} must hold one (lo, hi) pair of numbers per axis, got {bounds!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Truncated tensor-product grid over the x-box and r-box.
@@ -212,9 +223,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         # lists become tuples; the instance is frozen, hence object.__setattr__
         for name in ("x_bounds", "r_bounds"):
-            object.__setattr__(self, name, tuple(
-                (float(a), float(b)) for a, b in getattr(self, name)
-            ))
+            object.__setattr__(self, name, _pairs(name, getattr(self, name)))
         for c in tuple(self.x_counts) + tuple(self.r_counts):
             if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
                 raise ValueError(f"axis counts must be integers, got {c!r}")
@@ -364,9 +373,10 @@ def _product_weights(per_axis: Sequence[np.ndarray]) -> np.ndarray:
 class NormSpec:
     """L^p norm over an optional window (sub-box of label space).
 
-    `window` lists one (lo, hi) pair per axis of the joint (x, r) product;
-    None means the whole grid.  Window edges snap outward to grid nodes,
-    so the effective window is the node span containing the request.
+    `window` lists one (lo, hi) pair per axis of the joint (x, r) product,
+    read as a tuple of float pairs (else ValueError); None means the
+    whole grid.  Window edges snap outward to grid nodes, so the
+    effective window is the node span containing the request.
     """
 
     p: float = 2.0
@@ -375,32 +385,17 @@ class NormSpec:
     def __post_init__(self) -> None:
         if not (self.p >= 1.0 or math.isinf(self.p)):
             raise ValueError("p must be >= 1 or inf")
+        if self.window is not None:
+            object.__setattr__(self, "window", _pairs("window", self.window))
 
     def weights(self, grid: GridSpec) -> np.ndarray:
         """Joint-grid weight array (grid.shape) that is zero outside the
         window; ValueError unless the window gives one interval per grid
-        axis, each spanning at least 2 nodes.
-
-        The window is read as a tuple of float pairs, and the array is the
-        grid's `window_weights` of it: built once per grid and window, and
-        read-only.
+        axis, each spanning at least 2 nodes.  It is the grid's
+        `window_weights` of the window: built once per grid and window,
+        and read-only.
         """
-        window = self.window
-        if window is not None:
-            window = tuple((float(lo), float(hi)) for lo, hi in window)
-        return grid.window_weights(window)
-
-
-def _as_joint(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape == grid.shape:
-        return values
-    if values.shape == (grid.num_x, grid.num_r):
-        return values.reshape(grid.shape)
-    raise ValueError(
-        f"values shape {values.shape} does not match grid "
-        f"(expected {grid.shape} or ({grid.num_x}, {grid.num_r}))"
-    )
+        return grid.window_weights(self.window)
 
 
 def lp_norm(values: np.ndarray, grid: GridSpec, spec: NormSpec) -> float:
@@ -428,7 +423,11 @@ def sup_in_time(
     itself allowed), or into a new array when it is None.
     """
     values_t = np.asarray(values_t, dtype=float)
-    _as_joint(values_t[0], grid)  # rejects a node shape that does not fit
+    if values_t.shape[1:] not in (grid.shape, (grid.num_x, grid.num_r)):
+        raise ValueError(
+            f"values shape {values_t.shape[1:]} does not match grid "
+            f"(expected {grid.shape} or ({grid.num_x}, {grid.num_r}))"
+        )
     K = values_t.shape[0]
     terms = np.abs(values_t, out=out).reshape((K,) + grid.shape)
     wts = spec.weights(grid)

@@ -31,7 +31,6 @@ from .fields import Kernel, StructuredVectorField, kernel_slab_rate
 from .flow import (
     FlowMap,
     PreconditionError,
-    density_rho2,
     flow_map,
     inverse_flow_grid,
 )
@@ -147,24 +146,11 @@ class EulerianSlice:
     exit_fraction: float
 
 
-@dataclass
-class _FactoredOperator:
-    """Finite-rank operator a[k, i, l, m] = a_l(X2[k, i, m]) and
-    c[k, i, l, q] = c_l(X2[k, i, q]) * w_q, each (K_eff, R, L, Nr) on the
-    flow's R fiber rows; a triangular kernel has no w_q in c."""
-
-    a: np.ndarray
-    c: np.ndarray
-    triangular: bool
-
-    @property
-    def nbytes(self) -> int:
-        return self.a.nbytes + self.c.nbytes
-
-
-def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
+def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> np.ndarray:
     """The kernel's quadrature operator on the moved fiber coordinates of
-    the flow's label grid, from its declared factors.
+    the flow's label grid, from its declared factors: one (2, K_eff, R,
+    L, Nr) array of the finite-rank tables a[k, i, l, m] = a_l(X2[k, i, m])
+    and c[k, i, l, q] = c_l(X2[k, i, q]) * w_q on the flow's R fiber rows.
 
     Each factor is called once per stored time slice, so no temporary
     outgrows an (Nx, Nr) slice.  When the moved fiber coordinates are
@@ -172,8 +158,9 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
     and broadcasts over the nodes, as a shared fiber's one row broadcasts
     over the x labels.  A triangular kernel is integrated over the
     node-aligned tails of the label fiber, as the fiber map is
-    monotone (label order and moved order agree); other kernels fold the
-    fiber weights w(q) into the c_l.  Kernels act on a j = 1 fiber only.
+    monotone (label order and moved order agree), and has no w_q in c;
+    other kernels fold the fiber weights w(q) into the c_l.  Kernels act
+    on a j = 1 fiber only.
     """
     grid = fmap.grid
     if grid.j != 1:
@@ -181,20 +168,21 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> _FactoredOperator:
     moving = bool(np.any(fmap.x2[1:] != fmap.x2[:1]))
     pos = fmap.x2[..., 0] if moving else fmap.x2[:1, ..., 0]  # (K_eff, R, Nr)
     a_list, c_list = kernel.factors
-    a = np.empty(pos.shape[:2] + (len(a_list), fmap.num_r))
-    c = np.empty_like(a)
+    ops = np.empty((2,) + pos.shape[:2] + (len(a_list), fmap.num_r))
+    a, c = ops
     wr = 1.0 if kernel.triangular else grid.r_weights()
     for k, l in np.ndindex(a.shape[0], a.shape[2]):
         a[k, :, l] = a_list[l](pos[k])
         np.multiply(c_list[l](pos[k]), wr, out=c[k, :, l])
-    return _FactoredOperator(a=a, c=c, triangular=kernel.triangular)
+    return ops
 
 
 class _Workspace:
     """What a Picard solve on one flow and kernel reads and writes: the
-    kernel operator `ops` and the density ratio rho2 = exp(logJ2) (both
-    None without a kernel; one row for a shared fiber), and the (K, Nx,
-    Nr) buffers it iterates in, `u`, `u_next` and `scratch`.
+    kernel operator `ops`, the array of `_kernel_matrices`, and the
+    density ratio rho2 = exp(logJ2) (both None without a kernel; one row
+    for a shared fiber), and the (K, Nx, Nr) buffers it iterates in, `u`,
+    `u_next` and `scratch`.
 
     `continue_solution` builds one next to its slab template, so a run
     builds its operator once and allocates no slab-sized array after
@@ -204,7 +192,7 @@ class _Workspace:
     def __init__(self, fmap: FlowMap, kernel: Kernel | None):
         shape = (fmap.times.size, fmap.num_x, fmap.num_r)
         self.ops = None if kernel is None else _kernel_matrices(fmap, kernel)
-        self.rho2 = None if kernel is None else density_rho2(fmap)
+        self.rho2 = None if kernel is None else np.exp(fmap.logj2)
         self.u, self.u_next, self.scratch = (np.empty(shape) for _ in range(3))
 
     def swap(self) -> None:
@@ -238,18 +226,18 @@ def apply_A(
     if kernel is None:
         out[...] = u0
         return out
-    ops = work.ops
+    a, c = work.ops
     weighted = np.multiply(work.rho2, values, out=work.scratch)  # rho2 u~
     # a static operator's single slice broadcasts over the nodes, and a
     # shared fiber's one row over the x labels, rather than being copied;
     # the contraction overwrites the weighted state, which it no longer needs
-    if ops.triangular:
-        rows = ops.c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
+    if kernel.triangular:
+        rows = c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
         tails = suffix_integrals(fmap.grid.r_axes()[0], rows)
-        inner = np.einsum("kilm,kilm->kim", ops.a, tails, out=work.scratch)
+        inner = np.einsum("kilm,kilm->kim", a, tails, out=work.scratch)
     else:
-        mom = np.einsum("kilq,kiq->kil", ops.c, weighted)
-        inner = np.einsum("kilm,kil->kim", ops.a, mom, out=work.scratch)
+        mom = np.einsum("kilq,kiq->kil", c, weighted)
+        inner = np.einsum("kilm,kil->kim", a, mom, out=work.scratch)
     _cumulative_trapezoid(inner, fmap.times, out)
     out += u0
     return out
@@ -544,7 +532,10 @@ def continue_solution(
     the kernel operator) are built once, on the local nodes
     tau = linspace(0, T0, nodes_per_slab).  Each slab iterates Picard
     on them, reads its masses and slices at t_start + tau, drops its
-    state, and re-bases its last node on the label grid.  By
+    state, and re-bases its last node on the label grid.  A slab
+    reconstructs each node it reads once: its last node, the re-basing
+    datum and on the last slab `final`, and the nodes of its slices, so
+    a slice on a slab boundary is the re-basing read.  By
     `eulerian_reconstruct`'s box rule a label pulled back beyond the
     box's 1e-12 pad is set to 0; a run of more than one slab whose
     re-basing would set more than 0.1% of them aborts before solving.
@@ -564,9 +555,10 @@ def continue_solution(
     boundaries = list(itertools.accumulate([length] * count, initial=t0))
     tau = np.linspace(0.0, length, config.nodes_per_slab)
     last = tau.size - 1
-    where = {t: _slab_node(boundaries, tau, t) for t in (*slice_times, boundaries[-1])}
-    nodes = {k for _, k in where.values()}  # the last node among them
-    pulls = {k: _pull_back(field, grid, tau[k], 0.0) for k in nodes}
+    # (slab, node) of each slice time, or ValueError before any work
+    slice_nodes = [_slab_node(boundaries, tau, t) for t in slice_times]
+    pulls = {k: _pull_back(field, grid, tau[k], 0.0)
+             for k in {last, *(k for _, k in slice_nodes)}}
     exit_fraction = float(np.mean(pulls[last][1]))
     if count > 1 and exit_fraction > _EXIT_FRACTION_LIMIT:
         raise PreconditionError(
@@ -575,17 +567,17 @@ def continue_solution(
         )
     fmap = flow_map(field, grid, tau)
     work = _Workspace(fmap, kernel)
-    made = dict.fromkeys(where.values())  # (slab, node) -> EulerianSlice
     w = grid.x_weights()[:, None] * grid.r_weights()[None, :]
-    mass_times, masses, summaries = [], [], []
+    mass_times, masses, summaries, slices = [], [], [], dict.fromkeys(slice_times)
     for i, t_start in enumerate(boundaries[:-1]):
         # the template shifted in time: its arrays on the nodes t_start + tau
         shifted = replace(fmap, times=t_start + tau)
         state, summary = picard_solve(u_cur, shifted, kernel, config, _work=work)
-        for slab, k in made:
-            if slab == i:
-                made[slab, k] = eulerian_reconstruct(
-                    state, field, state.times[k], _pull=pulls[k])
+        # one read per node: the last one, and those of the slab's slices
+        read = {k: eulerian_reconstruct(state, field, state.times[k], _pull=pulls[k])
+                for k in {last, *(k for slab, k in slice_nodes if slab == i)}}
+        slices.update((t, read[k]) for t, (slab, k) in zip(slice_times, slice_nodes)
+                      if slab == i)
         start = 0 if i == 0 else 1
         # mass int u dy dr as the label-grid quadrature of u~ exp(logJ), in
         # the two workspace buffers the state does not use, and a row sum
@@ -595,21 +587,16 @@ def continue_solution(
         dens *= np.exp(logj, out=logj)
         mass_times.extend(state.times[start:].tolist())
         masses.extend(dens[start:].reshape(tau.size - start, -1).sum(axis=1).tolist())
-        rebased = i + 1 < count
         summary.update(t_start=float(t_start), t_end=float(boundaries[i + 1]),
-                       exit_fraction=exit_fraction if rebased else 0.0)
-        if rebased:
-            u_cur = (made.get((i, last)) or eulerian_reconstruct(
-                state, field, state.times[last], _pull=pulls[last])).values
+                       exit_fraction=exit_fraction if i + 1 < count else 0.0)
+        u_cur = read[last].values
         summaries.append(summary)
         del state
     return ContinuedSolution(
         field_name=field.name,
         kernel_name=kernel.name if kernel is not None else "none",
         mass_times=np.asarray(mass_times), masses=np.asarray(masses),
-        slices={t: made[where[t]] for t in slice_times},
-        final=made[where[boundaries[-1]]],
-        summaries=summaries, boundaries=boundaries,
+        slices=slices, final=read[last], summaries=summaries, boundaries=boundaries,
     )
 
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -334,6 +335,16 @@ _BAD_GAUSSIANS = (
 )
 
 
+# the message a rejected config prints, where the test pins it
+_PAIRS = " must hold one (lo, hi) pair of numbers per axis"
+_BAD_CONFIG_MESSAGES = {
+    "solve-x_bound_of_one": "x_bounds" + _PAIRS,
+    "solve-x_bounds_flat": "x_bounds" + _PAIRS,
+    "solve-r_bound_of_three": "r_bounds" + _PAIRS,
+    "solve-window_flat": "window" + _PAIRS,
+}
+
+
 def _set_datum(params, cfg):
     cfg["initial"] = {"name": "gaussian", "params": params}
 
@@ -412,6 +423,10 @@ def _set_datum(params, cfg):
             {"window": [["0.0", 1.0], [0.0, 1.0]]})),
         ("solve", lambda c: c["grid"].update({"x_bounds": [["0", 1.0]]})),
         ("solve", lambda c: c["grid"].update({"x_bounds": [[0.0, True]]})),
+        # a bound is a (lo, hi) pair
+        ("solve", lambda c: c["grid"].update({"x_bounds": [[0.5]]})),
+        ("solve", lambda c: c["grid"].update({"x_bounds": [3, 1e-9]})),
+        ("solve", lambda c: c["grid"].update({"r_bounds": [[0.0, 0.5, 1.0]]})),
         ("solve", lambda c: c["grid"].update({"time_nodes": ["0", 0.5]})),
         ("solve", lambda c: c["grid"].update({"time_nodes": [False, 0.5]})),
         ("solve", lambda c: c["grid"].update(
@@ -451,7 +466,8 @@ def _set_datum(params, cfg):
         "solve-null_x_center", "solve-bool_mu", "solve-bool_k",
         "solve-string_eps", "solve-numeric_string_c", "solve-bool_in_terms",
         "solve-bool_in_window", "solve-string_in_window",
-        "solve-string_x_bound", "solve-bool_x_bound", "solve-string_time_node",
+        "solve-string_x_bound", "solve-bool_x_bound", "solve-x_bound_of_one",
+        "solve-x_bounds_flat", "solve-r_bound_of_three", "solve-string_time_node",
         "solve-bool_time_node", "solve-bool_time_start", "solve-list_mu",
         "solve-t_end=1e-13", "solve-t_end=5e-13", "solve-t_end=1e-12",
         "solve-t_end_1e-7_past_1e6", "solve-log_gaussian_on_j0_grid",
@@ -459,7 +475,7 @@ def _set_datum(params, cfg):
           for params in _BAD_GAUSSIANS),
     ],
 )
-def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
+def test_bad_solve_and_verify_configs_exit_2(tmp_path, request, command, mutate):
     payload = {"solve": solve_config, "verify": verify_config}[command]()
     mutate(payload)
     cfg = write_config(tmp_path / "bad.json", payload)
@@ -467,6 +483,8 @@ def test_bad_solve_and_verify_configs_exit_2(tmp_path, command, mutate):
     res = run_cli(command, "--config", cfg, "--out", str(out))
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
+    message = _BAD_CONFIG_MESSAGES.get(request.node.callspec.id)
+    assert message is None or message in res.stderr, res.stderr
     assert "Traceback" not in res.stderr
     assert not out.exists()
 
@@ -658,6 +676,29 @@ def test_bad_study_arguments_exit_2(tmp_path, command, settings):
     assert not list(tmp_path.glob(f"{command}_*"))
 
 
+def test_a_study_argument_that_does_not_parse_is_named(tmp_path, capsys):
+    from lagtransport import cli
+
+    cfg = write_config(tmp_path / "s.json",
+                       {"schema_version": 1, "window": [[0.3, 2.3]]})
+    assert cli.main(["counterexample", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "invalid counterexample argument 'window'" in capsys.readouterr().err
+
+
+def test_a_stability_run_whose_re_basing_loses_labels_exits_3(tmp_path, capsys):
+    # the abort that exits 3 in a solve is no config error in a study
+    from lagtransport import cli
+
+    cfg = write_config(tmp_path / "s.json", {
+        "schema_version": 1, "eps_values": [0.2, 0.1, 0.05], "mu": 40.0,
+        "t_end": 0.1, "checkpoints": [0.1],
+    })
+    out = tmp_path / "out"
+    assert cli.main(["stability", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure: re-basing at" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stability_checkpoint_off_the_slab_nodes_exits_2(tmp_path):
     # a checkpoint that is no slab node is a config error, raised before
     # any solve
@@ -717,12 +758,8 @@ def test_numerical_failure_removes_the_directories_it_created(tmp_path, monkeypa
             "grid": {"x_bounds": [[-1, 1]], "x_counts": [4], "time_nodes": [0, 10]},
             "direction": "backward",
         }),
-        # the closed-form density is inf / inf: NaN errors and a NaN floor
-        ("counterexample", {
-            "schema_version": 1, "k_values": [2], "t": 1000, "line_nodes": 65,
-        }),
     ],
-    ids=["infinite_flow_constant", "nan_counterexample"],
+    ids=["infinite_flow_constant"],
 )
 def test_a_result_that_is_not_finite_exits_3_and_writes_nothing(
     tmp_path, command, payload,
@@ -732,6 +769,29 @@ def test_a_result_that_is_not_finite_exits_3_and_writes_nothing(
     assert res.returncode == 3, res.stderr
     assert "numerical failure: the result is not finite" in res.stderr
     assert "Traceback" not in res.stderr
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("t", [355, 400, 1000])
+def test_counterexample_time_past_its_floor_exits_2_before_any_flow(
+    tmp_path, monkeypatch, capsys, t,
+):
+    # exp(2 t) overflows from t = 355, so the L1 floor is NaN: the study
+    # is rejected before its first flow solve
+    from lagtransport import cli, experiments
+
+    spy = Counting(experiments.integrate_flow)
+    monkeypatch.setattr(experiments, "integrate_flow", spy)
+    cfg = write_config(tmp_path / "c.json", {
+        "schema_version": 1, "k_values": [2], "t": t, "line_nodes": 65,
+    })
+    out = tmp_path / "a" / "b"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is no warning either
+        code = cli.main(["counterexample", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert f"config error: t = {t} is too large" in capsys.readouterr().err
+    assert spy.calls == 0
     assert not (tmp_path / "a").exists()
 
 
@@ -964,12 +1024,18 @@ def _set(cfg, path, value):
         cfg[path[-1]] = copy.deepcopy(value)
 
 
+def _tiny(name):
+    """The demo config `name` shrunk as `_TINY` says."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    for path, value in _TINY[name].items():
+        _set(cfg, path, value)
+    return cfg
+
+
 def _mutants(name, count):
     """`count` copies of a tiny demo config, each with one or two entries
     replaced or deleted; the draws are seeded by the config's name."""
-    base = json.loads((CONFIGS / f"{name}.json").read_text())
-    for path, value in _TINY[name].items():
-        _set(base, path, value)
+    base = _tiny(name)
     rng = random.Random(name)
     for _ in range(count):
         cfg = copy.deepcopy(base)
@@ -986,19 +1052,83 @@ def _mutants(name, count):
         yield cfg
 
 
+# values drawn for a schema key: by its name, else by the type it expects
+_KEY_POOLS = {
+    "r_spacing": ["uniform", "geometric", "log"],
+    "direction": ["forward", "backward", "sideways"],
+    "time_nodes": [[0.0, 0.25], [0.25, 0.0], {"start": 0.0, "stop": 0.5, "num": 3},
+                   {"start": 0.0, "stop": 0.5, "num": 1}, {"start": 0.0, "num": 3}],
+    "window": [[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.2, 0.8]], [0.3, 2.3],
+               [0.5, 0.4], [[0.0, 1.0]]],
+    "p": [1, 1.5, 3, 0.5],
+    "nodes_per_slab": [2, 5, 1],
+    "slab_time_samples": [2, 9, 1],
+    "params": [{}, {"k": 2}, {"scale": 3.0}, {"c": 0.5}, {"n": 1, "j": 1}],
+    "x_bounds": [[[0.0, 1.0]], [[-1.0, 1.0]], [[0.5]]],
+    "r_bounds": [[[1e-3, 1.0]], [[0.0, 1.0]], [[0.1, 0.9]], []],
+    "x_counts": [[2], [3], [3, 3]],
+    "r_counts": [[3], [9], []],
+    "k_values": [[2], [1, 3], [0]],
+    "line_nodes": [33, 65, 1],
+    "eps_values": [[0.2, 0.1, 0.05], [0.1]],
+    "checkpoints": [[0.05], [0.05, 0.1], [0]],
+}
+_TYPE_POOLS = {
+    int: [0, 1, 3, -1],
+    (int, float): _KINDS[(int, float)],
+    str: _KINDS[str],
+    list: _KINDS[list],
+}
+# a catalogue entry, or an object no nested schema accepts
+_OBJECTS = [{}, {"name": "zero"}, {"name": "constant"}, {"name": "logistic"},
+            {"name": "gaussian"}, {"name": "separable", "params": {}}]
+
+
+def _schema_entries(schema, cfg, path=()):
+    """(path, expected type, whether set) of every key but the version
+    that `schema` allows in `cfg`, and of the keys of each nested object
+    `cfg` holds."""
+    for key, (_, expect, *_) in schema.items():
+        if key != "schema_version":
+            yield path + (key,), expect, key in cfg
+        if isinstance(expect, dict) and isinstance(cfg.get(key), dict):
+            yield from _schema_entries(expect, cfg[key], path + (key,))
+
+
+def _schema_mutants(name, count):
+    """`count` copies of a tiny demo config, each with one or two keys of
+    its command's schema set to a drawn value, half the time a key the
+    config leaves out, so the optional keys the demo configs never set
+    are drawn too; seeded by the config's name."""
+    from lagtransport import cli
+
+    schema = cli._SCHEMAS[name.split("_")[0]]
+    base = _tiny(name)
+    rng = random.Random(f"schema {name}")
+    for _ in range(count):
+        cfg = copy.deepcopy(base)
+        for _ in range(rng.choice((1, 2))):
+            entries = list(_schema_entries(schema, cfg))
+            unset = [entry for entry in entries if not entry[2]]
+            path, expect, _ = rng.choice(
+                unset if unset and rng.random() < 0.5 else entries)
+            pool = _KEY_POOLS.get(path[-1]) or (
+                _OBJECTS if isinstance(expect, dict) else _TYPE_POOLS[expect])
+            _set(cfg, path, rng.choice(pool))
+        yield cfg
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("name", sorted(_TINY))
-def test_config_mutations_keep_the_exit_code_contract(tmp_path, capsys, name):
+def _check_exit_code_contract(tmp_path, capsys, command, configs):
     # whatever a config holds, a run exits 0-3 without an exception; 1
     # only with a failed verdict, 2 and 3 leaving no output, and every
     # result it writes is JSON
     from lagtransport import cli
 
-    command = name.split("_")[0]
-    for i, cfg in enumerate(_mutants(name, 40)):
+    for i, cfg in enumerate(configs):
         path = write_config(tmp_path / f"{i}.json", cfg)
         out = tmp_path / f"out{i}" / "deep"
         try:
@@ -1015,3 +1145,14 @@ def test_config_mutations_keep_the_exit_code_contract(tmp_path, capsys, name):
         payload = json.loads(result.read_text(), parse_constant=_reject_constant)
         verdict = payload.get("passed", payload.get("density_bounds_ok", True))
         assert verdict is (code == 0), (cfg, payload)
+
+
+@pytest.mark.parametrize("name", sorted(_TINY))
+def test_config_mutations_keep_the_exit_code_contract(tmp_path, capsys, name):
+    _check_exit_code_contract(tmp_path, capsys, name.split("_")[0], _mutants(name, 40))
+
+
+@pytest.mark.parametrize("name", sorted(_TINY))
+def test_schema_key_mutations_keep_the_exit_code_contract(tmp_path, capsys, name):
+    _check_exit_code_contract(
+        tmp_path, capsys, name.split("_")[0], _schema_mutants(name, 30))

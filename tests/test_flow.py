@@ -18,7 +18,6 @@ from lagtransport.fields import (
 from lagtransport.flow import (
     FlowIntegrationError,
     check_compressibility,
-    density_rho2,
     flow_from,
     flow_map,
     flow_map_to_csv,
@@ -634,11 +633,13 @@ def test_inverse_logj_matches_forward_convention():
 # ---------------------------------------------------------------------
 
 
-def test_density_rho2_linear_field_closed_form():
+def test_fiber_density_ratio_linear_field_closed_form():
+    # rho2 = rho1(t, X1) / rho(t, X) = exp(logJ - logJ1), the weight the
+    # source operator carries in label coordinates
     mu = 0.3
     grid = _grid()
     fmap = flow_map(linear_field(lam=0.1, mu=mu, n=1, j=1), grid, times=TIMES, tol=TOL)
-    rho2 = density_rho2(fmap)
+    rho2 = np.exp(fmap.logj2)
     for k, t in enumerate(fmap.times):
         assert np.allclose(rho2[k], np.exp(mu * t), rtol=1e-8)
 
