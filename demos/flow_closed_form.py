@@ -31,18 +31,18 @@ def run_frequency(k: int, t_end: float, tol: float) -> tuple[float, float]:
     h = 1e-3 / k
     for frac in fracs:
         x0 = frac * np.pi / k
-        sample = integrate_flow(field, np.array([x0]), times, tol=tol)
+        positions = integrate_flow(field, np.array([x0]), times, tol=tol)
         exact = oscillatory_position(k, times, x0)
-        rel = np.max(np.abs(sample.positions[:, 0] - exact) / np.abs(exact))
+        rel = np.max(np.abs(positions[:, 0] - exact) / np.abs(exact))
         worst_pos = max(worst_pos, float(rel))
 
         # central difference across two fresh integrations
         plus = integrate_flow(
             field, np.array([x0 + h]), times[[0, -1]], tol=tol
-        ).positions[-1, 0]
+        )[-1, 0]
         minus = integrate_flow(
             field, np.array([x0 - h]), times[[0, -1]], tol=tol
-        ).positions[-1, 0]
+        )[-1, 0]
         num = (plus - minus) / (2.0 * h)
         ref = float(oscillatory_jacobian(k, t_end, x0))
         worst_jac = max(worst_jac, abs(num - ref) / abs(ref))

@@ -37,10 +37,8 @@ from .fields import (
 )
 from .flow import (
     CompressibilityReport,
-    FlowIntegrationError,
     FlowMap,
-    FlowSample,
-    PreconditionError,
+    NumericalFailure,
     check_compressibility,
     flow_from,
     flow_map,
@@ -63,7 +61,6 @@ from .transport import (
     EulerianSlice,
     LagrangianState,
     PicardConvergenceError,
-    SlabSelectionError,
     SolverConfig,
     apply_A,
     choose_slab,
@@ -81,16 +78,13 @@ __all__ = [
     "CompressibilityReport",
     "ContinuedSolution",
     "EulerianSlice",
-    "FlowIntegrationError",
     "FlowMap",
-    "FlowSample",
     "GridSpec",
     "Kernel",
     "LagrangianState",
     "NormSpec",
+    "NumericalFailure",
     "PicardConvergenceError",
-    "PreconditionError",
-    "SlabSelectionError",
     "SolverConfig",
     "StructuredVectorField",
     "apply_A",

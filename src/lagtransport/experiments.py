@@ -222,10 +222,17 @@ def counterexample_experiment(
             "floor_fraction": floor_fraction, "spread_tol": spread_tol,
         },
     )
+    if line_nodes < 2:
+        raise ValueError(f"line_nodes must be at least 2, got {line_nodes}")
     ys = np.linspace(0.0, 2.0 * np.pi, line_nodes)
     wq = axis_weights(ys)
     in_win = (ys >= window[0]) & (ys <= window[1])
     ys_win = ys[in_win]
+    if ys_win.size < 2:
+        raise ValueError(
+            f"window {list(window)} holds {ys_win.size} of the {line_nodes} "
+            "line_nodes; the window average needs at least 2"
+        )
     w_win = axis_weights(ys_win)
     with np.errstate(over="ignore", invalid="ignore"):  # exp(2 t) overflows
         floor = strong_failure_floor(t)
@@ -241,10 +248,10 @@ def counterexample_experiment(
         for x0 in jacobian_points:
             plus = integrate_flow(
                 fld, np.array([x0 + h]), np.array([0.0, t])
-            ).positions[-1, 0]
+            )[-1, 0]
             minus = integrate_flow(
                 fld, np.array([x0 - h]), np.array([0.0, t])
-            ).positions[-1, 0]
+            )[-1, 0]
             num = (plus - minus) / (2.0 * h)
             exact = float(oscillatory_jacobian(k, t, x0))
             worst = max(worst, abs(num - exact) / abs(exact))

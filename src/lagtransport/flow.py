@@ -38,11 +38,9 @@ from .grid import GridSpec
 from .ode import solve_ivp
 
 __all__ = [
-    "FlowSample",
     "FlowMap",
     "CompressibilityReport",
-    "FlowIntegrationError",
-    "PreconditionError",
+    "NumericalFailure",
     "integrate_flow",
     "flow_from",
     "flow_map",
@@ -54,12 +52,10 @@ __all__ = [
 ]
 
 
-class FlowIntegrationError(Exception):
-    """The trajectory integrator failed to reach the requested time."""
-
-
-class PreconditionError(ValueError):
-    """Input geometry violates a documented precondition."""
+class NumericalFailure(Exception):
+    """A computation that cannot produce its result: an integrator that
+    fails, a slab budget that no slab count meets, a re-basing that loses
+    labels, a Picard iteration that does not converge."""
 
 
 def _tols(tol: float) -> tuple[float, float]:
@@ -91,7 +87,7 @@ def _solve_block(parts, p0, t_span, t_eval, tol, block, dense_output=False):
     sol = solve_ivp(rhs, t_span, y0, t_eval=t_eval, dense_output=dense_output,
                     rtol=rtol, atol=atol)
     if not sol.success:
-        raise FlowIntegrationError(f"{block} integration failed: {sol.message}")
+        raise NumericalFailure(f"{block} integration failed: {sol.message}")
     K = sol.y.shape[1]
     pos = np.ascontiguousarray(sol.y[:size].T).reshape((K,) + shape)
     logj = np.ascontiguousarray(sol.y[size:].T).reshape((K,) + shape[:-1])
@@ -175,16 +171,6 @@ def flow_from(
 
 
 @dataclass
-class FlowSample:
-    """One trajectory: positions and log-Jacobians at shared time nodes."""
-
-    times: np.ndarray          # (K,)
-    positions: np.ndarray      # (K, n + j)
-    logj1: np.ndarray          # (K,)
-    logj: np.ndarray           # (K,)
-
-
-@dataclass
 class FlowMap:
     """Flow evaluated on a whole label grid at shared time nodes.
 
@@ -235,23 +221,19 @@ def integrate_flow(
     label: np.ndarray,
     times: np.ndarray,
     tol: float = 1e-10,
-) -> FlowSample:
-    """Forward trajectory of a single label through the augmented system."""
+) -> np.ndarray:
+    """Joint positions (K, n + j) of a single label's forward trajectory
+    at the K nodes of `times`."""
     label = np.asarray(label, dtype=float)
     times = _check_times(times)
     n, j = field.n, field.j
     if label.size != n + j:
         raise ValueError(f"label must have {n + j} coordinates")
-    x1, logj1, x2, logj2 = flow_from(
+    x1, _, x2, _ = flow_from(
         field, label[None, :n], label[n:].reshape(1, 1, j),
         (times[0], times[-1]), times, tol,
     )
-    return FlowSample(
-        times=times,
-        positions=np.concatenate([x1[:, 0], x2[:, 0, 0]], axis=-1),
-        logj1=logj1[:, 0],
-        logj=logj1[:, 0] + logj2[:, 0, 0],
-    )
+    return np.concatenate([x1[:, 0], x2[:, 0, 0]], axis=-1)
 
 
 def _forward_flow_map(field, grid, times, tol) -> FlowMap:

@@ -30,7 +30,7 @@ import numpy as np
 from .fields import Kernel, StructuredVectorField, kernel_slab_rate
 from .flow import (
     FlowMap,
-    PreconditionError,
+    NumericalFailure,
     flow_map,
     inverse_flow_grid,
 )
@@ -42,7 +42,6 @@ __all__ = [
     "EulerianSlice",
     "ContinuedSolution",
     "PicardConvergenceError",
-    "SlabSelectionError",
     "apply_A",
     "fixed_point_residual",
     "choose_slab",
@@ -55,16 +54,12 @@ __all__ = [
 ]
 
 
-class PicardConvergenceError(Exception):
+class PicardConvergenceError(NumericalFailure):
     """Iteration exhausted its budget; carries the difference history."""
 
     def __init__(self, message: str, diffs: list[float]):
         super().__init__(message)
         self.diffs = diffs
-
-
-class SlabSelectionError(Exception):
-    """No admissible slab length found (kernel budget never satisfied)."""
 
 
 # Every run uses one value of each, so they are constants rather than
@@ -292,7 +287,7 @@ def choose_slab(
     grows with T, so the count is found by bisection over 1 ... 2**16:
     it is ceil(horizon / T_max), T_max the longest length within the
     budget.  A budget that needs more than 2**16 slabs, or is NaN and so
-    meets no target, raises SlabSelectionError before any work.
+    meets no target, raises NumericalFailure before any work.
     """
     if not horizon > 0:
         raise ValueError("the horizon must be positive")
@@ -304,7 +299,7 @@ def choose_slab(
         return rate * length * np.exp(div_sup * length) <= _SLAB_TARGET
 
     if not within(_MAX_SLABS):
-        raise SlabSelectionError(
+        raise NumericalFailure(
             f"kernel budget (rate {rate:.6g}, divergence sup {div_sup:.6g}) "
             f"exceeds {_SLAB_TARGET} unless the horizon {horizon:.6g} is cut "
             "into more than 2**16 slabs"
@@ -561,7 +556,7 @@ def continue_solution(
              for k in {last, *(k for _, k in slice_nodes)}}
     exit_fraction = float(np.mean(pulls[last][1]))
     if count > 1 and exit_fraction > _EXIT_FRACTION_LIMIT:
-        raise PreconditionError(
+        raise NumericalFailure(
             f"re-basing at t={boundaries[1]:.6g} lost {exit_fraction:.2%} "
             f"of labels (limit {_EXIT_FRACTION_LIMIT:.2%})"
         )

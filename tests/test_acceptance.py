@@ -66,8 +66,8 @@ def test_criterion_1_closed_form_flow():
         field = oscillatory_field(k=k, j=0)
         for frac in np.linspace(0.05, 0.95, 7):
             x0 = frac * np.pi / k
-            sample = integrate_flow(field, np.array([x0]), times, tol=FLOW_TOL)
-            lhs = np.tan(k * sample.positions[1:, 0] / 2.0)
+            positions = integrate_flow(field, np.array([x0]), times, tol=FLOW_TOL)
+            lhs = np.tan(k * positions[1:, 0] / 2.0)
             rhs = np.exp(times[1:]) * np.tan(k * x0 / 2.0)
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     assert worst < 1e-6, f"tangent identity rel err {worst:.3e}"
@@ -86,10 +86,10 @@ def test_criterion_2_closed_form_jacobian():
             x0 = frac * np.pi / k
             plus = integrate_flow(
                 field, np.array([x0 + h]), np.array([0.0, t]), tol=FLOW_TOL
-            ).positions[-1, 0]
+            )[-1, 0]
             minus = integrate_flow(
                 field, np.array([x0 - h]), np.array([0.0, t]), tol=FLOW_TOL
-            ).positions[-1, 0]
+            )[-1, 0]
             num = (plus - minus) / (2.0 * h)
             exact = float(oscillatory_jacobian(k, t, x0))
             worst = max(worst, abs(num - exact) / abs(exact))
@@ -313,10 +313,10 @@ def test_criterion_9_shared_x_block():
     for field, x0 in cases:
         paths = []
         for r0 in fiber_values:
-            sample = integrate_flow(
+            positions = integrate_flow(
                 field, np.array([x0, r0]), times, tol=FLOW_TOL
             )
-            paths.append(sample.positions[:, : field.n].copy())
+            paths.append(positions[:, : field.n].copy())
         for path in paths[1:]:
             assert np.array_equal(path, paths[0]), (
                 f"{field.name}: x paths differ across the fiber"

@@ -627,6 +627,18 @@ def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix
     assert "Traceback" not in res.stderr
 
 
+# the message a rejected study prints, where the test pins it
+_BAD_STUDY_MESSAGES = {
+    "window_without_nodes":
+        "window [0.3, 0.31] holds 0 of the 65 line_nodes; "
+        "the window average needs at least 2",
+    "window_between_nodes": "window [0.3, 0.35] holds 0 of the 65 line_nodes",
+    "window_of_one_node": "window [0.3, 0.4] holds 1 of the 65 line_nodes",
+    "one_line_node": "line_nodes must be at least 2, got 1",
+    "negative_line_nodes": "line_nodes must be at least 2, got -1",
+}
+
+
 @pytest.mark.parametrize(
     "command, settings",
     [
@@ -658,6 +670,15 @@ def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix
         ("counterexample", {"window": []}),
         ("counterexample", {"window": [0.3, 2.3, 5]}),
         ("counterexample", {"window": [2.3, 0.3]}),
+        # the window average needs two line nodes inside the window
+        ("counterexample", {"k_values": [2], "line_nodes": 65,
+                            "window": [0.3, 0.31]}),
+        ("counterexample", {"k_values": [2], "line_nodes": 65,
+                            "window": [0.3, 0.35]}),
+        ("counterexample", {"k_values": [2], "line_nodes": 65,
+                            "window": [0.3, 0.4]}),
+        ("counterexample", {"k_values": [2], "line_nodes": 1}),
+        ("counterexample", {"k_values": [2], "line_nodes": -1}),
     ],
     ids=["too_few_eps", "string_eps", "null_checkpoint", "no_checkpoints",
          "checkpoint_at_start", "nested_k", "string_window", "zero_eps", "zero_k", "negative_k", "infinite_k", "fractional_k",
@@ -665,13 +686,16 @@ def test_unknown_catalogue_name_exits_2_naming_the_entry(tmp_path, entry, prefix
          "bool_eps", "numeric_string_eps", "bool_checkpoint",
          "numeric_string_checkpoint", "bool_window", "numeric_string_window",
          "one_number_window", "empty_window", "three_number_window",
-         "reversed_window"],
+         "reversed_window", "window_without_nodes", "window_between_nodes",
+         "window_of_one_node", "one_line_node", "negative_line_nodes"],
 )
-def test_bad_study_arguments_exit_2(tmp_path, command, settings):
+def test_bad_study_arguments_exit_2(tmp_path, request, command, settings):
     cfg = write_config(tmp_path / "s.json", {"schema_version": 1, **settings})
     res = run_cli(command, "--config", cfg, "--out", str(tmp_path))
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr
+    message = _BAD_STUDY_MESSAGES.get(request.node.callspec.id)
+    assert message is None or message in res.stderr, res.stderr
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob(f"{command}_*"))
 

@@ -49,11 +49,11 @@ def test_position_matches_integrated_flow():
     for k in (1, 4):
         field = oscillatory_field(k=k, j=0)
         for x0 in (0.2 / k, 1.8 / k):
-            sample = integrate_flow(
+            positions = integrate_flow(
                 field, np.array([x0]), np.array([0.0, 0.7]), tol=1e-12
             )
             closed = oscillatory_position(k, 0.7, np.array([x0]))
-            assert np.allclose(sample.positions[-1, 0], closed, rtol=1e-9)
+            assert np.allclose(positions[-1, 0], closed, rtol=1e-9)
 
 
 def test_position_handles_branches_and_rest_points():

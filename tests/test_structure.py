@@ -4,8 +4,9 @@ private helper is used by its own module, every public name is
 used outside the tests, every defaulted parameter is passed by some
 program call (in src/ or benchmark/, not in the tests or demos), every
 solver setting is set by some run, no module branches on a field's or
-kernel's name, no module imports a name it never uses, and every
-library name the benchmark hooks still resolves."""
+kernel's name, no module imports a name it never uses, every library
+name the benchmark hooks still resolves, and every library exception
+but the CLI's config error is a numerical failure, the one exit-3 type."""
 
 import ast
 import dataclasses
@@ -554,3 +555,81 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not offenders
+
+
+def _caught_library_exceptions(source: str, namespace: dict, functions) -> list[str]:
+    """Library exception classes (defined in a lagtransport module) that
+    the `except` clauses of the named top-level `functions` of `source`
+    catch, each clause's type evaluated in `namespace`."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in functions):
+            continue
+        for handler in ast.walk(node):
+            if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+                continue
+            caught = eval(  # a name or a tuple of names, as the module binds them
+                compile(ast.Expression(handler.type), "<except>", "eval"),
+                dict(namespace),
+            )
+            found += [
+                cls.__name__
+                for cls in (caught if isinstance(caught, tuple) else (caught,))
+                if cls.__module__.split(".")[0] == "lagtransport"
+            ]
+    return found
+
+
+def test_detector_flags_caught_library_exceptions():
+    def library(name):
+        return type(name, (Exception,), {"__module__": "lagtransport.flow"})
+
+    class mod:
+        Inner = library("Inner")
+
+    namespace = {"mod": mod, "Failure": library("Failure"), "Other": library("Other")}
+    source = (
+        "def main():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (Failure, ValueError):\n"
+        "        pass\n"
+        "    except mod.Inner:\n"
+        "        pass\n"
+        "    except:\n"
+        "        pass\n"
+        "def other():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except Other:\n"
+        "        pass\n"
+    )
+    assert _caught_library_exceptions(source, namespace, ("main",)) == [
+        "Failure", "Inner"
+    ]
+
+
+def test_exit_3_has_one_exception_type():
+    from lagtransport.flow import NumericalFailure
+
+    # every exception a library module defines is a numerical failure,
+    # except the config error that the CLI raises for exit 2
+    root = Path(lagtransport.__file__).parent
+    defined = []
+    for path in sorted(root.glob("*.py")):
+        name = "lagtransport" + ("" if path.stem == "__init__" else f".{path.stem}")
+        module = importlib.import_module(name)
+        defined += [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == name
+        ]
+    assert NumericalFailure in defined and cli.ConfigError in defined
+    assert [
+        cls.__qualname__ for cls in defined
+        if cls is not cli.ConfigError and not issubclass(cls, NumericalFailure)
+    ] == []
+    # so the CLI decides its exit code from these two types alone
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    caught = _caught_library_exceptions(source, vars(cli), ("main", "_cmd_study"))
+    assert set(caught) == {"ConfigError", "NumericalFailure"}

@@ -21,7 +21,7 @@ from lagtransport.fields import (
     separable_kernel,
     zero_field,
 )
-from lagtransport.flow import PreconditionError, flow_map
+from lagtransport.flow import NumericalFailure, flow_map
 from lagtransport.grid import (
     GridSpec,
     suffix_integrals,
@@ -35,7 +35,6 @@ from lagtransport.transport import (
     _multilinear,
     EulerianSlice,
     PicardConvergenceError,
-    SlabSelectionError,
     SolverConfig,
     apply_A,
     check_horizon,
@@ -541,7 +540,7 @@ def test_choose_slab_raises_when_budget_unreachable():
     for args, shown in (((rate, 0.0), "rate 1e+13, divergence sup 0"),
                         ((np.nan, 0.0), "rate nan, divergence sup 0"),
                         ((0.7, np.nan), "rate 0.7, divergence sup nan")):
-        with pytest.raises(SlabSelectionError) as err:
+        with pytest.raises(NumericalFailure) as err:
             choose_slab(*args, 1.0)
         assert f"kernel budget ({shown}) exceeds 0.5" in str(err.value)
         assert "more than 2**16 slabs" in str(err.value)
@@ -1235,7 +1234,7 @@ def test_nan_divergence_budget_raises_slab_selection_error():
         zero_field(1, 1),
         div_b2=lambda x, r: np.where(r[..., 0] > 0.9, np.nan, 0.0),
     )
-    with pytest.raises(SlabSelectionError, match="kernel budget"):
+    with pytest.raises(NumericalFailure, match="kernel budget"):
         continue_solution(
             make_initial("constant", value=1.0), field, constant_kernel(c=0.7),
             SolverConfig(picard_tol=1e-9, nodes_per_slab=9), _fiber_grid(),
@@ -1258,7 +1257,7 @@ def test_continue_solution_aborts_on_label_exit(monkeypatch):
         r_counts=(9,),
     )
     kern = constant_kernel(c=0.4)
-    with pytest.raises(PreconditionError, match=r"lost 82.35% of labels \(limit 0.10%\)"):
+    with pytest.raises(NumericalFailure, match=r"lost 82.35% of labels \(limit 0.10%\)"):
         continue_solution(
             make_initial("constant", value=1.0),
             field, kern,

@@ -52,7 +52,7 @@ def _run(argv: list, cwd: Path, src: Path) -> None:
     print(f"{proc.returncode}  {cwd.name}", flush=True)
 
 
-def _cli_runs(demos: Path):
+def cli_runs(demos: Path):
     """(label, command, config) of every CLI run."""
     for path in sorted((demos / "configs").glob("*.json")):
         cfg = json.loads(path.read_text(encoding="utf-8"))
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
         return 2
     demos = src.parent / "demos"
     out.mkdir(parents=True)
-    for label, command, cfg in _cli_runs(demos):
+    for label, command, cfg in cli_runs(demos):
         run_dir = out / label
         run_dir.mkdir()
         (run_dir / "config.json").write_text(json.dumps(cfg, indent=2) + "\n",
