@@ -20,13 +20,19 @@ it created, while they are empty.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+
+# CPython's builtin SHA-256, which hashlib itself falls back to: hashlib
+# would load OpenSSL (about 3.5 MB of resident memory) for a file name
+try:
+    from _sha2 import sha256
+except ImportError:  # Python 3.10 and 3.11
+    from _sha256 import sha256
 
 from .experiments import (
     counterexample_experiment,
@@ -231,7 +237,7 @@ def load_config(path, command: str) -> dict:
 
 def _config_stem(command: str, cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+    digest = sha256(canon.encode("utf-8")).hexdigest()[:12]
     return f"{command}_{digest}"
 
 

@@ -176,8 +176,8 @@ class _Workspace:
     """What a Picard solve on one flow and kernel reads and writes: the
     kernel operator `ops`, the array of `_kernel_matrices`, and the
     density ratio rho2 = exp(logJ2) (both None without a kernel; one row
-    for a shared fiber), and the (K, Nx, Nr) buffers it iterates in, `u`,
-    `u_next` and `scratch`.
+    for a shared fiber), and the two (K, Nx, Nr) buffers it iterates in,
+    `u` and `u_next`.
 
     `continue_solution` builds one next to its slab template, so a run
     builds its operator once and allocates no slab-sized array after
@@ -188,7 +188,7 @@ class _Workspace:
         shape = (fmap.times.size, fmap.num_x, fmap.num_r)
         self.ops = None if kernel is None else _kernel_matrices(fmap, kernel)
         self.rho2 = None if kernel is None else np.exp(fmap.logj2)
-        self.u, self.u_next, self.scratch = (np.empty(shape) for _ in range(3))
+        self.u, self.u_next = np.empty(shape), np.empty(shape)
 
     def swap(self) -> None:
         self.u, self.u_next = self.u_next, self.u
@@ -212,8 +212,10 @@ def apply_A(
     node-aligned tail, as the parity suffix sums of `suffix_integrals`.
 
     The operator is the one of `_work`, a `_Workspace` of this flow and
-    kernel, and the image is written into its `u_next` buffer and
-    returned; without a workspace both are built anew.
+    kernel whose `u_next` buffer `values` does not alias.  The weighted
+    state, the contraction and then the image are written into that
+    buffer, and the image is returned; without a workspace both are
+    built anew.
     """
     values = np.asarray(values, dtype=float)
     work = _work if _work is not None else _Workspace(fmap, kernel)
@@ -222,38 +224,45 @@ def apply_A(
         out[...] = u0
         return out
     a, c = work.ops
-    weighted = np.multiply(work.rho2, values, out=work.scratch)  # rho2 u~
+    weighted = np.multiply(work.rho2, values, out=out)  # rho2 u~
     # a static operator's single slice broadcasts over the nodes, and a
     # shared fiber's one row over the x labels, rather than being copied;
     # the contraction overwrites the weighted state, which it no longer needs
     if kernel.triangular:
         rows = c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
         tails = suffix_integrals(fmap.grid.r_axes()[0], rows)
-        inner = np.einsum("kilm,kilm->kim", a, tails, out=work.scratch)
+        inner = np.einsum("kilm,kilm->kim", a, tails, out=out)
     else:
         mom = np.einsum("kilq,kiq->kil", c, weighted)
-        inner = np.einsum("kilm,kil->kim", a, mom, out=work.scratch)
-    _cumulative_trapezoid(inner, fmap.times, out)
+        inner = np.einsum("kilm,kil->kim", a, mom, out=out)
+    _cumulative_trapezoid(inner, fmap.times)
     out += u0
     return out
 
 
-def _cumulative_trapezoid(
-    values: np.ndarray, times: np.ndarray, out: np.ndarray,
-) -> np.ndarray:
-    """Trapezoid integrals of `values` along axis 0 from times[0] to each
-    node, zero at the first, summed as scipy's cumulative_trapezoid does,
-    written into `out` (values' shape, not aliasing it) and returned."""
+def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of `values` (at least 2-d) along axis 0 from
+    times[0] to each node, zero at the first, summed as scipy's
+    cumulative_trapezoid does, written over `values` and returned.
+
+    Three passes, none allocating an array of values' size: the pair sums
+    v[k] + v[k-1], from the last node down so that each row is read
+    before it is overwritten; `* dt` and `/ 2.0`; and the sequential sums
+    of np.cumsum, node by node, since a cumsum along axis 0 strides across
+    the whole array at every step.  The loops take their row views once
+    and pass `out` positionally: on a small slab the per-call overhead is
+    the cost.
+    """
     dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
-    out[0] = 0.0
-    np.add(values[1:], values[:-1], out=out[1:])
-    out[1:] *= dt
-    out[1:] /= 2.0
-    # the sequential sums of np.cumsum, node by node: a cumsum along axis 0
-    # strides across the whole array at every step
-    for prev, row in zip(out[1:-1], out[2:]):
-        np.add(prev, row, out=row)
-    return out
+    rows = list(values)
+    for row, below in zip(rows[:0:-1], rows[-2::-1]):
+        np.add(row, below, row)
+    values[0] = 0.0
+    values[1:] *= dt
+    values[1:] /= 2.0
+    for prev, row in zip(rows[1:-1], rows[2:]):
+        np.add(prev, row, row)
+    return values
 
 
 def fixed_point_residual(
@@ -263,12 +272,12 @@ def fixed_point_residual(
     """sup-in-time windowed L^p norm of u~ - A(u~).
 
     `_work` is a `_Workspace` of this state's flow and kernel whose
-    `u_next` and `scratch` the state's values do not alias; without one
-    a new one is built.
+    `u_next` the state's values do not alias; without one a new one is
+    built.  The difference overwrites the image in `u_next`.
     """
     work = _work if _work is not None else _Workspace(state.fmap, kernel)
     image = apply_A(state.values, state.fmap, kernel, state.u0, _work=work)
-    diff = np.subtract(state.values, image, out=work.scratch)
+    diff = np.subtract(state.values, image, out=image)
     return sup_in_time(diff, state.grid, config.norm_spec(), out=diff)
 
 
@@ -326,9 +335,10 @@ def picard_solve(
     budget runs out or a difference is not finite.  One `_Workspace`,
     `_work` or else a new one, serves every iteration and the residual:
     its operator is built with it, and each step writes A(u) into its
-    next-iterate buffer and the difference into its scratch buffer, then
-    swaps the iterates, so the loop allocates no (K, Nx, Nr) array.  The
-    returned state's values are the workspace's buffer.  The summary
+    next-iterate buffer and the difference over u, which is dead once the
+    difference is taken, then swaps the two buffers, so the loop
+    allocates no (K, Nx, Nr) array.  The returned state's values are the
+    workspace's buffer.  The summary
     records the iterations, the differences, their ratios
     (`contraction_ratios`, the measured contraction rate, meaningful from
     the second ratio on) and the residual.
@@ -344,7 +354,7 @@ def picard_solve(
     diffs: list[float] = []
     for _ in range(_MAX_ITERS):
         u_next = apply_A(_work.u, fmap, kernel, u0_values, _work=_work)
-        step = np.subtract(u_next, _work.u, out=_work.scratch)
+        step = np.subtract(u_next, _work.u, out=_work.u)
         diff = sup_in_time(step, grid, spec, out=step)
         diffs.append(diff)
         _work.swap()
@@ -442,18 +452,16 @@ def _pull_back(field: StructuredVectorField, grid: GridSpec, t: float, t0: float
 
 
 def eulerian_reconstruct(
-    state: LagrangianState,
-    field: StructuredVectorField,
-    t: float,
-    _pull=None,
+    state: LagrangianState, t: float, pull: tuple,
 ) -> EulerianSlice:
     """u(t, .) on the state's label grid, read as Eulerian points, from
     the Lagrangian state.
 
-    Each Eulerian node is pulled back along the field to the state's base
-    time and u~(t) is interpolated multilinearly at that label.  `t` must
-    be one of the state's nodes.  `_pull` passes the node's pull-back, if
-    already made; `continue_solution` shares one across its slabs.
+    `pull` is the pull-back of the grid's points from t to the state's
+    base time along the field, as `_pull_back` makes it
+    (`continue_solution` shares one across its slabs), and u~(t) is
+    interpolated multilinearly at each pulled-back label.  `t` must be
+    one of the state's nodes.
 
     Box rule: each axis [lo, hi] has a pad of 1e-12 max(1, |lo| + |hi|)
     for the rounding of the pull-back.  A label within the pad is clipped
@@ -462,9 +470,7 @@ def eulerian_reconstruct(
     """
     k = _node_index(state.times, t)
     grid = state.grid
-    if _pull is None:
-        _pull = _pull_back(field, grid, state.times[k], state.times[0])
-    flat, outside = _pull
+    flat, outside = pull
     # only the labels beyond the pad are left outside the box, to be 0
     vals = _multilinear(
         grid.axes(), state.values[k].reshape(grid.shape), flat, 0.0
@@ -569,17 +575,19 @@ def continue_solution(
         shifted = replace(fmap, times=t_start + tau)
         state, summary = picard_solve(u_cur, shifted, kernel, config, _work=work)
         # one read per node: the last one, and those of the slab's slices
-        read = {k: eulerian_reconstruct(state, field, state.times[k], _pull=pulls[k])
+        read = {k: eulerian_reconstruct(state, state.times[k], pulls[k])
                 for k in {last, *(k for slab, k in slice_nodes if slab == i)}}
         slices.update((t, read[k]) for t, (slab, k) in zip(slice_times, slice_nodes)
                       if slab == i)
         start = 0 if i == 0 else 1
         # mass int u dy dr as the label-grid quadrature of u~ exp(logJ), in
-        # the two workspace buffers the state does not use, and a row sum
-        # per node: the same pairwise sum as np.sum(dens[k])
+        # the workspace buffer the state does not use, exp(logJ1 + logJ2)
+        # one (Nx, Nr) node at a time, and a row sum per node: the same
+        # pairwise sum as np.sum(dens[k])
         dens = np.multiply(w, state.values, out=work.u_next)
-        logj = np.add(fmap.logj1[:, :, None], fmap.logj2, out=work.scratch)
-        dens *= np.exp(logj, out=logj)
+        for node, logj1, logj2 in zip(dens, fmap.logj1, fmap.logj2):
+            logj = logj1[:, None] + logj2
+            node *= np.exp(logj, out=logj)
         mass_times.extend(state.times[start:].tolist())
         masses.extend(dens[start:].reshape(tau.size - start, -1).sum(axis=1).tolist())
         summary.update(t_start=float(t_start), t_end=float(boundaries[i + 1]),

@@ -279,6 +279,38 @@ def test_cli_runtime_does_not_import_scipy(tmp_path):
     assert list(tmp_path.glob("solve_*.json"))
 
 
+def test_cli_import_loads_no_openssl():
+    # the output names come from CPython's builtin SHA-256; hashlib would
+    # load OpenSSL through _hashlib, about 3.5 MB of every solve's RSS
+    script = (
+        "import sys\n"
+        "import lagtransport.cli\n"
+        "print(sorted({'_hashlib', '_ssl', 'hashlib'} & set(sys.modules)))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_output_names_keep_the_hashlib_digest():
+    # the builtin SHA-256 gives hashlib's digest, so no file name changes
+    import hashlib
+    from lagtransport import cli
+
+    cases = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        command = path.stem.split("_")[0]
+        cfg = cli.load_config(path, command)
+        cases += [(command, cfg), (command, {**cfg, "schema_version": 2}),
+                  (command, {**cfg, "note": "caf\u00e9 \u2713"}),
+                  (command, {**cfg, "grid": {**cfg.get("grid", {}), "t": 0.1 + 0.2}})]
+    for command, cfg in cases:
+        canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+        assert cli._config_stem(command, cfg) == f"{command}_{digest}"
+
+
 # ---------------------------------------------------------------------
 # config rejection (exit 2)
 # ---------------------------------------------------------------------

@@ -5,8 +5,9 @@ used outside the tests, every defaulted parameter is passed by some
 program call (in src/ or benchmark/, not in the tests or demos), every
 solver setting is set by some run, no module branches on a field's or
 kernel's name, no module imports a name it never uses, every library
-name the benchmark hooks still resolves, and every library exception
-but the CLI's config error is a numerical failure, the one exit-3 type."""
+name the benchmark hooks still resolves, every library exception but
+the CLI's config error is a numerical failure, the one exit-3 type, and
+no module imports a module that loads OpenSSL."""
 
 import ast
 import dataclasses
@@ -553,6 +554,47 @@ def test_no_module_imports_a_name_it_never_uses():
         path.name: names
         for path in [*sorted(root.glob("*.py")), *sorted(tests.glob("*.py"))]
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert not offenders
+
+
+_OPENSSL_MODULES = {"hashlib", "hmac", "ssl", "secrets"}
+
+
+def _openssl_imports(source: str) -> list[str]:
+    """Imports of a module that loads OpenSSL, which adds about 3.5 MB to
+    the resident memory of every process that imports the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names if name.split(".")[0] in _OPENSSL_MODULES]
+    return found
+
+
+def test_detector_flags_openssl_imports():
+    source = (
+        "import json, hashlib\n"
+        "import ssl as tls\n"
+        "from hmac import compare_digest\n"
+        "def f():\n"
+        "    from secrets import token_hex\n"
+        "from _sha256 import sha256\n"
+        "from .hashlib import x\n"
+    )
+    assert _openssl_imports(source) == ["hashlib", "ssl", "hmac", "secrets"]
+
+
+def test_no_module_imports_openssl():
+    root = Path(lagtransport.__file__).parent
+    offenders = {
+        path.name: names
+        for path in sorted(root.glob("*.py"))
+        if (names := _openssl_imports(path.read_text(encoding="utf-8")))
     }
     assert not offenders
 

@@ -66,6 +66,13 @@ def _slab(field, grid, duration, nodes):
     return flow_map(field, grid, np.linspace(0.0, duration, nodes))
 
 
+def _reconstruct(state, field, t):
+    """`eulerian_reconstruct` at t, with the pull-back of the grid's points
+    along `field` from t to the state's base time."""
+    pull = transport._pull_back(field, state.grid, t, state.times[0])
+    return eulerian_reconstruct(state, t, pull)
+
+
 def _fiber_datum(grid, datum):
     xs = grid.x_labels()
     rs = grid.r_labels()
@@ -200,8 +207,7 @@ def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
     else:
         mom = np.einsum("kilq,kiq->kil", c, weighted)
         inner = np.einsum("kilm,kil->kim", a, mom)
-    expected = u0[None] + _cumulative_trapezoid(
-        inner, fmap.times, np.empty(inner.shape))
+    expected = u0[None] + _cumulative_trapezoid(inner, fmap.times)
     assert np.array_equal(apply_A(values, fmap, kern, u0), expected)
     work = transport._Workspace(fmap, kern)
     assert np.array_equal(apply_A(values, fmap, kern, u0, _work=work), expected)
@@ -712,6 +718,44 @@ def test_picard_allocates_no_slab_sized_array_per_iteration():
         assert max(peaks) < work.u.nbytes
 
 
+def _shared_fiber_workspace_case():
+    """A 17-node slab of a field whose fiber drift ignores x, so rho2 is
+    one fiber row and the workspace's (K, Nx, Nr) arrays are its buffers."""
+    grid = _fiber_grid(nr=129, nx=16)
+    fmap = _slab(logistic_field(k=1, mu=0.3), grid, 0.4, 17)
+    u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4))
+    return fmap, separable_kernel(terms=SEPARABLE_TERMS), u0
+
+
+def test_the_workspace_holds_two_slab_buffers():
+    # the Picard difference overwrites the dead iterate, the residual the
+    # image and a slab's masses the buffer its state does not use
+    fmap, kern, _ = _shared_fiber_workspace_case()
+    work = transport._Workspace(fmap, kern)
+    shape = (fmap.times.size, fmap.num_x, fmap.num_r)
+    assert work.rho2.shape == (fmap.times.size, 1, fmap.num_r)
+    slabs = [name for name, value in vars(work).items()
+             if isinstance(value, np.ndarray) and value.shape == shape]
+    assert sorted(slabs) == ["u", "u_next"]
+
+
+def test_a_workspace_and_a_solve_peak_below_two_and_a_half_slabs():
+    # building the workspace and solving in it holds the operator, rho2,
+    # two slab buffers and temporaries far smaller than a slab
+    fmap, kern, u0 = _shared_fiber_workspace_case()
+    config = SolverConfig(picard_tol=1e-10, nodes_per_slab=17)
+    picard_solve(u0, fmap, kern, config)  # warm caches
+    tracemalloc.start()
+    try:
+        work = transport._Workspace(fmap, kern)
+        _, summary = picard_solve(u0, fmap, kern, config, _work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["iterations"] > 5
+    assert peak < 2.5 * work.u.nbytes + work.ops.nbytes + work.rho2.nbytes
+
+
 def test_picard_stops_on_a_nan_past_the_first_node():
     # A(u) is u0 at the first node whatever the kernel, so a NaN kernel
     # shows at the later nodes only, and must still stop the iteration
@@ -743,7 +787,7 @@ def test_reconstruct_zero_field_returns_lagrangian_slice():
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
     state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 9), kern, config)
-    slc = eulerian_reconstruct(state, zero_field(1, 1), 0.5)
+    slc = _reconstruct(state, zero_field(1, 1), 0.5)
     assert slc.exit_fraction == 0.0
     assert np.allclose(slc.values, state.values[-1], atol=1e-12)
 
@@ -765,7 +809,7 @@ def test_reconstruct_linear_field_matches_transport():
     u0 = _fiber_datum(grid, datum)
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
     state, _ = picard_solve(u0, _slab(field, grid, 0.3, 9), None, config)
-    slc = eulerian_reconstruct(state, field, 0.3)
+    slc = _reconstruct(state, field, 0.3)
     xs = grid.x_labels()
     rs = grid.r_labels()
     back_x = np.repeat(xs[:, None, :], grid.num_r, axis=1) * np.exp(-lam * 0.3)
@@ -823,7 +867,7 @@ def test_rebasing_zero_fills_exactly_the_labels_it_counts():
     u0 = np.ones((grid.num_x, grid.num_r))
     config = SolverConfig(nodes_per_slab=9)
     state, _ = picard_solve(u0, _slab(field, grid, 0.5, 9), None, config)
-    slc = eulerian_reconstruct(state, field, 0.5)
+    slc = _reconstruct(state, field, 0.5)
     assert slc.exit_fraction == np.mean(slc.values == 0.0) == 4 / 9
 
 def _random_axes(rng, dims):
@@ -872,16 +916,20 @@ def test_multilinear_matches_scipy_regular_grid_interpolator(dims):
 
 
 @pytest.mark.parametrize(
-    "shape", [(9, 17), (5, 3, 33), (17, 2, 65), (2, 5), (2, 3, 4)]
+    "shape",
+    [(9, 17), (5, 3, 33), (17, 2, 65), (2, 5), (2, 3, 4), (2, 1, 7), (3, 2, 5)],
 )
 def test_cumulative_trapezoid_matches_scipy(shape):
-    # two nodes take one trapezoid step and no running sum
+    # two nodes take one trapezoid step and no running sum, three nodes
+    # one pair sum over a row already summed and one running sum
     rng = np.random.default_rng(len(shape))
     values = rng.normal(size=shape)
     for times in (np.linspace(0.1, 0.6, shape[0]),
                   np.sort(rng.uniform(0.0, 1.0, shape[0]))):
         ref = cumulative_trapezoid(values, times, axis=0, initial=0.0)
-        out = _cumulative_trapezoid(values, times, np.empty(shape))
+        work = values.copy()
+        out = _cumulative_trapezoid(work, times)
+        assert out is work  # written over its input
         assert np.array_equal(out, ref)
 
 
@@ -891,7 +939,7 @@ def test_reconstruct_requires_solved_time_node():
     u0 = np.ones((grid.num_x, grid.num_r))
     state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 9), None, config)
     with pytest.raises(ValueError):
-        eulerian_reconstruct(state, zero_field(1, 1), 0.123)
+        _reconstruct(state, zero_field(1, 1), 0.123)
 
 
 # ---------------------------------------------------------------------
@@ -1206,7 +1254,7 @@ def test_the_slab_template_is_each_slab_on_its_own_nodes(field):
         state, _ = picard_solve(u, fmap, kern, config)
         dens = (w * state.values * np.exp(fmap.logj())).reshape(9, -1)
         masses.extend(dens.sum(axis=1)[1 if masses else 0 :])
-        u = eulerian_reconstruct(state, field, state.times[-1]).values
+        u = _reconstruct(state, field, state.times[-1]).values
     assert rel(np.array(masses), sol.masses) < 1e-14
     assert rel(u, sol.final.values) < 1e-14
 
@@ -1316,7 +1364,7 @@ def test_state_and_slice_csv_round_trip(tmp_path):
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=5)
     u0 = _fiber_datum(grid, make_initial("gaussian"))
     state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 5), None, config)
-    slc = eulerian_reconstruct(state, zero_field(1, 1), 0.5)
+    slc = _reconstruct(state, zero_field(1, 1), 0.5)
     path = tmp_path / "slice.csv"
     slice_to_csv(slc, path)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -1331,7 +1379,7 @@ def test_state_and_slice_csv_round_trip(tmp_path):
     field0 = linear_field(lam=-0.7, mu=0.0, n=2, j=0)
     u00 = _fiber_datum(grid0, make_initial("gaussian", x_center=0.3))
     state0, _ = picard_solve(u00, _slab(field0, grid0, 0.5, 5), None, config)
-    slc0 = eulerian_reconstruct(state0, field0, 0.5)
+    slc0 = _reconstruct(state0, field0, 0.5)
     slice_to_csv(slc0, path)
     assert path.read_text() == _slice_csv_by_rows(slc0)
 
