@@ -998,7 +998,28 @@ def test_fragmentation_on_a_moving_fiber_follows_its_mass_law(mu):
     assert drift[-1] < 1e-3
 
 
-def test_run_summary_slabs_are_the_slab_records():
+def test_a_moving_fiber_solve_converges_at_second_order():
+    # the dense_logistic setup (logistic k 1, mu 0.3, separable kernel,
+    # t_end 1.6, two slabs of 17 nodes) on label grids refined by two in x
+    # and r: the final mass differences between successive grids shrink by
+    # about 4 (4.08 and 3.95 measured), the order of the fiber quadrature
+    # and of the multilinear re-basing.  A first-order re-basing, reading
+    # the nearest node, would shrink them by about 2
+    masses = []
+    for nx, nr in ((9, 65), (17, 129), (33, 257), (65, 513)):
+        grid = GridSpec(x_bounds=((-np.pi, np.pi),), x_counts=(nx,),
+                        r_bounds=((0.0, 1.0),), r_counts=(nr,))
+        sol = continue_solution(
+            make_initial("gaussian"), logistic_field(k=1, mu=0.3), separable_kernel(),
+            SolverConfig(picard_tol=1e-10), grid, 1.6,
+        )
+        assert len(sol.summaries) == 2
+        masses.append(float(sol.masses[-1]))
+    diffs = np.diff(masses)
+    ratios = diffs[:-1] / diffs[1:]
+    print("final masses", [f"{m:.8f}" for m in masses],
+          "ratios", [f"{r:.3f}" for r in ratios])
+    assert np.all((3.9 < ratios) & (ratios < 4.2))
     # each slab's record is built once, with the result JSON's keys, and
     # the run summary hands the records over as they are
     sol = continue_solution(
