@@ -6,7 +6,9 @@ compressibility densities carried by the flow, and solves
 
     du/dt along the flow = integral of gamma(r, r~) u(t, x, r~) dr~
 
-by Picard iteration on equal contraction slabs of one template.  The
+on equal contraction slabs of one template: a slab is marched node by
+node for a kernel that is not triangular, and Picard-iterated for a
+triangular one.  The
 kernel is finite rank, gamma = sum_l a_l(r) c_l(r~), and the integral
 runs over its declared support: all r~, or r <= r~ for a triangular
 kernel.  A kernel depends on neither t nor x, so the solver evaluates

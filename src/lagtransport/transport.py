@@ -10,13 +10,17 @@ moved fiber coordinates, so the operator is one evaluation of the
 kernel's factors per stored time slice, and a single slice when the
 fibers do not move.  On a
 short enough time slab A is a contraction in the sup-in-time windowed L^p
-norm, so Picard iteration from u0 converges geometrically; longer
-horizons are covered by chaining slabs, re-basing the initial datum at
-each boundary through an Eulerian reconstruction.  Neither the kernel
-nor the drift b = (b1(x), b2(x, r)) depends on time, so the slab budget
-is measured once per run, from one evaluation of each, and the run is
-equal slabs of one template: flow, operator, pull-backs and the buffers
-Picard iterates in, built once.
+norm, so the slab has one fixed point.  Under the trapezoid rule in time
+node k depends on itself only through the rank-L kernel term, so for a
+kernel that is not triangular the slab is solved exactly by marching its
+nodes, one L x L solve per fiber row and node; a triangular kernel's
+slab is found by Picard iteration from u0, which converges
+geometrically.  Longer horizons are covered by chaining slabs, re-basing
+the initial datum at each boundary through an Eulerian reconstruction.
+Neither the kernel nor the drift b = (b1(x), b2(x, r)) depends on time,
+so the slab budget is measured once per run, from one evaluation of
+each, and the run is equal slabs of one template: flow, operator,
+pull-backs and the buffers a slab is solved in, built once.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ class PicardConvergenceError(NumericalFailure):
 # Every run uses one value of each, so they are constants rather than
 # SolverConfig fields: the Lipschitz budget per slab (1/2 gives the
 # classic geometric tail), the most slabs a run may plan and record, the
-# Picard iteration cap, and the largest fraction of labels a re-basing
-# may lose out of the label box.
+# Picard iteration cap (of a triangular kernel's slabs), and the largest
+# fraction of labels a re-basing may lose out of the label box.
 _SLAB_TARGET = 0.5
 _MAX_SLABS = 2**16
 _MAX_ITERS = 80
@@ -77,9 +81,10 @@ _EXIT_FRACTION_LIMIT = 1e-3
 class SolverConfig:
     """The slab/Picard settings that runs vary.
 
-    p and window define the norm used for contraction measurements;
-    picard_tol is the difference at which iteration stops;
-    nodes_per_slab fixes the trapezoid resolution of the time integral
+    p and window define the norm used for contraction measurements and
+    residuals; picard_tol is the difference at which Picard iteration
+    stops, which only a triangular kernel's slabs run (other slabs are
+    marched to their exact discrete fixed point); nodes_per_slab fixes the trapezoid resolution of the time integral
     inside each slab.  slab_time_samples is validated but read by
     nothing: it counted the times at which a time-dependent kernel's rate
     was sampled, and a kernel no longer depends on time.  It stays until
@@ -173,10 +178,10 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> np.ndarray:
 
 
 class _Workspace:
-    """What a Picard solve on one flow and kernel reads and writes: the
+    """What a slab solve on one flow and kernel reads and writes: the
     kernel operator `ops`, the array of `_kernel_matrices`, and the
     density ratio rho2 = exp(logJ2) (both None without a kernel; one row
-    for a shared fiber), and the two (K, Nx, Nr) buffers it iterates in,
+    for a shared fiber), and the two (K, Nx, Nr) buffers it works in,
     `u` and `u_next`.
 
     `continue_solution` builds one next to its slab template, so a run
@@ -199,7 +204,7 @@ def apply_A(
     fmap: FlowMap,
     kernel: Kernel | None,
     u0: np.ndarray,
-    _work=None,
+    _work: _Workspace,
 ) -> np.ndarray:
     """One application of the affine Volterra operator.
 
@@ -214,17 +219,15 @@ def apply_A(
     The operator is the one of `_work`, a `_Workspace` of this flow and
     kernel whose `u_next` buffer `values` does not alias.  The weighted
     state, the contraction and then the image are written into that
-    buffer, and the image is returned; without a workspace both are
-    built anew.
+    buffer, and the image is returned.
     """
     values = np.asarray(values, dtype=float)
-    work = _work if _work is not None else _Workspace(fmap, kernel)
-    out = work.u_next
+    out = _work.u_next
     if kernel is None:
         out[...] = u0
         return out
-    a, c = work.ops
-    weighted = np.multiply(work.rho2, values, out=out)  # rho2 u~
+    a, c = _work.ops
+    weighted = np.multiply(_work.rho2, values, out=out)  # rho2 u~
     # a static operator's single slice broadcasts over the nodes, and a
     # shared fiber's one row over the x labels, rather than being copied;
     # the contraction overwrites the weighted state, which it no longer needs
@@ -267,16 +270,15 @@ def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def fixed_point_residual(
     state: LagrangianState, kernel: Kernel | None, config: SolverConfig,
-    _work=None,
+    _work: _Workspace,
 ) -> float:
     """sup-in-time windowed L^p norm of u~ - A(u~).
 
     `_work` is a `_Workspace` of this state's flow and kernel whose
-    `u_next` the state's values do not alias; without one a new one is
-    built.  The difference overwrites the image in `u_next`.
+    `u_next` the state's values do not alias.  The difference overwrites
+    the image in `u_next`.
     """
-    work = _work if _work is not None else _Workspace(state.fmap, kernel)
-    image = apply_A(state.values, state.fmap, kernel, state.u0, _work=work)
+    image = apply_A(state.values, state.fmap, kernel, state.u0, _work=_work)
     diff = np.subtract(state.values, image, out=image)
     return sup_in_time(diff, state.grid, config.norm_spec(), out=diff)
 
@@ -328,20 +330,23 @@ def picard_solve(
     _work=None,
 ) -> tuple[LagrangianState, dict]:
     """Fixed point of A on the slab of `fmap` (its label grid and time
-    nodes) by Picard iteration from u0.
+    nodes): marched node by node (`_march`) for a kernel that is not
+    triangular, and by Picard iteration from u0 for a triangular kernel
+    or none.
 
-    Stops when consecutive iterates differ by less than picard_tol in the
-    sup-in-time windowed L^p norm; raises PicardConvergenceError when the
-    budget runs out or a difference is not finite.  One `_Workspace`,
-    `_work` or else a new one, serves every iteration and the residual:
-    its operator is built with it, and each step writes A(u) into its
-    next-iterate buffer and the difference over u, which is dead once the
-    difference is taken, then swaps the two buffers, so the loop
-    allocates no (K, Nx, Nr) array.  The returned state's values are the
-    workspace's buffer.  The summary
-    records the iterations, the differences, their ratios
-    (`contraction_ratios`, the measured contraction rate, meaningful from
-    the second ratio on) and the residual.
+    Picard stops when consecutive iterates differ by less than picard_tol
+    in the sup-in-time windowed L^p norm; it raises PicardConvergenceError
+    when the budget runs out or a difference is not finite.  One
+    `_Workspace`, `_work` or else a new one, serves the solve and the
+    residual: its operator is built with it, and each Picard step writes
+    A(u) into its next-iterate buffer and the difference over u, which is
+    dead once the difference is taken, then swaps the two buffers, so the
+    loop allocates no (K, Nx, Nr) array.  The returned state's values are
+    the workspace's buffer.  The summary records the iterations, the
+    differences, their ratios (`contraction_ratios`, the measured
+    contraction rate, meaningful from the second ratio on) and the
+    residual; a marched slab records no iterations or differences and
+    one measured ratio.
     """
     u0_values = np.asarray(u0_values, dtype=float)
     grid = fmap.grid
@@ -349,6 +354,8 @@ def picard_solve(
         raise ValueError("u0_values must have shape (num_x, num_r)")
     if _work is None:
         _work = _Workspace(fmap, kernel)
+    if kernel is not None and not kernel.triangular:
+        return _march(u0_values, fmap, kernel, config, _work)
     spec = config.norm_spec()
     _work.u[...] = u0_values
     diffs: list[float] = []
@@ -381,6 +388,71 @@ def picard_solve(
         f"(last difference {diffs[-1]:.3e})",
         diffs,
     )
+
+
+def _march(
+    u0_values: np.ndarray, fmap: FlowMap, kernel: Kernel, config: SolverConfig,
+    work: _Workspace,
+) -> tuple[LagrangianState, dict]:
+    """The exact fixed point of the trapezoid slab equation of a kernel
+    that is not triangular, node by node, in `work.u`.
+
+    On a fiber row let A_k be the (L, Nr) table of the a_l at node k and
+    C_k that of the weighted c_l times rho2, so the operator's image at
+    node k is g_k = A_k^T m_k with the L moments m_k = C_k u_k.  With
+    h = (t_k - t_{k-1}) / 2 the trapezoid fixed point at node k is
+    u_k = rhs + h g_k for rhs = u_{k-1} + h g_{k-1}: node k depends on
+    itself only through the rank-L term, so each fiber row solves
+    (I - h C_k A_k^T) m_k = C_k rhs, an L x L system.  g and h g are kept
+    in the first two rows of `work.u_next`, so the march allocates no
+    slab-sized array.
+
+    The record keeps Picard's keys: no iterations and no differences, and
+    one measured ratio ||A v - u0|| / ||v|| = ||A v - A 0|| / ||v - 0||
+    (unless ||v|| is 0), v the marched state.  A non-finite node or a
+    singular node system raises PicardConvergenceError.
+    """
+    grid, u, (g, step) = fmap.grid, work.u, work.u_next[:2]
+    shape = (fmap.times.size,) + work.ops.shape[2:]
+    # a static operator's one slice and rho2 read the same at every node
+    a, c = (np.broadcast_to(ops, shape) for ops in work.ops)
+    rho2 = np.broadcast_to(work.rho2, (shape[0],) + work.rho2.shape[1:])
+    half = np.diff(fmap.times) / 2.0
+    eye = np.eye(shape[2])
+    u[0] = u0_values
+    np.einsum("ilm,il->im", a[0], np.einsum("ilq,iq,iq->il", c[0], rho2[0], u[0]),
+              out=g)
+    for k, h in enumerate(half, start=1):
+        np.multiply(g, h, out=step)
+        np.add(u[k - 1], step, out=u[k])  # rhs
+        system = eye - h * np.einsum("ilq,iq,imq->ilm", c[k], rho2[k], a[k])
+        moments = np.einsum("ilq,iq,iq->il", c[k], rho2[k], u[k])
+        try:
+            m = np.linalg.solve(system, moments[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise PicardConvergenceError(
+                f"singular node system at node {k}: {exc}", []
+            ) from None
+        np.einsum("ilm,il->im", a[k], m, out=g)
+        np.multiply(g, h, out=step)
+        u[k] += step
+    if not np.isfinite(u[-1]).all():
+        # a non-finite entry stays so at every later node: name the first
+        first = next(k for k, node in enumerate(u) if not np.isfinite(node).all())
+        raise PicardConvergenceError(f"non-finite value at node {first}", [])
+    state = LagrangianState(values=u, fmap=fmap, u0=u0_values)
+    spec = config.norm_spec()
+    size = sup_in_time(u, grid, spec, out=work.u_next)
+    image = apply_A(u, fmap, kernel, u0_values, _work=work)
+    image -= u0_values
+    linear = sup_in_time(image, grid, spec, out=image)
+    summary = {
+        "iterations": 0,
+        "contraction_ratios": [linear / size] if size > 0 else [],
+        "differences": [],
+        "residual": fixed_point_residual(state, kernel, config, _work=work),
+    }
+    return state, summary
 
 
 def _multilinear(axes, values, pts, fill_value) -> np.ndarray:
@@ -490,7 +562,7 @@ class ContinuedSolution:
     the Eulerian slices at the requested times (keyed as requested) and
     at the last boundary.  Boundaries and one record per slab document
     it: the slab's t_start, t_end and exit_fraction (that of its
-    re-basing, 0.0 on the last slab) with its Picard summary."""
+    re-basing, 0.0 on the last slab) with its `picard_solve` summary."""
 
     field_name: str
     kernel_name: str
@@ -529,11 +601,12 @@ def continue_solution(
     `choose_slab` plans the run once; a horizon `check_horizon` rejects,
     or a slice time off the planned nodes, raises before any work.  Every
     slab is the first shifted in time, so the flow map, the pull-back of
-    each node read and the Picard workspace every slab iterates in (with
-    the kernel operator) are built once, on the local nodes
-    tau = linspace(0, T0, nodes_per_slab).  Each slab iterates Picard
-    on them, reads its masses and slices at t_start + tau, drops its
-    state, and re-bases its last node on the label grid.  A slab
+    each node read and the workspace every slab is solved in (with the
+    kernel operator) are built once, on the local nodes
+    tau = linspace(0, T0, nodes_per_slab).  Each slab solves its fixed
+    point on them (`picard_solve`), reads its masses and slices at
+    t_start + tau, drops its state, and re-bases its last node on the
+    label grid.  A slab
     reconstructs each node it reads once: its last node, the re-basing
     datum and on the last slab `final`, and the nodes of its slices, so
     a slice on a slab boundary is the re-basing read.  By

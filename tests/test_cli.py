@@ -66,6 +66,15 @@ def solve_config():
     }
 
 
+def triangular_solve_config():
+    """solve_config with the fragmentation kernel, whose slabs Picard
+    iterates, on a geometric fiber that keeps its 1/r~ finite."""
+    config = solve_config()
+    config["kernel"] = {"name": "fragmentation", "params": {"scale": 2.0}}
+    config["grid"].update(r_bounds=[[1e-3, 1.0]], r_spacing="geometric")
+    return config
+
+
 def verify_config():
     return {
         "schema_version": 1,
@@ -799,7 +808,7 @@ def test_numerical_failure_removes_the_directories_it_created(tmp_path, monkeypa
     from lagtransport import cli, transport
 
     monkeypatch.setattr(transport, "_MAX_ITERS", 1)
-    cfg = write_config(tmp_path / "s.json", solve_config())
+    cfg = write_config(tmp_path / "s.json", triangular_solve_config())
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "a/b")]) == 3
     assert not (tmp_path / "a").exists()
 
@@ -1020,15 +1029,44 @@ def test_nan_slab_budget_exits_3(tmp_path, monkeypatch, capsys, poisoned):
 
 
 def test_picard_budget_exhaustion_exits_3(tmp_path, monkeypatch, capsys):
-    # Picard contracts on every slab choose_slab accepts, so no config
-    # exhausts 80 iterations; a cap of 1 stands in for a slow slab
+    # Picard, which a triangular kernel's slabs run, contracts on every
+    # slab choose_slab accepts, so no config exhausts 80 iterations; a cap
+    # of 1 stands in for a slow slab
     from lagtransport import cli, transport
 
     monkeypatch.setattr(transport, "_MAX_ITERS", 1)
+    cfg = write_config(tmp_path / "s.json", triangular_solve_config())
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "numerical failure: no convergence in 1 iterations" in capsys.readouterr().err
+    assert not list(tmp_path.glob("solve_*.json"))
+
+
+def _singular_solve(system, rhs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _nan_solve(system, rhs):
+    return np.full(np.broadcast_shapes(system.shape[:-2], rhs.shape[:-2])
+                   + rhs.shape[-2:], np.nan)
+
+
+@pytest.mark.parametrize(
+    "solve, shown",
+    [(_singular_solve, "singular node system at node 1: Singular matrix"),
+     (_nan_solve, "non-finite value at node 1")],
+    ids=["singular", "non_finite"],
+)
+def test_a_failed_march_exits_3(tmp_path, monkeypatch, capsys, solve, shown):
+    # the separable kernel's slab is marched, one L x L solve per fiber
+    # row and node: a singular or non-finite node ends the run with exit
+    # 3 and writes nothing
+    from lagtransport import cli
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
     cfg = write_config(tmp_path / "s.json", solve_config())
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
-    assert not list(tmp_path.glob("solve_*.json"))
+    assert f"numerical failure: {shown}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("solve_*"))
 
 
 # ---------------------------------------------------------------------

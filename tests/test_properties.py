@@ -17,6 +17,7 @@ from lagtransport.fields import (
 )
 from lagtransport.flow import check_compressibility, flow_map, integrate_flow
 from lagtransport.grid import GridSpec
+from lagtransport import transport
 from lagtransport.transport import (
     SolverConfig,
     apply_A,
@@ -121,8 +122,9 @@ def test_picard_from_any_start_reaches_the_one_fixed_point(
     u0 = make_initial("gaussian")(labels[..., :1], labels[..., 1:])
     state, _ = picard_solve(u0, fmap, kernel, SolverConfig(picard_tol=1e-12))
     u = state.values + np.random.default_rng(seed).normal(size=state.values.shape)
+    work = transport._Workspace(fmap, kernel)
     for _ in range(200):
-        nxt = apply_A(u, fmap, kernel, u0)
+        nxt = apply_A(u, fmap, kernel, u0, _work=work).copy()
         step = float(np.max(np.abs(nxt - u)))
         u = nxt
         if step < 1e-13:

@@ -61,6 +61,18 @@ def _fiber_grid(nr=33, nx=2):
     )
 
 
+def _apply_A(values, fmap, kern, u0):
+    """apply_A in a workspace of its own, so the image is a new array."""
+    return apply_A(values, fmap, kern, u0, _work=transport._Workspace(fmap, kern))
+
+
+def _residual(state, kern, config):
+    """fixed_point_residual in a workspace of its own."""
+    return fixed_point_residual(
+        state, kern, config, _work=transport._Workspace(state.fmap, kern)
+    )
+
+
 def _slab(field, grid, duration, nodes):
     """The flow map of the slab [0, duration] on `nodes` equal steps."""
     return flow_map(field, grid, np.linspace(0.0, duration, nodes))
@@ -95,7 +107,7 @@ def test_apply_A_zero_kernel_returns_datum():
     rng = np.random.default_rng(1)
     u0 = rng.uniform(0.0, 1.0, size=(grid.num_x, grid.num_r))
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
-    out = apply_A(values, fmap, None, u0)
+    out = _apply_A(values, fmap, None, u0)
     for k in range(fmap.times.size):
         assert np.array_equal(out[k], u0)
 
@@ -113,9 +125,9 @@ def test_apply_A_is_affine_in_the_state():
     u = rng.standard_normal(shape)
     v = rng.standard_normal(shape)
     u0 = np.zeros((grid.num_x, grid.num_r))
-    a_u = apply_A(u, fmap, kern, u0)
-    a_v = apply_A(v, fmap, kern, u0)
-    a_uv = apply_A(u + v, fmap, kern, u0)
+    a_u = _apply_A(u, fmap, kern, u0)
+    a_v = _apply_A(v, fmap, kern, u0)
+    a_uv = _apply_A(u + v, fmap, kern, u0)
     assert np.allclose(a_uv, a_u + a_v, atol=1e-12)
 
 
@@ -130,7 +142,7 @@ def test_apply_A_constant_kernel_quadrature():
     u_slice = rng.uniform(0.5, 1.5, size=(grid.num_x, grid.num_r))
     values = np.broadcast_to(u_slice[None], (times.size,) + u_slice.shape)
     u0 = np.zeros((grid.num_x, grid.num_r))
-    out = apply_A(values, fmap, kern, u0)
+    out = _apply_A(values, fmap, kern, u0)
     wr = grid.r_weights()
     fiber_integral = np.sum(u_slice * wr[None, :], axis=1)  # (Nx,)
     for k, t in enumerate(times):
@@ -145,7 +157,7 @@ def test_apply_A_rejects_a_kernel_on_a_grid_without_a_fiber():
     u0 = np.ones((grid.num_x, grid.num_r))
     for kern in (constant_kernel(), separable_kernel(), fragmentation_kernel()):
         with pytest.raises(ValueError, match="j = 1"):
-            apply_A(values, fmap, kern, u0)
+            _apply_A(values, fmap, kern, u0)
 
 
 def _triangular_grid():
@@ -208,7 +220,7 @@ def test_apply_A_is_bit_identical_to_per_node_operators(field, kern, slices):
         mom = np.einsum("kilq,kiq->kil", c, weighted)
         inner = np.einsum("kilm,kil->kim", a, mom)
     expected = u0[None] + _cumulative_trapezoid(inner, fmap.times)
-    assert np.array_equal(apply_A(values, fmap, kern, u0), expected)
+    assert np.array_equal(_apply_A(values, fmap, kern, u0), expected)
     work = transport._Workspace(fmap, kern)
     assert np.array_equal(apply_A(values, fmap, kern, u0, _work=work), expected)
     ref = _dense_apply_A(values, fmap, kern, u0)
@@ -268,7 +280,7 @@ def test_triangular_apply_A_matches_dense_suffix_reference(field, spacing, kern,
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
     u0 = rng.standard_normal((grid.num_x, grid.num_r))
     ref = _dense_apply_A(values, fmap, kern, u0)
-    out = apply_A(values, fmap, kern, u0)
+    out = _apply_A(values, fmap, kern, u0)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -433,12 +445,12 @@ def test_factored_operator_matches_dense(field):
     values = rng.standard_normal((fmap.times.size, grid.num_x, grid.num_r))
     u0 = rng.standard_normal((grid.num_x, grid.num_r))
     ref = _dense_apply_A(values, fmap, kern, u0)
-    out = apply_A(values, fmap, kern, u0)
+    out = _apply_A(values, fmap, kern, u0)
     assert np.max(np.abs(out - ref)) < 1e-12
     # the factored path never evaluates gamma
     blind = Kernel("separable", kern.factors)
     blind.gamma = _raising_gamma
-    assert np.array_equal(apply_A(values, fmap, blind, u0), out)
+    assert np.array_equal(_apply_A(values, fmap, blind, u0), out)
 
 
 @pytest.mark.parametrize(
@@ -456,7 +468,7 @@ def test_picard_residual_matches_fixed_point_residual(field, factored):
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
     state, summary = picard_solve(u0, _slab(field, grid, 0.25, 9), kern, config)
     if factored:
-        residual = fixed_point_residual(state, kern, config)
+        residual = _residual(state, kern, config)
     else:
         image = _dense_apply_A(state.values, state.fmap, kern, state.u0)
         residual = sup_in_time(state.values - image, grid, config.norm_spec())
@@ -506,7 +518,7 @@ def test_fixed_point_residual_vanishes_for_true_fixed_point():
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-12, nodes_per_slab=17)
     state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 17), kern, config)
-    assert fixed_point_residual(state, kern, config) < 1e-11
+    assert _residual(state, kern, config) < 1e-11
 
 
 # ---------------------------------------------------------------------
@@ -571,11 +583,17 @@ def test_picard_matches_separable_oracle():
     assert all(r < 0.6 for r in summary["contraction_ratios"])
 
 
+def _triangular_constant_kernel(c):
+    # gamma = c on r <= r~: triangular, and finite on a uniform fiber from 0
+    return Kernel("triangular_constant", constant_kernel(c=c).factors,
+                  triangular=True)
+
+
 def test_picard_diverges_gracefully_when_budget_too_small():
-    # c T = 100 on a unit slab: the Picard differences (c T)^n / n! still
-    # grow after the 80-iteration cap, yet stay finite
+    # c = 1e4 on a unit slab and fiber: the Picard differences still grow
+    # after the 80-iteration cap, yet stay finite
     grid = _fiber_grid(nr=17)
-    kern = constant_kernel(c=100.0)
+    kern = _triangular_constant_kernel(1e4)
     u0 = np.ones((grid.num_x, grid.num_r))
     with pytest.raises(PicardConvergenceError, match="in 80 iterations") as err:
         picard_solve(
@@ -584,19 +602,40 @@ def test_picard_diverges_gracefully_when_budget_too_small():
         )
     assert len(err.value.diffs) == 80
     assert np.all(np.isfinite(err.value.diffs))
+    assert err.value.diffs[-1] > err.value.diffs[-2]
 
 
-def test_picard_stops_at_first_non_finite_difference():
+@pytest.mark.parametrize(
+    "kern", [_triangular_gauss_kernel(), separable_kernel()], ids=["picard", "march"],
+)
+def test_picard_stops_at_first_non_finite_difference(kern):
+    # Picard stops at its first difference; a march names the first node
+    # it cannot compute, here the datum's, and has no differences
     grid = _fiber_grid(nr=17)
     u0 = np.ones((grid.num_x, grid.num_r))
     u0[0, 3] = np.nan
     with pytest.raises(PicardConvergenceError) as err:
         picard_solve(
-            u0, _slab(zero_field(1, 1), grid, 0.5, 17), separable_kernel(),
-            SolverConfig(),
+            u0, _slab(zero_field(1, 1), grid, 0.5, 17), kern, SolverConfig(),
         )
-    assert len(err.value.diffs) == 1
-    assert not np.isfinite(err.value.diffs[0])
+    if kern.triangular:
+        assert len(err.value.diffs) == 1
+        assert not np.isfinite(err.value.diffs[0])
+    else:
+        assert str(err.value) == "non-finite value at node 0"
+        assert err.value.diffs == []
+
+
+def test_a_singular_node_system_stops_the_march():
+    # gamma = 4 on a two-node unit fiber (weights 1/2, 1/2) over a slab of
+    # two nodes 1/2 apart: h = 1/4, so I - h C A^T is exactly 0
+    grid = _fiber_grid(nr=2)
+    with pytest.raises(PicardConvergenceError,
+                       match="singular node system at node 1") as err:
+        picard_solve(np.ones((grid.num_x, grid.num_r)),
+                     _slab(zero_field(1, 1), grid, 0.5, 2), constant_kernel(c=4.0),
+                     SolverConfig())
+    assert err.value.diffs == []
 
 
 @pytest.mark.parametrize(
@@ -635,10 +674,11 @@ def _picard_on_fresh_arrays(u0, fmap, kern, config):
     """Reference: Picard iteration whose every A(u) and u_next - u is a
     new array; returns the last iterate, differences, ratios, residual."""
     spec = config.norm_spec()
+    work = transport._Workspace(fmap, kern)
     u = np.repeat(u0[None], fmap.times.size, axis=0)
     diffs = []
     for _ in range(80):
-        u_next = apply_A(u, fmap, kern, u0)
+        u_next = apply_A(u, fmap, kern, u0, _work=work).copy()
         diffs.append(sup_in_time(u_next - u, fmap.grid, spec))
         u = u_next
         if diffs[-1] < config.picard_tol:
@@ -648,7 +688,8 @@ def _picard_on_fresh_arrays(u0, fmap, kern, config):
         for i in range(len(diffs) - 1)
         if diffs[i] > max(config.picard_tol * 1e-3, 1e-15)
     ]
-    residual = sup_in_time(u - apply_A(u, fmap, kern, u0), fmap.grid, spec)
+    residual = sup_in_time(u - apply_A(u, fmap, kern, u0, _work=work), fmap.grid,
+                           spec)
     return u, diffs, ratios, residual
 
 
@@ -656,17 +697,17 @@ def _picard_on_fresh_arrays(u0, fmap, kern, config):
     "field, kern, grid, settings",
     [
         (zero_field(1, 1), fragmentation_kernel(scale=2.0), _triangular_grid(), {}),
-        (logistic_field(k=1, mu=0.3), separable_kernel(terms=SEPARABLE_TERMS),
+        (logistic_field(k=1, mu=0.3), _triangular_gauss_kernel(),
          _fiber_grid(nr=33, nx=5), {}),
-        (modulated_logistic_field(), separable_kernel(terms=SEPARABLE_TERMS),
+        (modulated_logistic_field(), _triangular_gauss_kernel(),
          _fiber_grid(nr=33, nx=5), {}),
-        (logistic_field(k=1, mu=0.3), separable_kernel(terms=SEPARABLE_TERMS),
+        (logistic_field(k=1, mu=0.3), _triangular_gauss_kernel(),
          _fiber_grid(nr=33, nx=5), {"p": 3.0, "window": ((0.2, 0.8), (0.1, 0.9))}),
         (logistic_field(k=1, mu=0.3), None, _fiber_grid(nr=33, nx=5),
          {"p": np.inf}),
     ],
-    ids=["fragmentation_zero_field", "separable_logistic",
-         "separable_modulated_logistic", "window_p3", "no_kernel_p_inf"],
+    ids=["fragmentation_zero_field", "triangular_logistic",
+         "triangular_modulated_logistic", "window_p3", "no_kernel_p_inf"],
 )
 def test_picard_in_a_workspace_is_bit_identical_to_fresh_arrays(
     field, kern, grid, settings,
@@ -686,17 +727,63 @@ def test_picard_in_a_workspace_is_bit_identical_to_fresh_arrays(
         assert summary["differences"] == diffs
         assert summary["contraction_ratios"] == ratios
         assert summary["residual"] == residual
-    assert fixed_point_residual(state, kern, config) == residual
+    assert _residual(state, kern, config) == residual
     _, summary = picard_solve(u0, fmap, kern, config)
     assert summary["residual"] == residual
 
 
-def test_picard_allocates_no_slab_sized_array_per_iteration():
-    # with the operator and the workspace built, a solve's traced peak is
-    # below one (K, Nx, Nr) array at any iteration count: a temporary of
-    # that size, even one freed within its iteration, would exceed it
-    grid = _fiber_grid(nr=129, nx=16)
+_MARCH_CASES = pytest.mark.parametrize(
+    "field, settings",
+    [
+        (logistic_field(k=1, mu=0.3), {}),
+        (modulated_logistic_field(), {}),
+        (logistic_field(k=1, mu=0.3), {"p": 3.0, "window": ((0.2, 0.8), (0.1, 0.9))}),
+        (zero_field(1, 1), {"p": np.inf}),
+    ],
+    ids=["separable_logistic", "separable_modulated_logistic", "window_p3",
+         "zero_field_p_inf"],
+)
+
+
+@_MARCH_CASES
+def test_a_marched_slab_is_the_fixed_point_picard_approaches(field, settings):
+    # a kernel that is not triangular is marched node by node: the state
+    # is Picard's limit, which fresh-array Picard at 1e-13 reaches to
+    # 1e-12; the record has no iterations, and one ratio, of the state
+    # and 0 under A; and a reused workspace carries nothing over
+    grid = _fiber_grid(nr=33, nx=5)
     kern = separable_kernel(terms=SEPARABLE_TERMS)
+    fmap = _slab(field, grid, 0.4, 9)
+    u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4, r_center=0.45))
+    config = SolverConfig(picard_tol=1e-13, nodes_per_slab=9, **settings)
+    values, diffs, _, _ = _picard_on_fresh_arrays(u0, fmap, kern, config)
+    assert len(diffs) >= 5
+    spec = config.norm_spec()
+    work = transport._Workspace(fmap, kern)
+    marched = []
+    for _ in range(2):
+        state, summary = picard_solve(u0, fmap, kern, config, _work=work)
+        assert state.values is work.u
+        marched.append(state.values.copy())
+        assert np.max(np.abs(state.values - values)) <= 1e-12
+        assert (summary["iterations"], summary["differences"]) == (0, [])
+        size = sup_in_time(state.values, grid, spec)
+        image = _apply_A(state.values, fmap, kern, u0)
+        assert summary["contraction_ratios"] == [
+            sup_in_time(image - u0, grid, spec) / size
+        ]
+        assert summary["residual"] == _residual(state, kern, config) <= 1e-14
+    marched.append(picard_solve(u0, fmap, kern, config)[0].values)
+    assert all(np.array_equal(m, marched[0]) for m in marched)
+
+
+def test_picard_allocates_no_slab_sized_array_per_iteration():
+    # with the operator and the workspace built, a Picard solve's traced
+    # peak does not grow with its iteration count: a slab-sized array kept
+    # per iteration would add one (K, Nx, Nr) array each.  (A triangular
+    # apply_A frees slab-sized rows and tails within each call.)
+    grid = _fiber_grid(nr=129, nx=16)
+    kern = _triangular_gauss_kernel()
     fmap = _slab(logistic_field(k=1, mu=0.3), grid, 0.4, 17)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4))
     work = transport._Workspace(fmap, kern)
@@ -715,7 +802,30 @@ def test_picard_allocates_no_slab_sized_array_per_iteration():
             iterations.append(summary["iterations"])
         assert iterations[1] > iterations[0]
         assert abs(peaks[1] - peaks[0]) < work.u.nbytes
-        assert max(peaks) < work.u.nbytes
+
+
+def test_a_marched_slab_allocates_no_slab_sized_array():
+    # with the operator and the workspace built, a marched solve's traced
+    # peak, its ratio and residual included, is below one (K, Nx, Nr)
+    # array: a temporary of that size, even a freed one, would exceed it
+    grid = _fiber_grid(nr=129, nx=16)
+    kern = separable_kernel(terms=SEPARABLE_TERMS)
+    fmap = _slab(logistic_field(k=1, mu=0.3), grid, 0.4, 17)
+    u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4))
+    work = transport._Workspace(fmap, kern)
+    for p in (2.0, np.inf):  # the sup norm's window max is taken in place too
+        config = SolverConfig(p=p, picard_tol=1e-13, nodes_per_slab=17)
+        picard_solve(u0, fmap, kern, config, _work=work)  # warm caches
+        tracemalloc.start()
+        try:
+            state, summary = picard_solve(u0, fmap, kern, config, _work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["iterations"] == 0
+        assert peak < work.u.nbytes
+        values = _picard_on_fresh_arrays(u0, fmap, kern, config)[0]
+        assert np.max(np.abs(state.values - values)) <= 1e-12
 
 
 def _shared_fiber_workspace_case():
@@ -742,27 +852,36 @@ def test_the_workspace_holds_two_slab_buffers():
 def test_a_workspace_and_a_solve_peak_below_two_and_a_half_slabs():
     # building the workspace and solving in it holds the operator, rho2,
     # two slab buffers and temporaries far smaller than a slab
+    # (the kernel is marched; fresh-array Picard at 1e-13 reaches its state)
     fmap, kern, u0 = _shared_fiber_workspace_case()
-    config = SolverConfig(picard_tol=1e-10, nodes_per_slab=17)
+    config = SolverConfig(picard_tol=1e-13, nodes_per_slab=17)
     picard_solve(u0, fmap, kern, config)  # warm caches
     tracemalloc.start()
     try:
         work = transport._Workspace(fmap, kern)
-        _, summary = picard_solve(u0, fmap, kern, config, _work=work)
+        state, summary = picard_solve(u0, fmap, kern, config, _work=work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert summary["iterations"] > 5
+    assert summary["iterations"] == 0
     assert peak < 2.5 * work.u.nbytes + work.ops.nbytes + work.rho2.nbytes
+    values = _picard_on_fresh_arrays(u0, fmap, kern, config)[0]
+    assert np.max(np.abs(state.values - values)) <= 1e-12
 
 
-def test_picard_stops_on_a_nan_past_the_first_node():
+@pytest.mark.parametrize(
+    "triangular, message",
+    [(True, "non-finite difference at iteration 1"), (False, "non-finite value at node 1")],
+    ids=["picard", "march"],
+)
+def test_picard_stops_on_a_nan_past_the_first_node(triangular, message):
     # A(u) is u0 at the first node whatever the kernel, so a NaN kernel
-    # shows at the later nodes only, and must still stop the iteration
+    # shows at the later nodes only, and must still stop the iteration or
+    # the march
     grid = _fiber_grid(nr=9, nx=3)
-    nan = Kernel("nan", ((lambda r: np.full(r.shape, np.nan),), (np.ones_like,)))
-    with pytest.raises(PicardConvergenceError,
-                       match="non-finite difference at iteration 1"):
+    nan = Kernel("nan", ((lambda r: np.full(r.shape, np.nan),), (np.ones_like,)),
+                 triangular=triangular)
+    with pytest.raises(PicardConvergenceError, match=message):
         picard_solve(np.ones((grid.num_x, grid.num_r)),
                      _slab(zero_field(1, 1), grid, 0.2, 5), nan, SolverConfig())
 
