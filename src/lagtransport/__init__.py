@@ -8,10 +8,9 @@ compressibility densities carried by the flow, and solves
 
 on equal contraction slabs of one template: a slab is marched node by
 node for a kernel that is not triangular, and Picard-iterated for a
-triangular one.  The
-kernel is finite rank, gamma = sum_l a_l(r) c_l(r~), and the integral
-runs over its declared support: all r~, or r <= r~ for a triangular
-kernel.  A kernel depends on neither t nor x, so the solver evaluates
+triangular one.  The kernel is finite rank, gamma = sum_l a_l(r) c_l(r~),
+and the integral runs over its declared support: all r~, or r <= r~ for
+a triangular kernel.  A kernel depends on neither t nor x, so the solver evaluates
 its factors once per operator slice and gamma once for the slab rate.
 Closed form references (an oscillatory one-dimensional flow,
 matrix-exponential solutions for finite-rank kernels) back every

@@ -84,11 +84,12 @@ class SolverConfig:
     p and window define the norm used for contraction measurements and
     residuals; picard_tol is the difference at which Picard iteration
     stops, which only a triangular kernel's slabs run (other slabs are
-    marched to their exact discrete fixed point); nodes_per_slab fixes the trapezoid resolution of the time integral
-    inside each slab.  slab_time_samples is validated but read by
-    nothing: it counted the times at which a time-dependent kernel's rate
-    was sampled, and a kernel no longer depends on time.  It stays until
-    the configs that set it drop it.
+    marched to their exact discrete fixed point); nodes_per_slab fixes
+    the trapezoid resolution of the time integral inside each slab.
+    slab_time_samples is validated but read by nothing: it counted the
+    times at which a time-dependent kernel's rate was sampled, and a
+    kernel no longer depends on time.  It stays until the configs that
+    set it drop it.
     Settings that no run could use (a tolerance that is not finite and
     positive, fewer than 2 nodes or samples, p < 1) raise ValueError at
     construction.
@@ -403,9 +404,10 @@ def _march(
     h = (t_k - t_{k-1}) / 2 the trapezoid fixed point at node k is
     u_k = rhs + h g_k for rhs = u_{k-1} + h g_{k-1}: node k depends on
     itself only through the rank-L term, so each fiber row solves
-    (I - h C_k A_k^T) m_k = C_k rhs, an L x L system.  g and h g are kept
-    in the first two rows of `work.u_next`, so the march allocates no
-    slab-sized array.
+    (I - h C_k A_k^T) m_k = C_k rhs, an L x L system.  The systems do not
+    depend on the state, so all are inverted before the march
+    (`_invert_small`).  g and h g are kept in the first two rows of
+    `work.u_next`, so the march allocates no slab-sized array.
 
     The record keeps Picard's keys: no iterations and no differences, and
     one measured ratio ||A v - u0|| / ||v|| = ||A v - A 0|| / ||v - 0||
@@ -418,21 +420,21 @@ def _march(
     a, c = (np.broadcast_to(ops, shape) for ops in work.ops)
     rho2 = np.broadcast_to(work.rho2, (shape[0],) + work.rho2.shape[1:])
     half = np.diff(fmap.times) / 2.0
-    eye = np.eye(shape[2])
+    # the node systems do not depend on the state: all are inverted at once
+    products = np.einsum("kilq,kiq,kimq->kilm", c[1:], rho2[1:], a[1:])
+    inverses, singular = _invert_small(np.eye(shape[2]) - half[:, None, None, None]
+                                       * products)
+    if singular.any():
+        first = 1 + int(np.argmax(singular.any(axis=1)))
+        raise PicardConvergenceError(f"singular node system at node {first}", [])
     u[0] = u0_values
     np.einsum("ilm,il->im", a[0], np.einsum("ilq,iq,iq->il", c[0], rho2[0], u[0]),
               out=g)
     for k, h in enumerate(half, start=1):
         np.multiply(g, h, out=step)
         np.add(u[k - 1], step, out=u[k])  # rhs
-        system = eye - h * np.einsum("ilq,iq,imq->ilm", c[k], rho2[k], a[k])
         moments = np.einsum("ilq,iq,iq->il", c[k], rho2[k], u[k])
-        try:
-            m = np.linalg.solve(system, moments[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise PicardConvergenceError(
-                f"singular node system at node {k}: {exc}", []
-            ) from None
+        m = np.einsum("ilm,im->il", inverses[k - 1], moments)
         np.einsum("ilm,il->im", a[k], m, out=g)
         np.multiply(g, h, out=step)
         u[k] += step
@@ -453,6 +455,35 @@ def _march(
         "residual": fixed_point_residual(state, kernel, config, _work=work),
     }
     return state, summary
+
+
+def _invert_small(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inverses, singular) of a stack (..., L, L) of small matrices, by
+    Gauss-Jordan elimination with partial pivoting in numpy's elementwise
+    operations; `singular` marks the matrices that met a zero pivot,
+    whose inverses are not meaningful.
+
+    L is a kernel's rank, a few at most.  numpy.linalg's first call
+    starts OpenBLAS, which adds about 0.25 MB to a solve process's peak
+    memory; this does not.
+    """
+    size = stack.shape[-1]
+    aug = np.zeros((stack[..., 0, 0].size, size, 2 * size))
+    aug[:, :, :size] = stack.reshape(-1, size, size)
+    aug[:, range(size), range(size, 2 * size)] = 1.0
+    rows = np.arange(aug.shape[0])
+    singular = np.zeros(aug.shape[0], dtype=bool)
+    for j in range(size):
+        best = j + np.argmax(np.abs(aug[:, j:, j]), axis=1)
+        aug[rows, j], aug[rows, best] = aug[rows, best], aug[rows, j]
+        zero = aug[:, j, j] == 0.0
+        singular |= zero
+        aug[:, j] /= np.where(zero, 1.0, aug[:, j, j])[:, None]
+        factors = aug[:, :, j].copy()
+        factors[:, j] = 0.0
+        aug -= factors[:, :, None] * aug[:, None, j]
+    return (aug[:, :, size:].reshape(stack.shape),
+            singular.reshape(stack.shape[:-2]))
 
 
 def _multilinear(axes, values, pts, fill_value) -> np.ndarray:

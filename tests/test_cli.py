@@ -1041,28 +1041,27 @@ def test_picard_budget_exhaustion_exits_3(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("solve_*.json"))
 
 
-def _singular_solve(system, rhs):
-    raise np.linalg.LinAlgError("Singular matrix")
+def _singular_inverses(stack):
+    return np.zeros_like(stack), np.ones(stack.shape[:-2], dtype=bool)
 
 
-def _nan_solve(system, rhs):
-    return np.full(np.broadcast_shapes(system.shape[:-2], rhs.shape[:-2])
-                   + rhs.shape[-2:], np.nan)
+def _nan_inverses(stack):
+    return np.full_like(stack, np.nan), np.zeros(stack.shape[:-2], dtype=bool)
 
 
 @pytest.mark.parametrize(
-    "solve, shown",
-    [(_singular_solve, "singular node system at node 1: Singular matrix"),
-     (_nan_solve, "non-finite value at node 1")],
+    "invert, shown",
+    [(_singular_inverses, "singular node system at node 1"),
+     (_nan_inverses, "non-finite value at node 1")],
     ids=["singular", "non_finite"],
 )
-def test_a_failed_march_exits_3(tmp_path, monkeypatch, capsys, solve, shown):
-    # the separable kernel's slab is marched, one L x L solve per fiber
+def test_a_failed_march_exits_3(tmp_path, monkeypatch, capsys, invert, shown):
+    # the separable kernel's slab is marched, one L x L system per fiber
     # row and node: a singular or non-finite node ends the run with exit
     # 3 and writes nothing
-    from lagtransport import cli
+    from lagtransport import cli, transport
 
-    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(transport, "_invert_small", invert)
     cfg = write_config(tmp_path / "s.json", solve_config())
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert f"numerical failure: {shown}" in capsys.readouterr().err

@@ -626,6 +626,31 @@ def test_picard_stops_at_first_non_finite_difference(kern):
         assert err.value.diffs == []
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_invert_small_matches_numpy_linalg(size, monkeypatch):
+    # Gauss-Jordan with partial pivoting on a (K, R, L, L) stack: the
+    # inverses of numpy.linalg.inv to rounding, a matrix whose leading
+    # entry is 0 needs the pivoting, and a singular one is marked
+    rng = np.random.default_rng(size)
+    stack = np.eye(size) + 0.3 * rng.standard_normal((4, 3, size, size))
+    stack[1, 2] = np.roll(np.eye(size), 1, axis=0)  # 0 on the diagonal, L > 1
+    stack[2, 0] = 0.0
+    invertible = stack.copy()
+    invertible[2, 0] = np.eye(size)
+    expected = np.linalg.inv(invertible)
+
+    def no_lapack(*args):
+        raise AssertionError("numpy.linalg called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_lapack)
+    monkeypatch.setattr(np.linalg, "solve", no_lapack)
+    inverses, singular = transport._invert_small(stack)
+    assert singular.tolist() == [[False] * 3, [False] * 3, [True, False, False],
+                                 [False] * 3]
+    ok = ~singular
+    assert np.max(np.abs(inverses[ok] - expected[ok])) < 1e-13
+
+
 def test_a_singular_node_system_stops_the_march():
     # gamma = 4 on a two-node unit fiber (weights 1/2, 1/2) over a slab of
     # two nodes 1/2 apart: h = 1/4, so I - h C A^T is exactly 0
