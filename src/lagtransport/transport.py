@@ -59,7 +59,9 @@ __all__ = [
 
 
 class PicardConvergenceError(NumericalFailure):
-    """Iteration exhausted its budget; carries the difference history."""
+    """A slab solve failed: Picard iteration exhausted its budget or met a
+    non-finite difference, or a march met a non-finite node or a singular
+    node system.  Carries Picard's difference history, empty for a march."""
 
     def __init__(self, message: str, diffs: list[float]):
         super().__init__(message)

@@ -1164,6 +1164,9 @@ def test_a_moving_fiber_solve_converges_at_second_order():
     print("final masses", [f"{m:.8f}" for m in masses],
           "ratios", [f"{r:.3f}" for r in ratios])
     assert np.all((3.9 < ratios) & (ratios < 4.2))
+
+
+def test_run_summary_slabs_are_the_slab_records():
     # each slab's record is built once, with the result JSON's keys, and
     # the run summary hands the records over as they are
     sol = continue_solution(
