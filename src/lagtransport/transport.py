@@ -422,7 +422,6 @@ def _march(
     a, c = (np.broadcast_to(ops, shape) for ops in work.ops)
     rho2 = np.broadcast_to(work.rho2, (shape[0],) + work.rho2.shape[1:])
     half = np.diff(fmap.times) / 2.0
-    # the node systems do not depend on the state: all are inverted at once
     products = np.einsum("kilq,kiq,kimq->kilm", c[1:], rho2[1:], a[1:])
     inverses, singular = _invert_small(np.eye(shape[2]) - half[:, None, None, None]
                                        * products)
