@@ -297,12 +297,17 @@ def _build_named(kind: str, spec: dict | None):
         raise ConfigError(f"invalid {kind}: {exc}") from exc
 
 
-def _check_dimensions(field, grid: GridSpec) -> None:
+def _field_run(cfg: dict):
+    """The field, the grid and the time nodes of a flow, solve or verify
+    config, whose field must have the grid's dimensions."""
+    field = _build_named("field", cfg["field"])
+    grid = _build_grid(cfg["grid"])
     if field.n != grid.n or field.j != grid.j:
         raise ConfigError(
             f"field {field.name!r} has n = {field.n}, j = {field.j} but the "
             f"grid has n = {grid.n}, j = {grid.j}"
         )
+    return field, grid, _time_nodes(cfg["grid"])
 
 
 def _build_solver(spec: dict | None, grid: GridSpec) -> SolverConfig:
@@ -328,10 +333,7 @@ def _finite_positive(cfg: dict, key: str, default: float) -> float:
 
 
 def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
-    field = _build_named("field", cfg["field"])
-    grid = _build_grid(cfg["grid"])
-    _check_dimensions(field, grid)
-    times = _time_nodes(cfg["grid"])
+    field, grid, times = _field_run(cfg)
     direction = cfg.get("direction", "forward")
     if direction not in ("forward", "backward"):
         raise ConfigError(f"unknown direction {direction!r}")
@@ -352,10 +354,8 @@ def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
 
 
 def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
-    field = _build_named("field", cfg["field"])
-    grid = _build_grid(cfg["grid"])
-    _check_dimensions(field, grid)
-    t0 = float(_time_nodes(cfg["grid"])[0])
+    field, grid, times = _field_run(cfg)
+    t0 = float(times[0])
     kernel = _build_named("kernel", cfg.get("kernel"))
     datum = _build_named("initial datum", cfg["initial"])
     config = _build_solver(cfg.get("solver"), grid)
@@ -477,12 +477,7 @@ def _verify_battery(
     record("inverse_round_trip", err, 1e-7 * scale)
 
     # density bounds along stored trajectories
-    rep = check_compressibility(fmap, field)
-    checks["density_bounds"] = {
-        "measured": float(len(rep.violations)),
-        "tolerance": 0.0,
-        "passed": rep.ok,
-    }
+    record("density_bounds", len(check_compressibility(fmap, field).violations), 0.0)
 
     # change of variables, marginal (and joint when there is a fiber)
     box = grid.x_bounds
@@ -520,9 +515,7 @@ def _verify_battery(
     labels = probe_grid.joint_labels()
     u0 = datum(labels[..., :1], labels[..., 1:])
     probe_flow = flow_map(zero_field(1, 1), probe_grid, np.linspace(0.0, 0.25, 17))
-    state, _ = picard_solve(
-        u0, probe_flow, probe_kernel, SolverConfig(picard_tol=1e-12)
-    )
+    state, _ = picard_solve(u0, probe_flow, probe_kernel, SolverConfig())
     ref = separable_solve(probe_kernel, state.u0, probe_grid, state.times)
     record(
         "oracle_equivalence",
@@ -537,7 +530,7 @@ def _verify_battery(
     masses = continue_solution(
         make_initial("log_gaussian"), zero_field(1, 1),
         fragmentation_kernel(scale=2.0),
-        SolverConfig(picard_tol=1e-9, nodes_per_slab=17),
+        SolverConfig(picard_tol=1e-9),
         mass_grid, 1.0,
     ).masses
     rel = abs(masses[-1] - np.exp(2.0) * masses[0]) / (np.exp(2.0) * masses[0])
@@ -547,10 +540,8 @@ def _verify_battery(
 
 
 def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
-    field = _build_named("field", cfg["field"])
-    grid = _build_grid(cfg["grid"])
-    _check_dimensions(field, grid)
-    t0 = float(_time_nodes(cfg["grid"])[0])
+    field, grid, times = _field_run(cfg)
+    t0 = float(times[0])
     t = _finite_positive(cfg, "t", 0.5)
     flow_tol = _finite_positive(cfg, "flow_tol", 1e-10)
     scale = _finite_positive(cfg, "tolerance_scale", 1.0)
@@ -571,31 +562,16 @@ def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
     return payload, passed
 
 
+# command -> (runner, help text)
 _COMMANDS = {
-    "flow": _cmd_flow,
-    "solve": _cmd_solve,
-    "stability": partial(_cmd_study, "stability"),
-    "counterexample": partial(_cmd_study, "counterexample"),
-    "verify": _cmd_verify,
+    "flow": (_cmd_flow,
+             "integrate a label grid along a field and export trajectories"),
+    "solve": (_cmd_solve, "run the slab/Picard solver for a field-kernel pair"),
+    "stability": (partial(_cmd_study, "stability"), "mollified-field convergence study"),
+    "counterexample": (partial(_cmd_study, "counterexample"),
+                       "weak-but-not-strong density convergence study"),
+    "verify": (_cmd_verify, "self-check battery on a field/grid configuration"),
 }
-
-_HELP = {
-    "flow": "integrate a label grid along a field and export trajectories",
-    "solve": "run the slab/Picard solver for a field-kernel pair",
-    "stability": "mollified-field convergence study",
-    "counterexample": "weak-but-not-strong density convergence study",
-    "verify": "self-check battery on a field/grid configuration",
-}
-
-
-def _remove_empty(dirs: list[Path]) -> None:
-    """Remove `dirs` in order, stopping at the first that is not empty
-    (or cannot be removed)."""
-    for d in dirs:
-        try:
-            d.rmdir()
-        except OSError:
-            return
 
 
 def main(argv=None) -> int:
@@ -605,55 +581,47 @@ def main(argv=None) -> int:
         "along regular Lagrangian flows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
-
-    try:
-        cfg = load_config(args.config, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
     out_dir = Path(args.out)
     # the directories this run makes, deepest first: a rejected run
     # removes those that are still empty
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: cannot create {out_dir}: {exc}", file=sys.stderr)
-        _remove_empty(created)
-        return 2
+        cfg = load_config(args.config, args.command)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create {out_dir}: {exc}") from exc
+        stem = _config_stem(args.command, cfg)
+        payload, verdict = _COMMANDS[args.command][0](cfg, stem, out_dir)
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            # NaN and Infinity are not JSON: a number the run could not compute
+            (out_dir / f"{stem}.csv").unlink(missing_ok=True)
+            raise NumericalFailure(f"the result is not finite: {exc}") from exc
+    except (ConfigError, MemoryError, NumericalFailure) as exc:
+        if isinstance(exc, NumericalFailure):
+            code, kind = 3, "numerical failure"
+        elif isinstance(exc, MemoryError):
+            # a size numpy refuses to allocate: the config asks for more
+            # than the machine has
+            code, kind = 2, "config error: out of memory"
+        else:
+            code, kind = 2, "config error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        for d in created:
+            try:
+                d.rmdir()
+            except OSError:  # not empty, or never made
+                break
+        return code
 
-    stem = _config_stem(args.command, cfg)
-    try:
-        payload, verdict = _COMMANDS[args.command](cfg, stem, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        _remove_empty(created)
-        return 2
-    except MemoryError as exc:
-        # a size numpy refuses to allocate: the config asks for more than
-        # the machine has
-        print(f"config error: out of memory: {exc}", file=sys.stderr)
-        _remove_empty(created)
-        return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        _remove_empty(created)
-        return 3
-
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        # NaN and Infinity are not JSON: a number the run could not compute
-        print(f"numerical failure: the result is not finite: {exc}", file=sys.stderr)
-        (out_dir / f"{stem}.csv").unlink(missing_ok=True)
-        _remove_empty(created)
-        return 3
     (out_dir / f"{stem}.json").write_text(text + "\n", encoding="utf-8")
     status = "ok" if verdict else "FAILED"
     print(f"{args.command}: {status}  ->  {out_dir / stem}.json")

@@ -119,9 +119,7 @@ def stability_experiment(
         r_bounds=((0.0, 1.0),), r_counts=(25,),
     )
     kernel = separable_kernel()
-    config = SolverConfig(
-        p=2.0, window=_WINDOW, picard_tol=1e-10, nodes_per_slab=17
-    )
+    config = SolverConfig(window=_WINDOW)
 
     def run(field):
         return continue_solution(

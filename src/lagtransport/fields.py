@@ -100,8 +100,6 @@ class StructuredVectorField:
 # =====================================================================
 # built-in catalogue
 # =====================================================================
-# Module-level evaluators (bound via functools.partial) keep field
-# instances picklable for process-based maps.
 
 
 def _zero_div(*pts: np.ndarray) -> np.ndarray:

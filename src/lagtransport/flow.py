@@ -141,6 +141,9 @@ def flow_from(
             f"{field.j}), got {x0.shape} and {r0.shape}"
         )
     K, (M, n), Q = len(t_eval), x0.shape, r0.shape[1]
+    # only stacked fibers read the x block's dense path
+    still = field.j == 0 or "r" in field.zero_blocks
+    shared = field.fiber_ignores_x and r0.shape[0] == 1
     if "x" in field.zero_blocks:
         xpos, logj1 = _identity_block(x0, t_span, K)
 
@@ -149,14 +152,14 @@ def flow_from(
     else:
         xpos, logj1, dense = _solve_block(
             lambda t, X: field.b1_and_div(X), x0, t_span, t_eval, tol,
-            "x-block", dense_output=True,
+            "x-block", dense_output=not (still or shared),
         )
 
         def x_at(t):
             return dense(t)[: M * n].reshape(M, 1, n)
-    if field.j == 0 or "r" in field.zero_blocks:
+    if still:
         return (xpos, logj1) + _identity_block(r0, t_span, K)
-    if field.fiber_ignores_x and r0.shape[0] == 1:
+    if shared:
         rpos, logj2, _ = _solve_block(
             lambda t, R: field.b2_and_div(x0[:1, None, :], R), r0, t_span,
             t_eval, tol, "r-fiber",

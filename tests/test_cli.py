@@ -1005,6 +1005,32 @@ def test_an_impossible_array_size_exits_2(tmp_path):
     assert not (tmp_path / "a").exists()
 
 
+def test_running_out_of_memory_while_loading_exits_2(tmp_path, monkeypatch, capsys):
+    from lagtransport import cli
+
+    def exhausted(*args):
+        raise MemoryError("config too large")
+
+    monkeypatch.setattr(cli, "load_config", exhausted)
+    cfg = write_config(tmp_path / "s.json", solve_config())
+    out = tmp_path / "a" / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: out of memory: config too large\n"
+    assert not (tmp_path / "a").exists()
+
+
+def test_an_output_directory_under_a_file_exits_2(tmp_path):
+    cfg = write_config(tmp_path / "s.json", solve_config())
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "file" / "a" / "out"
+    res = run_cli("solve", "--config", cfg, "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"config error: cannot create {out}: ")
+    assert "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "s.json"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == ""
+
+
 @pytest.mark.parametrize("poisoned", ["rate", "div_sup"])
 def test_nan_slab_budget_exits_3(tmp_path, monkeypatch, capsys, poisoned):
     # a NaN kernel rate or divergence sup meets no slab budget

@@ -268,6 +268,29 @@ def test_flow_maps_make_one_x_solve_and_one_fiber_solve(monkeypatch):
         assert calls == sizes * (TIMES.size - 1)
 
 
+@pytest.mark.parametrize(
+    "field, asked",
+    [
+        (logistic_field(), [False, False]),            # shared fiber
+        (oscillatory_field(j=1), [False]),             # zero r block
+        (zero_field(1, 1), []),                        # nothing integrated
+        (modulated_logistic_field(), [True, False]),   # stacked fibers
+    ],
+    ids=["logistic", "oscillatory", "zero", "modulated_logistic"],
+)
+def test_only_stacked_fibers_ask_for_dense_output(monkeypatch, field, asked):
+    # the x block's dense path is read by stacked fibers alone
+    calls = []
+
+    def recording(*args, dense_output=False, **kwargs):
+        calls.append(dense_output)
+        return solve_ivp(*args, dense_output=dense_output, **kwargs)
+
+    monkeypatch.setattr("lagtransport.flow.solve_ivp", recording)
+    flow_map(field, _grid(), times=TIMES, tol=TOL)
+    assert calls == asked
+
+
 _IGNORING_X = [
     logistic_field(k=2, mu=0.4),
     linear_field(lam=0.3, mu=-0.2, n=1, j=1),
