@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: flow, solve, stability, counterexample, verify.  Each takes
-a JSON config (--config), writes a CSV and a JSON result whose names are
-derived from a hash of the config, and signals its verdict through the
-exit code:
+a JSON config (--config) and returns its result, which `main` writes as
+a CSV and a JSON file whose names are derived from a hash of the config;
+the exit code signals the verdict:
 
     0  success, all criteria met
     1  computation finished but a criterion or check failed
@@ -11,10 +11,10 @@ exit code:
     3  numerical failure (integration, contraction, precondition, non-finite result)
 
 Configs declare schema_version 1 and are validated against a strict
-whitelist; unknown keys anywhere are rejected before anything runs, and
-no output files are written unless the computation finishes with a
-finite result.  A run that exits 2 or 3 removes the output directories
-it created, while they are empty.
+whitelist; unknown keys anywhere are rejected before anything runs.
+Nothing is written until the result is known to be finite, and an
+output that cannot be written exits 2.  A run that exits 2 or 3 leaves
+no file it made and no output directory it created.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def _finite_positive(cfg: dict, key: str, default: float) -> float:
 # =====================================================================
 
 
-def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
+def _cmd_flow(cfg: dict):
     field, grid, times = _field_run(cfg)
     direction = cfg.get("direction", "forward")
     if direction not in ("forward", "backward"):
@@ -349,11 +349,10 @@ def _cmd_flow(cfg: dict, stem: str, out_dir: Path):
         "density_bounds_ok": report.ok,
         "violations": report.violations,
     }
-    flow_map_to_csv(fmap, out_dir / f"{stem}.csv")
-    return payload, report.ok
+    return payload, report.ok, partial(flow_map_to_csv, fmap)
 
 
-def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
+def _cmd_solve(cfg: dict):
     field, grid, times = _field_run(cfg)
     t0 = float(times[0])
     kernel = _build_named("kernel", cfg.get("kernel"))
@@ -385,15 +384,13 @@ def _cmd_solve(cfg: dict, stem: str, out_dir: Path):
         "masses": [float(m) for m in sol.masses],
         "final_exit_fraction": sol.final.exit_fraction,
     }
-    slice_to_csv(sol.final, out_dir / f"{stem}.csv")
-    return payload, True
+    return payload, True, partial(slice_to_csv, sol.final)
 
 
-def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
+def _cmd_study(command: str, cfg: dict):
     """The stability and counterexample commands: run the experiment on
     the config's arguments (every schema key but schema_version, parsed
-    into a tuple where the schema gives an element parser) and write its
-    report."""
+    into a tuple where the schema gives an element parser) and report."""
     experiment = {
         "stability": stability_experiment,
         "counterexample": counterexample_experiment,
@@ -409,7 +406,6 @@ def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
         report = experiment(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows_to_csv(report.rows, out_dir / f"{stem}.csv")
     payload = {
         "command": command,
         "name": report.name,
@@ -418,7 +414,7 @@ def _cmd_study(command: str, cfg: dict, stem: str, out_dir: Path):
         "criteria": report.criteria,
         "passed": report.passed,
     }
-    return payload, report.passed
+    return payload, report.passed, partial(rows_to_csv, report.rows)
 
 
 # --- verify battery ---------------------------------------------------
@@ -433,9 +429,8 @@ def _verify_battery(
     (semigroup law, inverse round trip, density bounds, change of
     variables) and runs two canned solver probes (finite-rank oracle
     equivalence, fragmentation mass law) whose expected accuracy is known
-    a priori.  `scale`
-    multiplies every numeric tolerance; scaling down exposes how much
-    margin each check carries.
+    a priori.  `scale` multiplies every numeric tolerance; scaling down
+    exposes how much margin each check carries.
     """
     checks: dict[str, dict] = {}
 
@@ -539,7 +534,7 @@ def _verify_battery(
     return checks
 
 
-def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
+def _cmd_verify(cfg: dict):
     field, grid, times = _field_run(cfg)
     t0 = float(times[0])
     t = _finite_positive(cfg, "t", 0.5)
@@ -555,11 +550,8 @@ def _cmd_verify(cfg: dict, stem: str, out_dir: Path):
         "checks": checks,
         "passed": passed,
     }
-    rows_to_csv(
-        [{"check": name, **c} for name, c in checks.items()],
-        out_dir / f"{stem}.csv",
-    )
-    return payload, passed
+    rows = [{"check": name, **c} for name, c in checks.items()]
+    return payload, passed, partial(rows_to_csv, rows)
 
 
 # command -> (runner, help text)
@@ -588,33 +580,43 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
-    # the directories this run makes, deepest first: a rejected run
-    # removes those that are still empty
+    # the directories and the files this run makes, directories deepest
+    # first: a rejected run removes the files and the empty directories
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    written = []
     try:
         cfg = load_config(args.config, args.command)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create {out_dir}: {exc}") from exc
-        stem = _config_stem(args.command, cfg)
-        payload, verdict = _COMMANDS[args.command][0](cfg, stem, out_dir)
+        payload, verdict, write_csv = _COMMANDS[args.command][0](cfg)
         try:
             text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         except ValueError as exc:
             # NaN and Infinity are not JSON: a number the run could not compute
-            (out_dir / f"{stem}.csv").unlink(missing_ok=True)
             raise NumericalFailure(f"the result is not finite: {exc}") from exc
+        stem = out_dir / _config_stem(args.command, cfg)
+        write_json = partial(Path.write_text, data=text + "\n", encoding="utf-8")
+        for path, write in ((stem.with_suffix(".csv"), write_csv),
+                            (stem.with_suffix(".json"), write_json)):
+            if not path.exists():
+                written.append(path)
+            try:
+                write(path)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
     except (ConfigError, MemoryError, NumericalFailure) as exc:
         if isinstance(exc, NumericalFailure):
             code, kind = 3, "numerical failure"
         elif isinstance(exc, MemoryError):
-            # a size numpy refuses to allocate: the config asks for more
-            # than the machine has
+            # a size numpy refuses to allocate: more than the machine has
             code, kind = 2, "config error: out of memory"
         else:
             code, kind = 2, "config error"
         print(f"{kind}: {exc}", file=sys.stderr)
+        for path in written:
+            path.unlink(missing_ok=True)
         for d in created:
             try:
                 d.rmdir()
@@ -622,9 +624,8 @@ def main(argv=None) -> int:
                 break
         return code
 
-    (out_dir / f"{stem}.json").write_text(text + "\n", encoding="utf-8")
     status = "ok" if verdict else "FAILED"
-    print(f"{args.command}: {status}  ->  {out_dir / stem}.json")
+    print(f"{args.command}: {status}  ->  {stem}.json")
     return 0 if verdict else 1
 
 

@@ -522,7 +522,7 @@ def make_kernel(name: str, **params) -> Kernel:
 # slab bound
 # =====================================================================
 
-_RATE_ROWS = 32  # kernel rows per block of a triangular kernel's tails
+_RATE_ROWS = 32  # kernel rows per block of the slab rate
 
 
 def kernel_slab_rate(kernel: Kernel, grid: GridSpec, p: float) -> float:
@@ -530,14 +530,13 @@ def kernel_slab_rate(kernel: Kernel, grid: GridSpec, p: float) -> float:
 
         ( int_r ( int_rt |gamma(r, rt)|^{p'} dr_tilde )^{p/p'} dr )^{1/p}
 
-    with p' the conjugate exponent, from one evaluation of gamma on the
-    fiber nodes.  The norm depends on neither time nor x, so on any slab
-    of length T the slab bound is rate * T, and the slab chooser tests
-    its candidates without evaluating the kernel again.  Triangular
-    kernels are integrated on node-aligned tails, so the support jump
-    never crosses a quadrature cell: row m's tail integral is taken by
-    `suffix_integrals` in blocks of rows, and no Nr x Nr weight matrix is
-    built.
+    with p' the conjugate exponent, from gamma on the fiber nodes in blocks
+    of rows that meet each (r, r~) node pair once, so no Nr x Nr array is
+    built.  The norm depends on neither time nor x, so on any slab of length
+    T the slab bound is rate * T, and the slab chooser tests its candidates
+    without evaluating the kernel again.  Triangular kernels are integrated
+    on node-aligned tails, so the support jump never crosses a quadrature
+    cell: a block's tails are taken by `suffix_integrals`.
     """
     if not (1.0 < p < np.inf):
         raise ValueError("slab bound needs a finite exponent p > 1")
@@ -546,16 +545,16 @@ def kernel_slab_rate(kernel: Kernel, grid: GridSpec, p: float) -> float:
     pp = p / (p - 1.0)
     r_nodes = grid.r_labels()  # (Nr, 1)
     w_r = grid.r_weights()
-    g = np.abs(kernel.gamma(r_nodes[:, None, :], r_nodes[None, :, :])) ** pp
-    if kernel.triangular:
-        # row m's tail from node m is entry (m, m) of its suffix integrals;
-        # blocks of rows keep the temporaries far below one Nr x Nr array
-        r = grid.r_axes()[0]
-        inner = np.empty(r.size)
-        for m0 in range(0, r.size, _RATE_ROWS):
-            block = g[m0 : m0 + _RATE_ROWS]
-            m = np.arange(block.shape[0])
-            inner[m0 : m0 + m.size] = suffix_integrals(r, block)[m, m0 + m]
-    else:
-        inner = g @ w_r
+    r = grid.r_axes()[0]
+    inner = np.empty(r.size)
+    # no block of one row, whose product numpy would take by a dot, not gemv
+    bounds = [*range(0, r.size - 1, _RATE_ROWS), r.size]
+    for m0, m1 in zip(bounds, bounds[1:]):
+        g = np.abs(kernel.gamma(r_nodes[m0:m1, None], r_nodes[None])) ** pp
+        if kernel.triangular:
+            # block row m's tail from node m0 + m is entry (m, m0 + m)
+            m = np.arange(m1 - m0)
+            inner[m0:m1] = suffix_integrals(r, g)[m, m0 + m]
+        else:
+            inner[m0:m1] = g @ w_r
     return float(np.sum(w_r * inner ** (p / pp)) ** (1.0 / p))

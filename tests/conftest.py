@@ -80,6 +80,30 @@ class Counting:
         return self.fn(*args, **kwargs)
 
 
+class PairCounting(Counting):
+    """A kernel's gamma that counts its calls and keeps the (r, r~) value
+    pairs it was evaluated at."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.pairs = []
+
+    def __call__(self, r, rt):
+        both = np.broadcast_arrays(r[..., 0], rt[..., 0])
+        self.pairs.append(np.stack(both, axis=-1).reshape(-1, 2))
+        return super().__call__(r, rt)
+
+    def times_per_pair(self, nodes):
+        """Nr x Nr: how often gamma was evaluated at each pair of `nodes`,
+        which must hold every value it was evaluated at."""
+        pairs = np.concatenate(self.pairs)
+        idx = np.searchsorted(nodes, pairs)
+        assert np.array_equal(nodes[idx], pairs)
+        times = np.zeros((nodes.size, nodes.size), dtype=int)
+        np.add.at(times, (idx[:, 0], idx[:, 1]), 1)
+        return times
+
+
 def same_bits(a, b):
     """Equal arrays whose zeros also carry the same signs."""
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))

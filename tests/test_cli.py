@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import Counting
+from conftest import Counting, PairCounting
 
 PI = 3.141592653589793
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -863,16 +863,18 @@ def test_counterexample_time_past_its_floor_exits_2_before_any_flow(
 def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatch):
     # b = 0 is declared, so no flow integrates; the slab budget is
     # measured once for the run, not at each of its slab boundaries.
-    # gamma is evaluated once, for the slab rate: each of the 17 equal
-    # slabs applies the kernel through its factors
+    # gamma is evaluated once at each pair of the 257 fiber nodes, in the
+    # slab rate's 8 blocks of rows: each of the 17 equal slabs applies
+    # the kernel through its factors
     from lagtransport import cli, flow, transport
+    from lagtransport.grid import GridSpec
 
     calls = []
     kernels = []
 
     def counting_kernel(*args, _real=cli.make_kernel, **kwargs):
         kern = _real(*args, **kwargs)
-        kern.gamma = Counting(kern.gamma)
+        kern.gamma = PairCounting(kern.gamma)
         kernels.append(kern)
         return kern
 
@@ -894,7 +896,12 @@ def test_fragmentation_solve_flows_nothing_and_budgets_once(tmp_path, monkeypatc
     assert calls == ["kernel_slab_rate"]
     payload = json.loads(next(tmp_path.glob("solve_*.json")).read_text())
     assert len(payload["run"]["slabs"]) == 17
-    assert [k.gamma.calls for k in kernels] == [1]
+    assert [k.gamma.calls for k in kernels] == [8]
+    fiber = GridSpec(  # the config's grid
+        x_bounds=((0.0, 1.0),), x_counts=(2,),
+        r_bounds=((1e-8, 1.0),), r_counts=(257,), r_spacing="geometric",
+    )
+    assert np.all(kernels[0].gamma.times_per_pair(fiber.r_axes()[0]) == 1)
 
 
 def test_mollified_solve_flows_one_fiber_per_solve(tmp_path, monkeypatch):
@@ -1275,3 +1282,55 @@ def test_config_mutations_keep_the_exit_code_contract(tmp_path, capsys, name):
 def test_schema_key_mutations_keep_the_exit_code_contract(tmp_path, capsys, name):
     _check_exit_code_contract(
         tmp_path, capsys, name.split("_")[0], _schema_mutants(name, 30))
+
+
+# the tiny demo config each command runs on
+_TINY_OF = {"flow": "flow_logistic", "solve": "solve_separable",
+            "stability": "stability_default",
+            "counterexample": "counterexample_default", "verify": "verify_logistic"}
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("command", sorted(_TINY_OF))
+def test_an_output_that_cannot_be_written_exits_2_and_leaves_nothing(
+    tmp_path, capsys, command, suffix,
+):
+    # a directory stands where an output goes: the run exits 2, removes
+    # what it wrote and leaves the directory as it found it
+    from lagtransport import cli
+
+    cfg = _tiny(_TINY_OF[command])
+    path = write_config(tmp_path / "c.json", cfg)
+    out = tmp_path / "out"
+    standing = out / f"{cli._config_stem(command, cfg)}{suffix}"
+    (standing / "kept").mkdir(parents=True)
+    code = cli.main([command, "--config", path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: cannot write {standing}: ")
+    assert "Traceback" not in err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "c.json", "out", f"out/{standing.name}", f"out/{standing.name}/kept"
+    ]
+
+
+def test_a_result_that_is_not_finite_calls_no_writer(tmp_path, monkeypatch, capsys):
+    # the in-process twin of the infinite flow constant: the CSV writer
+    # is never called, rather than called and its file then removed
+    from lagtransport import cli
+
+    writes = []
+    monkeypatch.setattr(cli, "flow_map_to_csv",
+                        lambda fmap, path: writes.append(path))
+    cfg = write_config(tmp_path / "c.json", {
+        "schema_version": 1,
+        "field": {"name": "linear", "params": {"lam": 1000, "n": 1, "j": 0}},
+        "grid": {"x_bounds": [[-1, 1]], "x_counts": [4], "time_nodes": [0, 10]},
+        "direction": "backward",
+    })
+    with np.errstate(all="ignore"):
+        code = cli.main(["flow", "--config", cfg, "--out", str(tmp_path / "a/b")])
+    assert code == 3
+    assert "numerical failure: the result is not finite" in capsys.readouterr().err
+    assert writes == []
+    assert not (tmp_path / "a").exists()

@@ -27,7 +27,7 @@ from lagtransport.fields import (
 import lagtransport.fields as fields_module
 from lagtransport.grid import GridSpec, axis_weights, suffix_weight_matrix
 
-from conftest import Counting, modulated_logistic_field, same_bits
+from conftest import PairCounting, modulated_logistic_field, same_bits
 
 
 ALL_FIELDS = [
@@ -540,16 +540,18 @@ def test_slab_bound_constant_kernel_closed_form():
     ids=["dense", "triangular", "factored"],
 )
 def test_slab_rate_evaluates_gamma_once(kern):
-    # the kernel depends on neither t nor x, so one evaluation on the
-    # fiber nodes gives the rate, however many x labels the grid has
+    # the kernel depends on neither t nor x, so evaluating gamma once at
+    # each pair of fiber nodes gives the rate, however many x labels the
+    # grid has: 257 nodes are 8 blocks of rows, the last of 33 rows
     grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(5,),
-        r_bounds=((1e-3, 1.0),), r_counts=(33,), r_spacing="geometric",
+        r_bounds=((1e-3, 1.0),), r_counts=(257,), r_spacing="geometric",
     )
     counting = dataclasses.replace(kern)
-    counting.gamma = Counting(kern.gamma)
+    counting.gamma = PairCounting(kern.gamma)
     assert kernel_slab_rate(counting, grid, 2.0) == kernel_slab_rate(kern, grid, 2.0)
-    assert counting.gamma.calls == 1
+    assert counting.gamma.calls == 8
+    assert np.all(counting.gamma.times_per_pair(grid.r_axes()[0]) == 1)
 
 
 def _dense_separable_gamma(terms, r, rt):
@@ -629,6 +631,28 @@ def test_triangular_slab_rate_builds_no_whole_matrix_of_tails():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * nr * nr * 8
+
+
+def test_separable_slab_rate_builds_no_whole_matrix():
+    # dense_logistic's fiber size: gamma is evaluated on blocks of rows,
+    # so no Nr x Nr array (528 KB) is held; gamma on the whole square
+    # peaked above one
+    nr = 257
+    grid = GridSpec(
+        x_bounds=((0.0, 1.0),), x_counts=(2,),
+        r_bounds=((0.0, 1.0),), r_counts=(nr,),
+    )
+    kern = separable_kernel(
+        terms=((0.5, 0.2, 0.6, 0.25, 1.0), (0.3, 0.15, 0.35, 0.2, 0.6))
+    )
+    kernel_slab_rate(kern, grid, 2.0)  # the grid's weights
+    tracemalloc.start()
+    try:
+        kernel_slab_rate(kern, grid, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nr * nr * 8
 
 
 def test_slab_bound_rejects_bad_exponent():

@@ -6,8 +6,9 @@ program call (in src/ or benchmark/, not in the tests or demos), every
 solver setting is set by some run, no module branches on a field's or
 kernel's name, no module imports a name it never uses, every library
 name the benchmark hooks still resolves, every library exception but
-the CLI's config error is a numerical failure, the one exit-3 type, and
-no module imports a module that loads OpenSSL."""
+the CLI's config error is a numerical failure, the one exit-3 type, no
+module imports a module that loads OpenSSL, and only the CLI's `main`
+writes an output."""
 
 import ast
 import dataclasses
@@ -556,6 +557,48 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not offenders
+
+
+def _command_writes(source: str) -> list[str]:
+    """`function: name` for each call of a `*_to_csv` writer or of
+    `write_text`, and each use of `out_dir` or `_config_stem`, in the
+    top-level `_cmd_*` functions of `source`."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", None) or getattr(sub.func, "attr", "")
+                if name.endswith("_to_csv") or name == "write_text":
+                    found.append(f"{node.name}: {name}")
+            name = getattr(sub, "id", None) or getattr(sub, "arg", None)
+            if name in ("out_dir", "_config_stem"):
+                found.append(f"{node.name}: {name}")
+    return sorted(found)
+
+
+def test_detector_flags_command_writes():
+    source = (
+        "def _cmd_a(cfg, out_dir):\n"
+        "    rows_to_csv(cfg, out_dir / 'a.csv')\n"
+        "def _cmd_b(cfg):\n"
+        "    stem = _config_stem('b', cfg)\n"
+        "    Path(stem).write_text('')\n"
+        "    return cfg, True, partial(slice_to_csv, cfg)\n"
+        "def main(out_dir):\n"
+        "    rows_to_csv([], out_dir / 'm.csv')\n"
+    )
+    assert _command_writes(source) == [
+        "_cmd_a: out_dir", "_cmd_a: out_dir", "_cmd_a: rows_to_csv",
+        "_cmd_b: _config_stem", "_cmd_b: write_text",
+    ]
+
+
+def test_only_main_writes_an_output():
+    # a command returns its payload, verdict and CSV writer; `main` names
+    # the paths and writes, once the payload is known to be finite
+    assert _command_writes(Path(cli.__file__).read_text(encoding="utf-8")) == []
 
 
 _OPENSSL_MODULES = {"hashlib", "hmac", "ssl", "secrets"}
