@@ -24,7 +24,7 @@ from .fields import (
     oscillatory_field,
     separable_kernel,
 )
-from .flow import integrate_flow, inverse_flow_grid
+from .flow import integrate_flow, inverse_flow_grid, write_csv
 from .grid import GridSpec, NormSpec, axis_weights, lp_norm
 from .oracle import oscillatory_jacobian, strong_failure_floor
 from .transport import SolverConfig, continue_solution, make_initial
@@ -63,15 +63,12 @@ class ExperimentReport:
 def rows_to_csv(rows: list[dict], path) -> None:
     """One CSV row per dict; columns are the union of the keys in order of
     first appearance, a missing key is an empty cell, floats carry 17
-    significant digits and every other value is written with str."""
+    significant digits and every other value is written with str.  Each
+    row's text is a `flow.write_csv` prefix, over a `(len(rows), 0)` table."""
     keys = list(dict.fromkeys(k for row in rows for k in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            cells = (row.get(k, "") for k in keys)
-            fh.write(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells
-            ) + "\n")
+    texts = (",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                      for v in (row.get(k, "") for k in keys)) for row in rows)
+    write_csv(path, keys, texts, np.empty((len(rows), 0)))
 
 
 # windowed L^2 norm of the stability study

@@ -29,6 +29,7 @@ The checks integrate nothing: `check_compressibility` reads one map and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -469,36 +470,40 @@ def flow_map_to_csv(fmap: FlowMap, path) -> None:
         + ["logJ1", "logJ"]
     )
     K, Nx, Nr = fmap.times.size, fmap.num_x, fmap.num_r
-    labels = fmap.grid.joint_labels().reshape(Nx * Nr, n + j)
-    # rows run over (x label, r label, time node), time fastest
+    labels = fmap.grid.joint_labels().reshape(Nx * Nr, n + j).tolist()
+    # rows run over (x label, r label, time node), time fastest; one text per label
+    prefixes = (p for lab in labels for p in [("%.17g," * (n + j)) % tuple(lab)] * K)
     logj1 = np.broadcast_to(fmap.logj1[:, :, None], (K, Nx, Nr))
     table = np.column_stack([
-        np.repeat(labels, K, axis=0),
         np.tile(fmap.times, Nx * Nr),
         fmap.positions().transpose(1, 2, 0, 3).reshape(Nx * Nr * K, n + j),
         logj1.transpose(1, 2, 0).reshape(-1),
         fmap.logj().transpose(1, 2, 0).reshape(-1),
     ])
-    write_csv(path, cols, table)
+    write_csv(path, cols, prefixes, table)
 
 
-# rows per format operation: keeps the tuple and the string that one
-# operation builds to a block's size however long the table
-_CSV_BLOCK_ROWS = 2**10
+# rows per format operation and per read of the prefixes: no byte depends
+# on it, and a small block keeps the working set of one write small
+_CSV_BLOCK_ROWS = 2**8
 
 
-def write_csv(path, cols: list[str], table: np.ndarray) -> None:
-    """Write the header `cols` and one comma-separated row per row of the
-    2-d float `table`, every value with 17 significant digits.
+def write_csv(path, cols: list[str], prefixes, table: np.ndarray) -> None:
+    """The package's one CSV writer: the header `cols`, then per row of
+    the 2-d float `table` the next string of the iterable `prefixes` and
+    the row's values, comma-separated with 17 significant digits.
 
-    The bytes are those of `np.savetxt(path, table, fmt="%.17g",
-    delimiter=",", header=",".join(cols), comments="")`, but each block
-    of rows is formatted by one string operation instead of one per row.
+    With empty prefixes these are the bytes of `np.savetxt(path, table,
+    fmt="%.17g", delimiter=",", header=",".join(cols), comments="")`.  A
+    block of rows is one string operation, its prefixes read at once.
     """
     nrows, ncols = table.shape
-    row = ",".join(["%.17g"] * ncols) + "\n"
+    line = "%s" + ",".join(["%.17g"] * ncols) + "\n"
+    prefixes = iter(prefixes)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for lo in range(0, nrows, _CSV_BLOCK_ROWS):
             block = table[lo : lo + _CSV_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            heads = itertools.islice(prefixes, block.shape[0])
+            cells = itertools.chain.from_iterable(zip(heads, *block.T.tolist()))
+            fh.write((line * block.shape[0]) % tuple(cells))

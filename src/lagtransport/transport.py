@@ -37,6 +37,7 @@ from .flow import (
     NumericalFailure,
     flow_map,
     inverse_flow_grid,
+    write_csv,
 )
 from .grid import GridSpec, NormSpec, suffix_integrals, sup_in_time
 
@@ -833,9 +834,9 @@ def slice_to_csv(slc: EulerianSlice, path) -> None:
     """Rows (t, point coords..., u) with 17 significant digits.
 
     The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",",
-    comments="")` with the column names as header.  A row is its x
-    label's columns, then its r label's, so t and each label are
-    formatted once, and each row formats only its u.
+    comments="")` with the column names as header.  t and each label are
+    formatted once: a row's `flow.write_csv` prefix joins its x label's
+    text to its r label's, and each row formats only its u.
     """
     grid = slc.grid
     n, j = grid.n, grid.j
@@ -848,10 +849,5 @@ def slice_to_csv(slc: EulerianSlice, path) -> None:
     t_col = "%.17g," % slc.t
     x_cols = [t_col + ("%.17g," * n) % tuple(x) for x in grid.x_labels().tolist()]
     r_cols = [("%.17g," * j) % tuple(r) for r in grid.r_labels().tolist()]
-    row = "%s%.17g\n" * grid.num_r
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        # one string operation per x label, over its (prefix, u) pairs
-        for x_col, u in zip(x_cols, slc.values.tolist()):
-            prefixes = [x_col + r_col for r_col in r_cols]
-            fh.write(row % tuple(itertools.chain.from_iterable(zip(prefixes, u))))
+    prefixes = (x_col + r_col for x_col in x_cols for r_col in r_cols)
+    write_csv(path, cols, prefixes, slc.values.reshape(-1, 1))

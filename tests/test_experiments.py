@@ -38,6 +38,43 @@ def test_report_passed_and_serialization(tmp_path):
     assert set(header) == {"eps", "distance", "order_from_prev"}
 
 
+def _rows_csv_by_rows(rows):
+    """Reference: the row-at-a-time writer rows_to_csv used to be."""
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    lines = [",".join(keys)]
+    for row in rows:
+        cells = (row.get(k, "") for k in keys)
+        lines.append(",".join(
+            f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def test_rows_csv_matches_row_writer_across_block_edges(tmp_path, monkeypatch):
+    # four-row blocks split the six rows; the text of a row is its prefix
+    monkeypatch.setattr("lagtransport.flow._CSV_BLOCK_ROWS", 4)
+    rows = [
+        {"eps": 0.1, "distance": 0.1 + 0.2, "passed": True},
+        {"eps": 0.05, "order": 2, "passed": False},
+        {"distance": float("nan"), "name": "x"},
+        {"eps": -0.0, "distance": 5e-324, "order": -3},
+        {"passed": True},
+        {"eps": float("inf"), "name": "last"},
+    ]
+    path = tmp_path / "rows.csv"
+    rows_to_csv(rows, path)
+    text = path.read_text()
+    assert text == _rows_csv_by_rows(rows)
+    assert text.splitlines()[:4] == [
+        "eps,distance,passed,order,name",
+        "0.10000000000000001,0.30000000000000004,True,,",
+        "0.050000000000000003,,False,2,",
+        ",nan,,,x",
+    ]
+    rows_to_csv([], path)
+    assert path.read_text() == "\n" == _rows_csv_by_rows([])
+
+
 # ---------------------------------------------------------------------
 # stability of the solved fixed point
 # ---------------------------------------------------------------------

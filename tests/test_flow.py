@@ -981,17 +981,21 @@ def _subnormal(k):
     ids=["specials", "subnormals", "blocks", "no_rows"],
 )
 def test_write_csv_matches_savetxt_byte_for_byte(table, tmp_path, monkeypatch):
-    # four-row blocks make the ten-row table cross block edges
+    # four-row blocks make the ten-row table cross block edges; with empty
+    # prefixes a row is its values alone
     monkeypatch.setattr("lagtransport.flow._CSV_BLOCK_ROWS", 4)
     cols = [f"c{i}" for i in range(table.shape[1])]
     path, ref = tmp_path / "table.csv", tmp_path / "ref.csv"
-    write_csv(path, cols, table)
+    write_csv(path, cols, [""] * table.shape[0], table)
     np.savetxt(ref, table, fmt="%.17g", delimiter=",", header=",".join(cols),
                comments="")
     assert path.read_bytes() == ref.read_bytes()
 
 
-def test_flow_map_csv_round_trip(tmp_path):
+def test_flow_map_csv_round_trip(tmp_path, monkeypatch):
+    # each label leads K = 5 rows, so four-row blocks split every label's
+    # rows, and a block's prefixes end inside a label
+    monkeypatch.setattr("lagtransport.flow._CSV_BLOCK_ROWS", 4)
     grid = _grid(nx=3, nr=3)
     fmap = flow_map(linear_field(lam=0.2, mu=0.1, n=1, j=1), grid, times=TIMES, tol=TOL)
     path = tmp_path / "flow.csv"

@@ -7,8 +7,9 @@ solver setting is set by some run, no module branches on a field's or
 kernel's name, no module imports a name it never uses, every library
 name the benchmark hooks still resolves, every library exception but
 the CLI's config error is a numerical failure, the one exit-3 type, no
-module imports a module that loads OpenSSL, and only the CLI's `main`
-writes an output."""
+module imports a module that loads OpenSSL, only the CLI's `main`
+writes an output, and `flow.write_csv` is the one function that opens a
+file."""
 
 import ast
 import dataclasses
@@ -599,6 +600,59 @@ def test_only_main_writes_an_output():
     # a command returns its payload, verdict and CSV writer; `main` names
     # the paths and writes, once the payload is known to be finite
     assert _command_writes(Path(cli.__file__).read_text(encoding="utf-8")) == []
+
+
+def _open_calls(source: str) -> list[str]:
+    """The qualified name of the innermost function or class around each
+    call of `open` or of an `.open` attribute in `source` (`<module>` at
+    the top level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and "open" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_detector_flags_open_calls():
+    source = (
+        "import io\n"
+        "def write(path):\n"
+        "    with open(path, 'w') as fh:\n"
+        "        fh.write('')\n"
+        "class A:\n"
+        "    def save(self, path):\n"
+        "        return path.open('w'), io.open(path)\n"
+        "def outer(opener):\n"
+        "    def inner(p):\n"
+        "        return open(p)\n"
+        "    return inner, opener(1), outer.opened, Path('x').write_text('')\n"
+        "open('log')\n"
+    )
+    assert _open_calls(source) == [
+        "<module>", "A.save", "A.save", "outer.inner", "write",
+    ]
+
+
+def test_write_csv_is_the_only_open():
+    # every file the package writes but the JSON result is a CSV table,
+    # and every CSV table is laid out by the one writer
+    root = Path(lagtransport.__file__).parent
+    opens = [
+        f"{path.stem}.{name}"
+        for path in sorted(root.glob("*.py"))
+        for name in _open_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert opens == ["flow.write_csv"]
 
 
 _OPENSSL_MODULES = {"hashlib", "hmac", "ssl", "secrets"}

@@ -1527,7 +1527,10 @@ def _slice_csv_by_rows(slc):
     return "\n".join(lines) + "\n"
 
 
-def test_state_and_slice_csv_round_trip(tmp_path):
+def test_state_and_slice_csv_round_trip(tmp_path, monkeypatch):
+    # four-row blocks cut each 5-node fiber, so an x label's rows span two
+    # blocks of prefixes
+    monkeypatch.setattr("lagtransport.flow._CSV_BLOCK_ROWS", 4)
     grid = _fiber_grid(nr=5)
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=5)
     u0 = _fiber_datum(grid, make_initial("gaussian"))

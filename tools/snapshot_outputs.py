@@ -7,6 +7,8 @@ it and its sibling `demos/` supplies the configs and scripts.  The runs:
 
 - `lagtransport.cli` on each of `demos/configs/*.json` (the command is the
   file name up to its first `_`), and on `flow_logistic.json` backward;
+- `flow` on a `swirl` field (n = 2, j = 0), and `solve` without a kernel
+  on the same field, the two configs written out in `INLINE_RUNS`;
 - `solve` on the benchmark's workload configs at seeds 0 and 3, with the
   reference config of any workload that has one, built by importing this
   checkout's `benchmark/workloads.py` (read only; nothing is written there);
@@ -37,6 +39,23 @@ HERE = Path(__file__).resolve().parent
 BENCHMARK = HERE.parent / "benchmark"
 SEEDS = (0, 3)
 TIMEOUT_S = 600
+# the layouts no demo config reaches: both float writers on an n = 2,
+# j = 0 grid, and a solve that has no kernel
+_SWIRL = {"name": "swirl", "params": {"omega": 0.7}}
+INLINE_RUNS = (
+    ("inline-flow_swirl", "flow", {
+        "schema_version": 1, "field": _SWIRL,
+        "grid": {"x_bounds": [[-1.0, 1.0], [-0.5, 1.5]], "x_counts": [5, 4],
+                 "time_nodes": [0.0, 0.3, 0.6]},
+    }),
+    ("inline-solve_swirl_no_kernel", "solve", {
+        "schema_version": 1, "field": _SWIRL,
+        "grid": {"x_bounds": [[-1.0, 1.0], [-0.5, 1.5]], "x_counts": [9, 7]},
+        "initial": {"name": "gaussian",
+                    "params": {"x_center": [0.2, 0.4], "x_width": 0.3}},
+        "t_end": 0.6,
+    }),
+)
 
 
 def _run(argv: list, cwd: Path, src: Path) -> None:
@@ -60,6 +79,7 @@ def cli_runs(demos: Path):
         yield f"demo-{path.stem}", command, cfg
         if path.stem == "flow_logistic":
             yield f"demo-{path.stem}-backward", command, dict(cfg, direction="backward")
+    yield from INLINE_RUNS
     sys.path.insert(0, str(BENCHMARK))
     sys.dont_write_bytecode = True  # no __pycache__ in benchmark/
     import workloads
