@@ -1,8 +1,10 @@
 """Transport equations with integral source terms along Lagrangian flows.
 
 The library integrates structured vector fields b = (b1(x), b2(x, r)),
-functions of space alone, together with their log-Jacobians, builds the
-compressibility densities carried by the flow, and solves
+functions of space alone, together with their log-Jacobians: each block
+is one callable that gives its drift and its divergence at the same
+points.  It builds the compressibility densities carried by the flow,
+and solves
 
     du/dt along the flow = integral of gamma(r, r~) u(t, x, r~) dr~
 

@@ -203,6 +203,8 @@ def counterexample_experiment(
         for k in k_values
     ):
         raise ValueError("k_values must be positive integers")
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"t must be finite and positive, got {t!r}")
     if len(window) != 2 or not window[0] < window[1]:
         raise ValueError(f"window must be (lo, hi) with lo < hi, got {list(window)}")
     jacobian_points, fd_scale = (0.35, 0.8, 1.3, 1.9, 2.2), 1e-3

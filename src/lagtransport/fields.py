@@ -1,9 +1,10 @@
 """Structured vector fields b = (b1(x), b2(x, r)) and integral kernels.
 
 The first block never sees r, so the x-part of the flow can be solved on
-its own; everything downstream leans on that structure.  Divergences are
-supplied analytically by each field definition; the tests cross-check
-them against central differences.
+its own; everything downstream leans on that structure.  Each block is
+one callable that returns its drift and its analytic divergence at the
+same points, as the flow integrates them; the tests cross-check the
+divergences against central differences.
 
 Kernels gamma(r, r_tilde) on a one-dimensional fiber drive the integral
 source term.  A kernel is data: its finite-rank factors, gamma =
@@ -49,35 +50,29 @@ __all__ = [
 class StructuredVectorField:
     """Vector field with the block structure b = (b1(x), b2(x, r)).
 
-    b1 maps x[..., n] -> [..., n]; b2 maps (x[..., n], r[..., j]) ->
-    [..., j].  div_b1 and div_b2 return the spatial divergences of the
-    respective blocks with matching batch shape.  All callables must be
+    Each block is one callable that returns its drift and divergence at
+    the same points, the pair the flow's right-hand sides integrate:
+    `b1_and_div` maps x[..., n] -> (b1 [..., n], div_x b1 [...]) and
+    `b2_and_div` maps (x[..., n], r[..., j]) -> (b2 [..., j], div_r b2
+    [...]), with the batch shape that x and r broadcast to.  Both must be
     vectorized over leading axes.  A field does not depend on time, so
-    one evaluation on a set of points gives its sup over any time
-    window.
+    one evaluation on a set of points gives its sup over any time window.
 
     `zero_blocks` declares the blocks, "x" (b1) and "r" (b2), whose drift
     and divergence are exactly 0.0 everywhere; the flow of a declared
     block is the identity and is returned without integrating.
 
-    `fiber_ignores_x` declares that b2 and div_b2 never read x, so the
+    `fiber_ignores_x` declares that `b2_and_div` never reads x, so the
     same r gives the same bits at any x.  The flow then splits as
     X(t, x, r) = (X1(t, x), X2(t, r)), and labels that start the same
     fiber share one fiber solve, stored once.
-
-    `b1_and_div` and `b2_and_div` give a block's drift and divergence at
-    the same points in one call, which the flow's right-hand sides make.
-    Here they are the two separate calls; a mollified field evaluates
-    both on one set of shifted stencil points.
     """
 
     name: str
     n: int
     j: int
-    b1: Callable
-    b2: Callable
-    div_b1: Callable
-    div_b2: Callable
+    b1_and_div: Callable
+    b2_and_div: Callable
     zero_blocks: frozenset = frozenset()
     fiber_ignores_x: bool = False
 
@@ -88,50 +83,31 @@ class StructuredVectorField:
                 f"zero_blocks holds 'x' and/or 'r', got {set(self.zero_blocks)}"
             )
 
-    def b1_and_div(self, x):
-        """(b1, div_b1) at the same points."""
-        return self.b1(x), self.div_b1(x)
-
-    def b2_and_div(self, x, r):
-        """(b2, div_b2) at the same points."""
-        return self.b2(x, r), self.div_b2(x, r)
-
 
 # =====================================================================
 # built-in catalogue
 # =====================================================================
 
 
-def _zero_div(*pts: np.ndarray) -> np.ndarray:
-    return np.zeros(pts[0].shape[:-1])
+def _zero_x(x: np.ndarray):
+    return np.zeros_like(x), np.zeros(x.shape[:-1])
 
 
-def _zero_b1(x: np.ndarray) -> np.ndarray:
-    return np.zeros_like(x)
-
-
-def _zero_b2(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.zeros_like(r)
+def _zero_r(x: np.ndarray, r: np.ndarray):
+    return np.zeros_like(r), np.zeros(r.shape[:-1])
 
 
 def zero_field(n: int = 1, j: int = 0) -> StructuredVectorField:
     return StructuredVectorField(
-        "zero", n, j, _zero_b1, _zero_b2, _zero_div,
-        partial(_linear_div_b2, 0.0), zero_blocks={"x", "r"},
+        "zero", n, j, _zero_x, _zero_r, zero_blocks={"x", "r"},
     )
 
 
-def _linear_b1(lam: float, x: np.ndarray) -> np.ndarray:
-    return lam * x
+def _linear_x(lam: float, n: int, x: np.ndarray):
+    return lam * x, np.full(x.shape[:-1], lam * n)
 
-def _linear_b2(mu: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return mu * r
-
-def _linear_div_b1(lam: float, n: int, x: np.ndarray) -> np.ndarray:
-    return np.full(x.shape[:-1], lam * n)
-
-def _linear_div_b2(mu: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.full(r.shape[:-1], mu * r.shape[-1])
+def _linear_r(mu: float, x: np.ndarray, r: np.ndarray):
+    return mu * r, np.full(r.shape[:-1], mu * r.shape[-1])
 
 
 def linear_field(
@@ -140,18 +116,13 @@ def linear_field(
     """b1 = lam*x, b2 = mu*r: closed-form flow X = (x e^{lam t}, r e^{mu t})."""
     lam, mu = float(lam), float(mu)
     return StructuredVectorField(
-        "linear", n, j,
-        partial(_linear_b1, lam), partial(_linear_b2, mu),
-        partial(_linear_div_b1, lam, n), partial(_linear_div_b2, mu),
+        "linear", n, j, partial(_linear_x, lam, n), partial(_linear_r, mu),
         fiber_ignores_x=True,
     )
 
 
-def _osc_b1(k: float, x: np.ndarray) -> np.ndarray:
-    return np.sin(k * x) / k
-
-def _osc_div(k: float, x: np.ndarray) -> np.ndarray:
-    return np.cos(k * x[..., 0])
+def _osc_x(k: float, x: np.ndarray):
+    return np.sin(k * x) / k, np.cos(k * x[..., 0])
 
 
 def oscillatory_field(k: int = 1, j: int = 0) -> StructuredVectorField:
@@ -164,18 +135,12 @@ def oscillatory_field(k: int = 1, j: int = 0) -> StructuredVectorField:
     if k == 0:
         raise ValueError("k must be nonzero")
     return StructuredVectorField(
-        "oscillatory", 1, j,
-        partial(_osc_b1, k), _zero_b2,
-        partial(_osc_div, k), partial(_linear_div_b2, 0.0),
-        zero_blocks={"r"},
+        "oscillatory", 1, j, partial(_osc_x, k), _zero_r, zero_blocks={"r"},
     )
 
 
-def _logistic_b2(mu: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return mu * r * (1.0 - r)
-
-def _logistic_div_b2(mu: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return mu * (1.0 - 2.0 * r[..., 0])
+def _logistic_r(mu: float, x: np.ndarray, r: np.ndarray):
+    return mu * r * (1.0 - r), mu * (1.0 - 2.0 * r[..., 0])
 
 
 def logistic_field(k: int = 1, mu: float = 0.3) -> StructuredVectorField:
@@ -190,36 +155,29 @@ def logistic_field(k: int = 1, mu: float = 0.3) -> StructuredVectorField:
     if k == 0:
         raise ValueError("k must be nonzero")
     return StructuredVectorField(
-        "logistic", 1, 1,
-        partial(_osc_b1, k), partial(_logistic_b2, mu),
-        partial(_osc_div, k), partial(_logistic_div_b2, mu),
+        "logistic", 1, 1, partial(_osc_x, k), partial(_logistic_r, mu),
         fiber_ignores_x=True,
     )
 
 
-def _swirl_b1(omega: float, x: np.ndarray) -> np.ndarray:
+def _swirl_x(omega: float, x: np.ndarray):
     out = np.empty_like(x)
     out[..., 0] = -omega * x[..., 1]
     out[..., 1] = omega * x[..., 0]
-    return out
+    return out, np.zeros(x.shape[:-1])
 
 
 def swirl_field(omega: float = 1.0) -> StructuredVectorField:
     """Rigid rotation in the plane; divergence-free."""
     return StructuredVectorField(
-        "swirl", 2, 0,
-        partial(_swirl_b1, float(omega)), _zero_b2,
-        _zero_div, partial(_linear_div_b2, 0.0),
+        "swirl", 2, 0, partial(_swirl_x, float(omega)), _zero_r,
     )
 
 
-def _sobolev_b1(alpha: float, x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.abs(x) ** alpha
-
-def _sobolev_div(alpha: float, x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x[..., 0])
+def _sobolev_x(alpha: float, x: np.ndarray):
     with np.errstate(divide="ignore"):
-        return alpha * ax ** (alpha - 1.0)
+        div = alpha * np.abs(x[..., 0]) ** (alpha - 1.0)
+    return np.sign(x) * np.abs(x) ** alpha, div
 
 
 def sobolev_field(alpha: float = 2.0 / 3.0, j: int = 0) -> StructuredVectorField:
@@ -229,10 +187,7 @@ def sobolev_field(alpha: float = 2.0 / 3.0, j: int = 0) -> StructuredVectorField
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     return StructuredVectorField(
-        "sobolev", 1, j,
-        partial(_sobolev_b1, alpha), _zero_b2,
-        partial(_sobolev_div, alpha), partial(_linear_div_b2, 0.0),
-        zero_blocks={"r"},
+        "sobolev", 1, j, partial(_sobolev_x, alpha), _zero_r, zero_blocks={"r"},
     )
 
 
@@ -267,31 +222,25 @@ _MOLLIFY_BLOCK = 2**14
 
 
 class _Mollified:
-    """Convolution of field-block callables with the scaled bump stencil.
+    """Convolution of one field block with the scaled bump stencil.
 
-    The point arrays (x for b1-type callables, x and r for b2-type ones)
-    are broadcast to a common batch shape and flattened.  Each block of
-    batch points is shifted by every stencil offset at once, and every
-    base callable is called once on those shared shifts; each result's
-    stencil axis is then contracted with the coefficients.  Offset
-    columns are split across the arrays by their trailing widths.
-
-    `parts` returns one convolution per base, in order; calling the
-    object returns the convolution of its single base.
+    The point arrays (x for the x block, x and r for the r block) are
+    broadcast to a common batch shape and flattened.  Each block of batch
+    points is shifted by every stencil offset at once, and the base block
+    is called once on those shifts; the stencil axis of each output it
+    returns, drift and divergence, is then contracted with the
+    coefficients.  Offset columns are split across the arrays by their
+    trailing widths.
     """
 
-    def __init__(self, bases: tuple[Callable, ...], eps: float,
+    def __init__(self, base: Callable, eps: float,
                  offsets: np.ndarray, coeffs: np.ndarray):
-        self.bases = bases
+        self.base = base
         self.eps = eps
         self.offsets = offsets
         self.coeffs = coeffs
 
-    def __call__(self, *pts: np.ndarray) -> np.ndarray:
-        (out,) = self.parts(*pts)
-        return out
-
-    def parts(self, *pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    def __call__(self, *pts: np.ndarray) -> tuple[np.ndarray, ...]:
         pts = [np.asarray(p, dtype=float) for p in pts]
         batch = np.broadcast_shapes(*(p.shape[:-1] for p in pts))
         size = math.prod(batch)
@@ -302,76 +251,51 @@ class _Mollified:
             shifts.append(self.eps * self.offsets[:, None, col : col + width])
             col += width
         step = max(1, _MOLLIFY_BLOCK // self.coeffs.size)
-        outs = [None] * len(self.bases)
+        outs = None
         # an empty batch still makes one (empty) call, which fixes the shape
         for lo in range(0, max(size, 1), step):
             shifted = [f[None, lo : lo + step] - dz for f, dz in zip(flat, shifts)]
-            for i, base in enumerate(self.bases):
-                v = np.asarray(base(*shifted), dtype=float)
-                part = (self.coeffs @ v.reshape(v.shape[0], -1)).reshape(v.shape[1:])
-                if outs[i] is None:
-                    outs[i] = np.empty((size,) + part.shape[1:])
-                outs[i][lo : lo + step] = part
+            values = [np.asarray(v, dtype=float) for v in self.base(*shifted)]
+            if outs is None:
+                outs = [np.empty((size,) + v.shape[2:]) for v in values]
+            for out, v in zip(outs, values):
+                out[lo : lo + step] = (
+                    self.coeffs @ v.reshape(v.shape[0], -1)
+                ).reshape(v.shape[1:])
         return tuple(out.reshape(batch + out.shape[1:]) for out in outs)
-
-
-@dataclass(kw_only=True)
-class _MollifiedField(StructuredVectorField):
-    """A mollified field whose drift and divergence pairs share shifts.
-
-    `pair1` and `pair2` convolve the base field's (b1, div_b1) and
-    (b2, div_b2) on one set of shifted stencil points per block.  They
-    hold the base callables themselves, so the pairs run the same code
-    whether or not b1, b2, div_b1 and div_b2 have been rebound.
-    """
-
-    pair1: _Mollified
-    pair2: _Mollified
-
-    def b1_and_div(self, x):
-        return self.pair1.parts(x)
-
-    def b2_and_div(self, x, r):
-        return self.pair2.parts(x, r)
 
 
 def mollify_field(fld: StructuredVectorField, eps: float) -> StructuredVectorField:
     """Mollify a field in its space variables with a unit-mass bump.
 
-    Convolution acts on x for b1 and on (x, r) for b2, so the block
-    structure survives.  Divergences are mollified with the same
-    stencil, which keeps div(b_eps) = (div b)_eps exactly at the discrete
-    level.  The symmetric normalized stencil reproduces constants (and any
-    affine field) exactly.  A mollified zero is exactly zero, so the
-    declared zero blocks carry over; so does `fiber_ignores_x`, since the
-    shifted points of a given r are the same r shifts at every x, and a
-    b2 that never reads x sums the same values in the same order.  `eps`
-    must be positive and finite.
+    Convolution acts on x for the x block and on (x, r) for the r block,
+    so the block structure survives.  A block's divergence is mollified
+    with its drift, by the same stencil, which keeps div(b_eps) =
+    (div b)_eps exactly at the discrete level.  The symmetric normalized
+    stencil reproduces constants (and any affine field) exactly.  A
+    mollified zero is exactly zero, so the declared zero blocks carry
+    over; so does `fiber_ignores_x`, since the shifted points of a given r
+    are the same r shifts at every x, and a block that never reads x sums
+    the same values in the same order.  `eps` must be positive and
+    finite.
 
-    Cost: each evaluation shifts every block of batch points by all S
-    stencil offsets once (S = 15 for n = 1, 193 for n + j = 2 from 17
-    nodes per axis) and makes one base call on those shifts; a block
-    holds about 2**14 shifted points, so the temporaries stay that size
-    however large the batch.  `b1_and_div` and `b2_and_div` call the
-    drift and the divergence base on the same shifts, so the pair costs
-    one shift per block, shared by both.  The fiber block dominates a
-    flow's cost (S = 193 against 15), so a field whose fiber ignores x
-    pays it on one fiber of Nr points, not on all Nx x Nr labels, and
-    the flow map stores that one fiber.
+    Cost: each evaluation of a block shifts every block of batch points
+    by all S stencil offsets once (S = 15 for n = 1, 193 for n + j = 2
+    from 17 nodes per axis) and makes one base call on those shifts,
+    which gives the drift and the divergence together; a block holds
+    about 2**14 shifted points, so the temporaries stay that size however
+    large the batch.  The fiber block dominates a flow's cost (S = 193
+    against 15), so a field whose fiber ignores x pays it on one fiber of
+    Nr points, not on all Nx x Nr labels, and the flow map stores that
+    one fiber.
     """
     if not (0.0 < eps < np.inf):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    pts1, w1 = _stencil(fld.n)
-    pts2, w2 = _stencil(fld.n + fld.j)
-    return _MollifiedField(
-        name=fld.name + "_mollified", n=fld.n, j=fld.j,
-        b1=_Mollified((fld.b1,), eps, pts1, w1),
-        b2=_Mollified((fld.b2,), eps, pts2, w2),
-        div_b1=_Mollified((fld.div_b1,), eps, pts1, w1),
-        div_b2=_Mollified((fld.div_b2,), eps, pts2, w2),
+    return StructuredVectorField(
+        fld.name + "_mollified", fld.n, fld.j,
+        _Mollified(fld.b1_and_div, eps, *_stencil(fld.n)),
+        _Mollified(fld.b2_and_div, eps, *_stencil(fld.n + fld.j)),
         zero_blocks=fld.zero_blocks, fiber_ignores_x=fld.fiber_ignores_x,
-        pair1=_Mollified((fld.b1, fld.div_b1), eps, pts1, w1),
-        pair2=_Mollified((fld.b2, fld.div_b2), eps, pts2, w2),
     )
 
 

@@ -17,12 +17,13 @@ the r fibers of every x label are stacked into a single second system
 driven by the x block's dense path.  Either way a flow map makes two
 integrator calls however many labels it has, and none for a block that
 the field declares zero (`StructuredVectorField.zero_blocks`), whose flow
-is the identity.  Each right-hand side asks the field for its drift and
-divergence at the same points in one call (`b1_and_div`, `b2_and_div`);
-a mollified field answers it with one set of shifted stencil points per
-block.  The block triangular gradient makes logJ = logJ1 + logJ2 the
-log-determinant of the full flow, giving the compressibility densities
-rho = exp(-logJ) along trajectories without any Eulerian reconstruction.
+is the identity.  Each right-hand side makes one call of the block's
+field callable (`b1_and_div`, `b2_and_div`), which returns the drift and
+the divergence at the same points; a mollified field answers it with one
+set of shifted stencil points per block.  The block triangular gradient
+makes logJ = logJ1 + logJ2 the log-determinant of the full flow, giving
+the compressibility densities rho = exp(-logJ) along trajectories
+without any Eulerian reconstruction.
 The checks integrate nothing: `check_compressibility` reads one map and
 `verify_change_of_variables` the last nodes of a forward and a backward map.
 """
@@ -344,25 +345,23 @@ def check_compressibility(
 
     The divergence sup is a sampled maximum over every position the map
     stores, at every node (an under-estimate in principle, documented as
-    such), from one evaluation of each divergence: the field does not
-    depend on time, so the sup is the same at every node.  A slack of
-    1e-6 absorbs integrator error.  The same envelope logic is applied per
+    such), from one evaluation of each block's field callable: the field
+    does not depend on time, so the sup is one number and D(t_k) is the
+    running sum of dt times it.  A slack of 1e-6 absorbs integrator
+    error.  The same envelope logic is applied per
     block to logJ1.
     """
     times = fmap.times
-    dx = np.abs(np.asarray(field.div_b1(fmap.x1), dtype=float))
-    sup_x = np.full(times.size, np.max(dx))
-    sup_tot = sup_x
+    dx = np.abs(np.asarray(field.b1_and_div(fmap.x1)[1], dtype=float))
+    sup_x = sup_tot = np.max(dx)
     if field.j > 0:
         # a fiber stored once is read at one x label, as b2 ignores x there
         x1 = fmap.x1[:, : fmap.x2.shape[1], None, :]
-        dr = np.abs(np.asarray(field.div_b2(x1, fmap.x2), dtype=float))
-        sup_tot = np.full(times.size, np.max(dx[..., None] + dr))
+        dr = np.abs(np.asarray(field.b2_and_div(x1, fmap.x2)[1], dtype=float))
+        sup_tot = np.max(dx[..., None] + dr)
     dt = np.diff(times)
-    bound_tot = np.concatenate(
-        [[0.0], np.cumsum(0.5 * dt * (sup_tot[:-1] + sup_tot[1:]))]
-    )
-    bound_x = np.concatenate([[0.0], np.cumsum(0.5 * dt * (sup_x[:-1] + sup_x[1:]))])
+    bound_tot = np.concatenate([[0.0], np.cumsum(dt * sup_tot)])
+    bound_x = np.concatenate([[0.0], np.cumsum(dt * sup_x)])
     logj = fmap.logj()
     min_lj = logj.min(axis=(1, 2))
     max_lj = logj.max(axis=(1, 2))

@@ -655,7 +655,7 @@ def continue_solution(
         # b2 reads no x of a shared fiber: one row of labels has its sup
         labels = grid.joint_labels()[: 1 if field.fiber_ignores_x else None]
         div_sup = float(np.max(np.abs(np.asarray(
-            field.div_b2(labels[..., : grid.n], labels[..., grid.n :]),
+            field.b2_and_div(labels[..., : grid.n], labels[..., grid.n :])[1],
             dtype=float,
         ))))
     length, count = choose_slab(rate, div_sup, t_end - t0)

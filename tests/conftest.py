@@ -19,10 +19,9 @@ def modulated_logistic_field(mu=0.3, a=0.5):
 
     return StructuredVectorField(
         "modulated_logistic", 1, 1,
-        b1=lambda x: np.sin(x),
-        b2=lambda x, r: rate(x)[..., None] * r * (1.0 - r),
-        div_b1=lambda x: np.cos(x[..., 0]),
-        div_b2=lambda x, r: rate(x) * (1.0 - 2.0 * r[..., 0]),
+        b1_and_div=lambda x: (np.sin(x), np.cos(x[..., 0])),
+        b2_and_div=lambda x, r: (rate(x)[..., None] * r * (1.0 - r),
+                                 rate(x) * (1.0 - 2.0 * r[..., 0])),
     )
 
 
@@ -35,24 +34,23 @@ def sobolev_shear_field(alpha=0.5, mu=0.3):
     divergence is bounded.  Its flow is X1 = (x1 + t |x2|^alpha, x2), with
     logJ1 = 0."""
 
-    def b1(x):
+    def b1_and_div(x):
         out = np.zeros(x.shape)
         out[..., 0] = np.abs(x[..., 1]) ** alpha
-        return out
+        return out, np.zeros(x.shape[:-1])
 
     return StructuredVectorField(
         "sobolev_shear", 2, 1,
-        b1=b1,
-        b2=lambda x, r: mu * r * (1.0 - r),
-        div_b1=lambda x: np.zeros(x.shape[:-1]),
-        div_b2=lambda x, r: mu * (1.0 - 2.0 * r[..., 0]),
+        b1_and_div=b1_and_div,
+        b2_and_div=lambda x, r: (mu * r * (1.0 - r), mu * (1.0 - 2.0 * r[..., 0])),
         fiber_ignores_x=True,
     )
 
 
 def counting_field(field, names):
-    """`field` with the callables `names` rebound to count their calls;
-    returns the field and its {name: calls} dict."""
+    """`field` with the block callables `names` (`b1_and_div`,
+    `b2_and_div`) rebound to count their calls; returns the field and its
+    {name: calls} dict."""
     calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):

@@ -677,6 +677,8 @@ _BAD_STUDY_MESSAGES = {
     "window_of_one_node": "window [0.3, 0.4] holds 1 of the 65 line_nodes",
     "one_line_node": "line_nodes must be at least 2, got 1",
     "negative_line_nodes": "line_nodes must be at least 2, got -1",
+    "zero_t": "t must be finite and positive, got 0",
+    "negative_t": "t must be finite and positive, got -1",
 }
 
 
@@ -720,6 +722,9 @@ _BAD_STUDY_MESSAGES = {
                             "window": [0.3, 0.4]}),
         ("counterexample", {"k_values": [2], "line_nodes": 1}),
         ("counterexample", {"k_values": [2], "line_nodes": -1}),
+        # a flow time is finite and positive, checked before any flow
+        ("counterexample", {"k_values": [2], "t": 0}),
+        ("counterexample", {"k_values": [2], "t": -1}),
     ],
     ids=["too_few_eps", "string_eps", "null_checkpoint", "no_checkpoints",
          "checkpoint_at_start", "nested_k", "string_window", "zero_eps", "zero_k", "negative_k", "infinite_k", "fractional_k",
@@ -728,7 +733,8 @@ _BAD_STUDY_MESSAGES = {
          "numeric_string_checkpoint", "bool_window", "numeric_string_window",
          "one_number_window", "empty_window", "three_number_window",
          "reversed_window", "window_without_nodes", "window_between_nodes",
-         "window_of_one_node", "one_line_node", "negative_line_nodes"],
+         "window_of_one_node", "one_line_node", "negative_line_nodes",
+         "zero_t", "negative_t"],
 )
 def test_bad_study_arguments_exit_2(tmp_path, request, command, settings):
     cfg = write_config(tmp_path / "s.json", {"schema_version": 1, **settings})
@@ -1047,10 +1053,13 @@ def test_nan_slab_budget_exits_3(tmp_path, monkeypatch, capsys, poisoned):
         monkeypatch.setattr(transport, "kernel_slab_rate", lambda *args: np.nan)
     else:
         def nan_divergence(*args, _real=cli.make_field, **kwargs):
-            return dataclasses.replace(
-                _real(*args, **kwargs),
-                div_b2=lambda x, r: np.full(r.shape[:-1], np.nan),
-            )
+            field = _real(*args, **kwargs)
+
+            def b2_and_div(x, r):
+                drift, div = field.b2_and_div(x, r)
+                return drift, np.full(np.shape(div), np.nan)
+
+            return dataclasses.replace(field, b2_and_div=b2_and_div)
 
         monkeypatch.setattr(cli, "make_field", nan_divergence)
     cfg = write_config(tmp_path / "s.json", solve_config())

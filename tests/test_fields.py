@@ -27,7 +27,9 @@ from lagtransport.fields import (
 import lagtransport.fields as fields_module
 from lagtransport.grid import GridSpec, axis_weights, suffix_weight_matrix
 
-from conftest import PairCounting, modulated_logistic_field, same_bits
+from conftest import (
+    PairCounting, counting_field, modulated_logistic_field, same_bits,
+)
 
 
 ALL_FIELDS = [
@@ -59,20 +61,20 @@ def _validate_field(fld, points_x, points_r) -> list[dict]:
         dx = np.zeros(fld.n)
         dx[axis] = h
         num += (
-            fld.b1(points_x + dx)[..., axis]
-            - fld.b1(points_x - dx)[..., axis]
+            fld.b1_and_div(points_x + dx)[0][..., axis]
+            - fld.b1_and_div(points_x - dx)[0][..., axis]
         ) / (2 * h)
     for axis in range(fld.j):
         dr = np.zeros(fld.j)
         dr[axis] = h
         num += (
-            fld.b2(points_x, points_r + dr)[..., axis]
-            - fld.b2(points_x, points_r - dr)[..., axis]
+            fld.b2_and_div(points_x, points_r + dr)[0][..., axis]
+            - fld.b2_and_div(points_x, points_r - dr)[0][..., axis]
         ) / (2 * h)
     # the full spatial divergence div_x b1 + div_r b2
-    ana = np.asarray(fld.div_b1(points_x), dtype=float)
+    ana = np.asarray(fld.b1_and_div(points_x)[1], dtype=float)
     if fld.j > 0:
-        ana = ana + np.asarray(fld.div_b2(points_x, points_r), dtype=float)
+        ana = ana + np.asarray(fld.b2_and_div(points_x, points_r)[1], dtype=float)
     bad = np.abs(num - ana) > tol
     for idx in np.nonzero(bad)[0]:
         report.append(
@@ -99,8 +101,9 @@ def _validation_points(field, rng, count=40):
 
 
 def test_divergences_match_finite_differences():
-    # _validate_field central-differences b1 and b2 against the declared
-    # divergences at sampled points and reports every mismatch
+    # _validate_field central-differences the drift of each block's pair
+    # against the pair's divergence at sampled points and reports every
+    # mismatch
     rng = np.random.default_rng(42)
     for field in ALL_FIELDS:
         pts_x, pts_r = _validation_points(field, rng)
@@ -109,10 +112,9 @@ def test_divergences_match_finite_differences():
 
 def test_validate_field_catches_wrong_divergence():
     field = linear_field(lam=0.4, mu=0.0, n=1, j=0)
-    broken = type(field)(
-        name=field.name, n=field.n, j=field.j, b1=field.b1, b2=field.b2,
-        div_b1=lambda x: np.full(x.shape[:-1], -1.23),
-        div_b2=field.div_b2,
+    broken = dataclasses.replace(
+        field, b1_and_div=lambda x: (field.b1_and_div(x)[0],
+                                     np.full(x.shape[:-1], -1.23)),
     )
     rng = np.random.default_rng(0)
     pts_x, pts_r = _validation_points(broken, rng)
@@ -124,9 +126,9 @@ def test_structured_split_b1_ignores_fiber():
     # evaluating b1 never receives r, so two fibers see identical drift
     field = logistic_field(k=2, mu=0.4)
     xs = np.array([[0.3], [1.2]])
-    v = field.b1(xs)
-    assert v.shape == xs.shape
-    assert np.array_equal(v, field.b1(xs))
+    v, div = field.b1_and_div(xs)
+    assert v.shape == xs.shape and div.shape == xs.shape[:-1]
+    assert np.array_equal(v, field.b1_and_div(xs)[0])
 
 
 # every catalogue field that declares a zero block, bare and mollified
@@ -149,9 +151,9 @@ def test_declared_zero_blocks_are_exactly_zero(field):
     r = rng.uniform(0.0, 1.0, size=(6, 5, field.j))
     values = []
     if "x" in field.zero_blocks:
-        values += [field.b1(x), field.div_b1(x)]
+        values += field.b1_and_div(x)
     if "r" in field.zero_blocks:
-        values += [field.b2(x, r), field.div_b2(x, r)]
+        values += field.b2_and_div(x, r)
     for v in values:
         v = np.asarray(v)
         assert np.array_equal(v, np.zeros(v.shape))
@@ -228,10 +230,9 @@ def test_mollified_affine_field_is_reproduced_exactly():
     rng = np.random.default_rng(5)
     xs = rng.uniform(-1.0, 1.0, size=(25, 1))
     rs = rng.uniform(0.2, 0.8, size=(25, 1))
-    assert np.allclose(smooth.b1(xs), field.b1(xs), atol=1e-12)
-    assert np.allclose(
-        smooth.b2(xs[0], rs), field.b2(xs[0], rs), atol=1e-12
-    )
+    for a, b in zip(smooth.b1_and_div(xs) + smooth.b2_and_div(xs[0], rs),
+                    field.b1_and_div(xs) + field.b2_and_div(xs[0], rs)):
+        assert np.allclose(a, b, atol=1e-12)
 
 
 def test_mollified_oscillatory_field_converges_second_order():
@@ -240,7 +241,8 @@ def test_mollified_oscillatory_field_converges_second_order():
     errs = []
     for eps in (0.2, 0.1, 0.05):
         smooth = mollify_field(field, eps=eps)
-        errs.append(float(np.max(np.abs(smooth.b1(xs) - field.b1(xs)))))
+        errs.append(float(np.max(np.abs(
+            smooth.b1_and_div(xs)[0] - field.b1_and_div(xs)[0]))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) > 1.8
 
@@ -254,18 +256,18 @@ def test_mollified_field_passes_divergence_validation():
 
 
 def _per_offset_mollified(moll, *pts):
-    """Reference: accumulate one shifted base call per stencil offset."""
+    """Reference: accumulate one shifted base call per stencil offset,
+    for the drift and the divergence the base returns."""
     pts = [np.asarray(p, dtype=float) for p in pts]
     edges = np.cumsum([0] + [p.shape[-1] for p in pts])
-    (base,) = moll.bases
     acc = None
     for dz, c in zip(moll.offsets, moll.coeffs):
         shifted = [
             p - moll.eps * dz[lo:hi]
             for p, lo, hi in zip(pts, edges[:-1], edges[1:])
         ]
-        v = c * np.asarray(base(*shifted), dtype=float)
-        acc = v if acc is None else acc + v
+        vs = [c * np.asarray(v, dtype=float) for v in moll.base(*shifted)]
+        acc = vs if acc is None else [a + v for a, v in zip(acc, vs)]
     return acc
 
 
@@ -280,39 +282,33 @@ def test_broadcast_mollifier_matches_per_offset_sum(field):
     rng = np.random.default_rng(17)
     x_pts = rng.uniform(-2.0, 2.0, size=(11, 1))
     r_pts = rng.uniform(0.1, 0.9, size=(11, 1))
+    x_block, r_block = smooth.b1_and_div, smooth.b2_and_div
     calls = [
-        ("b1", smooth.b1, (x_pts,)),
-        ("div_b1", smooth.div_b1, (x_pts,)),
+        ("x", x_block, (x_pts,)),
+        ("r", r_block, (x_pts, r_pts)),
+        ("r", r_block, (np.array([0.7]), rng.uniform(0.1, 0.9, size=(9, 1)))),
+        ("r", r_block, (
+            rng.uniform(-2.0, 2.0, size=(4, 6, 1)),
+            rng.uniform(0.1, 0.9, size=(4, 6, 1)),
+        )),
+        # the stacked-fiber layout: 1225 points span several blocks of
+        # the 193-point stencil and end in a partial one
+        ("r", r_block, (
+            rng.uniform(-2.0, 2.0, size=(49, 1, 1)),
+            rng.uniform(0.1, 0.9, size=(49, 25, 1)),
+        )),
+        ("r", r_block, (np.zeros((0, 1)), np.zeros((0, 1)))),
+        ("x", x_block, (rng.uniform(-2.0, 2.0, size=(49, 25, 1)),)),
+        ("x", x_block, (np.zeros((0, 1)),)),
     ]
-    for name in ("b2", "div_b2"):
-        moll = getattr(smooth, name)
-        calls += [
-            (name, moll, (x_pts, r_pts)),
-            (name, moll, (np.array([0.7]), rng.uniform(0.1, 0.9, size=(9, 1)))),
-            (name, moll, (
-                rng.uniform(-2.0, 2.0, size=(4, 6, 1)),
-                rng.uniform(0.1, 0.9, size=(4, 6, 1)),
-            )),
-            # the stacked-fiber layout: 1225 points span several blocks of
-            # the 193-point stencil and end in a partial one
-            (name, moll, (
-                rng.uniform(-2.0, 2.0, size=(49, 1, 1)),
-                rng.uniform(0.1, 0.9, size=(49, 25, 1)),
-            )),
-            (name, moll, (np.zeros((0, 1)), np.zeros((0, 1)))),
-        ]
-    for name in ("b1", "div_b1"):
-        moll = getattr(smooth, name)
-        calls += [
-            (name, moll, (rng.uniform(-2.0, 2.0, size=(49, 25, 1)),)),
-            (name, moll, (np.zeros((0, 1)),)),
-        ]
     for name, moll, pts in calls:
-        got = moll(*pts)
-        ref = _per_offset_mollified(moll, *pts)
-        assert got.shape == ref.shape, name
-        err = np.max(np.abs(got - ref), initial=0.0)
-        assert err <= 1e-13 * np.max(np.abs(ref), initial=0.0), name
+        outs = moll(*pts)
+        refs = _per_offset_mollified(moll, *pts)
+        assert len(outs) == len(refs) == 2, name
+        for got, ref in zip(outs, refs):
+            assert got.shape == ref.shape, name
+            err = np.max(np.abs(got - ref), initial=0.0)
+            assert err <= 1e-13 * np.max(np.abs(ref), initial=0.0), name
 
 
 def test_mollified_field_survives_pickling():
@@ -320,12 +316,6 @@ def test_mollified_field_survives_pickling():
     clone = pickle.loads(pickle.dumps(smooth))
     x = np.array([[0.3], [1.1]])
     r = np.array([[0.2], [0.6]])
-    for name in ("b1", "div_b1", "b2", "div_b2"):
-        pts = (x,) if name.endswith("b1") else (x, r)
-        assert np.array_equal(
-            getattr(clone, name)(*pts), getattr(smooth, name)(*pts)
-        )
-    # the fused pairs travel with the field
     for a, b in zip(clone.b1_and_div(x) + clone.b2_and_div(x, r),
                     smooth.b1_and_div(x) + smooth.b2_and_div(x, r)):
         assert np.array_equal(a, b)
@@ -354,6 +344,32 @@ def _block_step(moll):
     return max(1, fields_module._MOLLIFY_BLOCK // moll.coeffs.size)
 
 
+def _stencil_sum(moll, *pts):
+    """Reference for a mollified block's bits: each block of batch
+    points is shifted by every stencil offset in turn, the base is called
+    once on the stacked shifts, and the stencil axis of each output it
+    returns is contracted with the coefficients, as one matrix-vector
+    product.  A sum taken offset by offset in order rounds differently
+    from that product, so it is no bit reference."""
+    pts = [np.asarray(p, dtype=float) for p in pts]
+    batch = np.broadcast_shapes(*(p.shape[:-1] for p in pts))
+    step, size = _block_step(moll), int(np.prod(batch))
+    flat = [np.broadcast_to(p, batch + p.shape[-1:]).reshape(size, p.shape[-1])
+            for p in pts]
+    edges = np.cumsum([0] + [p.shape[-1] for p in pts])
+    parts = ([], [])
+    for lo in range(0, max(size, 1), step):
+        stacked = [
+            np.stack([f[lo : lo + step] - moll.eps * dz[a:b] for dz in moll.offsets])
+            for f, a, b in zip(flat, edges[:-1], edges[1:])
+        ]
+        for part, v in zip(parts, moll.base(*stacked)):
+            part.append((moll.coeffs @ v.reshape(len(moll.coeffs), -1))
+                        .reshape(v.shape[1:]))
+    return [np.concatenate(part).reshape(batch + part[0].shape[1:])
+            for part in parts]
+
+
 @pytest.mark.parametrize(
     "field",
     [logistic_field(k=1, mu=0.3), swirl_field(omega=0.7),
@@ -361,57 +377,43 @@ def _block_step(moll):
     ids=["logistic", "swirl", "oscillatory_j1", "sobolev_j1"],
 )
 def test_fused_pair_is_bit_identical_to_separate_calls(field):
-    # b1_and_div and b2_and_div call both bases on one set of shifts per
-    # block; each result must keep every bit, signed zeros included, of
-    # the separate b1 / div_b1 and b2 / div_b2 calls, for batches that
-    # are empty, one point, and around one and two blocks
+    # a mollified block gives the drift and the divergence from one base
+    # call per block of shifts; each must keep every bit, signed zeros
+    # included, of the explicit stencil sum of that base output, for
+    # batches that are empty, one point, and around one and two blocks
     smooth = mollify_field(field, eps=0.1)
     rng = np.random.default_rng(31)
     x_lo = 0.5 if field.name == "sobolev" else -2.0
-    for block, moll, pair in (
-        ("x", smooth.b1, smooth.b1_and_div),
-        ("r", smooth.b2, smooth.b2_and_div),
-    ):
-        step = _block_step(moll)
+    for block, pair in (("x", smooth.b1_and_div), ("r", smooth.b2_and_div)):
+        step = _block_step(pair)
         shapes = [((size,), (size,)) for size in
                   (0, 1, step - 1, step, step + 1, 2 * step + 3)]
         # the fiber right-hand side's broadcast: (M, 1, n) x (M, Q, j)
         shapes.append(((5, 1), (5, step // 2 + 1)))
         for x_batch, r_batch in shapes:
-            x = rng.uniform(x_lo, 2.0, size=x_batch + (field.n,))
-            if block == "x":
-                pts, separate = (x,), (smooth.b1, smooth.div_b1)
-            else:
-                r = rng.uniform(0.1, 0.9, size=r_batch + (field.j,))
-                pts, separate = (x, r), (smooth.b2, smooth.div_b2)
+            pts = (rng.uniform(x_lo, 2.0, size=x_batch + (field.n,)),)
+            if block == "r":
+                pts += (rng.uniform(0.1, 0.9, size=r_batch + (field.j,)),)
             got = pair(*pts)
             assert len(got) == 2
-            for fused, single in zip(got, separate):
-                assert same_bits(fused, single(*pts)), (block, x_batch)
+            for fused, ref in zip(got, _stencil_sum(pair, *pts)):
+                assert same_bits(fused, ref), (block, x_batch)
 
 
 def test_fused_pair_shifts_each_block_once():
-    # one fiber right-hand side calls the drift and the divergence base
-    # once per block each, on the very same shifted arrays
-    seen = {"b2": [], "div_b2": []}
-
-    def recording(name, fn):
-        def call(*pts):
-            seen[name].append(pts)
-            return fn(*pts)
-        return call
-
-    base = logistic_field(k=1, mu=0.3)
-    smooth = mollify_field(dataclasses.replace(
-        base, b2=recording("b2", base.b2), div_b2=recording("div_b2", base.div_b2),
-    ), eps=0.1)
-    step = _block_step(smooth.b2)
+    # a right-hand side calls its block's base, which gives the drift and
+    # the divergence together, once per block of shifted points
+    base, calls = counting_field(logistic_field(k=1, mu=0.3),
+                                 ("b1_and_div", "b2_and_div"))
+    smooth = mollify_field(base, eps=0.1)
+    step = _block_step(smooth.b2_and_div)
     x = np.linspace(-1.0, 1.0, 3)[:, None, None]
     r = np.broadcast_to(np.linspace(0.2, 0.8, step)[:, None], (3, step, 1))
     smooth.b2_and_div(x, r)
-    assert len(seen["b2"]) == len(seen["div_b2"]) == 3
-    for drift_pts, div_pts in zip(seen["b2"], seen["div_b2"]):
-        assert all(a is b for a, b in zip(drift_pts, div_pts))
+    assert calls == {"b1_and_div": 0, "b2_and_div": 3}
+    step = _block_step(smooth.b1_and_div)
+    smooth.b1_and_div(np.linspace(-1.0, 1.0, 2 * step)[:, None])
+    assert calls == {"b1_and_div": 2, "b2_and_div": 3}
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -0.1])

@@ -193,8 +193,7 @@ def test_x_block_shared_bitwise_across_fiber():
         # from the identity block, not from a dense x path
         (dataclasses.replace(
             modulated_logistic_field(mu=2.0, a=0.95),
-            b1=lambda x: np.zeros_like(x),
-            div_b1=lambda x: np.zeros(x.shape[:-1]),
+            b1_and_div=lambda x: (np.zeros_like(x), np.zeros(x.shape[:-1])),
             zero_blocks={"x"},
         ), False),
     ],
@@ -310,7 +309,7 @@ def test_declared_fiber_drift_gives_the_same_bits_at_every_x(field):
     at = {}
     for x in (-2.7, 0.0, 1.3, 40.0):
         xs = np.full((r.shape[0], 1), x)
-        at[x] = (field.b2(xs, r), field.div_b2(xs, r), *field.b2_and_div(xs, r))
+        at[x] = field.b2_and_div(xs, r)
     for x in at:
         for a, b in zip(at[x], at[0.0]):
             assert same_bits(a, b)
@@ -323,7 +322,8 @@ def test_fields_with_an_x_dependent_fiber_drift_do_not_declare_it():
     assert not field.fiber_ignores_x
     assert not mollify_field(field, 0.1).fiber_ignores_x
     r = np.full((1, 1), 0.4)
-    assert field.b2(np.full((1, 1), 0.0), r) != field.b2(np.full((1, 1), 1.0), r)
+    assert (field.b2_and_div(np.full((1, 1), 0.0), r)[0]
+            != field.b2_and_div(np.full((1, 1), 1.0), r)[0])
 
 
 @pytest.mark.parametrize("field", _IGNORING_X, ids=_IGNORING_X_IDS)
@@ -451,10 +451,12 @@ def _stacked_system(field, M, Q):
         x = y[:M].reshape(M, 1)
         r = y[M : M + size].reshape(M, Q, 1)
         out = np.empty_like(y)
-        out[:M] = field.b1(x).reshape(-1)
-        out[M : M + size] = field.b2(x[:, None, :], r).reshape(-1)
-        out[M + size : M + 2 * size] = field.div_b2(x[:, None, :], r).reshape(-1)
-        out[M + 2 * size :] = field.div_b1(x)
+        b1, div_b1 = field.b1_and_div(x)
+        b2, div_b2 = field.b2_and_div(x[:, None, :], r)
+        out[:M] = b1.reshape(-1)
+        out[M : M + size] = b2.reshape(-1)
+        out[M + size : M + 2 * size] = div_b2.reshape(-1)
+        out[M + 2 * size :] = div_b1
         return out
 
     rng = np.random.default_rng(7)
@@ -539,37 +541,24 @@ def test_ode_fails_without_stepping_on_a_non_finite_initial_slope():
 
 
 def test_flow_from_raises_on_a_non_finite_field():
+    base = logistic_field(k=1, mu=0.3)
     field = dataclasses.replace(
-        logistic_field(k=1, mu=0.3), b1=lambda x: np.full_like(x, np.nan)
+        base, b1_and_div=lambda x: (np.full_like(x, np.nan), base.b1_and_div(x)[1])
     )
     with pytest.raises(NumericalFailure, match="x-block"):
         flow_from(field, np.zeros((3, 1)), np.zeros((3, 4, 1)), (0.0, 1.0),
                   np.array([1.0]))
 
 
-def test_mollified_flow_runs_the_fused_pairs_however_the_callables_are_bound(
+def test_mollified_flow_calls_each_base_once_per_right_hand_side_and_block(
     monkeypatch,
 ):
-    # a tracer rebinds b1, b2, div_b1 and div_b2; the flow of a mollified
-    # field must run the same code either way, calling each base once per
-    # right-hand side and block, and never the rebound attributes
-    calls = {"b1": 0, "div_b1": 0, "b2": 0, "div_b2": 0, "rebound": 0}
-
-    def counting(name, fn):
-        def call(*pts):
-            calls[name] += 1
-            return fn(*pts)
-        return call
-
-    base = logistic_field(k=1, mu=0.3)
-    smooth = mollify_field(dataclasses.replace(
-        base, **{name: counting(name, getattr(base, name))
-                 for name in ("b1", "div_b1", "b2", "div_b2")},
-    ), eps=0.1)
-    rebound = dataclasses.replace(
-        smooth, **{name: counting("rebound", getattr(smooth, name))
-                   for name in ("b1", "div_b1", "b2", "div_b2")},
-    )
+    # the flow of a mollified field calls each block's base, which gives
+    # drift and divergence together, once per right-hand side and block
+    # of stencil points
+    base, calls = counting_field(logistic_field(k=1, mu=0.3),
+                                 ("b1_and_div", "b2_and_div"))
+    smooth = mollify_field(base, eps=0.1)
     nfev = []
 
     def recording(*args, **kwargs):
@@ -583,18 +572,9 @@ def test_mollified_flow_runs_the_fused_pairs_however_the_callables_are_bound(
     x0 = np.linspace(-1.0, 1.0, 3)[:, None]
     r0 = (np.linspace(0.2, 0.8, 60)[None, :, None]
           + np.array([0.0, 0.01, 0.02])[:, None, None])
-    out = {}
-    for name, fld in (("bound", smooth), ("rebound", rebound)):
-        for key in calls:
-            calls[key] = 0
-        nfev.clear()
-        out[name] = flow_from(fld, x0, r0, (0.0, 0.3), np.array([0.1, 0.3]), TOL)
-        nfev_x, nfev_r = nfev
-        assert calls["b1"] == calls["div_b1"] == nfev_x
-        assert calls["b2"] == calls["div_b2"] == 3 * nfev_r
-        assert calls["rebound"] == 0
-    for a, b in zip(out["bound"], out["rebound"]):
-        assert same_bits(a, b)
+    flow_from(smooth, x0, r0, (0.0, 0.3), np.array([0.1, 0.3]), TOL)
+    nfev_x, nfev_r = nfev
+    assert calls == {"b1_and_div": nfev_x, "b2_and_div": 3 * nfev_r}
 
 
 def test_flow_from_rejects_mismatched_shapes():
@@ -739,11 +719,11 @@ def _per_node_report(fmap, field, slack=1e-6):
     sup_tot = np.zeros(K)
     sup_x = np.zeros(K)
     for k in range(K):
-        dx = np.abs(np.asarray(field.div_b1(fmap.x1), dtype=float))
+        dx = np.abs(np.asarray(field.b1_and_div(fmap.x1)[1], dtype=float))
         sup_x[k] = float(np.max(dx))
         if field.j > 0:
             dr = np.abs(np.asarray(
-                field.div_b2(fmap.x1[:, :, None, :], fmap.x2), dtype=float
+                field.b2_and_div(fmap.x1[:, :, None, :], fmap.x2)[1], dtype=float
             ))
             dr = np.broadcast_to(dr, fmap.logj2.shape)
             sup_tot[k] = float(np.max(dx[..., None] + dr))
@@ -788,9 +768,9 @@ def test_check_compressibility_evaluates_each_divergence_once(
     # a forged log-Jacobian adds violations at some nodes and not others
     forged = dataclasses.replace(fmap, logj1=fmap.logj1 + 0.02 * fmap.times[:, None])
     for fm in (fmap, forged):
-        counted, calls = counting_field(field, ("div_b1", "div_b2"))
+        counted, calls = counting_field(field, ("b1_and_div", "b2_and_div"))
         report = check_compressibility(fm, counted)
-        assert calls == {"div_b1": 1, "div_b2": 1 if field.j else 0}
+        assert calls == {"b1_and_div": 1, "b2_and_div": 1 if field.j else 0}
         bound, violations = _per_node_report(fm, field)
         assert same_bits(report.bound_total, bound)
         assert report.violations == violations
@@ -805,13 +785,14 @@ def test_check_compressibility_reads_a_shared_fiber_at_one_x_label(direction):
     field = logistic_field(k=1, mu=0.3)
     seen = []
 
-    def div_b2(x, r):
+    def b2_and_div(x, r):
         seen.append(np.broadcast_shapes(x.shape[:-1], r.shape[:-1]))
-        return field.div_b2(x, r)
+        return field.b2_and_div(x, r)
 
     grid = _grid(nr=5, x_bounds=((-np.pi, np.pi),), r_bounds=((0.1, 0.9),))
     fmap = flow_map(field, grid, times=TIMES, tol=TOL, direction=direction)
-    report = check_compressibility(fmap, dataclasses.replace(field, div_b2=div_b2))
+    report = check_compressibility(
+        fmap, dataclasses.replace(field, b2_and_div=b2_and_div))
     assert seen == [(TIMES.size, 1, grid.num_r)]
     bound, violations = _per_node_report(fmap, field)
     assert same_bits(report.bound_total, bound) and report.violations == violations

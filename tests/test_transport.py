@@ -402,10 +402,10 @@ def test_the_slab_budget_reads_a_shared_fiber_once(monkeypatch, field, points):
     grid = GridSpec(x_bounds=((-np.pi, np.pi),), x_counts=(9,),
                     r_bounds=((0.0, 1.0),), r_counts=(7,))
     labels = grid.joint_labels()
-    full = np.max(np.abs(field.div_b2(labels[..., :1], labels[..., 1:])))
+    full = np.max(np.abs(field.b2_and_div(labels[..., :1], labels[..., 1:])[1]))
     seen, plans = [], []
 
-    def div_b2(x, r, _real=field.div_b2):
+    def b2_and_div(x, r, _real=field.b2_and_div):
         seen.append(np.broadcast_shapes(x.shape[:-1], r.shape[:-1]))
         return _real(x, r)
 
@@ -417,7 +417,8 @@ def test_the_slab_budget_reads_a_shared_fiber_once(monkeypatch, field, points):
     kern = separable_kernel()
     with pytest.raises(_Planned):
         continue_solution(
-            make_initial("gaussian"), dataclasses.replace(field, div_b2=div_b2),
+            make_initial("gaussian"),
+            dataclasses.replace(field, b2_and_div=b2_and_div),
             kern, SolverConfig(), grid, 1.6,
         )
     assert [int(np.prod(shape)) for shape in seen] == [points]
@@ -1261,13 +1262,13 @@ def test_continue_solution_evaluates_the_divergence_budget_once():
     # a field does not depend on time, so the sup of |div_r b2| over the
     # run is one evaluation on the label grid; the zero field makes no
     # call while flowing, so every call counted is the budget's
-    field, calls = counting_field(zero_field(1, 1), ("div_b2",))
+    field, calls = counting_field(zero_field(1, 1), ("b2_and_div",))
     sol = continue_solution(
         make_initial("constant", value=1.0), field, constant_kernel(c=0.7),
         SolverConfig(picard_tol=1e-9, nodes_per_slab=9), _fiber_grid(), 1.0,
     )
     assert len(sol.summaries) >= 2
-    assert calls == {"div_b2": 1}
+    assert calls == {"b2_and_div": 1}
 
 
 def _growth_run_args(grid):
@@ -1448,7 +1449,8 @@ def test_nan_divergence_budget_raises_slab_selection_error():
     # rate * T * exp(NaN) meets no slab target
     field = dataclasses.replace(
         zero_field(1, 1),
-        div_b2=lambda x, r: np.where(r[..., 0] > 0.9, np.nan, 0.0),
+        b2_and_div=lambda x, r: (
+            np.zeros_like(r), np.where(r[..., 0] > 0.9, np.nan, 0.0)),
     )
     with pytest.raises(NumericalFailure, match="kernel budget"):
         continue_solution(

@@ -7,12 +7,16 @@ it and its sibling `demos/` supplies the configs and scripts.  The runs:
 
 - `lagtransport.cli` on each of `demos/configs/*.json` (the command is the
   file name up to its first `_`), and on `flow_logistic.json` backward;
-- `flow` on a `swirl` field (n = 2, j = 0), and `solve` without a kernel
-  on the same field, the two configs written out in `INLINE_RUNS`;
+- the five configs written out in `INLINE_RUNS`: `flow` on a `swirl`
+  field (n = 2, j = 0) and `solve` without a kernel on the same field;
+  `flow` on a mollified `logistic` field, on a `linear` field and on a
+  `sobolev` field, each with a fiber (j = 1);
 - `solve` on the benchmark's workload configs at seeds 0 and 3, with the
   reference config of any workload that has one, built by importing this
   checkout's `benchmark/workloads.py` (read only; nothing is written there);
 - each `demos/*.py` script with its default arguments.
+
+With the six demo configs and five demo scripts that is 25 runs.
 
 Every run gets a directory under OUTDIR holding its config, its outputs,
 `exit_code`, `stdout` and `stderr`.  A CLI run works inside its own
@@ -39,9 +43,11 @@ HERE = Path(__file__).resolve().parent
 BENCHMARK = HERE.parent / "benchmark"
 SEEDS = (0, 3)
 TIMEOUT_S = 600
-# the layouts no demo config reaches: both float writers on an n = 2,
-# j = 0 grid, and a solve that has no kernel
+# the layouts and fields no demo config reaches: both float writers on an
+# n = 2, j = 0 grid, a solve that has no kernel, the compressibility check
+# of a mollified field, and the `linear` and `sobolev` blocks
 _SWIRL = {"name": "swirl", "params": {"omega": 0.7}}
+_NODES = [0.0, 0.2, 0.4]
 INLINE_RUNS = (
     ("inline-flow_swirl", "flow", {
         "schema_version": 1, "field": _SWIRL,
@@ -54,6 +60,24 @@ INLINE_RUNS = (
         "initial": {"name": "gaussian",
                     "params": {"x_center": [0.2, 0.4], "x_width": 0.3}},
         "t_end": 0.6,
+    }),
+    ("inline-flow_logistic_mollified", "flow", {
+        "schema_version": 1,
+        "field": {"name": "logistic", "params": {"eps": 0.1}},
+        "grid": {"x_bounds": [[-3.0, 3.0]], "x_counts": [9],
+                 "r_bounds": [[0.1, 0.9]], "r_counts": [7], "time_nodes": _NODES},
+    }),
+    ("inline-flow_linear", "flow", {
+        "schema_version": 1,
+        "field": {"name": "linear", "params": {"lam": 0.3, "mu": -0.2, "n": 1, "j": 1}},
+        "grid": {"x_bounds": [[-1.0, 1.0]], "x_counts": [5],
+                 "r_bounds": [[0.5, 1.5]], "r_counts": [6], "time_nodes": _NODES},
+    }),
+    ("inline-flow_sobolev", "flow", {
+        "schema_version": 1,
+        "field": {"name": "sobolev", "params": {"alpha": 0.6, "j": 1}},
+        "grid": {"x_bounds": [[0.3, 1.3]], "x_counts": [6],
+                 "r_bounds": [[0.0, 1.0]], "r_counts": [4], "time_nodes": _NODES},
     }),
 )
 
