@@ -8,9 +8,10 @@ and solves
 
     du/dt along the flow = integral of gamma(r, r~) u(t, x, r~) dr~
 
-on equal contraction slabs of one template: a slab is marched node by
-node for a kernel that is not triangular, and Picard-iterated for a
-triangular one.  The kernel is finite rank, gamma = sum_l a_l(r) c_l(r~),
+on equal contraction slabs of one template: each slab's discrete fixed
+point is marched node by node, one small solve per node and fiber row,
+with a back-substitution along the fiber for a triangular kernel.  The
+kernel is finite rank, gamma = sum_l a_l(r) c_l(r~),
 and the integral runs over its declared support: all r~, or r <= r~ for
 a triangular kernel.  A kernel depends on neither t nor x, so the solver evaluates
 its factors once per operator slice, gamma once per node pair for the slab rate.
@@ -63,7 +64,6 @@ from .transport import (
     ContinuedSolution,
     EulerianSlice,
     LagrangianState,
-    PicardConvergenceError,
     SolverConfig,
     apply_A,
     choose_slab,
@@ -87,7 +87,6 @@ __all__ = [
     "LagrangianState",
     "NormSpec",
     "NumericalFailure",
-    "PicardConvergenceError",
     "SolverConfig",
     "StructuredVectorField",
     "apply_A",

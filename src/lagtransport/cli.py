@@ -558,7 +558,7 @@ def _cmd_verify(cfg: dict):
 _COMMANDS = {
     "flow": (_cmd_flow,
              "integrate a label grid along a field and export trajectories"),
-    "solve": (_cmd_solve, "run the slab/Picard solver for a field-kernel pair"),
+    "solve": (_cmd_solve, "run the contraction-slab solver for a field-kernel pair"),
     "stability": (partial(_cmd_study, "stability"), "mollified-field convergence study"),
     "counterexample": (partial(_cmd_study, "counterexample"),
                        "weak-but-not-strong density convergence study"),

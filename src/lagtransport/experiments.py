@@ -100,13 +100,16 @@ def stability_experiment(
     predecessor (ratio at most `monotone_slack`), and the finest radius
     lands below `final_threshold`.  Every run uses the default separable
     kernel and starts from the default Gaussian datum, on a 49 x 25
-    label grid over [-pi, pi] x [0, 1] unless `grid` is given.
+    label grid over [-pi, pi] x [0, 1] unless `grid` is given.  The radii
+    are at least three, distinct, finite and positive, else ValueError.
     """
     eps_values = tuple(sorted(eps_values, reverse=True))
     if len(eps_values) < 3:
         raise ValueError("need at least three mollification radii")
     if not all(0 < eps < np.inf for eps in eps_values):
         raise ValueError("mollification radii must be finite and positive")
+    if len(set(eps_values)) < len(eps_values):  # equal distances pass vacuously
+        raise ValueError(f"mollification radii must be distinct: {list(eps_values)}")
     if not checkpoints or min(checkpoints) <= 0:
         # at t = 0 every run holds the one initial datum: distance 0
         raise ValueError("checkpoints must name at least one time, all after 0")

@@ -57,7 +57,8 @@ __all__ = [
 class NumericalFailure(Exception):
     """A computation that cannot produce its result: an integrator that
     fails, a slab budget that no slab count meets, a re-basing that loses
-    labels, a Picard iteration that does not converge."""
+    labels, a slab whose node systems are singular, whose nodes are not
+    finite or whose residual exceeds its bound."""
 
 
 def _tols(tol: float) -> tuple[float, float]:

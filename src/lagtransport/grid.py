@@ -23,6 +23,7 @@ __all__ = [
     "axis_weights",
     "suffix_weight_matrix",
     "suffix_integrals",
+    "suffix_factors",
     "lp_norm",
     "sup_in_time",
 ]
@@ -157,6 +158,35 @@ def suffix_integrals(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
                       + half_even * (g[..., -2] + g[..., -1])[..., None])
     out[..., -2] = half_last * (values[..., -2] + values[..., -1])
     return out
+
+
+def suffix_factors(coords: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(diag, scale, parity, columns) of `suffix_weight_matrix(coords)`,
+    to rounding: row m is diag[m] at column m, scale[m] *
+    columns[parity[m], q] at each column q > m, and zero before m.
+
+    A tail from m of 3 or more nodes is Simpson panels of width d_m (in
+    log r on a geometric axis, where each column also carries its node's
+    r), so past its first node its weights are d_m times those of a
+    column: 4/3 and 2/3 alternating back from the last node's 1/3 for an
+    odd node count, and for an even count 2/3 and 4/3 alternating back to
+    the trapezoid patch's 5/6 and 1/2.  parity[m] = (N - m) mod 2 picks
+    the column.  The 2-node tail is the trapezoid in r and the last row
+    is zero.  Uniform and geometric axes only, read from the axis plan
+    `suffix_integrals` reads.
+    """
+    coords = np.asarray(coords, dtype=float)
+    tails = _axis_plan(coords.tobytes())[1]
+    if tails is None:
+        raise ValueError("suffix integrals need a uniform or geometric axis")
+    jac = coords if tails[0] else np.ones(coords.size)
+    d, last = np.diff(np.log(coords) if tails[0] else coords), coords[-1] - coords[-2]
+    parity = np.arange(coords.size, 0, -1) % 2
+    columns = np.where(parity, [[4.0 / 3.0], [2.0 / 3.0]], [[2.0 / 3.0], [4.0 / 3.0]])
+    columns[0, -2:], columns[1, -1] = (5.0 / 6.0, 0.5), 1.0 / 3.0
+    diag = np.append(d[:-1] / 3.0 * jac[:-2], (0.5 * last, 0.0))
+    scale = np.append(d[:-1], (last / jac[-1], 0.0))
+    return diag, scale, parity, columns * jac
 
 
 def _build_axis(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:

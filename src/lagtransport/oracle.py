@@ -1,7 +1,7 @@
 """Closed-form references the numerical paths are checked against.
 
 Everything here is independent of the trajectory integrator and the
-Picard machinery: explicit formulas for the oscillatory flow family,
+slab solver: explicit formulas for the oscillatory flow family,
 a small hand-rolled matrix exponential, and the finite-rank
 (separable) kernel solution.
 """
@@ -132,8 +132,8 @@ def separable_solve(
     system m' = alpha + B m with alpha_i = <c_i, u0>, B_ij = <c_i, a_j>.
     The solution m(t) = Phi(t) alpha uses the integrated exponential, and
     u(t) = u0 + sum_j a_j(r) m_j(t, x).  Inner products use the grid's
-    own r quadrature, so the comparison with the Picard path isolates
-    time-integration and iteration error.  The factors are the kernel's
+    own r quadrature, so the comparison with the slab solver isolates
+    its time-integration error.  The factors are the kernel's
     declared `factors`, integrated over the whole square; a triangular
     kernel, whose support is r <= rt, raises ValueError.
     """

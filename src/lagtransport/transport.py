@@ -11,12 +11,13 @@ kernel's factors per stored time slice, and a single slice when the
 fibers do not move.  On a
 short enough time slab A is a contraction in the sup-in-time windowed L^p
 norm, so the slab has one fixed point.  Under the trapezoid rule in time
-node k depends on itself only through the rank-L kernel term, so for a
-kernel that is not triangular the slab is solved exactly by marching its
-nodes, one L x L solve per fiber row and node; a triangular kernel's
-slab is found by Picard iteration from u0, which converges
-geometrically.  Longer horizons are covered by chaining slabs, re-basing
-the initial datum at each boundary through an Eulerian reconstruction.
+node k depends on itself only through the kernel term, so every slab is
+solved exactly by marching its nodes: one L x L solve per fiber row and
+node for a kernel that is not triangular, a back-substitution along the
+fiber for a triangular one, and u0 at every node without a kernel.  The
+slab's residual must stay within picard_tol.  Longer horizons are
+covered by chaining slabs, re-basing the initial datum at each boundary
+through an Eulerian reconstruction.
 Neither the kernel nor the drift b = (b1(x), b2(x, r)) depends on time,
 so the slab budget is measured once per run, from one evaluation of
 each, and the run is equal slabs of one template: flow, operator,
@@ -39,14 +40,13 @@ from .flow import (
     inverse_flow_grid,
     write_csv,
 )
-from .grid import GridSpec, NormSpec, suffix_integrals, sup_in_time
+from .grid import GridSpec, NormSpec, suffix_factors, suffix_integrals, sup_in_time
 
 __all__ = [
     "SolverConfig",
     "LagrangianState",
     "EulerianSlice",
     "ContinuedSolution",
-    "PicardConvergenceError",
     "apply_A",
     "fixed_point_residual",
     "choose_slab",
@@ -59,36 +59,25 @@ __all__ = [
 ]
 
 
-class PicardConvergenceError(NumericalFailure):
-    """A slab solve failed: Picard iteration exhausted its budget or met a
-    non-finite difference, or a march met a non-finite node or a singular
-    node system.  Carries Picard's difference history, empty for a march."""
-
-    def __init__(self, message: str, diffs: list[float]):
-        super().__init__(message)
-        self.diffs = diffs
-
-
 # Every run uses one value of each, so they are constants rather than
 # SolverConfig fields: the Lipschitz budget per slab (1/2 gives the
-# classic geometric tail), the most slabs a run may plan and record, the
-# Picard iteration cap (of a triangular kernel's slabs), and the largest
-# fraction of labels a re-basing may lose out of the label box.
+# classic geometric tail), the most slabs a run may plan and record, and
+# the largest fraction of labels a re-basing may lose out of the label box.
 _SLAB_TARGET = 0.5
 _MAX_SLABS = 2**16
-_MAX_ITERS = 80
 _EXIT_FRACTION_LIMIT = 1e-3
 
 
 @dataclass
 class SolverConfig:
-    """The slab/Picard settings that runs vary.
+    """The slab settings that runs vary.
 
     p and window define the norm used for contraction measurements and
-    residuals; picard_tol is the difference at which Picard iteration
-    stops, which only a triangular kernel's slabs run (other slabs are
-    marched to their exact discrete fixed point); nodes_per_slab fixes
-    the trapezoid resolution of the time integral inside each slab.
+    residuals; picard_tol bounds every slab's fixed-point residual (a
+    slab is marched to its exact discrete fixed point, so a residual
+    above it means the node solves lost their accuracy); nodes_per_slab
+    fixes the trapezoid resolution of the time integral inside each
+    slab.
     slab_time_samples is validated but read by nothing: it counted the
     times at which a time-dependent kernel's rate was sampled, and a
     kernel no longer depends on time.  It stays until the configs that
@@ -183,24 +172,80 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> np.ndarray:
 
 class _Workspace:
     """What a slab solve on one flow and kernel reads and writes: the
-    kernel operator `ops`, the array of `_kernel_matrices`, and the
-    density ratio rho2 = exp(logJ2) (both None without a kernel; one row
-    for a shared fiber), and the two (K, Nx, Nr) buffers it works in,
-    `u` and `u_next`.
+    kernel operator `ops`, the array of `_kernel_matrices`, the density
+    ratio rho2 = exp(logJ2), one slice when it is the same at every node
+    (both None without a kernel; one row for a shared fiber), a
+    triangular kernel's node coefficients `nodes` (`_triangular_nodes`,
+    else None), and the two (K, Nx, Nr) buffers it works in, `u` and
+    `u_next`.
 
     `continue_solution` builds one next to its slab template, so a run
-    builds its operator once and allocates no slab-sized array after
-    that; a state whose values are `u` is valid until the next solve in
-    the same workspace."""
+    builds its operator and node coefficients once and allocates no
+    slab-sized array after that; a state whose values are `u` is valid
+    until the next solve in the same workspace."""
 
     def __init__(self, fmap: FlowMap, kernel: Kernel | None):
         shape = (fmap.times.size, fmap.num_x, fmap.num_r)
-        self.ops = None if kernel is None else _kernel_matrices(fmap, kernel)
-        self.rho2 = None if kernel is None else np.exp(fmap.logj2)
+        self.ops = self.rho2 = self.nodes = None
+        if kernel is not None:
+            self.ops = _kernel_matrices(fmap, kernel)
+            logj2 = fmap.logj2
+            self.rho2 = np.exp(logj2[:1] if np.all(logj2 == logj2[:1]) else logj2)
+            if kernel.triangular:
+                self.nodes = _triangular_nodes(fmap, self.ops, self.rho2)
         self.u, self.u_next = np.empty(shape), np.empty(shape)
 
-    def swap(self) -> None:
-        self.u, self.u_next = self.u_next, self.u
+
+def _triangular_nodes(
+    fmap: FlowMap, ops: np.ndarray, rho2: np.ndarray,
+) -> list[np.ndarray]:
+    """[d, psi, q, singular]: what the back-substitution of a triangular
+    kernel's node systems (I - h T) u = y reads, one set per stored
+    operator or rho2 slice past the first node, or one set on the first
+    step for a static fiber, each indexed by node - 1.  None of it
+    depends on the state.
+
+    T = sum_l diag(a_l) S diag(c_l rho2), S the tail weights whose rows
+    `suffix_factors` gives, so row m of T u is D_m u_m + phi_m . z(m) with
+    D_m = diag_m sum_l (a_l c_l rho2)(m), phi_m holding scale_m a_l(m) in
+    the block of parity[m], and the 2L running sums z(m) = sum_{q > m}
+    columns[p, q] (c_l rho2 u)(q), one per parity p and factor l.  Back
+    from the last node, u_m = (y_m + h phi_m . z(m)) / delta_m with
+    delta_m = 1 - h D_m, so z(m-1) = G_m z(m) + v_m y_m / delta_m, with
+    v_m = columns[:, m] (c_l rho2)(m) and G_m = I + h v_m phi_m^T / delta_m.
+    The suffix products P_m = G_m ... G_{N-1}, found by doubling, and
+    their inverses (`_invert_small`) unroll it: with the sums
+    s(m) = sum_{j > m} q_j y_j, q_j = P_j^{-1} v_j / delta_j, the node's
+    image is g_m = (T u)_m = psi_m . s(m) + d_m y_m, where
+    psi_m = phi_m^T P_{m+1} / delta_m and d_m = D_m / delta_m, and
+    u_m = y_m + h g_m.  `singular` marks the sets with a zero delta,
+    whose node systems are singular.  Products too ill-conditioned to
+    invert, far past any slab budget, show in the slab's residual.
+    """
+    w = ops[1] * rho2[:, :, None, :]  # c_l rho2, (slices, R, L, Nr)
+    a, h = np.broadcast_to(ops[0], w.shape), np.diff(fmap.times)[:, None, None] / 2.0
+    a, w, h = (a[1:], w[1:], h) if w.shape[0] > 1 else (a, w, h[:1])
+    diag, scale, parity, columns = suffix_factors(fmap.grid.r_axes()[0])
+    d = diag * np.einsum("silm,silm->sim", a, w)
+    delta = 1.0 - h * d
+    singular = np.any(delta == 0.0, axis=(1, 2))
+    delta[delta == 0.0] = 1.0  # singular sets raise before any solve
+    d /= delta
+    # (sets, R, Nr, 2, L) -> (sets, R, Nr, 2L): one block of L per parity
+    wt, at = (np.swapaxes(x, 2, 3)[..., None, :] for x in (w, a))
+    v = (columns.T[:, :, None] * wt).reshape(wt.shape[:3] + (-1,))
+    phi = ((np.arange(2) == parity[:, None]) * scale[:, None])[:, :, None] * at
+    psi = phi.reshape(v.shape) / delta[..., None]
+    q = np.empty_like(v)
+    for s in range(v.shape[0]):
+        p = np.eye(v.shape[-1]) + h[s] * v[s, ..., :, None] * psi[s, ..., None, :]
+        for span in (2**i for i in range((p.shape[1] - 1).bit_length())):
+            p[:, :-span] = np.einsum("imef,imfg->imeg", p[:, :-span], p[:, span:])
+        psi[s, :, :-1] = np.einsum("ime,imef->imf", psi[s, :, :-1], p[:, 1:])
+        q[s] = np.einsum("imef,imf->ime", _invert_small(p)[0], v[s])
+    q /= delta[..., None]
+    nodes = (fmap.times.size - 1,)  # a static fiber's one set serves every node
+    return [np.broadcast_to(x, nodes + x.shape[1:]) for x in (d, psi, q, singular)]
 
 
 def apply_A(
@@ -297,8 +342,10 @@ def choose_slab(
     `rate` is the kernel's mixed norm (None without a kernel: one slab)
     and `div_sup` the sup of |div_r b2| over the label grid, measured
     once per run.  rate * T is the time integral of the mixed norm over
-    the slab, and exp(div_sup * T) the density-ratio envelope; the
-    measured Picard ratios are the binding check downstream.  The budget
+    the slab, and exp(div_sup * T) the density-ratio envelope.  The
+    slabs are marched exactly, so the budget sets how far each node
+    solve is from singular; each slab's residual, bounded by picard_tol,
+    is the check downstream.  The budget
     grows with T, so the count is found by bisection over 1 ... 2**16:
     it is ceil(horizon / T_max), T_max the longest length within the
     budget.  A budget that needs more than 2**16 slabs, or is NaN and so
@@ -333,24 +380,26 @@ def picard_solve(
     config: SolverConfig,
     _work=None,
 ) -> tuple[LagrangianState, dict]:
-    """Fixed point of A on the slab of `fmap` (its label grid and time
-    nodes): marched node by node (`_march`) for a kernel that is not
-    triangular, and by Picard iteration from u0 for a triangular kernel
-    or none.
+    """The exact fixed point of the trapezoid slab equation on the slab of
+    `fmap` (its label grid and time nodes), marched node by node in the
+    `u` buffer of a `_Workspace`, `_work` or else a new one.
 
-    Picard stops when consecutive iterates differ by less than picard_tol
-    in the sup-in-time windowed L^p norm; it raises PicardConvergenceError
-    when the budget runs out or a difference is not finite.  One
-    `_Workspace`, `_work` or else a new one, serves the solve and the
-    residual: its operator is built with it, and each Picard step writes
-    A(u) into its next-iterate buffer and the difference over u, which is
-    dead once the difference is taken, then swaps the two buffers, so the
-    loop allocates no (K, Nx, Nr) array.  The returned state's values are
-    the workspace's buffer.  The summary records the iterations, the
-    differences, their ratios (`contraction_ratios`, the measured
-    contraction rate, meaningful from the second ratio on) and the
-    residual; a marched slab records no iterations or differences and
-    one measured ratio.
+    The operator's image at node k is g_k = T_k u_k, T_k the kernel term
+    at node k.  With h = (t_k - t_{k-1}) / 2 the fixed point at node k is
+    u_k = y + h g_k for y = u_{k-1} + h g_{k-1}: node k depends on itself
+    only through T_k, so each node solves (I - h T_k) u_k = y
+    (`_node_solver`), forms g_k from its terms and sets u_k = y + h g_k.
+    Without a kernel every node is u0.  g and h g are kept in the first
+    two rows of the workspace's `u_next`, so the march allocates no
+    slab-sized array, and the returned state's values are the workspace's
+    `u`.
+
+    The record keeps the keys of the Picard iteration the march replaced:
+    no iterations and no differences, one measured ratio
+    ||A v - u0|| / ||v|| = ||A v - A 0|| / ||v - 0|| (unless ||v|| is 0),
+    v the marched state, and the residual.  A singular node system, a
+    non-finite node or a residual above picard_tol raises
+    NumericalFailure.
     """
     u0_values = np.asarray(u0_values, dtype=float)
     grid = fmap.grid
@@ -358,105 +407,93 @@ def picard_solve(
         raise ValueError("u0_values must have shape (num_x, num_r)")
     if _work is None:
         _work = _Workspace(fmap, kernel)
-    if kernel is not None and not kernel.triangular:
-        return _march(u0_values, fmap, kernel, config, _work)
-    spec = config.norm_spec()
-    _work.u[...] = u0_values
-    diffs: list[float] = []
-    for _ in range(_MAX_ITERS):
-        u_next = apply_A(_work.u, fmap, kernel, u0_values, _work=_work)
-        step = np.subtract(u_next, _work.u, out=_work.u)
-        diff = sup_in_time(step, grid, spec, out=step)
-        diffs.append(diff)
-        _work.swap()
-        if not np.isfinite(diff):
-            raise PicardConvergenceError(
-                f"non-finite difference at iteration {len(diffs)}", diffs
-            )
-        if diff < config.picard_tol:
-            state = LagrangianState(values=_work.u, fmap=fmap, u0=u0_values)
-            ratios = [
-                diffs[i + 1] / diffs[i]
-                for i in range(len(diffs) - 1)
-                if diffs[i] > max(config.picard_tol * 1e-3, 1e-15)
-            ]
-            summary = {
-                "iterations": len(diffs),
-                "contraction_ratios": ratios,
-                "differences": diffs,
-                "residual": fixed_point_residual(state, kernel, config, _work=_work),
-            }
-            return state, summary
-    raise PicardConvergenceError(
-        f"no convergence in {_MAX_ITERS} iterations "
-        f"(last difference {diffs[-1]:.3e})",
-        diffs,
-    )
-
-
-def _march(
-    u0_values: np.ndarray, fmap: FlowMap, kernel: Kernel, config: SolverConfig,
-    work: _Workspace,
-) -> tuple[LagrangianState, dict]:
-    """The exact fixed point of the trapezoid slab equation of a kernel
-    that is not triangular, node by node, in `work.u`.
-
-    On a fiber row let A_k be the (L, Nr) table of the a_l at node k and
-    C_k that of the weighted c_l times rho2, so the operator's image at
-    node k is g_k = A_k^T m_k with the L moments m_k = C_k u_k.  With
-    h = (t_k - t_{k-1}) / 2 the trapezoid fixed point at node k is
-    u_k = rhs + h g_k for rhs = u_{k-1} + h g_{k-1}: node k depends on
-    itself only through the rank-L term, so each fiber row solves
-    (I - h C_k A_k^T) m_k = C_k rhs, an L x L system.  The systems do not
-    depend on the state, so all are inverted before the march
-    (`_invert_small`).  g and h g are kept in the first two rows of
-    `work.u_next`, so the march allocates no slab-sized array.
-
-    The record keeps Picard's keys: no iterations and no differences, and
-    one measured ratio ||A v - u0|| / ||v|| = ||A v - A 0|| / ||v - 0||
-    (unless ||v|| is 0), v the marched state.  A non-finite node or a
-    singular node system raises PicardConvergenceError.
-    """
-    grid, u, (g, step) = fmap.grid, work.u, work.u_next[:2]
-    shape = (fmap.times.size,) + work.ops.shape[2:]
-    # a static operator's one slice and rho2 read the same at every node
-    a, c = (np.broadcast_to(ops, shape) for ops in work.ops)
-    rho2 = np.broadcast_to(work.rho2, (shape[0],) + work.rho2.shape[1:])
-    half = np.diff(fmap.times) / 2.0
-    products = np.einsum("kilq,kiq,kimq->kilm", c[1:], rho2[1:], a[1:])
-    inverses, singular = _invert_small(np.eye(shape[2]) - half[:, None, None, None]
-                                       * products)
-    if singular.any():
-        first = 1 + int(np.argmax(singular.any(axis=1)))
-        raise PicardConvergenceError(f"singular node system at node {first}", [])
+    u, (g, step) = _work.u, _work.u_next[:2]
     u[0] = u0_values
-    np.einsum("ilm,il->im", a[0], np.einsum("ilq,iq,iq->il", c[0], rho2[0], u[0]),
-              out=g)
-    for k, h in enumerate(half, start=1):
-        np.multiply(g, h, out=step)
-        np.add(u[k - 1], step, out=u[k])  # rhs
-        moments = np.einsum("ilq,iq,iq->il", c[k], rho2[k], u[k])
-        m = np.einsum("ilm,im->il", inverses[k - 1], moments)
-        np.einsum("ilm,il->im", a[k], m, out=g)
-        np.multiply(g, h, out=step)
-        u[k] += step
+    if kernel is None:
+        u[1:] = u0_values
+    else:
+        half = np.diff(fmap.times) / 2.0
+        node, singular = _node_solver(fmap, kernel, _work, half)
+        if singular.any():
+            raise NumericalFailure(
+                f"singular node system at node {1 + int(np.argmax(singular))}"
+            )
+        node(0, u[0], False)
+        for k, h in enumerate(half, start=1):
+            np.multiply(g, h, out=step)
+            np.add(u[k - 1], step, out=u[k])  # y
+            node(k, u[k], True)
+            np.multiply(g, h, out=step)
+            u[k] += step
     if not np.isfinite(u[-1]).all():
         # a non-finite entry stays so at every later node: name the first
-        first = next(k for k, node in enumerate(u) if not np.isfinite(node).all())
-        raise PicardConvergenceError(f"non-finite value at node {first}", [])
+        first = next(k for k, row in enumerate(u) if not np.isfinite(row).all())
+        raise NumericalFailure(f"non-finite value at node {first}")
     state = LagrangianState(values=u, fmap=fmap, u0=u0_values)
     spec = config.norm_spec()
-    size = sup_in_time(u, grid, spec, out=work.u_next)
-    image = apply_A(u, fmap, kernel, u0_values, _work=work)
+    size = sup_in_time(u, grid, spec, out=_work.u_next)
+    image = apply_A(u, fmap, kernel, u0_values, _work=_work)
     image -= u0_values
     linear = sup_in_time(image, grid, spec, out=image)
+    residual = fixed_point_residual(state, kernel, config, _work=_work)
+    if not residual <= config.picard_tol:
+        raise NumericalFailure(f"slab residual {residual:.3e} exceeds picard_tol "
+                               f"{config.picard_tol:.3g}")
     summary = {
         "iterations": 0,
         "contraction_ratios": [linear / size] if size > 0 else [],
         "differences": [],
-        "residual": fixed_point_residual(state, kernel, config, _work=work),
+        "residual": residual,
     }
     return state, summary
+
+
+def _node_solver(fmap: FlowMap, kernel: Kernel, work: _Workspace, half):
+    """(node, singular) for the node systems of a slab in `work`:
+    node(k, y, solve) writes g = T_k y into the first row of
+    `work.u_next`, or with `solve` g_k = T_k u_k for the u_k that solves
+    (I - half[k-1] T_k) u_k = y; singular[k-1] marks a node whose system
+    has no unique solution.
+
+    On a fiber row let A_k be the (L, Nr) table of the a_l at node k and
+    C_k that of the c_l times rho2.  A kernel that is not triangular has
+    T_k = A_k^T C_k with the fiber weights in C_k, so its node system
+    reduces to (I - h C_k A_k^T) m_k = C_k y for the L moments
+    m_k = C_k u_k, and g_k = A_k^T m_k; the systems are inverted before
+    the march (`_invert_small`).  A triangular kernel's T_k takes the
+    tails of C_k u_k by `suffix_integrals`, and its node is solved by
+    the back-substitution of `_triangular_nodes`.
+    """
+    g = work.u_next[0]
+    shape = (fmap.times.size,) + work.ops.shape[2:]
+    # a static operator's one slice and rho2 read the same at every node
+    a, c = (np.broadcast_to(ops, shape) for ops in work.ops)
+    rho2 = np.broadcast_to(work.rho2, (shape[0],) + work.rho2.shape[1:])
+    if kernel.triangular:
+        axis, (d, psi, q, singular) = fmap.grid.r_axes()[0], work.nodes
+
+        def node(k, y, solve):
+            if not solve:
+                tails = suffix_integrals(axis, c[k] * (rho2[k] * y)[:, None, :])
+                return np.einsum("ilm,ilm->im", a[k], tails, out=g)
+            # sums[:, m] is the sum over j >= m of q_j y_j
+            sums = np.cumsum((q[k - 1] * y[..., None])[:, ::-1], axis=1)[:, ::-1]
+            np.multiply(d[k - 1], y, out=g)
+            g[:, :-1] += np.einsum("ime,ime->im", psi[k - 1][:, :-1], sums[:, 1:])
+            return g
+
+        return node, singular
+    products = np.einsum("kilq,kiq,kimq->kilm", c[1:], rho2[1:], a[1:])
+    inverses, singular = _invert_small(np.eye(shape[2]) - half[:, None, None, None]
+                                       * products)
+
+    def node(k, y, solve):
+        m = np.einsum("ilq,iq,iq->il", c[k], rho2[k], y)
+        if solve:
+            m = np.einsum("ilm,im->il", inverses[k - 1], m)
+        return np.einsum("ilm,il->im", a[k], m, out=g)
+
+    return node, singular.any(axis=1)
 
 
 def _invert_small(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -781,7 +818,9 @@ class _LogGaussianDatum:
     """amp * exp(-(ln r - ln c)^2 / (2 sigma^2)) on a j = 1 fiber, x-independent.
 
     The natural shape for fragmentation cascades, which spread mass over
-    decades of r: smooth and well resolved on geometric r grids.
+    decades of r: smooth and well resolved on geometric r grids.  It is
+    its limit 0 at r = 0, and a fiber that reaches r < 0 raises
+    ValueError.
     """
 
     def __init__(self, r_center=0.25, r_sigma=0.2, amplitude=1.0):
@@ -794,7 +833,10 @@ class _LogGaussianDatum:
     def __call__(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         if r.shape[-1] != 1:
             raise ValueError(f"log-Gaussian reads j = 1, not j = {r.shape[-1]}")
-        v = np.log(r[..., 0])
+        if np.any(r[..., 0] < 0):
+            raise ValueError("log-Gaussian needs r >= 0")
+        with np.errstate(divide="ignore"):  # ln 0 = -inf, and exp(-inf) = 0
+            v = np.log(r[..., 0])
         out = self.amplitude * np.exp(
             -((v - np.log(self.r_center)) ** 2) / (2.0 * self.r_sigma**2)
         )

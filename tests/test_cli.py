@@ -67,8 +67,8 @@ def solve_config():
 
 
 def triangular_solve_config():
-    """solve_config with the fragmentation kernel, whose slabs Picard
-    iterates, on a geometric fiber that keeps its 1/r~ finite."""
+    """solve_config with the fragmentation kernel, whose node systems are
+    triangular, on a geometric fiber that keeps its 1/r~ finite."""
     config = solve_config()
     config["kernel"] = {"name": "fragmentation", "params": {"scale": 2.0}}
     config["grid"].update(r_bounds=[[1e-3, 1.0]], r_spacing="geometric")
@@ -679,6 +679,8 @@ _BAD_STUDY_MESSAGES = {
     "negative_line_nodes": "line_nodes must be at least 2, got -1",
     "zero_t": "t must be finite and positive, got 0",
     "negative_t": "t must be finite and positive, got -1",
+    "repeated_eps": "mollification radii must be distinct: [0.1, 0.1, 0.1]",
+    "one_repeated_eps": "mollification radii must be distinct: [0.2, 0.1, 0.1, 0.05]",
 }
 
 
@@ -725,6 +727,9 @@ _BAD_STUDY_MESSAGES = {
         # a flow time is finite and positive, checked before any flow
         ("counterexample", {"k_values": [2], "t": 0}),
         ("counterexample", {"k_values": [2], "t": -1}),
+        # equal radii give equal distances, whose ratio 1 passes vacuously
+        ("stability", {"eps_values": [0.1, 0.1, 0.1]}),
+        ("stability", {"eps_values": [0.2, 0.1, 0.05, 0.1]}),
     ],
     ids=["too_few_eps", "string_eps", "null_checkpoint", "no_checkpoints",
          "checkpoint_at_start", "nested_k", "string_window", "zero_eps", "zero_k", "negative_k", "infinite_k", "fractional_k",
@@ -734,7 +739,7 @@ _BAD_STUDY_MESSAGES = {
          "one_number_window", "empty_window", "three_number_window",
          "reversed_window", "window_without_nodes", "window_between_nodes",
          "window_of_one_node", "one_line_node", "negative_line_nodes",
-         "zero_t", "negative_t"],
+         "zero_t", "negative_t", "repeated_eps", "one_repeated_eps"],
 )
 def test_bad_study_arguments_exit_2(tmp_path, request, command, settings):
     cfg = write_config(tmp_path / "s.json", {"schema_version": 1, **settings})
@@ -745,6 +750,28 @@ def test_bad_study_arguments_exit_2(tmp_path, request, command, settings):
     assert message is None or message in res.stderr, res.stderr
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob(f"{command}_*"))
+
+
+@pytest.mark.parametrize("r_lo", [-1.0, 0.0], ids=["negative_r", "zero_r"])
+def test_a_log_gaussian_datum_on_a_fiber_from_r_0_or_below(tmp_path, r_lo):
+    # the demo separable solve with a log-Gaussian datum: a fiber that
+    # reaches r < 0 is rejected before any work, and one from r = 0 solves
+    # with no numpy warning (the datum is its limit 0 there)
+    payload = json.loads((CONFIGS / "solve_separable.json").read_text(encoding="utf-8"))
+    payload["initial"] = {"name": "log_gaussian"}
+    payload["grid"]["r_bounds"] = [[r_lo, 1.0]]
+    cfg = write_config(tmp_path / "s.json", payload)
+    res = run_cli("solve", "--config", cfg, "--out", str(tmp_path / "out"))
+    if r_lo < 0:
+        assert res.returncode == 2, res.stderr
+        assert ("config error: invalid initial datum: log-Gaussian needs r >= 0"
+                in res.stderr)
+        assert not (tmp_path / "out").exists()
+        return
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    (out,) = (tmp_path / "out").glob("solve_*.json")
+    assert all(np.isfinite(json.loads(out.read_text(encoding="utf-8"))["masses"]))
 
 
 def test_a_study_argument_that_does_not_parse_is_named(tmp_path, capsys):
@@ -810,11 +837,13 @@ def test_rejected_run_removes_the_directories_it_created(tmp_path, command, payl
     assert not any((tmp_path / "kept").iterdir())
 
 
-def test_numerical_failure_removes_the_directories_it_created(tmp_path, monkeypatch):
-    from lagtransport import cli, transport
+def test_numerical_failure_removes_the_directories_it_created(tmp_path):
+    from lagtransport import cli
 
-    monkeypatch.setattr(transport, "_MAX_ITERS", 1)
-    cfg = write_config(tmp_path / "s.json", triangular_solve_config())
+    # no slab's residual reaches 1e-30
+    config = triangular_solve_config()
+    config["solver"]["picard_tol"] = 1e-30
+    cfg = write_config(tmp_path / "s.json", config)
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "a/b")]) == 3
     assert not (tmp_path / "a").exists()
 
@@ -1070,17 +1099,24 @@ def test_nan_slab_budget_exits_3(tmp_path, monkeypatch, capsys, poisoned):
     assert not out.exists()
 
 
-def test_picard_budget_exhaustion_exits_3(tmp_path, monkeypatch, capsys):
-    # Picard, which a triangular kernel's slabs run, contracts on every
-    # slab choose_slab accepts, so no config exhausts 80 iterations; a cap
-    # of 1 stands in for a slow slab
-    from lagtransport import cli, transport
+@pytest.mark.parametrize(
+    "make_config", [triangular_solve_config, solve_config],
+    ids=["triangular", "dense"],
+)
+def test_a_slab_residual_above_picard_tol_exits_3(tmp_path, capsys, make_config):
+    # every slab is marched to its exact discrete fixed point, whose
+    # residual (about 1e-16 here) picard_tol bounds: a bound of 1e-30
+    # stands in for node solves that lost their accuracy
+    from lagtransport import cli
 
-    monkeypatch.setattr(transport, "_MAX_ITERS", 1)
-    cfg = write_config(tmp_path / "s.json", triangular_solve_config())
+    config = make_config()
+    config["solver"]["picard_tol"] = 1e-30
+    cfg = write_config(tmp_path / "s.json", config)
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert "numerical failure: no convergence in 1 iterations" in capsys.readouterr().err
-    assert not list(tmp_path.glob("solve_*.json"))
+    err = capsys.readouterr().err
+    assert "numerical failure: slab residual " in err
+    assert " exceeds picard_tol 1e-30" in err
+    assert not list(tmp_path.glob("solve_*"))
 
 
 def _singular_inverses(stack):

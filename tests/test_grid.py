@@ -12,6 +12,7 @@ from lagtransport.grid import (
     axis_weights,
     lp_norm,
     sup_in_time,
+    suffix_factors,
     suffix_integrals,
     suffix_weight_matrix,
 )
@@ -205,6 +206,28 @@ def test_suffix_weight_matrix_leaves_the_plan_cache_alone():
 def test_suffix_integrals_reject_other_axes():
     with pytest.raises(ValueError, match="uniform or geometric"):
         suffix_integrals(np.array([0.0, 0.1, 0.5, 1.0]), np.ones(4))
+    with pytest.raises(ValueError, match="uniform or geometric"):
+        suffix_factors(np.array([0.0, 0.1, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("npts", [2, 3, 4, 5, 10, 64, 65, 257])
+@pytest.mark.parametrize(
+    "coords",
+    [lambda n: np.linspace(-2.0, 3.0, n), lambda n: np.linspace(0.0, 1.0, n),
+     lambda n: np.geomspace(1e-8, 5.0, n), lambda n: np.geomspace(1e-3, 1.0, n)],
+    ids=["uniform", "uniform_unit", "geometric", "geometric_unit"],
+)
+def test_suffix_factors_rebuild_suffix_weight_matrix(coords, npts):
+    # row m is diag[m] on the diagonal and scale[m] times the parity
+    # column past it: every tail's Simpson panels, the trapezoid patch
+    # of an even tail, the 2-node tail and the empty last row
+    c = coords(npts)
+    diag, scale, parity, columns = suffix_factors(c)
+    assert parity.tolist() == [(npts - m) % 2 for m in range(npts)]
+    rebuilt = np.diag(diag) + np.triu(scale[:, None] * columns[parity], 1)
+    ref = suffix_weight_matrix(c)
+    assert np.max(np.abs(rebuilt - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert diag[-1] == scale[-1] == 0.0
 
 
 # ---------------------------------------------------------------------
@@ -440,8 +463,8 @@ def test_sup_in_time_is_bit_identical_to_max_of_lp_norms(p, window, joint):
 
 
 def test_sup_in_time_propagates_a_nan_at_any_node():
-    # a NaN must reach the caller wherever it sits: Picard stops on a
-    # non-finite difference, whose first node is always 0
+    # a NaN must reach the caller wherever it sits: a slab's residual
+    # that is NaN must fail its bound, and its first node is always 0
     grid = GridSpec(x_bounds=((0.0, 1.0),), x_counts=(5,),
                     r_bounds=((0.0, 1.0),), r_counts=(5,))
     vals = np.zeros((3, grid.num_x, grid.num_r))

@@ -104,7 +104,7 @@ def test_semigroup_law_holds_to_the_flow_tolerance(
 def test_picard_from_any_start_reaches_the_one_fixed_point(
     name, mu, kernel_name, amp, centers, duration, seed,
 ):
-    # uniqueness: Picard from u0 and A iterated from a perturbed start
+    # uniqueness: the marched slab and A iterated from a perturbed start
     # reach the same fixed point of A on a contraction slab
     field = {
         "zero": zero_field(1, 1),

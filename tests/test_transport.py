@@ -1,7 +1,8 @@
-"""Source operator, Picard iteration, slab selection, and continuation."""
+"""Source operator, marched slabs, slab selection, and continuation."""
 
 import dataclasses
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -34,7 +35,6 @@ from lagtransport.transport import (
     _kernel_matrices,
     _multilinear,
     EulerianSlice,
-    PicardConvergenceError,
     SolverConfig,
     apply_A,
     check_horizon,
@@ -249,9 +249,10 @@ def test_triangular_operator_is_gamma_times_suffix_weights(field):
         assert np.array_equal(rebuilt, expected)
 
 
-def _triangular_gauss_kernel():
-    # rank 2 and finite at r = 0, so it runs on a uniform fiber from 0
-    return Kernel("triangular_gauss", separable_kernel(SEPARABLE_TERMS).factors,
+def _triangular_gauss_kernel(terms=SEPARABLE_TERMS):
+    # rank 2 (one per term) and finite at r = 0, so it runs on a uniform
+    # fiber from 0
+    return Kernel("triangular_gauss", separable_kernel(terms).factors,
                   triangular=True)
 
 
@@ -282,6 +283,74 @@ def test_triangular_apply_A_matches_dense_suffix_reference(field, spacing, kern,
     ref = _dense_apply_A(values, fmap, kern, u0)
     out = _apply_A(values, fmap, kern, u0)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nr", [2, 3, 4, 5, 33])
+@pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize(
+    "field", [zero_field(1, 1), modulated_logistic_field(mu=0.3)],
+    ids=["static", "moving"],
+)
+def test_triangular_node_solve_matches_a_dense_solve(field, rank, spacing, nr):
+    # each node system (I - h T_k) u = y, with T_k the kernel's factors
+    # times the tail weights of suffix_weight_matrix and rho2, solved
+    # densely per fiber row: the back-substitution's u = y + h g_k and its
+    # g_k = T_k u agree with it.  The moving fiber reads x, so every x
+    # label has its own node systems
+    lo = 1e-3 if spacing == "geometric" else 0.0
+    grid = GridSpec(
+        x_bounds=((0.0, 1.0),), x_counts=(3,),
+        r_bounds=((lo, 1.0),), r_counts=(nr,), r_spacing=spacing,
+    )
+    kern = _triangular_gauss_kernel(SEPARABLE_TERMS[:rank])
+    fmap = _slab(field, grid, 2.0, 5)
+    work = transport._Workspace(fmap, kern)
+    half = np.diff(fmap.times) / 2.0
+    node, singular = transport._node_solver(fmap, kern, work, half)
+    assert not singular.any()
+    suffix = suffix_weight_matrix(grid.r_axes()[0])
+    a, c = _kernel_matrices(fmap, kern)
+    rho2 = np.exp(fmap.logj2)
+    rng = np.random.default_rng(nr)
+    for k in range(1, fmap.times.size):
+        s = k if a.shape[0] > 1 else 0
+        dense = np.einsum("ilm,ilq->imq", a[s], c[s]) * suffix * rho2[k][:, None, :]
+        y = rng.standard_normal((grid.num_x, grid.num_r))
+        expected = np.linalg.solve(np.eye(nr) - half[k - 1] * dense, y[..., None])[..., 0]
+        g = node(k, y, True).copy()
+        got = y + half[k - 1] * g
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+        assert np.max(np.abs(g - (dense @ got[..., None])[..., 0])) <= 1e-13 * np.max(
+            np.abs(g))
+
+
+@pytest.mark.parametrize(
+    "field", [zero_field(1, 1), logistic_field(k=1, mu=0.3)], ids=["static", "moving"],
+)
+def test_a_triangular_solve_builds_no_fiber_square(field):
+    # the workspace's node coefficients and a marched slab, its residual
+    # included, hold less than one Nr x Nr array, which a dense node
+    # system of the fiber would need
+    grid = GridSpec(
+        x_bounds=((0.0, 1.0),), x_counts=(2,),
+        r_bounds=((1e-3, 1.0),), r_counts=(513,), r_spacing="geometric",
+    )
+    fmap = _slab(field, grid, 0.05, 17)
+    kern = fragmentation_kernel(scale=2.0)
+    u0 = _fiber_datum(grid, make_initial("log_gaussian"))
+    config = SolverConfig(picard_tol=1e-12, nodes_per_slab=17)
+    picard_solve(u0, fmap, kern, config)  # warm caches
+    tracemalloc.start()
+    try:
+        work = transport._Workspace(fmap, kern)
+        _, summary = picard_solve(u0, fmap, kern, config, _work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["residual"] <= 1e-14
+    assert peak < 513 * 513 * 8
 
 
 class _CountingKernel:
@@ -566,7 +635,7 @@ def test_choose_slab_raises_when_budget_unreachable():
 
 
 # ---------------------------------------------------------------------
-# Picard iteration
+# the marched slab solve
 # ---------------------------------------------------------------------
 
 
@@ -590,41 +659,35 @@ def _triangular_constant_kernel(c):
                   triangular=True)
 
 
-def test_picard_diverges_gracefully_when_budget_too_small():
-    # c = 1e4 on a unit slab and fiber: the Picard differences still grow
-    # after the 80-iteration cap, yet stay finite
+def test_a_slab_far_past_its_budget_fails_on_its_residual():
+    # c = 1e4 on a unit slab and fiber, far past any budget choose_slab
+    # accepts: the march's node solves stay finite but lose all accuracy,
+    # and the residual bound picard_tol stops the slab
     grid = _fiber_grid(nr=17)
     kern = _triangular_constant_kernel(1e4)
     u0 = np.ones((grid.num_x, grid.num_r))
-    with pytest.raises(PicardConvergenceError, match="in 80 iterations") as err:
+    with pytest.raises(NumericalFailure, match="exceeds picard_tol 1e-08") as err:
         picard_solve(
             u0, _slab(zero_field(1, 1), grid, 1.0, 17), kern,
             SolverConfig(picard_tol=1e-8),
         )
-    assert len(err.value.diffs) == 80
-    assert np.all(np.isfinite(err.value.diffs))
-    assert err.value.diffs[-1] > err.value.diffs[-2]
+    residual = float(str(err.value).split()[2])
+    assert 1e-8 < residual < np.inf
 
 
 @pytest.mark.parametrize(
-    "kern", [_triangular_gauss_kernel(), separable_kernel()], ids=["picard", "march"],
+    "kern", [_triangular_gauss_kernel(), separable_kernel(), None],
+    ids=["triangular", "dense", "no_kernel"],
 )
-def test_picard_stops_at_first_non_finite_difference(kern):
-    # Picard stops at its first difference; a march names the first node
-    # it cannot compute, here the datum's, and has no differences
+def test_a_non_finite_datum_stops_the_march(kern):
+    # the march names the first node it cannot compute, here the datum's
     grid = _fiber_grid(nr=17)
     u0 = np.ones((grid.num_x, grid.num_r))
     u0[0, 3] = np.nan
-    with pytest.raises(PicardConvergenceError) as err:
+    with pytest.raises(NumericalFailure, match="^non-finite value at node 0$"):
         picard_solve(
             u0, _slab(zero_field(1, 1), grid, 0.5, 17), kern, SolverConfig(),
         )
-    if kern.triangular:
-        assert len(err.value.diffs) == 1
-        assert not np.isfinite(err.value.diffs[0])
-    else:
-        assert str(err.value) == "non-finite value at node 0"
-        assert err.value.diffs == []
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -656,12 +719,21 @@ def test_a_singular_node_system_stops_the_march():
     # gamma = 4 on a two-node unit fiber (weights 1/2, 1/2) over a slab of
     # two nodes 1/2 apart: h = 1/4, so I - h C A^T is exactly 0
     grid = _fiber_grid(nr=2)
-    with pytest.raises(PicardConvergenceError,
-                       match="singular node system at node 1") as err:
+    with pytest.raises(NumericalFailure, match="singular node system at node 1"):
         picard_solve(np.ones((grid.num_x, grid.num_r)),
                      _slab(zero_field(1, 1), grid, 0.5, 2), constant_kernel(c=4.0),
                      SolverConfig())
-    assert err.value.diffs == []
+
+
+def test_a_singular_triangular_node_system_stops_the_march():
+    # gamma = 4 on r <= r~ over a two-node unit fiber: the node system's
+    # diagonal is 1 - h 4 (1/2) = 0 for h = 1/2, on a slab of two nodes 1
+    # apart; the static fiber's one coefficient set serves node 1
+    grid = _fiber_grid(nr=2)
+    with pytest.raises(NumericalFailure, match="singular node system at node 1"):
+        picard_solve(np.ones((grid.num_x, grid.num_r)),
+                     _slab(zero_field(1, 1), grid, 1.0, 2),
+                     _triangular_constant_kernel(4.0), SolverConfig())
 
 
 @pytest.mark.parametrize(
@@ -719,9 +791,17 @@ def _picard_on_fresh_arrays(u0, fmap, kern, config):
     return u, diffs, ratios, residual
 
 
+_SEPARABLE = separable_kernel(terms=SEPARABLE_TERMS)
+
+
 @pytest.mark.parametrize(
     "field, kern, grid, settings",
     [
+        (logistic_field(k=1, mu=0.3), _SEPARABLE, _fiber_grid(nr=33, nx=5), {}),
+        (modulated_logistic_field(), _SEPARABLE, _fiber_grid(nr=33, nx=5), {}),
+        (logistic_field(k=1, mu=0.3), _SEPARABLE, _fiber_grid(nr=33, nx=5),
+         {"p": 3.0, "window": ((0.2, 0.8), (0.1, 0.9))}),
+        (zero_field(1, 1), _SEPARABLE, _fiber_grid(nr=33, nx=5), {"p": np.inf}),
         (zero_field(1, 1), fragmentation_kernel(scale=2.0), _triangular_grid(), {}),
         (logistic_field(k=1, mu=0.3), _triangular_gauss_kernel(),
          _fiber_grid(nr=33, nx=5), {}),
@@ -732,58 +812,23 @@ def _picard_on_fresh_arrays(u0, fmap, kern, config):
         (logistic_field(k=1, mu=0.3), None, _fiber_grid(nr=33, nx=5),
          {"p": np.inf}),
     ],
-    ids=["fragmentation_zero_field", "triangular_logistic",
-         "triangular_modulated_logistic", "window_p3", "no_kernel_p_inf"],
+    ids=["separable_logistic", "separable_modulated_logistic", "window_p3",
+         "zero_field_p_inf", "fragmentation_zero_field", "triangular_logistic",
+         "triangular_modulated_logistic", "triangular_window_p3",
+         "no_kernel_p_inf"],
 )
-def test_picard_in_a_workspace_is_bit_identical_to_fresh_arrays(
+def test_a_marched_slab_is_the_fixed_point_picard_approaches(
     field, kern, grid, settings,
 ):
-    # the workspace loop makes the same numpy operations in the same
-    # order, and a reused workspace carries nothing from one solve over
-    fmap = _slab(field, grid, 0.4, 9)
-    u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4, r_center=0.45))
-    config = SolverConfig(picard_tol=1e-11, nodes_per_slab=9, **settings)
-    values, diffs, ratios, residual = _picard_on_fresh_arrays(u0, fmap, kern, config)
-    assert len(diffs) >= (1 if kern is None else 5)
-    work = transport._Workspace(fmap, kern)
-    for _ in range(2):
-        state, summary = picard_solve(u0, fmap, kern, config, _work=work)
-        assert state.values is work.u
-        assert np.array_equal(state.values, values)
-        assert summary["differences"] == diffs
-        assert summary["contraction_ratios"] == ratios
-        assert summary["residual"] == residual
-    assert _residual(state, kern, config) == residual
-    _, summary = picard_solve(u0, fmap, kern, config)
-    assert summary["residual"] == residual
-
-
-_MARCH_CASES = pytest.mark.parametrize(
-    "field, settings",
-    [
-        (logistic_field(k=1, mu=0.3), {}),
-        (modulated_logistic_field(), {}),
-        (logistic_field(k=1, mu=0.3), {"p": 3.0, "window": ((0.2, 0.8), (0.1, 0.9))}),
-        (zero_field(1, 1), {"p": np.inf}),
-    ],
-    ids=["separable_logistic", "separable_modulated_logistic", "window_p3",
-         "zero_field_p_inf"],
-)
-
-
-@_MARCH_CASES
-def test_a_marched_slab_is_the_fixed_point_picard_approaches(field, settings):
-    # a kernel that is not triangular is marched node by node: the state
-    # is Picard's limit, which fresh-array Picard at 1e-13 reaches to
-    # 1e-12; the record has no iterations, and one ratio, of the state
-    # and 0 under A; and a reused workspace carries nothing over
-    grid = _fiber_grid(nr=33, nx=5)
-    kern = separable_kernel(terms=SEPARABLE_TERMS)
+    # every slab is marched node by node: the state is Picard's limit,
+    # which fresh-array Picard at 1e-13 reaches to 1e-12; the record has
+    # no iterations, and one ratio, of the state and 0 under A; and a
+    # reused workspace carries nothing over
     fmap = _slab(field, grid, 0.4, 9)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4, r_center=0.45))
     config = SolverConfig(picard_tol=1e-13, nodes_per_slab=9, **settings)
     values, diffs, _, _ = _picard_on_fresh_arrays(u0, fmap, kern, config)
-    assert len(diffs) >= 5
+    assert len(diffs) >= (1 if kern is None else 5)
     spec = config.norm_spec()
     work = transport._Workspace(fmap, kern)
     marched = []
@@ -803,39 +848,17 @@ def test_a_marched_slab_is_the_fixed_point_picard_approaches(field, settings):
     assert all(np.array_equal(m, marched[0]) for m in marched)
 
 
-def test_picard_allocates_no_slab_sized_array_per_iteration():
-    # with the operator and the workspace built, a Picard solve's traced
-    # peak does not grow with its iteration count: a slab-sized array kept
-    # per iteration would add one (K, Nx, Nr) array each.  (A triangular
-    # apply_A frees slab-sized rows and tails within each call.)
-    grid = _fiber_grid(nr=129, nx=16)
-    kern = _triangular_gauss_kernel()
-    fmap = _slab(logistic_field(k=1, mu=0.3), grid, 0.4, 17)
-    u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4))
-    work = transport._Workspace(fmap, kern)
-    for p in (2.0, np.inf):  # the sup norm's window max is taken in place too
-        configs = [SolverConfig(p=p, picard_tol=tol, nodes_per_slab=17)
-                   for tol in (1e-6, 1e-12)]
-        picard_solve(u0, fmap, kern, configs[0], _work=work)  # warm caches
-        peaks, iterations = [], []
-        for config in configs:
-            tracemalloc.start()
-            try:
-                _, summary = picard_solve(u0, fmap, kern, config, _work=work)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            iterations.append(summary["iterations"])
-        assert iterations[1] > iterations[0]
-        assert abs(peaks[1] - peaks[0]) < work.u.nbytes
-
-
-def test_a_marched_slab_allocates_no_slab_sized_array():
+@pytest.mark.parametrize(
+    "kern", [_SEPARABLE, _triangular_gauss_kernel()], ids=["dense", "triangular"],
+)
+def test_a_marched_slab_allocates_no_slab_sized_array(kern):
     # with the operator and the workspace built, a marched solve's traced
     # peak, its ratio and residual included, is below one (K, Nx, Nr)
-    # array: a temporary of that size, even a freed one, would exceed it
+    # array past what one application of the operator needs: a temporary
+    # of that size, even a freed one, would exceed it.  (A triangular
+    # apply_A frees slab-sized rows and tails within each call; the
+    # dense one needs far less than a slab.)
     grid = _fiber_grid(nr=129, nx=16)
-    kern = separable_kernel(terms=SEPARABLE_TERMS)
     fmap = _slab(logistic_field(k=1, mu=0.3), grid, 0.4, 17)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4))
     work = transport._Workspace(fmap, kern)
@@ -846,10 +869,13 @@ def test_a_marched_slab_allocates_no_slab_sized_array():
         try:
             state, summary = picard_solve(u0, fmap, kern, config, _work=work)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            apply_A(state.values, fmap, kern, u0, _work=work)
+            operator_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert summary["iterations"] == 0
-        assert peak < work.u.nbytes
+        assert peak < work.u.nbytes + (operator_peak if kern.triangular else 0)
         values = _picard_on_fresh_arrays(u0, fmap, kern, config)[0]
         assert np.max(np.abs(state.values - values)) <= 1e-12
 
@@ -864,8 +890,8 @@ def _shared_fiber_workspace_case():
 
 
 def test_the_workspace_holds_two_slab_buffers():
-    # the Picard difference overwrites the dead iterate, the residual the
-    # image and a slab's masses the buffer its state does not use
+    # the march keeps g and h g in the buffer its state does not use, the
+    # residual overwrites the image there, and a slab's masses use it too
     fmap, kern, _ = _shared_fiber_workspace_case()
     work = transport._Workspace(fmap, kern)
     shape = (fmap.times.size, fmap.num_x, fmap.num_r)
@@ -895,19 +921,14 @@ def test_a_workspace_and_a_solve_peak_below_two_and_a_half_slabs():
     assert np.max(np.abs(state.values - values)) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "triangular, message",
-    [(True, "non-finite difference at iteration 1"), (False, "non-finite value at node 1")],
-    ids=["picard", "march"],
-)
-def test_picard_stops_on_a_nan_past_the_first_node(triangular, message):
+@pytest.mark.parametrize("triangular", [True, False], ids=["triangular", "dense"])
+def test_the_march_stops_on_a_nan_past_the_first_node(triangular):
     # A(u) is u0 at the first node whatever the kernel, so a NaN kernel
-    # shows at the later nodes only, and must still stop the iteration or
-    # the march
+    # shows at the later nodes only, and must still stop the march
     grid = _fiber_grid(nr=9, nx=3)
     nan = Kernel("nan", ((lambda r: np.full(r.shape, np.nan),), (np.ones_like,)),
                  triangular=triangular)
-    with pytest.raises(PicardConvergenceError, match=message):
+    with pytest.raises(NumericalFailure, match="^non-finite value at node 1$"):
         picard_solve(np.ones((grid.num_x, grid.num_r)),
                      _slab(zero_field(1, 1), grid, 0.2, 5), nan, SolverConfig())
 
@@ -981,6 +1002,19 @@ def test_log_gaussian_datum_reads_a_j1_fiber_only(j):
     with pytest.raises(ValueError, match=f"log-Gaussian reads j = 1, not j = {j}"):
         datum(np.zeros((3, 1)), np.full((3, j), 0.5))
     assert datum(np.zeros((3, 1)), np.full((3, 1), 0.25)).tolist() == [1.0] * 3
+
+
+def test_log_gaussian_datum_is_0_at_r_0_and_rejects_r_below():
+    # exp(-(ln r - ln c)^2 / ...) tends to 0 as r -> 0, with no warning
+    # from ln 0; below 0 the datum is not defined
+    datum = make_initial("log_gaussian")
+    x = np.zeros((3, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = datum(x, np.array([[0.0], [0.25], [1e-300]]))
+    assert out.tolist() == [0.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match="log-Gaussian needs r >= 0"):
+        datum(x, np.array([[0.5], [-1e-12], [0.25]]))
 
 
 def _rebasing_grid():

@@ -7,16 +7,18 @@ it and its sibling `demos/` supplies the configs and scripts.  The runs:
 
 - `lagtransport.cli` on each of `demos/configs/*.json` (the command is the
   file name up to its first `_`), and on `flow_logistic.json` backward;
-- the five configs written out in `INLINE_RUNS`: `flow` on a `swirl`
+- the seven configs written out in `INLINE_RUNS`: `flow` on a `swirl`
   field (n = 2, j = 0) and `solve` without a kernel on the same field;
   `flow` on a mollified `logistic` field, on a `linear` field and on a
-  `sobolev` field, each with a fiber (j = 1);
+  `sobolev` field, each with a fiber (j = 1); and `solve` with the
+  `fragmentation` kernel on a geometric fiber, under `logistic` (a moving
+  fiber, one slab) and under `linear` on an n = 2 grid (five slabs);
 - `solve` on the benchmark's workload configs at seeds 0 and 3, with the
   reference config of any workload that has one, built by importing this
   checkout's `benchmark/workloads.py` (read only; nothing is written there);
 - each `demos/*.py` script with its default arguments.
 
-With the six demo configs and five demo scripts that is 25 runs.
+With the six demo configs and five demo scripts that is 27 runs.
 
 Every run gets a directory under OUTDIR holding its config, its outputs,
 `exit_code`, `stdout` and `stderr`.  A CLI run works inside its own
@@ -45,9 +47,12 @@ SEEDS = (0, 3)
 TIMEOUT_S = 600
 # the layouts and fields no demo config reaches: both float writers on an
 # n = 2, j = 0 grid, a solve that has no kernel, the compressibility check
-# of a mollified field, and the `linear` and `sobolev` blocks
+# of a mollified field, the `linear` and `sobolev` blocks, and a triangular
+# kernel on a moving fiber and on an n = 2 grid (the n-d interpolation)
 _SWIRL = {"name": "swirl", "params": {"omega": 0.7}}
 _NODES = [0.0, 0.2, 0.4]
+_FRAGMENTATION = {"name": "fragmentation", "params": {"scale": 2.0}}
+_FRAGMENTATION_FIBER = {"r_bounds": [[1e-3, 1.0]], "r_spacing": "geometric"}
 INLINE_RUNS = (
     ("inline-flow_swirl", "flow", {
         "schema_version": 1, "field": _SWIRL,
@@ -78,6 +83,24 @@ INLINE_RUNS = (
         "field": {"name": "sobolev", "params": {"alpha": 0.6, "j": 1}},
         "grid": {"x_bounds": [[0.3, 1.3]], "x_counts": [6],
                  "r_bounds": [[0.0, 1.0]], "r_counts": [4], "time_nodes": _NODES},
+    }),
+    ("inline-solve_logistic_fragmentation", "solve", {
+        "schema_version": 1,
+        "field": {"name": "logistic", "params": {"k": 1, "mu": 0.3}},
+        "kernel": _FRAGMENTATION,
+        "grid": {"x_bounds": [[-3.141592653589793, 3.141592653589793]],
+                 "x_counts": [5], **_FRAGMENTATION_FIBER, "r_counts": [65]},
+        "initial": {"name": "log_gaussian"},
+        "t_end": 0.08,
+    }),
+    ("inline-solve_linear_fragmentation", "solve", {
+        "schema_version": 1,
+        "field": {"name": "linear", "params": {"lam": 0.3, "mu": 0.0, "n": 2, "j": 1}},
+        "kernel": _FRAGMENTATION,
+        "grid": {"x_bounds": [[-1.0, 1.0], [-1.0, 1.0]], "x_counts": [5, 5],
+                 **_FRAGMENTATION_FIBER, "r_counts": [33]},
+        "initial": {"name": "log_gaussian"},
+        "t_end": 0.5,
     }),
 )
 
