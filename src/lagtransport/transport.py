@@ -15,7 +15,8 @@ node k depends on itself only through the kernel term, so every slab is
 solved exactly by marching its nodes: one L x L solve per fiber row and
 node for a kernel that is not triangular, a back-substitution along the
 fiber for a triangular one, and u0 at every node without a kernel.  The
-slab's residual must stay within picard_tol.  Longer horizons are
+slab's residual must stay within picard_tol times max(1, the state's
+norm).  Longer horizons are
 covered by chaining slabs, re-basing the initial datum at each boundary
 through an Eulerian reconstruction.
 Neither the kernel nor the drift b = (b1(x), b2(x, r)) depends on time,
@@ -73,9 +74,10 @@ class SolverConfig:
     """The slab settings that runs vary.
 
     p and window define the norm used for contraction measurements and
-    residuals; picard_tol bounds every slab's fixed-point residual (a
-    slab is marched to its exact discrete fixed point, so a residual
-    above it means the node solves lost their accuracy); nodes_per_slab
+    residuals; picard_tol bounds every slab's fixed-point residual,
+    relative to the state's norm when that exceeds 1 (a slab is marched
+    to its exact discrete fixed point, so a residual above it means the
+    node solves lost their accuracy); nodes_per_slab
     fixes the trapezoid resolution of the time integral inside each
     slab.
     slab_time_samples is validated but read by nothing: it counted the
@@ -175,14 +177,13 @@ class _Workspace:
     kernel operator `ops`, the array of `_kernel_matrices`, the density
     ratio rho2 = exp(logJ2), one slice when it is the same at every node
     (both None without a kernel; one row for a shared fiber), a
-    triangular kernel's node coefficients `nodes` (`_triangular_nodes`,
-    else None), and the two (K, Nx, Nr) buffers it works in, `u` and
-    `u_next`.
+    triangular kernel's node coefficients `nodes` (`_held_sets`), and
+    the two (K, Nx, Nr) buffers it works in, `u` and `u_next`.
 
     `continue_solution` builds one next to its slab template, so a run
-    builds its operator and node coefficients once and allocates no
-    slab-sized array after that; a state whose values are `u` is valid
-    until the next solve in the same workspace."""
+    builds its operator once and allocates no slab-sized array after
+    that; a state whose values are `u` is valid until the next solve in
+    the same workspace."""
 
     def __init__(self, fmap: FlowMap, kernel: Kernel | None):
         shape = (fmap.times.size, fmap.num_x, fmap.num_r)
@@ -192,17 +193,31 @@ class _Workspace:
             logj2 = fmap.logj2
             self.rho2 = np.exp(logj2[:1] if np.all(logj2 == logj2[:1]) else logj2)
             if kernel.triangular:
-                self.nodes = _triangular_nodes(fmap, self.ops, self.rho2)
+                self.nodes = _held_sets(fmap, self.ops, self.rho2)
         self.u, self.u_next = np.empty(shape), np.empty(shape)
 
 
-def _triangular_nodes(
-    fmap: FlowMap, ops: np.ndarray, rho2: np.ndarray,
-) -> list[np.ndarray]:
-    """[d, psi, q, singular]: what the back-substitution of a triangular
-    kernel's node systems (I - h T) u = y reads, one set per stored
-    operator or rho2 slice past the first node, or one set on the first
-    step for a static fiber, each indexed by node - 1.  None of it
+def _held_sets(fmap: FlowMap, ops: np.ndarray, rho2: np.ndarray) -> list | None:
+    """The `nodes` of a `_Workspace`, one `_triangular_set` per node past
+    the first, held when they are small: one set serves every node of a
+    static fiber on steps equal to the rounding of the times, and a
+    shared fiber's sets are one row each, (K - 1) Nr (4L + 1) floats in
+    all.  A fiber that reads x would hold 4L + 1 slabs of them, so it
+    gets None and the march builds each node's set when it reaches it.
+    """
+    equal = np.ptp(np.diff(fmap.times)) <= np.finfo(float).eps * max(abs(fmap.times))
+    if equal and ops.shape[1] == len(rho2) == 1:
+        return [_triangular_set(fmap, ops, rho2, 1)] * (fmap.times.size - 1)
+    if ops.shape[2] == rho2.shape[1] == 1:
+        return [_triangular_set(fmap, ops, rho2, k) for k in range(1, fmap.times.size)]
+    return None
+
+
+def _triangular_set(fmap: FlowMap, ops: np.ndarray, rho2: np.ndarray, k: int) -> tuple:
+    """(d, psi, q, singular): what the back-substitution of a triangular
+    kernel's node system (I - h T) u = y at node k >= 1 reads, for the
+    operator `ops` of `_kernel_matrices` and the stored rho2, each one
+    slice or one per node, and h = (t_k - t_{k-1}) / 2.  None of it
     depends on the state.
 
     T = sum_l diag(a_l) S diag(c_l rho2), S the tail weights whose rows
@@ -213,39 +228,43 @@ def _triangular_nodes(
     from the last node, u_m = (y_m + h phi_m . z(m)) / delta_m with
     delta_m = 1 - h D_m, so z(m-1) = G_m z(m) + v_m y_m / delta_m, with
     v_m = columns[:, m] (c_l rho2)(m) and G_m = I + h v_m phi_m^T / delta_m.
-    The suffix products P_m = G_m ... G_{N-1}, found by doubling, and
-    their inverses (`_invert_small`) unroll it: with the sums
+    The suffix products P_m = G_m ... G_{N-1} and their inverses, from
+    G_m^{-1} = I - h v_m phi_m^T / (delta_m + h phi_m . v_m), found by
+    doubling, unroll it: with the sums
     s(m) = sum_{j > m} q_j y_j, q_j = P_j^{-1} v_j / delta_j, the node's
     image is g_m = (T u)_m = psi_m . s(m) + d_m y_m, where
     psi_m = phi_m^T P_{m+1} / delta_m and d_m = D_m / delta_m, and
-    u_m = y_m + h g_m.  `singular` marks the sets with a zero delta,
-    whose node systems are singular.  Products too ill-conditioned to
-    invert, far past any slab budget, show in the slab's residual.
+    u_m = y_m + h g_m.  `singular` is True when a delta is zero and the
+    node system singular.  Products too ill-conditioned, far past any
+    slab budget, show in the slab's residual.
     """
-    w = ops[1] * rho2[:, :, None, :]  # c_l rho2, (slices, R, L, Nr)
-    a, h = np.broadcast_to(ops[0], w.shape), np.diff(fmap.times)[:, None, None] / 2.0
-    a, w, h = (a[1:], w[1:], h) if w.shape[0] > 1 else (a, w, h[:1])
     diag, scale, parity, columns = suffix_factors(fmap.grid.r_axes()[0])
-    d = diag * np.einsum("silm,silm->sim", a, w)
+    a, c = ops[:, k if ops.shape[1] > 1 else 0]
+    w = c * rho2[k if len(rho2) > 1 else 0][:, None, :]  # c_l rho2, (R, L, Nr)
+    a, h = np.broadcast_to(a, w.shape), (fmap.times[k] - fmap.times[k - 1]) / 2.0
+    d = diag * np.einsum("ilm,ilm->im", a, w)
     delta = 1.0 - h * d
-    singular = np.any(delta == 0.0, axis=(1, 2))
-    delta[delta == 0.0] = 1.0  # singular sets raise before any solve
+    singular = bool(np.any(delta == 0.0))
+    delta[delta == 0.0] = 1.0  # a singular set raises before its solve
     d /= delta
-    # (sets, R, Nr, 2, L) -> (sets, R, Nr, 2L): one block of L per parity
-    wt, at = (np.swapaxes(x, 2, 3)[..., None, :] for x in (w, a))
-    v = (columns.T[:, :, None] * wt).reshape(wt.shape[:3] + (-1,))
-    phi = ((np.arange(2) == parity[:, None]) * scale[:, None])[:, :, None] * at
-    psi = phi.reshape(v.shape) / delta[..., None]
-    q = np.empty_like(v)
-    for s in range(v.shape[0]):
-        p = np.eye(v.shape[-1]) + h[s] * v[s, ..., :, None] * psi[s, ..., None, :]
-        for span in (2**i for i in range((p.shape[1] - 1).bit_length())):
-            p[:, :-span] = np.einsum("imef,imfg->imeg", p[:, :-span], p[:, span:])
-        psi[s, :, :-1] = np.einsum("ime,imef->imf", psi[s, :, :-1], p[:, 1:])
-        q[s] = np.einsum("imef,imf->ime", _invert_small(p)[0], v[s])
-    q /= delta[..., None]
-    nodes = (fmap.times.size - 1,)  # a static fiber's one set serves every node
-    return [np.broadcast_to(x, nodes + x.shape[1:]) for x in (d, psi, q, singular)]
+    # (2, L, Nr, R) -> (2L, Nr, R): one block of L per parity.  The 2L x 2L
+    # factors lead and the fiber nodes come before the rows, so a shift
+    # along the fiber is one contiguous slice of the flattened (Nr R) axis
+    wl, al, delta = w.transpose(1, 2, 0), a.transpose(1, 2, 0), delta.T
+    v = (columns[:, None, :, None] * wl).reshape((-1,) + wl.shape[1:])
+    phi = ((np.arange(2)[:, None] == parity) * scale)[:, None, :, None] * al
+    psi = phi.reshape(v.shape) / delta
+    hv, flat_psi = (x.reshape(len(v), -1) for x in (h * v, psi))  # (2L, Nr R)
+    eye, outer = np.eye(len(v))[:, :, None], hv[:, None] * flat_psi[None]
+    p = eye + outer  # G_m
+    inv = eye - outer / (1.0 + np.einsum("en,en->n", hv, flat_psi))
+    for span in (len(w) * 2**i for i in range((len(delta) - 1).bit_length())):
+        p[..., :-span] = np.einsum("efn,fgn->egn", p[..., :-span], p[..., span:])
+        inv[..., :-span] = np.einsum("efn,fgn->egn", inv[..., span:], inv[..., :-span])
+    p, inv = (x.reshape(x.shape[:2] + v.shape[1:]) for x in (p, inv))
+    psi[:, :-1] = np.einsum("emi,efmi->fmi", psi[:, :-1], p[:, :, 1:])
+    q = np.einsum("efmi,fmi->emi", inv, v) / delta
+    return d, psi, q, singular
 
 
 def apply_A(
@@ -275,21 +294,28 @@ def apply_A(
     if kernel is None:
         out[...] = u0
         return out
-    a, c = _work.ops
     weighted = np.multiply(_work.rho2, values, out=out)  # rho2 u~
-    # a static operator's single slice broadcasts over the nodes, and a
-    # shared fiber's one row over the x labels, rather than being copied;
     # the contraction overwrites the weighted state, which it no longer needs
-    if kernel.triangular:
-        rows = c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
-        tails = suffix_integrals(fmap.grid.r_axes()[0], rows)
-        inner = np.einsum("kilm,kilm->kim", a, tails, out=out)
-    else:
-        mom = np.einsum("kilq,kiq->kil", c, weighted)
-        inner = np.einsum("kilm,kil->kim", a, mom, out=out)
+    inner = _kernel_image(fmap, kernel, *_work.ops, weighted, out=out)
     _cumulative_trapezoid(inner, fmap.times)
     out += u0
     return out
+
+
+def _kernel_image(fmap: FlowMap, kernel: Kernel, a, c, weighted, out) -> np.ndarray:
+    """The kernel term T_k applied at each node k of `weighted`, the
+    (K, Nx, Nr) state times rho2, for the (K, R, L, Nr) tables a and c of
+    `_kernel_matrices`, written into `out` and returned.
+
+    A static operator's single slice broadcasts over the nodes, and a
+    shared fiber's one row over the x labels, rather than being copied.
+    """
+    if kernel.triangular:
+        rows = c * weighted[:, :, None, :]  # (K, Nx, L, Nr)
+        tails = suffix_integrals(fmap.grid.r_axes()[0], rows)
+        return np.einsum("kilm,kilm->kim", a, tails, out=out)
+    mom = np.einsum("kilq,kiq->kil", c, weighted)
+    return np.einsum("kilm,kil->kim", a, mom, out=out)
 
 
 def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -344,8 +370,8 @@ def choose_slab(
     once per run.  rate * T is the time integral of the mixed norm over
     the slab, and exp(div_sup * T) the density-ratio envelope.  The
     slabs are marched exactly, so the budget sets how far each node
-    solve is from singular; each slab's residual, bounded by picard_tol,
-    is the check downstream.  The budget
+    solve is from singular; each slab's residual, bounded through
+    picard_tol, is the check downstream.  The budget
     grows with T, so the count is found by bisection over 1 ... 2**16:
     it is ceil(horizon / T_max), T_max the longest length within the
     budget.  A budget that needs more than 2**16 slabs, or is NaN and so
@@ -398,8 +424,9 @@ def picard_solve(
     no iterations and no differences, one measured ratio
     ||A v - u0|| / ||v|| = ||A v - A 0|| / ||v - 0|| (unless ||v|| is 0),
     v the marched state, and the residual.  A singular node system, a
-    non-finite node or a residual above picard_tol raises
-    NumericalFailure.
+    non-finite node or a residual above picard_tol * max(1, ||v||)
+    raises NumericalFailure: the node solves' rounding scales with the
+    state.
     """
     u0_values = np.asarray(u0_values, dtype=float)
     grid = fmap.grid
@@ -413,16 +440,12 @@ def picard_solve(
         u[1:] = u0_values
     else:
         half = np.diff(fmap.times) / 2.0
-        node, singular = _node_solver(fmap, kernel, _work, half)
-        if singular.any():
-            raise NumericalFailure(
-                f"singular node system at node {1 + int(np.argmax(singular))}"
-            )
-        node(0, u[0], False)
+        node = _node_solver(fmap, kernel, _work, half)
+        node(0, u[0])
         for k, h in enumerate(half, start=1):
             np.multiply(g, h, out=step)
             np.add(u[k - 1], step, out=u[k])  # y
-            node(k, u[k], True)
+            node(k, u[k])
             np.multiply(g, h, out=step)
             u[k] += step
     if not np.isfinite(u[-1]).all():
@@ -436,9 +459,9 @@ def picard_solve(
     image -= u0_values
     linear = sup_in_time(image, grid, spec, out=image)
     residual = fixed_point_residual(state, kernel, config, _work=_work)
-    if not residual <= config.picard_tol:
+    if not residual <= config.picard_tol * max(1.0, size):
         raise NumericalFailure(f"slab residual {residual:.3e} exceeds picard_tol "
-                               f"{config.picard_tol:.3g}")
+                               f"{config.picard_tol:.3g} times max(1, {size:.3g})")
     summary = {
         "iterations": 0,
         "contraction_ratios": [linear / size] if size > 0 else [],
@@ -449,51 +472,58 @@ def picard_solve(
 
 
 def _node_solver(fmap: FlowMap, kernel: Kernel, work: _Workspace, half):
-    """(node, singular) for the node systems of a slab in `work`:
-    node(k, y, solve) writes g = T_k y into the first row of
-    `work.u_next`, or with `solve` g_k = T_k u_k for the u_k that solves
-    (I - half[k-1] T_k) u_k = y; singular[k-1] marks a node whose system
-    has no unique solution.
+    """node(k, y) writes g_k = T_k u_k into the first row of
+    `work.u_next`, for the u_k that solves (I - h T_k) u_k = y with
+    h = half[k-1], or h = 0 at node 0, and raises NumericalFailure when
+    that system has no unique solution.
 
     On a fiber row let A_k be the (L, Nr) table of the a_l at node k and
     C_k that of the c_l times rho2.  A kernel that is not triangular has
     T_k = A_k^T C_k with the fiber weights in C_k, so its node system
     reduces to (I - h C_k A_k^T) m_k = C_k y for the L moments
     m_k = C_k u_k, and g_k = A_k^T m_k; the systems are inverted before
-    the march (`_invert_small`).  A triangular kernel's T_k takes the
-    tails of C_k u_k by `suffix_integrals`, and its node is solved by
-    the back-substitution of `_triangular_nodes`.
+    the march (`_invert_small`).  A triangular kernel's node is solved by
+    the back-substitution of `_triangular_set`, on the workspace's
+    `nodes` or else on a set built for the node when the march reaches it.
+    Node 0 applies T_0 as `apply_A` does for a triangular kernel; a
+    dense one keeps the march's product order, c_l rho2 before u.
     """
     g = work.u_next[0]
+    if kernel.triangular:
+
+        def node(k, y):
+            if k == 0:
+                weighted = work.rho2[:1] * y
+                return _kernel_image(fmap, kernel, *work.ops[:, :1], weighted, g[None])
+            d, psi, q, singular = (work.nodes[k - 1] if work.nodes else
+                                   _triangular_set(fmap, work.ops, work.rho2, k))
+            if singular:
+                raise NumericalFailure(f"singular node system at node {k}")
+            # sums[:, m] is the sum over j >= m of q_j y_j
+            sums = np.cumsum((q * y.T)[:, ::-1], axis=1)[:, ::-1]
+            np.multiply(d, y, out=g)
+            g[:, :-1] += np.einsum("emi,emi->im", psi[:, :-1], sums[:, 1:])
+            return g
+
+        return node
     shape = (fmap.times.size,) + work.ops.shape[2:]
     # a static operator's one slice and rho2 read the same at every node
     a, c = (np.broadcast_to(ops, shape) for ops in work.ops)
     rho2 = np.broadcast_to(work.rho2, (shape[0],) + work.rho2.shape[1:])
-    if kernel.triangular:
-        axis, (d, psi, q, singular) = fmap.grid.r_axes()[0], work.nodes
-
-        def node(k, y, solve):
-            if not solve:
-                tails = suffix_integrals(axis, c[k] * (rho2[k] * y)[:, None, :])
-                return np.einsum("ilm,ilm->im", a[k], tails, out=g)
-            # sums[:, m] is the sum over j >= m of q_j y_j
-            sums = np.cumsum((q[k - 1] * y[..., None])[:, ::-1], axis=1)[:, ::-1]
-            np.multiply(d[k - 1], y, out=g)
-            g[:, :-1] += np.einsum("ime,ime->im", psi[k - 1][:, :-1], sums[:, 1:])
-            return g
-
-        return node, singular
     products = np.einsum("kilq,kiq,kimq->kilm", c[1:], rho2[1:], a[1:])
     inverses, singular = _invert_small(np.eye(shape[2]) - half[:, None, None, None]
                                        * products)
+    if singular.any():
+        first = 1 + int(np.argmax(singular.any(axis=1)))
+        raise NumericalFailure(f"singular node system at node {first}")
 
-    def node(k, y, solve):
+    def node(k, y):
         m = np.einsum("ilq,iq,iq->il", c[k], rho2[k], y)
-        if solve:
+        if k:
             m = np.einsum("ilm,im->il", inverses[k - 1], m)
         return np.einsum("ilm,il->im", a[k], m, out=g)
 
-    return node, singular.any(axis=1)
+    return node
 
 
 def _invert_small(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1119,6 +1119,25 @@ def test_a_slab_residual_above_picard_tol_exits_3(tmp_path, capsys, make_config)
     assert not list(tmp_path.glob("solve_*"))
 
 
+@pytest.mark.parametrize(
+    "make_config", [triangular_solve_config, solve_config],
+    ids=["triangular", "dense"],
+)
+def test_the_residual_bound_scales_with_the_state(tmp_path, make_config):
+    # a datum of amplitude 1e9 leaves rounding residuals near 1e-7, far
+    # above picard_tol 1e-9 but not above picard_tol times the state's
+    # norm: the slabs are sound and the run exits 0
+    from lagtransport import cli
+
+    config = make_config()
+    config["initial"]["params"]["amplitude"] = 1e9
+    cfg = write_config(tmp_path / "s.json", config)
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    payload = json.loads(next(tmp_path.glob("solve_*.json")).read_text())
+    residuals = [slab["residual"] for slab in payload["run"]["slabs"]]
+    assert max(residuals) > config["solver"]["picard_tol"]
+
+
 def _singular_inverses(stack):
     return np.zeros_like(stack), np.ones(stack.shape[:-2], dtype=bool)
 

@@ -288,27 +288,34 @@ def test_triangular_apply_A_matches_dense_suffix_reference(field, spacing, kern,
 @pytest.mark.parametrize("nr", [2, 3, 4, 5, 33])
 @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
 @pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("steps", ["equal", "unequal"])
 @pytest.mark.parametrize(
     "field", [zero_field(1, 1), modulated_logistic_field(mu=0.3)],
     ids=["static", "moving"],
 )
-def test_triangular_node_solve_matches_a_dense_solve(field, rank, spacing, nr):
+def test_triangular_node_solve_matches_a_dense_solve(field, steps, rank, spacing, nr):
     # each node system (I - h T_k) u = y, with T_k the kernel's factors
     # times the tail weights of suffix_weight_matrix and rho2, solved
     # densely per fiber row: the back-substitution's u = y + h g_k and its
     # g_k = T_k u agree with it.  The moving fiber reads x, so every x
-    # label has its own node systems
+    # label has its own node systems; on unequal steps each node has its
+    # own h, a static fiber's too.  The shared fiber's node sets are held,
+    # one for every node on equal steps; the moving one's are built per node
     lo = 1e-3 if spacing == "geometric" else 0.0
     grid = GridSpec(
         x_bounds=((0.0, 1.0),), x_counts=(3,),
         r_bounds=((lo, 1.0),), r_counts=(nr,), r_spacing=spacing,
     )
     kern = _triangular_gauss_kernel(SEPARABLE_TERMS[:rank])
-    fmap = _slab(field, grid, 2.0, 5)
+    times = np.linspace(0.0, 2.0, 5)
+    if steps == "unequal":
+        times[1:-1] = np.sort(np.random.default_rng(nr).uniform(0.0, 2.0, 3))
+    fmap = flow_map(field, grid, times)
     work = transport._Workspace(fmap, kern)
+    held = {("zero", "equal"): 1, ("zero", "unequal"): 4}.get((field.name, steps))
+    assert (work.nodes and len({id(sets) for sets in work.nodes})) == held
     half = np.diff(fmap.times) / 2.0
-    node, singular = transport._node_solver(fmap, kern, work, half)
-    assert not singular.any()
+    node = transport._node_solver(fmap, kern, work, half)
     suffix = suffix_weight_matrix(grid.r_axes()[0])
     a, c = _kernel_matrices(fmap, kern)
     rho2 = np.exp(fmap.logj2)
@@ -318,7 +325,7 @@ def test_triangular_node_solve_matches_a_dense_solve(field, rank, spacing, nr):
         dense = np.einsum("ilm,ilq->imq", a[s], c[s]) * suffix * rho2[k][:, None, :]
         y = rng.standard_normal((grid.num_x, grid.num_r))
         expected = np.linalg.solve(np.eye(nr) - half[k - 1] * dense, y[..., None])[..., 0]
-        g = node(k, y, True).copy()
+        g = node(k, y).copy()
         got = y + half[k - 1] * g
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-13 * scale
@@ -919,6 +926,40 @@ def test_a_workspace_and_a_solve_peak_below_two_and_a_half_slabs():
     assert peak < 2.5 * work.u.nbytes + work.ops.nbytes + work.rho2.nbytes
     values = _picard_on_fresh_arrays(u0, fmap, kern, config)[0]
     assert np.max(np.abs(state.values - values)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kern", [fragmentation_kernel(scale=2.0), _triangular_gauss_kernel()],
+    ids=["rank_1", "rank_2"],
+)
+def test_a_fiber_that_reads_x_holds_no_node_sets(kern):
+    # a moving fiber that reads x has 4L + 1 slabs of node sets, so the
+    # march builds each node's set when it reaches it: building the
+    # workspace and solving in it peak at the operator, rho2, two slab
+    # buffers and one application of the operator, as Picard iteration did
+    grid = GridSpec(
+        x_bounds=((-np.pi, np.pi),), x_counts=(16,),
+        r_bounds=((1e-3, 1.0),), r_counts=(129,), r_spacing="geometric",
+    )
+    fmap = _slab(modulated_logistic_field(mu=0.3), grid, 0.05, 17)
+    u0 = _fiber_datum(grid, make_initial("log_gaussian"))
+    config = SolverConfig(nodes_per_slab=17)
+    state, _ = picard_solve(u0, fmap, kern, config)  # warm caches
+    work = transport._Workspace(fmap, kern)
+    tracemalloc.start()
+    try:
+        apply_A(state.values, fmap, kern, u0, _work=work)
+        operator_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        work = transport._Workspace(fmap, kern)
+        _, summary = picard_solve(u0, fmap, kern, config, _work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert work.nodes is None
+    assert summary["residual"] <= 1e-14
+    held = 2 * work.u.nbytes + work.ops.nbytes + work.rho2.nbytes
+    assert peak < held + operator_peak + 0.5 * work.u.nbytes
 
 
 @pytest.mark.parametrize("triangular", [True, False], ids=["triangular", "dense"])
