@@ -314,7 +314,7 @@ def _build_solver(spec: dict | None, grid: GridSpec) -> SolverConfig:
     """The solver settings; the norm's window must fit `grid`."""
     try:
         config = SolverConfig(**(spec or {}))
-        config.norm_spec().weights(grid)
+        grid.window_weights(config.norm_spec().window)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid solver settings: {exc}") from exc
     return config

@@ -418,15 +418,6 @@ class NormSpec:
         if self.window is not None:
             object.__setattr__(self, "window", _pairs("window", self.window))
 
-    def weights(self, grid: GridSpec) -> np.ndarray:
-        """Joint-grid weight array (grid.shape) that is zero outside the
-        window; ValueError unless the window gives one interval per grid
-        axis, each spanning at least 2 nodes.  It is the grid's
-        `window_weights` of the window: built once per grid and window,
-        and read-only.
-        """
-        return grid.window_weights(self.window)
-
 
 def lp_norm(values: np.ndarray, grid: GridSpec, spec: NormSpec) -> float:
     """Windowed L^p norm of nodal values via the grid quadrature: the
@@ -460,7 +451,7 @@ def sup_in_time(
         )
     K = values_t.shape[0]
     terms = np.abs(values_t, out=out).reshape((K,) + grid.shape)
-    wts = spec.weights(grid)
+    wts = grid.window_weights(spec.window)
     if math.isinf(spec.p):
         return float(np.max(terms, where=wts > 0, initial=0.0))
     terms **= spec.p

@@ -21,8 +21,10 @@ covered by chaining slabs, re-basing the initial datum at each boundary
 through an Eulerian reconstruction.
 Neither the kernel nor the drift b = (b1(x), b2(x, r)) depends on time,
 so the slab budget is measured once per run, from one evaluation of
-each, and the run is equal slabs of one template: flow, operator,
-pull-backs and the buffers a slab is solved in, built once.
+each, and the run is equal slabs of one template: flow, operator, node
+systems, pull-backs and the buffers a slab is solved in, built once, so
+every slab runs the template's arithmetic and one application of A, for
+its residual.
 """
 
 from __future__ import annotations
@@ -175,50 +177,35 @@ def _kernel_matrices(fmap: FlowMap, kernel: Kernel) -> np.ndarray:
 class _Workspace:
     """What a slab solve on one flow and kernel reads and writes: the
     kernel operator `ops`, the array of `_kernel_matrices`, the density
-    ratio rho2 = exp(logJ2), one slice when it is the same at every node
-    (both None without a kernel; one row for a shared fiber), a
-    triangular kernel's node coefficients `nodes` (`_held_sets`), and
-    the two (K, Nx, Nr) buffers it works in, `u` and `u_next`.
+    ratio rho2 = exp(logJ2), one slice when it is the same at every node,
+    the march's half steps `half` and its node solver `node`
+    (`_node_solver`), all None without a kernel (one row of `ops` and
+    rho2 for a shared fiber), and the two (K, Nx, Nr) buffers it works
+    in, `u` and `u_next`.
 
-    `continue_solution` builds one next to its slab template, so a run
-    builds its operator once and allocates no slab-sized array after
-    that; a state whose values are `u` is valid until the next solve in
-    the same workspace."""
+    `continue_solution` builds one on its slab template, so a run builds
+    its operator and its node systems once and allocates no slab-sized
+    array after that; a state whose values are `u` is valid until the
+    next solve in the same workspace."""
 
     def __init__(self, fmap: FlowMap, kernel: Kernel | None):
         shape = (fmap.times.size, fmap.num_x, fmap.num_r)
-        self.ops = self.rho2 = self.nodes = None
+        self.u, self.u_next = np.empty(shape), np.empty(shape)
+        self.ops = self.rho2 = self.half = self.node = None
         if kernel is not None:
             self.ops = _kernel_matrices(fmap, kernel)
             logj2 = fmap.logj2
             self.rho2 = np.exp(logj2[:1] if np.all(logj2 == logj2[:1]) else logj2)
-            if kernel.triangular:
-                self.nodes = _held_sets(fmap, self.ops, self.rho2)
-        self.u, self.u_next = np.empty(shape), np.empty(shape)
+            self.half, self.node = _node_solver(fmap, kernel, self)
 
 
-def _held_sets(fmap: FlowMap, ops: np.ndarray, rho2: np.ndarray) -> list | None:
-    """The `nodes` of a `_Workspace`, one `_triangular_set` per node past
-    the first, held when they are small: one set serves every node of a
-    static fiber on steps equal to the rounding of the times, and a
-    shared fiber's sets are one row each, (K - 1) Nr (4L + 1) floats in
-    all.  A fiber that reads x would hold 4L + 1 slabs of them, so it
-    gets None and the march builds each node's set when it reaches it.
-    """
-    equal = np.ptp(np.diff(fmap.times)) <= np.finfo(float).eps * max(abs(fmap.times))
-    if equal and ops.shape[1] == len(rho2) == 1:
-        return [_triangular_set(fmap, ops, rho2, 1)] * (fmap.times.size - 1)
-    if ops.shape[2] == rho2.shape[1] == 1:
-        return [_triangular_set(fmap, ops, rho2, k) for k in range(1, fmap.times.size)]
-    return None
-
-
-def _triangular_set(fmap: FlowMap, ops: np.ndarray, rho2: np.ndarray, k: int) -> tuple:
+def _triangular_set(fmap: FlowMap, ops: np.ndarray, rho2: np.ndarray, k: int,
+                    h: float) -> tuple:
     """(d, psi, q, singular): what the back-substitution of a triangular
     kernel's node system (I - h T) u = y at node k >= 1 reads, for the
     operator `ops` of `_kernel_matrices` and the stored rho2, each one
-    slice or one per node, and h = (t_k - t_{k-1}) / 2.  None of it
-    depends on the state.
+    slice or one per node, and the half step h.  None of it depends on
+    the state.
 
     T = sum_l diag(a_l) S diag(c_l rho2), S the tail weights whose rows
     `suffix_factors` gives, so row m of T u is D_m u_m + phi_m . z(m) with
@@ -241,7 +228,7 @@ def _triangular_set(fmap: FlowMap, ops: np.ndarray, rho2: np.ndarray, k: int) ->
     diag, scale, parity, columns = suffix_factors(fmap.grid.r_axes()[0])
     a, c = ops[:, k if ops.shape[1] > 1 else 0]
     w = c * rho2[k if len(rho2) > 1 else 0][:, None, :]  # c_l rho2, (R, L, Nr)
-    a, h = np.broadcast_to(a, w.shape), (fmap.times[k] - fmap.times[k - 1]) / 2.0
+    a = np.broadcast_to(a, w.shape)
     d = diag * np.einsum("ilm,ilm->im", a, w)
     delta = 1.0 - h * d
     singular = bool(np.any(delta == 0.0))
@@ -411,22 +398,27 @@ def picard_solve(
     `u` buffer of a `_Workspace`, `_work` or else a new one.
 
     The operator's image at node k is g_k = T_k u_k, T_k the kernel term
-    at node k.  With h = (t_k - t_{k-1}) / 2 the fixed point at node k is
-    u_k = y + h g_k for y = u_{k-1} + h g_{k-1}: node k depends on itself
-    only through T_k, so each node solves (I - h T_k) u_k = y
-    (`_node_solver`), forms g_k from its terms and sets u_k = y + h g_k.
-    Without a kernel every node is u0.  g and h g are kept in the first
-    two rows of the workspace's `u_next`, so the march allocates no
-    slab-sized array, and the returned state's values are the workspace's
-    `u`.
+    at node k.  With h the half step the workspace's node system k was
+    built on, (t_k - t_{k-1}) / 2 to rounding, the fixed point at node k
+    is u_k = y + h g_k for y = u_{k-1} + h g_{k-1}: node k depends on
+    itself only through T_k, so each node solves (I - h T_k) u_k = y
+    (the workspace's `node`), forms g_k from its terms and sets
+    u_k = y + h g_k.  Node 0 is u0, and g_0 = T_0 u0 is applied as
+    `apply_A` applies it.  Without a kernel every node is u0.  g and h g
+    are kept in the first two rows of the workspace's `u_next`, so the
+    march allocates no slab-sized array, and the returned state's values
+    are the workspace's `u`.  The march reads nothing of `fmap` but its
+    grid: the same workspace solves every slab of a run, whatever its
+    start.
 
-    The record keeps the keys of the Picard iteration the march replaced:
-    no iterations and no differences, one measured ratio
-    ||A v - u0|| / ||v|| = ||A v - A 0|| / ||v - 0|| (unless ||v|| is 0),
-    v the marched state, and the residual.  A singular node system, a
-    non-finite node or a residual above picard_tol * max(1, ||v||)
-    raises NumericalFailure: the node solves' rounding scales with the
-    state.
+    The record keeps the keys `iterations` (0) and `contraction_ratios`
+    of the Picard iteration the march replaced, with one measured ratio
+    ||v - u0|| / ||v|| (unless ||v|| is 0), v the marched state, and the
+    residual ||v - A v||.  The ratio is within residual / ||v|| of
+    ||A v - u0|| / ||v|| = ||A v - A 0|| / ||v - 0||, so the residual's is
+    the slab's one `apply_A`.  A singular node system, a non-finite node
+    or a residual above picard_tol * max(1, ||v||) raises
+    NumericalFailure: the node solves' rounding scales with the state.
     """
     u0_values = np.asarray(u0_values, dtype=float)
     grid = fmap.grid
@@ -439,13 +431,12 @@ def picard_solve(
     if kernel is None:
         u[1:] = u0_values
     else:
-        half = np.diff(fmap.times) / 2.0
-        node = _node_solver(fmap, kernel, _work, half)
-        node(0, u[0])
-        for k, h in enumerate(half, start=1):
+        weighted = np.multiply(_work.rho2[0], u0_values, out=step)
+        _kernel_image(fmap, kernel, *_work.ops[:, :1], weighted[None], out=g[None])
+        for k, h in enumerate(_work.half, start=1):
             np.multiply(g, h, out=step)
             np.add(u[k - 1], step, out=u[k])  # y
-            node(k, u[k])
+            _work.node(k, u[k])
             np.multiply(g, h, out=step)
             u[k] += step
     if not np.isfinite(u[-1]).all():
@@ -455,48 +446,57 @@ def picard_solve(
     state = LagrangianState(values=u, fmap=fmap, u0=u0_values)
     spec = config.norm_spec()
     size = sup_in_time(u, grid, spec, out=_work.u_next)
-    image = apply_A(u, fmap, kernel, u0_values, _work=_work)
-    image -= u0_values
-    linear = sup_in_time(image, grid, spec, out=image)
+    diff = np.subtract(u, u0_values, out=_work.u_next)
+    moved = sup_in_time(diff, grid, spec, out=diff)
     residual = fixed_point_residual(state, kernel, config, _work=_work)
     if not residual <= config.picard_tol * max(1.0, size):
         raise NumericalFailure(f"slab residual {residual:.3e} exceeds picard_tol "
                                f"{config.picard_tol:.3g} times max(1, {size:.3g})")
     summary = {
         "iterations": 0,
-        "contraction_ratios": [linear / size] if size > 0 else [],
-        "differences": [],
+        "contraction_ratios": [moved / size] if size > 0 else [],
         "residual": residual,
     }
     return state, summary
 
 
-def _node_solver(fmap: FlowMap, kernel: Kernel, work: _Workspace, half):
-    """node(k, y) writes g_k = T_k u_k into the first row of
-    `work.u_next`, for the u_k that solves (I - h T_k) u_k = y with
-    h = half[k-1], or h = 0 at node 0, and raises NumericalFailure when
-    that system has no unique solution.
+def _node_solver(fmap: FlowMap, kernel: Kernel, work: _Workspace) -> tuple:
+    """(half, node) of a `_Workspace` with its `ops`, `rho2` and `u_next`
+    built: node(k, y) writes g_k = T_k u_k into the first row of
+    `work.u_next`, for the u_k that solves (I - h T_k) u_k = y at node
+    k >= 1 with h = half[k-1], and raises NumericalFailure when that
+    system has no unique solution.  half is (t_k - t_{k-1}) / 2 at each
+    node, except that a triangular kernel on a static fiber, on steps
+    equal to the rounding of the times, has one half step, that of its
+    first node, at every node, and so one node system.
 
     On a fiber row let A_k be the (L, Nr) table of the a_l at node k and
     C_k that of the c_l times rho2.  A kernel that is not triangular has
     T_k = A_k^T C_k with the fiber weights in C_k, so its node system
     reduces to (I - h C_k A_k^T) m_k = C_k y for the L moments
-    m_k = C_k u_k, and g_k = A_k^T m_k; the systems are inverted before
-    the march (`_invert_small`).  A triangular kernel's node is solved by
-    the back-substitution of `_triangular_set`, on the workspace's
-    `nodes` or else on a set built for the node when the march reaches it.
-    Node 0 applies T_0 as `apply_A` does for a triangular kernel; a
-    dense one keeps the march's product order, c_l rho2 before u.
+    m_k = C_k u_k, and g_k = A_k^T m_k; the systems are inverted here
+    (`_invert_small`), and a singular one raises.  A triangular kernel's
+    node is solved by the back-substitution of `_triangular_set`.  Its
+    sets are held when they are small: the static fiber's one set, or a
+    shared fiber's one row per node, (K - 1) Nr (4L + 1) floats in all.
+    A moving fiber that reads x would hold 4L + 1 slabs of them, so the
+    march builds each node's set when it reaches it.
     """
-    g = work.u_next[0]
+    g, times = work.u_next[0], fmap.times
+    half = np.diff(times) / 2.0
     if kernel.triangular:
+        sets = None
+        equal = np.ptp(2.0 * half) <= np.finfo(float).eps * max(abs(times))
+        if equal and work.ops.shape[1] == len(work.rho2) == 1:
+            half[:] = half[0]
+            sets = [_triangular_set(fmap, work.ops, work.rho2, 1, half[0])] * half.size
+        elif work.ops.shape[2] == work.rho2.shape[1] == 1:
+            sets = [_triangular_set(fmap, work.ops, work.rho2, k, h)
+                    for k, h in enumerate(half, start=1)]
 
         def node(k, y):
-            if k == 0:
-                weighted = work.rho2[:1] * y
-                return _kernel_image(fmap, kernel, *work.ops[:, :1], weighted, g[None])
-            d, psi, q, singular = (work.nodes[k - 1] if work.nodes else
-                                   _triangular_set(fmap, work.ops, work.rho2, k))
+            d, psi, q, singular = (sets[k - 1] if sets else _triangular_set(
+                fmap, work.ops, work.rho2, k, half[k - 1]))
             if singular:
                 raise NumericalFailure(f"singular node system at node {k}")
             # sums[:, m] is the sum over j >= m of q_j y_j
@@ -505,8 +505,8 @@ def _node_solver(fmap: FlowMap, kernel: Kernel, work: _Workspace, half):
             g[:, :-1] += np.einsum("emi,emi->im", psi[:, :-1], sums[:, 1:])
             return g
 
-        return node
-    shape = (fmap.times.size,) + work.ops.shape[2:]
+        return half, node
+    shape = (times.size,) + work.ops.shape[2:]
     # a static operator's one slice and rho2 read the same at every node
     a, c = (np.broadcast_to(ops, shape) for ops in work.ops)
     rho2 = np.broadcast_to(work.rho2, (shape[0],) + work.rho2.shape[1:])
@@ -519,11 +519,10 @@ def _node_solver(fmap: FlowMap, kernel: Kernel, work: _Workspace, half):
 
     def node(k, y):
         m = np.einsum("ilq,iq,iq->il", c[k], rho2[k], y)
-        if k:
-            m = np.einsum("ilm,im->il", inverses[k - 1], m)
+        m = np.einsum("ilm,im->il", inverses[k - 1], m)
         return np.einsum("ilm,il->im", a[k], m, out=g)
 
-    return node
+    return half, node
 
 
 def _invert_small(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -704,9 +703,10 @@ def continue_solution(
     each node read and the workspace every slab is solved in (with the
     kernel operator) are built once, on the local nodes
     tau = linspace(0, T0, nodes_per_slab).  Each slab solves its fixed
-    point on them (`picard_solve`), reads its masses and slices at
-    t_start + tau, drops its state, and re-bases its last node on the
-    label grid.  A slab
+    point on the template (`picard_solve`), so every slab runs the same
+    node systems and steps, takes the nodes t_start + tau only then,
+    reads its masses and slices there, drops its state, and re-bases its
+    last node on the label grid.  A slab
     reconstructs each node it reads once: its last node, the re-basing
     datum and on the last slab `final`, and the nodes of its slices, so
     a slice on a slab boundary is the re-basing read.  By
@@ -744,9 +744,9 @@ def continue_solution(
     w = grid.x_weights()[:, None] * grid.r_weights()[None, :]
     mass_times, masses, summaries, slices = [], [], [], dict.fromkeys(slice_times)
     for i, t_start in enumerate(boundaries[:-1]):
-        # the template shifted in time: its arrays on the nodes t_start + tau
-        shifted = replace(fmap, times=t_start + tau)
-        state, summary = picard_solve(u_cur, shifted, kernel, config, _work=work)
+        # solved on the template, then stamped with the slab's nodes
+        state, summary = picard_solve(u_cur, fmap, kernel, config, _work=work)
+        state.fmap = replace(fmap, times=t_start + tau)
         # one read per node: the last one, and those of the slab's slices
         read = {k: eulerian_reconstruct(state, state.times[k], pulls[k])
                 for k in {last, *(k for slab, k in slice_nodes if slab == i)}}

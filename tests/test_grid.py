@@ -302,8 +302,8 @@ def test_derived_arrays_are_built_once_and_read_only(grid):
         for name in ("x_axes", "r_axes", "x_labels", "r_labels",
                      "joint_labels", "x_weights", "r_weights")
     }
-    made["whole_window"] = lambda: NormSpec().weights(grid)
-    made["window"] = lambda: NormSpec(window=window).weights(grid)
+    made["whole_window"] = lambda: grid.window_weights(None)
+    made["window"] = lambda: grid.window_weights(NormSpec(window=window).window)
     for name, make in made.items():
         out = make()
         assert make() is out, name
@@ -313,7 +313,7 @@ def test_derived_arrays_are_built_once_and_read_only(grid):
                 with pytest.raises(ValueError, match="read-only"):
                     arr.flat[0] = 99.0
     # the whole-grid window is the product of the axis weights
-    assert np.array_equal(NormSpec().weights(grid).ravel(), np.multiply.outer(
+    assert np.array_equal(grid.window_weights(None).ravel(), np.multiply.outer(
         grid.x_weights(), grid.r_weights()).ravel())
     assert not axis_weights(grid.x_axes()[0]).flags.writeable
 
@@ -446,7 +446,7 @@ def test_sup_in_time_is_bit_identical_to_max_of_lp_norms(p, window, joint):
         r_bounds=((0.0, 2.0),), r_counts=(11,),
     )
     spec = NormSpec(p=p, window=window)
-    w = spec.weights(grid)
+    w = grid.window_weights(spec.window)
     shape = grid.shape if joint else (grid.num_x, grid.num_r)
 
     def one_node(v):

@@ -31,11 +31,25 @@ trees compute differently:
     diff -r /tmp/snap_parent /tmp/snap_change
 
 The runs go one at a time, each in a fresh process.  OUTDIR must not exist.
+
+    python3 tools/snapshot_outputs.py --compare PARENT CHANGE
+
+compares two snapshots instead: for each run, whether its exit codes
+match and whether its files are byte-identical, and for each CSV or JSON
+output that differs the largest relative difference over its numbers.  A
+CSV column's numbers are compared relative to the column's largest
+magnitude (a slice's values to the slice's max), a JSON number relative
+to the larger of its two values; what is not a number must match, and a
+JSON value that only one side holds is named.  It exits 1 when a run is
+missing from one side or its exit codes differ.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -141,10 +155,121 @@ def cli_runs(demos: Path):
                 yield f"{label}-reference", "solve", ref
 
 
+def _leaves(node, prefix=""):
+    """(path, value) of each leaf of a parsed JSON value, an empty list or
+    object included."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaves(value, f"{prefix}.{key}" if isinstance(node, dict)
+                               else f"{prefix}[{key}]")
+    else:
+        yield prefix.lstrip("."), node
+
+
+def _number(value):
+    """`value` as a float when it is a number or a CSV cell that reads as
+    one, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _groups(path: Path) -> dict:
+    """{name: values} of an output: a CSV file's columns by header, or a
+    JSON file's leaves by path, one value each."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return {key: [value] for key, value in _leaves(json.loads(text))}
+    header, *rows = csv.reader(io.StringIO(text))
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def _relative_difference(old: list, new: list) -> float | None:
+    """The largest |a - b| of two value groups over the group's largest
+    magnitude (0.0 when they are equal; a NaN pair counts as equal and a
+    NaN against a number as inf), or None when they differ in length or
+    in anything but their numbers."""
+    if len(old) != len(new):
+        return None
+    pairs = [(_number(a), _number(b)) for a, b in zip(old, new) if a != b]
+    if any(a is None or b is None for a, b in pairs):
+        return None
+    gaps = [math.inf if math.isnan(a - b) else abs(a - b) for a, b in pairs
+            if not (math.isnan(a) and math.isnan(b))]
+    if not gaps:
+        return 0.0
+    scale = max((abs(v) for v in map(_number, old + new)
+                 if v is not None and not math.isnan(v)), default=0.0)
+    return max(gaps) / scale if scale else math.inf
+
+
+def compare_outputs(old: Path, new: Path) -> str:
+    """One line on how two versions of a CSV or JSON output differ."""
+    groups = [_groups(old), _groups(new)]
+    parts = []
+    differences = {k: _relative_difference(groups[0][k], groups[1][k])
+                   for k in groups[0].keys() & groups[1].keys()}
+    numeric = {k: d for k, d in differences.items() if d is not None}
+    if numeric:
+        where = max(sorted(numeric), key=numeric.get)
+        parts.append(f"largest relative difference {numeric[where]:.3g}"
+                     + (f" at {where}" if numeric[where] else ""))
+    changed = sorted(k for k, d in differences.items() if d is None)
+    if changed:
+        parts.append(f"not numbers, differ: {', '.join(changed)}")
+    for side, mine, theirs in (("parent", *groups), ("change", *groups[::-1])):
+        only = sorted(mine.keys() - theirs.keys())
+        if only:
+            more = f" and {len(only) - 3} more" if len(only) > 3 else ""
+            parts.append(f"only in {side}: {', '.join(only[:3])}{more}")
+    return "; ".join(parts)
+
+
+def compare(parent: Path, change: Path) -> int:
+    """Print how each run of two snapshots differs; 1 when a run is
+    missing from one side or its exit codes differ, else 0."""
+    runs = sorted({d.name for d in (*parent.iterdir(), *change.iterdir()) if d.is_dir()})
+    status, identical = 0, 0
+    for run in runs:
+        old, new = parent / run, change / run
+        if not (old.is_dir() and new.is_dir()):
+            print(f"{run}: only in {'parent' if old.is_dir() else 'change'}")
+            status = 1
+            continue
+        codes = [(d / "exit_code").read_text(encoding="utf-8").strip() for d in (old, new)]
+        files = sorted({p.relative_to(d) for d in (old, new) for p in d.rglob("*")
+                        if p.is_file()})
+        differ = [f for f in files if not ((old / f).is_file() and (new / f).is_file()
+                                           and (old / f).read_bytes() == (new / f).read_bytes())]
+        if codes[0] != codes[1]:
+            status = 1
+        identical += not differ
+        print(f"{run}: exit codes {'match' if codes[0] == codes[1] else 'DIFFER'} "
+              f"({codes[0]} / {codes[1]}), "
+              + (f"{len(differ)} files differ" if differ else "byte-identical"))
+        for f in differ:
+            if not ((old / f).is_file() and (new / f).is_file()):
+                note = f"only in {'parent' if (old / f).is_file() else 'change'}"
+            elif f.suffix in (".csv", ".json"):
+                note = compare_outputs(old / f, new / f)
+            else:
+                note = "differs"
+            print(f"    {f}: {note}")
+    print(f"{len(runs)} runs, {identical} byte-identical")
+    return status
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(Path(args[1]), Path(args[2]))
     if len(args) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        usage = __doc__.split("\n\n")
+        print(usage[1], usage[8], sep="\n", file=sys.stderr)
         return 2
     src, out = Path(args[0]).resolve(), Path(args[1])
     if not (src / "lagtransport" / "cli.py").is_file():
