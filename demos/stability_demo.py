@@ -3,7 +3,7 @@ Stability of the fixed point under field regularization
 =======================================================
 
 Mollifying the drift at radius eps perturbs the full solve (flow,
-densities, Picard iteration).  The windowed sup-in-time L2 distance
+densities, the marched slab solves).  The windowed sup-in-time L2 distance
 between the mollified solution and the limit solution should fall as
 eps does; no rate is claimed, only decay to below a threshold.  The
 default run uses coarse settings so it finishes quickly; pass --full

@@ -63,7 +63,6 @@ from .oracle import (
 from .transport import (
     ContinuedSolution,
     EulerianSlice,
-    LagrangianState,
     SolverConfig,
     apply_A,
     choose_slab,
@@ -84,7 +83,6 @@ __all__ = [
     "FlowMap",
     "GridSpec",
     "Kernel",
-    "LagrangianState",
     "NormSpec",
     "NumericalFailure",
     "SolverConfig",

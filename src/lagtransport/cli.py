@@ -379,7 +379,10 @@ def _cmd_solve(cfg: dict):
     payload = {
         "command": "solve",
         "t_end": t_end,
-        "run": sol.run_summary(),
+        "run": {"field": field.name,
+                "kernel": kernel.name if kernel is not None else "none",
+                "slab_boundaries": [float(b) for b in sol.boundaries],
+                "slabs": sol.summaries},
         "mass_times": [float(t) for t in sol.mass_times],
         "masses": [float(m) for m in sol.masses],
         "final_exit_fraction": sol.final.exit_fraction,
@@ -510,11 +513,10 @@ def _verify_battery(
     labels = probe_grid.joint_labels()
     u0 = datum(labels[..., :1], labels[..., 1:])
     probe_flow = flow_map(zero_field(1, 1), probe_grid, np.linspace(0.0, 0.25, 17))
-    state, _ = picard_solve(u0, probe_flow, probe_kernel, SolverConfig())
-    ref = separable_solve(probe_kernel, state.u0, probe_grid, state.times)
+    values, _ = picard_solve(u0, probe_flow, probe_kernel, SolverConfig())
+    ref = separable_solve(probe_kernel, u0, probe_grid, probe_flow.times)
     record(
-        "oracle_equivalence",
-        float(np.max(np.abs(state.values - ref))), 4e-6 * scale,
+        "oracle_equivalence", float(np.max(np.abs(values - ref))), 4e-6 * scale,
     )
 
     # canned probe: fragmentation cascade mass law over many slabs
@@ -538,6 +540,10 @@ def _cmd_verify(cfg: dict):
     field, grid, times = _field_run(cfg)
     t0 = float(times[0])
     t = _finite_positive(cfg, "t", 0.5)
+    # the battery's flow nodes must be strictly increasing, as time_nodes are
+    if np.any(np.diff(np.linspace(t0, t0 + t, 9)) <= 0):
+        raise ConfigError(f"t = {t!r} is too short for 9 strictly increasing "
+                          f"time nodes on [t0, t0 + t] at t0 = {t0!r}")
     flow_tol = _finite_positive(cfg, "flow_tol", 1e-10)
     scale = _finite_positive(cfg, "tolerance_scale", 1.0)
     checks = _verify_battery(field, grid, t0, t, flow_tol, scale)

@@ -61,13 +61,15 @@ def _uniform_weights(npts: int, h: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _axis_plan(axis: bytes) -> tuple[np.ndarray, tuple | None]:
-    """(weights, tails) of one axis, given as its float64 bytes: the
-    read-only `axis_weights` result, and what `suffix_integrals` needs,
+def _axis_plan(axis: bytes) -> tuple[np.ndarray, tuple | None, tuple | None]:
+    """(weights, tails, factors) of one axis, given as its float64 bytes:
+    the read-only `axis_weights` result, what `suffix_integrals` needs,
     (log, odd, even, h_odd / 3, h_even / 3, h_even / 2, h_last / 2) with
     `log` whether the panels are Simpson in log c and `odd`, `even` the
-    strided parity slices of the tails of 3 and more nodes; tails is None
-    on an axis that is neither uniform nor geometric."""
+    strided parity slices of the tails of 3 and more nodes, and the
+    read-only (diag, scale, parity, columns) that `suffix_factors`
+    returns; tails and factors are None on an axis that is neither
+    uniform nor geometric."""
     coords = np.frombuffer(axis)
     npts = coords.size
     if npts < 2:
@@ -82,7 +84,7 @@ def _axis_plan(axis: bytes) -> tuple[np.ndarray, tuple | None]:
         w = np.zeros(npts)
         w[:-1] += 0.5 * d
         w[1:] += 0.5 * d
-        tails = None
+        tails = factors = None
     else:
         w = _uniform_weights(npts, h)
         if log:
@@ -91,10 +93,18 @@ def _axis_plan(axis: bytes) -> tuple[np.ndarray, tuple | None]:
         # a negative start would wrap around, so short axes select nothing
         odd = slice(npts - 3, None, -2) if npts >= 3 else slice(0, 0)
         even = slice(npts - 4, None, -2) if npts >= 4 else slice(0, 0)
+        last = coords[-1] - coords[-2]
         tails = (log, odd, even, d[odd] / 3.0, d[even] / 3.0, 0.5 * d[even],
-                 0.5 * (coords[-1] - coords[-2]))
-    w.flags.writeable = False
-    return w, tails
+                 0.5 * last)
+        jac = coords if log else np.ones(npts)
+        parity = np.arange(npts, 0, -1) % 2
+        columns = np.where(parity, [[4.0 / 3.0], [2.0 / 3.0]], [[2.0 / 3.0], [4.0 / 3.0]])
+        columns[0, -2:], columns[1, -1] = (5.0 / 6.0, 0.5), 1.0 / 3.0
+        factors = (np.append(d[:-1] / 3.0 * jac[:-2], (0.5 * last, 0.0)),
+                   np.append(d[:-1], (last / jac[-1], 0.0)), parity, columns * jac)
+    for arr in (w, *(factors or ())):
+        arr.flags.writeable = False
+    return w, tails, factors
 
 
 def axis_weights(coords: np.ndarray) -> np.ndarray:
@@ -172,21 +182,13 @@ def suffix_factors(coords: np.ndarray) -> tuple[np.ndarray, ...]:
     odd node count, and for an even count 2/3 and 4/3 alternating back to
     the trapezoid patch's 5/6 and 1/2.  parity[m] = (N - m) mod 2 picks
     the column.  The 2-node tail is the trapezoid in r and the last row
-    is zero.  Uniform and geometric axes only, read from the axis plan
-    `suffix_integrals` reads.
+    is zero.  Uniform and geometric axes only.  The factors are built
+    once, read-only, in the axis plan `suffix_integrals` reads.
     """
-    coords = np.asarray(coords, dtype=float)
-    tails = _axis_plan(coords.tobytes())[1]
-    if tails is None:
+    factors = _axis_plan(np.asarray(coords, dtype=float).tobytes())[2]
+    if factors is None:
         raise ValueError("suffix integrals need a uniform or geometric axis")
-    jac = coords if tails[0] else np.ones(coords.size)
-    d, last = np.diff(np.log(coords) if tails[0] else coords), coords[-1] - coords[-2]
-    parity = np.arange(coords.size, 0, -1) % 2
-    columns = np.where(parity, [[4.0 / 3.0], [2.0 / 3.0]], [[2.0 / 3.0], [4.0 / 3.0]])
-    columns[0, -2:], columns[1, -1] = (5.0 / 6.0, 0.5), 1.0 / 3.0
-    diag = np.append(d[:-1] / 3.0 * jac[:-2], (0.5 * last, 0.0))
-    scale = np.append(d[:-1], (last / jac[-1], 0.0))
-    return diag, scale, parity, columns * jac
+    return factors
 
 
 def _build_axis(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:
@@ -437,7 +439,10 @@ def sup_in_time(
     A node's norm is (sum of w |v|^p)^(1/p): the weighted powers of all
     nodes are formed in one array and summed one row per node, a pairwise
     sum, and the root is taken once, of the largest sum, on its numpy
-    scalar (an array power would turn ** 0.5 into sqrt).  For p = inf it
+    scalar (an array power would turn ** 0.5 into sqrt).  When the
+    largest windowed |v|, m, has an m^p beyond 2^(+-960), where the plain
+    sum could underflow to 0 or overflow to inf, the norm is m times that
+    of v / m, taken as 0 outside the window.  For p = inf it
     is the max of |values| over the window's nodes.  A NaN at any node
     gives NaN.  |values|, then its weighted powers, are written into
     `out`, a C-contiguous float array of values_t's shape (values_t
@@ -454,7 +459,15 @@ def sup_in_time(
     wts = grid.window_weights(spec.window)
     if math.isinf(spec.p):
         return float(np.max(terms, where=wts > 0, initial=0.0))
+    # the scale is read before the powers overwrite |v|: every weight of
+    # a window of the whole grid is positive
+    top = float(np.max(terms) if spec.window is None
+                else np.max(terms, where=wts > 0, initial=0.0))
+    scale = top if 0.0 < top < np.inf and abs(spec.p * math.log2(top)) > 960 else 1.0
+    if scale != 1.0:
+        # v / m in the window, and 0 outside it, where it could overflow
+        np.divide(terms, np.where(wts > 0, scale, np.inf), out=terms)
     terms **= spec.p
     terms *= wts
-    return float(np.max(terms.reshape(K, -1).sum(axis=1)) ** (1.0 / spec.p))
+    return float(np.max(terms.reshape(K, -1).sum(axis=1)) ** (1.0 / spec.p)) * scale
 

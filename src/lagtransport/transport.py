@@ -24,14 +24,16 @@ so the slab budget is measured once per run, from one evaluation of
 each, and the run is equal slabs of one template: flow, operator, node
 systems, pull-backs and the buffers a slab is solved in, built once, so
 every slab runs the template's arithmetic and one application of A, for
-its residual.
+its residual.  A slab's solution is its node values, u~ on the label
+grid at the template's nodes, read at the slab's own times
+t_start + tau.
 """
 
 from __future__ import annotations
 
 import inspect
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from .grid import GridSpec, NormSpec, suffix_factors, suffix_integrals, sup_in_t
 
 __all__ = [
     "SolverConfig",
-    "LagrangianState",
     "EulerianSlice",
     "ContinuedSolution",
     "apply_A",
@@ -115,24 +116,6 @@ class SolverConfig:
 
 
 @dataclass
-class LagrangianState:
-    """u~ sampled on (time nodes) x (label grid), with its flow attached;
-    the label grid and the time nodes are the flow's."""
-
-    values: np.ndarray         # (K, Nx, Nr)
-    fmap: FlowMap
-    u0: np.ndarray             # (Nx, Nr)
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.fmap.grid
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.fmap.times
-
-
-@dataclass
 class EulerianSlice:
     """u(t, .) on an Eulerian grid, plus the fraction of points whose
     backward label lies beyond the padded label box (filled with 0)."""
@@ -185,8 +168,8 @@ class _Workspace:
 
     `continue_solution` builds one on its slab template, so a run builds
     its operator and its node systems once and allocates no slab-sized
-    array after that; a state whose values are `u` is valid until the
-    next solve in the same workspace."""
+    array after that; the node values `picard_solve` returns are `u`,
+    valid until the next solve in the same workspace."""
 
     def __init__(self, fmap: FlowMap, kernel: Kernel | None):
         shape = (fmap.times.size, fmap.num_x, fmap.num_r)
@@ -331,18 +314,24 @@ def _cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def fixed_point_residual(
-    state: LagrangianState, kernel: Kernel | None, config: SolverConfig,
+    values: np.ndarray,
+    fmap: FlowMap,
+    kernel: Kernel | None,
+    u0: np.ndarray,
+    config: SolverConfig,
     _work: _Workspace,
 ) -> float:
-    """sup-in-time windowed L^p norm of u~ - A(u~).
+    """sup-in-time windowed L^p norm of u~ - A(u~), for the arrays
+    `apply_A` takes: u~ on (K, Nx, Nr), the flow, the kernel and the
+    datum u0.
 
-    `_work` is a `_Workspace` of this state's flow and kernel whose
-    `u_next` the state's values do not alias.  The difference overwrites
-    the image in `u_next`.
+    `_work` is a `_Workspace` of this flow and kernel whose `u_next`
+    `values` does not alias.  The difference overwrites the image in
+    `u_next`.
     """
-    image = apply_A(state.values, state.fmap, kernel, state.u0, _work=_work)
-    diff = np.subtract(state.values, image, out=image)
-    return sup_in_time(diff, state.grid, config.norm_spec(), out=diff)
+    image = apply_A(values, fmap, kernel, u0, _work=_work)
+    diff = np.subtract(values, image, out=image)
+    return sup_in_time(diff, fmap.grid, config.norm_spec(), out=diff)
 
 
 def choose_slab(
@@ -392,10 +381,11 @@ def picard_solve(
     kernel: Kernel | None,
     config: SolverConfig,
     _work=None,
-) -> tuple[LagrangianState, dict]:
-    """The exact fixed point of the trapezoid slab equation on the slab of
-    `fmap` (its label grid and time nodes), marched node by node in the
-    `u` buffer of a `_Workspace`, `_work` or else a new one.
+) -> tuple[np.ndarray, dict]:
+    """(values, record): the exact fixed point of the trapezoid slab
+    equation on the slab of `fmap` (its label grid and time nodes), u~ on
+    (K, Nx, Nr), marched node by node in the `u` buffer of a
+    `_Workspace`, `_work` or else a new one.
 
     The operator's image at node k is g_k = T_k u_k, T_k the kernel term
     at node k.  With h the half step the workspace's node system k was
@@ -406,10 +396,10 @@ def picard_solve(
     u_k = y + h g_k.  Node 0 is u0, and g_0 = T_0 u0 is applied as
     `apply_A` applies it.  Without a kernel every node is u0.  g and h g
     are kept in the first two rows of the workspace's `u_next`, so the
-    march allocates no slab-sized array, and the returned state's values
-    are the workspace's `u`.  The march reads nothing of `fmap` but its
-    grid: the same workspace solves every slab of a run, whatever its
-    start.
+    march allocates no slab-sized array, and the returned values are
+    the workspace's `u`, valid until its next solve.  The march reads
+    nothing of `fmap` but its grid: the same workspace solves every slab
+    of a run, whatever its start.
 
     The record keeps the keys `iterations` (0) and `contraction_ratios`
     of the Picard iteration the march replaced, with one measured ratio
@@ -443,12 +433,11 @@ def picard_solve(
         # a non-finite entry stays so at every later node: name the first
         first = next(k for k, row in enumerate(u) if not np.isfinite(row).all())
         raise NumericalFailure(f"non-finite value at node {first}")
-    state = LagrangianState(values=u, fmap=fmap, u0=u0_values)
     spec = config.norm_spec()
     size = sup_in_time(u, grid, spec, out=_work.u_next)
     diff = np.subtract(u, u0_values, out=_work.u_next)
     moved = sup_in_time(diff, grid, spec, out=diff)
-    residual = fixed_point_residual(state, kernel, config, _work=_work)
+    residual = fixed_point_residual(u, fmap, kernel, u0_values, config, _work=_work)
     if not residual <= config.picard_tol * max(1.0, size):
         raise NumericalFailure(f"slab residual {residual:.3e} exceeds picard_tol "
                                f"{config.picard_tol:.3g} times max(1, {size:.3g})")
@@ -457,7 +446,7 @@ def picard_solve(
         "contraction_ratios": [moved / size] if size > 0 else [],
         "residual": residual,
     }
-    return state, summary
+    return u, summary
 
 
 def _node_solver(fmap: FlowMap, kernel: Kernel, work: _Workspace) -> tuple:
@@ -587,20 +576,17 @@ def _multilinear(axes, values, pts, fill_value) -> np.ndarray:
     return out
 
 
-def _node_index(times: np.ndarray, t: float) -> int:
-    """Index of the node at t, within 1e-12 max(1, |t|), or ValueError."""
-    k = int(np.argmin(np.abs(times - t)))
-    if not np.isclose(times[k], t, rtol=0.0, atol=1e-12 * max(1.0, abs(t))):
-        raise ValueError(f"t={t} is not one of the state's time nodes")
-    return k
-
-
 def _slab_node(boundaries: list, tau: np.ndarray, t: float) -> tuple[int, int]:
     """(slab, node) of t: the first slab covering t within 1e-12, whose
-    nodes are its start plus the local nodes `tau`."""
+    nodes are its start plus the local nodes `tau`, and the node of that
+    slab at t within 1e-12 max(1, |t|), or ValueError."""
     for i, (start, end) in enumerate(zip(boundaries[:-1], boundaries[1:])):
         if start - 1e-12 <= t <= end + 1e-12:
-            return i, _node_index(start + tau, t)
+            times = start + tau
+            k = int(np.argmin(np.abs(times - t)))
+            if not np.isclose(times[k], t, rtol=0.0, atol=1e-12 * max(1.0, abs(t))):
+                raise ValueError(f"t={t} is not one of the state's time nodes")
+            return i, k
     raise ValueError(f"t={t} outside the solved horizon")
 
 
@@ -623,32 +609,29 @@ def _pull_back(field: StructuredVectorField, grid: GridSpec, t: float, t0: float
 
 
 def eulerian_reconstruct(
-    state: LagrangianState, t: float, pull: tuple,
+    values: np.ndarray, grid: GridSpec, t: float, pull: tuple,
 ) -> EulerianSlice:
-    """u(t, .) on the state's label grid, read as Eulerian points, from
-    the Lagrangian state.
+    """u(t, .) on the label grid `grid`, read as Eulerian points, from
+    `values`, u~ at one node, (Nx, Nr), whose time is `t`.
 
-    `pull` is the pull-back of the grid's points from t to the state's
+    `pull` is the pull-back of the grid's points from t to the slab's
     base time along the field, as `_pull_back` makes it
     (`continue_solution` shares one across its slabs), and u~(t) is
-    interpolated multilinearly at each pulled-back label.  `t` must be
-    one of the state's nodes.
+    interpolated multilinearly at each pulled-back label.
 
     Box rule: each axis [lo, hi] has a pad of 1e-12 max(1, |lo| + |hi|)
     for the rounding of the pull-back.  A label within the pad is clipped
     onto the box face and interpolated there; a label beyond it gets 0,
     and `exit_fraction` counts exactly those labels.
     """
-    k = _node_index(state.times, t)
-    grid = state.grid
     flat, outside = pull
     # only the labels beyond the pad are left outside the box, to be 0
     vals = _multilinear(
-        grid.axes(), state.values[k].reshape(grid.shape), flat, 0.0
+        grid.axes(), values.reshape(grid.shape), flat, 0.0
     ).reshape(grid.num_x, grid.num_r)
     return EulerianSlice(
         grid=grid,
-        t=float(state.times[k]),
+        t=float(t),
         values=vals,
         exit_fraction=float(np.mean(outside)),
     )
@@ -657,28 +640,19 @@ def eulerian_reconstruct(
 @dataclass
 class ContinuedSolution:
     """Solution on [t0, T] from contraction slabs, read off each slab
-    while its state is alive: the total Eulerian mass at every node, and
-    the Eulerian slices at the requested times (keyed as requested) and
-    at the last boundary.  Boundaries and one record per slab document
-    it: the slab's t_start, t_end and exit_fraction (that of its
-    re-basing, 0.0 on the last slab) with its `picard_solve` summary."""
+    while its node values are alive: the total Eulerian mass at every
+    node, and the Eulerian slices at the requested times (keyed as
+    requested) and at the last boundary.  Boundaries and one record per
+    slab document it: the slab's t_start, t_end and exit_fraction (that
+    of its re-basing, 0.0 on the last slab) with its `picard_solve`
+    record."""
 
-    field_name: str
-    kernel_name: str
     mass_times: np.ndarray
     masses: np.ndarray
     slices: dict
     final: EulerianSlice
     summaries: list
     boundaries: list
-
-    def run_summary(self) -> dict:
-        return {
-            "field": self.field_name,
-            "kernel": self.kernel_name,
-            "slab_boundaries": [float(b) for b in self.boundaries],
-            "slabs": self.summaries,
-        }
 
 
 def continue_solution(
@@ -704,9 +678,9 @@ def continue_solution(
     kernel operator) are built once, on the local nodes
     tau = linspace(0, T0, nodes_per_slab).  Each slab solves its fixed
     point on the template (`picard_solve`), so every slab runs the same
-    node systems and steps, takes the nodes t_start + tau only then,
-    reads its masses and slices there, drops its state, and re-bases its
-    last node on the label grid.  A slab
+    node systems and steps; its node values are read at the times
+    t_start + tau, for its masses and slices, and its last node is
+    re-based on the label grid.  A slab
     reconstructs each node it reads once: its last node, the re-basing
     datum and on the last slab `final`, and the nodes of its slices, so
     a slice on a slab boundary is the re-basing read.  By
@@ -744,33 +718,30 @@ def continue_solution(
     w = grid.x_weights()[:, None] * grid.r_weights()[None, :]
     mass_times, masses, summaries, slices = [], [], [], dict.fromkeys(slice_times)
     for i, t_start in enumerate(boundaries[:-1]):
-        # solved on the template, then stamped with the slab's nodes
-        state, summary = picard_solve(u_cur, fmap, kernel, config, _work=work)
-        state.fmap = replace(fmap, times=t_start + tau)
+        # solved on the template, and read at the slab's own times
+        u, summary = picard_solve(u_cur, fmap, kernel, config, _work=work)
+        times = t_start + tau
         # one read per node: the last one, and those of the slab's slices
-        read = {k: eulerian_reconstruct(state, state.times[k], pulls[k])
+        read = {k: eulerian_reconstruct(u[k], grid, times[k], pulls[k])
                 for k in {last, *(k for slab, k in slice_nodes if slab == i)}}
         slices.update((t, read[k]) for t, (slab, k) in zip(slice_times, slice_nodes)
                       if slab == i)
         start = 0 if i == 0 else 1
         # mass int u dy dr as the label-grid quadrature of u~ exp(logJ), in
-        # the workspace buffer the state does not use, exp(logJ1 + logJ2)
+        # the workspace buffer the values do not use, exp(logJ1 + logJ2)
         # one (Nx, Nr) node at a time, and a row sum per node: the same
         # pairwise sum as np.sum(dens[k])
-        dens = np.multiply(w, state.values, out=work.u_next)
+        dens = np.multiply(w, u, out=work.u_next)
         for node, logj1, logj2 in zip(dens, fmap.logj1, fmap.logj2):
             logj = logj1[:, None] + logj2
             node *= np.exp(logj, out=logj)
-        mass_times.extend(state.times[start:].tolist())
+        mass_times.extend(times[start:].tolist())
         masses.extend(dens[start:].reshape(tau.size - start, -1).sum(axis=1).tolist())
         summary.update(t_start=float(t_start), t_end=float(boundaries[i + 1]),
                        exit_fraction=exit_fraction if i + 1 < count else 0.0)
         u_cur = read[last].values
         summaries.append(summary)
-        del state
     return ContinuedSolution(
-        field_name=field.name,
-        kernel_name=kernel.name if kernel is not None else "none",
         mass_times=np.asarray(mass_times), masses=np.asarray(masses),
         slices=slices, final=read[last], summaries=summaries, boundaries=boundaries,
     )

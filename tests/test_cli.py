@@ -1348,6 +1348,55 @@ def test_schema_key_mutations_keep_the_exit_code_contract(tmp_path, capsys, name
         tmp_path, capsys, name.split("_")[0], _schema_mutants(name, 30))
 
 
+# configs at the edge of a command's range, each of which once ended in
+# a traceback
+_EDGE_CONFIGS = {
+    # every density is 1 to rounding, so every L1 distance is 0
+    "counterexample": {"schema_version": 1, "t": 1e-17},
+    # t0 + t / 2 rounds to t0
+    "verify": {**verify_config(), "t": 1e-11,
+               "grid": {**verify_config()["grid"], "time_nodes": [1e6, 2e6]}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EDGE_CONFIGS))
+def test_edge_configs_keep_the_exit_code_contract(tmp_path, capsys, command):
+    _check_exit_code_contract(tmp_path, capsys, command, [_EDGE_CONFIGS[command]])
+
+
+def test_a_counterexample_too_short_to_move_a_label_fails(tmp_path, capsys):
+    # all L1 distances are 0: strong_failure fails on them, and equal
+    # distances spread by 0, so the run exits 1 with its verdict
+    from lagtransport import cli
+
+    path = write_config(tmp_path / "c.json", _EDGE_CONFIGS["counterexample"])
+    assert cli.main(["counterexample", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "counterexample: FAILED" in capsys.readouterr().out
+    (result,) = tmp_path.glob("counterexample_*.json")
+    payload = json.loads(result.read_text())
+    assert [row["l1_distance"] for row in payload["rows"]] == [0.0] * 4
+    criteria = payload["criteria"]
+    assert (criteria["l1_k_independence"]["value"],
+            criteria["l1_k_independence"]["passed"]) == (0.0, True)
+    assert (criteria["strong_failure"]["value"],
+            criteria["strong_failure"]["passed"]) == (0.0, False)
+
+
+def test_a_verify_t_below_the_rounding_of_t0_exits_2(tmp_path, capsys):
+    # the battery's 9 flow nodes on [t0, t0 + t] must be strictly
+    # increasing, as time_nodes must: a t they cannot separate at t0 = 1e6
+    # is rejected before any work, and the message names it
+    from lagtransport import cli
+
+    path = write_config(tmp_path / "v.json", _EDGE_CONFIGS["verify"])
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t = 1e-11 is too short for 9 strictly "
+                          "increasing time nodes")
+    assert not out.exists()
+
+
 # the tiny demo config each command runs on
 _TINY_OF = {"flow": "flow_logistic", "solve": "solve_separable",
             "stability": "stability_default",

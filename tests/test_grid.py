@@ -1,6 +1,7 @@
 """Grid axes, quadrature weights, and windowed norms."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,26 @@ def test_suffix_factors_rebuild_suffix_weight_matrix(coords, npts):
     ref = suffix_weight_matrix(c)
     assert np.max(np.abs(rebuilt - ref)) <= 1e-15 * np.max(np.abs(ref))
     assert diag[-1] == scale[-1] == 0.0
+
+
+def test_suffix_factors_are_read_from_the_axis_plan(monkeypatch):
+    # the factors are built once, read-only, with the axis's weights and
+    # tails: a later call on the same nodes decides nothing again and
+    # returns the same arrays
+    axis = np.geomspace(0.43, 2.9, 21)
+    first = suffix_factors(axis)
+    calls = []
+
+    def counting(coords):
+        calls.append(coords.size)
+        return uniform_spacing(coords)
+
+    uniform_spacing = grid_module._uniform_spacing
+    monkeypatch.setattr(grid_module, "_uniform_spacing", counting)
+    again = suffix_factors(axis.copy())
+    assert calls == []
+    assert all(a is b for a, b in zip(first, again))
+    assert not any(a.flags.writeable for a in again)
 
 
 # ---------------------------------------------------------------------
@@ -471,6 +492,29 @@ def test_sup_in_time_propagates_a_nan_at_any_node():
     vals[2, 1, 1] = np.nan
     for p in (1.0, 2.0, np.inf):
         assert np.isnan(sup_in_time(vals, grid, NormSpec(p=p)))
+
+
+@pytest.mark.parametrize("p", [2.0, 40.0, 400.0])
+@pytest.mark.parametrize(
+    "window", [None, ((-0.5, 0.75), (0.2, 1.0))], ids=["whole", "window"],
+)
+def test_the_windowed_norm_neither_underflows_nor_overflows(p, window):
+    # the norm is homogeneous: v times a power of two, far enough that
+    # |v|^p leaves the float range, has that multiple of v's norm, with no
+    # warning; a value outside the window is no part of the norm or of
+    # its scale
+    rng = np.random.default_rng(29)
+    grid = _grid_2d()
+    spec = NormSpec(p=p, window=window)
+    vals = rng.uniform(0.5, 1.0, (3, grid.num_x, grid.num_r))
+    ref = sup_in_time(vals, grid, spec)
+    if window is not None:
+        vals[:, 0, 0] = 256.0  # x = -1 lies outside the window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in (-1000, -600, 600):
+            scaled = sup_in_time(vals * 2.0**exponent, grid, spec)
+            assert scaled == pytest.approx(ref * 2.0**exponent, rel=1e-14, abs=0.0)
 
 
 def test_norm_spec_rejects_bad_exponent():

@@ -120,8 +120,8 @@ def test_picard_from_any_start_reaches_the_one_fixed_point(
     fmap = flow_map(field, grid, np.linspace(0.0, duration, 9))
     labels = grid.joint_labels()
     u0 = make_initial("gaussian")(labels[..., :1], labels[..., 1:])
-    state, _ = picard_solve(u0, fmap, kernel, SolverConfig(picard_tol=1e-12))
-    u = state.values + np.random.default_rng(seed).normal(size=state.values.shape)
+    values, _ = picard_solve(u0, fmap, kernel, SolverConfig(picard_tol=1e-12))
+    u = values + np.random.default_rng(seed).normal(size=values.shape)
     work = transport._Workspace(fmap, kernel)
     for _ in range(200):
         nxt = apply_A(u, fmap, kernel, u0, _work=work).copy()
@@ -130,7 +130,7 @@ def test_picard_from_any_start_reaches_the_one_fixed_point(
         if step < 1e-13:
             break
     assert step < 1e-13
-    assert np.max(np.abs(u - state.values)) <= 1e-9 * np.max(np.abs(state.values))
+    assert np.max(np.abs(u - values)) <= 1e-9 * np.max(np.abs(values))
 
 
 @PROPERTY_SETTINGS

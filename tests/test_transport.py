@@ -3,7 +3,6 @@
 import dataclasses
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from lagtransport.fields import (
     separable_kernel,
     zero_field,
 )
-from lagtransport.flow import NumericalFailure, flow_map
+from lagtransport.flow import FlowMap, NumericalFailure, flow_map
 from lagtransport.grid import (
     GridSpec,
     suffix_integrals,
@@ -66,10 +65,10 @@ def _apply_A(values, fmap, kern, u0):
     return apply_A(values, fmap, kern, u0, _work=transport._Workspace(fmap, kern))
 
 
-def _residual(state, kern, config):
+def _residual(values, fmap, kern, u0, config):
     """fixed_point_residual in a workspace of its own."""
     return fixed_point_residual(
-        state, kern, config, _work=transport._Workspace(state.fmap, kern)
+        values, fmap, kern, u0, config, _work=transport._Workspace(fmap, kern)
     )
 
 
@@ -78,11 +77,13 @@ def _slab(field, grid, duration, nodes):
     return flow_map(field, grid, np.linspace(0.0, duration, nodes))
 
 
-def _reconstruct(state, field, t):
-    """`eulerian_reconstruct` at t, with the pull-back of the grid's points
-    along `field` from t to the state's base time."""
-    pull = transport._pull_back(field, state.grid, t, state.times[0])
-    return eulerian_reconstruct(state, t, pull)
+def _reconstruct_last(values, fmap, field):
+    """`eulerian_reconstruct` of the last node of `values`, solved on
+    `fmap`, with the pull-back of the grid's points along `field` from
+    that node's time to the slab's base time."""
+    t = fmap.times[-1]
+    pull = transport._pull_back(field, fmap.grid, t, fmap.times[0])
+    return eulerian_reconstruct(values[-1], fmap.grid, t, pull)
 
 
 def _fiber_datum(grid, datum):
@@ -554,12 +555,13 @@ def test_picard_residual_matches_fixed_point_residual(field, factored):
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
-    state, summary = picard_solve(u0, _slab(field, grid, 0.25, 9), kern, config)
+    fmap = _slab(field, grid, 0.25, 9)
+    values, summary = picard_solve(u0, fmap, kern, config)
     if factored:
-        residual = _residual(state, kern, config)
+        residual = _residual(values, fmap, kern, u0, config)
     else:
-        image = _dense_apply_A(state.values, state.fmap, kern, state.u0)
-        residual = sup_in_time(state.values - image, grid, config.norm_spec())
+        image = _dense_apply_A(values, fmap, kern, u0)
+        residual = sup_in_time(values - image, grid, config.norm_spec())
     assert abs(summary["residual"] - residual) < 1e-14
 
 
@@ -600,13 +602,46 @@ def test_separable_solve_matches_a_constant_kernel_solve():
         assert np.max(np.abs(sol.slices[t].values - ref_t)) < 1e-6
 
 
+def _logistic_separable_run(p, amplitude):
+    """The slab records of a 9 x 17 logistic / separable solve in the
+    windowed L^p norm, with numpy's warnings raised as errors."""
+    grid = GridSpec(x_bounds=((-np.pi, np.pi),), x_counts=(9,),
+                    r_bounds=((0.0, 1.0),), r_counts=(17,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return continue_solution(
+            make_initial("gaussian", amplitude=amplitude),
+            logistic_field(k=1, mu=0.3), separable_kernel(),
+            SolverConfig(p=p, nodes_per_slab=9), grid, 0.5,
+        ).summaries
+
+
+def test_a_large_p_residual_does_not_underflow():
+    # 1e-16 to the 40th power underflows: the residual is the norm of the
+    # scaled difference, so the picard_tol check does not pass vacuously
+    slab, = _logistic_separable_run(40.0, 1.0)
+    assert 1e-17 < slab["residual"] <= 1e-14
+
+
+def test_a_large_p_ratio_does_not_overflow():
+    # 12 to the 400th power overflows: the ratio is that of the scaled
+    # norms, so it reads as the same run with a datum of amplitude 1
+    slab, = _logistic_separable_run(400.0, 10.0)
+    ref, = _logistic_separable_run(400.0, 1.0)
+    assert slab["contraction_ratios"] == pytest.approx(ref["contraction_ratios"],
+                                                       rel=1e-12)
+    assert 0.1 < slab["contraction_ratios"][0] < 0.2
+    assert 0.0 < slab["residual"] <= 1e-13
+
+
 def test_fixed_point_residual_vanishes_for_true_fixed_point():
     grid = _fiber_grid(nr=33)
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-12, nodes_per_slab=17)
-    state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 17), kern, config)
-    assert _residual(state, kern, config) < 1e-11
+    fmap = _slab(zero_field(1, 1), grid, 0.5, 17)
+    values, _ = picard_solve(u0, fmap, kern, config)
+    assert _residual(values, fmap, kern, u0, config) < 1e-11
 
 
 # ---------------------------------------------------------------------
@@ -661,12 +696,10 @@ def test_picard_matches_separable_oracle():
     grid = _fiber_grid(nr=33, nx=3)
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.3))
-    state, summary = picard_solve(
-        u0, _slab(zero_field(1, 1), grid, 0.25, 33), kern,
-        SolverConfig(picard_tol=1e-10),
-    )
-    ref = separable_solve(kern, state.u0, grid, state.times)
-    assert np.max(np.abs(state.values - ref)) < 1e-6
+    fmap = _slab(zero_field(1, 1), grid, 0.25, 33)
+    values, summary = picard_solve(u0, fmap, kern, SolverConfig(picard_tol=1e-10))
+    ref = separable_solve(kern, u0, grid, fmap.times)
+    assert np.max(np.abs(values - ref)) < 1e-6
     assert summary["residual"] <= 2e-10
     assert all(r < 0.6 for r in summary["contraction_ratios"])
 
@@ -838,10 +871,10 @@ _SEPARABLE = separable_kernel(terms=SEPARABLE_TERMS)
 def test_a_marched_slab_is_the_fixed_point_picard_approaches(
     field, kern, grid, settings,
 ):
-    # every slab is marched node by node: the state is Picard's limit,
+    # every slab is marched node by node: its values are Picard's limit,
     # which fresh-array Picard at 1e-13 reaches to 1e-12; the record has
     # no iterations, and one ratio, ||v - u0|| / ||v||, which is within
-    # residual / ||v|| of the ratio of the state and 0 under A; and a
+    # residual / ||v|| of the ratio of the values and 0 under A; and a
     # reused workspace carries nothing over
     fmap = _slab(field, grid, 0.4, 9)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4, r_center=0.45))
@@ -852,22 +885,22 @@ def test_a_marched_slab_is_the_fixed_point_picard_approaches(
     work = transport._Workspace(fmap, kern)
     marched = []
     for _ in range(2):
-        state, summary = picard_solve(u0, fmap, kern, config, _work=work)
-        assert state.values is work.u
-        marched.append(state.values.copy())
-        assert np.max(np.abs(state.values - values)) <= 1e-12
+        solved, summary = picard_solve(u0, fmap, kern, config, _work=work)
+        assert solved is work.u
+        marched.append(solved.copy())
+        assert np.max(np.abs(solved - values)) <= 1e-12
         assert set(summary) == {"iterations", "contraction_ratios", "residual"}
         assert summary["iterations"] == 0
-        size = sup_in_time(state.values, grid, spec)
+        size = sup_in_time(solved, grid, spec)
         assert summary["contraction_ratios"] == [
-            sup_in_time(state.values - u0, grid, spec) / size
+            sup_in_time(solved - u0, grid, spec) / size
         ]
-        image = _apply_A(state.values, fmap, kern, u0)
+        image = _apply_A(solved, fmap, kern, u0)
         assert abs(summary["contraction_ratios"][0]
                    - sup_in_time(image - u0, grid, spec) / size
                    ) <= summary["residual"] / size
-        assert summary["residual"] == _residual(state, kern, config) <= 1e-14
-    marched.append(picard_solve(u0, fmap, kern, config)[0].values)
+        assert summary["residual"] == _residual(solved, fmap, kern, u0, config) <= 1e-14
+    marched.append(picard_solve(u0, fmap, kern, config)[0])
     assert all(np.array_equal(m, marched[0]) for m in marched)
 
 
@@ -893,14 +926,14 @@ def test_a_slab_start_moves_no_bit_of_the_march(field, kern):
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.4, r_center=0.45))
     config = SolverConfig(picard_tol=1e-13, nodes_per_slab=9)
     work = transport._Workspace(fmap, kern)
-    template = picard_solve(u0, fmap, kern, config, _work=work)[0].values.copy()
-    state, _ = picard_solve(u0, shifted, kern, config, _work=work)
-    assert np.array_equal(state.values, template)
+    template = picard_solve(u0, fmap, kern, config, _work=work)[0].copy()
+    values, _ = picard_solve(u0, shifted, kern, config, _work=work)
+    assert np.array_equal(values, template)
 
 
 @_TEMPLATE_CASES
 def test_a_slab_makes_one_operator_application(monkeypatch, field, kern):
-    # the march needs no A, and the ratio reads the state itself: the
+    # the march needs no A, and the ratio reads the values themselves: the
     # residual's A v is the slab's one application of the operator
     grid = _fiber_grid(nr=33, nx=5)
     fmap = _slab(field, grid, 0.4, 9)
@@ -953,17 +986,17 @@ def test_a_marched_slab_allocates_no_slab_sized_array(kern):
         picard_solve(u0, fmap, kern, config, _work=work)  # warm caches
         tracemalloc.start()
         try:
-            state, summary = picard_solve(u0, fmap, kern, config, _work=work)
+            solved, summary = picard_solve(u0, fmap, kern, config, _work=work)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            apply_A(state.values, fmap, kern, u0, _work=work)
+            apply_A(solved, fmap, kern, u0, _work=work)
             operator_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert summary["iterations"] == 0
         assert peak < work.u.nbytes + (operator_peak if kern.triangular else 0)
         values = _picard_on_fresh_arrays(u0, fmap, kern, config)[0]
-        assert np.max(np.abs(state.values - values)) <= 1e-12
+        assert np.max(np.abs(solved - values)) <= 1e-12
 
 
 def _shared_fiber_workspace_case():
@@ -976,7 +1009,7 @@ def _shared_fiber_workspace_case():
 
 
 def test_the_workspace_holds_two_slab_buffers():
-    # the march keeps g and h g in the buffer its state does not use, the
+    # the march keeps g and h g in the buffer its values do not use, the
     # residual overwrites the image there, and a slab's masses use it too
     fmap, kern, _ = _shared_fiber_workspace_case()
     work = transport._Workspace(fmap, kern)
@@ -990,21 +1023,21 @@ def test_the_workspace_holds_two_slab_buffers():
 def test_a_workspace_and_a_solve_peak_below_two_and_a_half_slabs():
     # building the workspace and solving in it holds the operator, rho2,
     # two slab buffers and temporaries far smaller than a slab
-    # (the kernel is marched; fresh-array Picard at 1e-13 reaches its state)
+    # (the kernel is marched; fresh-array Picard at 1e-13 reaches its values)
     fmap, kern, u0 = _shared_fiber_workspace_case()
     config = SolverConfig(picard_tol=1e-13, nodes_per_slab=17)
     picard_solve(u0, fmap, kern, config)  # warm caches
     tracemalloc.start()
     try:
         work = transport._Workspace(fmap, kern)
-        state, summary = picard_solve(u0, fmap, kern, config, _work=work)
+        solved, summary = picard_solve(u0, fmap, kern, config, _work=work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert summary["iterations"] == 0
     assert peak < 2.5 * work.u.nbytes + work.ops.nbytes + work.rho2.nbytes
     values = _picard_on_fresh_arrays(u0, fmap, kern, config)[0]
-    assert np.max(np.abs(state.values - values)) <= 1e-12
+    assert np.max(np.abs(solved - values)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -1024,13 +1057,13 @@ def test_a_fiber_that_reads_x_holds_no_node_sets(monkeypatch, kern):
     fmap = _slab(modulated_logistic_field(mu=0.3), grid, 0.05, 17)
     u0 = _fiber_datum(grid, make_initial("log_gaussian"))
     config = SolverConfig(nodes_per_slab=17)
-    state, _ = picard_solve(u0, fmap, kern, config)  # warm caches
+    values, _ = picard_solve(u0, fmap, kern, config)  # warm caches
     work = transport._Workspace(fmap, kern)
     built = Counting(transport._triangular_set)
     monkeypatch.setattr(transport, "_triangular_set", built)
     tracemalloc.start()
     try:
-        apply_A(state.values, fmap, kern, u0, _work=work)
+        apply_A(values, fmap, kern, u0, _work=work)
         operator_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         work = transport._Workspace(fmap, kern)
@@ -1076,10 +1109,12 @@ def test_reconstruct_zero_field_returns_lagrangian_slice():
     kern = separable_kernel(terms=SEPARABLE_TERMS)
     u0 = _fiber_datum(grid, make_initial("gaussian", x_center=0.5, x_width=0.4))
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
-    state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 9), kern, config)
-    slc = _reconstruct(state, zero_field(1, 1), 0.5)
+    fmap = _slab(zero_field(1, 1), grid, 0.5, 9)
+    values, _ = picard_solve(u0, fmap, kern, config)
+    slc = _reconstruct_last(values, fmap, zero_field(1, 1))
+    assert slc.t == 0.5
     assert slc.exit_fraction == 0.0
-    assert np.allclose(slc.values, state.values[-1], atol=1e-12)
+    assert np.allclose(slc.values, values[-1], atol=1e-12)
 
 
 def test_reconstruct_linear_field_matches_transport():
@@ -1098,8 +1133,10 @@ def test_reconstruct_linear_field_matches_transport():
     )
     u0 = _fiber_datum(grid, datum)
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
-    state, _ = picard_solve(u0, _slab(field, grid, 0.3, 9), None, config)
-    slc = _reconstruct(state, field, 0.3)
+    fmap = _slab(field, grid, 0.3, 9)
+    values, _ = picard_solve(u0, fmap, None, config)
+    slc = _reconstruct_last(values, fmap, field)
+    assert slc.t == 0.3
     xs = grid.x_labels()
     rs = grid.r_labels()
     back_x = np.repeat(xs[:, None, :], grid.num_r, axis=1) * np.exp(-lam * 0.3)
@@ -1169,8 +1206,9 @@ def test_rebasing_zero_fills_exactly_the_labels_it_counts():
     grid = _rebasing_grid()
     u0 = np.ones((grid.num_x, grid.num_r))
     config = SolverConfig(nodes_per_slab=9)
-    state, _ = picard_solve(u0, _slab(field, grid, 0.5, 9), None, config)
-    slc = _reconstruct(state, field, 0.5)
+    fmap = _slab(field, grid, 0.5, 9)
+    values, _ = picard_solve(u0, fmap, None, config)
+    slc = _reconstruct_last(values, fmap, field)
     assert slc.exit_fraction == np.mean(slc.values == 0.0) == 4 / 9
 
 def _random_axes(rng, dims):
@@ -1237,12 +1275,11 @@ def test_cumulative_trapezoid_matches_scipy(shape):
 
 
 def test_reconstruct_requires_solved_time_node():
-    grid = _fiber_grid()
-    config = SolverConfig(picard_tol=1e-10, nodes_per_slab=9)
-    u0 = np.ones((grid.num_x, grid.num_r))
-    state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 9), None, config)
-    with pytest.raises(ValueError):
-        _reconstruct(state, zero_field(1, 1), 0.123)
+    # a time is read only at a node of its slab, within 1e-12 max(1, |t|)
+    tau = np.linspace(0.0, 0.5, 9)
+    assert transport._slab_node([0.0, 0.5], tau, 0.5 + 1e-13) == (0, 8)
+    with pytest.raises(ValueError, match="is not one of the state's time nodes"):
+        transport._slab_node([0.0, 0.5], tau, 0.123)
 
 
 # ---------------------------------------------------------------------
@@ -1326,15 +1363,14 @@ def test_a_moving_fiber_solve_converges_at_second_order():
 
 
 def test_run_summary_slabs_are_the_slab_records():
-    # each slab's record is built once, with the result JSON's keys, and
-    # the run summary hands the records over as they are
+    # each slab's record is built once, with the keys of the result
+    # JSON's run summary, which hands the records over as they are
     sol = continue_solution(
         make_initial("constant"), zero_field(1, 1), constant_kernel(c=0.7),
         SolverConfig(nodes_per_slab=9), _fiber_grid(nr=17), 3.0,
     )
-    slabs = sol.run_summary()["slabs"]
+    slabs = sol.summaries
     assert len(slabs) >= 2
-    assert slabs == sol.summaries
     for s, start, end in zip(slabs, sol.boundaries, sol.boundaries[1:]):
         assert set(s) == {"t_start", "t_end", "iterations", "contraction_ratios",
                           "residual", "exit_fraction"}
@@ -1438,20 +1474,17 @@ def _growth_run_args(grid):
 
 
 def test_a_run_holds_at_most_one_slab_state(monkeypatch):
-    # a slab's masses and slices are read off and its state dropped, so a
-    # run with ten times the slabs peaks within one slab's state (values
-    # plus flow map) of the small run
+    # a slab's masses and slices are read off its node values, which the
+    # next slab overwrites, so a run with ten times the slabs peaks within
+    # one slab's state (values plus flow map) of the small run
     grid = _fiber_grid(nr=65, nx=8)
     args = _growth_run_args(grid)
-    state, _ = picard_solve(
-        np.ones((grid.num_x, grid.num_r)), _slab(args[1], grid, 0.5, 9),
-        *args[2:4],
-    )
-    fmap = state.fmap
-    one_state = state.values.nbytes + sum(
+    fmap = _slab(args[1], grid, 0.5, 9)
+    values, _ = picard_solve(np.ones((grid.num_x, grid.num_r)), fmap, *args[2:4])
+    one_state = values.nbytes + sum(
         a.nbytes for a in (fmap.x1, fmap.logj1, fmap.x2, fmap.logj2)
     )
-    del state, fmap
+    del values, fmap
     continue_solution(*args, 1.0)  # caches the grid's weights and labels
     peaks, slabs = [], []
     for t_end in (1.0, 14.5):
@@ -1463,17 +1496,18 @@ def test_a_run_holds_at_most_one_slab_state(monkeypatch):
             tracemalloc.stop()
     assert slabs[1] >= 10 * slabs[0]
     assert peaks[1] - peaks[0] < one_state
-    # no earlier state is alive when the next slab is solved
-    states = []
+    # no earlier slab's values are alive when the next slab is solved:
+    # every slab's values are the one buffer each solve overwrites
+    solved = []
 
     def solve(*solve_args, **solve_kwargs):
-        assert all(ref() is None for ref in states)
         out = picard_solve(*solve_args, **solve_kwargs)
-        states.append(weakref.ref(out[0]))
+        solved.append(out[0])
         return out
 
     monkeypatch.setattr(transport, "picard_solve", solve)
-    assert len(continue_solution(*args, 14.5).summaries) == len(states) == slabs[1]
+    assert len(continue_solution(*args, 14.5).summaries) == len(solved) == slabs[1]
+    assert all(values is solved[0] for values in solved)
 
 
 def test_slices_on_the_boundaries_reuse_the_re_basing_slices(monkeypatch):
@@ -1535,20 +1569,44 @@ def test_a_run_plans_once_and_builds_one_slab_template(monkeypatch, t_end):
     assert calls == {"choose_slab": 1, "flow_map": 1, "_kernel_matrices": 1,
                      "inverse_flow_grid": 2, "picard_solve": count,
                      "eulerian_reconstruct": count + 1}
-    # every slab is solved on the one template, built on local nodes, and
-    # its state takes the slab's nodes, shifted to its start, after the
-    # solve
+    # every slab is solved on the one template, built on local nodes, in
+    # one buffer, and read at the slab's nodes, shifted to its start,
+    # after the solve
     fmap, = spies["flow_map"].results
     assert fmap.times[0] == 0.0 and fmap.times[-1] == length
+    solved = [values for values, _ in spies["picard_solve"].results]
+    assert all(values is solved[0] for values in solved)
     for i, start in enumerate(sol.boundaries[:-1]):
         assert spies["picard_solve"].args[i][1] is fmap
-        slab = spies["picard_solve"].results[i][0].fmap
-        assert all(getattr(slab, a) is getattr(fmap, a)
-                   for a in ("grid", "x1", "logj1", "x2", "logj2"))
-        assert np.array_equal(slab.times, start + fmap.times)
-        assert np.array_equal(sol.mass_times[8 * i + 1 : 8 * i + 9], slab.times[1:])
+        assert np.array_equal(sol.mass_times[8 * i + 1 : 8 * i + 9],
+                              (start + fmap.times)[1:])
+    # each slab's last node, and node 3 of the third slab
+    read_times = [args[2] for args in spies["eulerian_reconstruct"].args]
+    assert sorted(read_times) == sorted(
+        [start + fmap.times[-1] for start in sol.boundaries[:-1]]
+        + [sol.boundaries[2] + fmap.times[3]]
+    )
     assert [sol.slices[t].t for t in slice_times] == list(slice_times)
     assert np.array_equal(sol.masses, ref.masses)
+
+
+def test_a_run_constructs_one_flow_map(monkeypatch):
+    # a slab's times are t_start + tau, computed where they are read: the
+    # template is the run's only flow map, whatever the slab count
+    built, init = [], FlowMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowMap, "__init__", counted)
+    sol = continue_solution(
+        make_initial("gaussian", x_center=0.5), logistic_field(k=1, mu=0.3),
+        _SEPARABLE, SolverConfig(picard_tol=1e-10, nodes_per_slab=9),
+        _fiber_grid(nr=17, nx=5), 5.3, t0=0.3,
+    )
+    assert len(sol.summaries) >= 3
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
@@ -1580,10 +1638,10 @@ def test_the_slab_template_is_each_slab_on_its_own_nodes(field):
         for a, b in ((local.x1, fmap.x1), (local.x2, fmap.x2),
                      (local.logj(), fmap.logj())):
             assert rel(a, b) < 1e-14
-        state, _ = picard_solve(u, fmap, kern, config)
-        dens = (w * state.values * np.exp(fmap.logj())).reshape(9, -1)
+        values, _ = picard_solve(u, fmap, kern, config)
+        dens = (w * values * np.exp(fmap.logj())).reshape(9, -1)
         masses.extend(dens.sum(axis=1)[1 if masses else 0 :])
-        u = _reconstruct(state, field, state.times[-1]).values
+        u = _reconstruct_last(values, fmap, field).values
     assert rel(np.array(masses), sol.masses) < 1e-14
     assert rel(u, sol.final.values) < 1e-14
 
@@ -1696,8 +1754,9 @@ def test_state_and_slice_csv_round_trip(tmp_path, monkeypatch):
     grid = _fiber_grid(nr=5)
     config = SolverConfig(picard_tol=1e-10, nodes_per_slab=5)
     u0 = _fiber_datum(grid, make_initial("gaussian"))
-    state, _ = picard_solve(u0, _slab(zero_field(1, 1), grid, 0.5, 5), None, config)
-    slc = _reconstruct(state, zero_field(1, 1), 0.5)
+    fmap = _slab(zero_field(1, 1), grid, 0.5, 5)
+    values, _ = picard_solve(u0, fmap, None, config)
+    slc = _reconstruct_last(values, fmap, zero_field(1, 1))
     path = tmp_path / "slice.csv"
     slice_to_csv(slc, path)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -1711,8 +1770,9 @@ def test_state_and_slice_csv_round_trip(tmp_path, monkeypatch):
     grid0 = GridSpec(x_bounds=((-1.0, 2.0), (0.0, 1.0)), x_counts=(5, 4))
     field0 = linear_field(lam=-0.7, mu=0.0, n=2, j=0)
     u00 = _fiber_datum(grid0, make_initial("gaussian", x_center=0.3))
-    state0, _ = picard_solve(u00, _slab(field0, grid0, 0.5, 5), None, config)
-    slc0 = _reconstruct(state0, field0, 0.5)
+    fmap0 = _slab(field0, grid0, 0.5, 5)
+    values0, _ = picard_solve(u00, fmap0, None, config)
+    slc0 = _reconstruct_last(values0, fmap0, field0)
     slice_to_csv(slc0, path)
     assert path.read_text() == _slice_csv_by_rows(slc0)
 
